@@ -13,7 +13,6 @@ from .bounds import (
     MAX_PLAN_STEPS,
     ErrorPlan,
     chained_rate,
-    commutator_bound,
     coupling_ratio,
     global_bound,
     plan_steps,
@@ -99,7 +98,6 @@ from .synth import (
     cnot_generator,
     compile_cnot,
     compile_schedule,
-    compile_step,
     step_model,
     synth_max_term,
     synth_pauli_product,
@@ -116,8 +114,8 @@ __all__ = [
     "NotCoupled", "NotEntangling", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
     "ParseError", "PauliString", "Schedule", "TermRecipe", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",
-    "chained_rate", "commutator_bound", "compile_cnot", "compile_on_pair",
-    "compile_remote", "compile_schedule", "compile_step", "conjugate_by_cliffords",
+    "chained_rate", "compile_cnot", "compile_on_pair",
+    "compile_remote", "compile_schedule", "conjugate_by_cliffords",
     "conjugate_by_pauli", "conjugation_sign", "coupling_graph", "coupling_ratio",
     "cnot_generator", "decouple_principal", "dense_of_expansion",
     "dense_of_pauli", "distance", "embed", "evaluate_schedule",

@@ -55,27 +55,6 @@ class ErrorPlan:
             raise InvalidTerm("predicted error must be non-negative")
 
 
-def commutator_bound(
-    terms: Sequence[HamExpansion], tau: float, *, dense_cap: int | None = None
-) -> float:
-    """First-order product-formula bound for one step of duration ``tau``.
-
-    Equals ``(tau^2 / 2) * sum_{j<k} ||[A_j, A_k]||`` with the commutator
-    norms computed densely; exact when all terms commute.
-    """
-    if not terms:
-        return 0.0
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if terms[0].n > cap:
-        raise TooLarge(f"{terms[0].n} qubits exceeds dense cap {cap}")
-    mats = [dense_of_expansion(h) for h in terms]
-    total = 0.0
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            total += operator_norm(mats[j] @ mats[k] - mats[k] @ mats[j])
-    return 0.5 * tau * tau * total
-
-
 def first_order_rate(mats: Sequence[np.ndarray]) -> float:
     """Coefficient c2 with per-step bound c2 * delta^2 for unit-rate factors."""
     total = 0.0

@@ -21,7 +21,7 @@ import sys
 from . import decouple as _decouple
 from . import routing as _routing
 from . import synth as _synth
-from .bounds import GLOBAL_BOUND_C, coupling_ratio, plan_steps
+from .bounds import GLOBAL_BOUND_C
 from .dense import dense_of_expansion, distance, expm_hermitian
 from .errors import (
     DimMismatch,
@@ -39,7 +39,7 @@ from .errors import (
     VerificationFailure,
 )
 from .hamio import format_report, parse_hamfile, parse_schedule, serialize_schedule
-from .pauli import HamExpansion, coupling_graph, embed, is_entangling
+from .pauli import HamExpansion, embed, is_entangling
 from .schedule import Schedule, evaluate_schedule
 
 _EXIT_CODES = (
@@ -112,9 +112,8 @@ def _schedule_stats(sched: Schedule) -> list[tuple[str, object]]:
 
 def _cmd_check(args) -> int:
     ham = parse_hamfile(_read(args.hamfile))
-    graph = coupling_graph(ham)
     verdict = is_entangling(ham)
-    edges = " ".join(f"{k}:{l}" for k, l in graph.edge_pairs()) or "none"
+    edges = " ".join(f"{k}:{l}" for k, l in verdict.graph.edge_pairs()) or "none"
     comps = "|".join(",".join(str(q) for q in grp) for grp in verdict.components)
     report = format_report(
         [
@@ -130,49 +129,45 @@ def _cmd_check(args) -> int:
     return 0 if verdict else 3
 
 
-def _target_schedule(args, drift: HamExpansion, cap: int | None) -> Schedule:
+def _target(args, drift: HamExpansion) -> tuple[HamExpansion, HamExpansion]:
+    """``--target`` as written, and the same target on the drift's register."""
     target = parse_hamfile(_read(args.target))
-    order = _resolve_order(args)
+    full = target
     if args.pair is not None:
-        p, q = args.pair
         if target.n != 2:
             raise InvalidTerm("a pair target must be a two-qubit expansion")
-        graph = coupling_graph(drift)
-        adjacent = (min(p, q), max(p, q)) in graph.edge_pairs()
-        if adjacent:
-            return _decouple.compile_on_pair(
-                drift, (p, q), target, args.t,
-                steps=args.steps, epsilon=args.epsilon,
-                order=order, bound=args.bound or "chained", dense_cap=cap,
-            )
-        if args.epsilon is None:
-            raise InvalidStep("routing between uncoupled qubits needs --epsilon")
-        return _routing.compile_remote(
-            drift, p, q, target, args.t,
-            epsilon=args.epsilon, order=order,
-            bound=args.bound or "empirical",
-            dense_cap=cap,
-        )
-    return _synth.compile_schedule(
-        drift, target, args.t,
-        steps=args.steps, epsilon=args.epsilon,
-        order=order, bound=args.bound or "chained", dense_cap=cap,
-    )
+        full = embed(target, drift.n, tuple(args.pair))
+    if full.n != drift.n:
+        raise DimMismatch(f"target on {full.n} qubits, drift on {drift.n}")
+    return target, full
 
 
 def _cmd_compile(args) -> int:
     cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
+    order = _resolve_order(args)
     if args.gate:
         sched = _synth.compile_cnot(
             drift,
             steps=args.steps,
             epsilon=args.epsilon,
-            order=_resolve_order(args),
+            order=order,
             dense_cap=cap,
         )
     else:
-        sched = _target_schedule(args, drift, cap)
+        target, _ = _target(args, drift)
+        if args.pair is None:
+            sched = _synth.compile_schedule(
+                drift, target, args.t,
+                steps=args.steps, epsilon=args.epsilon,
+                order=order, bound=args.bound or "chained", dense_cap=cap,
+            )
+        else:
+            sched = _routing.compile_remote(
+                drift, *args.pair, target, args.t,
+                steps=args.steps, epsilon=args.epsilon,
+                order=order, bound=args.bound, dense_cap=cap,
+            )
 
     text = serialize_schedule(sched)
     if args.out is not None:
@@ -192,15 +187,7 @@ def _goal_matrix(args, drift: HamExpansion):
         if drift.n != 2:
             raise InvalidTerm("the built-in gate target lives on two qubits")
         return _synth.CNOT_MATRIX
-    target = parse_hamfile(_read(args.target))
-    if args.pair is not None:
-        if target.n != 2:
-            raise InvalidTerm("a pair target must be a two-qubit expansion")
-        target = embed(target, drift.n, tuple(args.pair))
-    if target.n != drift.n:
-        raise DimMismatch(
-            f"target on {target.n} qubits, drift on {drift.n}"
-        )
+    _, target = _target(args, drift)
     return expm_hermitian(dense_of_expansion(target), args.t)
 
 
@@ -239,30 +226,23 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    """Plan on the step model ``compile`` would build for the same input."""
     cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
     if args.gate:
-        kind = "first_order_cnot" if order == 1 else "second_order_cnot"
-        plan = plan_steps(kind, args.epsilon, _synth.CNOT_TIME)
+        target, t, bound = _synth.CNOT_BODY, _synth.CNOT_TIME, _synth.cnot_bound(order)
+        model = _synth.step_model(drift, target)
     else:
-        target = parse_hamfile(_read(args.target))
-        if args.pair is not None:
-            model = _decouple.pair_step_model(drift, tuple(args.pair), target)
-            target_full = embed(target, drift.n, tuple(args.pair))
-        else:
+        pair_target, target = _target(args, drift)
+        t, bound = args.t, args.bound or "chained"
+        if args.pair is None:
             model = _synth.step_model(drift, target)
-            target_full = target
-        if args.bound == "global":
-            plan = plan_steps(
-                "global", args.epsilon, args.t,
-                D=coupling_ratio(drift, target_full), C=args.C,
-            )
         else:
-            plan = _synth.plan_for_model(
-                model, drift, target_full, args.t,
-                args.epsilon, order, args.bound or "chained", cap,
-            )
+            model = _decouple.pair_step_model(drift, tuple(args.pair), pair_target)
+    plan = _synth.plan_for_model(
+        model, target, t, args.epsilon, order, bound, cap, C=args.C
+    )
     items: list[tuple[str, object]] = [
         ("command", "bound"),
         ("bound", plan.bound),
@@ -361,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "gate", None) and getattr(args, "t", None) is not None:
         print("error: --gate fixes its own duration; drop --t", file=sys.stderr)
+        return 2
+    if getattr(args, "gate", None) and getattr(args, "pair", None) is not None:
+        print("error: --gate acts on a two-qubit drift; drop --pair", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -19,14 +19,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import synth as _synth
-from .bounds import ErrorPlan
 from .cliffords import PAULI_CLIFF, LocalClifford
-from .errors import HamrcError, InvalidStep, InvalidTerm
+from .errors import HamrcError, InvalidTerm
 from .pauli import (
     HamExpansion,
     PauliString,
+    conjugation_sign,
     embed,
     filter_support,
+    max_coupling,
     project_to_sites,
 )
 from .schedule import Schedule
@@ -81,11 +82,7 @@ def _average_round(ham: HamExpansion, conjugators: list[PauliString]) -> HamExpa
     acc: dict[PauliString, float] = {}
     for frame in conjugators:
         for p, c in ham.items():
-            sign = 1
-            for a, f in zip(p.ops, frame.ops):
-                if a != "I" and f != "I" and a != f:
-                    sign = -sign
-            acc[p] = acc.get(p, 0.0) + sign * c
+            acc[p] = acc.get(p, 0.0) + conjugation_sign(p, frame) * c
     return HamExpansion(ham.n, {p: c / 4.0 for p, c in acc.items()})
 
 
@@ -222,7 +219,14 @@ def expand_step_model(
 def pair_step_model(
     drift: HamExpansion, pair: tuple[int, int], target_pair: HamExpansion
 ) -> _synth.StepModel:
-    """n-qubit step model realizing a two-qubit target on the pair."""
+    """n-qubit step model realizing a two-qubit target on the pair.
+
+    Raises :class:`NotCoupled` naming the register sites when the drift
+    has no coupling term on the pair.
+    """
+    if target_pair.n != 2:
+        raise InvalidTerm("the pair target must be a two-qubit expansion")
+    max_coupling(drift, pair)
     isolated, frames = isolate_principal(drift, pair)
     drift2 = project_to_sites(isolated, pair)
     return expand_step_model(
@@ -246,20 +250,13 @@ def compile_on_pair(
     embedded in an n-qubit register, using only the n-qubit drift and
     local frames.
     """
-    if not t > 0:
-        raise InvalidStep(f"total time must be positive, got {t}")
-    if (steps is None) == (epsilon is None):
-        raise InvalidStep("pass exactly one of steps and epsilon")
-    if target_pair.n != 2:
-        raise InvalidTerm("the pair target must be a two-qubit expansion")
-    model = pair_step_model(drift, pair, target_pair)
-    plan: ErrorPlan | None = None
-    if epsilon is not None:
-        target_full = embed(target_pair, drift.n, pair)
-        plan = _synth.plan_for_model(
-            model, drift, target_full, t, epsilon, order, bound, dense_cap
-        )
-        steps = plan.steps
-    if steps < 1:
-        raise InvalidStep("step count must be at least 1")
-    return _synth._repeat_steps(drift.n, model, t, steps, order, plan)
+    return _synth._repeat_steps(
+        pair_step_model(drift, pair, target_pair),
+        embed(target_pair, drift.n, pair),
+        t,
+        steps=steps,
+        epsilon=epsilon,
+        order=order,
+        bound=bound,
+        dense_cap=dense_cap,
+    )

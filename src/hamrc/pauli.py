@@ -267,10 +267,12 @@ def coupling_graph(ham: HamExpansion) -> CouplingGraph:
 
 @dataclass(frozen=True)
 class EntanglingVerdict:
-    """Connectivity answer plus the component partition as a witness."""
+    """Connectivity answer plus the component partition and the coupling
+    graph it was read from, as witnesses."""
 
     entangling: bool
     components: tuple[tuple[int, ...], ...]
+    graph: CouplingGraph
 
     def __bool__(self) -> bool:
         return self.entangling
@@ -300,7 +302,7 @@ def is_entangling(ham: HamExpansion) -> EntanglingVerdict:
     for q in range(ham.n):
         groups.setdefault(find(q), []).append(q)
     components = tuple(tuple(groups[r]) for r in sorted(groups))
-    return EntanglingVerdict(len(components) == 1, components)
+    return EntanglingVerdict(len(components) == 1, components, graph)
 
 
 def max_coupling(ham: HamExpansion, pair: tuple[int, int]) -> tuple[str, str, float]:

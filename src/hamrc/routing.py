@@ -69,55 +69,55 @@ def compile_remote(
     target_pair: HamExpansion,
     t: float,
     *,
-    epsilon: float,
+    steps: int | None = None,
+    epsilon: float | None = None,
     order: int = 1,
-    bound: str = "empirical",
+    bound: str | None = None,
     dense_cap: int | None = None,
 ) -> Schedule:
-    """Schedule approximating ``exp(-i K t)`` for a pair target on two
-    qubits the drift couples only indirectly.
+    """Schedule approximating ``exp(-i K t)`` for a pair target on
+    register sites ``src`` and ``dst``, routed when the drift does not
+    couple them directly.
 
-    The error budget is split evenly over the ``2*(hops-1) + 1``
-    segments (out-swaps, the target pulse, back-swaps), so the chained
-    total stays within ``epsilon``.  Each forward swap pulse is reused
-    verbatim on the way back; the pure phases the exchange pulses inject
-    are cancelled through the schedule's global phase.
+    On a direct edge this is :func:`compile_on_pair`'s schedule, plan
+    included; only there may ``steps`` replace ``epsilon``, and the
+    default bound is ``chained``.  Across a longer path the default bound
+    is ``empirical`` and the error budget is split evenly over the
+    ``2*(hops-1) + 1`` segments (out-swaps, the target pulse, back-swaps),
+    so the chained total stays within ``epsilon``.  Each forward swap
+    pulse is reused verbatim on the way back; the pure phases the
+    exchange pulses inject are cancelled through the schedule's global
+    phase.
     """
     if src == dst:
         raise InvalidTerm("remote compilation needs two distinct qubits")
+    path = route(coupling_graph(drift), src, dst)
+    hops = len(path) - 1
+    if bound is None:
+        bound = "chained" if hops == 1 else "empirical"
+
+    def segment(k: int, l: int, target: HamExpansion, time: float, **count) -> Schedule:
+        return _decouple.compile_on_pair(
+            drift, (k, l), target, time,
+            order=order, bound=bound, dense_cap=dense_cap, **count,
+        )
+
+    if hops == 1:
+        return segment(src, dst, target_pair, t, steps=steps, epsilon=epsilon)
+    if steps is not None or epsilon is None:
+        raise InvalidStep("routing between uncoupled qubits needs epsilon, not steps")
     if not t > 0:
         raise InvalidStep(f"total time must be positive, got {t}")
     if not epsilon > 0:
         raise InvalidStep(f"error budget must be positive, got {epsilon}")
 
-    path = route(coupling_graph(drift), src, dst)
-    hops = len(path) - 1
     segments = 2 * (hops - 1) + 1
     eps_seg = epsilon / segments
-
     swaps = [
-        _decouple.compile_on_pair(
-            drift,
-            (path[i], path[i + 1]),
-            exchange_generator(),
-            SWAP_TIME,
-            epsilon=eps_seg,
-            order=order,
-            bound=bound,
-            dense_cap=dense_cap,
-        )
+        segment(path[i], path[i + 1], exchange_generator(), SWAP_TIME, epsilon=eps_seg)
         for i in range(hops - 1)
     ]
-    core = _decouple.compile_on_pair(
-        drift,
-        (path[-2], path[-1]),
-        target_pair,
-        t,
-        epsilon=eps_seg,
-        order=order,
-        bound=bound,
-        dense_cap=dense_cap,
-    )
+    core = segment(path[-2], path[-1], target_pair, t, epsilon=eps_seg)
 
     pieces = swaps + [core] + swaps[::-1]
     instructions: tuple = ()

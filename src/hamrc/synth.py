@@ -44,17 +44,31 @@ from .schedule import Drift, Instruction, LocalLayer, Schedule, canonicalize, ev
 #: evolution time for which the mapped coupling generates a CNOT
 CNOT_TIME = math.pi / 4.0
 
+#: coupling part of the CNOT generator, the only part that needs the drift
+CNOT_BODY = build_expansion(2, [("ZX", -1.0)])
+
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 
 
 @dataclass(frozen=True)
-class RecipeFrame:
-    """One conjugation frame: weight times ``layer H layer^dag``."""
+class FramedDrift:
+    """Drift evolution wrapped in a frame; ``rate`` scales the duration.
 
-    weight: float
-    layer: tuple[LocalClifford, LocalClifford]
+    An empty frame realizes the bare drift (used when the target is a
+    positive multiple of the drift, which needs no splitting at all).
+    """
+
+    rate: float
+    frame: tuple[tuple[int, LocalClifford], ...]  # sorted by site
+
+    def layer_map(self) -> dict[int, LocalClifford]:
+        return dict(self.frame)
+
+    def effective(self, drift: HamExpansion) -> HamExpansion:
+        """Rate-scaled conjugated drift this factor contributes per unit time."""
+        return average([(self.rate, conjugate_by_cliffords(drift, self.layer_map()))])
 
 
 @dataclass(frozen=True)
@@ -68,19 +82,16 @@ class TermRecipe:
     """
 
     target: HamExpansion
-    frames: tuple[RecipeFrame, ...]
+    frames: tuple[FramedDrift, ...]  # each at rate 1/divisor
     local_correction: HamExpansion
     phase_correction: float
-    divisor: float  # frames share weight 1/divisor; kept for exact division
-
-    def layer_map(self, frame: RecipeFrame) -> dict[int, LocalClifford]:
-        return {0: frame.layer[0], 1: frame.layer[1]}
+    divisor: float  # kept for exact division
 
 
 def _verify_recipe(drift: HamExpansion, recipe: TermRecipe) -> None:
     total: dict[PauliString, float] = {}
     for frame in recipe.frames:
-        conj = conjugate_by_cliffords(drift, recipe.layer_map(frame))
+        conj = conjugate_by_cliffords(drift, frame.layer_map())
         for p, c in conj.items():
             total[p] = total.get(p, 0.0) + c
     rebuilt = {p: c / recipe.divisor for p, c in total.items()}
@@ -108,7 +119,7 @@ def synth_max_term(drift: HamExpansion) -> TermRecipe:
     div = 4.0 * abs(h_rs)
 
     frames = tuple(
-        RecipeFrame(1.0 / div, (PAULI_CLIFF[a], PAULI_CLIFF[b]))
+        FramedDrift(1.0 / div, ((0, PAULI_CLIFF[a]), (1, PAULI_CLIFF[b])))
         for a in ("I", r)
         for b in ("I", s)
     )
@@ -157,11 +168,9 @@ def synth_pauli_product(
     if (sign < 0) != (base_sign < 0):
         outer_a = sign_flip_clifford(axis_a).compose(outer_a)
 
+    outer = (outer_a, outer_b)
     frames = tuple(
-        RecipeFrame(
-            f.weight,
-            (outer_a.compose(f.layer[0]), outer_b.compose(f.layer[1])),
-        )
+        FramedDrift(f.rate, tuple((q, outer[q].compose(c)) for q, c in f.frame))
         for f in base.frames
     )
     correction = conjugate_by_cliffords(
@@ -241,25 +250,6 @@ class LocalFactor:
         )
 
 
-@dataclass(frozen=True)
-class FramedDrift:
-    """Drift evolution wrapped in a frame; ``rate`` scales the duration.
-
-    An empty frame realizes the bare drift (used when the target is a
-    positive multiple of the drift, which needs no splitting at all).
-    """
-
-    rate: float
-    frame: tuple[tuple[int, LocalClifford], ...]  # sorted by site
-
-    def layer_map(self) -> dict[int, LocalClifford]:
-        return dict(self.frame)
-
-    def effective(self, drift: HamExpansion) -> HamExpansion:
-        """Rate-scaled conjugated drift this factor contributes per unit time."""
-        return average([(self.rate, conjugate_by_cliffords(drift, self.layer_map()))])
-
-
 StepFactor = LocalFactor | FramedDrift
 
 
@@ -328,12 +318,7 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
         recipe = synth_pauli_product(drift, axis_a, axis_b, math.copysign(1.0, coeff))
         mag = abs(coeff)
         for frame in recipe.frames:
-            drifts.append(
-                FramedDrift(
-                    mag / recipe.divisor,
-                    ((0, frame.layer[0]), (1, frame.layer[1])),
-                )
-            )
+            drifts.append(FramedDrift(mag / recipe.divisor, frame.frame))
         for p, c in recipe.local_correction.items():
             local_acc[p] = local_acc.get(p, 0.0) + mag * c
         phase_rate += mag * recipe.phase_correction
@@ -382,21 +367,8 @@ def emit_step(
     return out, -model.phase_rate * delta
 
 
-def compile_step(
-    drift: HamExpansion, target: HamExpansion, delta: float, order: int = 1
-) -> Schedule:
-    """One product-formula step approximating ``exp(-i target delta)``."""
-    model = step_model(drift, target)
-    instructions, phase = emit_step(model, delta, order)
-    raw = model.raw_drifts_per_step(order)
-    return canonicalize(
-        Schedule(2, tuple(instructions), phase, raw_drift_periods=raw)
-    )
-
-
 def _make_measure(
     model: StepModel,
-    drift: HamExpansion,
     target: HamExpansion,
     t: float,
     order: int,
@@ -407,7 +379,7 @@ def _make_measure(
     def measure(n_steps: int) -> float:
         instructions, phase = emit_step(model, t / n_steps, order)
         frag = Schedule(model.n, tuple(instructions), phase)
-        w = evaluate_schedule(frag, drift, dense_cap=dense_cap)
+        w = evaluate_schedule(frag, model.drift, dense_cap=dense_cap)
         return distance(goal, np.linalg.matrix_power(w, n_steps), phase_align=True)
 
     return measure
@@ -415,15 +387,20 @@ def _make_measure(
 
 def plan_for_model(
     model: StepModel,
-    drift: HamExpansion,
     target: HamExpansion,
     t: float,
     epsilon: float,
     order: int,
     bound: str,
     dense_cap: int | None = None,
+    *,
+    C: float = _bounds.GLOBAL_BOUND_C,
 ) -> _bounds.ErrorPlan:
-    """Step plan for a prepared model under the requested bound kind."""
+    """Step plan for a prepared model under the requested bound kind.
+
+    ``target`` is the evolution the model approximates, on the model's
+    register; ``C`` is the constant of the coarse global bound.
+    """
     if bound == "chained":
         rate = _bounds.chained_rate(
             model.factor_expansions(), order, dense_cap=dense_cap
@@ -433,7 +410,7 @@ def plan_for_model(
         if order != 1:
             raise InvalidStep("the coarse global bound only covers order 1")
         return _bounds.plan_steps(
-            "global", epsilon, t, D=_bounds.coupling_ratio(drift, target)
+            "global", epsilon, t, C=C, D=_bounds.coupling_ratio(model.drift, target)
         )
     if bound in ("first_order_cnot", "second_order_cnot"):
         return _bounds.plan_steps(bound, epsilon, t)
@@ -443,28 +420,46 @@ def plan_for_model(
             epsilon,
             t,
             order=order,
-            measure=_make_measure(model, drift, target, t, order, dense_cap),
+            measure=_make_measure(model, target, t, order, dense_cap),
         )
     raise InvalidStep(f"unknown bound kind {bound!r}")
 
 
 def _repeat_steps(
-    n: int,
     model: StepModel,
+    target: HamExpansion,
     t: float,
-    steps: int,
+    *,
+    steps: int | None,
+    epsilon: float | None,
     order: int,
-    plan: _bounds.ErrorPlan | None,
+    bound: str,
+    dense_cap: int | None,
 ) -> Schedule:
-    delta = t / steps
-    instructions, phase = emit_step(model, delta, order)
-    raw = model.raw_drifts_per_step(order) * steps
+    """Schedule approximating ``exp(-i target t)`` by repeating one step.
+
+    ``target`` is the evolution ``model`` was built for, on its register.
+    Exactly one of ``steps`` and ``epsilon`` selects the step count; with
+    ``epsilon`` the plan comes from the requested bound kind and is
+    attached to the returned schedule.
+    """
+    if not t > 0:
+        raise InvalidStep(f"total time must be positive, got {t}")
+    if (steps is None) == (epsilon is None):
+        raise InvalidStep("pass exactly one of steps and epsilon")
+    plan = None
+    if epsilon is not None:
+        plan = plan_for_model(model, target, t, epsilon, order, bound, dense_cap)
+        steps = plan.steps
+    if steps < 1:
+        raise InvalidStep("step count must be at least 1")
+    instructions, phase = emit_step(model, t / steps, order)
     return canonicalize(
         Schedule(
-            n,
+            model.n,
             tuple(instructions) * steps,
             phase * steps,
-            raw_drift_periods=raw,
+            raw_drift_periods=model.raw_drifts_per_step(order) * steps,
             plan=plan,
             predicted_error=None if plan is None else plan.predicted_error,
         )
@@ -488,23 +483,26 @@ def compile_schedule(
     ``epsilon`` the plan comes from the requested bound kind and is
     attached to the returned schedule.
     """
-    if not t > 0:
-        raise InvalidStep(f"total time must be positive, got {t}")
-    if (steps is None) == (epsilon is None):
-        raise InvalidStep("pass exactly one of steps and epsilon")
-    model = step_model(drift, target)
-    plan = None
-    if epsilon is not None:
-        plan = plan_for_model(model, drift, target, t, epsilon, order, bound, dense_cap)
-        steps = plan.steps
-    if steps < 1:
-        raise InvalidStep("step count must be at least 1")
-    return _repeat_steps(2, model, t, steps, order, plan)
+    return _repeat_steps(
+        step_model(drift, target),
+        target,
+        t,
+        steps=steps,
+        epsilon=epsilon,
+        order=order,
+        bound=bound,
+        dense_cap=dense_cap,
+    )
 
 
 def cnot_generator() -> HamExpansion:
     """Commuting three-term generator whose time-pi/4 flow is a CNOT."""
     return build_expansion(2, [("IX", 1.0), ("ZI", 1.0), ("ZX", -1.0)])
+
+
+def cnot_bound(order: int) -> str:
+    """Bound kind that plans the CNOT body at the given order."""
+    return "first_order_cnot" if order == 1 else "second_order_cnot"
 
 
 def compile_cnot(
@@ -523,16 +521,14 @@ def compile_cnot(
     remaining commuting generator terms; the global phase is tracked so
     the result approximates the CNOT matrix itself, not just its ray.
     """
-    body_target = build_expansion(2, [("ZX", -1.0)])
-    bound = "first_order_cnot" if order == 1 else "second_order_cnot"
     body = compile_schedule(
         drift,
-        body_target,
+        CNOT_BODY,
         CNOT_TIME,
         steps=steps,
         epsilon=epsilon,
         order=order,
-        bound=bound if epsilon is not None else "chained",
+        bound=cnot_bound(order),
         dense_cap=dense_cap,
     )
     lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})

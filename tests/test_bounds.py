@@ -14,27 +14,26 @@ from hamrc import (
     TooLarge,
     build_expansion,
     chained_rate,
-    commutator_bound,
     coupling_ratio,
     global_bound,
     plan_steps,
 )
 
 
-def test_commutator_bound_on_anticommuting_pair():
+def test_first_order_rate_on_anticommuting_pair():
     x = build_expansion(1, [("X", 1.0)])
     z = build_expansion(1, [("Z", 1.0)])
     # ||[X, Z]|| = 2, so one step of length tau is bounded by tau^2
     tau = 0.3
-    assert commutator_bound([x, z], tau) == pytest.approx(tau * tau)
-    assert commutator_bound([x, x], tau) == 0.0
-    assert commutator_bound([x], tau) == 0.0
+    assert chained_rate([x, z], 1) * tau * tau == pytest.approx(tau * tau)
+    assert chained_rate([x, x], 1) == 0.0
+    assert chained_rate([x], 1) == 0.0
 
 
-def test_commutator_bound_respects_cap():
+def test_chained_rate_respects_cap():
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     with pytest.raises(TooLarge):
-        commutator_bound([big, big], 0.1, dense_cap=10)
+        chained_rate([big, big], 1, dense_cap=10)
 
 
 def test_chained_rate_orders():

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from hamrc import CNOT_MATRIX, distance, evaluate_schedule, parse_hamfile, parse_schedule
+from hamrc import (
+    CNOT_MATRIX,
+    compile_on_pair,
+    distance,
+    evaluate_schedule,
+    parse_hamfile,
+    parse_schedule,
+    serialize_schedule,
+)
 from hamrc.cli import main
 
 DRIFT = "qubits 2\n1 0:Z\n2 0:X 1:Z\n1 0:Z 1:Z\n"
@@ -189,6 +197,74 @@ def test_gate_rejects_time_flag(files, capsys):
     code = main(["compile", files["drift"], "--target", files["zz"],
                  "--steps", "4"])
     assert code == 2
+
+
+@pytest.mark.parametrize("cmd", ["compile", "verify", "bound"])
+def test_gate_rejects_pair_flag(files, capsys, cmd):
+    out_path = str(files["tmp"] / "cnot.hrs")
+    main(["compile", files["drift"], "--gate", "cnot", "--steps", "4",
+          "--out", out_path])
+    capsys.readouterr()
+    argv = {
+        "compile": ["compile", files["drift"], "--epsilon", "1e-2"],
+        "verify": ["verify", files["drift"], out_path, "--tolerance", "1"],
+        "bound": ["bound", files["drift"], "--epsilon", "1e-2"],
+    }[cmd]
+    # the CNOT's control is always qubit 0, so a pair would be ignored
+    assert main(argv + ["--gate", "cnot", "--pair", "1", "0"]) == 2
+    assert "drop --pair" in capsys.readouterr().err
+
+
+def test_uncoupled_pair_is_named_by_register_sites(files, capsys):
+    code = main(["bound", files["chain"], "--target", files["zz"], "--t", "0.5",
+                 "--pair", "0", "3", "--epsilon", "1e-2"])
+    assert code == 3
+    assert "no coupling between qubits 0 and 3" in capsys.readouterr().err
+
+
+def test_bound_global_rejects_order_two_as_compile_does(files, capsys):
+    argv = [files["drift"], "--target", files["zz"], "--t", "1.0",
+            "--epsilon", "1e-2", "--bound", "global", "--order", "2"]
+    assert main(["compile"] + argv) == 2
+    assert main(["bound"] + argv) == 2
+    assert "order 1" in capsys.readouterr().err
+
+
+def test_bound_gate_needs_a_two_qubit_drift_as_compile_does(files, capsys):
+    argv = [files["chain"], "--gate", "cnot", "--epsilon", "1e-2"]
+    assert main(["compile"] + argv) == 2
+    assert main(["bound"] + argv) == 2
+
+
+def test_target_on_a_larger_register_needs_a_pair(files, capsys):
+    code = main(["compile", files["chain"], "--target", files["zz"],
+                 "--t", "0.5", "--epsilon", "1e-2"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_routed_pair_rejects_explicit_steps(files, capsys):
+    code = main(["compile", files["chain"], "--target", files["zz"],
+                 "--t", "0.5", "--pair", "0", "3", "--steps", "3"])
+    assert code == 2
+
+
+def test_adjacent_pair_writes_the_compile_on_pair_schedule(files, capsys):
+    out_path = files["tmp"] / "pair.hrs"
+    report = files["tmp"] / "pair.txt"
+    code = main(["compile", files["chain"], "--target", files["zz"],
+                 "--t", "0.5", "--pair", "1", "2", "--epsilon", "1e-2",
+                 "--out", str(out_path), "--report", str(report)])
+    assert code == 0
+    want = compile_on_pair(parse_hamfile(CHAIN), (1, 2), parse_hamfile(ZZ), 0.5,
+                           epsilon=1e-2)
+    text = out_path.read_text()
+    assert text == serialize_schedule(want)
+    assert "phase -0\n" in text
+    lines = report.read_text().splitlines()
+    for line in ("bound chained", "order 1", f"steps {want.plan.steps}",
+                 f"delta {want.plan.delta!r}"):
+        assert line in lines
 
 
 def test_reports_can_go_to_files(files, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_two_body
 from hamrc import (
     InvalidTerm,
+    NotCoupled,
     PauliString,
     build_expansion,
     compile_on_pair,
@@ -156,6 +157,12 @@ def test_compile_on_pair_matches_plain_pair_compiler_on_two_qubits():
     b = compile_on_pair(drift, (0, 1), target, 1.0, steps=7, order=2)
     assert a == b
     assert a.raw_drift_periods == b.raw_drift_periods
+
+
+def test_uncoupled_pair_is_named_by_register_sites():
+    target = build_expansion(2, [("ZZ", 1.0)])
+    with pytest.raises(NotCoupled, match="qubits 0 and 3"):
+        compile_on_pair(CHAIN4, (0, 3), target, 0.5, epsilon=1e-2)
 
 
 def test_compile_on_pair_respects_site_order():

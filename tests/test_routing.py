@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hamrc import (
+    InvalidStep,
     InvalidTerm,
     NotConnected,
     build_expansion,
+    compile_on_pair,
     compile_remote,
     coupling_graph,
     dense_of_expansion,
@@ -107,6 +109,17 @@ def test_remote_compile_on_adjacent_pair_is_single_segment():
     sched = compile_remote(CHAIN4, 2, 3, target, 0.3, epsilon=1e-2)
     goal = expm_hermitian(dense_of_expansion(embed(target, 4, (2, 3))), 0.3)
     assert distance(goal, evaluate_schedule(sched, CHAIN4)) <= 1e-2
+
+
+def test_remote_compile_on_a_direct_edge_is_compile_on_pair():
+    target = build_expansion(2, [("XX", 0.4)])
+    sched = compile_remote(CHAIN4, 2, 3, target, 0.3, epsilon=1e-2)
+    assert sched == compile_on_pair(CHAIN4, (2, 3), target, 0.3, epsilon=1e-2)
+    assert sched.plan.bound == "chained"
+    stepped = compile_remote(CHAIN4, 3, 2, target, 0.3, steps=5)
+    assert stepped == compile_on_pair(CHAIN4, (3, 2), target, 0.3, steps=5)
+    with pytest.raises(InvalidStep):
+        compile_remote(CHAIN4, 0, 3, target, 0.3, steps=5)
 
 
 def test_remote_compile_validation():

@@ -18,7 +18,6 @@ from hamrc import (
     cnot_generator,
     compile_cnot,
     compile_schedule,
-    compile_step,
     dense_of_expansion,
     dense_of_pauli,
     distance,
@@ -35,8 +34,9 @@ def _dense_recipe_residual(drift, recipe):
     h = dense_of_expansion(drift)
     acc = np.zeros((4, 4), dtype=complex)
     for frame in recipe.frames:
-        u = np.kron(frame.layer[0].matrix, frame.layer[1].matrix)
-        acc += frame.weight * (u @ h @ u.conj().T)
+        layers = frame.layer_map()
+        u = np.kron(layers[0].matrix, layers[1].matrix)
+        acc += frame.rate * (u @ h @ u.conj().T)
     acc += dense_of_expansion(recipe.local_correction)
     acc += recipe.phase_correction * np.eye(4)
     return np.abs(acc - dense_of_expansion(recipe.target)).max()
@@ -124,7 +124,7 @@ def test_full_coupling_target_needs_at_most_36_periods(sample_drift):
     target = build_expansion(2, entries)
     model = step_model(sample_drift, target)
     assert model.drift_factor_count() == 36
-    sched = compile_step(sample_drift, target, 0.05, order=1)
+    sched = compile_schedule(sample_drift, target, 0.05, steps=1, order=1)
     assert sched.raw_drift_periods == 36
     assert sched.drift_count() <= 36
 
@@ -144,7 +144,7 @@ def test_single_step_error_shrinks_cubically_at_order_two(sample_drift):
     goal = lambda d: expm_hermitian(dense_of_expansion(target), d)
     errs = []
     for delta in (0.2, 0.1, 0.05):
-        sched = compile_step(sample_drift, target, delta, order=2)
+        sched = compile_schedule(sample_drift, target, delta, steps=1, order=2)
         errs.append(distance(goal(delta), evaluate_schedule(sched, sample_drift)))
     assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.35)
     assert errs[1] / errs[2] == pytest.approx(8.0, rel=0.35)
