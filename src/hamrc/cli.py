@@ -170,15 +170,12 @@ def _cmd_compile(args) -> int:
             )
 
     text = serialize_schedule(sched)
+    report = format_report([("command", "compile")] + _schedule_stats(sched))
     if args.out is not None:
         _emit(text, args.out)
-        summary = format_report([("command", "compile")] + _schedule_stats(sched))
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text if args.out is None else report)
     if args.report is not None:
-        _emit(format_report([("command", "compile")] + _schedule_stats(sched)),
-              args.report)
+        _emit(report, args.report)
     return 0
 
 

@@ -24,13 +24,14 @@ then list the instructions in operator-product order::
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidTerm, ParseError
 from .pauli import HamExpansion, PauliString, build_expansion
-from .schedule import Drift, Instruction, LocalLayer, Schedule
+from .schedule import Drift, Instruction, LocalLayer, Schedule, intern_instructions
 
 
 def _fmt(x: float) -> str:
@@ -46,9 +47,12 @@ def _lines(text: str) -> Iterable[tuple[int, list[str]]]:
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"bad {what} {token!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite, got {token!r}", line=lineno)
+    return value
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -125,18 +129,18 @@ def serialize_schedule(sched: Schedule) -> str:
     if sched.predicted_error is not None:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
-    ids: dict[tuple, int] = {}
+    _, seq = intern_instructions(sched.instructions)
+    ids: dict[int, int] = {}  # distinct-instruction index -> layer table id
     table: list[str] = []
     body: list[str] = []
-    for ins in sched.instructions:
+    for ins, k in zip(sched.instructions, seq):
         if isinstance(ins, Drift):
             body.append(f"drift {_fmt(ins.tau)}")
             continue
-        key = ins.cache_key()
-        if key not in ids:
-            ids[key] = len(ids)
+        if k not in ids:
+            ids[k] = len(ids)
             if not ins.sites():
-                table.append(f"layer {ids[key]}")
+                table.append(f"layer {ids[k]}")
             for site in ins.sites():
                 u = ins.factor(site)
                 reals = " ".join(
@@ -144,8 +148,8 @@ def serialize_schedule(sched: Schedule) -> str:
                     for r in range(2)
                     for c in range(2)
                 )
-                table.append(f"layer {ids[key]} {site} {reals}")
-        body.append(f"local {ids[key]}")
+                table.append(f"layer {ids[k]} {site} {reals}")
+        body.append(f"local {ids[k]}")
     return "\n".join(out + table + body) + "\n"
 
 

@@ -7,6 +7,7 @@ act term by term with exact sign bookkeeping.  No matrices are built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -102,6 +103,8 @@ class HamExpansion:
             c = float(terms[p])
             if p.n != n:
                 raise InvalidTerm(f"term {p} has {p.n} sites, expected {n}")
+            if not math.isfinite(c):
+                raise InvalidTerm(f"term {p} has non-finite coefficient {c}")
             if abs(c) > ZERO_TOL:
                 clean[p] = c
         object.__setattr__(self, "_terms", clean)

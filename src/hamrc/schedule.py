@@ -9,12 +9,19 @@ Instructions are listed in operator-product order: evaluating
 entry acts first on a state.  The conjugation pattern
 ``[LocalLayer(U), Drift(t), LocalLayer(U^dag)]`` therefore evaluates to
 ``exp(-i t U H U^dag)`` exactly.
+
+Evaluation keeps that order and changes only the grouping of the
+product: equal instructions are built once, and the pairwise product
+tree shares every repeated sub-product, so a step repeated ``k`` times
+costs about (step length x log k) matrix products, not one per
+instruction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
@@ -80,8 +87,10 @@ class Drift:
     tau: float
 
     def __post_init__(self):
-        if not self.tau >= 0.0:
-            raise InvalidTerm(f"drift duration must be >= 0, got {self.tau}")
+        if not (self.tau >= 0.0 and math.isfinite(self.tau)):
+            raise InvalidTerm(
+                f"drift duration must be finite and >= 0, got {self.tau}"
+            )
 
 
 Instruction = LocalLayer | Drift
@@ -139,8 +148,13 @@ def canonicalize(sched: Schedule) -> Schedule:
 
     Every rewrite preserves the evaluated operator exactly (up to the
     1e-12 identity-dropping tolerance), so canonical and raw schedules
-    are interchangeable for verification.
+    are interchangeable for verification.  A repeated seam between the
+    same two layer objects is merged once, and every occurrence shares
+    the merged layer.
     """
+    # (id(left), id(right)) -> (left, right, merged); holding both inputs
+    # keeps their ids from being reused while the memo is alive
+    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]] = {}
     out: list[Instruction] = []
     for ins in sched.instructions:
         if isinstance(ins, Drift):
@@ -152,7 +166,10 @@ def canonicalize(sched: Schedule) -> Schedule:
                 out.append(ins)
         else:
             if out and isinstance(out[-1], LocalLayer):
-                merged = _merge_layers(out[-1], ins)
+                seam = (id(out[-1]), id(ins))
+                if seam not in merges:
+                    merges[seam] = (out[-1], ins, _merge_layers(out[-1], ins))
+                merged = merges[seam][2]
                 if merged.factors:
                     out[-1] = merged
                 else:
@@ -178,13 +195,59 @@ def canonicalize(sched: Schedule) -> Schedule:
     )
 
 
+def intern_instructions(
+    instructions: Sequence[Instruction],
+) -> tuple[list[Instruction], list[int]]:
+    """Distinct instructions in order of first use, and each one's index.
+
+    Drifts are equal when their durations are, layers when their
+    ``cache_key()`` is; the key is computed once per layer object.
+    """
+    index: dict[Any, int] = {}
+    by_object: dict[int, int] = {}  # id(layer) -> index; ``instructions`` holds them
+    distinct: list[Instruction] = []
+    seq: list[int] = []
+    for ins in instructions:
+        if isinstance(ins, Drift):
+            k = index.setdefault(ins.tau, len(distinct))
+        else:
+            k = by_object.get(id(ins))
+            if k is None:
+                k = by_object[id(ins)] = index.setdefault(ins.cache_key(), len(distinct))
+        if k == len(distinct):
+            distinct.append(ins)
+        seq.append(k)
+    return distinct, seq
+
+
+def _product_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
+    """Hash-consed pairwise product tree over the leaf ids ``seq``.
+
+    Each level pairs neighbours left to right (an odd last entry moves up
+    unpaired), and each distinct pair becomes one node.  Returns the
+    children of node ``leaves + k`` at index ``k``, and the root.
+    """
+    nodes: dict[tuple[int, int], int] = {}
+    level = seq
+    while len(level) > 1:
+        up = [nodes.setdefault(pair, leaves + len(nodes))
+              for pair in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            up.append(level[-1])
+        level = up
+    return list(nodes), level[0]
+
+
 def evaluate_schedule(
     sched: Schedule, drift: HamExpansion, *, dense_cap: int | None = None
 ) -> np.ndarray:
     """Dense unitary implemented by a schedule under the given drift.
 
-    Evaluation is the plain operator-ordered product of the instruction
-    matrices times ``exp(i*phase)``.  Raises :class:`TooLarge` when the
+    The result is the operator-ordered product of the instruction
+    matrices times ``exp(i*phase)``.  The order is kept; only the
+    grouping changes: the product is taken over a pairwise tree whose
+    repeated sub-products are computed once, and each distinct drift
+    duration or layer is built once.  Raises :class:`TooLarge` when the
     register exceeds the dense cap (default 10 qubits).
     """
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
@@ -196,20 +259,40 @@ def evaluate_schedule(
     dim = 2**sched.n
     evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
     vecs_h = vecs.conj().T
+    if not sched.instructions:
+        return np.exp(1j * sched.phase) * np.eye(dim, dtype=complex)
 
-    layer_cache: dict[tuple, np.ndarray] = {}
-    w = np.eye(dim, dtype=complex)
-    for ins in sched.instructions:
-        if isinstance(ins, Drift):
-            op = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs_h
+    leaves, seq = intern_instructions(sched.instructions)
+    pairs, root = _product_tree(seq, len(leaves))
+    parents_left = [0] * (len(leaves) + len(pairs))
+    for a, b in pairs:
+        parents_left[a] += 1
+        parents_left[b] += 1
+
+    held: dict[int, np.ndarray] = {}
+
+    def value(node: int) -> np.ndarray:
+        # depth first; a matrix is dropped once its last parent is built
+        m = held.get(node)
+        if m is not None:
+            return m
+        if node < len(leaves):
+            ins = leaves[node]
+            if isinstance(ins, Drift):
+                m = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs_h
+            else:
+                m = ins.dense(sched.n)
         else:
-            key = ins.cache_key()
-            op = layer_cache.get(key)
-            if op is None:
-                op = ins.dense(sched.n)
-                layer_cache[key] = op
-        w = w @ op
-    return np.exp(1j * sched.phase) * w
+            a, b = pairs[node - len(leaves)]
+            m = value(a) @ value(b)
+            for child in (a, b):
+                parents_left[child] -= 1
+                if not parents_left[child]:
+                    del held[child]
+        held[node] = m
+        return m
+
+    return np.exp(1j * sched.phase) * value(root)
 
 
 def unitarity_defect(w: np.ndarray) -> float:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hamrc import HamExpansion, build_expansion
+
+# The same examples on every run, and no per-example deadline: dense
+# examples can take longer than Hypothesis's 200 ms on a loaded machine.
+settings.register_profile("hamrc", derandomize=True, deadline=None)
+settings.load_profile("hamrc")
 
 
 @pytest.fixture

@@ -271,3 +271,30 @@ def test_reports_can_go_to_files(files, tmp_path):
     report = tmp_path / "check.txt"
     assert main(["check", files["drift"], "--report", str(report)]) == 0
     assert "entangling yes" in report.read_text()
+
+
+def test_compile_summary_and_report_file_are_the_same_bytes(files, capsys):
+    out_path = files["tmp"] / "pair.hrs"
+    report = files["tmp"] / "pair.txt"
+    assert main(["compile", files["chain"], "--target", files["zz"], "--t", "0.5",
+                 "--pair", "1", "2", "--epsilon", "1e-2",
+                 "--out", str(out_path), "--report", str(report)]) == 0
+    summary = capsys.readouterr().out
+    assert summary.startswith("command compile\n")
+    assert report.read_bytes() == summary.encode("utf-8")
+
+
+@pytest.mark.parametrize("coefficient", ["nan", "inf", "-inf"])
+def test_non_finite_inputs_exit_2(files, capsys, coefficient):
+    bad = files["tmp"] / "bad.ham"
+    bad.write_text(f"qubits 2\n1 0:Z\n{coefficient} 0:X 1:Z\n")
+    assert main(["compile", str(bad), "--gate", "cnot", "--steps", "2"]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert main(["compile", files["drift"], "--target", str(bad), "--t", "0.5",
+                 "--epsilon", "1e-2"]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+    sched = files["tmp"] / "bad.hrs"
+    sched.write_text(f"qubits 2\npredicted 0.1\ndrift 0.25\ndrift {coefficient}\n")
+    assert main(["verify", files["drift"], str(sched), "--gate", "cnot"]) == 2
+    assert "line 4" in capsys.readouterr().err

@@ -61,6 +61,10 @@ def test_hamfile_duplicate_terms_sum():
         ("qubits 2\n0.5 0:Z 0:X\n", 2),
         ("qubits 2\n0.5 0Z\n", 2),
         ("qubits 2\n# just a comment\n1 1:Z\n0.1 0:W\n", 4),
+        ("qubits 2\n1 0:Z\nnan 0:X 1:X\n", 3),  # non-finite coefficients
+        ("qubits 2\ninf 0:Z\n", 2),
+        ("qubits 2\n-inf I\n", 2),
+        ("qubits 2\n+Infinity 1:Y\n", 2),
     ],
 )
 def test_hamfile_errors_carry_line_numbers(text, lineno):
@@ -104,6 +108,22 @@ def test_schedule_layer_table_is_deduplicated(sample_drift):
     assert locals_seen > len(layer_ids)  # repeated steps reuse table entries
 
 
+def test_schedule_layer_table_keys_layers_by_value():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    layer = LocalLayer({0: x})
+    shared = Schedule(2, (layer, Drift(0.0), layer, Drift(-0.0), layer))
+    copies = Schedule(
+        2, (layer, Drift(0.0), LocalLayer({0: x}), Drift(-0.0), LocalLayer(layer.factors))
+    )
+    text = serialize_schedule(shared)
+    assert serialize_schedule(copies) == text
+    assert [ln for ln in text.splitlines() if ln.startswith("layer")] == [
+        "layer 0 0 0 0 1 0 1 0 0 0"
+    ]
+    # each drift is written from its own duration, signed zero included
+    assert "drift 0\nlocal 0\ndrift -0\n" in text
+
+
 @pytest.mark.parametrize(
     "text,lineno",
     [
@@ -115,6 +135,11 @@ def test_schedule_layer_table_is_deduplicated(sample_drift):
         ("qubits 2\nlayer 0 0 1 0 0 0 0 0 1\n", 2),  # wrong arity
         ("qubits 2\nlayer 0 5 1 0 0 0 0 0 1 0\n", 2),  # site out of range
         ("qubits 2\nlayer 0 0 1 0 0 0 0 0 2 0\nlocal 0\n", 3),  # not unitary
+        ("qubits 2\nphase nan\n", 2),  # non-finite fields
+        ("qubits 2\npredicted inf\n", 2),
+        ("qubits 2\ndrift 0.5\ndrift inf\n", 3),
+        ("qubits 2\ndrift NaN\n", 2),
+        ("qubits 2\nlayer 0 0 1 0 0 0 0 0 1 -inf\n", 2),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):

@@ -1,5 +1,7 @@
 """Symbolic Pauli-expansion algebra, property-tested where that pays off."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,14 @@ def test_project_and_embed_respect_site_order():
     flipped = project_to_sites(filter_support(ham, (0, 2)), (2, 0))
     assert flipped.coefficient(PauliString("ZX")) == 1.0
     assert embed(flipped, 3, (2, 0)) == ham
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expansion_rejects_non_finite_coefficients(bad):
+    with pytest.raises(InvalidTerm):
+        HamExpansion(2, {PauliString("XZ"): bad})
+    with pytest.raises(InvalidTerm):
+        build_expansion(2, [("XZ", 1.0), ("ZZ", bad)])
 
 
 def test_build_expansion_rejects_length_mismatch():

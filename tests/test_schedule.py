@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_two_body
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -17,6 +20,8 @@ from hamrc import (
     distance,
     evaluate_schedule,
     expm_hermitian,
+    operator_norm,
+    serialize_schedule,
     unitarity_defect,
 )
 
@@ -112,8 +117,144 @@ def test_drift_duration_must_be_nonnegative():
         Drift(-0.1)
 
 
+@pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+def test_drift_duration_must_be_finite(tau):
+    with pytest.raises(InvalidTerm):
+        Drift(tau)
+
+
 def test_schedule_equality_ignores_plan_metadata():
     a = Schedule(2, (Drift(0.1),), raw_drift_periods=5)
     b = Schedule(2, (Drift(0.1),), raw_drift_periods=9, predicted_error=1.0)
     assert a == b
     assert a != Schedule(2, (Drift(0.1),), phase=0.2)
+
+
+# ----------------------------------------------------------------------
+# the shared-product evaluator and the memoized canonicalization against
+# the plain left-to-right loops they replace
+
+
+def reference_evaluate(sched, drift):
+    """One matrix product per instruction, left to right."""
+    evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
+    w = np.eye(2**sched.n, dtype=complex)
+    for ins in sched.instructions:
+        if isinstance(ins, Drift):
+            op = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs.conj().T
+        else:
+            op = ins.dense(sched.n)
+        w = w @ op
+    return np.exp(1j * sched.phase) * w
+
+
+def _reference_merge(a, b):
+    out = dict(a.factors)
+    for q, u in b.factors.items():
+        out[q] = out[q] @ u if q in out else u
+    return LocalLayer(
+        {q: u for q, u in out.items() if np.abs(u - np.eye(2)).max() > 1e-12}
+    )
+
+
+def reference_canonicalize(sched):
+    """A fresh merge at every seam, then a second drift-fusing pass."""
+    out = []
+    for ins in sched.instructions:
+        if isinstance(ins, Drift):
+            if ins.tau == 0.0:
+                continue
+            if out and isinstance(out[-1], Drift):
+                out[-1] = Drift(out[-1].tau + ins.tau)
+            else:
+                out.append(ins)
+        elif out and isinstance(out[-1], LocalLayer):
+            merged = _reference_merge(out[-1], ins)
+            if merged.factors:
+                out[-1] = merged
+            else:
+                out.pop()
+        elif ins.factors:
+            out.append(ins)
+    fused = []
+    for ins in out:
+        if isinstance(ins, Drift) and fused and isinstance(fused[-1], Drift):
+            fused[-1] = Drift(fused[-1].tau + ins.tau)
+        else:
+            fused.append(ins)
+    return Schedule(sched.n, tuple(fused), sched.phase,
+                    raw_drift_periods=sched.raw_drift_periods)
+
+
+def _random_layer(rng, n):
+    factors = {}
+    for q in range(n):
+        if rng.random() < 0.6:
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            u, r = np.linalg.qr(z)
+            factors[q] = u * (np.diag(r) / np.abs(np.diag(r)))
+    return LocalLayer(factors)
+
+
+@st.composite
+def schedules(draw, *, cancelling=False):
+    """Schedules over a small pool: ``step * k`` or one unrepeated list.
+
+    Pool layers are reused as objects; an unrepeated list also holds
+    value-equal copies, so sharing by key and by object both occur.
+    With ``cancelling`` the pool adds each layer's inverse, an identity
+    layer and a zero drift.
+    """
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = [_random_layer(rng, n) for _ in range(draw(st.integers(1, 4)))]
+    taus = rng.uniform(0.05, 1.0, size=draw(st.integers(1, 3)))
+    pool = layers + [Drift(float(t)) for t in taus]
+    if cancelling:
+        pool += [layer.dagger() for layer in layers] + [LocalLayer({}), Drift(0.0)]
+    pick = st.integers(0, len(pool) - 1)
+    phase = draw(st.floats(-np.pi, np.pi))
+    if draw(st.booleans()):
+        step = [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=12))]
+        instructions = step * draw(st.integers(1, 200))
+    else:
+        instructions = []
+        for i in draw(st.lists(pick, max_size=60)):
+            ins = pool[i]
+            if isinstance(ins, LocalLayer) and draw(st.booleans()):
+                ins = LocalLayer(ins.factors)
+            instructions.append(ins)
+    return Schedule(n, tuple(instructions), phase)
+
+
+@settings(max_examples=60)
+@given(sched=schedules(), drift_seed=st.integers(0, 2**32 - 1))
+def test_evaluation_matches_the_left_to_right_product(sched, drift_seed):
+    drift = random_two_body(sched.n, np.random.default_rng(drift_seed))
+    if not drift.terms:
+        drift = build_expansion(sched.n, [("Z" * sched.n, 1.0)])
+    got = evaluate_schedule(sched, drift)
+    want = reference_evaluate(sched, drift)
+    assert operator_norm(got - want) < 1e-12
+
+
+def test_empty_schedule_evaluates_to_its_phase(sample_drift):
+    got = evaluate_schedule(Schedule(2, (), phase=0.7), sample_drift)
+    assert np.array_equal(got, np.exp(1j * 0.7) * np.eye(4))
+
+
+@settings(max_examples=60)
+@given(sched=schedules(cancelling=True))
+def test_canonicalize_matches_the_fresh_merge_fold(sched):
+    got = canonicalize(sched)
+    want = reference_canonicalize(sched)
+    assert got == want
+    assert serialize_schedule(got) == serialize_schedule(want)
+
+
+def test_canonicalize_shares_one_layer_per_repeated_seam():
+    a, b = LocalLayer({0: HAD}), LocalLayer({1: HAD})
+    canon = canonicalize(Schedule(2, (a, Drift(0.1), b) * 5))
+    seams = [ins for ins in canon.instructions[1:-1] if isinstance(ins, LocalLayer)]
+    assert len(seams) == 4
+    assert all(s is seams[0] for s in seams)
