@@ -16,7 +16,8 @@ from .errors import InvalidTerm, NotCoupled, NotTwoBody
 AXES = "XYZ"
 OPS = "IXYZ"
 
-#: coefficients at or below this magnitude are treated as exact zeros
+#: coefficients at or below this fraction of an expansion's largest
+#: magnitude are treated as exact zeros
 ZERO_TOL = 1e-12
 
 
@@ -87,9 +88,11 @@ def _as_string(term: "PauliString | str") -> PauliString:
 class HamExpansion:
     """A real linear combination of Pauli strings on ``n`` qubits.
 
-    Terms are stored in canonical sorted order with zero coefficients
-    dropped, so two expansions are equal iff they were built from the
-    same coefficients.  Instances are immutable.
+    Terms are stored in canonical sorted order with negligible
+    coefficients dropped: a term goes when ``|c| <= ZERO_TOL * max|c|``
+    over the given terms, so the threshold scales with the expansion and
+    a uniformly tiny drift keeps its terms.  Two expansions are equal iff
+    they were built from the same coefficients.  Instances are immutable.
     """
 
     __slots__ = ("n", "_terms")
@@ -98,15 +101,16 @@ class HamExpansion:
         if n < 1:
             raise InvalidTerm("an expansion needs at least one qubit")
         object.__setattr__(self, "n", n)
-        clean: dict[PauliString, float] = {}
+        given: dict[PauliString, float] = {}
         for p in sorted(terms or {}):
             c = float(terms[p])
             if p.n != n:
                 raise InvalidTerm(f"term {p} has {p.n} sites, expected {n}")
             if not math.isfinite(c):
                 raise InvalidTerm(f"term {p} has non-finite coefficient {c}")
-            if abs(c) > ZERO_TOL:
-                clean[p] = c
+            given[p] = c
+        floor = ZERO_TOL * max(map(abs, given.values()), default=0.0)
+        clean = {p: c for p, c in given.items() if abs(c) > floor}
         object.__setattr__(self, "_terms", clean)
 
     @property

@@ -16,6 +16,7 @@ Pauli conjugation flips the sign when needed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -65,6 +66,16 @@ class FramedDrift:
 
     def layer_map(self) -> dict[int, LocalClifford]:
         return dict(self.frame)
+
+    @functools.cached_property
+    def frame_layer(self) -> LocalLayer:
+        """The frame as one layer, built once; every emitted step shares it."""
+        return LocalLayer({q: c.matrix for q, c in self.frame})
+
+    @functools.cached_property
+    def frame_layer_dagger(self) -> LocalLayer:
+        """Inverse of ``frame_layer``, built once."""
+        return self.frame_layer.dagger()
 
     def effective(self, drift: HamExpansion) -> HamExpansion:
         """Rate-scaled conjugated drift this factor contributes per unit time."""
@@ -338,7 +349,9 @@ def emit_step(
 
     Order 1 runs every factor once for ``delta``.  Order 2 emits the
     symmetric palindrome: all but the last factor at ``delta/2``, the
-    last at ``delta``, then the reflection.
+    last at ``delta``, then the reflection.  A framed drift contributes
+    its own ``frame_layer`` and ``frame_layer_dagger`` objects, so every
+    step of a model shares them.
     """
     if order not in (1, 2):
         raise InvalidStep(f"order must be 1 or 2, got {order}")
@@ -356,12 +369,10 @@ def emit_step(
         if isinstance(factor, LocalFactor):
             out.append(factor.layer(duration))
             continue
-        layers = factor.layer_map()
-        if layers:
-            fwd = LocalLayer({q: c.matrix for q, c in layers.items()})
-            out.append(fwd)
+        if factor.frame:
+            out.append(factor.frame_layer)
             out.append(Drift(factor.rate * duration))
-            out.append(fwd.dagger())
+            out.append(factor.frame_layer_dagger)
         else:
             out.append(Drift(factor.rate * duration))
     return out, -model.phase_rate * delta

@@ -22,13 +22,15 @@ CHAIN = (
     "0.3 0:Z\n-0.4 1:Z\n0.5 2:Z\n0.2 3:Z\n"
 )
 ISOLATED = "qubits 3\n1 0:X 1:X\n0.5 2:Z\n"
+TINY = "qubits 2\n1e-13 0:Z\n2e-13 0:X 1:Z\n1e-13 0:Z 1:Z\n"
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     for name, text in [
-        ("drift", DRIFT), ("zz", ZZ), ("chain", CHAIN), ("iso", ISOLATED)
+        ("drift", DRIFT), ("zz", ZZ), ("chain", CHAIN), ("iso", ISOLATED),
+        ("tiny", TINY),
     ]:
         p = tmp_path / f"{name}.ham"
         p.write_text(text)
@@ -50,6 +52,21 @@ def test_check_flags_disconnected_registers(files, capsys):
     out = capsys.readouterr().out
     assert "entangling no" in out
     assert "components 0,1|2" in out
+
+
+def test_uniformly_tiny_drift_keeps_its_terms_and_compiles(files, capsys):
+    assert main(["check", files["tiny"]]) == 0
+    out = capsys.readouterr().out
+    assert "terms 3" in out
+    assert "entangling yes" in out
+    out_path = str(files["tmp"] / "tiny.hrs")
+    assert main([
+        "compile", files["tiny"], "--gate", "cnot",
+        "--epsilon", "1e-2", "--out", out_path,
+    ]) == 0
+    capsys.readouterr()
+    assert main(["verify", files["tiny"], out_path, "--gate", "cnot"]) == 0
+    assert "pass yes" in capsys.readouterr().out
 
 
 def test_parse_errors_exit_2(files, capsys, tmp_path):

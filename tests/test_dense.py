@@ -1,5 +1,6 @@
 """Dense 2^n x 2^n realizations and the phase-aligned distance."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from hamrc import (
     DimMismatch,
+    HamExpansion,
+    LocalLayer,
     NotHermitian,
     PauliString,
     build_expansion,
@@ -17,6 +20,7 @@ from hamrc import (
     operator_norm,
     phase_match,
 )
+from hamrc.dense import kron_all
 
 # drift used in many examples: Z on qubit 0, strong XZ coupling, ZZ
 H_SAMPLE = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
@@ -90,3 +94,67 @@ def test_operator_norm_on_known_matrix():
     x = dense_of_pauli(PauliString("X"))
     z = dense_of_pauli(PauliString("Z"))
     assert abs(operator_norm(x @ z - z @ x) - 2.0) < 1e-12
+
+
+# Reference builders: the plain Kronecker-product definitions.
+KRON_PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _kron_reference(mats):
+    return functools.reduce(np.kron, list(mats), np.eye(1, dtype=complex))
+
+
+def _expansion_reference(ham):
+    out = np.zeros((2**ham.n, 2**ham.n), dtype=complex)
+    for p, c in ham.items():
+        out += c * _kron_reference(KRON_PAULI[o] for o in p.ops)
+    return out
+
+
+def _random_strings(n, count, rng):
+    # Y drawn three times as often as X or Z, plus the all-Y string
+    ops = rng.choice(list("IXYYYZ"), size=(count, n))
+    return ["".join(row) for row in ops] + ["Y" * n]
+
+
+def _random_unitary_2x2(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_of_expansion_is_byte_equal_to_the_kron_sum(n):
+    rng = np.random.default_rng(100 + n)
+    for count in (1, 5, 40):
+        terms = {PauliString(s): float(rng.normal()) for s in _random_strings(n, count, rng)}
+        terms[PauliString.identity(n)] = float(rng.normal())
+        ham = HamExpansion(n, terms)
+        assert dense_of_expansion(ham).tobytes() == _expansion_reference(ham).tobytes()
+    empty = HamExpansion(n, {})
+    assert dense_of_expansion(empty).tobytes() == _expansion_reference(empty).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_of_pauli_is_byte_equal_to_the_kron_product(n):
+    rng = np.random.default_rng(200 + n)
+    for s in _random_strings(n, 12, rng) + ["I" * n]:
+        ref = _kron_reference(KRON_PAULI[o] for o in s)
+        # np.kron leaves -0.0 in some zero entries; adding 0.0 turns only
+        # those into 0.0 and changes no other bit
+        assert dense_of_pauli(PauliString(s)).tobytes() == (ref + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kron_all_and_layer_dense_are_byte_equal_to_the_kron_product(n):
+    rng = np.random.default_rng(300 + n)
+    factors = [_random_unitary_2x2(rng) for _ in range(n)]
+    assert kron_all(factors).tobytes() == _kron_reference(factors).tobytes()
+    kept = {q: u for q, u in enumerate(factors) if rng.random() < 0.6}
+    layer = LocalLayer(kept)
+    ref = _kron_reference(kept.get(q, np.eye(2, dtype=complex)) for q in range(n))
+    assert layer.dense(n).tobytes() == ref.tobytes()

@@ -65,6 +65,18 @@ def test_expansion_drops_negligible_and_sums_duplicates():
     assert len(ham) == 1
 
 
+def test_expansion_threshold_is_relative_to_the_largest_term():
+    tiny = build_expansion(2, [("ZI", 1e-13), ("XZ", 2e-13), ("ZZ", 1e-13)])
+    assert tiny.terms == {
+        PauliString("ZI"): 1e-13, PauliString("XZ"): 2e-13, PauliString("ZZ"): 1e-13
+    }
+    assert is_entangling(tiny).entangling
+    # 1e-12 of the largest magnitude is the floor, whatever the scale
+    big = build_expansion(2, [("XZ", -1e3), ("ZZ", 5e-10), ("ZI", 2e-9)])
+    assert set(big.terms) == {PauliString("XZ"), PauliString("ZI")}
+    assert len(build_expansion(2, [("XZ", 0.0), ("ZZ", 0.0)])) == 0
+
+
 def test_expansion_is_immutable():
     ham = build_expansion(2, [("XZ", 1.0)])
     with pytest.raises(AttributeError):

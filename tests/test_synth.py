@@ -11,6 +11,7 @@ from hamrc import (
     Drift,
     InvalidStep,
     InvalidTerm,
+    LocalLayer,
     NotCoupled,
     PauliString,
     VerificationFailure,
@@ -222,6 +223,40 @@ def test_emit_step_rejects_bad_arguments(sample_drift):
         emit_step(model, 0.1, 3)
     with pytest.raises(InvalidStep):
         emit_step(model, 0.0, 1)
+
+
+def _frame_pairs(instructions):
+    """(layer before, layer after) around every drift of one emitted step."""
+    return [
+        (instructions[i - 1], instructions[i + 1])
+        for i, ins in enumerate(instructions)
+        if isinstance(ins, Drift)
+    ]
+
+
+def test_emit_step_shares_frame_layers_across_steps(sample_drift):
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = step_model(sample_drift, target)
+    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+    assert isinstance(model.factors[0], LocalFactor) and len(framed) > 1
+
+    first, _ = emit_step(model, 0.1, 1)
+    second, _ = emit_step(model, 0.037, 2)
+    order1 = _frame_pairs(first)
+    order2 = _frame_pairs(second)
+    assert len(order1) == len(framed)
+    assert len(order2) == 2 * len(framed) - 1
+    # order 2 runs the framed drifts as a palindrome around the last one
+    for (fwd, back), f in zip(order1, framed):
+        assert fwd is f.frame_layer and back is f.frame_layer_dagger
+    for (a, b), (c, d) in zip(order2, order1[:-1] + order1[::-1]):
+        assert a is c and b is d
+
+    # the shared layers are the ones a fresh per-call construction builds
+    for (fwd, back), f in zip(order1, framed):
+        fresh = LocalLayer({q: c.matrix for q, c in f.layer_map().items()})
+        assert fwd.cache_key() == fresh.cache_key()
+        assert back.cache_key() == fresh.dagger().cache_key()
 
 
 def test_framed_drift_effective_expansion(sample_drift):
