@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, operator_norm
+from .cliffords import RELATIVE, frame_actions
+from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, hermitian_norm
 from .errors import Infeasible, InvalidTerm, NotCoupled, TooLarge
 from .pauli import HamExpansion
 
@@ -55,12 +56,75 @@ class ErrorPlan:
             raise InvalidTerm("predicted error must be non-negative")
 
 
-def first_order_rate(mats: Sequence[np.ndarray]) -> float:
-    """Coefficient c2 with per-step bound c2 * delta^2 for unit-rate factors."""
-    total = 0.0
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            total += operator_norm(mats[j] @ mats[k] - mats[k] @ mats[j])
+def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``||[a, b]||`` of Hermitian ``a`` and ``b``.
+
+    ``ba = (ab)^dag``, so ``[a, b] = ab - (ab)^dag`` needs one product, and
+    ``i[a, b]`` is then exactly Hermitian.
+    """
+    ab = a @ b
+    return hermitian_norm(1j * (ab - ab.conj().T))
+
+
+def _shared_norm_sum(mats, left, right, scale, keys) -> float:
+    """``sum_p ||[mats[left[p]], mats[right[p]]]||`` with one commutator per key.
+
+    Norm ``p`` must be ``scale[p] > 0`` times a value fixed by the row
+    ``keys[p]``; that value is taken from the first pair with the row.
+    """
+    _, first, which = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    unit = np.array(
+        [_commutator_norm(mats[left[p]], mats[right[p]]) / scale[p] for p in first]
+    )
+    return float(scale @ unit[which.reshape(-1)])
+
+
+def _relative_keys(actions_j: np.ndarray, actions_k: np.ndarray) -> np.ndarray:
+    """Per pair, the per-site action of ``R = C_j^dag C_k`` or of its inverse.
+
+    ``||[H, R H R^dag]|| = ||[H, R^dag H R]||``, so the two name one norm;
+    the row kept is the lexicographically smaller of the two.
+    """
+    rel = RELATIVE[actions_j, actions_k]
+    inv = RELATIVE[rel, 0]
+    site = (rel != inv).argmax(axis=1)[:, None]  # first differing site, or 0
+    swap = np.take_along_axis(inv, site, 1) < np.take_along_axis(rel, site, 1)
+    return np.where(swap, inv, rel)
+
+
+def _is_framed(factor) -> bool:
+    return hasattr(factor, "frame")
+
+
+def first_order_rate(model, expansions: Sequence[HamExpansion]) -> float:
+    """Coefficient c2 with per-step bound c2 * delta^2: half the sum of
+    ``||[F_j, F_k]||`` over the factor pairs ``j < k``.
+
+    The operator norm is unitarily invariant.  Two framed drifts
+    ``r_j C_j H C_j^dag`` and ``r_k C_k H C_k^dag`` therefore give
+    ``r_j r_k ||[H, R H R^dag]||`` with ``R = C_j^dag C_k``, and a plain
+    factor ``P`` against a framed drift gives ``r_k ||[C_k^dag P C_k, H]||``,
+    which depends on ``C_k`` only on the support of ``P``.  Each such norm
+    is taken once, from the factor matrices of the first pair that needs
+    it; pairs of plain factors are taken directly.
+    """
+    mats = [dense_of_expansion(h) for h in expansions]
+    framed = [i for i, f in enumerate(model.factors) if _is_framed(f) and f.rate > 0]
+    plain = sorted(set(range(len(mats))) - set(framed))
+    index = np.array(framed, dtype=np.intp)
+    rates = np.array([model.factors[i].rate for i in framed], dtype=float)
+    actions = np.array(
+        [frame_actions(model.factors[i].layer_map(), model.n) for i in framed], dtype=np.intp
+    ).reshape(len(framed), model.n)
+
+    j, k = np.triu_indices(len(framed), 1)
+    keys = _relative_keys(actions[j], actions[k])
+    total = _shared_norm_sum(mats, index[j], index[k], rates[j] * rates[k], keys)
+    for pos, i in enumerate(plain):
+        sites = list(expansions[i].support())
+        left = np.full(len(framed), i)
+        total += _shared_norm_sum(mats, left, index, rates, actions[:, sites])
+        total += sum(_commutator_norm(mats[i], mats[other]) for other in plain[pos + 1 :])
     return 0.5 * total
 
 
@@ -74,47 +138,54 @@ def second_order_correction(j1_norm: float, j2_norm: float, delta: float) -> flo
     return (j1_norm * j2_norm * (j1_norm + 2.0 * j2_norm) / 6.0) * delta**3
 
 
-def second_order_rate(mats: Sequence[np.ndarray]) -> float:
+def second_order_rate(model, expansions: Sequence[HamExpansion]) -> float:
     """Coefficient c3 with per-step bound c3 * delta^3 for a symmetric step.
 
     Peels factors off the ordered list one at a time: each split of
-    ``J_i`` against the exact sum of the remaining tail contributes one
+    ``F_i`` against the exact sum of the remaining tail contributes one
     two-term symmetric-splitting defect, and the chaining inequality adds
-    them up.
+    them up.  The operator norm is unitarily invariant, so a framed drift
+    ``r C H C^dag`` has norm ``r ||H||`` from one norm of the drift ``H``.
+    The tail sums are built from the end, one factor matrix at a time.
     """
-    if len(mats) < 2:
+    if len(expansions) < 2:
         return 0.0
-    total = 0.0
-    tail = mats[-1].copy()
-    tail_norms: list[float] = [operator_norm(tail)]
-    for m in reversed(mats[:-1]):
-        tail = tail + m
-        tail_norms.append(operator_norm(tail))
-    tail_norms.reverse()  # tail_norms[i] = ||sum of mats[i:]||
-    for i in range(len(mats) - 1):
-        a = operator_norm(mats[i])
-        r = tail_norms[i + 1]
-        total += second_order_correction(a, r, 1.0)
-    return total
+    drift_norm = hermitian_norm(dense_of_expansion(model.drift))
+    norms = [
+        f.rate * drift_norm if _is_framed(f) else hermitian_norm(dense_of_expansion(h))
+        for f, h in zip(model.factors[:-1], expansions)
+    ]
+    dim = 2**model.n
+    tail = np.zeros((dim, dim), dtype=complex)
+    tail_norms: list[float] = []
+    for h in reversed(expansions[1:]):
+        tail += dense_of_expansion(h)
+        tail_norms.append(hermitian_norm(tail))
+    tail_norms.reverse()  # tail_norms[i] = ||F_(i+1) + ... + F_last||
+    return sum(second_order_correction(a, r, 1.0) for a, r in zip(norms, tail_norms))
 
 
-def chained_rate(
-    factors: Sequence[HamExpansion], order: int, *, dense_cap: int | None = None
-) -> float:
-    """Per-step bound coefficient for a factor list of unit-delta rates.
+def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
+    """Per-step bound coefficient of a step model at unit delta.
 
-    The per-step bound is ``rate * delta^(order+1)`` and chaining over N
-    identical steps multiplies by N.
+    ``model`` is a step model: its ``drift`` ``H``, its ordered ``factors``
+    and their expansions ``factor_expansions()``.  A factor with a
+    ``frame`` is the framed drift ``rate * C H C^dag`` for the frame's
+    per-site Cliffords ``C``; any other factor is plain.  The per-step
+    bound is ``rate * delta^(order+1)`` and chaining over N identical
+    steps multiplies by N.
     """
     if order not in (1, 2):
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
-    if not factors:
+    if not model.factors:
         return 0.0
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if factors[0].n > cap:
-        raise TooLarge(f"{factors[0].n} qubits exceeds dense cap {cap}")
-    mats = [dense_of_expansion(h) for h in factors]
-    return first_order_rate(mats) if order == 1 else second_order_rate(mats)
+    if model.n > cap:
+        raise TooLarge(f"{model.n} qubits exceeds dense cap {cap}")
+    expansions = model.factor_expansions()
+    if order == 1:
+        return first_order_rate(model, expansions)
+    return second_order_rate(model, expansions)
 
 
 def coupling_ratio(drift: HamExpansion, target: HamExpansion) -> float:

@@ -3,6 +3,11 @@
 Each frame carries its 2x2 unitary together with the signed axis images
 of X, Y, Z under conjugation, so expansions can be conjugated exactly at
 the coefficient level while schedules get the concrete matrices.
+
+The images alone fix a Clifford's action on operators.  There are 24 such
+actions; ``ACTIONS`` lists them, identity first, and ``RELATIVE[a, b]`` is
+the action of ``C_a^dag C_b``, so the relative frame of two frame layers is
+one table lookup per site.
 """
 
 from __future__ import annotations
@@ -32,24 +37,29 @@ class LocalClifford:
 
     def compose(self, inner: "LocalClifford") -> "LocalClifford":
         """Frame equal to applying ``inner`` first, then this frame."""
-        imgs = []
-        for axis in "XYZ":
-            s1, mid = inner.image(axis)
-            s2, out = self.image(mid)
-            imgs.append((s1 * s2, out))
-        return LocalClifford(self.matrix @ inner.matrix, tuple(imgs))
+        return LocalClifford(
+            self.matrix @ inner.matrix, _compose_images(self.images, inner.images)
+        )
 
     def dagger(self) -> "LocalClifford":
-        inv: dict[str, tuple[int, str]] = {}
-        for axis in "XYZ":
-            s, out = self.image(axis)
-            inv[out] = (s, axis)
-        return LocalClifford(
-            self.matrix.conj().T, tuple(inv[a] for a in "XYZ")
-        )
+        return LocalClifford(self.matrix.conj().T, _inverse_images(self.images))
 
     def is_identity_action(self) -> bool:
         return all(self.image(a) == (1, a) for a in "XYZ")
+
+
+def _compose_images(outer: tuple, inner: tuple) -> tuple:
+    """Images of applying the ``inner`` action first, then ``outer``."""
+    out = []
+    for s1, mid in inner:
+        s2, axis = outer["XYZ".index(mid)]
+        out.append((s1 * s2, axis))
+    return tuple(out)
+
+
+def _inverse_images(images: tuple) -> tuple:
+    inv = {out: (s, axis) for axis, (s, out) in zip("XYZ", images)}
+    return tuple(inv[a] for a in "XYZ")
 
 
 def _cliff(matrix, x, y, z) -> LocalClifford:
@@ -91,6 +101,34 @@ AXIS_ROTATION = {
 }
 
 
+def _all_actions(generators: tuple) -> tuple:
+    actions = [CLIFF_ID.images]
+    for images in actions:  # grows until closed under the generators
+        for g in generators:
+            nxt = _compose_images(g, images)
+            if nxt not in actions:
+                actions.append(nxt)
+    return tuple(actions)
+
+
+#: the 24 signed axis permutations single-qubit Cliffords act by, identity first
+ACTIONS = _all_actions((CLIFF_HAD.images, CLIFF_S.images))
+ACTION_INDEX = {images: i for i, images in enumerate(ACTIONS)}
+#: RELATIVE[a, b] is the index of the action of C_a^dag C_b (C_b, then C_a undone)
+RELATIVE = np.array(
+    [[ACTION_INDEX[_compose_images(_inverse_images(a), b)] for b in ACTIONS] for a in ACTIONS],
+    dtype=np.intp,
+)
+
+
+def frame_actions(frame: Mapping[int, LocalClifford], n: int) -> list[int]:
+    """Per-site ``ACTIONS`` index of a frame layer on ``n`` qubits."""
+    out = [0] * n
+    for site, cliff in frame.items():
+        out[site] = ACTION_INDEX[cliff.images]
+    return out
+
+
 def sign_flip_clifford(axis: str) -> LocalClifford:
     """Pauli conjugator flipping ``sigma_axis`` to ``-sigma_axis``.
 
@@ -102,21 +140,21 @@ def sign_flip_clifford(axis: str) -> LocalClifford:
 
 
 def conjugate_by_cliffords(
-    ham: HamExpansion, layer: Mapping[int, LocalClifford]
+    ham: HamExpansion, layer: Mapping[int, LocalClifford], scale: float = 1.0
 ) -> HamExpansion:
     """Exact coefficient-level conjugation of an expansion by a frame layer.
 
     Sites absent from ``layer`` are left untouched.  Every term maps to a
-    single term with the same coefficient magnitude.
+    single term with the same coefficient magnitude, times ``scale``.
     """
+    images = [(site, {a: cliff.image(a) for a in "IXYZ"}) for site, cliff in layer.items()]
     out: dict[PauliString, float] = {}
     for p, c in ham.items():
         ops = list(p.ops)
         sign = 1
-        for site, cliff in layer.items():
-            s, axis = cliff.image(ops[site])
-            ops[site] = axis
+        for site, image in images:
+            s, ops[site] = image[ops[site]]
             sign *= s
-        q = PauliString("".join(ops))
-        out[q] = out.get(q, 0.0) + sign * c
+        # a frame permutes Pauli strings, so no two terms land on one string
+        out[PauliString("".join(ops))] = sign * c * scale
     return HamExpansion(ham.n, out)

@@ -111,6 +111,15 @@ def _compose_frame_sets(
     return FrameSet(n, pair, frames, depth)
 
 
+def _principal_round(
+    ham: HamExpansion, pair: tuple[int, int]
+) -> tuple[list[int], list[PauliString], HamExpansion]:
+    """The sites off the pair, the round's conjugators on them, and the average."""
+    rest = [q for q in range(ham.n) if q not in pair]
+    conjugators = _uniform_conjugators(ham.n, rest)
+    return rest, conjugators, _average_round(ham, conjugators)
+
+
 def decouple_principal(
     ham: HamExpansion, pair: tuple[int, int]
 ) -> tuple[HamExpansion, FrameSet]:
@@ -121,11 +130,8 @@ def decouple_principal(
     couplings inside the rest (later rounds deal with those).
     """
     _check_pair(ham.n, pair)
-    rest = [q for q in range(ham.n) if q not in pair]
-    conjugators = _uniform_conjugators(ham.n, rest)
-    return _average_round(ham, conjugators), _compose_frame_sets(
-        ham.n, pair, [conjugators], depth=0
-    )
+    _, conjugators, averaged = _principal_round(ham, pair)
+    return averaged, _compose_frame_sets(ham.n, pair, [conjugators], depth=0)
 
 
 def isolate_principal(
@@ -141,9 +147,8 @@ def isolate_principal(
     _check_pair(ham.n, pair)
     if not ham.is_two_body():
         raise InvalidTerm("decoupling expects a two-body drift")
-    rest = [q for q in range(ham.n) if q not in pair]
-    rounds: list[list[PauliString]] = [_uniform_conjugators(ham.n, rest)]
-    current = _average_round(ham, rounds[0])
+    rest, conjugators, current = _principal_round(ham, pair)
+    rounds: list[list[PauliString]] = [conjugators]
 
     blocks = [rest] if rest else []
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0

@@ -15,13 +15,22 @@ permutation ``c -> c ^ x``, with no Kronecker products.  Local layers are
 Kronecker products of 2x2 factors, taken as broadcast outer products.
 
 Exponentials go through a Hermitian eigendecomposition so the result is
-unitary to machine precision; the operator norm is the largest singular
-value, which is the metric every error bound in this package is stated in.
+unitary to machine precision.
+
+The operator norm is the largest singular value, which is the metric every
+error bound in this package is stated in.  It is unitarily invariant,
+``||U A V|| = ||A||`` for unitary ``U`` and ``V``, so a drift conjugated by a
+local Clifford frame keeps the drift's norm, and the norm of a commutator of
+two framed drifts depends only on their relative frame.  For a Hermitian
+matrix it is the largest eigenvalue magnitude, which ``hermitian_norm`` reads
+from ``eigvalsh``: cheaper than an SVD, and on a real symmetric matrix about
+a third of the SVD's time.  ``operator_norm`` is for everything else.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterable
 
 import numpy as np
@@ -109,14 +118,30 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def hermitian_norm(a: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix: its largest eigenvalue magnitude.
+
+    Only the lower triangle is read, as by ``eigvalsh``.  A matrix with no
+    imaginary part takes the real symmetric route.  A non-finite entry
+    gives ``nan``: LAPACK's eigenvalues of such a matrix are unspecified.
+    """
+    if not np.isfinite(a).all():
+        return math.nan
+    if np.iscomplexobj(a) and not a.imag.any():
+        a = a.real
+    evals = np.linalg.eigvalsh(a)
+    return float(np.abs(evals[[0, -1]]).max())
+
+
 def expm_hermitian(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(-i*t*a) for Hermitian ``a`` via spectral decomposition.
 
     Raises :class:`NotHermitian` when the Hermiticity defect exceeds
-    1e-10 in operator norm.
+    1e-10 in operator norm.  ``i(a - a^dag)`` is exactly Hermitian, so the
+    defect is a Hermitian norm.
     """
-    defect = operator_norm(a - a.conj().T)
-    if defect > HERMITIAN_TOL:
+    defect = hermitian_norm(1j * (a - a.conj().T))
+    if not defect <= HERMITIAN_TOL:  # nan too
         raise NotHermitian(f"Hermiticity defect {defect:.3e}")
     evals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T

@@ -40,9 +40,9 @@ def _fmt(x: float) -> str:
 
 def _lines(text: str) -> Iterable[tuple[int, list[str]]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _parse_float(token: str, lineno: int, what: str) -> float:
@@ -172,9 +172,32 @@ def parse_schedule(text: str) -> Schedule:
                 raise ParseError(str(exc), line=lineno) from None
         return built[layer_id]
 
+    # ``local`` and ``drift`` records are nearly every line of a long
+    # schedule, and few distinct: each distinct argument is parsed once and
+    # its instruction shared by every record that repeats it
+    uses: dict[str, LocalLayer] = {}
+    drifts: dict[str, Drift] = {}
+
     for lineno, tokens in _lines(text):
         kind, args = tokens[0], tokens[1:]
-        if n is None:
+        if len(args) == 1 and n is not None and kind in ("local", "drift"):
+            arg = args[0]
+            if kind == "local":
+                layer = uses.get(arg)
+                if layer is None:
+                    layer_id = _parse_int(arg, lineno, "layer id")
+                    layer = uses[arg] = finish_layer(layer_id, lineno)
+                instructions.append(layer)
+            else:
+                drift = drifts.get(arg)
+                if drift is None:
+                    tau = _parse_float(arg, lineno, "drift duration")
+                    try:
+                        drift = drifts[arg] = Drift(tau)
+                    except InvalidTerm as exc:
+                        raise ParseError(str(exc), line=lineno) from None
+                instructions.append(drift)
+        elif n is None:
             if kind != "qubits" or len(args) != 1:
                 raise ParseError("expected 'qubits <n>' header", line=lineno)
             n = _parse_int(args[0], lineno, "qubit count")
@@ -210,15 +233,6 @@ def parse_schedule(text: str) -> Schedule:
                     f"site {site} repeated in layer {layer_id}", line=lineno
                 )
             rows[site] = mat
-        elif kind == "local" and len(args) == 1:
-            layer_id = _parse_int(args[0], lineno, "layer id")
-            instructions.append(finish_layer(layer_id, lineno))
-        elif kind == "drift" and len(args) == 1:
-            tau = _parse_float(args[0], lineno, "drift duration")
-            try:
-                instructions.append(Drift(tau))
-            except InvalidTerm as exc:
-                raise ParseError(str(exc), line=lineno) from None
         else:
             raise ParseError(f"unrecognized record {kind!r}", line=lineno)
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, kron_all
+from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, hermitian_norm, kron_all
 from .errors import DimMismatch, InvalidTerm, TooLarge
 from .pauli import HamExpansion
 
@@ -298,8 +298,6 @@ def evaluate_schedule(
 def unitarity_defect(w: np.ndarray) -> float:
     """Operator-norm distance of ``w^dag w`` from the identity.
 
-    ``w^dag w - I`` is Hermitian, so its norm is its largest eigenvalue
-    magnitude, which ``eigvalsh`` finds without an SVD.
+    ``w^dag w - I`` is Hermitian, so its norm is a Hermitian norm.
     """
-    gram = w.conj().T @ w - np.eye(w.shape[0])
-    return float(np.abs(np.linalg.eigvalsh(gram)).max())
+    return hermitian_norm(w.conj().T @ w - np.eye(w.shape[0]))

@@ -36,7 +36,6 @@ from .errors import HamrcError, InvalidStep, InvalidTerm, VerificationFailure
 from .pauli import (
     HamExpansion,
     PauliString,
-    average,
     build_expansion,
     max_coupling,
 )
@@ -79,7 +78,9 @@ class FramedDrift:
 
     def effective(self, drift: HamExpansion) -> HamExpansion:
         """Rate-scaled conjugated drift this factor contributes per unit time."""
-        return average([(self.rate, conjugate_by_cliffords(drift, self.layer_map()))])
+        if self.rate < 0:
+            raise InvalidTerm("a framed drift needs a non-negative rate")
+        return conjugate_by_cliffords(drift, self.layer_map(), self.rate)
 
 
 @dataclass(frozen=True)
@@ -413,9 +414,7 @@ def plan_for_model(
     register; ``C`` is the constant of the coarse global bound.
     """
     if bound == "chained":
-        rate = _bounds.chained_rate(
-            model.factor_expansions(), order, dense_cap=dense_cap
-        )
+        rate = _bounds.chained_rate(model, order, dense_cap=dense_cap)
         return _bounds.plan_steps("chained", epsilon, t, order=order, rate=rate)
     if bound == "global":
         if order != 1:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hamrc import HamExpansion, build_expansion
+from hamrc import CLIFF_HAD, CLIFF_ID, CLIFF_S, HamExpansion, LocalClifford, build_expansion
 
 # The same examples on every run, and no per-example deadline: dense
 # examples can take longer than Hypothesis's 200 ms on a loaded machine.
@@ -60,3 +60,19 @@ def random_coupled_pair(rng: np.random.Generator) -> HamExpansion:
             2, [(p.ops, c) for p, c in ham.items()] + [(q.ops, c) for q, c in extra.items()]
         )
     return ham
+
+
+def all_local_cliffords() -> list[LocalClifford]:
+    """One single-qubit Clifford for each of the 24 actions, identity first."""
+    found = {CLIFF_ID.images: CLIFF_ID}
+    frontier = [CLIFF_ID]
+    while frontier:
+        grown = []
+        for c in frontier:
+            for g in (CLIFF_HAD, CLIFF_S):
+                d = g.compose(c)
+                if d.images not in found:
+                    found[d.images] = d
+                    grown.append(d)
+        frontier = grown
+    return list(found.values())

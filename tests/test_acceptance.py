@@ -189,7 +189,7 @@ def test_criterion_08_analytic_bounds_are_sound():
             drift = random_coupled_pair(rng)
             target = random_coupled_pair(rng)
             model = step_model(drift, target)
-            rate = chained_rate(model.factor_expansions(), order)
+            rate = chained_rate(model, order)
             steps = 20
             bound = steps * rate * (1.0 / steps) ** (order + 1)
             sched = compile_schedule(drift, target, 1.0, steps=steps, order=order)

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import all_local_cliffords, random_coupled_pair, random_two_body
 from hamrc import (
     GLOBAL_BOUND_C,
     ErrorPlan,
@@ -15,35 +18,137 @@ from hamrc import (
     build_expansion,
     chained_rate,
     coupling_ratio,
+    dense_of_expansion,
+    embed,
     global_bound,
+    operator_norm,
+    pair_step_model,
     plan_steps,
 )
+from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
+from hamrc.synth import FramedDrift, LocalFactor, StepModel, _make_measure, plan_for_model
+
+
+X1 = build_expansion(1, [("X", 1.0)])
+#: unit-rate framed drifts of X1: X itself, and Z = H X H^dag
+AS_X = FramedDrift(1.0, ())
+AS_Z = FramedDrift(1.0, ((0, CLIFF_HAD),))
+
+
+def _model(drift, *factors):
+    return StepModel(drift.n, drift, factors, 0.0)
 
 
 def test_first_order_rate_on_anticommuting_pair():
-    x = build_expansion(1, [("X", 1.0)])
-    z = build_expansion(1, [("Z", 1.0)])
+    x, z = AS_X, AS_Z
     # ||[X, Z]|| = 2, so one step of length tau is bounded by tau^2
     tau = 0.3
-    assert chained_rate([x, z], 1) * tau * tau == pytest.approx(tau * tau)
-    assert chained_rate([x, x], 1) == 0.0
-    assert chained_rate([x], 1) == 0.0
+    assert chained_rate(_model(X1, x, z), 1) * tau * tau == pytest.approx(tau * tau)
+    assert chained_rate(_model(X1, x, x), 1) == 0.0
+    assert chained_rate(_model(X1, x), 1) == 0.0
 
 
 def test_chained_rate_respects_cap():
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     with pytest.raises(TooLarge):
-        chained_rate([big, big], 1, dense_cap=10)
+        chained_rate(_model(big, AS_X, AS_X), 1, dense_cap=10)
 
 
 def test_chained_rate_orders():
-    x = build_expansion(1, [("X", 1.0)])
-    z = build_expansion(1, [("Z", 1.0)])
-    assert chained_rate([x, z], 1) == pytest.approx(1.0)  # ||[X,Z]||/2
+    x, z = AS_X, AS_Z
+    assert chained_rate(_model(X1, x, z), 1) == pytest.approx(1.0)  # ||[X,Z]||/2
     # order 2 peel: a=1, r=1 -> (1/6)*1*1*(1+2) = 0.5
-    assert chained_rate([x, z], 2) == pytest.approx(0.5)
+    assert chained_rate(_model(X1, x, z), 2) == pytest.approx(0.5)
     with pytest.raises(InvalidTerm):
-        chained_rate([x, z], 3)
+        chained_rate(_model(X1, x, z), 3)
+
+
+def _rate_by_factor_svds(model, order):
+    """The rate from a dense matrix and an SVD norm of every factor, every
+    tail sum and every pairwise commutator, with no use of the frames."""
+    mats = [dense_of_expansion(h) for h in model.factor_expansions()]
+    if order == 1:
+        total = 0.0
+        for j in range(len(mats)):
+            for k in range(j + 1, len(mats)):
+                total += operator_norm(mats[j] @ mats[k] - mats[k] @ mats[j])
+        return 0.5 * total
+    if len(mats) < 2:
+        return 0.0
+    tail = mats[-1].copy()
+    tail_norms = [operator_norm(tail)]
+    for m in reversed(mats[:-1]):
+        tail = tail + m
+        tail_norms.append(operator_norm(tail))
+    tail_norms.reverse()
+    total = 0.0
+    for i in range(len(mats) - 1):
+        a, r = operator_norm(mats[i]), tail_norms[i + 1]
+        total += a * r * (a + 2.0 * r) / 6.0
+    return total
+
+
+@settings(max_examples=40)
+@given(
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    field=st.sampled_from([0.0, 1.0, 8.0]),
+    order=st.sampled_from([1, 2]),
+    steps=st.integers(1, 40),
+)
+def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, field, order, steps):
+    rng = np.random.default_rng(seed)
+    drift = random_two_body(n, rng, connected=True)
+    # strong local fields are what a drift-blind plan misses
+    fields = [("".join(a if q == s else "I" for q in range(n)), field * rng.normal())
+              for s in range(n) for a in "XZ"]
+    drift = build_expansion(n, [(p.ops, c) for p, c in drift.items()] + fields)
+    pairs = sorted({p.support() for p in drift.terms if p.weight() == 2})
+    pair = pairs[int(rng.integers(len(pairs)))]
+    target = random_coupled_pair(rng)
+    model = pair_step_model(drift, pair, target)
+    assume(len(model.factors) <= 70)  # keeps the pairwise SVD reference cheap
+
+    rate = chained_rate(model, order)
+    want = _rate_by_factor_svds(model, order)
+    assert abs(rate - want) <= 1e-12 * want
+
+    t = 0.4
+    epsilon = rate * t ** (order + 1) / steps**order * (1 + 1e-9)
+    register_target = embed(target, n, pair)
+    plan = plan_for_model(model, register_target, t, epsilon, order, "chained")
+    measured = _make_measure(model, register_target, t, order, None)(plan.steps)
+    assert measured <= plan.predicted_error + 1e-12
+
+
+def test_commutator_norms_are_shared_by_relative_frame_only():
+    rng = np.random.default_rng(77)
+    drift = random_two_body(3, rng, coupling_density=2.0, local_density=1.5, connected=True)
+    x, y, z = (PAULI_CLIFF[a] for a in "XYZ")
+    frames = [
+        (),
+        ((0, x),),
+        ((0, z),),
+        ((0, y),),  # relative to the frame before it, acts as X does on the first
+        ((0, CLIFF_HAD), (1, CLIFF_S)),
+        ((0, CLIFF_HAD), (1, CLIFF_S), (2, CLIFF_XQ)),  # differs only off site 0, 1
+        ((1, CLIFF_XQ), (2, y)),
+    ]
+    local = LocalFactor(build_expansion(3, [("XII", 0.7), ("IZI", -0.4), ("IIY", 0.2)]))
+    near = LocalFactor(build_expansion(3, [("ZII", 0.3), ("IXI", 0.9)]))
+    framed = tuple(FramedDrift(float(r), f) for r, f in zip(rng.uniform(0.2, 2.0, len(frames)), frames))
+    # many relative actions on two sites, most of them from two frames that
+    # are not the identity
+    cliffs = all_local_cliffords()
+    picks = rng.integers(len(cliffs), size=(60, 2))
+    many = tuple(
+        FramedDrift(1.0 + 0.01 * i, ((0, cliffs[a]), (1, cliffs[b]))) for i, (a, b) in enumerate(picks)
+    )
+    for factors in (framed, (local,) + framed, (near, local) + framed[::-1], many):
+        model = StepModel(3, drift, factors, 0.0)
+        for order in (1, 2):
+            want = _rate_by_factor_svds(model, order)
+            assert abs(chained_rate(model, order) - want) <= 1e-12 * want
 
 
 def test_plan_invariants_and_monotonicity():

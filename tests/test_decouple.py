@@ -54,6 +54,14 @@ def test_single_round_kills_pair_rest_couplings_and_rest_locals():
     assert len(frames.frames) == 4
 
 
+def test_isolation_without_blocking_rounds_is_the_principal_round():
+    # no same-axis coupling inside the rest, so the first round is the last
+    ham = build_expansion(
+        4, [("XXII", 1.0), ("IZZI", 0.5), ("IIXY", 0.3), ("ZIIZ", 0.2), ("IIZI", 0.4)]
+    )
+    assert decouple_principal(ham, (0, 1)) == isolate_principal(ham, (0, 1))
+
+
 def test_same_axis_rest_coupling_needs_a_blocking_round():
     # IIXX straddles the final two sites; splitting the rest separates it
     _, frames = isolate_principal(CHAIN4, (0, 1))

@@ -20,7 +20,7 @@ from hamrc import (
     operator_norm,
     phase_match,
 )
-from hamrc.dense import kron_all
+from hamrc.dense import hermitian_norm, kron_all
 
 # drift used in many examples: Z on qubit 0, strong XZ coupling, ZZ
 H_SAMPLE = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
@@ -94,6 +94,31 @@ def test_operator_norm_on_known_matrix():
     x = dense_of_pauli(PauliString("X"))
     z = dense_of_pauli(PauliString("Z"))
     assert abs(operator_norm(x @ z - z @ x) - 2.0) < 1e-12
+
+
+def test_hermitian_norm_on_known_matrices():
+    assert hermitian_norm(np.diag([3.0, -5.0])) == 5.0
+    assert hermitian_norm(np.diag([3.0, -5.0]).astype(complex)) == 5.0
+    assert hermitian_norm(np.zeros((4, 4), dtype=complex)) == 0.0
+    assert hermitian_norm(dense_of_pauli(PauliString("Y"))) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64])
+def test_hermitian_norm_agrees_with_the_singular_value_norm(dim):
+    rng = np.random.default_rng(dim)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    r = rng.normal(size=(dim, dim))
+    for a in (z + z.conj().T, r + r.T, (r + r.T).astype(complex), 1j * (r - r.T)):
+        want = operator_norm(a)
+        assert abs(hermitian_norm(a) - want) <= 1e-12 * max(1.0, want)
+
+
+def test_hermitian_norm_and_expm_reject_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        a = np.array([[bad, 1.0], [1.0, 0.0]])
+        assert math.isnan(hermitian_norm(a))
+        with np.errstate(invalid="ignore"), pytest.raises(NotHermitian):
+            expm_hermitian(a)  # inf - inf is nan
 
 
 # Reference builders: the plain Kronecker-product definitions.

@@ -95,6 +95,26 @@ def test_schedule_round_trip_with_identity_layer():
     assert back == sched
 
 
+def test_schedule_parse_shares_one_instruction_per_argument(sample_drift):
+    sched = compile_cnot(sample_drift, steps=4, order=2)
+    back = parse_schedule(serialize_schedule(sched))
+    assert back == sched
+    by_arg: dict[object, object] = {}
+    for ins in back.instructions:
+        arg = ins.tau if isinstance(ins, Drift) else ins.cache_key()
+        assert by_arg.setdefault(arg, ins) is ins
+    assert len(by_arg) < len(back.instructions)
+    # distinct spellings stay distinct records, signed zero included
+    text = "qubits 1\nlayer 0\ndrift 0\nlocal 0\ndrift -0\nlocal 00\ndrift 0\ndrift -0\n"
+    ins = parse_schedule(text).instructions
+    assert ins[0] is ins[4] and ins[2] is ins[5]
+    assert ins[1] is ins[3] and ins[1] == LocalLayer({})
+    assert math.copysign(1.0, ins[0].tau) == 1.0 and math.copysign(1.0, ins[2].tau) == -1.0
+    assert serialize_schedule(Schedule(1, ins)).endswith(
+        "drift 0\nlocal 0\ndrift -0\nlocal 0\ndrift 0\ndrift -0\n"
+    )
+
+
 def test_schedule_layer_table_is_deduplicated(sample_drift):
     sched = compile_cnot(sample_drift, steps=4, order=2)
     text = serialize_schedule(sched)

@@ -15,15 +15,18 @@ from hamrc import (
     NotCoupled,
     PauliString,
     VerificationFailure,
+    average,
     build_expansion,
     cnot_generator,
     compile_cnot,
     compile_schedule,
+    conjugate_by_cliffords,
     dense_of_expansion,
     dense_of_pauli,
     distance,
     evaluate_schedule,
     expm_hermitian,
+    pair_step_model,
     synth_max_term,
     synth_pauli_product,
 )
@@ -257,6 +260,39 @@ def test_emit_step_shares_frame_layers_across_steps(sample_drift):
         fresh = LocalLayer({q: c.matrix for q, c in f.layer_map().items()})
         assert fwd.cache_key() == fresh.cache_key()
         assert back.cache_key() == fresh.dagger().cache_key()
+
+
+def _xz_chain(n):
+    terms = [("I" * q + "XZ" + "I" * (n - q - 2), 1.0 + 0.05 * q) for q in range(n - 1)]
+    terms += [("I" * q + "Z" + "I" * (n - q - 1), 0.1 + 0.07 * q) for q in range(n)]
+    return build_expansion(n, terms)
+
+
+def _heisenberg(n):
+    terms = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in "XYZ":
+                ops = ["I"] * n
+                ops[i] = ops[j] = a
+                terms.append(("".join(ops), 0.5 + 0.1 * i + 0.03 * j))
+    return build_expansion(n, terms)
+
+
+def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
+    # the models of the chain and all-to-all benchmarks, and random pairs
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    models = [pair_step_model(_xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
+    models += [pair_step_model(_heisenberg(n), (1, 3), target) for n in (4, 5)]
+    rng = np.random.default_rng(404)
+    models += [step_model(random_coupled_pair(rng), random_coupled_pair(rng)) for _ in range(8)]
+    for model in models:
+        for f in model.factors:
+            if isinstance(f, FramedDrift):
+                conj = conjugate_by_cliffords(model.drift, f.layer_map())
+                assert f.effective(model.drift) == average([(f.rate, conj)])
+    with pytest.raises(InvalidTerm):
+        FramedDrift(-1.0, ()).effective(models[0].drift)
 
 
 def test_framed_drift_effective_expansion(sample_drift):
