@@ -8,14 +8,14 @@ ancillas, and obeys the chaining inequality
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .cliffords import RELATIVE, frame_actions
-from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, hermitian_norm
+from .dense import DEFAULT_DENSE_CAP, _dense_of_masks, dense_of_expansion, hermitian_norm
 from .errors import Infeasible, InvalidTerm, NotCoupled, TooLarge
 from .pauli import HamExpansion
 
@@ -66,66 +66,98 @@ def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return hermitian_norm(1j * (ab - ab.conj().T))
 
 
-def _shared_norm_sum(mats, left, right, scale, keys) -> float:
-    """``sum_p ||[mats[left[p]], mats[right[p]]]||`` with one commutator per key.
-
-    Norm ``p`` must be ``scale[p] > 0`` times a value fixed by the row
-    ``keys[p]``; that value is taken from the first pair with the row.
-    """
-    _, first, which = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    unit = np.array(
-        [_commutator_norm(mats[left[p]], mats[right[p]]) / scale[p] for p in first]
-    )
-    return float(scale @ unit[which.reshape(-1)])
-
-
-def _relative_keys(actions_j: np.ndarray, actions_k: np.ndarray) -> np.ndarray:
-    """Per pair, the per-site action of ``R = C_j^dag C_k`` or of its inverse.
-
-    ``||[H, R H R^dag]|| = ||[H, R^dag H R]||``, so the two name one norm;
-    the row kept is the lexicographically smaller of the two.
-    """
-    rel = RELATIVE[actions_j, actions_k]
-    inv = RELATIVE[rel, 0]
-    site = (rel != inv).argmax(axis=1)[:, None]  # first differing site, or 0
-    swap = np.take_along_axis(inv, site, 1) < np.take_along_axis(rel, site, 1)
-    return np.where(swap, inv, rel)
-
-
 def _is_framed(factor) -> bool:
     return hasattr(factor, "frame")
 
 
-def first_order_rate(model, expansions: Sequence[HamExpansion]) -> float:
-    """Coefficient c2 with per-step bound c2 * delta^2: half the sum of
-    ``||[F_j, F_k]||`` over the factor pairs ``j < k``.
+#: image and sign of each axis I, X, Y, Z under the identity
+_IDENTITY = ((0, 1, 2, 3), (1, 1, 1, 1))
+#: matrix entries built at once; bounds the memory of factor matrices in flight
+_BATCH = 2**16
 
-    The operator norm is unitarily invariant.  Two framed drifts
-    ``r_j C_j H C_j^dag`` and ``r_k C_k H C_k^dag`` therefore give
-    ``r_j r_k ||[H, R H R^dag]||`` with ``R = C_j^dag C_k``, and a plain
-    factor ``P`` against a framed drift gives ``r_k ||[C_k^dag P C_k, H]||``,
-    which depends on ``C_k`` only on the support of ``P``.  Each such norm
-    is taken once, from the factor matrices of the first pair that needs
-    it; pairs of plain factors are taken directly.
+
+@functools.lru_cache(maxsize=None)
+def _axis_table(images: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Image and sign of each axis I, X, Y, Z under a Clifford's signed axis images."""
+    return (0, *("IXYZ".index(a) for _, a in images)), (1, *(s for s, _ in images))
+
+
+def _factor_matrices(model, factors: Iterable) -> Iterator[np.ndarray]:
+    """Dense matrix of each of ``factors``, factors of ``model``, in turn.
+
+    A plain factor is its expansion's matrix.  A framed drift
+    ``rate * C H C^dag`` is the drift's terms with each site's axis replaced
+    by its signed image under ``C``, so it is built from the image terms'
+    ``(x, z)`` masks with no expansion in between.  Frames that move the
+    axes alike differ only in signs and rates, so their drifts share one
+    set of image terms and are built together.  The image terms are put in
+    canonical ``PauliString`` order, which makes every float addition the
+    one ``dense_of_expansion`` of the conjugated expansion makes.
     """
-    mats = [dense_of_expansion(h) for h in expansions]
-    framed = [i for i, f in enumerate(model.factors) if _is_framed(f) and f.rate > 0]
-    plain = sorted(set(range(len(mats))) - set(framed))
-    index = np.array(framed, dtype=np.intp)
-    rates = np.array([model.factors[i].rate for i in framed], dtype=float)
-    actions = np.array(
-        [frame_actions(model.factors[i].layer_map(), model.n) for i in framed], dtype=np.intp
-    ).reshape(len(framed), model.n)
+    n = model.n
+    terms = list(model.drift.items())
+    axes = np.array([["IXYZ".index(a) for a in p.ops] for p, _ in terms], dtype=np.intp)
+    axes = axes.reshape(len(terms), n)
+    coeffs = np.array([c for _, c in terms], dtype=float)
+    sites = np.arange(n)
+    bits = 1 << sites[::-1]  # qubit 0 is the top bit, as in pauli_masks
+    factors = list(factors)
+    batch = max(1, _BATCH // 4**n)
+    for start in range(0, len(factors), batch):
+        part = factors[start : start + batch]
+        alike: dict[tuple, list] = {}
+        for i, f in enumerate(part):
+            if not _is_framed(f):
+                continue
+            if f.rate < 0:
+                raise InvalidTerm("a framed drift needs a non-negative rate")
+            table = [_IDENTITY] * n
+            for q, cliff in f.frame:
+                table[q] = _axis_table(cliff.images)
+            images, signs = zip(*table)
+            alike.setdefault(images, []).append((i, signs, f.rate))
+        built = {}
+        for images, members in alike.items():
+            index, signs, rates = zip(*members)
+            image = np.array(images)[sites, axes]
+            sign = np.array(signs)[:, sites, axes].prod(axis=2)
+            order = np.argsort(image @ (bits * bits))  # base-4 digits I < X < Y < Z, site 0 first
+            image = image[order]
+            x, z = ((image == 1) | (image == 2)) @ bits, (image >= 2) @ bits
+            values = sign[:, order] * coeffs[order] * np.array(rates)[:, None]
+            mats = _dense_of_masks(n, x, z, (image == 2).sum(axis=1), values)
+            built.update(zip(index, mats))
+        for i, f in enumerate(part):
+            yield built[i] if i in built else dense_of_expansion(f.ham)
 
-    j, k = np.triu_indices(len(framed), 1)
-    keys = _relative_keys(actions[j], actions[k])
-    total = _shared_norm_sum(mats, index[j], index[k], rates[j] * rates[k], keys)
-    for pos, i in enumerate(plain):
-        sites = list(expansions[i].support())
-        left = np.full(len(framed), i)
-        total += _shared_norm_sum(mats, left, index, rates, actions[:, sites])
-        total += sum(_commutator_norm(mats[i], mats[other]) for other in plain[pos + 1 :])
-    return 0.5 * total
+
+def _tail_splits(model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(F_j, F_(j+1) + ... + F_last)`` for each factor but the last, last first.
+
+    The tail is one matrix, updated in place once the split is consumed.
+    """
+    dim = 2**model.n
+    tail = np.zeros((dim, dim), dtype=complex)
+    mats = _factor_matrices(model, reversed(model.factors))
+    tail += next(mats)
+    for mat in mats:
+        yield mat, tail
+        tail += mat
+
+
+def first_order_rate(model) -> float:
+    """Coefficient c2 with per-step bound c2 * delta^2: half the sum over the
+    splits of ``||[F_j, F_(j+1) + ... + F_last]||``.
+
+    Peels factors off the ordered list one at a time: splitting
+    ``exp(-i d (F_j + T))`` into ``exp(-i d F_j) exp(-i d T)`` costs at most
+    ``||[F_j, T]|| d^2 / 2``, and the chaining inequality adds the splits
+    up.  That is one commutator norm per factor, and by the triangle
+    inequality never more than the pairwise sum over ``j < k``.  This is
+    the first-order case of Childs, Su, Tran, Wiebe and Zhu, *Theory of
+    Trotter error with commutator scaling*, PRX 11, 011020 (2021).
+    """
+    return 0.5 * sum(_commutator_norm(mat, tail) for mat, tail in _tail_splits(model))
 
 
 def second_order_correction(j1_norm: float, j2_norm: float, delta: float) -> float:
@@ -138,42 +170,33 @@ def second_order_correction(j1_norm: float, j2_norm: float, delta: float) -> flo
     return (j1_norm * j2_norm * (j1_norm + 2.0 * j2_norm) / 6.0) * delta**3
 
 
-def second_order_rate(model, expansions: Sequence[HamExpansion]) -> float:
+def second_order_rate(model) -> float:
     """Coefficient c3 with per-step bound c3 * delta^3 for a symmetric step.
 
-    Peels factors off the ordered list one at a time: each split of
-    ``F_i`` against the exact sum of the remaining tail contributes one
-    two-term symmetric-splitting defect, and the chaining inequality adds
-    them up.  The operator norm is unitarily invariant, so a framed drift
-    ``r C H C^dag`` has norm ``r ||H||`` from one norm of the drift ``H``.
-    The tail sums are built from the end, one factor matrix at a time.
+    Peels factors off the ordered list one at a time, as the first-order
+    rate does: each split of ``F_j`` against the exact sum of the remaining
+    tail contributes one two-term symmetric-splitting defect, and the
+    chaining inequality adds them up.  The operator norm is unitarily
+    invariant, so a framed drift ``r C H C^dag`` has norm ``r ||H||`` from
+    one norm of the drift ``H``.
     """
-    if len(expansions) < 2:
-        return 0.0
     drift_norm = hermitian_norm(dense_of_expansion(model.drift))
-    norms = [
-        f.rate * drift_norm if _is_framed(f) else hermitian_norm(dense_of_expansion(h))
-        for f, h in zip(model.factors[:-1], expansions)
-    ]
-    dim = 2**model.n
-    tail = np.zeros((dim, dim), dtype=complex)
-    tail_norms: list[float] = []
-    for h in reversed(expansions[1:]):
-        tail += dense_of_expansion(h)
-        tail_norms.append(hermitian_norm(tail))
-    tail_norms.reverse()  # tail_norms[i] = ||F_(i+1) + ... + F_last||
-    return sum(second_order_correction(a, r, 1.0) for a, r in zip(norms, tail_norms))
+    defects = []
+    for f, (mat, tail) in zip(reversed(model.factors[:-1]), _tail_splits(model)):
+        norm = f.rate * drift_norm if _is_framed(f) else hermitian_norm(mat)
+        defects.append(second_order_correction(norm, hermitian_norm(tail), 1.0))
+    return sum(reversed(defects), 0.0)
 
 
 def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
-    ``model`` is a step model: its ``drift`` ``H``, its ordered ``factors``
-    and their expansions ``factor_expansions()``.  A factor with a
-    ``frame`` is the framed drift ``rate * C H C^dag`` for the frame's
-    per-site Cliffords ``C``; any other factor is plain.  The per-step
-    bound is ``rate * delta^(order+1)`` and chaining over N identical
-    steps multiplies by N.
+    ``model`` is a step model: its ``drift`` ``H`` and its ordered
+    ``factors``.  A factor with a ``frame`` is the framed drift
+    ``rate * C H C^dag`` for the frame's per-site Cliffords ``C``; any other
+    factor is plain, with its expansion in ``ham``.  The per-step bound is
+    ``rate * delta^(order+1)`` and chaining over N identical steps
+    multiplies by N.
     """
     if order not in (1, 2):
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
@@ -182,10 +205,9 @@ def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
     cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
     if model.n > cap:
         raise TooLarge(f"{model.n} qubits exceeds dense cap {cap}")
-    expansions = model.factor_expansions()
     if order == 1:
-        return first_order_rate(model, expansions)
-    return second_order_rate(model, expansions)
+        return first_order_rate(model)
+    return second_order_rate(model)
 
 
 def coupling_ratio(drift: HamExpansion, target: HamExpansion) -> float:

@@ -3,11 +3,6 @@
 Each frame carries its 2x2 unitary together with the signed axis images
 of X, Y, Z under conjugation, so expansions can be conjugated exactly at
 the coefficient level while schedules get the concrete matrices.
-
-The images alone fix a Clifford's action on operators.  There are 24 such
-actions; ``ACTIONS`` lists them, identity first, and ``RELATIVE[a, b]`` is
-the action of ``C_a^dag C_b``, so the relative frame of two frame layers is
-one table lookup per site.
 """
 
 from __future__ import annotations
@@ -101,34 +96,6 @@ AXIS_ROTATION = {
 }
 
 
-def _all_actions(generators: tuple) -> tuple:
-    actions = [CLIFF_ID.images]
-    for images in actions:  # grows until closed under the generators
-        for g in generators:
-            nxt = _compose_images(g, images)
-            if nxt not in actions:
-                actions.append(nxt)
-    return tuple(actions)
-
-
-#: the 24 signed axis permutations single-qubit Cliffords act by, identity first
-ACTIONS = _all_actions((CLIFF_HAD.images, CLIFF_S.images))
-ACTION_INDEX = {images: i for i, images in enumerate(ACTIONS)}
-#: RELATIVE[a, b] is the index of the action of C_a^dag C_b (C_b, then C_a undone)
-RELATIVE = np.array(
-    [[ACTION_INDEX[_compose_images(_inverse_images(a), b)] for b in ACTIONS] for a in ACTIONS],
-    dtype=np.intp,
-)
-
-
-def frame_actions(frame: Mapping[int, LocalClifford], n: int) -> list[int]:
-    """Per-site ``ACTIONS`` index of a frame layer on ``n`` qubits."""
-    out = [0] * n
-    for site, cliff in frame.items():
-        out[site] = ACTION_INDEX[cliff.images]
-    return out
-
-
 def sign_flip_clifford(axis: str) -> LocalClifford:
     """Pauli conjugator flipping ``sigma_axis`` to ``-sigma_axis``.
 
@@ -140,12 +107,12 @@ def sign_flip_clifford(axis: str) -> LocalClifford:
 
 
 def conjugate_by_cliffords(
-    ham: HamExpansion, layer: Mapping[int, LocalClifford], scale: float = 1.0
+    ham: HamExpansion, layer: Mapping[int, LocalClifford]
 ) -> HamExpansion:
     """Exact coefficient-level conjugation of an expansion by a frame layer.
 
     Sites absent from ``layer`` are left untouched.  Every term maps to a
-    single term with the same coefficient magnitude, times ``scale``.
+    single term with the same coefficient magnitude.
     """
     images = [(site, {a: cliff.image(a) for a in "IXYZ"}) for site, cliff in layer.items()]
     out: dict[PauliString, float] = {}
@@ -156,5 +123,5 @@ def conjugate_by_cliffords(
             s, ops[site] = image[ops[site]]
             sign *= s
         # a frame permutes Pauli strings, so no two terms land on one string
-        out[PauliString("".join(ops))] = sign * c * scale
+        out[PauliString("".join(ops))] = sign * c
     return HamExpansion(ham.n, out)

@@ -11,8 +11,10 @@ the Y sites.  Its matrix has one nonzero entry per column ``c``::
     P[c ^ x, c] = i**ny * (-1)**popcount(c & z)
 
 so an expansion is built by scattering each term's coefficient along the
-permutation ``c -> c ^ x``, with no Kronecker products.  Local layers are
-Kronecker products of 2x2 factors, taken as broadcast outer products.
+permutation ``c -> c ^ x``, with no Kronecker products.  Matrices on one set
+of terms that differ only in their coefficients are built together.  Local
+layers are Kronecker products of 2x2 factors, taken as broadcast outer
+products.
 
 Exponentials go through a Hermitian eigendecomposition so the result is
 unitary to machine precision.
@@ -20,8 +22,7 @@ unitary to machine precision.
 The operator norm is the largest singular value, which is the metric every
 error bound in this package is stated in.  It is unitarily invariant,
 ``||U A V|| = ||A||`` for unitary ``U`` and ``V``, so a drift conjugated by a
-local Clifford frame keeps the drift's norm, and the norm of a commutator of
-two framed drifts depends only on their relative frame.  For a Hermitian
+local Clifford frame keeps the drift's norm.  For a Hermitian
 matrix it is the largest eigenvalue magnitude, which ``hermitian_norm`` reads
 from ``eigvalsh``: cheaper than an SVD, and on a real symmetric matrix about
 a third of the SVD's time.  ``operator_norm`` is for everything else.
@@ -82,25 +83,31 @@ def _parity(n: int) -> np.ndarray:
     return par
 
 
-def _dense_of_terms(n: int, terms: Iterable[tuple[PauliString, float]]) -> np.ndarray:
-    """Sum of ``coeff * P`` over the terms, added in the order given."""
+def _dense_of_masks(
+    n: int, x: np.ndarray, z: np.ndarray, ny: np.ndarray, coeffs: np.ndarray
+) -> np.ndarray:
+    """Matrices on one set of Pauli terms, given by their packed ``(x, z, ny)``
+    masks: matrix ``b`` sums ``coeffs[b, k] * P_k``, adding the terms in order."""
     dim = 2**n
-    terms = list(terms)
-    out = np.zeros((dim, dim), dtype=complex)
-    if not terms:
-        return out
-    x, z, ny = np.array([pauli_masks(p) for p, _ in terms]).T
     cols = np.arange(dim)
     signs = 1 - 2 * _parity(n)[z[:, None] & cols]  # int8; unsigned would wrap
-    coeffs = np.array([c for _, c in terms], dtype=float)
-    values = (coeffs * _I_POWERS[ny % 4])[:, None] * signs
-    # by_x[k, c] accumulates entry [c ^ used[k], c], one term at a time in order
+    values = (coeffs * _I_POWERS[ny % 4]).T[:, :, None] * signs[:, None]  # (term, matrix, c)
+    # by_x[k, b, c] accumulates entry [c ^ used[k], c] of matrix b, one term
+    # at a time in order
     used, slot = np.unique(x, return_inverse=True)
-    by_x = np.zeros((len(used), dim), dtype=complex)
+    by_x = np.zeros((len(used), len(coeffs), dim), dtype=complex)
     for k, row in zip(slot.tolist(), values):
         by_x[k] += row
-    out[used[:, None] ^ cols, cols] = by_x
+    out = np.zeros((len(coeffs), dim, dim), dtype=complex)
+    out[:, used[:, None] ^ cols, cols] = by_x.transpose(1, 0, 2)
     return out
+
+
+def _dense_of_terms(n: int, terms: Iterable[tuple[PauliString, float]]) -> np.ndarray:
+    """Sum of ``coeff * P`` over the terms, added in the order given."""
+    terms = list(terms)
+    x, z, ny = np.array([pauli_masks(p) for p, _ in terms], dtype=np.int64).reshape(-1, 3).T
+    return _dense_of_masks(n, x, z, ny, np.array([[c for _, c in terms]], dtype=float))[0]
 
 
 def dense_of_pauli(term: PauliString) -> np.ndarray:

@@ -76,12 +76,6 @@ class FramedDrift:
         """Inverse of ``frame_layer``, built once."""
         return self.frame_layer.dagger()
 
-    def effective(self, drift: HamExpansion) -> HamExpansion:
-        """Rate-scaled conjugated drift this factor contributes per unit time."""
-        if self.rate < 0:
-            raise InvalidTerm("a framed drift needs a non-negative rate")
-        return conjugate_by_cliffords(drift, self.layer_map(), self.rate)
-
 
 @dataclass(frozen=True)
 class TermRecipe:
@@ -273,12 +267,6 @@ class StepModel:
     drift: HamExpansion
     factors: tuple[StepFactor, ...]
     phase_rate: float
-
-    def factor_expansions(self) -> list[HamExpansion]:
-        out = []
-        for f in self.factors:
-            out.append(f.ham if isinstance(f, LocalFactor) else f.effective(self.drift))
-        return out
 
     def drift_factor_count(self) -> int:
         return sum(1 for f in self.factors if isinstance(f, FramedDrift))

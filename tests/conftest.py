@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from hamrc import CLIFF_HAD, CLIFF_ID, CLIFF_S, HamExpansion, LocalClifford, build_expansion
+from hamrc import (
+    CLIFF_HAD,
+    CLIFF_ID,
+    CLIFF_S,
+    HamExpansion,
+    LocalClifford,
+    average,
+    build_expansion,
+    conjugate_by_cliffords,
+)
 
 # The same examples on every run, and no per-example deadline: dense
 # examples can take longer than Hypothesis's 200 ms on a loaded machine.
@@ -76,3 +85,28 @@ def all_local_cliffords() -> list[LocalClifford]:
                     grown.append(d)
         frontier = grown
     return list(found.values())
+
+
+def framed_expansion(drift: HamExpansion, factor) -> HamExpansion:
+    """A framed drift ``rate * C H C^dag`` as an expansion: the rate-weighted
+    conjugate of the drift."""
+    return average([(factor.rate, conjugate_by_cliffords(drift, factor.layer_map()))])
+
+
+def xz_chain(n: int) -> HamExpansion:
+    """XZ couplings along a chain with a Z field on every site."""
+    terms = [("I" * q + "XZ" + "I" * (n - q - 2), 1.0 + 0.05 * q) for q in range(n - 1)]
+    terms += [("I" * q + "Z" + "I" * (n - q - 1), 0.1 + 0.07 * q) for q in range(n)]
+    return build_expansion(n, terms)
+
+
+def heisenberg(n: int) -> HamExpansion:
+    """All-to-all XX + YY + ZZ couplings with distinct strengths."""
+    terms = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in "XYZ":
+                ops = ["I"] * n
+                ops[i] = ops[j] = a
+                terms.append(("".join(ops), 0.5 + 0.1 * i + 0.03 * j))
+    return build_expansion(n, terms)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_local_cliffords, random_coupled_pair, random_two_body
+from conftest import (
+    all_local_cliffords,
+    framed_expansion,
+    heisenberg,
+    random_coupled_pair,
+    random_two_body,
+    xz_chain,
+)
 from hamrc import (
     GLOBAL_BOUND_C,
     ErrorPlan,
@@ -25,8 +32,16 @@ from hamrc import (
     pair_step_model,
     plan_steps,
 )
+from hamrc.bounds import _factor_matrices
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
-from hamrc.synth import FramedDrift, LocalFactor, StepModel, _make_measure, plan_for_model
+from hamrc.synth import (
+    FramedDrift,
+    LocalFactor,
+    StepModel,
+    _make_measure,
+    plan_for_model,
+    step_model,
+)
 
 
 X1 = build_expansion(1, [("X", 1.0)])
@@ -48,6 +63,15 @@ def test_first_order_rate_on_anticommuting_pair():
     assert chained_rate(_model(X1, x), 1) == 0.0
 
 
+def test_first_order_rate_sees_a_cancelling_tail():
+    # X, then Z, then X Z X = -Z: the tail Z - Z vanishes, so the split is
+    # exact, while the pairwise sum counts ||[X, Z]|| + ||[X, -Z]|| = 4
+    minus_z = FramedDrift(1.0, ((0, PAULI_CLIFF["X"].compose(CLIFF_HAD)),))
+    model = _model(X1, AS_X, AS_Z, minus_z)
+    assert chained_rate(model, 1) == 0.0
+    assert _pairwise_rate(_factor_mats(model)) == pytest.approx(2.0)
+
+
 def test_chained_rate_respects_cap():
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     with pytest.raises(TooLarge):
@@ -63,27 +87,42 @@ def test_chained_rate_orders():
         chained_rate(_model(X1, x, z), 3)
 
 
+def _factor_mats(model):
+    """Dense matrix of every factor through its expansion: a framed drift is
+    the rate-weighted conjugate of the drift."""
+    mats = []
+    for f in model.factors:
+        if isinstance(f, FramedDrift):
+            mats.append(dense_of_expansion(framed_expansion(model.drift, f)))
+        else:
+            mats.append(dense_of_expansion(f.ham))
+    return mats
+
+
+def _pairwise_rate(mats):
+    """The looser order-1 rate: half the sum of ``||[F_j, F_k]||`` over ``j < k``."""
+    total = 0.0
+    for j in range(len(mats)):
+        for k in range(j + 1, len(mats)):
+            total += operator_norm(mats[j] @ mats[k] - mats[k] @ mats[j])
+    return 0.5 * total
+
+
 def _rate_by_factor_svds(model, order):
     """The rate from a dense matrix and an SVD norm of every factor, every
-    tail sum and every pairwise commutator, with no use of the frames."""
-    mats = [dense_of_expansion(h) for h in model.factor_expansions()]
-    if order == 1:
-        total = 0.0
-        for j in range(len(mats)):
-            for k in range(j + 1, len(mats)):
-                total += operator_norm(mats[j] @ mats[k] - mats[k] @ mats[j])
-        return 0.5 * total
+    tail sum and every tail commutator, with no use of the frames."""
+    mats = _factor_mats(model)
     if len(mats) < 2:
         return 0.0
-    tail = mats[-1].copy()
-    tail_norms = [operator_norm(tail)]
-    for m in reversed(mats[:-1]):
-        tail = tail + m
-        tail_norms.append(operator_norm(tail))
-    tail_norms.reverse()
+    tails = [mats[-1]]
+    for m in reversed(mats[1:-1]):
+        tails.append(tails[-1] + m)
+    tails.reverse()  # tails[i] = F_(i+1) + ... + F_last
+    if order == 1:
+        return 0.5 * sum(operator_norm(a @ r - r @ a) for a, r in zip(mats, tails))
     total = 0.0
-    for i in range(len(mats) - 1):
-        a, r = operator_norm(mats[i]), tail_norms[i + 1]
+    for a, r in zip(mats, tails):
+        a, r = operator_norm(a), operator_norm(r)
         total += a * r * (a + 2.0 * r) / 6.0
     return total
 
@@ -112,6 +151,9 @@ def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, fie
     rate = chained_rate(model, order)
     want = _rate_by_factor_svds(model, order)
     assert abs(rate - want) <= 1e-12 * want
+    if order == 1:
+        # the tail form drops a triangle inequality from the pairwise sum
+        assert rate <= _pairwise_rate(_factor_mats(model)) * (1 + 1e-12)
 
     t = 0.4
     epsilon = rate * t ** (order + 1) / steps**order * (1 + 1e-9)
@@ -121,7 +163,7 @@ def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, fie
     assert measured <= plan.predicted_error + 1e-12
 
 
-def test_commutator_norms_are_shared_by_relative_frame_only():
+def test_chained_rate_matches_the_svd_reference_with_locals_anywhere():
     rng = np.random.default_rng(77)
     drift = random_two_body(3, rng, coupling_density=2.0, local_density=1.5, connected=True)
     x, y, z = (PAULI_CLIFF[a] for a in "XYZ")
@@ -129,26 +171,62 @@ def test_commutator_norms_are_shared_by_relative_frame_only():
         (),
         ((0, x),),
         ((0, z),),
-        ((0, y),),  # relative to the frame before it, acts as X does on the first
+        ((0, y),),
         ((0, CLIFF_HAD), (1, CLIFF_S)),
-        ((0, CLIFF_HAD), (1, CLIFF_S), (2, CLIFF_XQ)),  # differs only off site 0, 1
+        ((0, CLIFF_HAD), (1, CLIFF_S), (2, CLIFF_XQ)),
         ((1, CLIFF_XQ), (2, y)),
     ]
     local = LocalFactor(build_expansion(3, [("XII", 0.7), ("IZI", -0.4), ("IIY", 0.2)]))
     near = LocalFactor(build_expansion(3, [("ZII", 0.3), ("IXI", 0.9)]))
     framed = tuple(FramedDrift(float(r), f) for r, f in zip(rng.uniform(0.2, 2.0, len(frames)), frames))
-    # many relative actions on two sites, most of them from two frames that
-    # are not the identity
     cliffs = all_local_cliffords()
     picks = rng.integers(len(cliffs), size=(60, 2))
     many = tuple(
         FramedDrift(1.0 + 0.01 * i, ((0, cliffs[a]), (1, cliffs[b]))) for i, (a, b) in enumerate(picks)
     )
-    for factors in (framed, (local,) + framed, (near, local) + framed[::-1], many):
+    mixed = framed[:3] + (local,) + framed[3:] + (near,)
+    for factors in (framed, (local,) + framed, (near, local) + framed[::-1], mixed, many):
         model = StepModel(3, drift, factors, 0.0)
         for order in (1, 2):
             want = _rate_by_factor_svds(model, order)
             assert abs(chained_rate(model, order) - want) <= 1e-12 * want
+
+
+def test_factor_matrices_from_masks_equal_the_conjugated_expansions():
+    # the models of the chain and all-to-all benchmarks, random pair models,
+    # and random frames at random rates on a drift with every axis and an
+    # identity term
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
+    models += [pair_step_model(heisenberg(n), (1, 3), target) for n in (4, 5)]
+    rng = np.random.default_rng(404)
+    models += [step_model(random_coupled_pair(rng), random_coupled_pair(rng)) for _ in range(8)]
+    drift = random_two_body(4, rng, coupling_density=2.0, local_density=1.5, connected=True)
+    drift = build_expansion(4, [(p.ops, c) for p, c in drift.items()] + [("IIII", 0.25)])
+    cliffs = all_local_cliffords()
+    rates = [1.0, 0.3, 1.0 / 7.0, 0.0] + list(rng.uniform(0.0, 3.0, 36))
+    framed = []
+    for rate in rates:
+        sites = sorted(rng.choice(4, size=int(rng.integers(5)), replace=False).tolist())
+        framed.append(FramedDrift(float(rate), tuple((q, cliffs[rng.integers(24)]) for q in sites)))
+    local = LocalFactor(build_expansion(4, [("XIII", 0.7), ("IIYI", -0.4)]))
+    random_frames = StepModel(4, drift, (local,) + tuple(framed), 0.0)
+    models.append(random_frames)
+    # S on sites 0 and 1 maps XXI, XXZ, YYI, YYZ to YYI, YYZ, XXI, XXZ: real
+    # terms of one x mask in another order, whose sums round differently in
+    # the two orders
+    same_x = build_expansion(3, [("XXI", 1.0), ("XXZ", 0.1), ("YYI", -1.0), ("YYZ", 0.3)])
+    models.append(StepModel(3, same_x, (FramedDrift(1.0, ((0, CLIFF_S), (1, CLIFF_S))),), 0.0))
+
+    for model in models:
+        got = list(_factor_matrices(model, model.factors))
+        assert len(got) == len(model.factors)
+        for mat, want in zip(got, _factor_mats(model)):
+            assert mat.tobytes() == want.tobytes()
+    (zero,) = _factor_matrices(random_frames, [FramedDrift(0.0, framed[0].frame)])
+    assert zero.tobytes() == np.zeros((16, 16), dtype=complex).tobytes()
+    with pytest.raises(InvalidTerm):
+        list(_factor_matrices(random_frames, [FramedDrift(-1.0, ())]))
 
 
 def test_plan_invariants_and_monotonicity():

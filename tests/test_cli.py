@@ -280,7 +280,7 @@ def test_adjacent_pair_writes_the_compile_on_pair_schedule(files, capsys):
     assert "phase -0\n" in text
     lines = report.read_text().splitlines()
     for line in ("bound chained", "order 1", f"steps {want.plan.steps}",
-                 f"delta {want.plan.delta!r}"):
+                 f"delta {want.plan.delta:.17g}"):
         assert line in lines
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import all_local_cliffords
 from hamrc import (
     AXIS_ROTATION,
     CLIFF_HAD,
@@ -21,7 +20,6 @@ from hamrc import (
     dense_of_pauli,
     sign_flip_clifford,
 )
-from hamrc.cliffords import ACTION_INDEX, ACTIONS, RELATIVE, frame_actions
 
 _SIGMA = {a: dense_of_pauli(PauliString(a)) for a in "XYZ"}
 
@@ -95,24 +93,13 @@ def test_expansion_conjugation_is_exact_on_coefficients():
     assert len(got) == 2
 
 
-def test_relative_table_is_the_action_of_the_relative_frame():
-    cliffs = all_local_cliffords()
-    assert len(cliffs) == len(ACTIONS) == 24
-    assert ACTIONS[0] == CLIFF_ID.images and set(ACTIONS) == {c.images for c in cliffs}
-    for a in cliffs:
-        for b in cliffs:
-            want = ACTION_INDEX[a.dagger().compose(b).images]
-            assert RELATIVE[ACTION_INDEX[a.images], ACTION_INDEX[b.images]] == want
-
-
-def test_frame_actions_place_each_site():
-    assert frame_actions({}, 3) == [0, 0, 0]
-    got = frame_actions({2: CLIFF_HAD, 0: PAULI_CLIFF["Y"]}, 4)
-    assert got == [ACTION_INDEX[PAULI_CLIFF["Y"].images], 0, ACTION_INDEX[CLIFF_HAD.images], 0]
-
-
 def test_scaled_conjugation_equals_the_weighted_average(sample_drift):
+    # a framed drift is rate * C H C^dag: scaling before or after the
+    # conjugation gives the same expansion, exactly, for every rate
     layer = {0: CLIFF_XQ, 1: PAULI_CLIFF["Y"]}
+    conj = conjugate_by_cliffords(sample_drift, layer)
     for scale in (1.0, 0.3, 1.0 / 7.0, 0.0):
-        got = conjugate_by_cliffords(sample_drift, layer, scale)
-        assert got == average([(scale, conjugate_by_cliffords(sample_drift, layer))])
+        got = conjugate_by_cliffords(average([(scale, sample_drift)]), layer)
+        assert got == average([(scale, conj)])
+        want = scale * dense_of_expansion(conj)
+        assert np.array_equal(dense_of_expansion(got), want)

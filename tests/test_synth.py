@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_coupled_pair
+from conftest import framed_expansion, heisenberg, random_coupled_pair, xz_chain
 from hamrc import (
     CNOT_MATRIX,
     Drift,
@@ -30,6 +30,7 @@ from hamrc import (
     synth_max_term,
     synth_pauli_product,
 )
+from hamrc.bounds import _factor_matrices
 from hamrc.synth import FramedDrift, LocalFactor, decompose_target, emit_step, step_model
 
 
@@ -262,37 +263,26 @@ def test_emit_step_shares_frame_layers_across_steps(sample_drift):
         assert back.cache_key() == fresh.dagger().cache_key()
 
 
-def _xz_chain(n):
-    terms = [("I" * q + "XZ" + "I" * (n - q - 2), 1.0 + 0.05 * q) for q in range(n - 1)]
-    terms += [("I" * q + "Z" + "I" * (n - q - 1), 0.1 + 0.07 * q) for q in range(n)]
-    return build_expansion(n, terms)
-
-
-def _heisenberg(n):
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in "XYZ":
-                ops = ["I"] * n
-                ops[i] = ops[j] = a
-                terms.append(("".join(ops), 0.5 + 0.1 * i + 0.03 * j))
-    return build_expansion(n, terms)
-
-
 def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
-    # the models of the chain and all-to-all benchmarks, and random pairs
+    # the models of the chain and all-to-all benchmarks, and random pairs:
+    # each framed drift's matrix, built in one pass from the drift's masks,
+    # is rate * C H C^dag with C the frame layer the step emits
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
-    models = [pair_step_model(_xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
-    models += [pair_step_model(_heisenberg(n), (1, 3), target) for n in (4, 5)]
+    models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
+    models += [pair_step_model(heisenberg(n), (1, 3), target) for n in (4, 5)]
     rng = np.random.default_rng(404)
     models += [step_model(random_coupled_pair(rng), random_coupled_pair(rng)) for _ in range(8)]
     for model in models:
-        for f in model.factors:
-            if isinstance(f, FramedDrift):
-                conj = conjugate_by_cliffords(model.drift, f.layer_map())
-                assert f.effective(model.drift) == average([(f.rate, conj)])
+        h = dense_of_expansion(model.drift)
+        framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+        assert framed
+        for f, mat in zip(framed, _factor_matrices(model, framed)):
+            c = f.frame_layer.dense(model.n)
+            want = f.rate * (c @ h @ c.conj().T)
+            assert np.allclose(mat, want, atol=1e-12)
+            assert np.allclose(dense_of_expansion(framed_expansion(model.drift, f)), want, atol=1e-12)
     with pytest.raises(InvalidTerm):
-        FramedDrift(-1.0, ()).effective(models[0].drift)
+        list(_factor_matrices(models[0], [FramedDrift(-1.0, ())]))
 
 
 def test_framed_drift_effective_expansion(sample_drift):
@@ -300,7 +290,7 @@ def test_framed_drift_effective_expansion(sample_drift):
     drifts = [f for f in model.factors if isinstance(f, FramedDrift)]
     total = np.zeros((4, 4), dtype=complex)
     for f in drifts:
-        total += dense_of_expansion(f.effective(sample_drift))
+        total += dense_of_expansion(framed_expansion(sample_drift, f))
     # summed framed drifts realize the coupling plus the cancelled locals
     for f in model.factors:
         if isinstance(f, LocalFactor):
