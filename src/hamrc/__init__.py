@@ -33,7 +33,6 @@ from .cliffords import (
 from .decouple import (
     FrameSet,
     compile_on_pair,
-    decouple_principal,
     isolate_principal,
     pair_step_model,
 )
@@ -74,7 +73,6 @@ from .pauli import (
     PauliString,
     average,
     build_expansion,
-    conjugate_by_pauli,
     conjugation_sign,
     coupling_graph,
     embed,
@@ -116,8 +114,8 @@ __all__ = [
     "VerificationFailure", "average", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",
     "compile_remote", "compile_schedule", "conjugate_by_cliffords",
-    "conjugate_by_pauli", "conjugation_sign", "coupling_graph", "coupling_ratio",
-    "cnot_generator", "decouple_principal", "dense_of_expansion",
+    "conjugation_sign", "coupling_graph", "coupling_ratio",
+    "cnot_generator", "dense_of_expansion",
     "dense_of_pauli", "distance", "embed", "evaluate_schedule",
     "exchange_generator", "expm_hermitian", "filter_support", "format_report",
     "global_bound", "is_entangling", "isolate_principal", "max_coupling",

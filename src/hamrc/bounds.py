@@ -278,9 +278,9 @@ def plan_steps(
     """
     if kind not in PLAN_KINDS:
         raise InvalidTerm(f"unknown bound kind {kind!r}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidTerm("error budget must be positive")
-    if t <= 0:
+    if not t > 0:
         raise InvalidTerm("total time must be positive")
 
     if kind == "empirical":

@@ -15,6 +15,7 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -75,6 +76,17 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _finite(text: str) -> float:
+    """argparse type for real-valued options: ``nan`` and ``inf`` are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _resolve_order(args) -> int:
@@ -268,7 +280,7 @@ def _add_target_opts(
     group.add_argument("--gate", choices=["cnot"], help="built-in gate target")
     group.add_argument("--target", metavar="HAMFILE",
                        help="target interaction as a Hamiltonian file")
-    sub.add_argument("--t", type=float, default=None,
+    sub.add_argument("--t", type=_finite, default=None,
                      help="evolution time for --target")
     sub.add_argument("--pair", type=int, nargs=2, metavar=("K", "L"),
                      help="register sites the two-qubit target acts on")
@@ -277,7 +289,7 @@ def _add_target_opts(
                          help="product-formula order (default: 2 for --gate, else 1)")
     if with_steps:
         count = sub.add_mutually_exclusive_group(required=True)
-        count.add_argument("--epsilon", type=float, help="error budget")
+        count.add_argument("--epsilon", type=_finite, help="error budget")
         count.add_argument("--steps", type=int, help="explicit step count")
 
 
@@ -300,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--bound", default=None,
                         choices=["chained", "global", "empirical"],
                         help="bound kind used to plan steps from --epsilon "
-                        "(default: chained, or empirical when routing)")
+                        "(default: chained, or empirical when routing; "
+                        "refused with --gate)")
     p_comp.add_argument("--out", default=None, help="write the schedule here")
     p_comp.add_argument("--report", default=None, help="write a report here")
     p_comp.set_defaults(fn=_cmd_compile)
@@ -309,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("hamfile")
     p_ver.add_argument("schedule")
     _add_target_opts(p_ver, with_steps=False, with_order=False)
-    p_ver.add_argument("--tolerance", type=float, default=None,
+    p_ver.add_argument("--tolerance", type=_finite, default=None,
                        help="acceptance threshold (default: the schedule's budget)")
     p_ver.add_argument("--strict", action="store_true",
                        help="compare without aligning the global phase")
@@ -319,11 +332,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd = subs.add_parser("bound", help="plan a step count without compiling")
     p_bnd.add_argument("hamfile")
     _add_target_opts(p_bnd, with_steps=False)
-    p_bnd.add_argument("--epsilon", type=float, required=True, help="error budget")
+    p_bnd.add_argument("--epsilon", type=_finite, required=True, help="error budget")
     p_bnd.add_argument("--bound", default=None,
                        choices=["chained", "global", "empirical"],
-                       help="bound kind (default chained; ignored for --gate)")
-    p_bnd.add_argument("--C", type=float, default=GLOBAL_BOUND_C,
+                       help="bound kind (default chained; refused with --gate)")
+    p_bnd.add_argument("--C", type=_finite, default=GLOBAL_BOUND_C,
                        help="constant of the coarse global bound")
     p_bnd.add_argument("--report", default=None, help="write the report here")
     p_bnd.set_defaults(fn=_cmd_bound)
@@ -341,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "gate", None) and getattr(args, "pair", None) is not None:
         print("error: --gate acts on a two-qubit drift; drop --pair", file=sys.stderr)
+        return 2
+    if getattr(args, "gate", None) and getattr(args, "bound", None) is not None:
+        print("error: --gate plans its own bound; drop --bound", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

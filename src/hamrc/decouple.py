@@ -1,15 +1,16 @@
 """Isolate a principal pair of an n-qubit drift by Pauli frame averaging.
 
-One averaging round over {identity, all-X, all-Y, all-Z} applied to the
-non-principal sites cancels every coupling between the pair and the rest
-as well as every local term outside the pair; couplings inside the rest
-survive only when both sites carry the same axis.  Splitting the rest
-into halves and averaging over frames supported on the first halves
-kills cross-half couplings, so recursing on the halves leaves nothing
-outside the pair after at most a logarithmic number of rounds.  Every
-cancellation is a signed sum of equal floats divided by a power of four,
-so the surviving coefficients are reproduced exactly, not just to
-tolerance.
+Averaging a term over the four frames {identity, all-X, all-Y, all-Z} on
+a set of sites keeps it unchanged when it commutes with all-X and all-Z
+there and cancels it otherwise, so the survivors of each round follow
+from one commutation test and no coefficient is ever recomputed.  The
+first round, on the sites off the pair, cancels every coupling between
+the pair and the rest as well as every local term outside the pair;
+couplings inside the rest survive only when both sites carry the same
+axis.  Splitting the rest into halves and averaging over frames
+supported on the first halves kills cross-half couplings, so recursing
+on the halves leaves nothing outside the pair after at most a
+logarithmic number of rounds.
 """
 
 from __future__ import annotations
@@ -51,39 +52,8 @@ class FrameSet:
         return sum(w for w, _ in self.frames)
 
 
-_AXIS_PRODUCT = {
-    ("I", "I"): "I", ("I", "X"): "X", ("I", "Y"): "Y", ("I", "Z"): "Z",
-    ("X", "I"): "X", ("X", "X"): "I", ("X", "Y"): "Z", ("X", "Z"): "Y",
-    ("Y", "I"): "Y", ("Y", "X"): "Z", ("Y", "Y"): "I", ("Y", "Z"): "X",
-    ("Z", "I"): "Z", ("Z", "X"): "Y", ("Z", "Y"): "X", ("Z", "Z"): "I",
-}
-
-
-def _compose_strings(a: PauliString, b: PauliString) -> PauliString:
-    """Axis pattern of the operator product a*b; phases are irrelevant
-    because conjugation by a Pauli string ignores them."""
-    return PauliString(
-        "".join(_AXIS_PRODUCT[(x, y)] for x, y in zip(a.ops, b.ops))
-    )
-
-
-def _uniform_conjugators(n: int, sites: list[int]) -> list[PauliString]:
-    out = [PauliString.identity(n)]
-    for axis in "XYZ":
-        ops = ["I"] * n
-        for q in sites:
-            ops[q] = axis
-        out.append(PauliString("".join(ops)))
-    return out
-
-
-def _average_round(ham: HamExpansion, conjugators: list[PauliString]) -> HamExpansion:
-    """Average over four conjugators; survivors keep their coefficient exactly."""
-    acc: dict[PauliString, float] = {}
-    for frame in conjugators:
-        for p, c in ham.items():
-            acc[p] = acc.get(p, 0.0) + conjugation_sign(p, frame) * c
-    return HamExpansion(ham.n, {p: c / 4.0 for p, c in acc.items()})
+_AXIS_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
+_CODE_AXIS = "IXZY"
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
@@ -93,45 +63,33 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
-def _compose_frame_sets(
-    n: int, pair: tuple[int, int], rounds: list[list[PauliString]], depth: int
+def _round_generators(n: int, sites: list[int]) -> tuple[PauliString, PauliString]:
+    """All-X and all-Z on ``sites``; the round's frames are the group they generate."""
+    return tuple(
+        PauliString("".join(axis if q in sites else "I" for q in range(n)))
+        for axis in "XZ"
+    )
+
+
+def _frame_set(
+    n: int, pair: tuple[int, int], rounds: list[list[int]], depth: int
 ) -> FrameSet:
+    """One frame per choice of I, X, Y or Z on each round's sites.
+
+    A site's axis is the XOR of the 2-bit codes chosen by the rounds that
+    contain it, which is the Pauli product up to a phase that conjugation
+    ignores.  Repeated frames merge by summing weights, in first-seen order.
+    """
     weight = 0.25 ** len(rounds)
     merged: dict[PauliString, float] = {}
-    order: list[PauliString] = []
-    for combo in product(*rounds):
-        frame = combo[0]
-        for extra in combo[1:]:
-            frame = _compose_strings(frame, extra)
-        if frame not in merged:
-            merged[frame] = 0.0
-            order.append(frame)
-        merged[frame] += weight
-    frames = tuple((merged[f], f) for f in order)
-    return FrameSet(n, pair, frames, depth)
-
-
-def _principal_round(
-    ham: HamExpansion, pair: tuple[int, int]
-) -> tuple[list[int], list[PauliString], HamExpansion]:
-    """The sites off the pair, the round's conjugators on them, and the average."""
-    rest = [q for q in range(ham.n) if q not in pair]
-    conjugators = _uniform_conjugators(ham.n, rest)
-    return rest, conjugators, _average_round(ham, conjugators)
-
-
-def decouple_principal(
-    ham: HamExpansion, pair: tuple[int, int]
-) -> tuple[HamExpansion, FrameSet]:
-    """Single averaging round cutting the pair loose from everything else.
-
-    The result keeps the pair-supported terms exactly, wipes out every
-    pair-to-rest coupling and rest-local term, and keeps same-axis
-    couplings inside the rest (later rounds deal with those).
-    """
-    _check_pair(ham.n, pair)
-    _, conjugators, averaged = _principal_round(ham, pair)
-    return averaged, _compose_frame_sets(ham.n, pair, [conjugators], depth=0)
+    for choice in product("IXYZ", repeat=len(rounds)):
+        codes = [0] * n
+        for axis, sites in zip(choice, rounds):
+            for q in sites:
+                codes[q] ^= _AXIS_CODE[axis]
+        frame = PauliString("".join(_CODE_AXIS[c] for c in codes))
+        merged[frame] = merged.get(frame, 0.0) + weight
+    return FrameSet(n, pair, tuple((w, f) for f, w in merged.items()), depth)
 
 
 def isolate_principal(
@@ -139,25 +97,32 @@ def isolate_principal(
 ) -> tuple[HamExpansion, FrameSet]:
     """Frame set whose average leaves exactly the pair-restricted drift.
 
-    Applies the principal round, then splits the remaining sites into
-    halves and keeps averaging while any coupling survives inside a
-    block; the survivor check is symbolic, so rounds stop as soon as the
-    expansion is clean rather than after a worst-case count.
+    The first round acts on every site off the pair.  Then the remaining
+    sites split into halves and rounds continue while any surviving
+    coupling lies inside a block; the survivor check is symbolic, so
+    rounds stop as soon as the expansion is clean rather than after a
+    worst-case count.
     """
     _check_pair(ham.n, pair)
     if not ham.is_two_body():
         raise InvalidTerm("decoupling expects a two-body drift")
-    rest, conjugators, current = _principal_round(ham, pair)
-    rounds: list[list[PauliString]] = [conjugators]
+    rest = [q for q in range(ham.n) if q not in pair]
+    rounds = [rest]
+    survivors = list(ham)
 
     blocks = [rest] if rest else []
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0
     depth = 0
     while True:
+        x, z = _round_generators(ham.n, rounds[-1])
+        survivors = [
+            p for p in survivors
+            if conjugation_sign(p, x) == conjugation_sign(p, z) == 1
+        ]
         splittable = [b for b in blocks if len(b) > 1]
         dirty = any(
             len(set(p.support()) & set(b)) == 2
-            for p in current
+            for p in survivors
             for b in splittable
         )
         if not dirty:
@@ -173,18 +138,16 @@ def isolate_principal(
             cut = (len(b) + 1) // 2
             fronts.extend(b[:cut])
             halves.extend([b[:cut], b[cut:]])
-        conj = _uniform_conjugators(ham.n, fronts)
-        current = _average_round(current, conj)
-        rounds.append(conj)
+        rounds.append(fronts)
         blocks = halves
         depth += 1
 
     expected = filter_support(ham, pair)
-    if current != expected:
+    if survivors != list(expected):
         raise HamrcError(
             "decoupled drift does not match the pair restriction exactly"
         )  # pragma: no cover
-    return current, _compose_frame_sets(ham.n, pair, rounds, depth)
+    return expected, _frame_set(ham.n, pair, rounds, depth)
 
 
 def expand_step_model(

@@ -1,7 +1,7 @@
 """Pauli-string expansions of n-qubit Hamiltonians and their exact algebra.
 
 Everything here is symbolic: coefficients are plain floats attached to
-Pauli strings, and all operations (conjugation, averaging, restriction)
+Pauli strings, and all operations (conjugation signs, averaging, restriction)
 act term by term with exact sign bookkeeping.  No matrices are built.
 """
 
@@ -190,20 +190,6 @@ def conjugation_sign(term: PauliString, frame: PauliString) -> int:
         if a != "I" and c != "I" and a != c:
             flips += 1
     return -1 if flips % 2 else 1
-
-
-def conjugate_by_pauli(ham: HamExpansion, frame: PauliString) -> HamExpansion:
-    """Conjugate every term of ``ham`` by a Pauli string.
-
-    The result keeps every term in place with an exact +-1 sign, so
-    weights and coefficient magnitudes are preserved and conjugating
-    twice returns the original expansion exactly.
-    """
-    if frame.n != ham.n:
-        raise InvalidTerm(f"frame acts on {frame.n} sites, expected {ham.n}")
-    return HamExpansion(
-        ham.n, {p: conjugation_sign(p, frame) * c for p, c in ham.items()}
-    )
 
 
 def average(items: Sequence[tuple[float, HamExpansion]]) -> HamExpansion:

@@ -49,7 +49,7 @@ class LocalLayer:
             if u.shape != (2, 2):
                 raise InvalidTerm(f"layer factor on site {site} is not 2x2")
             defect = np.abs(u.conj().T @ u - _ID2).max()
-            if defect > UNITARY_TOL:
+            if not defect <= UNITARY_TOL:
                 raise InvalidTerm(
                     f"layer factor on site {site} has unitarity defect {defect:.3e}"
                 )
@@ -177,17 +177,11 @@ def canonicalize(sched: Schedule) -> Schedule:
             elif ins.factors:
                 out.append(ins)
 
-    # a layer that cancelled out may leave Drift, Drift adjacency behind
-    fused: list[Instruction] = []
-    for ins in out:
-        if isinstance(ins, Drift) and fused and isinstance(fused[-1], Drift):
-            fused[-1] = Drift(fused[-1].tau + ins.tau)
-        else:
-            fused.append(ins)
-
+    # a layer that cancels out leaves a drift last, so the next drift
+    # fuses into it: ``out`` never holds two drifts or two layers in a row
     return Schedule(
         sched.n,
-        tuple(fused),
+        tuple(out),
         sched.phase,
         raw_drift_periods=sched.raw_drift_periods,
         plan=sched.plan,

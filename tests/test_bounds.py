@@ -290,6 +290,11 @@ def test_plan_rejects_bad_arguments():
         plan_steps("chained", -0.1, 1.0, order=1, rate=1.0)
     with pytest.raises(InvalidTerm):
         plan_steps("chained", 0.1, 0.0, order=1, rate=1.0)
+    for kind in ("chained", "empirical"):
+        with pytest.raises(InvalidTerm):
+            plan_steps(kind, math.nan, 1.0, order=1, rate=1.0, measure=lambda n: 0.0)
+        with pytest.raises(InvalidTerm):
+            plan_steps(kind, 0.1, math.nan, order=1, rate=1.0, measure=lambda n: 0.0)
     with pytest.raises(InvalidTerm):
         plan_steps("chained", 0.1, 1.0, order=1)  # rate missing
     with pytest.raises(InvalidTerm):

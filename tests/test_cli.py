@@ -315,3 +315,37 @@ def test_non_finite_inputs_exit_2(files, capsys, coefficient):
     sched.write_text(f"qubits 2\npredicted 0.1\ndrift 0.25\ndrift {coefficient}\n")
     assert main(["verify", files["drift"], str(sched), "--gate", "cnot"]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+_TARGET = ["--target", "{zz}", "--t", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{drift}", *_TARGET, "--epsilon", "nan", "--bound", "empirical"],
+    ["compile", "{drift}", *_TARGET, "--epsilon", "nan"],
+    ["compile", "{drift}", "--target", "{zz}", "--t", "inf", "--epsilon", "1e-2"],
+    ["bound", "{drift}", *_TARGET, "--epsilon", "1e-2", "--bound", "global",
+     "--C", "nan"],
+    ["verify", "{drift}", "{sched}", "--gate", "cnot", "--tolerance", "nan"],
+], ids=["epsilon-empirical", "epsilon-chained", "t", "C", "tolerance"])
+def test_non_finite_numbers_on_the_command_line_exit_2(files, capsys, argv):
+    sched = str(files["tmp"] / "cnot.hrs")
+    main(["compile", files["drift"], "--gate", "cnot", "--steps", "4",
+          "--out", sched])
+    capsys.readouterr()
+    argv = [a.format(sched=sched, **files) for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["compile", "bound"])
+def test_gate_rejects_bound_flag(files, capsys, cmd):
+    # the CNOT plans its body from its own bound kind, so --bound would be ignored
+    argv = [cmd, files["drift"], "--gate", "cnot", "--epsilon", "1e-2",
+            "--bound", "empirical"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "drop --bound" in captured.err
+    assert captured.out == ""

@@ -1,16 +1,19 @@
 """Frame averaging that isolates a principal pair inside a register."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 from conftest import random_two_body
 from hamrc import (
+    HamExpansion,
     InvalidTerm,
     NotCoupled,
     PauliString,
     build_expansion,
     compile_on_pair,
-    decouple_principal,
+    conjugation_sign,
     dense_of_expansion,
     dense_of_pauli,
     distance,
@@ -40,26 +43,91 @@ def _frame_average_dense(ham, frames):
     return acc
 
 
-def test_single_round_kills_pair_rest_couplings_and_rest_locals():
-    decoupled, frames = decouple_principal(CHAIN4, (0, 1))
-    # pair-supported terms survive with exact coefficients
-    for ops in ("XXII", "YYII", "ZIII", "IZII"):
-        assert decoupled.coefficient(ops) == CHAIN4.coefficient(ops)
-    # pair-to-rest couplings and rest locals vanish
-    for ops in ("IXXI", "IIZI", "IIIZ"):
-        assert decoupled.coefficient(ops) == 0.0
-    # a same-axis coupling inside the rest survives the first round
-    assert decoupled.coefficient("IIXX") == 1.2
-    assert frames.depth == 0
-    assert len(frames.frames) == 4
+# the single-site Pauli product up to phase: row a, column b, in I X Y Z order
+_PRODUCT = dict(
+    zip((a + b for a in "IXYZ" for b in "IXYZ"), "IXYZ" "XIZY" "YZIX" "ZYXI")
+)
 
 
-def test_isolation_without_blocking_rounds_is_the_principal_round():
-    # no same-axis coupling inside the rest, so the first round is the last
-    ham = build_expansion(
-        4, [("XXII", 1.0), ("IZZI", 0.5), ("IIXY", 0.3), ("ZIIZ", 0.2), ("IIZI", 0.4)]
-    )
-    assert decouple_principal(ham, (0, 1)) == isolate_principal(ham, (0, 1))
+def _reference_isolation(ham, pair):
+    """Isolation by explicit averaging: four conjugations per round, the
+    survivors' coefficients summed and divided by four, and the frames
+    composed through the Pauli product table."""
+
+    def conjugators(sites):
+        return [
+            PauliString("".join(axis if q in sites else "I" for q in range(ham.n)))
+            for axis in "IXYZ"
+        ]
+
+    def average_round(h, frames):
+        acc = {}
+        for f in frames:
+            for p, c in h.items():
+                acc[p] = acc.get(p, 0.0) + conjugation_sign(p, f) * c
+        return HamExpansion(h.n, {p: c / 4.0 for p, c in acc.items()})
+
+    rest = [q for q in range(ham.n) if q not in pair]
+    rounds = [conjugators(rest)]
+    current = average_round(ham, rounds[0])
+    blocks = [rest] if rest else []
+    while any(
+        len(set(p.support()) & set(b)) == 2
+        for p in current
+        for b in blocks
+        if len(b) > 1
+    ):
+        halves, fronts = [], []
+        for b in blocks:
+            if len(b) == 1:
+                halves.append(b)
+                continue
+            cut = (len(b) + 1) // 2
+            fronts.extend(b[:cut])
+            halves.extend([b[:cut], b[cut:]])
+        rounds.append(conjugators(fronts))
+        current = average_round(current, rounds[-1])
+        blocks = halves
+    merged = {}
+    for combo in product(*rounds):
+        frame = combo[0]
+        for extra in combo[1:]:
+            frame = PauliString(
+                "".join(_PRODUCT[a + b] for a, b in zip(frame.ops, extra.ops))
+            )
+        merged[frame] = merged.get(frame, 0.0) + 0.25 ** len(rounds)
+    frames = tuple((w, f) for f, w in merged.items())
+    return current, frames, len(rounds) - 1
+
+
+def _same_axis_drift(n, axis):
+    """A same-axis coupling on every pair: the worst case for the rounds."""
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            ops = ["I"] * n
+            ops[i] = ops[j] = axis
+            entries.append(("".join(ops), 1.0 + 0.1 * i - 0.03 * j))
+    return build_expansion(n, entries)
+
+
+def test_isolation_matches_the_averaging_reference():
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in range(2, 10):
+        for density in (0.3, 1.0):
+            ham = random_two_body(n, rng, coupling_density=density, connected=True)
+            pairs = {(0, 1), (n - 1, 0)}
+            pairs.add(tuple(int(q) for q in rng.choice(n, 2, replace=False)))
+            cases += [(ham, pair) for pair in sorted(pairs)]
+        for axis in "XYZ":
+            cases.append((_same_axis_drift(n, axis), (n - 2, n - 1)))
+    for ham, pair in cases:
+        isolated, frames = isolate_principal(ham, pair)
+        want, want_frames, want_depth = _reference_isolation(ham, pair)
+        assert isolated == want
+        assert frames.frames == want_frames
+        assert frames.depth == want_depth
 
 
 def test_same_axis_rest_coupling_needs_a_blocking_round():

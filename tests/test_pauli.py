@@ -12,10 +12,11 @@ from hamrc import (
     InvalidTerm,
     NotCoupled,
     NotTwoBody,
+    PAULI_CLIFF,
     PauliString,
     average,
     build_expansion,
-    conjugate_by_pauli,
+    conjugate_by_cliffords,
     conjugation_sign,
     coupling_graph,
     dense_of_expansion,
@@ -44,6 +45,10 @@ def expansions(draw, max_n=4):
         )
         terms[ops] = coeff
     return build_expansion(n, list(terms.items()))
+
+
+def _pauli_layer(frame):
+    return {q: PAULI_CLIFF[axis] for q, axis in enumerate(frame.ops)}
 
 
 def test_string_basics():
@@ -102,18 +107,18 @@ def test_conjugation_sign_matches_dense(a, b):
 @settings(max_examples=60)
 def test_conjugation_involution_and_weight_preservation(ham, frame_ops):
     frame = PauliString((frame_ops * ham.n)[: ham.n])
-    conj = conjugate_by_pauli(ham, frame)
+    conj = conjugate_by_cliffords(ham, _pauli_layer(frame))
     assert set(conj.terms) == set(ham.terms)
     for p, c in ham.items():
         assert abs(conj.coefficient(p)) == abs(c)
-    assert conjugate_by_pauli(conj, frame) == ham
+    assert conjugate_by_cliffords(conj, _pauli_layer(frame)) == ham
 
 
 @given(expansions(max_n=3), strings)
 @settings(max_examples=40)
 def test_conjugation_matches_dense(ham, frame_ops):
     frame = PauliString((frame_ops * ham.n)[: ham.n])
-    got = dense_of_expansion(conjugate_by_pauli(ham, frame))
+    got = dense_of_expansion(conjugate_by_cliffords(ham, _pauli_layer(frame)))
     f = dense_of_pauli(frame)
     want = f @ dense_of_expansion(ham) @ f.conj().T
     assert np.allclose(got, want, atol=1e-12)

@@ -33,6 +33,11 @@ def test_layer_validates_factors():
         LocalLayer({0: np.eye(3)})
     with pytest.raises(InvalidTerm):
         LocalLayer({0: np.array([[1.0, 0.0], [0.0, 2.0]])})
+    # a nan defect compares false both ways
+    with pytest.raises(InvalidTerm):
+        LocalLayer({0: np.full((2, 2), np.nan)})
+    with pytest.raises(InvalidTerm):
+        LocalLayer({0: np.array([[1.0, 0.0], [0.0, np.nan]])})
 
 
 def test_instruction_list_is_operator_ordered(sample_drift):
@@ -250,6 +255,8 @@ def test_canonicalize_matches_the_fresh_merge_fold(sched):
     want = reference_canonicalize(sched)
     assert got == want
     assert serialize_schedule(got) == serialize_schedule(want)
+    kinds = [type(ins) for ins in got.instructions]
+    assert all(a is not b for a, b in zip(kinds, kinds[1:]))
 
 
 def test_canonicalize_shares_one_layer_per_repeated_seam():
