@@ -92,13 +92,10 @@ from .schedule import (
 )
 from .synth import (
     CNOT_MATRIX,
-    TermRecipe,
     cnot_generator,
     compile_cnot,
     compile_schedule,
     step_model,
-    synth_max_term,
-    synth_pauli_product,
 )
 
 __version__ = "0.1.0"
@@ -110,7 +107,7 @@ __all__ = [
     "HamExpansion", "HamrcError", "Infeasible", "InvalidStep", "InvalidTerm",
     "LocalClifford", "LocalLayer", "MAX_PLAN_STEPS", "NotConnected",
     "NotCoupled", "NotEntangling", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
-    "ParseError", "PauliString", "Schedule", "TermRecipe", "TooLarge",
+    "ParseError", "PauliString", "Schedule", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",
     "compile_remote", "compile_schedule", "conjugate_by_cliffords",
@@ -122,5 +119,5 @@ __all__ = [
     "operator_norm", "pair_step_model", "parse_hamfile", "parse_schedule",
     "phase_match", "plan_steps", "project_to_sites", "route",
     "serialize_hamfile", "serialize_schedule", "sign_flip_clifford",
-    "step_model", "synth_max_term", "synth_pauli_product", "unitarity_defect",
+    "step_model", "unitarity_defect",
 ]

@@ -15,8 +15,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .dense import DEFAULT_DENSE_CAP, _dense_of_masks, dense_of_expansion, hermitian_norm
-from .errors import Infeasible, InvalidTerm, NotCoupled, TooLarge
+from .dense import _dense_of_masks, check_dense_cap, dense_of_expansion, hermitian_norm
+from .errors import Infeasible, InvalidTerm, NotCoupled
 from .pauli import HamExpansion
 
 #: default constant of the coarse coupling-ratio bound C * D^2 * t * delta
@@ -202,9 +202,7 @@ def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if model.n > cap:
-        raise TooLarge(f"{model.n} qubits exceeds dense cap {cap}")
+    check_dense_cap(model.n, dense_cap)
     if order == 1:
         return first_order_rate(model)
     return second_order_rate(model)
@@ -321,6 +319,8 @@ def plan_steps(
         order = 2
     elif kind == "global":
         order = 1 if order is None else order
+        if order != 1:
+            raise InvalidTerm("the coarse global bound only covers order 1")
         if D is None:
             raise InvalidTerm("global bound needs the coupling ratio D")
         constants = {"C": C, "D": D}

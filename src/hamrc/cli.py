@@ -23,7 +23,7 @@ from . import decouple as _decouple
 from . import routing as _routing
 from . import synth as _synth
 from .bounds import GLOBAL_BOUND_C
-from .dense import dense_of_expansion, distance, expm_hermitian
+from .dense import check_dense_cap, dense_of_expansion, distance, expm_hermitian
 from .errors import (
     DimMismatch,
     HamrcError,
@@ -191,12 +191,13 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _goal_matrix(args, drift: HamExpansion):
+def _goal_matrix(args, drift: HamExpansion, cap: int | None):
     if args.gate:
         if drift.n != 2:
             raise InvalidTerm("the built-in gate target lives on two qubits")
         return _synth.CNOT_MATRIX
     _, target = _target(args, drift)
+    check_dense_cap(target.n, cap)
     return expm_hermitian(dense_of_expansion(target), args.t)
 
 
@@ -204,7 +205,7 @@ def _cmd_verify(args) -> int:
     cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
     sched = parse_schedule(_read(args.schedule))
-    goal = _goal_matrix(args, drift)
+    goal = _goal_matrix(args, drift, cap)
     w = evaluate_schedule(sched, drift, dense_cap=cap)
     err = distance(goal, w, phase_align=not args.strict)
 

@@ -36,12 +36,6 @@ class LocalClifford:
             self.matrix @ inner.matrix, _compose_images(self.images, inner.images)
         )
 
-    def dagger(self) -> "LocalClifford":
-        return LocalClifford(self.matrix.conj().T, _inverse_images(self.images))
-
-    def is_identity_action(self) -> bool:
-        return all(self.image(a) == (1, a) for a in "XYZ")
-
 
 def _compose_images(outer: tuple, inner: tuple) -> tuple:
     """Images of applying the ``inner`` action first, then ``outer``."""
@@ -50,11 +44,6 @@ def _compose_images(outer: tuple, inner: tuple) -> tuple:
         s2, axis = outer["XYZ".index(mid)]
         out.append((s1 * s2, axis))
     return tuple(out)
-
-
-def _inverse_images(images: tuple) -> tuple:
-    inv = {out: (s, axis) for axis, (s, out) in zip("XYZ", images)}
-    return tuple(inv[a] for a in "XYZ")
 
 
 def _cliff(matrix, x, y, z) -> LocalClifford:

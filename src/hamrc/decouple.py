@@ -48,9 +48,6 @@ class FrameSet:
     frames: tuple[tuple[float, PauliString], ...]
     depth: int
 
-    def weight_total(self) -> float:
-        return sum(w for w, _ in self.frames)
-
 
 _AXIS_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
 _CODE_AXIS = "IXZY"

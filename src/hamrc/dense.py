@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian
+from .errors import DimMismatch, NotHermitian, TooLarge
 from .pauli import HamExpansion, PauliString
 
 HERMITIAN_TOL = 1e-10
@@ -49,6 +49,17 @@ PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def check_dense_cap(n: int, dense_cap: int | None = None) -> None:
+    """Refuse, with :class:`TooLarge`, to build an ``n``-qubit register densely
+    above the cap (``DEFAULT_DENSE_CAP`` unless ``dense_cap`` is given).
+
+    Call it before the first dense build, so a refusal costs nothing.
+    """
+    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
+    if n > cap:
+        raise TooLarge(f"{n} qubits exceeds dense cap {cap}")
 
 
 #: i**k for k = 0..3

@@ -13,7 +13,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidTerm, NotCoupled, NotTwoBody
 
-AXES = "XYZ"
 OPS = "IXYZ"
 
 #: coefficients at or below this fraction of an expansion's largest
@@ -63,18 +62,6 @@ class PauliString:
             raise InvalidTerm(f"site {site} outside 0..{n - 1}")
         ops = ["I"] * n
         ops[site] = axis
-        return PauliString("".join(ops))
-
-    @staticmethod
-    def pair(n: int, site_a: int, axis_a: str, site_b: int, axis_b: str) -> "PauliString":
-        """Weight-two string with the given axes on two distinct sites."""
-        if site_a == site_b:
-            raise InvalidTerm("pair term needs two distinct sites")
-        ops = ["I"] * n
-        for site, axis in ((site_a, axis_a), (site_b, axis_b)):
-            if not 0 <= site < n:
-                raise InvalidTerm(f"site {site} outside 0..{n - 1}")
-            ops[site] = axis
         return PauliString("".join(ops))
 
     def __str__(self) -> str:
@@ -223,13 +210,6 @@ class CouplingGraph:
 
     def edge_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(pair for pair, _ in self.edges)
-
-    def couplings(self, pair: tuple[int, int]) -> tuple[tuple[str, str, float], ...]:
-        want = (min(pair), max(pair))
-        for p, terms in self.edges:
-            if p == want:
-                return terms
-        return ()
 
     def neighbors(self, site: int) -> tuple[int, ...]:
         out = set()

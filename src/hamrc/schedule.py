@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
-from .dense import DEFAULT_DENSE_CAP, dense_of_expansion, hermitian_norm, kron_all
-from .errors import DimMismatch, InvalidTerm, TooLarge
+from .dense import check_dense_cap, dense_of_expansion, hermitian_norm, kron_all
+from .errors import DimMismatch, InvalidTerm
 from .pauli import HamExpansion
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -244,9 +244,7 @@ def evaluate_schedule(
     duration or layer is built once.  Raises :class:`TooLarge` when the
     register exceeds the dense cap (default 10 qubits).
     """
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
-    if sched.n > cap:
-        raise TooLarge(f"{sched.n} qubits exceeds dense cap {cap}")
+    check_dense_cap(sched.n, dense_cap)
     if drift.n != sched.n:
         raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
 

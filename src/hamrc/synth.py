@@ -4,14 +4,16 @@ The construction rests on three elementary moves: conjugating the drift
 by local unitaries reshapes it exactly, product formulas split a sum of
 generators into a sequence, and non-negative time rescaling is free.
 
-For a drift ``H`` whose dominant coupling sits on axes (r, s) with
-coefficient h_rs, averaging the four Pauli frames {I, sigma_r} (x)
-{I, sigma_s} cancels every term of ``H`` except those supported on the
-(r, s) axis pair.  Dividing by 4|h_rs| and removing the surviving local
-terms (which commute with the coupling, so their removal is exact)
-leaves exactly ``sign(h_rs) * sigma_r (x) sigma_s``.  Outer single-qubit
-Clifford rotations then move (r, s) onto any requested axis pair, and a
-Pauli conjugation flips the sign when needed.
+``step_model`` builds it in one pass.  For a drift ``H`` whose dominant
+coupling sits on axes (r, s) with coefficient h_rs, averaging the four
+Pauli frames {I, sigma_r} (x) {I, sigma_s} cancels every term of ``H``
+except those supported on the (r, s) axis pair.  Dividing by 4|h_rs| and
+removing the surviving local terms (which commute with the coupling, so
+their removal is exact) leaves exactly ``sign(h_rs) * sigma_r (x)
+sigma_s``.  Each target coupling ``c * sigma_a (x) sigma_b`` wraps those
+frames and the correction in the fixed Clifford rotations that carry
+(r, s) onto (a, b), plus a Pauli conjugation on qubit 0 when the signs of
+c and h_rs differ, and runs them at rate |c| / (4|h_rs|).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +33,9 @@ from .cliffords import (
     conjugate_by_cliffords,
     sign_flip_clifford,
 )
-from .dense import PAULI_MATS, dense_of_expansion, distance, expm_hermitian
+from .dense import PAULI_MATS, check_dense_cap, dense_of_expansion, distance, expm_hermitian
 from .errors import HamrcError, InvalidStep, InvalidTerm, VerificationFailure
-from .pauli import (
-    HamExpansion,
-    PauliString,
-    build_expansion,
-    max_coupling,
-)
+from .pauli import HamExpansion, PauliString, build_expansion, max_coupling
 from .schedule import Drift, Instruction, LocalLayer, Schedule, canonicalize, evaluate_schedule
 
 #: evolution time for which the mapped coupling generates a CNOT
@@ -75,168 +72,6 @@ class FramedDrift:
     def frame_layer_dagger(self) -> LocalLayer:
         """Inverse of ``frame_layer``, built once."""
         return self.frame_layer.dagger()
-
-
-@dataclass(frozen=True)
-class TermRecipe:
-    """Exact reassembly of one signed coupling term from the drift.
-
-    Invariant (checked symbolically on construction): the weighted sum of
-    the conjugated drifts, plus ``local_correction``, plus
-    ``phase_correction`` times identity, equals ``target`` exactly at the
-    coefficient level.
-    """
-
-    target: HamExpansion
-    frames: tuple[FramedDrift, ...]  # each at rate 1/divisor
-    local_correction: HamExpansion
-    phase_correction: float
-    divisor: float  # kept for exact division
-
-
-def _verify_recipe(drift: HamExpansion, recipe: TermRecipe) -> None:
-    total: dict[PauliString, float] = {}
-    for frame in recipe.frames:
-        conj = conjugate_by_cliffords(drift, frame.layer_map())
-        for p, c in conj.items():
-            total[p] = total.get(p, 0.0) + c
-    rebuilt = {p: c / recipe.divisor for p, c in total.items()}
-    for p, c in recipe.local_correction.items():
-        rebuilt[p] = rebuilt.get(p, 0.0) + c
-    ident = PauliString.identity(2)
-    rebuilt[ident] = rebuilt.get(ident, 0.0) + recipe.phase_correction
-    if HamExpansion(2, rebuilt) != recipe.target:
-        raise HamrcError(
-            "recipe reassembly does not reproduce the target exactly"
-        )
-
-
-def synth_max_term(drift: HamExpansion) -> TermRecipe:
-    """Recipe for ``sign(h_rs) sigma_r (x) sigma_s`` from the dominant coupling.
-
-    Frames are the four Pauli strings {I, sigma_r} (x) {I, sigma_s} with
-    weight 1/(4|h_rs|); the surviving same-axis local terms and identity
-    are returned as exact corrections with a single floating division
-    each, so the symbolic reassembly check passes with zero tolerance.
-    """
-    if drift.n != 2:
-        raise InvalidTerm("pair synthesis expects a two-qubit drift")
-    r, s, h_rs = max_coupling(drift, (0, 1))
-    div = 4.0 * abs(h_rs)
-
-    frames = tuple(
-        FramedDrift(1.0 / div, ((0, PAULI_CLIFF[a]), (1, PAULI_CLIFF[b])))
-        for a in ("I", r)
-        for b in ("I", s)
-    )
-
-    h_r0 = drift.coefficient(r + "I")
-    h_0s = drift.coefficient("I" + s)
-    h_00 = drift.coefficient("II")
-    correction = HamExpansion(
-        2,
-        {
-            PauliString(r + "I"): -(h_r0 / abs(h_rs)),
-            PauliString("I" + s): -(h_0s / abs(h_rs)),
-        },
-    )
-    target = HamExpansion(2, {PauliString(r + s): h_rs / abs(h_rs)})
-    recipe = TermRecipe(
-        target=target,
-        frames=frames,
-        local_correction=correction,
-        phase_correction=-(h_00 / abs(h_rs)),
-        divisor=div,
-    )
-    _verify_recipe(drift, recipe)
-    return recipe
-
-
-def synth_pauli_product(
-    drift: HamExpansion, axis_a: str, axis_b: str, sign: float = 1.0
-) -> TermRecipe:
-    """Recipe for ``sign * sigma_axis_a (x) sigma_axis_b`` on the pair.
-
-    Wraps the dominant-coupling recipe in the fixed Clifford rotations
-    that carry (r, s) onto the requested axes; a negative sign adds a
-    conjugation by the smallest anticommuting Pauli on qubit 0.
-    """
-    if axis_a not in "XYZ" or axis_b not in "XYZ":
-        raise InvalidTerm(f"invalid target axes ({axis_a}, {axis_b})")
-    if sign == 0:
-        raise InvalidTerm("target sign must be nonzero")
-    base = synth_max_term(drift)
-    (p,) = base.target.terms
-    r, s = p.ops
-    base_sign = base.target.coefficient(p)  # exactly +-1.0
-    outer_a = AXIS_ROTATION[(r, axis_a)]
-    outer_b = AXIS_ROTATION[(s, axis_b)]
-    if (sign < 0) != (base_sign < 0):
-        outer_a = sign_flip_clifford(axis_a).compose(outer_a)
-
-    outer = (outer_a, outer_b)
-    frames = tuple(
-        FramedDrift(f.rate, tuple((q, outer[q].compose(c)) for q, c in f.frame))
-        for f in base.frames
-    )
-    correction = conjugate_by_cliffords(
-        base.local_correction, {0: outer_a, 1: outer_b}
-    )
-    sgn = 1.0 if sign > 0 else -1.0
-    target = HamExpansion(2, {PauliString(axis_a + axis_b): sgn})
-    recipe = TermRecipe(
-        target=target,
-        frames=frames,
-        local_correction=correction,
-        phase_correction=base.phase_correction,
-        divisor=base.divisor,
-    )
-    _verify_recipe(drift, recipe)
-    return recipe
-
-
-@dataclass(frozen=True)
-class TargetDecomposition:
-    """A two-qubit target split into coupling, local, and identity parts."""
-
-    couplings: tuple[tuple[float, str, str], ...]  # (coeff, axis_a, axis_b)
-    locals_: tuple[tuple[int, str, float], ...]  # (site, axis, coeff)
-    identity: float
-
-    def reassemble(self) -> HamExpansion:
-        entries: list[tuple[PauliString, float]] = []
-        for coeff, a, b in self.couplings:
-            entries.append((PauliString(a + b), coeff))
-        for site, axis, coeff in self.locals_:
-            entries.append((PauliString.single(2, site, axis), coeff))
-        if self.identity:
-            entries.append((PauliString.identity(2), self.identity))
-        return build_expansion(2, entries)
-
-
-def decompose_target(target: HamExpansion) -> TargetDecomposition:
-    """Split a two-qubit expansion; couplings sorted by |coeff| descending.
-
-    Magnitude ties break toward the lexicographically smaller axis pair,
-    so the compilation order is deterministic.
-    """
-    if target.n != 2:
-        raise InvalidTerm("target must act on two qubits")
-    couplings: list[tuple[float, str, str]] = []
-    locs: list[tuple[int, str, float]] = []
-    ident = 0.0
-    for p, c in target.items():
-        w = p.weight()
-        if w == 2:
-            couplings.append((c, p.ops[0], p.ops[1]))
-        elif w == 1:
-            (site,) = p.support()
-            locs.append((site, p.ops[site], c))
-        else:
-            ident = c
-    couplings.sort(key=lambda t: (-abs(t[0]), t[1], t[2]))
-    locs.sort()
-    return TargetDecomposition(tuple(couplings), tuple(locs), ident)
 
 
 @dataclass(frozen=True)
@@ -292,12 +127,42 @@ def _proportional_rate(target: HamExpansion, drift: HamExpansion) -> float | Non
     return lam
 
 
+def _check_reassembly(
+    drift: HamExpansion,
+    frames: list[FramedDrift],
+    div: float,
+    correction: HamExpansion,
+    phase: float,
+    target: HamExpansion,
+) -> None:
+    """Zero-tolerance check that the frames rebuild ``target`` exactly.
+
+    The conjugated drifts summed and divided by ``div``, plus
+    ``correction``, plus ``phase`` times identity, must equal ``target``
+    coefficient for coefficient.
+    """
+    total: dict[PauliString, float] = {}
+    for frame in frames:
+        for p, c in conjugate_by_cliffords(drift, frame.layer_map()).items():
+            total[p] = total.get(p, 0.0) + c
+    rebuilt = {p: c / div for p, c in total.items()}
+    for p, c in correction.items():
+        rebuilt[p] = rebuilt.get(p, 0.0) + c
+    ident = PauliString.identity(2)
+    rebuilt[ident] = rebuilt.get(ident, 0.0) + phase
+    if HamExpansion(2, rebuilt) != target:
+        raise HamrcError("recipe reassembly does not reproduce the target exactly")
+
+
 def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     """Factor a two-qubit target into exact locals plus framed drifts.
 
     The fixed order is: one exact local factor (the target's own local
-    terms plus every recipe's local correction), then the coupling terms
-    by decreasing magnitude, each as its four recipe frames.
+    terms plus every coupling's local correction), then the coupling
+    terms by decreasing magnitude, ties to the smaller axis pair, each as
+    its four framed drifts.  Every coupling's frames are checked to
+    reassemble it exactly; ``max_coupling`` is only asked for when the
+    target has a coupling, so a locals-only target needs no coupled drift.
     """
     if drift.n != 2 or target.n != 2:
         raise InvalidTerm("pair compilation expects two-qubit expansions")
@@ -306,22 +171,50 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     if lam is not None:
         return StepModel(2, drift, (FramedDrift(lam, ()),), 0.0)
 
-    decomp = decompose_target(target)
+    couplings: list[tuple[PauliString, float]] = []
     local_acc: dict[PauliString, float] = {}
-    for site, axis, coeff in decomp.locals_:
-        p = PauliString.single(2, site, axis)
-        local_acc[p] = local_acc.get(p, 0.0) + coeff
-    phase_rate = decomp.identity
+    phase_rate = 0.0
+    for p, c in target.items():
+        w = p.weight()
+        if w == 2:
+            couplings.append((p, c))
+        elif w == 1:
+            local_acc[p] = c
+        else:
+            phase_rate = c
+    couplings.sort(key=lambda pc: (-abs(pc[1]), pc[0]))
 
     drifts: list[FramedDrift] = []
-    for coeff, axis_a, axis_b in decomp.couplings:
-        recipe = synth_pauli_product(drift, axis_a, axis_b, math.copysign(1.0, coeff))
-        mag = abs(coeff)
-        for frame in recipe.frames:
-            drifts.append(FramedDrift(mag / recipe.divisor, frame.frame))
-        for p, c in recipe.local_correction.items():
-            local_acc[p] = local_acc.get(p, 0.0) + mag * c
-        phase_rate += mag * recipe.phase_correction
+    if couplings:
+        r, s, h_rs = max_coupling(drift, (0, 1))
+        norm = abs(h_rs)
+        div = 4.0 * norm
+        paulis = [(PAULI_CLIFF[a], PAULI_CLIFF[b]) for a in ("I", r) for b in ("I", s)]
+        correction = HamExpansion(
+            2,
+            {
+                PauliString(r + "I"): -(drift.coefficient(r + "I") / norm),
+                PauliString("I" + s): -(drift.coefficient("I" + s) / norm),
+            },
+        )
+        phase = -(drift.coefficient("II") / norm)
+        for p, coeff in couplings:
+            a, b = p.ops
+            outer_a, outer_b = AXIS_ROTATION[(r, a)], AXIS_ROTATION[(s, b)]
+            if (coeff < 0) != (h_rs < 0):
+                outer_a = sign_flip_clifford(a).compose(outer_a)
+            mag = abs(coeff)
+            frames = [
+                FramedDrift(mag / div, ((0, outer_a.compose(pa)), (1, outer_b.compose(pb))))
+                for pa, pb in paulis
+            ]
+            conj = conjugate_by_cliffords(correction, {0: outer_a, 1: outer_b})
+            unit = HamExpansion(2, {p: math.copysign(1.0, coeff)})
+            _check_reassembly(drift, frames, div, conj, phase, unit)
+            drifts.extend(frames)
+            for q, c in conj.items():
+                local_acc[q] = local_acc.get(q, 0.0) + mag * c
+            phase_rate += mag * phase
 
     factors: list[StepFactor] = []
     local_ham = HamExpansion(2, local_acc)
@@ -374,6 +267,7 @@ def _make_measure(
     order: int,
     dense_cap: int | None,
 ) -> Callable[[int], float]:
+    check_dense_cap(model.n, dense_cap)
     goal = expm_hermitian(dense_of_expansion(target), t)
 
     def measure(n_steps: int) -> float:
@@ -405,11 +299,8 @@ def plan_for_model(
         rate = _bounds.chained_rate(model, order, dense_cap=dense_cap)
         return _bounds.plan_steps("chained", epsilon, t, order=order, rate=rate)
     if bound == "global":
-        if order != 1:
-            raise InvalidStep("the coarse global bound only covers order 1")
-        return _bounds.plan_steps(
-            "global", epsilon, t, C=C, D=_bounds.coupling_ratio(model.drift, target)
-        )
+        d_ratio = _bounds.coupling_ratio(model.drift, target)
+        return _bounds.plan_steps("global", epsilon, t, order=order, C=C, D=d_ratio)
     if bound in ("first_order_cnot", "second_order_cnot"):
         return _bounds.plan_steps(bound, epsilon, t)
     if bound == "empirical":

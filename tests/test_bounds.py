@@ -299,6 +299,8 @@ def test_plan_rejects_bad_arguments():
         plan_steps("chained", 0.1, 1.0, order=1)  # rate missing
     with pytest.raises(InvalidTerm):
         plan_steps("global", 0.1, 1.0)  # D missing
+    with pytest.raises(InvalidTerm, match="order 1"):
+        plan_steps("global", 0.5, 2.0, D=1.0, order=2)  # first-order formula only
     with pytest.raises(InvalidTerm):
         plan_steps("empirical", 0.1, 1.0, order=1)  # measure missing
 

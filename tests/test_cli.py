@@ -207,6 +207,30 @@ def test_dense_cap_env_override(files, capsys, monkeypatch):
     assert "dense cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["verify", "compile"])
+def test_dense_cap_refuses_before_any_dense_build(files, capsys, monkeypatch, cmd):
+    import hamrc.cli
+    import hamrc.synth
+
+    sched = files["tmp"] / "chain.hrs"
+    sched.write_text("qubits 4\ndrift 0.1\n")
+
+    def no_dense(ham):
+        raise AssertionError("dense build before the cap check")
+
+    for mod in (hamrc.cli, hamrc.synth):
+        monkeypatch.setattr(mod, "dense_of_expansion", no_dense)
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "3")
+    target = ["--target", files["zz"], "--t", "0.5", "--pair", "0", "1"]
+    argv = {
+        "verify": ["verify", files["chain"], str(sched), *target, "--tolerance", "1"],
+        "compile": ["compile", files["chain"], *target, "--epsilon", "1e-2",
+                    "--bound", "empirical"],
+    }[cmd]
+    assert main(argv) == 4
+    assert "exceeds dense cap 3" in capsys.readouterr().err
+
+
 def test_gate_rejects_time_flag(files, capsys):
     code = main(["compile", files["drift"], "--gate", "cnot",
                  "--steps", "4", "--t", "1.0"])

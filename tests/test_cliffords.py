@@ -20,6 +20,7 @@ from hamrc import (
     dense_of_pauli,
     sign_flip_clifford,
 )
+from hamrc.synth import FramedDrift
 
 _SIGMA = {a: dense_of_pauli(PauliString(a)) for a in "XYZ"}
 
@@ -55,10 +56,13 @@ def test_compose_applies_inner_first(outer, inner):
 
 @pytest.mark.parametrize("cliff", ALL_CLIFFORDS)
 def test_dagger_inverts_the_action(cliff):
-    inv = cliff.dagger()
-    assert np.allclose(inv.matrix @ cliff.matrix, np.eye(2), atol=1e-12)
-    assert cliff.compose(inv).is_identity_action()
-    assert inv.compose(cliff).is_identity_action()
+    # a frame is undone by the inverse layer its framed drift emits
+    inv = FramedDrift(1.0, ((0, cliff),)).frame_layer_dagger.factor(0)
+    assert np.allclose(inv @ cliff.matrix, np.eye(2), atol=1e-12)
+    for axis in "XYZ":
+        sign, image = cliff.image(axis)
+        back = inv @ (sign * _SIGMA[image]) @ inv.conj().T
+        assert np.allclose(back, _SIGMA[axis], atol=1e-12)
 
 
 def test_axis_rotation_table_is_complete_and_correct():

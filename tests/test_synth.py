@@ -1,21 +1,37 @@
-"""Pair compiler: recipes, step models, schedules, and the CNOT path."""
+"""Pair compiler: the one-pass step model, schedules, and the CNOT path.
+
+The step-model tests check the two-qubit construction densely (its
+framed drifts, local factor and phase rebuild the target) and against a
+test-local copy of the recipe-layer construction it replaced, which must
+give the same factors float for float.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import framed_expansion, heisenberg, random_coupled_pair, xz_chain
+from conftest import (
+    framed_expansion,
+    heisenberg,
+    random_coupled_pair,
+    random_two_body,
+    xz_chain,
+)
 from hamrc import (
+    AXIS_ROTATION,
+    CLIFF_S,
     CNOT_MATRIX,
+    PAULI_CLIFF,
     Drift,
+    HamExpansion,
+    HamrcError,
     InvalidStep,
     InvalidTerm,
     LocalLayer,
     NotCoupled,
     PauliString,
     VerificationFailure,
-    average,
     build_expansion,
     cnot_generator,
     compile_cnot,
@@ -26,36 +42,54 @@ from hamrc import (
     distance,
     evaluate_schedule,
     expm_hermitian,
+    max_coupling,
     pair_step_model,
-    synth_max_term,
-    synth_pauli_product,
+    sign_flip_clifford,
 )
 from hamrc.bounds import _factor_matrices
-from hamrc.synth import FramedDrift, LocalFactor, decompose_target, emit_step, step_model
+from hamrc.synth import (
+    FramedDrift,
+    LocalFactor,
+    StepModel,
+    _proportional_rate,
+    emit_step,
+    step_model,
+)
 
 
-def _dense_recipe_residual(drift, recipe):
-    """Operator-norm defect of the recipe identity, computed densely."""
-    h = dense_of_expansion(drift)
-    acc = np.zeros((4, 4), dtype=complex)
-    for frame in recipe.frames:
-        layers = frame.layer_map()
-        u = np.kron(layers[0].matrix, layers[1].matrix)
-        acc += frame.rate * (u @ h @ u.conj().T)
-    acc += dense_of_expansion(recipe.local_correction)
-    acc += recipe.phase_correction * np.eye(4)
-    return np.abs(acc - dense_of_expansion(recipe.target)).max()
+def _framed_dense(f, h):
+    """``rate * U H U^dag`` of a framed drift, from its emitted frame layer."""
+    u = f.frame_layer.dense(2)
+    return f.rate * (u @ h @ u.conj().T)
+
+
+def _dense_model_residual(model, target):
+    """Largest entry of the sum of rate * U H U^dag over the framed drifts,
+    plus the local factor and ``phase_rate`` times identity, minus the target."""
+    h = dense_of_expansion(model.drift)
+    acc = model.phase_rate * np.eye(4, dtype=complex)
+    for f in model.factors:
+        if isinstance(f, LocalFactor):
+            acc += dense_of_expansion(f.ham)
+        else:
+            acc += _framed_dense(f, h)
+    return np.abs(acc - dense_of_expansion(target)).max()
 
 
 def test_max_term_recipe_on_sample_drift(sample_drift):
-    recipe = synth_max_term(sample_drift)
-    assert recipe.target.terms == {PauliString("XZ"): 1.0}
-    assert recipe.divisor == 8.0
-    assert len(recipe.frames) == 4
+    # the dominant coupling itself: the four Pauli frames {I, X} (x) {I, Z}
+    # with no outer rotation, each at rate 1/(4 |h_XZ|)
+    target = build_expansion(2, [("XZ", 1.0)])
+    model = step_model(sample_drift, target)
+    frames = model.factors
+    assert len(frames) == 4 and all(isinstance(f, FramedDrift) for f in frames)
+    assert [f.rate for f in frames] == [1.0 / 8.0] * 4
+    assert [tuple(c.images for _, c in f.frame) for f in frames] == [
+        (PAULI_CLIFF[a].images, PAULI_CLIFF[b].images) for a in "IX" for b in "IZ"
+    ]
     # the drift has no X(x)I or I(x)Z local terms, so nothing to correct
-    assert len(recipe.local_correction) == 0
-    assert recipe.phase_correction == 0.0
-    assert _dense_recipe_residual(sample_drift, recipe) < 1e-15
+    assert model.phase_rate == 0.0
+    assert _dense_model_residual(model, target) < 1e-15
 
 
 def test_partial_average_worked_example(sample_drift):
@@ -73,45 +107,190 @@ def test_recipe_corrections_are_exact_floats():
     drift = build_expansion(
         2, [("XZ", 0.3), ("XI", 0.1), ("IZ", -0.7), ("II", 0.2), ("YY", 0.05)]
     )
-    recipe = synth_max_term(drift)
-    assert recipe.target.terms == {PauliString("XZ"): 1.0}
-    assert recipe.local_correction.coefficient("XI") == -(0.1 / 0.3)
-    assert recipe.local_correction.coefficient("IZ") == -(-0.7 / 0.3)
-    assert recipe.phase_correction == -(0.2 / 0.3)
-    assert _dense_recipe_residual(drift, recipe) < 1e-15
+    target = build_expansion(2, [("XZ", 1.0)])
+    model = step_model(drift, target)
+    local, *frames = model.factors
+    assert len(frames) == 4 and all(f.rate == 1.0 / (4.0 * 0.3) for f in frames)
+    assert local.ham.coefficient("XI") == -(0.1 / 0.3)
+    assert local.ham.coefficient("IZ") == -(-0.7 / 0.3)
+    assert model.phase_rate == -(0.2 / 0.3)
+    assert _dense_model_residual(model, target) < 1e-15
 
 
 @pytest.mark.parametrize("axis_a", "XYZ")
 @pytest.mark.parametrize("axis_b", "XYZ")
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_pauli_product_recipes_cover_all_axes(sample_drift, axis_a, axis_b, sign):
-    recipe = synth_pauli_product(sample_drift, axis_a, axis_b, sign)
-    assert recipe.target.terms == {PauliString(axis_a + axis_b): sign}
-    assert _dense_recipe_residual(sample_drift, recipe) < 1e-15
+    target = build_expansion(2, [(axis_a + axis_b, sign)])
+    model = step_model(sample_drift, target)
+    assert [f.rate for f in model.factors] == [1.0 / 8.0] * 4
+    assert _dense_model_residual(model, target) < 1e-15
 
 
 def test_pauli_product_recipes_on_random_drifts():
     rng = np.random.default_rng(11)
+    target = build_expansion(2, [("YX", -1.0)])
     for _ in range(25):
         drift = random_coupled_pair(rng)
-        recipe = synth_pauli_product(drift, "Y", "X", -1.0)
-        assert _dense_recipe_residual(drift, recipe) < 1e-13
+        assert _dense_model_residual(step_model(drift, target), target) < 1e-13
 
 
 def test_synthesis_requires_a_coupling():
     with pytest.raises(NotCoupled):
-        synth_max_term(build_expansion(2, [("XI", 1.0), ("IZ", 0.5)]))
+        step_model(
+            build_expansion(2, [("XI", 1.0), ("IZ", 0.5)]),
+            build_expansion(2, [("XZ", 1.0)]),
+        )
 
 
-def test_decompose_target_orders_and_reassembles():
+def test_decompose_target_orders_and_reassembles(sample_drift):
+    # the model splits the target into couplings by decreasing |coeff|
+    # (ties to the smaller axis pair), locals and identity; the sample
+    # drift leaves no correction, so the parts reassemble the target
     target = build_expansion(
         2, [("XY", -2.0), ("ZZ", 2.0), ("YI", 0.3), ("IX", -0.1), ("II", 0.7)]
     )
-    decomp = decompose_target(target)
-    assert decomp.couplings == ((-2.0, "X", "Y"), (2.0, "Z", "Z"))
-    assert decomp.locals_ == ((0, "Y", 0.3), (1, "X", -0.1))
-    assert decomp.identity == 0.7
-    assert decomp.reassemble() == target
+    model = step_model(sample_drift, target)
+    local, *frames = model.factors
+    assert local.ham == build_expansion(2, [("YI", 0.3), ("IX", -0.1)])
+    assert model.phase_rate == 0.7
+    h = dense_of_expansion(sample_drift)
+    for group, term, coeff in ((frames[:4], "XY", -2.0), (frames[4:], "ZZ", 2.0)):
+        acc = sum(_framed_dense(f, h) for f in group)
+        assert np.abs(acc - coeff * dense_of_pauli(PauliString(term))).max() < 1e-14
+    assert _dense_model_residual(model, target) < 1e-14
+
+
+def _reference_step_model(drift, target):
+    """The recipe-layer construction that the one-pass ``step_model``
+    replaced: the dominant-coupling recipe, checked, then wrapped in the
+    outer Cliffords and checked again, once per target coupling."""
+
+    def check(frames, div, correction, phase, unit):
+        total = {}
+        for frame in frames:
+            for p, c in conjugate_by_cliffords(drift, dict(frame)).items():
+                total[p] = total.get(p, 0.0) + c
+        rebuilt = {p: c / div for p, c in total.items()}
+        for p, c in correction.items():
+            rebuilt[p] = rebuilt.get(p, 0.0) + c
+        ident = PauliString("II")
+        rebuilt[ident] = rebuilt.get(ident, 0.0) + phase
+        if HamExpansion(2, rebuilt) != unit:
+            raise HamrcError("recipe reassembly does not reproduce the target exactly")
+
+    def max_term():
+        r, s, h_rs = max_coupling(drift, (0, 1))
+        div = 4.0 * abs(h_rs)
+        frames = [((0, PAULI_CLIFF[a]), (1, PAULI_CLIFF[b])) for a in ("I", r) for b in ("I", s)]
+        correction = HamExpansion(2, {
+            PauliString(r + "I"): -(drift.coefficient(r + "I") / abs(h_rs)),
+            PauliString("I" + s): -(drift.coefficient("I" + s) / abs(h_rs)),
+        })
+        phase = -(drift.coefficient("II") / abs(h_rs))
+        unit = HamExpansion(2, {PauliString(r + s): h_rs / abs(h_rs)})
+        check(frames, div, correction, phase, unit)
+        return r, s, unit.coefficient(r + s), frames, correction, phase, div
+
+    def pauli_product(a, b, sign):
+        r, s, base_sign, frames, correction, phase, div = max_term()
+        outer = [AXIS_ROTATION[(r, a)], AXIS_ROTATION[(s, b)]]
+        if (sign < 0) != (base_sign < 0):
+            outer[0] = sign_flip_clifford(a).compose(outer[0])
+        frames = [tuple((q, outer[q].compose(c)) for q, c in f) for f in frames]
+        correction = conjugate_by_cliffords(correction, dict(enumerate(outer)))
+        unit = HamExpansion(2, {PauliString(a + b): 1.0 if sign > 0 else -1.0})
+        check(frames, div, correction, phase, unit)
+        return frames, correction, phase, div
+
+    if drift.n != 2 or target.n != 2:
+        raise InvalidTerm("pair compilation expects two-qubit expansions")
+    lam = _proportional_rate(target, drift)
+    if lam is not None:
+        return StepModel(2, drift, (FramedDrift(lam, ()),), 0.0)
+    couplings, local_acc, phase_rate = [], {}, 0.0
+    for p, c in target.items():
+        if p.weight() == 2:
+            couplings.append((c, p.ops[0], p.ops[1]))
+        elif p.weight() == 1:
+            local_acc[p] = local_acc.get(p, 0.0) + c
+        else:
+            phase_rate = c
+    couplings.sort(key=lambda t: (-abs(t[0]), t[1], t[2]))
+    drifts = []
+    for coeff, a, b in couplings:
+        frames, correction, phase, div = pauli_product(a, b, math.copysign(1.0, coeff))
+        mag = abs(coeff)
+        drifts += [FramedDrift(mag / div, f) for f in frames]
+        for p, c in correction.items():
+            local_acc[p] = local_acc.get(p, 0.0) + mag * c
+        phase_rate += mag * phase
+    local = HamExpansion(2, local_acc)
+    factors = ((LocalFactor(local),) if len(local) else ()) + tuple(drifts)
+    return StepModel(2, drift, factors, phase_rate)
+
+
+def _model_key(build, drift, target):
+    """Everything a step model holds, exactly, or the error building it raised."""
+    try:
+        model = build(drift, target)
+    except HamrcError as exc:
+        return type(exc), str(exc)
+    factors = []
+    for f in model.factors:
+        if isinstance(f, LocalFactor):
+            factors.append(("local", f.ham))
+        else:
+            frame = tuple((q, c.images, c.matrix.tobytes()) for q, c in f.frame)
+            factors.append(("drift", f.rate, frame))
+    return model.n, model.drift, tuple(factors), model.phase_rate
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    sample = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
+    # every local parallel to the coupling axes, a negative dominant coupling
+    # and an identity: each correction must be carried through the rotations
+    cluttered = build_expansion(
+        2, [("YX", -0.6), ("YI", 0.4), ("IX", -0.25), ("II", 0.3), ("ZZ", 0.1)]
+    )
+    uncoupled = build_expansion(2, [("XI", 1.0), ("IZ", 0.5)])
+    cases = []
+    for drift in (sample, cluttered):
+        for a in "XYZ":
+            for b in "XYZ":
+                for sign in (1.0, -1.0):
+                    cases.append((drift, build_expansion(2, [(a + b, sign)])))
+        # all nine couplings at one magnitude: order is by axis pair alone
+        ties = [(a + b, (-1.0) ** i) for i, (a, b) in enumerate(
+            (a, b) for a in "XYZ" for b in "XYZ")]
+        cases.append((drift, build_expansion(2, ties + [("ZI", 0.2), ("II", -0.4)])))
+    cases.append((sample, build_expansion(2, [("ZI", 0.5), ("XZ", 1.0), ("ZZ", 0.5)])))
+    cases.append((uncoupled, build_expansion(2, [("YI", 0.3), ("IX", -0.2), ("II", 1.0)])))
+    cases.append((uncoupled, build_expansion(2, [("ZY", 1.0)])))
+    for _ in range(60):
+        drift = random_two_body(2, rng, coupling_density=0.7, local_density=0.7)
+        target = random_two_body(2, rng, coupling_density=0.9, local_density=0.7)
+        cases.append((drift, target))
+        cases.append((random_coupled_pair(rng), target))
+    return cases
+
+
+def test_step_model_matches_the_recipe_reference():
+    cases = _reference_cases()
+    outcomes = set()
+    for drift, target in cases:
+        got = _model_key(step_model, drift, target)
+        assert got == _model_key(_reference_step_model, drift, target), (drift, target)
+        outcomes.add(got[0] if isinstance(got[0], type) else "model")
+    assert outcomes == {"model", NotCoupled}
+
+
+def test_reassembly_check_catches_a_wrong_rotation(sample_drift, monkeypatch):
+    # X -> Y instead of X -> Z: the frames rebuild Y(x)Z, not the target
+    monkeypatch.setitem(AXIS_ROTATION, ("X", "Z"), CLIFF_S)
+    with pytest.raises(HamrcError, match="reassembly"):
+        step_model(sample_drift, build_expansion(2, [("ZZ", 1.0)]))
 
 
 def test_step_model_shapes(sample_drift):
