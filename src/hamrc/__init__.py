@@ -14,7 +14,6 @@ from .bounds import (
     ErrorPlan,
     chained_rate,
     coupling_ratio,
-    global_bound,
     plan_steps,
 )
 from .cliffords import (
@@ -115,7 +114,7 @@ __all__ = [
     "cnot_generator", "dense_of_expansion",
     "dense_of_pauli", "distance", "embed", "evaluate_schedule",
     "exchange_generator", "expm_hermitian", "filter_support", "format_report",
-    "global_bound", "is_entangling", "isolate_principal", "max_coupling",
+    "is_entangling", "isolate_principal", "max_coupling",
     "operator_norm", "pair_step_model", "parse_hamfile", "parse_schedule",
     "phase_match", "plan_steps", "project_to_sites", "route",
     "serialize_hamfile", "serialize_schedule", "sign_flip_clifford",

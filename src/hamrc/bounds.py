@@ -25,8 +25,6 @@ GLOBAL_BOUND_C = 1.0e4
 #: step counts above this are refused as impractical
 MAX_PLAN_STEPS = 2**22
 
-PLAN_KINDS = ("first_order_cnot", "second_order_cnot", "global", "chained", "empirical")
-
 
 @dataclass(frozen=True)
 class ErrorPlan:
@@ -34,8 +32,7 @@ class ErrorPlan:
 
     ``steps * delta`` always equals the total time to 1e-12, and the
     predicted error is non-increasing in the step count for every
-    analytic kind.  Empirical plans carry the measured error instead and
-    are flagged non-analytic.
+    analytic kind.  Empirical plans carry the measured error instead.
     """
 
     bound: str
@@ -44,7 +41,6 @@ class ErrorPlan:
     delta: float
     t: float
     predicted_error: float
-    analytic: bool = True
     constants: dict[str, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -54,6 +50,10 @@ class ErrorPlan:
             raise InvalidTerm("steps * delta must reproduce the total time")
         if self.predicted_error < 0:
             raise InvalidTerm("predicted error must be non-negative")
+
+    @property
+    def analytic(self) -> bool:
+        return self.bound != "empirical"
 
 
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -188,7 +188,7 @@ def second_order_rate(model) -> float:
     return sum(reversed(defects), 0.0)
 
 
-def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
+def chained_rate(model, order: int) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
     ``model`` is a step model: its ``drift`` ``H`` and its ordered
@@ -202,7 +202,7 @@ def chained_rate(model, order: int, *, dense_cap: int | None = None) -> float:
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
-    check_dense_cap(model.n, dense_cap)
+    check_dense_cap(model.n)
     if order == 1:
         return first_order_rate(model)
     return second_order_rate(model)
@@ -213,8 +213,12 @@ def coupling_ratio(drift: HamExpansion, target: HamExpansion) -> float:
 
     ``h`` and ``k`` are the largest coefficient magnitudes of the drift
     and target expansions and the denominator is the drift's strongest
-    coupling term.
+    coupling term.  A target with no coupling term needs no drift coupling:
+    its step model holds only local factors or the bare drift, so it is
+    exact and ``D`` is 0.
     """
+    if not any(p.weight() == 2 for p in target.terms):
+        return 0.0
     h = max((abs(c) for _, c in drift.items()), default=0.0)
     k = max((abs(c) for _, c in target.items()), default=0.0)
     coupling = max(
@@ -225,119 +229,41 @@ def coupling_ratio(drift: HamExpansion, target: HamExpansion) -> float:
     return abs(h * k / coupling)
 
 
-def global_bound(
-    drift: HamExpansion,
-    target: HamExpansion,
-    t: float,
-    delta: float,
-    C: float = GLOBAL_BOUND_C,
-) -> float:
-    """Coarse closed-form bound ``C * D^2 * t * delta`` for first order.
-
-    The constant is deliberately loose; the bound exists to give an
-    a-priori budget without any dense computation.
-    """
-    d_ratio = coupling_ratio(drift, target)
-    return C * d_ratio * d_ratio * t * delta
-
-
-def _analytic_cumulative(kind: str, order: int, t: float, constants: dict) -> Callable[[int], float]:
-    if kind == "first_order_cnot":
-        return lambda n: 8.0 * t * (t / n)
-    if kind == "second_order_cnot":
-        return lambda n: 0.5 * t * (t / n) ** 2
-    if kind == "global":
-        C, D = constants["C"], constants["D"]
-        return lambda n: C * D * D * t * (t / n)
-    if kind == "chained":
-        rate = constants["rate"]
-        return lambda n: n * rate * (t / n) ** (order + 1)
-    raise InvalidTerm(f"unknown analytic bound kind {kind!r}")
-
-
-def plan_steps(
-    kind: str,
-    epsilon: float,
-    t: float,
-    *,
-    order: int | None = None,
-    rate: float | None = None,
-    C: float = GLOBAL_BOUND_C,
-    D: float | None = None,
-    measure: Callable[[int], float] | None = None,
-    max_steps: int = MAX_PLAN_STEPS,
-) -> ErrorPlan:
-    """Smallest step count whose bound of the given kind meets ``epsilon``.
-
-    Analytic kinds use their closed forms; ``empirical`` doubles and then
-    bisects on the caller-supplied ``measure(N)`` and records the actual
-    measured error (flagged non-analytic).  Raises :class:`Infeasible`
-    when no admissible step count exists below ``max_steps``.
-    """
-    if kind not in PLAN_KINDS:
-        raise InvalidTerm(f"unknown bound kind {kind!r}")
+def _check_budget(epsilon: float, t: float) -> None:
     if not epsilon > 0:
         raise InvalidTerm("error budget must be positive")
     if not t > 0:
         raise InvalidTerm("total time must be positive")
 
-    if kind == "empirical":
-        if measure is None:
-            raise InvalidTerm("empirical planning needs a measure callable")
-        if order is None:
-            raise InvalidTerm("empirical planning needs the order")
-        lo, hi = 0, 1
-        err_hi = measure(hi)
-        while err_hi > epsilon:
-            lo, hi = hi, hi * 2
-            if hi > max_steps:
-                raise Infeasible(
-                    f"measured error still {err_hi:.3e} at {lo} steps"
-                )
-            err_hi = measure(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if measure(mid) <= epsilon:
-                hi = mid
-            else:
-                lo = mid
-        final = measure(hi)
-        return ErrorPlan(
-            bound="empirical",
-            order=order,
-            steps=hi,
-            delta=t / hi,
-            t=t,
-            predicted_error=final,
-            analytic=False,
-        )
 
-    constants: dict[str, float] = {}
-    if kind == "first_order_cnot":
-        order = 1
-    elif kind == "second_order_cnot":
-        order = 2
-    elif kind == "global":
-        order = 1 if order is None else order
-        if order != 1:
-            raise InvalidTerm("the coarse global bound only covers order 1")
-        if D is None:
-            raise InvalidTerm("global bound needs the coupling ratio D")
-        constants = {"C": C, "D": D}
-    elif kind == "chained":
-        if order is None or rate is None:
-            raise InvalidTerm("chained bound needs order and rate")
-        constants = {"rate": rate}
+def plan_steps(
+    bound: str,
+    epsilon: float,
+    t: float,
+    *,
+    order: int,
+    rate: float,
+    max_steps: int = MAX_PLAN_STEPS,
+) -> ErrorPlan:
+    """Smallest step count ``N`` whose bound ``N * rate * (t/N)^(order+1)``
+    meets ``epsilon``.
 
-    cumulative = _analytic_cumulative(kind, order, t, constants)
-    if cumulative(1) <= epsilon:
+    Every analytic bound has this commutator-scaling form (Childs, Su,
+    Tran, Wiebe and Zhu, PRX 11, 011020 (2021)); the kinds differ only in
+    ``rate``, so ``bound`` just labels the plan.  Raises :class:`Infeasible`
+    when no step count up to ``max_steps`` meets the budget.
+    """
+    _check_budget(epsilon, t)
+
+    def cumulative(n: int) -> float:
+        return n * rate * (t / n) ** (order + 1)
+
+    c1 = cumulative(1)
+    if c1 <= epsilon:
         n = 1
     else:
-        # cumulative ~ c / n^p: invert, then nudge for float rounding
-        p = {"first_order_cnot": 1, "second_order_cnot": 2, "global": 1,
-             "chained": order}[kind]
-        c1 = cumulative(1)
-        guess = (c1 / epsilon) ** (1.0 / p)
+        # cumulative = c1 / n^order: invert, then nudge for float rounding
+        guess = (c1 / epsilon) ** (1.0 / order)
         if not guess < max_steps:  # also catches inf pre-ceil
             raise Infeasible(f"needs more than {max_steps} steps")
         n = max(1, math.ceil(guess))
@@ -347,12 +273,36 @@ def plan_steps(
             n += 1
             if n > max_steps:
                 raise Infeasible(f"needs more than {max_steps} steps")
-    return ErrorPlan(
-        bound=kind,
-        order=order,
-        steps=n,
-        delta=t / n,
-        t=t,
-        predicted_error=cumulative(n),
-        constants=constants,
-    )
+    return ErrorPlan(bound, order, n, t / n, t, cumulative(n), {"rate": rate})
+
+
+def plan_empirical(
+    measure: Callable[[int], float],
+    epsilon: float,
+    t: float,
+    *,
+    order: int,
+    max_steps: int = MAX_PLAN_STEPS,
+) -> ErrorPlan:
+    """Smallest step count whose ``measure(N)`` meets ``epsilon``.
+
+    Doubles, then bisects, and records the error measured at the returned
+    count as the plan's prediction.  Raises :class:`Infeasible` when the
+    error still exceeds the budget past ``max_steps``.
+    """
+    _check_budget(epsilon, t)
+    lo, hi = 0, 1
+    err_hi = measure(hi)
+    while err_hi > epsilon:
+        lo, hi = hi, hi * 2
+        if hi > max_steps:
+            raise Infeasible(f"measured error still {err_hi:.3e} at {lo} steps")
+        err_hi = measure(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        err = measure(mid)
+        if err <= epsilon:
+            hi, err_hi = mid, err
+        else:
+            lo = mid
+    return ErrorPlan("empirical", order, hi, t / hi, t, err_hi)

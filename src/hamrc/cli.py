@@ -3,12 +3,14 @@
 Four subcommands: ``check`` validates a drift Hamiltonian and reports
 whether it can entangle the whole register, ``compile`` turns a target
 into a pulse schedule, ``verify`` measures a schedule against its
-target, and ``bound`` prints a step plan without compiling anything.
+target, and ``bound`` prints a step plan without compiling anything; an
+analytic plan reports the ``rate`` of its bound ``N * rate * (t/N)^(order+1)``.
 
 Exit codes: 0 success, 2 malformed input, 3 structurally impossible
 (not entangling, pair not coupled, no route), 4 infeasible or register
 too large for dense work, 5 verification failure.  The dense-evaluation
-cap can be raised with the ``HAMRC_DENSE_CAP`` environment variable.
+cap is set only by the ``HAMRC_DENSE_CAP`` environment variable, read when a
+command is about to build a dense matrix; a malformed value exits 2.
 All output is deterministic for fixed inputs.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import decouple as _decouple
@@ -50,16 +51,6 @@ _EXIT_CODES = (
     ((ParseError, NotTwoBody, NotHermitian, InvalidTerm, InvalidStep, DimMismatch), 2),
     (HamrcError, 1),
 )
-
-
-def _dense_cap() -> int | None:
-    raw = os.environ.get("HAMRC_DENSE_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidTerm(f"HAMRC_DENSE_CAP must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -155,16 +146,11 @@ def _target(args, drift: HamExpansion) -> tuple[HamExpansion, HamExpansion]:
 
 
 def _cmd_compile(args) -> int:
-    cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
     if args.gate:
         sched = _synth.compile_cnot(
-            drift,
-            steps=args.steps,
-            epsilon=args.epsilon,
-            order=order,
-            dense_cap=cap,
+            drift, steps=args.steps, epsilon=args.epsilon, order=order
         )
     else:
         target, _ = _target(args, drift)
@@ -172,13 +158,13 @@ def _cmd_compile(args) -> int:
             sched = _synth.compile_schedule(
                 drift, target, args.t,
                 steps=args.steps, epsilon=args.epsilon,
-                order=order, bound=args.bound or "chained", dense_cap=cap,
+                order=order, bound=args.bound or "chained",
             )
         else:
             sched = _routing.compile_remote(
                 drift, *args.pair, target, args.t,
                 steps=args.steps, epsilon=args.epsilon,
-                order=order, bound=args.bound, dense_cap=cap,
+                order=order, bound=args.bound,
             )
 
     text = serialize_schedule(sched)
@@ -191,22 +177,21 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _goal_matrix(args, drift: HamExpansion, cap: int | None):
+def _goal_matrix(args, drift: HamExpansion):
     if args.gate:
         if drift.n != 2:
             raise InvalidTerm("the built-in gate target lives on two qubits")
         return _synth.CNOT_MATRIX
     _, target = _target(args, drift)
-    check_dense_cap(target.n, cap)
+    check_dense_cap(target.n)
     return expm_hermitian(dense_of_expansion(target), args.t)
 
 
 def _cmd_verify(args) -> int:
-    cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
     sched = parse_schedule(_read(args.schedule))
-    goal = _goal_matrix(args, drift, cap)
-    w = evaluate_schedule(sched, drift, dense_cap=cap)
+    goal = _goal_matrix(args, drift)
+    w = evaluate_schedule(sched, drift)
     err = distance(goal, w, phase_align=not args.strict)
 
     tolerance = args.tolerance
@@ -237,7 +222,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     """Plan on the step model ``compile`` would build for the same input."""
-    cap = _dense_cap()
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
     if args.gate:
@@ -250,9 +234,7 @@ def _cmd_bound(args) -> int:
             model = _synth.step_model(drift, target)
         else:
             model = _decouple.pair_step_model(drift, tuple(args.pair), pair_target)
-    plan = _synth.plan_for_model(
-        model, target, t, args.epsilon, order, bound, cap, C=args.C
-    )
+    plan = _synth.plan_for_model(model, target, t, args.epsilon, order, bound, C=args.C)
     items: list[tuple[str, object]] = [
         ("command", "bound"),
         ("bound", plan.bound),

@@ -209,7 +209,6 @@ def compile_on_pair(
     epsilon: float | None = None,
     order: int = 1,
     bound: str = "chained",
-    dense_cap: int | None = None,
 ) -> Schedule:
     """Schedule approximating ``exp(-i K t)`` for a pair target ``K``
     embedded in an n-qubit register, using only the n-qubit drift and
@@ -223,5 +222,4 @@ def compile_on_pair(
         epsilon=epsilon,
         order=order,
         bound=bound,
-        dense_cap=dense_cap,
     )

@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, TooLarge
+from .errors import DimMismatch, InvalidTerm, NotHermitian, TooLarge
 from .pauli import HamExpansion, PauliString
 
 HERMITIAN_TOL = 1e-10
-#: largest register built densely unless the caller raises the cap
+#: largest register built densely unless ``HAMRC_DENSE_CAP`` sets another cap
 DEFAULT_DENSE_CAP = 10
 
 PAULI_MATS = {
@@ -51,13 +52,19 @@ PAULI_MATS = {
 }
 
 
-def check_dense_cap(n: int, dense_cap: int | None = None) -> None:
+def check_dense_cap(n: int) -> None:
     """Refuse, with :class:`TooLarge`, to build an ``n``-qubit register densely
-    above the cap (``DEFAULT_DENSE_CAP`` unless ``dense_cap`` is given).
+    above the cap: ``HAMRC_DENSE_CAP`` when set, else ``DEFAULT_DENSE_CAP``.
 
-    Call it before the first dense build, so a refusal costs nothing.
+    This is the one place the cap is read; a malformed value raises
+    :class:`InvalidTerm`.  Call it before the first dense build, so a
+    refusal costs nothing.
     """
-    cap = DEFAULT_DENSE_CAP if dense_cap is None else dense_cap
+    raw = os.environ.get("HAMRC_DENSE_CAP")
+    try:
+        cap = DEFAULT_DENSE_CAP if raw is None else int(raw)
+    except ValueError:
+        raise InvalidTerm(f"HAMRC_DENSE_CAP must be an integer, got {raw!r}") from None
     if n > cap:
         raise TooLarge(f"{n} qubits exceeds dense cap {cap}")
 

@@ -73,7 +73,6 @@ def compile_remote(
     epsilon: float | None = None,
     order: int = 1,
     bound: str | None = None,
-    dense_cap: int | None = None,
 ) -> Schedule:
     """Schedule approximating ``exp(-i K t)`` for a pair target on
     register sites ``src`` and ``dst``, routed when the drift does not
@@ -99,7 +98,7 @@ def compile_remote(
     def segment(k: int, l: int, target: HamExpansion, time: float, **count) -> Schedule:
         return _decouple.compile_on_pair(
             drift, (k, l), target, time,
-            order=order, bound=bound, dense_cap=dense_cap, **count,
+            order=order, bound=bound, **count,
         )
 
     if hops == 1:

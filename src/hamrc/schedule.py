@@ -232,9 +232,7 @@ def _product_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], i
     return list(nodes), level[0]
 
 
-def evaluate_schedule(
-    sched: Schedule, drift: HamExpansion, *, dense_cap: int | None = None
-) -> np.ndarray:
+def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
     """Dense unitary implemented by a schedule under the given drift.
 
     The result is the operator-ordered product of the instruction
@@ -244,7 +242,7 @@ def evaluate_schedule(
     duration or layer is built once.  Raises :class:`TooLarge` when the
     register exceeds the dense cap (default 10 qubits).
     """
-    check_dense_cap(sched.n, dense_cap)
+    check_dense_cap(sched.n)
     if drift.n != sched.n:
         raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
 

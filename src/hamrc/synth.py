@@ -261,22 +261,22 @@ def emit_step(
 
 
 def _make_measure(
-    model: StepModel,
-    target: HamExpansion,
-    t: float,
-    order: int,
-    dense_cap: int | None,
+    model: StepModel, target: HamExpansion, t: float, order: int
 ) -> Callable[[int], float]:
-    check_dense_cap(model.n, dense_cap)
+    check_dense_cap(model.n)
     goal = expm_hermitian(dense_of_expansion(target), t)
 
     def measure(n_steps: int) -> float:
         instructions, phase = emit_step(model, t / n_steps, order)
         frag = Schedule(model.n, tuple(instructions), phase)
-        w = evaluate_schedule(frag, model.drift, dense_cap=dense_cap)
+        w = evaluate_schedule(frag, model.drift)
         return distance(goal, np.linalg.matrix_power(w, n_steps), phase_align=True)
 
     return measure
+
+
+#: drift-blind CNOT plans: bound kind -> (order, rate)
+_CNOT_RATES = {"first_order_cnot": (1, 8.0), "second_order_cnot": (2, 0.5)}
 
 
 def plan_for_model(
@@ -286,31 +286,34 @@ def plan_for_model(
     epsilon: float,
     order: int,
     bound: str,
-    dense_cap: int | None = None,
     *,
     C: float = _bounds.GLOBAL_BOUND_C,
 ) -> _bounds.ErrorPlan:
     """Step plan for a prepared model under the requested bound kind.
 
     ``target`` is the evolution the model approximates, on the model's
-    register; ``C`` is the constant of the coarse global bound.
+    register; ``C`` is the constant of the coarse global bound.  Every
+    analytic kind is ``plan_steps`` at its own rate: ``chained_rate`` of
+    the model, ``C * D^2`` at order 1 for ``global``, and a fixed
+    order and rate for each CNOT kind.  This is the one place a plan is
+    chosen by bound kind.
     """
     if bound == "chained":
-        rate = _bounds.chained_rate(model, order, dense_cap=dense_cap)
-        return _bounds.plan_steps("chained", epsilon, t, order=order, rate=rate)
+        rate = _bounds.chained_rate(model, order)
+        return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate)
     if bound == "global":
         d_ratio = _bounds.coupling_ratio(model.drift, target)
-        return _bounds.plan_steps("global", epsilon, t, order=order, C=C, D=d_ratio)
-    if bound in ("first_order_cnot", "second_order_cnot"):
-        return _bounds.plan_steps(bound, epsilon, t)
+        if order != 1:
+            raise InvalidTerm("the coarse global bound only covers order 1")
+        plan = _bounds.plan_steps(bound, epsilon, t, order=1, rate=C * d_ratio * d_ratio)
+        plan.constants.update(C=C, D=d_ratio)
+        return plan
+    if bound in _CNOT_RATES:
+        order, rate = _CNOT_RATES[bound]
+        return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate)
     if bound == "empirical":
-        return _bounds.plan_steps(
-            "empirical",
-            epsilon,
-            t,
-            order=order,
-            measure=_make_measure(model, target, t, order, dense_cap),
-        )
+        measure = _make_measure(model, target, t, order)
+        return _bounds.plan_empirical(measure, epsilon, t, order=order)
     raise InvalidStep(f"unknown bound kind {bound!r}")
 
 
@@ -323,7 +326,6 @@ def _repeat_steps(
     epsilon: float | None,
     order: int,
     bound: str,
-    dense_cap: int | None,
 ) -> Schedule:
     """Schedule approximating ``exp(-i target t)`` by repeating one step.
 
@@ -338,7 +340,7 @@ def _repeat_steps(
         raise InvalidStep("pass exactly one of steps and epsilon")
     plan = None
     if epsilon is not None:
-        plan = plan_for_model(model, target, t, epsilon, order, bound, dense_cap)
+        plan = plan_for_model(model, target, t, epsilon, order, bound)
         steps = plan.steps
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
@@ -364,7 +366,6 @@ def compile_schedule(
     epsilon: float | None = None,
     order: int = 1,
     bound: str = "chained",
-    dense_cap: int | None = None,
 ) -> Schedule:
     """Full schedule approximating ``exp(-i target t)`` on two qubits.
 
@@ -380,7 +381,6 @@ def compile_schedule(
         epsilon=epsilon,
         order=order,
         bound=bound,
-        dense_cap=dense_cap,
     )
 
 
@@ -400,7 +400,6 @@ def compile_cnot(
     steps: int | None = None,
     epsilon: float | None = None,
     order: int = 2,
-    dense_cap: int | None = None,
     self_check: bool = True,
 ) -> Schedule:
     """Schedule realizing a CNOT (control qubit 0) from the drift.
@@ -418,7 +417,6 @@ def compile_cnot(
         epsilon=epsilon,
         order=order,
         bound=cnot_bound(order),
-        dense_cap=dense_cap,
     )
     lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
     trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
@@ -435,7 +433,7 @@ def compile_cnot(
     if self_check and sched.plan is not None:
         achieved = distance(
             CNOT_MATRIX,
-            evaluate_schedule(sched, drift, dense_cap=dense_cap),
+            evaluate_schedule(sched, drift),
             phase_align=True,
         )
         if achieved > sched.plan.predicted_error:

@@ -27,15 +27,13 @@ from hamrc import (
     evaluate_schedule,
     expm_hermitian,
     filter_support,
-    global_bound,
     is_entangling,
     isolate_principal,
     operator_norm,
-    plan_steps,
 )
 from hamrc.routing import SWAP_TIME, exchange_generator
 from hamrc.schedule import Schedule
-from hamrc.synth import emit_step, step_model
+from hamrc.synth import CNOT_BODY, emit_step, plan_for_model, step_model
 
 DRIFT2 = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
 
@@ -177,8 +175,9 @@ def test_criterion_08_analytic_bounds_are_sound():
     done = _stopwatch(10.0)
     t = math.pi / 4.0
 
+    cnot_model = step_model(DRIFT2, CNOT_BODY)
     for order, kind in ((1, "first_order_cnot"), (2, "second_order_cnot")):
-        plan = plan_steps(kind, 3e-2, t)
+        plan = plan_for_model(cnot_model, CNOT_BODY, t, 3e-2, order, kind)
         sched = compile_cnot(DRIFT2, steps=plan.steps, order=order)
         err = distance(CNOT_MATRIX, evaluate_schedule(sched, DRIFT2))
         assert err <= plan.predicted_error, (kind, err, plan.predicted_error)
@@ -201,7 +200,10 @@ def test_criterion_08_analytic_bounds_are_sound():
     sched = compile_schedule(DRIFT2, target, 1.0, steps=40, order=1)
     goal = expm_hermitian(dense_of_expansion(target), 1.0)
     err = distance(goal, evaluate_schedule(sched, DRIFT2))
-    assert err <= global_bound(DRIFT2, target, 1.0, 1.0 / 40, GLOBAL_BOUND_C)
+    # the global bound C * D^2 * t * delta at 40 steps
+    plan = plan_for_model(step_model(DRIFT2, target), target, 1.0, 1.0, 1, "global")
+    assert plan.constants["C"] == GLOBAL_BOUND_C
+    assert err <= 40 * plan.constants["rate"] * (1.0 / 40) ** 2
     done()
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -19,6 +19,7 @@ from hamrc import (
     GLOBAL_BOUND_C,
     ErrorPlan,
     Infeasible,
+    InvalidStep,
     InvalidTerm,
     NotCoupled,
     TooLarge,
@@ -27,14 +28,14 @@ from hamrc import (
     coupling_ratio,
     dense_of_expansion,
     embed,
-    global_bound,
     operator_norm,
     pair_step_model,
     plan_steps,
 )
-from hamrc.bounds import _factor_matrices
+from hamrc.bounds import _factor_matrices, plan_empirical
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
 from hamrc.synth import (
+    CNOT_BODY,
     FramedDrift,
     LocalFactor,
     StepModel,
@@ -72,10 +73,11 @@ def test_first_order_rate_sees_a_cancelling_tail():
     assert _pairwise_rate(_factor_mats(model)) == pytest.approx(2.0)
 
 
-def test_chained_rate_respects_cap():
+def test_chained_rate_respects_cap(monkeypatch):
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "10")
     with pytest.raises(TooLarge):
-        chained_rate(_model(big, AS_X, AS_X), 1, dense_cap=10)
+        chained_rate(_model(big, AS_X, AS_X), 1)
 
 
 def test_chained_rate_orders():
@@ -135,6 +137,10 @@ def _rate_by_factor_svds(model, order):
     order=st.sampled_from([1, 2]),
     steps=st.integers(1, 40),
 )
+# an exact model: the rate is 0
+@example(n=2, seed=82, field=0.0, order=1, steps=1)
+# tail rate 5.55e-17 from rounding, pairwise rate 0.0
+@example(n=2, seed=530982893, field=0.0, order=1, steps=1)
 def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, field, order, steps):
     rng = np.random.default_rng(seed)
     drift = random_two_body(n, rng, connected=True)
@@ -152,14 +158,19 @@ def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, fie
     want = _rate_by_factor_svds(model, order)
     assert abs(rate - want) <= 1e-12 * want
     if order == 1:
-        # the tail form drops a triangle inequality from the pairwise sum
-        assert rate <= _pairwise_rate(_factor_mats(model)) * (1 + 1e-12)
+        # the tail form drops a triangle inequality from the pairwise sum;
+        # both sides can be 0 in exact arithmetic, so the rounding of the
+        # commutators, at the scale of the squared factor norms, is allowed
+        mats = _factor_mats(model)
+        rounding = 1e-12 * sum(operator_norm(m) for m in mats) ** 2
+        assert rate <= _pairwise_rate(mats) * (1 + 1e-12) + rounding
 
     t = 0.4
-    epsilon = rate * t ** (order + 1) / steps**order * (1 + 1e-9)
+    # an exact model (rate 0) still needs a positive budget
+    epsilon = max(rate * t ** (order + 1) / steps**order * (1 + 1e-9), 1e-12)
     register_target = embed(target, n, pair)
     plan = plan_for_model(model, register_target, t, epsilon, order, "chained")
-    measured = _make_measure(model, register_target, t, order, None)(plan.steps)
+    measured = _make_measure(model, register_target, t, order)(plan.steps)
     assert measured <= plan.predicted_error + 1e-12
 
 
@@ -248,12 +259,19 @@ def test_plan_invariants_and_monotonicity():
     assert n2 <= n1
 
 
+def _cnot_plan(kind, epsilon, order):
+    model = step_model(build_expansion(2, [("ZI", 1.0), ("XZ", 2.0)]), CNOT_BODY)
+    return plan_for_model(model, CNOT_BODY, math.pi / 4.0, epsilon, order, kind)
+
+
 def test_cnot_plan_kinds_fix_their_order():
     t = math.pi / 4.0
-    p1 = plan_steps("first_order_cnot", 1e-3, t)
+    # the requested order is ignored: each kind plans at its own
+    p1 = _cnot_plan("first_order_cnot", 1e-3, 2)
     assert p1.order == 1
     assert p1.predicted_error == pytest.approx(8.0 * t * (t / p1.steps))
-    p2 = plan_steps("second_order_cnot", 1e-3, t)
+    assert p1.constants == {"rate": 8.0}
+    p2 = _cnot_plan("second_order_cnot", 1e-3, 1)
     assert p2.order == 2
     assert p2.steps == 16
     assert p2.predicted_error == pytest.approx(0.5 * t * (t / 16) ** 2)
@@ -266,43 +284,48 @@ def test_global_bound_matches_formula():
     # largest drift coefficient 2, largest target coefficient 1,
     # strongest coupling 2 -> D = 1
     assert coupling_ratio(drift, target) == pytest.approx(1.0)
-    assert global_bound(drift, target, 2.0, 0.1) == pytest.approx(
-        GLOBAL_BOUND_C * 2.0 * 0.1
-    )
-    plan = plan_steps("global", 0.5, 2.0, D=1.0)
+    plan = plan_for_model(step_model(drift, target), target, 2.0, 0.5, 1, "global")
+    # C * D^2 * t * delta at the planned step
+    assert plan.predicted_error == pytest.approx(GLOBAL_BOUND_C * 2.0 * plan.delta)
+    assert plan.constants == {"rate": GLOBAL_BOUND_C, "C": GLOBAL_BOUND_C, "D": 1.0}
     assert plan.bound == "global"
     assert GLOBAL_BOUND_C * 2.0 * plan.delta <= 0.5
     with pytest.raises(NotCoupled):
         coupling_ratio(build_expansion(2, [("XI", 1.0)]), target)
+    # a target with no coupling is exact on any drift
+    assert coupling_ratio(build_expansion(2, [("XI", 1.0)]), build_expansion(2, [("IZ", 0.3)])) == 0.0
 
 
 def test_plan_infeasible_budgets():
     with pytest.raises(Infeasible):
-        plan_steps("first_order_cnot", 1e-30, math.pi / 4.0)
+        _cnot_plan("first_order_cnot", 1e-30, 1)
     with pytest.raises(Infeasible):
         plan_steps("chained", 1e-12, 10.0, order=1, rate=100.0, max_steps=1000)
 
 
 def test_plan_rejects_bad_arguments():
-    with pytest.raises(InvalidTerm):
-        plan_steps("nonsense", 0.1, 1.0)
+    drift = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
+    target = build_expansion(2, [("XX", 1.0)])
+    model = step_model(drift, target)
+    with pytest.raises(InvalidStep):
+        plan_for_model(model, target, 1.0, 0.1, 1, "nonsense")
     with pytest.raises(InvalidTerm):
         plan_steps("chained", -0.1, 1.0, order=1, rate=1.0)
     with pytest.raises(InvalidTerm):
         plan_steps("chained", 0.1, 0.0, order=1, rate=1.0)
-    for kind in ("chained", "empirical"):
+    for bad in ((math.nan, 1.0), (0.1, math.nan)):
         with pytest.raises(InvalidTerm):
-            plan_steps(kind, math.nan, 1.0, order=1, rate=1.0, measure=lambda n: 0.0)
+            plan_steps("chained", *bad, order=1, rate=1.0)
         with pytest.raises(InvalidTerm):
-            plan_steps(kind, 0.1, math.nan, order=1, rate=1.0, measure=lambda n: 0.0)
-    with pytest.raises(InvalidTerm):
+            plan_empirical(lambda n: 0.0, *bad, order=1)
+    with pytest.raises(TypeError):
         plan_steps("chained", 0.1, 1.0, order=1)  # rate missing
-    with pytest.raises(InvalidTerm):
-        plan_steps("global", 0.1, 1.0)  # D missing
+    with pytest.raises(TypeError):
+        plan_steps("global", 0.1, 1.0)  # order and rate missing
     with pytest.raises(InvalidTerm, match="order 1"):
-        plan_steps("global", 0.5, 2.0, D=1.0, order=2)  # first-order formula only
-    with pytest.raises(InvalidTerm):
-        plan_steps("empirical", 0.1, 1.0, order=1)  # measure missing
+        plan_for_model(model, target, 2.0, 0.5, 2, "global")  # first-order formula only
+    with pytest.raises(TypeError):
+        plan_empirical(0.1, 1.0, order=1)  # measure missing
 
 
 def test_empirical_plan_bisects_to_the_smallest_step_count():
@@ -312,7 +335,9 @@ def test_empirical_plan_bisects_to_the_smallest_step_count():
         calls.append(n)
         return 1.0 / n**2
 
-    plan = plan_steps("empirical", 1e-2, 1.0, order=1, measure=measure)
+    plan = plan_empirical(measure, 1e-2, 1.0, order=1)
+    # doubling, then bisection; the error at the answer is not measured again
+    assert calls == [1, 2, 4, 8, 16, 12, 10, 9]
     assert plan.steps == 10
     assert not plan.analytic
     assert plan.predicted_error == pytest.approx(1e-2)
@@ -321,9 +346,7 @@ def test_empirical_plan_bisects_to_the_smallest_step_count():
 
 def test_empirical_plan_gives_up_at_the_cap():
     with pytest.raises(Infeasible):
-        plan_steps(
-            "empirical", 1e-3, 1.0, order=1, measure=lambda n: 1.0, max_steps=64
-        )
+        plan_empirical(lambda n: 1.0, 1e-3, 1.0, order=1, max_steps=64)
 
 
 def test_error_plan_validation():

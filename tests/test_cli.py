@@ -188,6 +188,22 @@ def test_bound_command_prints_plan(files, capsys):
     assert "D 1" in out
 
 
+def test_global_bound_on_an_uncoupled_target_is_exact(files, capsys):
+    drift = files["tmp"] / "uncoupled.ham"
+    drift.write_text("qubits 2\n1 0:Z\n0.5 1:X\n")
+    local = files["tmp"] / "local.ham"
+    local.write_text("qubits 2\n0.3 0:Z\n-0.2 1:X\n")
+    for bound in ("chained", "global"):
+        assert main(["bound", str(drift), "--target", str(local), "--t", "1.0",
+                     "--epsilon", "1e-2", "--bound", bound]) == 0
+        out = capsys.readouterr().out
+        assert "steps 1\n" in out
+        assert "predicted_error 0" in out
+    # a coupled target still needs a coupled drift
+    assert main(["bound", str(drift), "--target", files["zz"], "--t", "1.0",
+                 "--epsilon", "1e-2", "--bound", "global"]) == 3
+
+
 def test_infeasible_budget_exits_4(files, capsys):
     code = main(["bound", files["drift"], "--gate", "cnot",
                  "--epsilon", "1e-30"])
@@ -205,6 +221,21 @@ def test_dense_cap_env_override(files, capsys, monkeypatch):
                  "--tolerance", "0.1"])
     assert code == 4
     assert "dense cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["compile", "verify", "bound"])
+def test_malformed_dense_cap_exits_2(files, capsys, monkeypatch, cmd):
+    sched = files["tmp"] / "pair.hrs"
+    sched.write_text("qubits 2\ndrift 0.1\n")
+    target = ["--target", files["zz"], "--t", "0.5"]
+    argv = {
+        "compile": ["compile", files["drift"], *target, "--epsilon", "1e-2"],
+        "verify": ["verify", files["drift"], str(sched), *target, "--tolerance", "1"],
+        "bound": ["bound", files["drift"], *target, "--epsilon", "1e-2"],
+    }[cmd]
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "ten")
+    assert main(argv) == 2
+    assert "HAMRC_DENSE_CAP must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["verify", "compile"])

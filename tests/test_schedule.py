@@ -107,13 +107,14 @@ def test_canonicalize_keeps_metadata(sample_drift):
     assert abs(canon.total_drift_time() - 0.2) < 1e-15
 
 
-def test_evaluation_respects_dense_cap():
+def test_evaluation_respects_dense_cap(monkeypatch):
     big = build_expansion(11, [("XX" + "I" * 9, 1.0)])
     sched = Schedule(11, (Drift(0.1),))
     with pytest.raises(TooLarge):
         evaluate_schedule(sched, big)
-    # raising the cap explicitly allows it
-    w = evaluate_schedule(sched, big, dense_cap=11)
+    # raising the cap through the environment allows it
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "11")
+    w = evaluate_schedule(sched, big)
     assert unitarity_defect(w) < 1e-10
 
 
