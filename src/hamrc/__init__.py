@@ -10,7 +10,6 @@ precision into a step count.
 
 from .bounds import (
     GLOBAL_BOUND_C,
-    MAX_PLAN_STEPS,
     ErrorPlan,
     chained_rate,
     coupling_ratio,
@@ -30,7 +29,6 @@ from .cliffords import (
     sign_flip_clifford,
 )
 from .decouple import (
-    FrameSet,
     compile_on_pair,
     isolate_principal,
     pair_step_model,
@@ -66,8 +64,6 @@ from .hamio import (
     serialize_schedule,
 )
 from .pauli import (
-    CouplingGraph,
-    EntanglingVerdict,
     HamExpansion,
     PauliString,
     average,
@@ -101,10 +97,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AXIS_ROTATION", "CLIFF_HAD", "CLIFF_ID", "CLIFF_S", "CLIFF_SDG",
-    "CLIFF_XQ", "CLIFF_XQI", "CNOT_MATRIX", "CouplingGraph", "DimMismatch",
-    "Drift", "EntanglingVerdict", "ErrorPlan", "FrameSet", "GLOBAL_BOUND_C",
-    "HamExpansion", "HamrcError", "Infeasible", "InvalidStep", "InvalidTerm",
-    "LocalClifford", "LocalLayer", "MAX_PLAN_STEPS", "NotConnected",
+    "CLIFF_XQ", "CLIFF_XQI", "CNOT_MATRIX", "DimMismatch", "Drift",
+    "ErrorPlan", "GLOBAL_BOUND_C", "HamExpansion", "HamrcError", "Infeasible",
+    "InvalidStep", "InvalidTerm", "LocalClifford", "LocalLayer", "NotConnected",
     "NotCoupled", "NotEntangling", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
     "ParseError", "PauliString", "Schedule", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",

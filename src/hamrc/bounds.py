@@ -160,16 +160,6 @@ def first_order_rate(model) -> float:
     return 0.5 * sum(_commutator_norm(mat, tail) for mat, tail in _tail_splits(model))
 
 
-def second_order_correction(j1_norm: float, j2_norm: float, delta: float) -> float:
-    """Per-step defect of the symmetric splitting of two Hamiltonians.
-
-    ``(1/6) * ||J1|| * ||J2|| * (||J1|| + 2 ||J2||) * delta^3`` bounds
-    ``||exp(-i d J1/2) exp(-i d J2) exp(-i d J1/2) - exp(-i d (J1+J2))||``;
-    multiply by ``t / delta`` for the cumulative version.
-    """
-    return (j1_norm * j2_norm * (j1_norm + 2.0 * j2_norm) / 6.0) * delta**3
-
-
 def second_order_rate(model) -> float:
     """Coefficient c3 with per-step bound c3 * delta^3 for a symmetric step.
 
@@ -183,8 +173,11 @@ def second_order_rate(model) -> float:
     drift_norm = hermitian_norm(dense_of_expansion(model.drift))
     defects = []
     for f, (mat, tail) in zip(reversed(model.factors[:-1]), _tail_splits(model)):
-        norm = f.rate * drift_norm if _is_framed(f) else hermitian_norm(mat)
-        defects.append(second_order_correction(norm, hermitian_norm(tail), 1.0))
+        a = f.rate * drift_norm if _is_framed(f) else hermitian_norm(mat)
+        b = hermitian_norm(tail)
+        # ||A|| ||B|| (||A|| + 2 ||B||) / 6 bounds the symmetric splitting
+        # ||e^{-iA/2} e^{-iB} e^{-iA/2} - e^{-i(A+B)}|| at unit delta
+        defects.append(a * b * (a + 2.0 * b) / 6.0)
     return sum(reversed(defects), 0.0)
 
 

@@ -31,7 +31,7 @@ from .pauli import (
     max_coupling,
     project_to_sites,
 )
-from .schedule import Schedule
+from .schedule import Schedule, canonicalize
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,6 @@ class FrameSet:
     level (duplicate conjugators merge by summing) and always total 1.
     """
 
-    n: int
-    pair: tuple[int, int]
     frames: tuple[tuple[float, PauliString], ...]
     depth: int
 
@@ -68,9 +66,7 @@ def _round_generators(n: int, sites: list[int]) -> tuple[PauliString, PauliStrin
     )
 
 
-def _frame_set(
-    n: int, pair: tuple[int, int], rounds: list[list[int]], depth: int
-) -> FrameSet:
+def _frame_set(n: int, rounds: list[list[int]], depth: int) -> FrameSet:
     """One frame per choice of I, X, Y or Z on each round's sites.
 
     A site's axis is the XOR of the 2-bit codes chosen by the rounds that
@@ -86,7 +82,7 @@ def _frame_set(
                 codes[q] ^= _AXIS_CODE[axis]
         frame = PauliString("".join(_CODE_AXIS[c] for c in codes))
         merged[frame] = merged.get(frame, 0.0) + weight
-    return FrameSet(n, pair, tuple((w, f) for f, w in merged.items()), depth)
+    return FrameSet(tuple((w, f) for f, w in merged.items()), depth)
 
 
 def isolate_principal(
@@ -144,7 +140,7 @@ def isolate_principal(
         raise HamrcError(
             "decoupled drift does not match the pair restriction exactly"
         )  # pragma: no cover
-    return expected, _frame_set(ham.n, pair, rounds, depth)
+    return expected, _frame_set(ham.n, rounds, depth)
 
 
 def expand_step_model(
@@ -214,12 +210,11 @@ def compile_on_pair(
     embedded in an n-qubit register, using only the n-qubit drift and
     local frames.
     """
-    return _synth._repeat_steps(
-        pair_step_model(drift, pair, target_pair),
-        embed(target_pair, drift.n, pair),
-        t,
-        steps=steps,
-        epsilon=epsilon,
-        order=order,
-        bound=bound,
+    return canonicalize(
+        _synth._repeat_steps(
+            pair_step_model(drift, pair, target_pair),
+            embed(target_pair, drift.n, pair),
+            t,
+            steps=steps, epsilon=epsilon, order=order, bound=bound,
+        )
     )

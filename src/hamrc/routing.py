@@ -126,8 +126,8 @@ def compile_remote(
     for piece in pieces:
         instructions += piece.instructions
         phase += piece.phase
-        raw += piece.raw_drift_periods or piece.drift_count()
-        predicted += piece.predicted_error or 0.0
+        raw += piece.raw_drift_periods
+        predicted += piece.predicted_error
     # each swap pulse carries an intrinsic exp(-i pi/4); the out/back pair
     # then composes to a pure phase the target never asked for
     phase += 2.0 * SWAP_TIME * (hops - 1)

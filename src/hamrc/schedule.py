@@ -20,7 +20,7 @@ instruction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
@@ -179,14 +179,7 @@ def canonicalize(sched: Schedule) -> Schedule:
 
     # a layer that cancels out leaves a drift last, so the next drift
     # fuses into it: ``out`` never holds two drifts or two layers in a row
-    return Schedule(
-        sched.n,
-        tuple(out),
-        sched.phase,
-        raw_drift_periods=sched.raw_drift_periods,
-        plan=sched.plan,
-        predicted_error=sched.predicted_error,
-    )
+    return replace(sched, instructions=tuple(out))
 
 
 def intern_instructions(

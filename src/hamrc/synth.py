@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -295,8 +295,9 @@ def plan_for_model(
     register; ``C`` is the constant of the coarse global bound.  Every
     analytic kind is ``plan_steps`` at its own rate: ``chained_rate`` of
     the model, ``C * D^2`` at order 1 for ``global``, and a fixed
-    order and rate for each CNOT kind.  This is the one place a plan is
-    chosen by bound kind.
+    order and rate for each CNOT kind; ``global`` and the CNOT kinds
+    refuse any other order.  This is the one place a plan is chosen by
+    bound kind.
     """
     if bound == "chained":
         rate = _bounds.chained_rate(model, order)
@@ -309,7 +310,9 @@ def plan_for_model(
         plan.constants.update(C=C, D=d_ratio)
         return plan
     if bound in _CNOT_RATES:
-        order, rate = _CNOT_RATES[bound]
+        kind_order, rate = _CNOT_RATES[bound]
+        if order != kind_order:
+            raise InvalidTerm(f"the {bound} bound only covers order {kind_order}")
         return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate)
     if bound == "empirical":
         measure = _make_measure(model, target, t, order)
@@ -327,12 +330,13 @@ def _repeat_steps(
     order: int,
     bound: str,
 ) -> Schedule:
-    """Schedule approximating ``exp(-i target t)`` by repeating one step.
+    """Raw schedule approximating ``exp(-i target t)`` by repeating one step.
 
     ``target`` is the evolution ``model`` was built for, on its register.
     Exactly one of ``steps`` and ``epsilon`` selects the step count; with
     ``epsilon`` the plan comes from the requested bound kind and is
-    attached to the returned schedule.
+    attached to the returned schedule.  The repetition is returned as
+    emitted; each entry point canonicalizes its finished schedule once.
     """
     if not t > 0:
         raise InvalidStep(f"total time must be positive, got {t}")
@@ -345,15 +349,13 @@ def _repeat_steps(
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
     instructions, phase = emit_step(model, t / steps, order)
-    return canonicalize(
-        Schedule(
-            model.n,
-            tuple(instructions) * steps,
-            phase * steps,
-            raw_drift_periods=model.raw_drifts_per_step(order) * steps,
-            plan=plan,
-            predicted_error=None if plan is None else plan.predicted_error,
-        )
+    return Schedule(
+        model.n,
+        tuple(instructions) * steps,
+        phase * steps,
+        raw_drift_periods=model.raw_drifts_per_step(order) * steps,
+        plan=plan,
+        predicted_error=None if plan is None else plan.predicted_error,
     )
 
 
@@ -373,14 +375,11 @@ def compile_schedule(
     ``epsilon`` the plan comes from the requested bound kind and is
     attached to the returned schedule.
     """
-    return _repeat_steps(
-        step_model(drift, target),
-        target,
-        t,
-        steps=steps,
-        epsilon=epsilon,
-        order=order,
-        bound=bound,
+    return canonicalize(
+        _repeat_steps(
+            step_model(drift, target), target, t,
+            steps=steps, epsilon=epsilon, order=order, bound=bound,
+        )
     )
 
 
@@ -400,7 +399,6 @@ def compile_cnot(
     steps: int | None = None,
     epsilon: float | None = None,
     order: int = 2,
-    self_check: bool = True,
 ) -> Schedule:
     """Schedule realizing a CNOT (control qubit 0) from the drift.
 
@@ -408,29 +406,23 @@ def compile_cnot(
     sandwiched between the exact local rotations that supply the
     remaining commuting generator terms; the global phase is tracked so
     the result approximates the CNOT matrix itself, not just its ray.
+    A planned schedule is evaluated against the CNOT and refused when it
+    misses its own predicted error.
     """
-    body = compile_schedule(
-        drift,
-        CNOT_BODY,
-        CNOT_TIME,
-        steps=steps,
-        epsilon=epsilon,
-        order=order,
-        bound=cnot_bound(order),
+    body = _repeat_steps(
+        step_model(drift, CNOT_BODY), CNOT_BODY, CNOT_TIME,
+        steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),
     )
     lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
     trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
     sched = canonicalize(
-        Schedule(
-            2,
-            (lead,) + body.instructions + (trail,),
-            body.phase + CNOT_TIME,
-            raw_drift_periods=body.raw_drift_periods,
-            plan=body.plan,
-            predicted_error=body.predicted_error,
+        replace(
+            body,
+            instructions=(lead, *body.instructions, trail),
+            phase=body.phase + CNOT_TIME,
         )
     )
-    if self_check and sched.plan is not None:
+    if sched.plan is not None:
         achieved = distance(
             CNOT_MATRIX,
             evaluate_schedule(sched, drift),

@@ -266,15 +266,19 @@ def _cnot_plan(kind, epsilon, order):
 
 def test_cnot_plan_kinds_fix_their_order():
     t = math.pi / 4.0
-    # the requested order is ignored: each kind plans at its own
-    p1 = _cnot_plan("first_order_cnot", 1e-3, 2)
+    # each kind plans only at its own order and refuses the other
+    p1 = _cnot_plan("first_order_cnot", 1e-3, 1)
     assert p1.order == 1
     assert p1.predicted_error == pytest.approx(8.0 * t * (t / p1.steps))
     assert p1.constants == {"rate": 8.0}
-    p2 = _cnot_plan("second_order_cnot", 1e-3, 1)
+    with pytest.raises(InvalidTerm):
+        _cnot_plan("first_order_cnot", 1e-3, 2)
+    p2 = _cnot_plan("second_order_cnot", 1e-3, 2)
     assert p2.order == 2
     assert p2.steps == 16
     assert p2.predicted_error == pytest.approx(0.5 * t * (t / 16) ** 2)
+    with pytest.raises(InvalidTerm):
+        _cnot_plan("second_order_cnot", 1e-3, 1)
     assert p2.steps < p1.steps
 
 

@@ -48,6 +48,8 @@ from hamrc import (
 )
 from hamrc.bounds import _factor_matrices
 from hamrc.synth import (
+    CNOT_BODY,
+    CNOT_TIME,
     FramedDrift,
     LocalFactor,
     StepModel,
@@ -391,6 +393,38 @@ def test_compile_cnot_self_check_catches_bad_plans(sample_drift, monkeypatch):
     monkeypatch.setattr(synth_mod, "plan_for_model", lying_plan)
     with pytest.raises(VerificationFailure):
         compile_cnot(sample_drift, epsilon=1e-3, order=2)
+
+
+@pytest.mark.parametrize("count", [{"epsilon": 1e-3}, {"steps": 8}])
+def test_compile_cnot_canonicalizes_once(sample_drift, monkeypatch, count):
+    import hamrc.synth as synth_mod
+
+    real = synth_mod.canonicalize
+    calls = []
+
+    def counting(sched):
+        calls.append(len(sched.instructions))
+        return real(sched)
+
+    monkeypatch.setattr(synth_mod, "canonicalize", counting)
+    sched = compile_cnot(sample_drift, order=2, **count)
+    assert len(calls) == 1
+    assert distance(CNOT_MATRIX, evaluate_schedule(sched, sample_drift)) < 5e-3
+
+
+def test_cnot_plan_kind_at_the_other_order_is_refused(sample_drift):
+    # an order-2 plan (5 steps, predicted 9.69e-3) under an order-1 body
+    # would miss the target by 5.56e-2
+    with pytest.raises(InvalidTerm):
+        compile_schedule(
+            sample_drift, CNOT_BODY, CNOT_TIME,
+            epsilon=1e-2, order=1, bound="second_order_cnot",
+        )
+    with pytest.raises(InvalidTerm):
+        compile_schedule(
+            sample_drift, CNOT_BODY, CNOT_TIME,
+            epsilon=1e-2, order=2, bound="first_order_cnot",
+        )
 
 
 def test_negative_dominant_coupling_still_works():
