@@ -56,6 +56,12 @@ class ErrorPlan:
         return self.bound != "empirical"
 
 
+#: a measured error may exceed a recorded ``predicted_error`` by this much:
+#: the schedule that is checked rounds differently from the one that was
+#: planned, and an exact plan predicts 0 for a product that rounds to ~1e-15
+ROUNDING = 1e-12
+
+
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``||[a, b]||`` of Hermitian ``a`` and ``b``.
 

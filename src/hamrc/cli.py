@@ -23,7 +23,7 @@ import sys
 from . import decouple as _decouple
 from . import routing as _routing
 from . import synth as _synth
-from .bounds import GLOBAL_BOUND_C
+from .bounds import GLOBAL_BOUND_C, ROUNDING
 from .dense import check_dense_cap, dense_of_expansion, distance, expm_hermitian
 from .errors import (
     DimMismatch,
@@ -196,11 +196,9 @@ def _cmd_verify(args) -> int:
 
     tolerance = args.tolerance
     if tolerance is None:
-        tolerance = sched.predicted_error
-    if tolerance is None:
-        raise InvalidStep(
-            "schedule carries no error budget; pass --tolerance"
-        )
+        if sched.predicted_error is None:
+            raise InvalidStep("schedule carries no error budget; pass --tolerance")
+        tolerance = sched.predicted_error + ROUNDING
     ok = err <= tolerance
     report = format_report(
         [
@@ -296,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["chained", "global", "empirical"],
                         help="bound kind used to plan steps from --epsilon "
                         "(default: chained, or empirical when routing; "
-                        "refused with --gate)")
+                        "refused with --gate and with --steps)")
     p_comp.add_argument("--out", default=None, help="write the schedule here")
     p_comp.add_argument("--report", default=None, help="write a report here")
     p_comp.set_defaults(fn=_cmd_compile)
@@ -306,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("schedule")
     _add_target_opts(p_ver, with_steps=False, with_order=False)
     p_ver.add_argument("--tolerance", type=_finite, default=None,
-                       help="acceptance threshold (default: the schedule's budget)")
+                       help="acceptance threshold (default: the schedule's "
+                       "budget plus a 1e-12 rounding allowance)")
     p_ver.add_argument("--strict", action="store_true",
                        help="compare without aligning the global phase")
     p_ver.add_argument("--report", default=None, help="write the report here")
@@ -340,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if getattr(args, "gate", None) and getattr(args, "bound", None) is not None:
         print("error: --gate plans its own bound; drop --bound", file=sys.stderr)
+        return 2
+    if getattr(args, "steps", None) is not None and getattr(args, "bound", None) is not None:
+        print("error: --steps plans nothing; drop --bound", file=sys.stderr)
         return 2
     try:
         return args.fn(args)

@@ -129,28 +129,24 @@ def serialize_schedule(sched: Schedule) -> str:
     if sched.predicted_error is not None:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
-    _, seq = intern_instructions(sched.instructions)
-    ids: dict[int, int] = {}  # distinct-instruction index -> layer table id
+    # one record per distinct instruction, layers numbered in order of first
+    # use; the body lists each instruction's record
+    distinct, seq = intern_instructions(sched.instructions)
     table: list[str] = []
-    body: list[str] = []
-    for ins, k in zip(sched.instructions, seq):
+    records: list[str] = []
+    layers = 0
+    for ins in distinct:
         if isinstance(ins, Drift):
-            body.append(f"drift {_fmt(ins.tau)}")
+            records.append(f"drift {_fmt(ins.tau)}")
             continue
-        if k not in ids:
-            ids[k] = len(ids)
-            if not ins.sites():
-                table.append(f"layer {ids[k]}")
-            for site in ins.sites():
-                u = ins.factor(site)
-                reals = " ".join(
-                    f"{_fmt(u[r, c].real)} {_fmt(u[r, c].imag)}"
-                    for r in range(2)
-                    for c in range(2)
-                )
-                table.append(f"layer {ids[k]} {site} {reals}")
-        body.append(f"local {ids[k]}")
-    return "\n".join(out + table + body) + "\n"
+        if not ins.factors:
+            table.append(f"layer {layers}")
+        for site, u in ins.factors.items():
+            reals = " ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in u.flat)
+            table.append(f"layer {layers} {site} {reals}")
+        records.append(f"local {layers}")
+        layers += 1
+    return "\n".join(out + table + [records[k] for k in seq]) + "\n"
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -161,48 +157,44 @@ def parse_schedule(text: str) -> Schedule:
     pending: dict[int, dict[int, np.ndarray]] = {}
     built: dict[int, LocalLayer] = {}
     instructions: list[Instruction] = []
-
-    def finish_layer(layer_id: int, lineno: int) -> LocalLayer:
-        if layer_id not in built:
-            if layer_id not in pending:
-                raise ParseError(f"layer {layer_id} never declared", line=lineno)
-            try:
-                built[layer_id] = LocalLayer(pending[layer_id])
-            except InvalidTerm as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        return built[layer_id]
-
     # ``local`` and ``drift`` records are nearly every line of a long
-    # schedule, and few distinct: each distinct argument is parsed once and
-    # its instruction shared by every record that repeats it
-    uses: dict[str, LocalLayer] = {}
-    drifts: dict[str, Drift] = {}
+    # schedule, and few distinct: each distinct line is parsed once, and its
+    # instruction is shared by every line that repeats it
+    seen: dict[str, Instruction] = {}
 
-    for lineno, tokens in _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        ins = seen.get(raw)
+        if ins is not None:
+            instructions.append(ins)
+            continue
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
         kind, args = tokens[0], tokens[1:]
-        if len(args) == 1 and n is not None and kind in ("local", "drift"):
-            arg = args[0]
-            if kind == "local":
-                layer = uses.get(arg)
-                if layer is None:
-                    layer_id = _parse_int(arg, lineno, "layer id")
-                    layer = uses[arg] = finish_layer(layer_id, lineno)
-                instructions.append(layer)
-            else:
-                drift = drifts.get(arg)
-                if drift is None:
-                    tau = _parse_float(arg, lineno, "drift duration")
-                    try:
-                        drift = drifts[arg] = Drift(tau)
-                    except InvalidTerm as exc:
-                        raise ParseError(str(exc), line=lineno) from None
-                instructions.append(drift)
-        elif n is None:
+        if n is None:
             if kind != "qubits" or len(args) != 1:
                 raise ParseError("expected 'qubits <n>' header", line=lineno)
             n = _parse_int(args[0], lineno, "qubit count")
             if n < 1:
                 raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
+        elif kind == "local" and len(args) == 1:
+            layer_id = _parse_int(args[0], lineno, "layer id")
+            if layer_id not in built:
+                if layer_id not in pending:
+                    raise ParseError(f"layer {layer_id} never declared", line=lineno)
+                try:
+                    built[layer_id] = LocalLayer(pending[layer_id])
+                except InvalidTerm as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+            seen[raw] = built[layer_id]
+            instructions.append(seen[raw])
+        elif kind == "drift" and len(args) == 1:
+            tau = _parse_float(args[0], lineno, "drift duration")
+            try:
+                seen[raw] = Drift(tau)
+            except InvalidTerm as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            instructions.append(seen[raw])
         elif kind == "phase" and len(args) == 1:
             phase = _parse_float(args[0], lineno, "phase")
         elif kind == "periods" and len(args) == 1:

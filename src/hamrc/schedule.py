@@ -110,7 +110,7 @@ class Schedule:
     n: int
     instructions: tuple[Instruction, ...]
     phase: float = 0.0
-    raw_drift_periods: int | None = None
+    raw_drift_periods: int | None = field(default=None, compare=False)
     plan: "ErrorPlan | None" = field(default=None, compare=False)
     predicted_error: float | None = field(default=None, compare=False)
 
@@ -119,14 +119,6 @@ class Schedule:
 
     def total_drift_time(self) -> float:
         return sum(ins.tau for ins in self.instructions if isinstance(ins, Drift))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Schedule)
-            and self.n == other.n
-            and self.phase == other.phase
-            and self.instructions == other.instructions
-        )
 
 
 _LAYER_DROP_TOL = 1e-12
@@ -187,8 +179,10 @@ def intern_instructions(
 ) -> tuple[list[Instruction], list[int]]:
     """Distinct instructions in order of first use, and each one's index.
 
-    Drifts are equal when their durations are, layers when their
-    ``cache_key()`` is; the key is computed once per layer object.
+    Drifts are equal when their durations are, except that ``0.0`` and
+    ``-0.0`` stay apart (a zero is keyed by its sign), so each distinct
+    drift also has one spelling on file; layers are equal when their
+    ``cache_key()`` is, computed once per layer object.
     """
     index: dict[Any, int] = {}
     by_object: dict[int, int] = {}  # id(layer) -> index; ``instructions`` holds them
@@ -196,7 +190,8 @@ def intern_instructions(
     seq: list[int] = []
     for ins in instructions:
         if isinstance(ins, Drift):
-            k = index.setdefault(ins.tau, len(distinct))
+            key = ins.tau or (0, math.copysign(1.0, ins.tau))
+            k = index.setdefault(key, len(distinct))
         else:
             k = by_object.get(id(ins))
             if k is None:

@@ -8,6 +8,7 @@ from hamrc import (
     CLIFF_S,
     HamExpansion,
     LocalClifford,
+    LocalLayer,
     average,
     build_expansion,
     conjugate_by_cliffords,
@@ -57,6 +58,17 @@ def random_two_body(
             ops[j] = "XYZ"[int(rng.integers(3))]
             entries.append(("".join(ops), float(rng.normal()) or 0.5))
     return build_expansion(n, entries)
+
+
+def random_layer(rng: np.random.Generator, n: int) -> LocalLayer:
+    """Haar-random single-qubit factors on a random subset of the ``n`` sites."""
+    factors = {}
+    for q in range(n):
+        if rng.random() < 0.6:
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            u, r = np.linalg.qr(z)
+            factors[q] = u * (np.diag(r) / np.abs(np.diag(r)))
+    return LocalLayer(factors)
 
 
 def random_coupled_pair(rng: np.random.Generator) -> HamExpansion:

@@ -12,6 +12,7 @@ from hamrc import (
     parse_schedule,
     serialize_schedule,
 )
+from hamrc.bounds import ROUNDING
 from hamrc.cli import main
 
 DRIFT = "qubits 2\n1 0:Z\n2 0:X 1:Z\n1 0:Z 1:Z\n"
@@ -400,6 +401,57 @@ def test_gate_rejects_bound_flag(files, capsys, cmd):
     # the CNOT plans its body from its own bound kind, so --bound would be ignored
     argv = [cmd, files["drift"], "--gate", "cnot", "--epsilon", "1e-2",
             "--bound", "empirical"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "drop --bound" in captured.err
+    assert captured.out == ""
+
+
+XZ_PAIR = "qubits 2\n0.7 0:X 1:X\n0.2 0:Z 1:Z\n-0.3 1:Z\n"
+ZZ_ZI = "qubits 2\n1 0:Z 1:Z\n0.3 0:Z\n"
+HALF_XX = "qubits 2\n0.5 0:X 1:X\n"
+
+
+@pytest.mark.parametrize(
+    "drift,target,where,plan",
+    [
+        # an empirical plan records the error of the step power, and the
+        # canonical schedule that verify evaluates rounds differently
+        pytest.param(CHAIN, XZ_PAIR, ["--t", "0.5", "--pair", "0", "1"],
+                     ["--bound", "empirical", "--epsilon", eps, "--order", order],
+                     id=f"empirical-e{eps}-o{order}")
+        for eps in ("1e-2", "7e-3", "5e-3", "3e-3", "2e-3", "1e-3")
+        for order in ("1", "2")
+    ] + [
+        # an exact chained plan predicts 0 for a product that rounds to ~1e-15
+        pytest.param(ZZ_ZI, HALF_XX, ["--t", "1.3"], ["--epsilon", "1e-3"],
+                     id="exact-chained"),
+    ],
+)
+def test_compiled_schedule_passes_verify_within_the_rounding_allowance(
+    tmp_path, capsys, drift, target, where, plan
+):
+    drift_path, target_path = tmp_path / "drift.ham", tmp_path / "target.ham"
+    drift_path.write_text(drift)
+    target_path.write_text(target)
+    sched = tmp_path / "s.hrs"
+    where = ["--target", str(target_path)] + where
+    assert main(["compile", str(drift_path), *where, *plan, "--out", str(sched)]) == 0
+    predicted = parse_schedule(sched.read_text()).predicted_error
+    capsys.readouterr()
+    assert main(["verify", str(drift_path), str(sched), *where]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "pass yes" in lines
+    assert f"tolerance {predicted + ROUNDING:.17g}" in lines
+    # an explicit tolerance is compared as given
+    main(["verify", str(drift_path), str(sched), *where, "--tolerance", repr(predicted)])
+    assert f"tolerance {predicted:.17g}" in capsys.readouterr().out.splitlines()
+
+
+def test_compile_rejects_bound_with_steps(files, capsys):
+    # a --steps compile plans nothing, so the bound kind would be dropped
+    argv = ["compile", files["drift"], "--target", files["zz"], "--t", "1.0",
+            "--steps", "3", "--bound", "global"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "drop --bound" in captured.err

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_two_body
+from conftest import random_layer, random_two_body
 from hamrc import (
     Drift,
     LocalLayer,
@@ -160,6 +162,11 @@ def test_schedule_layer_table_keys_layers_by_value():
         ("qubits 2\ndrift 0.5\ndrift inf\n", 3),
         ("qubits 2\ndrift NaN\n", 2),
         ("qubits 2\nlayer 0 0 1 0 0 0 0 0 1 -inf\n", 2),
+        # a bad record repeated is reported at its first occurrence
+        ("qubits 2\ndrift -0.5\ndrift -0.5\n", 2),
+        ("qubits 2\ndrift 0.5\nlocal 3\nlocal 3\n", 3),
+        ("qubits 2\nlayer 0 0 1 0 0 0 0 0 2 0\nlocal 0\nlocal 0\n", 3),
+        ("drift 0.5\ndrift 0.5\nqubits 2\n", 1),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
@@ -174,6 +181,70 @@ def test_schedule_layer_cannot_grow_after_use():
     with pytest.raises(ParseError) as err:
         parse_schedule(text)
     assert "line 4:" in str(err.value)
+
+
+@st.composite
+def record_schedules(draw):
+    """A repeated step and an unrepeated tail over a few distinct records.
+
+    The pool holds random and identity layers (reused as objects or as
+    value-equal copies) and drifts with both signed zeros.
+    """
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_layer(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    pool += [LocalLayer({}), Drift(0.0), Drift(-0.0)]
+    pool += [Drift(float(t)) for t in rng.uniform(0.0, 1.0, size=draw(st.integers(1, 3)))]
+    picks = st.lists(st.integers(0, len(pool) - 1), max_size=12)
+    step = [pool[i] for i in draw(picks)]
+    instructions = step * draw(st.integers(1, 50))
+    for i in draw(picks):
+        ins = pool[i]
+        if isinstance(ins, LocalLayer) and draw(st.booleans()):
+            ins = LocalLayer(ins.factors)
+        instructions.append(ins)
+    return Schedule(n, tuple(instructions), draw(st.floats(-np.pi, np.pi)))
+
+
+@settings(max_examples=60)
+@given(sched=record_schedules())
+def test_schedule_text_holds_one_record_per_instruction(sched):
+    text = serialize_schedule(sched)
+    back = parse_schedule(text)
+    assert back == sched
+    assert serialize_schedule(back) == text
+    body = [ln for ln in text.splitlines() if ln.split()[0] in ("local", "drift")]
+    assert len(body) == len(sched.instructions) == len(back.instructions)
+    ids: dict[object, str] = {}
+    shared: dict[str, object] = {}
+    for ins, got, line in zip(sched.instructions, back.instructions, body):
+        if isinstance(ins, Drift):
+            # each drift is written from its own duration, signed zero included
+            assert line == "drift %.17g" % ins.tau
+            assert math.copysign(1.0, got.tau) == math.copysign(1.0, ins.tau)
+        else:
+            # layers equal by value share one id, numbered in order of first use
+            assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
+        assert shared.setdefault(line, got) is got
+
+
+def test_schedule_parse_ignores_spelling_of_repeated_records():
+    x_row = "layer 0 0 0 0 1 0 1 0 0 0"
+    text = (
+        f"qubits 1\n{x_row}\n"
+        "local 0\ndrift 0.5\n"
+        "local 0  # again\n  drift   0.5\n"
+        "local 00\ndrift 0.5 # a comment\n"
+        "local 0\ndrift 0.5\n"
+    )
+    ins = parse_schedule(text).instructions
+    x = LocalLayer({0: np.array([[0, 1], [1, 0]], dtype=complex)})
+    assert list(ins) == [x, Drift(0.5)] * 4
+    # every spelling of one layer id names the one layer it declared
+    assert all(ins[k] is ins[0] for k in (2, 4, 6))
+    # a repeated line shares the instruction its first occurrence made
+    assert ins[7] is ins[1]
+    assert ins[3] is not ins[1] and ins[5] is not ins[1]
 
 
 def test_format_report_is_deterministic():

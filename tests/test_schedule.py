@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_body
+from conftest import random_layer, random_two_body
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -192,16 +192,6 @@ def reference_canonicalize(sched):
                     raw_drift_periods=sched.raw_drift_periods)
 
 
-def _random_layer(rng, n):
-    factors = {}
-    for q in range(n):
-        if rng.random() < 0.6:
-            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            u, r = np.linalg.qr(z)
-            factors[q] = u * (np.diag(r) / np.abs(np.diag(r)))
-    return LocalLayer(factors)
-
-
 @st.composite
 def schedules(draw, *, cancelling=False):
     """Schedules over a small pool: ``step * k`` or one unrepeated list.
@@ -213,7 +203,7 @@ def schedules(draw, *, cancelling=False):
     """
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layers = [_random_layer(rng, n) for _ in range(draw(st.integers(1, 4)))]
+    layers = [random_layer(rng, n) for _ in range(draw(st.integers(1, 4)))]
     taus = rng.uniform(0.05, 1.0, size=draw(st.integers(1, 3)))
     pool = layers + [Drift(float(t)) for t in taus]
     if cancelling:
