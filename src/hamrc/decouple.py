@@ -1,31 +1,46 @@
 """Isolate a principal pair of an n-qubit drift by Pauli frame averaging.
 
-Averaging a term over the four frames {identity, all-X, all-Y, all-Z} on
-a set of sites keeps it unchanged when it commutes with all-X and all-Z
-there and cancels it otherwise, so the survivors of each round follow
-from one commutation test and no coefficient is ever recomputed.  The
-first round, on the sites off the pair, cancels every coupling between
-the pair and the rest as well as every local term outside the pair;
-couplings inside the rest survive only when both sites carry the same
-axis.  Splitting the rest into halves and averaging over frames
-supported on the first halves kills cross-half couplings, so recursing
-on the halves leaves nothing outside the pair after at most a
-logarithmic number of rounds.
+Averaging a term over the group generated by a few Pauli strings keeps it
+unchanged when it commutes with every generator and cancels it otherwise,
+so the survivors follow from one commutation test on ``(x, z)`` masks and
+no coefficient is ever recomputed.  The frames are the group's ``2^k``
+elements, each of weight ``2^-k``, so the fewer the generators, the fewer
+framed drifts every later layer handles.  Two generator sets are built and
+the smaller group is used:
+
+* A greedy cover of the drift (Wocjan, Rötteler, Janzing & Beth, PRA 65,
+  042309 (2002)).  While some term off the pair commutes with every chosen
+  generator, add the Pauli string on the sites off the pair that
+  anticommutes with the most such terms.  The search reads all ``4^r``
+  strings on the ``r`` sites off the pair, so it runs for ``r <= 6`` only.
+* The drift-blind halving rounds, all-X and all-Y on a set of sites.  The
+  first round, on the sites off the pair, cancels every coupling between
+  the pair and the rest as well as every local term outside the pair;
+  couplings inside the rest survive only when both sites carry the same
+  axis.  Splitting the rest into halves and averaging over frames
+  supported on the first halves kills cross-half couplings, so recursing
+  on the halves leaves nothing outside the pair after at most a
+  logarithmic number of rounds.
+
+A tie keeps the halving rounds, so the cover only ever removes frames.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from . import synth as _synth
-from .cliffords import PAULI_CLIFF, LocalClifford
+from .cliffords import PAULI_CLIFF
+from .dense import pauli_masks
 from .errors import HamrcError, InvalidTerm
 from .pauli import (
     HamExpansion,
     PauliString,
-    conjugation_sign,
     embed,
     filter_support,
     max_coupling,
@@ -33,22 +48,28 @@ from .pauli import (
 )
 from .schedule import Schedule, canonicalize
 
+#: a Pauli string as its packed ``(x, z)`` masks, qubit 0 the top bit, as
+#: ``dense.pauli_masks`` packs them
+Masks = tuple[int, int]
+
+#: the cover searches every Pauli string on the sites off the pair only up
+#: to this many strings, i.e. six sites
+MAX_COVER_CANDIDATES = 4096
+
 
 @dataclass(frozen=True)
 class FrameSet:
     """Weighted Pauli conjugators whose average isolates the pair.
 
-    ``depth`` counts the block-splitting rounds applied after the first
-    principal-versus-rest round.  Weights are uniform per construction
-    level (duplicate conjugators merge by summing) and always total 1.
+    The frames are the ``2^k`` elements of the group some generators span,
+    each of weight ``2^-k``, in binary-counting order: frame ``i`` is the
+    product of the generators whose bit is set in ``i``.  ``depth`` counts
+    the halving rounds applied after the first principal-versus-rest round;
+    it is 0 when the generators come from the greedy cover.
     """
 
     frames: tuple[tuple[float, PauliString], ...]
     depth: int
-
-
-_AXIS_CODE = {"I": 0, "X": 1, "Z": 2, "Y": 3}
-_CODE_AXIS = "IXZY"
 
 
 def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
@@ -58,69 +79,46 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
-def _round_generators(n: int, sites: list[int]) -> tuple[PauliString, PauliString]:
-    """All-X and all-Z on ``sites``; the round's frames are the group they generate."""
-    return tuple(
-        PauliString("".join(axis if q in sites else "I" for q in range(n)))
-        for axis in "XZ"
-    )
+def _anticommutes(term: Masks, gen: Masks) -> bool:
+    return ((term[0] & gen[1]) ^ (term[1] & gen[0])).bit_count() % 2 == 1
 
 
-def _frame_set(n: int, rounds: list[list[int]], depth: int) -> FrameSet:
-    """One frame per choice of I, X, Y or Z on each round's sites.
+def _site_mask(n: int, sites: Iterable[int]) -> int:
+    return sum(1 << (n - 1 - q) for q in sites)
 
-    A site's axis is the XOR of the 2-bit codes chosen by the rounds that
-    contain it, which is the Pauli product up to a phase that conjugation
-    ignores.  Repeated frames merge by summing weights, in first-seen order.
+
+def _halving_generators(
+    n: int, terms: list[Masks], rest: list[int], limit: float
+) -> tuple[list[Masks], int] | None:
+    """All-X and all-Y on each halving round's sites, and the rounds' depth,
+    or None once the rounds need more than ``limit`` generators.
+
+    Rounds continue while a surviving term couples two sites of one block;
+    the survivor check is symbolic, so they stop as soon as the drift is
+    clean rather than after a worst-case count.  The last round comes
+    first, so the frames run through each round's I, X, Y, Z with the
+    first round slowest.
     """
-    weight = 0.25 ** len(rounds)
-    merged: dict[PauliString, float] = {}
-    for choice in product("IXYZ", repeat=len(rounds)):
-        codes = [0] * n
-        for axis, sites in zip(choice, rounds):
-            for q in sites:
-                codes[q] ^= _AXIS_CODE[axis]
-        frame = PauliString("".join(_CODE_AXIS[c] for c in codes))
-        merged[frame] = merged.get(frame, 0.0) + weight
-    return FrameSet(tuple((w, f) for f, w in merged.items()), depth)
-
-
-def isolate_principal(
-    ham: HamExpansion, pair: tuple[int, int]
-) -> tuple[HamExpansion, FrameSet]:
-    """Frame set whose average leaves exactly the pair-restricted drift.
-
-    The first round acts on every site off the pair.  Then the remaining
-    sites split into halves and rounds continue while any surviving
-    coupling lies inside a block; the survivor check is symbolic, so
-    rounds stop as soon as the expansion is clean rather than after a
-    worst-case count.
-    """
-    _check_pair(ham.n, pair)
-    if not ham.is_two_body():
-        raise InvalidTerm("decoupling expects a two-body drift")
-    rest = [q for q in range(ham.n) if q not in pair]
+    if not rest:
+        return [], 0
     rounds = [rest]
-    survivors = list(ham)
-
-    blocks = [rest] if rest else []
+    blocks = [rest]
+    survivors = terms
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0
-    depth = 0
     while True:
-        x, z = _round_generators(ham.n, rounds[-1])
+        if 2 * len(rounds) > limit:
+            return None
+        s = _site_mask(n, rounds[-1])
         survivors = [
-            p for p in survivors
-            if conjugation_sign(p, x) == conjugation_sign(p, z) == 1
+            t for t in survivors
+            if not (_anticommutes(t, (s, 0)) or _anticommutes(t, (s, s)))
         ]
-        splittable = [b for b in blocks if len(b) > 1]
-        dirty = any(
-            len(set(p.support()) & set(b)) == 2
-            for p in survivors
-            for b in splittable
-        )
-        if not dirty:
+        splittable = [_site_mask(n, b) for b in blocks if len(b) > 1]
+        if not any(
+            ((x | z) & b).bit_count() == 2 for x, z in survivors for b in splittable
+        ):
             break
-        if depth >= max_rounds:
+        if len(rounds) > max_rounds:
             raise HamrcError("decoupling failed to terminate")  # pragma: no cover
         halves = []
         fronts: list[int] = []
@@ -133,14 +131,144 @@ def isolate_principal(
             halves.extend([b[:cut], b[cut:]])
         rounds.append(fronts)
         blocks = halves
-        depth += 1
+    generators = []
+    for sites in reversed(rounds):
+        s = _site_mask(n, sites)
+        generators += [(s, 0), (s, s)]
+    return generators, len(rounds) - 1
+
+
+def _bit_set(members: np.ndarray) -> int:
+    """The indices where ``members`` is true, as the bits of one integer."""
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _candidates(n: int, rest: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """Every Pauli string on ``rest``, as bit sets over its index.
+
+    Index ``i`` is the ``i``-th string in canonical ``PauliString`` order:
+    each site runs through I, X, Y, Z, the last site fastest.  For each
+    site's mask bit the map holds the set of strings with an X bit there
+    and the set with a Z bit there.  ``4^|rest| <= MAX_COVER_CANDIDATES``
+    bounds each set to 4096 bits and the cache by the pairs of at most
+    eight qubits.
+    """
+    index = np.arange(4 ** len(rest))
+    sets = {}
+    for j, q in enumerate(reversed(rest)):
+        axis = index >> 2 * j & 3
+        sets[1 << (n - 1 - q)] = (_bit_set((axis == 1) | (axis == 2)), _bit_set(axis >= 2))
+    return sets
+
+
+def _first_most_common(sets: list[int]) -> int:
+    """The lowest index that lies in the most of ``sets``.
+
+    The counts are bit-sliced: plane ``k`` holds bit ``k`` of every index's
+    count, so adding a set is one ripple carry over the planes, and the
+    largest count is found plane by plane from the top.
+    """
+    planes: list[int] = []
+    for carry in sets:
+        for k, plane in enumerate(planes):
+            planes[k], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    top = -1  # every index
+    for plane in reversed(planes):
+        if top & plane:
+            top &= plane
+    return (top & -top).bit_length() - 1
+
+
+def _greedy_cover(n: int, terms: list[Masks], rest: list[int]) -> list[Masks]:
+    """Generators on ``rest`` such that every term anticommutes with one of
+    them, picked greedily.
+
+    Each pick is the candidate that anticommutes with the most terms not
+    yet covered, the first in ``_candidates`` order on a tie.  A term that
+    the picked generators all commute with also commutes with their
+    products, so every pick lies outside the group of the earlier ones:
+    the generators are independent, and there are at most ``2 |rest|``.
+    """
+    sets = _candidates(n, tuple(rest))
+    # a term's X bit on a site anticommutes with a candidate's Z bit there
+    # and vice versa; the term anticommutes when an odd number of them do
+    uncovered = []
+    for x, z in terms:
+        anti = 0
+        for bit, (cx, cz) in sets.items():
+            if x & bit:
+                anti ^= cz
+            if z & bit:
+                anti ^= cx
+        uncovered.append(anti)
+    generators: list[Masks] = []
+    while uncovered:
+        best = _first_most_common(uncovered)
+        generators.append((
+            sum(bit for bit, (cx, _) in sets.items() if cx >> best & 1),
+            sum(bit for bit, (_, cz) in sets.items() if cz >> best & 1),
+        ))
+        uncovered = [anti for anti in uncovered if not anti >> best & 1]
+    return generators
+
+
+def _frame_set(n: int, generators: list[Masks], depth: int) -> FrameSet:
+    """The group the independent ``generators`` span, in binary-counting
+    order, each element of weight ``2^-k``.
+
+    A product of Pauli strings is the XOR of their masks up to a phase
+    that conjugation ignores.
+    """
+    elements = [(0, 0)]
+    for gx, gz in generators:
+        elements += [(x ^ gx, z ^ gz) for x, z in elements]
+    weight = 0.5 ** len(generators)
+    frames = []
+    for x, z in elements:
+        ops = "".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in reversed(range(n)))
+        frames.append((weight, PauliString(ops)))
+    return FrameSet(tuple(frames), depth)
+
+
+def isolate_principal(
+    ham: HamExpansion, pair: tuple[int, int]
+) -> tuple[HamExpansion, FrameSet]:
+    """Frame set whose average leaves exactly the pair-restricted drift.
+
+    The frames come from the greedy cover when it needs fewer generators
+    than the halving rounds, and from the halving rounds otherwise; the
+    rounds stop as soon as they need more than the cover.
+    """
+    _check_pair(ham.n, pair)
+    if not ham.is_two_body():
+        raise InvalidTerm("decoupling expects a two-body drift")
+    n = ham.n
+    rest = [q for q in range(n) if q not in pair]
+    terms = [pauli_masks(p)[:2] for p in ham]
+    cover = None
+    if 4 ** len(rest) <= MAX_COVER_CANDIDATES:
+        off_pair = ~_site_mask(n, pair)
+        cover = _greedy_cover(n, [t for t in terms if (t[0] | t[1]) & off_pair], rest)
+    halving = _halving_generators(
+        n, terms, rest, math.inf if cover is None else len(cover)
+    )
+    generators, depth = (cover, 0) if halving is None else halving
 
     expected = filter_support(ham, pair)
+    survivors = [
+        p for p, t in zip(ham, terms)
+        if not any(_anticommutes(t, g) for g in generators)
+    ]
     if survivors != list(expected):
         raise HamrcError(
             "decoupled drift does not match the pair restriction exactly"
         )  # pragma: no cover
-    return expected, _frame_set(ham.n, rounds, depth)
+    return expected, _frame_set(n, generators, depth)
 
 
 def expand_step_model(
@@ -156,6 +284,11 @@ def expand_step_model(
     the rest, and the rate picks up the frame weight.  Exact local
     factors embed unchanged.
     """
+    # frames are the identity on the pair, so the two layers never overlap
+    frame_layers = [
+        (weight, [(q, PAULI_CLIFF[axis]) for q, axis in enumerate(frame.ops) if axis != "I"])
+        for weight, frame in frames.frames
+    ]
     factors: list[_synth.StepFactor] = []
     for factor in model2.factors:
         if isinstance(factor, _synth.LocalFactor):
@@ -163,17 +296,10 @@ def expand_step_model(
                 _synth.LocalFactor(embed(factor.ham, drift.n, pair))
             )
             continue
-        pair_layer = {pair[q]: cliff for q, cliff in factor.frame}
-        for weight, frame in frames.frames:
-            layer: dict[int, LocalClifford] = dict(pair_layer)
-            for site, axis in enumerate(frame.ops):
-                if axis != "I":
-                    layer[site] = PAULI_CLIFF[axis]
-            factors.append(
-                _synth.FramedDrift(
-                    factor.rate * weight, tuple(sorted(layer.items()))
-                )
-            )
+        pair_layer = [(pair[q], cliff) for q, cliff in factor.frame]
+        for weight, frame_layer in frame_layers:
+            layer = sorted(pair_layer + frame_layer, key=lambda entry: entry[0])
+            factors.append(_synth.FramedDrift(factor.rate * weight, tuple(layer)))
     return _synth.StepModel(drift.n, drift, tuple(factors), model2.phase_rate)
 
 
