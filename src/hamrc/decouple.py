@@ -23,12 +23,16 @@ the smaller group is used:
   logarithmic number of rounds.
 
 A tie keeps the halving rounds, so the cover only ever removes frames.
+``pair_step_model`` then orders the generators so that the product's
+first-order ordering error is the part the pair's own frames cancel best.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -55,6 +59,9 @@ Masks = tuple[int, int]
 #: the cover searches every Pauli string on the sites off the pair only up
 #: to this many strings, i.e. six sites
 MAX_COVER_CANDIDATES = 4096
+
+#: frame orders are compared over every order of at most this many generators
+MAX_ORDERED_GENERATORS = 3
 
 
 @dataclass(frozen=True)
@@ -271,6 +278,113 @@ def isolate_principal(
     return expected, _frame_set(n, generators, depth)
 
 
+@functools.lru_cache(maxsize=None)
+def _order_weights(k: int) -> tuple[tuple[int, ...], ...]:
+    """``w[c][d]``: the weight of a commutator ``[s, t]`` in the first-order
+    ordering error of a product over the ``2^k`` frames in binary-counting
+    order, for terms of characters ``c`` and ``d``.
+
+    Bit ``i`` of a term's character says that it anticommutes with
+    generator ``i``, so frame ``e`` flips its sign when ``c & e`` has odd
+    parity.  The product over the frames errs by ``sum_{a<b} [H_a, H_b]``
+    to leading order, in which ``[s, t]`` enters with
+    ``sum_{a<b} sign_c(a) sign_d(b) - sign_d(a) sign_c(b)``.
+    """
+    sign = [[1 - 2 * ((c & e).bit_count() & 1) for e in range(1 << k)] for c in range(1 << k)]
+    return tuple(
+        tuple(
+            sum(sc[a] * sd[b] - sd[a] * sc[b] for a in range(1 << k) for b in range(a + 1, 1 << k))
+            for sd in sign
+        )
+        for sc in sign
+    )
+
+
+def _ordering_parts(
+    ham: HamExpansion, pair: tuple[int, int], generators: list[Masks], axes: tuple[str, str]
+) -> list[tuple[Masks, int, int, float]]:
+    """The commutators of two drift terms that the pair's frames keep, as
+    ``(masks of s t, character of s, character of t, coefficient)``.
+
+    ``h_s h_t [s, t] / 2i`` is that coefficient times the Pauli string of
+    the masks, for terms ``s`` before ``t`` in the drift with coefficients
+    ``h_s`` and ``h_t``.  Only terms of
+    different characters enter an ordering error, and the pair's frames,
+    I or ``axes[0]`` on the first pair site and I or ``axes[1]`` on the
+    second, average away every product that anticommutes with one of them.
+    """
+    kept_by = [
+        pauli_masks(PauliString.single(ham.n, q, axis))[:2]
+        for q, axis in zip(pair, axes) if axis != "I"
+    ]
+    terms = [(pauli_masks(p)[:2], c) for p, c in ham.items()]
+    chars = [sum(_anticommutes(t, g) << i for i, g in enumerate(generators)) for t, _ in terms]
+    # [s, t] = 2 s t for anticommuting Paulis, and s t is i^power times the
+    # Pauli of the XORed masks, with P(x, z) = i^|x & z| X^x Z^z
+    parts = []
+    for i, ((s, hs), c) in enumerate(zip(terms, chars)):
+        for (t, ht), d in zip(terms[i + 1 :], chars[i + 1 :]):
+            if c == d or not _anticommutes(s, t):
+                continue
+            prod = (s[0] ^ t[0], s[1] ^ t[1])
+            if any(_anticommutes(prod, m) for m in kept_by):
+                continue
+            power = (s[0] & s[1]).bit_count() + (t[0] & t[1]).bit_count()
+            power += 2 * (s[1] & t[0]).bit_count() - (prod[0] & prod[1]).bit_count()
+            parts.append((prod, c, d, hs * ht * (1 if power % 4 == 1 else -1)))
+    return parts
+
+
+def _ordering_error(
+    parts: list[tuple[Masks, int, int, float]], order: tuple[int, ...]
+) -> dict[Masks, float]:
+    """``sum_{a<b} [H_a, H_b] / 2i`` over the kept ``parts``, as Pauli
+    coefficients, for the frames spanned by the generators in ``order``.
+
+    ``H_a`` is the drift in frame ``a`` of the binary-counting order; the
+    characters of ``parts`` are in the bits of the given generators.
+    """
+    weights = _order_weights(len(order))
+    # a character in the bits of the reordered generators
+    recode = [sum((c >> j & 1) << i for i, j in enumerate(order)) for c in range(1 << len(order))]
+    left: defaultdict[Masks, float] = defaultdict(float)
+    for prod, c, d, v in parts:
+        left[prod] += v * weights[recode[c]][recode[d]]
+    return left
+
+
+def _order_frames(
+    ham: HamExpansion, pair: tuple[int, int], frames: FrameSet, axes: tuple[str, str]
+) -> FrameSet:
+    """``frames`` with the generators in the order whose ordering error the
+    pair's own frames leave smallest.
+
+    A product over the framed drifts errs at leading order by the sum of
+    the commutators of each framed drift with the later ones, and which
+    commutators of drift terms that sum keeps depends on the order of the
+    frames.  ``step_model`` frames every target coupling by I or
+    ``axes[0]`` on the first pair site and I or ``axes[1]`` on the second,
+    so the parts that anticommute with those average away; the rest adds
+    up in every step.  Every order of at most ``MAX_ORDERED_GENERATORS``
+    generators is compared by the coefficient 1-norm of what is left, and
+    the given order is kept unless another is clearly smaller.
+    """
+    k = len(frames.frames).bit_length() - 1
+    if not 2 <= k <= MAX_ORDERED_GENERATORS:
+        return frames
+    generators = [pauli_masks(frames.frames[1 << i][1])[:2] for i in range(k)]
+    parts = _ordering_parts(ham, pair, generators, axes)
+    scale = math.fsum(abs(v) for *_, v in parts) * max(map(max, _order_weights(k)))
+    best, best_error = None, math.inf
+    for order in itertools.permutations(range(k)):
+        error = math.fsum(map(abs, _ordering_error(parts, order).values()))
+        if error < best_error - 1e-12 * scale:
+            best, best_error = order, error
+    if best == tuple(range(k)):
+        return frames
+    return _frame_set(ham.n, [generators[j] for j in best], frames.depth)
+
+
 def expand_step_model(
     model2: _synth.StepModel,
     drift: HamExpansion,
@@ -308,17 +422,21 @@ def pair_step_model(
 ) -> _synth.StepModel:
     """n-qubit step model realizing a two-qubit target on the pair.
 
+    The frames that isolate the pair come in the order of
+    ``_order_frames`` for the pair frames of the two-qubit model.
+
     Raises :class:`NotCoupled` naming the register sites when the drift
     has no coupling term on the pair.
     """
     if target_pair.n != 2:
         raise InvalidTerm("the pair target must be a two-qubit expansion")
-    max_coupling(drift, pair)
+    r, s, _ = max_coupling(drift, pair)
     isolated, frames = isolate_principal(drift, pair)
-    drift2 = project_to_sites(isolated, pair)
-    return expand_step_model(
-        _synth.step_model(drift2, target_pair), drift, pair, frames
-    )
+    model2 = _synth.step_model(project_to_sites(isolated, pair), target_pair)
+    # a target proportional to the drift is one bare framed drift
+    if not any(isinstance(f, _synth.FramedDrift) and f.frame for f in model2.factors):
+        r = s = "I"
+    return expand_step_model(model2, drift, pair, _order_frames(drift, pair, frames, (r, s)))
 
 
 def compile_on_pair(
