@@ -5,14 +5,15 @@ unchanged when it commutes with every generator and cancels it otherwise,
 so the survivors follow from one commutation test on ``(x, z)`` masks and
 no coefficient is ever recomputed.  The frames are the group's ``2^k``
 elements, each of weight ``2^-k``, so the fewer the generators, the fewer
-framed drifts every later layer handles.  Two generator sets are built and
-the smaller group is used:
+framed drifts every later layer handles.  Both generator sets below are
+built in full, and the cover is used when it is strictly smaller:
 
 * A greedy cover of the drift (Wocjan, Rötteler, Janzing & Beth, PRA 65,
-  042309 (2002)).  While some term off the pair commutes with every chosen
-  generator, add the Pauli string on the sites off the pair that
-  anticommutes with the most such terms.  The search reads all ``4^r``
-  strings on the ``r`` sites off the pair, so it runs for ``r <= 6`` only.
+  042309 (2002)).  One table holds the commutation test of every term off
+  the pair against every Pauli string on the ``r`` sites off the pair;
+  while a term is left, pick the string that anticommutes with the most
+  of them.  The table has ``4^r`` columns, so the cover runs for
+  ``r <= 6`` only.
 * The drift-blind halving rounds, all-X and all-Y on a set of sites.  The
   first round, on the sites off the pair, cancels every coupling between
   the pair and the rest as well as every local term outside the pair;
@@ -40,16 +41,9 @@ import numpy as np
 
 from . import synth as _synth
 from .cliffords import PAULI_CLIFF
-from .dense import pauli_masks
+from .dense import _parity, pauli_masks
 from .errors import HamrcError, InvalidTerm
-from .pauli import (
-    HamExpansion,
-    PauliString,
-    embed,
-    filter_support,
-    max_coupling,
-    project_to_sites,
-)
+from .pauli import HamExpansion, PauliString, embed, max_coupling, project_to_sites
 from .schedule import Schedule, canonicalize
 
 #: a Pauli string as its packed ``(x, z)`` masks, qubit 0 the top bit, as
@@ -95,14 +89,13 @@ def _site_mask(n: int, sites: Iterable[int]) -> int:
 
 
 def _halving_generators(
-    n: int, terms: list[Masks], rest: list[int], limit: float
-) -> tuple[list[Masks], int] | None:
-    """All-X and all-Y on each halving round's sites, and the rounds' depth,
-    or None once the rounds need more than ``limit`` generators.
+    n: int, terms: list[Masks], rest: list[int]
+) -> tuple[list[Masks], int]:
+    """All-X and all-Y on each halving round's sites, and the rounds' depth.
 
     Rounds continue while a surviving term couples two sites of one block;
-    the survivor check is symbolic, so they stop as soon as the drift is
-    clean rather than after a worst-case count.  The last round comes
+    the survivor check is symbolic, so they end once the drift is clean
+    rather than after a worst-case count.  The last round comes
     first, so the frames run through each round's I, X, Y, Z with the
     first round slowest.
     """
@@ -113,8 +106,6 @@ def _halving_generators(
     survivors = terms
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0
     while True:
-        if 2 * len(rounds) > limit:
-            return None
         s = _site_mask(n, rounds[-1])
         survivors = [
             t for t in survivors
@@ -145,82 +136,47 @@ def _halving_generators(
     return generators, len(rounds) - 1
 
 
-def _bit_set(members: np.ndarray) -> int:
-    """The indices where ``members`` is true, as the bits of one integer."""
-    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
-
-
 @functools.lru_cache(maxsize=None)
-def _candidates(n: int, rest: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """Every Pauli string on ``rest``, as bit sets over its index.
+def _candidates(n: int, rest: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, z)`` masks of every Pauli string on ``rest``.
 
-    Index ``i`` is the ``i``-th string in canonical ``PauliString`` order:
-    each site runs through I, X, Y, Z, the last site fastest.  For each
-    site's mask bit the map holds the set of strings with an X bit there
-    and the set with a Z bit there.  ``4^|rest| <= MAX_COVER_CANDIDATES``
-    bounds each set to 4096 bits and the cache by the pairs of at most
-    eight qubits.
+    Entry ``i`` is the ``i``-th string in canonical ``PauliString`` order:
+    each site runs through I, X, Y, Z, the last site fastest.
+    ``4^|rest| <= MAX_COVER_CANDIDATES`` bounds each array to 4096 entries
+    and the cache by the pairs of at most eight qubits.
     """
     index = np.arange(4 ** len(rest))
-    sets = {}
+    cx, cz = np.zeros_like(index), np.zeros_like(index)
     for j, q in enumerate(reversed(rest)):
         axis = index >> 2 * j & 3
-        sets[1 << (n - 1 - q)] = (_bit_set((axis == 1) | (axis == 2)), _bit_set(axis >= 2))
-    return sets
-
-
-def _first_most_common(sets: list[int]) -> int:
-    """The lowest index that lies in the most of ``sets``.
-
-    The counts are bit-sliced: plane ``k`` holds bit ``k`` of every index's
-    count, so adding a set is one ripple carry over the planes, and the
-    largest count is found plane by plane from the top.
-    """
-    planes: list[int] = []
-    for carry in sets:
-        for k, plane in enumerate(planes):
-            planes[k], carry = plane ^ carry, plane & carry
-            if not carry:
-                break
-        else:
-            planes.append(carry)
-    top = -1  # every index
-    for plane in reversed(planes):
-        if top & plane:
-            top &= plane
-    return (top & -top).bit_length() - 1
+        cx |= ((axis ^ axis >> 1) & 1) << (n - 1 - q)  # X or Y
+        cz |= (axis >> 1) << (n - 1 - q)  # Y or Z
+    cx.flags.writeable = cz.flags.writeable = False
+    return cx, cz
 
 
 def _greedy_cover(n: int, terms: list[Masks], rest: list[int]) -> list[Masks]:
     """Generators on ``rest`` such that every term anticommutes with one of
     them, picked greedily.
 
-    Each pick is the candidate that anticommutes with the most terms not
-    yet covered, the first in ``_candidates`` order on a tie.  A term that
-    the picked generators all commute with also commutes with their
-    products, so every pick lies outside the group of the earlier ones:
-    the generators are independent, and there are at most ``2 |rest|``.
+    One table says which term anticommutes with which candidate, by the
+    parity test of ``_anticommutes``.  Each pick is the candidate that
+    anticommutes with the most terms not yet covered, the first in
+    ``_candidates`` order on a tie, and the terms it covers leave the
+    table.  A term that the picked generators all commute with also
+    commutes with their products, so every pick lies outside the group of
+    the earlier ones: the generators are independent, and there are at
+    most ``2 |rest|``.
     """
-    sets = _candidates(n, tuple(rest))
-    # a term's X bit on a site anticommutes with a candidate's Z bit there
-    # and vice versa; the term anticommutes when an odd number of them do
-    uncovered = []
-    for x, z in terms:
-        anti = 0
-        for bit, (cx, cz) in sets.items():
-            if x & bit:
-                anti ^= cz
-            if z & bit:
-                anti ^= cx
-        uncovered.append(anti)
+    cx, cz = _candidates(n, tuple(rest))
+    masks = np.array(terms, dtype=cx.dtype).reshape(-1, 2)
+    x, z = masks[:, :1], masks[:, 1:]
+    anti = _parity(n)[(x & cz) ^ (z & cx)]
     generators: list[Masks] = []
-    while uncovered:
-        best = _first_most_common(uncovered)
-        generators.append((
-            sum(bit for bit, (cx, _) in sets.items() if cx >> best & 1),
-            sum(bit for bit, (_, cz) in sets.items() if cz >> best & 1),
-        ))
-        uncovered = [anti for anti in uncovered if not anti >> best & 1]
+    while len(anti):
+        best = anti.sum(axis=0).argmax()
+        generators.append((int(cx[best]), int(cz[best])))
+        anti = anti[anti[:, best] == 0]
     return generators
 
 
@@ -247,9 +203,10 @@ def isolate_principal(
 ) -> tuple[HamExpansion, FrameSet]:
     """Frame set whose average leaves exactly the pair-restricted drift.
 
-    The frames come from the greedy cover when it needs fewer generators
-    than the halving rounds, and from the halving rounds otherwise; the
-    rounds stop as soon as they need more than the cover.
+    The frames come from the greedy cover when it needs strictly fewer
+    generators than the halving rounds, and from the halving rounds
+    otherwise.  The restriction keeps the terms that lie on the pair, and
+    the frames must cancel exactly the others.
     """
     _check_pair(ham.n, pair)
     if not ham.is_two_body():
@@ -257,25 +214,23 @@ def isolate_principal(
     n = ham.n
     rest = [q for q in range(n) if q not in pair]
     terms = [pauli_masks(p)[:2] for p in ham]
-    cover = None
+    off_mask = ~_site_mask(n, pair)
+    off_pair = [bool((x | z) & off_mask) for x, z in terms]
+    generators, depth = _halving_generators(n, terms, rest)
     if 4 ** len(rest) <= MAX_COVER_CANDIDATES:
-        off_pair = ~_site_mask(n, pair)
-        cover = _greedy_cover(n, [t for t in terms if (t[0] | t[1]) & off_pair], rest)
-    halving = _halving_generators(
-        n, terms, rest, math.inf if cover is None else len(cover)
-    )
-    generators, depth = (cover, 0) if halving is None else halving
+        cover = _greedy_cover(n, [t for t, off in zip(terms, off_pair) if off], rest)
+        if len(cover) < len(generators):
+            generators, depth = cover, 0
 
-    expected = filter_support(ham, pair)
-    survivors = [
-        p for p, t in zip(ham, terms)
-        if not any(_anticommutes(t, g) for g in generators)
-    ]
-    if survivors != list(expected):
-        raise HamrcError(
-            "decoupled drift does not match the pair restriction exactly"
-        )  # pragma: no cover
-    return expected, _frame_set(n, generators, depth)
+    if any(
+        off != any(_anticommutes(t, g) for g in generators)
+        for t, off in zip(terms, off_pair)
+    ):
+        raise HamrcError("decoupled drift does not match the pair restriction exactly")
+    isolated = HamExpansion(
+        n, {p: c for (p, c), off in zip(ham.items(), off_pair) if not off}
+    )
+    return isolated, _frame_set(n, generators, depth)
 
 
 @functools.lru_cache(maxsize=None)

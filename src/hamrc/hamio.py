@@ -199,8 +199,12 @@ def parse_schedule(text: str) -> Schedule:
             phase = _parse_float(args[0], lineno, "phase")
         elif kind == "periods" and len(args) == 1:
             periods = _parse_int(args[0], lineno, "period count")
+            if periods < 0:
+                raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
         elif kind == "predicted" and len(args) == 1:
             predicted = _parse_float(args[0], lineno, "predicted error")
+            if predicted < 0:
+                raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
         elif kind == "layer":
             if len(args) == 1:  # identity layer: declared with no factor rows
                 pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})

@@ -373,6 +373,17 @@ def test_non_finite_inputs_exit_2(files, capsys, coefficient):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", ["predicted -0.5", "periods -3"])
+def test_negative_schedule_fields_exit_2(files, capsys, record):
+    # a negative prediction used to become a negative verify tolerance
+    sched = files["tmp"] / "negative.hrs"
+    sched.write_text(f"qubits 2\ndrift 0.25\n{record}\ndrift 0.5\n")
+    code = main(["verify", files["drift"], str(sched), "--gate", "cnot",
+                 "--tolerance", "10"])
+    assert code == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 _TARGET = ["--target", "{zz}", "--t", "0.5"]
 
 

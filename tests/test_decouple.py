@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_two_body
 from hamrc import (
     HamExpansion,
+    HamrcError,
     InvalidTerm,
     NotCoupled,
     PauliString,
@@ -25,11 +26,14 @@ from hamrc import (
     filter_support,
     isolate_principal,
 )
+from hamrc import decouple
 from hamrc.dense import pauli_masks
 from hamrc.decouple import (
     MAX_ORDERED_GENERATORS,
     FrameSet,
+    _anticommutes,
     _frame_set,
+    _greedy_cover,
     _ordering_error,
     _ordering_parts,
 )
@@ -272,6 +276,50 @@ def test_frames_average_to_the_restriction(n, seed, density, data):
     dense_avg = _frame_average_dense(ham, frames)
     assert np.abs(dense_avg - dense_of_expansion(isolated)).max() < 1e-12
     assert len(frames.frames) <= len(_reference_isolation(ham, pair)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.3, 1.0, 3.0]),
+    data=st.data(),
+)
+def test_greedy_cover_matches_a_brute_force_greedy(n, seed, density, data):
+    # every Pauli string on the sites off the pair, in canonical order, each
+    # pick the first that anticommutes with the most uncovered terms
+    ham = random_two_body(
+        n, np.random.default_rng(seed), coupling_density=density, connected=True
+    )
+    pair = tuple(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    )
+    rest = [q for q in range(n) if q not in pair]
+    terms = [pauli_masks(p)[:2] for p in ham if set(p.support()) - set(pair)]
+    candidates = []
+    for axes in product("IXYZ", repeat=len(rest)):
+        ops = ["I"] * n
+        for q, axis in zip(rest, axes):
+            ops[q] = axis
+        candidates.append(pauli_masks(PauliString("".join(ops)))[:2])
+    want, left = [], terms
+    while left:
+        counts = [sum(_anticommutes(t, c) for t in left) for c in candidates]
+        best = candidates[counts.index(max(counts))]
+        want.append(best)
+        left = [t for t in left if not _anticommutes(t, best)]
+    assert _greedy_cover(n, terms, rest) == want
+
+
+def test_a_cover_that_misses_a_term_is_refused(monkeypatch):
+    # the two-generator cover of an all-to-all drift beats the halving
+    # rounds' four; without its last generator some term off the pair
+    # survives the average, which the exact check must catch
+    ham = _heisenberg_all_to_all(4, np.random.default_rng(41))
+    full = decouple._greedy_cover
+    monkeypatch.setattr(decouple, "_greedy_cover", lambda *a: full(*a)[:-1])
+    with pytest.raises(HamrcError, match="pair restriction"):
+        isolate_principal(ham, (0, 1))
 
 
 def test_frames_act_as_identity_on_the_pair():

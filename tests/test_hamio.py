@@ -167,6 +167,8 @@ def test_schedule_layer_table_keys_layers_by_value():
         ("qubits 2\ndrift 0.5\nlocal 3\nlocal 3\n", 3),
         ("qubits 2\nlayer 0 0 1 0 0 0 0 0 2 0\nlocal 0\nlocal 0\n", 3),
         ("drift 0.5\ndrift 0.5\nqubits 2\n", 1),
+        ("qubits 2\ndrift 0.5\npredicted -0.5\n", 3),  # negative fields
+        ("qubits 2\nperiods -3\ndrift 0.5\n", 2),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
