@@ -17,6 +17,7 @@ All output is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -77,6 +78,14 @@ def _finite(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for ``--tolerance``: finite and not below zero."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
     return value
 
 
@@ -274,7 +283,9 @@ def _add_target_opts(
         count.add_argument("--steps", type=int, help="explicit step count")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="hamrc",
         description="compile two-qubit interactions out of a fixed drift "
@@ -303,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("hamfile")
     p_ver.add_argument("schedule")
     _add_target_opts(p_ver, with_steps=False, with_order=False)
-    p_ver.add_argument("--tolerance", type=_finite, default=None,
+    p_ver.add_argument("--tolerance", type=_tolerance, default=None,
                        help="acceptance threshold (default: the schedule's "
                        "budget plus a 1e-12 rounding allowance)")
     p_ver.add_argument("--strict", action="store_true",

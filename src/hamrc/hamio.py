@@ -130,8 +130,9 @@ def serialize_schedule(sched: Schedule) -> str:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
     # one record per distinct instruction, layers numbered in order of first
-    # use; the body lists each instruction's record
-    distinct, seq = intern_instructions(sched.instructions)
+    # use; the body lists each instruction's record.  A block's first copy
+    # holds the first use of everything in it, so the bodies are interned once
+    distinct, seq = intern_instructions([ins for body, _ in sched.blocks for ins in body])
     table: list[str] = []
     records: list[str] = []
     layers = 0
@@ -146,7 +147,12 @@ def serialize_schedule(sched: Schedule) -> str:
             table.append(f"layer {layers} {site} {reals}")
         records.append(f"local {layers}")
         layers += 1
-    return "\n".join(out + table + [records[k] for k in seq]) + "\n"
+    listed: list[str] = []
+    start = 0
+    for body, count in sched.blocks:
+        listed += [records[k] for k in seq[start:start + len(body)]] * count
+        start += len(body)
+    return "\n".join(out + table + listed) + "\n"
 
 
 def parse_schedule(text: str) -> Schedule:

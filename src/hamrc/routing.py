@@ -119,12 +119,12 @@ def compile_remote(
     core = segment(path[-2], path[-1], target_pair, t, epsilon=eps_seg)
 
     pieces = swaps + [core] + swaps[::-1]
-    instructions: tuple = ()
+    blocks: list = []
     phase = 0.0
     raw = 0
     predicted = 0.0
     for piece in pieces:
-        instructions += piece.instructions
+        blocks += piece.blocks
         phase += piece.phase
         raw += piece.raw_drift_periods
         predicted += piece.predicted_error
@@ -133,9 +133,9 @@ def compile_remote(
     phase += 2.0 * SWAP_TIME * (hops - 1)
 
     return canonicalize(
-        Schedule(
+        Schedule.from_blocks(
             drift.n,
-            instructions,
+            blocks,
             phase,
             raw_drift_periods=raw,
             plan=None,

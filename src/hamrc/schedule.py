@@ -10,18 +10,24 @@ entry acts first on a state.  The conjugation pattern
 ``[LocalLayer(U), Drift(t), LocalLayer(U^dag)]`` therefore evaluates to
 ``exp(-i t U H U^dag)`` exactly.
 
-Evaluation keeps that order and changes only the grouping of the
-product: equal instructions are built once, and the pairwise product
-tree shares every repeated sub-product, so a step repeated ``k`` times
-costs about (step length x log k) matrix products, not one per
-instruction.
+A compiled schedule is one step repeated many times, so a ``Schedule``
+also holds its instructions as blocks ``(body, count)``: the body
+repeated ``count`` times, block after block.  Canonicalization,
+evaluation, serialization and the drift statistics work on each body
+once, not on every copy; a schedule built from a plain list (a parsed
+file, say) is one block.
+
+Evaluation keeps the operator order and changes only the grouping of
+the product: a body's equal instructions are built once, its pairwise
+product tree shares every repeated sub-product, and the body's product
+is raised to its count by repeated squaring.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +101,9 @@ class Drift:
 
 Instruction = LocalLayer | Drift
 
+#: ``(body, count)``: the body's instructions repeated ``count`` times
+Block = tuple[tuple[Instruction, ...], int]
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -105,6 +114,11 @@ class Schedule:
     produced it, when one exists.  ``predicted_error`` is the compiler's
     error budget for the whole schedule (a chained total when several
     independently planned pieces were concatenated).
+
+    ``blocks`` lists the same instructions as repeated bodies, and
+    ``instructions`` is their expansion; left out, it is the one block
+    ``((instructions, 1),)``.  :meth:`from_blocks` builds both, and a copy
+    with other instructions needs its own blocks.
     """
 
     n: int
@@ -113,12 +127,38 @@ class Schedule:
     raw_drift_periods: int | None = field(default=None, compare=False)
     plan: "ErrorPlan | None" = field(default=None, compare=False)
     predicted_error: float | None = field(default=None, compare=False)
+    blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
+
+    def __post_init__(self):
+        if not self.blocks:
+            object.__setattr__(self, "blocks", ((self.instructions, 1),))
+        elif sum(len(body) * count for body, count in self.blocks) != len(self.instructions):
+            raise InvalidTerm("schedule blocks do not expand to its instructions")
+
+    @classmethod
+    def from_blocks(
+        cls, n: int, blocks: Iterable[tuple[Sequence[Instruction], int]], phase: float = 0.0,
+        **meta: Any,
+    ) -> "Schedule":
+        """Schedule of the blocks in order; empty bodies are dropped."""
+        kept = tuple((tuple(body), count) for body, count in blocks if body and count)
+        expansion: list[Instruction] = []
+        for body, count in kept:
+            expansion += body * count
+        return cls(n, tuple(expansion), phase, blocks=kept, **meta)
 
     def drift_count(self) -> int:
-        return sum(1 for ins in self.instructions if isinstance(ins, Drift))
+        return sum(
+            count * sum(isinstance(ins, Drift) for ins in body)
+            for body, count in self.blocks
+        )
 
     def total_drift_time(self) -> float:
-        return sum(ins.tau for ins in self.instructions if isinstance(ins, Drift))
+        # the expansion's left-to-right sum, so blocking cannot change its rounding
+        taus: list[float] = []
+        for body, count in self.blocks:
+            taus += [ins.tau for ins in body if isinstance(ins, Drift)] * count
+        return sum(taus)
 
 
 _LAYER_DROP_TOL = 1e-12
@@ -135,20 +175,19 @@ def _merge_layers(a: LocalLayer, b: LocalLayer) -> LocalLayer:
     return LocalLayer(kept)
 
 
-def canonicalize(sched: Schedule) -> Schedule:
-    """Merge adjacent layers, drop identities, fuse adjacent drifts.
+def _fold(
+    out: list[Instruction],
+    body: Sequence[Instruction],
+    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]],
+    settled: list[Block],
+) -> int:
+    """Fold ``body`` onto ``out`` in place; returns the least length ``out`` had.
 
-    Every rewrite preserves the evaluated operator exactly (up to the
-    1e-12 identity-dropping tolerance), so canonical and raw schedules
-    are interchangeable for verification.  A repeated seam between the
-    same two layer objects is merged once, and every occurrence shares
-    the merged layer.
+    ``settled`` is finished output to the left of ``out``: when a
+    cancelled layer empties ``out``, its last copy moves back into ``out``.
     """
-    # (id(left), id(right)) -> (left, right, merged); holding both inputs
-    # keeps their ids from being reused while the memo is alive
-    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]] = {}
-    out: list[Instruction] = []
-    for ins in sched.instructions:
+    low = len(out)
+    for ins in body:
         if isinstance(ins, Drift):
             if ins.tau == 0.0:
                 continue
@@ -166,12 +205,64 @@ def canonicalize(sched: Schedule) -> Schedule:
                     out[-1] = merged
                 else:
                     out.pop()
+                    low = min(low, len(out))
+                    while not out and settled:
+                        last, count = settled.pop()
+                        if count > 1:
+                            settled.append((last, count - 1))
+                        out.extend(last)
             elif ins.factors:
                 out.append(ins)
-
     # a layer that cancels out leaves a drift last, so the next drift
     # fuses into it: ``out`` never holds two drifts or two layers in a row
-    return replace(sched, instructions=tuple(out))
+    return low
+
+
+def canonicalize(sched: Schedule) -> Schedule:
+    """Merge adjacent layers, drop identities, fuse adjacent drifts.
+
+    Every rewrite preserves the evaluated operator exactly (up to the
+    1e-12 identity-dropping tolerance), so canonical and raw schedules
+    are interchangeable for verification.  A repeated seam between the
+    same two layer objects is merged once, and every occurrence shares
+    the merged layer.
+
+    A repeated body is folded one copy at a time until a copy settles:
+    it pops nothing it did not append, and leaves last the same
+    instruction it found last.  The fold only reads the last instruction,
+    so every later copy does the same, and the rest of the block is the
+    settled copy's output repeated.  A body that never settles (one whose
+    seam cancels, or a lone drift that keeps fusing) is folded copy by
+    copy.  The result has the same instructions as folding the expansion.
+    """
+    # (id(left), id(right)) -> (left, right, merged); holding both inputs
+    # keeps their ids from being reused while the memo is alive
+    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]] = {}
+    settled: list[Block] = []
+    out: list[Instruction] = []
+    for body, count in sched.blocks:
+        for copy in range(count):
+            start = out[-1] if out else None
+            size = len(out)
+            if _fold(out, body, merges, settled) < size or start is None:
+                continue
+            # layers by identity, which the seam memo keeps stable; drifts by
+            # value, and ``out`` holds no zero drift, so equal ones share a sign
+            end = out[-1]
+            if end is start or (isinstance(end, Drift) and end == start):
+                # the copy rewrote ``start`` and appended out[size:]
+                left = count - copy - 1
+                if left:
+                    settled += [(tuple(out[:-1]), 1), (tuple(out[size - 1:-1]), left)]
+                    del out[:-1]
+                break
+    settled.append((tuple(out), 1))
+    return Schedule.from_blocks(
+        sched.n, settled, sched.phase,
+        raw_drift_periods=sched.raw_drift_periods,
+        plan=sched.plan,
+        predicted_error=sched.predicted_error,
+    )
 
 
 def intern_instructions(
@@ -220,27 +311,16 @@ def _product_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], i
     return list(nodes), level[0]
 
 
-def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
-    """Dense unitary implemented by a schedule under the given drift.
+def _body_product(
+    body: Sequence[Instruction], n: int, evals: np.ndarray, vecs: np.ndarray
+) -> np.ndarray:
+    """Operator-ordered product of ``body`` over its hash-consed tree.
 
-    The result is the operator-ordered product of the instruction
-    matrices times ``exp(i*phase)``.  The order is kept; only the
-    grouping changes: the product is taken over a pairwise tree whose
-    repeated sub-products are computed once, and each distinct drift
-    duration or layer is built once.  Raises :class:`TooLarge` when the
-    register exceeds the dense cap (default 10 qubits).
+    ``evals`` and ``vecs`` diagonalize the drift.  Each distinct drift
+    duration or layer is built once.
     """
-    check_dense_cap(sched.n)
-    if drift.n != sched.n:
-        raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
-
-    dim = 2**sched.n
-    evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
     vecs_h = vecs.conj().T
-    if not sched.instructions:
-        return np.exp(1j * sched.phase) * np.eye(dim, dtype=complex)
-
-    leaves, seq = intern_instructions(sched.instructions)
+    leaves, seq = intern_instructions(body)
     pairs, root = _product_tree(seq, len(leaves))
     parents_left = [0] * (len(leaves) + len(pairs))
     for a, b in pairs:
@@ -259,7 +339,7 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
             if isinstance(ins, Drift):
                 m = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs_h
             else:
-                m = ins.dense(sched.n)
+                m = ins.dense(n)
         else:
             a, b = pairs[node - len(leaves)]
             m = value(a) @ value(b)
@@ -270,7 +350,36 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
         held[node] = m
         return m
 
-    return np.exp(1j * sched.phase) * value(root)
+    return value(root)
+
+
+def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
+    """Dense unitary implemented by a schedule under the given drift.
+
+    The result is the operator-ordered product of the instruction
+    matrices times ``exp(i*phase)``.  The order is kept; only the
+    grouping changes: each block's body is multiplied over a pairwise
+    tree whose repeated sub-products are computed once, raised to the
+    block's count by repeated squaring, and the blocks are multiplied
+    left to right.  A one-block schedule with count 1 (a parsed file) is
+    its body's tree product.  Raises :class:`TooLarge` when the register
+    exceeds the dense cap (default 10 qubits).
+    """
+    check_dense_cap(sched.n)
+    if drift.n != sched.n:
+        raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
+
+    evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
+    if not sched.instructions:
+        return np.exp(1j * sched.phase) * np.eye(2**sched.n, dtype=complex)
+
+    w = None
+    for body, count in sched.blocks:
+        m = _body_product(body, sched.n, evals, vecs)
+        if count > 1:
+            m = np.linalg.matrix_power(m, count)
+        w = m if w is None else w @ m
+    return np.exp(1j * sched.phase) * w
 
 
 def unitarity_defect(w: np.ndarray) -> float:

@@ -329,13 +329,16 @@ def _repeat_steps(
     epsilon: float | None,
     order: int,
     bound: str,
+    lead: tuple[Instruction, ...] = (),
+    trail: tuple[Instruction, ...] = (),
 ) -> Schedule:
     """Raw schedule approximating ``exp(-i target t)`` by repeating one step.
 
     ``target`` is the evolution ``model`` was built for, on its register.
     Exactly one of ``steps`` and ``epsilon`` selects the step count; with
     ``epsilon`` the plan comes from the requested bound kind and is
-    attached to the returned schedule.  The repetition is returned as
+    attached to the returned schedule.  The schedule is the blocks
+    ``lead``, the emitted step ``steps`` times, and ``trail``, as
     emitted; each entry point canonicalizes its finished schedule once.
     """
     if not t > 0:
@@ -349,9 +352,9 @@ def _repeat_steps(
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
     instructions, phase = emit_step(model, t / steps, order)
-    return Schedule(
+    return Schedule.from_blocks(
         model.n,
-        tuple(instructions) * steps,
+        [(lead, 1), (instructions, steps), (trail, 1)],
         phase * steps,
         raw_drift_periods=model.raw_drifts_per_step(order) * steps,
         plan=plan,
@@ -409,19 +412,14 @@ def compile_cnot(
     A planned schedule is evaluated against the CNOT and refused when it
     misses its own predicted error.
     """
+    lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
+    trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
     body = _repeat_steps(
         step_model(drift, CNOT_BODY), CNOT_BODY, CNOT_TIME,
         steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),
+        lead=(lead,), trail=(trail,),
     )
-    lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
-    trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
-    sched = canonicalize(
-        replace(
-            body,
-            instructions=(lead, *body.instructions, trail),
-            phase=body.phase + CNOT_TIME,
-        )
-    )
+    sched = canonicalize(replace(body, phase=body.phase + CNOT_TIME))
     if sched.plan is not None:
         achieved = distance(
             CNOT_MATRIX,

@@ -1,8 +1,14 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hamrc
 from hamrc import (
     CNOT_MATRIX,
     compile_on_pair,
@@ -405,6 +411,57 @@ def test_non_finite_numbers_on_the_command_line_exit_2(files, capsys, argv):
         main(argv)
     assert exit_.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+def test_negative_tolerance_exits_2(files, capsys):
+    # every measured error would exceed it, so the verdict would say nothing
+    sched = str(files["tmp"] / "cnot.hrs")
+    main(["compile", files["drift"], "--gate", "cnot", "--steps", "4",
+          "--out", sched])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "-1"])
+    assert exit_.value.code == 2
+    assert "tolerance must be >= 0" in capsys.readouterr().err
+    assert main(["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "0"]) == 5
+
+
+def test_one_process_runs_commands_as_separate_processes_do(files, capsys):
+    # main reuses one parser; a refused argv must leave it as it was
+    sched = str(files["tmp"] / "cnot.hrs")
+    report = files["tmp"] / "report.txt"
+    commands = [
+        ["check", files["drift"]],
+        ["compile", files["drift"], "--gate", "cnot", "--epsilon", "1e-3", "--out", sched],
+        ["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "-1"],
+        ["verify", files["drift"], sched, "--gate", "cnot"],
+        ["bound", files["drift"], "--gate", "cnot", "--epsilon", "1e-3"],
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def separate(argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(hamrc.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "hamrc.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout
+
+    def runs(run):
+        out = []
+        for argv in commands:
+            report.unlink(missing_ok=True)
+            out.append((*run(argv + ["--report", str(report)]),
+                        report.read_text() if report.exists() else None))
+        return out
+
+    together = runs(in_process)
+    assert [code for code, *_ in together] == [0, 0, 2, 0, 0]
+    assert runs(separate) == together
 
 
 @pytest.mark.parametrize("cmd", ["compile", "bound"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layer, random_two_body
@@ -256,3 +256,49 @@ def test_canonicalize_shares_one_layer_per_repeated_seam():
     seams = [ins for ins in canon.instructions[1:-1] if isinstance(ins, LocalLayer)]
     assert len(seams) == 4
     assert all(s is seams[0] for s in seams)
+
+
+# ----------------------------------------------------------------------
+# repeated blocks against the plain fold and product of their expansion
+
+_RNG = np.random.default_rng(14)
+_L, _M = random_layer(_RNG, 2), random_layer(_RNG, 2)
+#: shared objects, as a step model shares its frame layers across steps
+BLOCK_POOL = (_L, _L.dagger(), _M, Drift(0.3), Drift(0.0), Drift(-0.0), Drift(0.7))
+BLOCK_DRIFT = random_two_body(2, _RNG)
+_pool_lists = st.lists(st.integers(0, len(BLOCK_POOL) - 1), max_size=3)
+
+
+@settings(max_examples=80)
+@given(
+    step=st.lists(st.integers(0, len(BLOCK_POOL) - 1), min_size=1, max_size=8),
+    lead=_pool_lists,
+    trail=_pool_lists,
+    count=st.integers(1, 7),
+)
+@example(step=[0, 3, 1], lead=[], trail=[], count=7)  # [L, D, L^dag]: the seam cancels
+@example(step=[3], lead=[2], trail=[2], count=7)  # [D]: the drifts keep fusing
+@example(step=[3, 0], lead=[], trail=[1, 6], count=7)  # the trail cancels into a settled copy
+def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, count):
+    def pick(ids):
+        return [BLOCK_POOL[i] for i in ids]
+
+    sched = Schedule.from_blocks(
+        2, [(pick(lead), 1), (pick(step), count), (pick(trail), 1)], phase=0.2
+    )
+    flat = Schedule(2, sched.instructions, sched.phase)
+    got = canonicalize(sched)
+    assert serialize_schedule(got) == serialize_schedule(reference_canonicalize(flat))
+    assert got.drift_count() == canonicalize(flat).drift_count()
+    assert got.total_drift_time() == canonicalize(flat).total_drift_time()
+    for a in (sched, got):
+        assert operator_norm(
+            evaluate_schedule(a, BLOCK_DRIFT) - reference_evaluate(flat, BLOCK_DRIFT)
+        ) < 1e-12
+
+
+def test_blocks_must_expand_to_the_instructions():
+    a = Schedule.from_blocks(2, [((Drift(0.1), Drift(0.2)), 3)])
+    assert a.instructions == (Drift(0.1), Drift(0.2)) * 3
+    with pytest.raises(InvalidTerm):
+        Schedule(2, (Drift(0.1),), blocks=a.blocks)

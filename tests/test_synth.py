@@ -412,6 +412,26 @@ def test_compile_cnot_canonicalizes_once(sample_drift, monkeypatch, count):
     assert distance(CNOT_MATRIX, evaluate_schedule(sched, sample_drift)) < 5e-3
 
 
+def test_canonical_work_does_not_grow_with_the_step_count(sample_drift, monkeypatch):
+    import hamrc.schedule as schedule_mod
+
+    real = schedule_mod._merge_layers
+    merges = []
+
+    def counting(a, b):
+        merges.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(schedule_mod, "_merge_layers", counting)
+    per_count = {}
+    for steps in (50, 5000):
+        merges.clear()
+        sched = compile_cnot(sample_drift, steps=steps, order=1)
+        per_count[steps] = len(merges)
+        assert max(count for _, count in sched.blocks) == steps - 2
+    assert per_count[50] == per_count[5000] > 0
+
+
 def test_cnot_plan_kind_at_the_other_order_is_refused(sample_drift):
     # an order-2 plan (5 steps, predicted 9.69e-3) under an order-1 body
     # would miss the target by 5.56e-2
