@@ -285,23 +285,46 @@ def plan_empirical(
 ) -> ErrorPlan:
     """Smallest step count whose ``measure(N)`` meets ``epsilon``.
 
-    Doubles, then bisects, and records the error measured at the returned
-    count as the plan's prediction.  Raises :class:`Infeasible` when the
-    error still exceeds the budget past ``max_steps``.
+    The search keeps a bracket ``measure(lo) > epsilon >= measure(hi)``,
+    stops at ``hi - lo == 1`` and records the error measured at ``hi`` as
+    the plan's prediction, so a non-increasing measure gets its smallest
+    passing count.  It probes 1 first; while a probe fails, the next is
+    the count at which an error scaling as ``N^-order`` would meet the
+    budget, and at least twice the failed one.  Once a count passes, each
+    probe is where the line through the bracket's errors on log-log axes
+    meets the budget (a secant step).  A bisection on ``log N`` stands in
+    when the error at ``hi`` is 0, and follows a secant step that neither
+    halved the bracket nor moved less than half as far as the probe
+    before it, so a measure that bends away from a power law still costs
+    a bounded number of probes per halving.  Raises :class:`Infeasible`
+    when the error at ``max_steps`` still exceeds the budget.
     """
     _check_budget(epsilon, t)
     lo, hi = 0, 1
     err_hi = measure(hi)
     while err_hi > epsilon:
-        lo, hi = hi, hi * 2
-        if hi > max_steps:
-            raise Infeasible(f"measured error still {err_hi:.3e} at {lo} steps")
+        if hi >= max_steps:
+            raise Infeasible(f"measured error still {err_hi:.3e} at {hi} steps")
+        lo, err_lo = hi, err_hi
+        guess = lo * (err_lo / epsilon) ** (1.0 / order)
+        hi = min(max_steps, max(2 * lo, math.ceil(min(guess, max_steps))))
         err_hi = measure(hi)
+    bisect, last, last_step = False, hi, hi - lo
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        err = measure(mid)
-        if err <= epsilon:
-            hi, err_hi = mid, err
+        width = hi - lo
+        # the secant needs two finite, positive errors whose logs differ
+        span = math.log(err_lo) - math.log(err_hi) if 0 < err_hi and err_lo < math.inf else 0.0
+        if bisect or not span > 0:
+            n = math.isqrt(lo * hi)
         else:
-            lo = mid
+            n = math.ceil(lo * (hi / lo) ** ((math.log(err_lo) - math.log(epsilon)) / span))
+        n = min(max(n, lo + 1), hi - 1)
+        err = measure(n)
+        if err <= epsilon:
+            hi, err_hi = n, err
+        else:
+            lo, err_lo = n, err
+        step = abs(n - last)
+        bisect = not bisect and 2 * (hi - lo) > width and 2 * step > last_step
+        last, last_step = n, step
     return ErrorPlan("empirical", order, hi, t / hi, t, err_hi)

@@ -167,6 +167,8 @@ def parse_schedule(text: str) -> Schedule:
     # schedule, and few distinct: each distinct line is parsed once, and its
     # instruction is shared by every line that repeats it
     seen: dict[str, Instruction] = {}
+    # header records set one value each, so a second one is refused, not obeyed
+    headers = {"qubits"}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ins = seen.get(raw)
@@ -201,13 +203,18 @@ def parse_schedule(text: str) -> Schedule:
             except InvalidTerm as exc:
                 raise ParseError(str(exc), line=lineno) from None
             instructions.append(seen[raw])
+        elif kind in headers:
+            raise ParseError(f"repeated {kind!r} record", line=lineno)
         elif kind == "phase" and len(args) == 1:
+            headers.add(kind)
             phase = _parse_float(args[0], lineno, "phase")
         elif kind == "periods" and len(args) == 1:
+            headers.add(kind)
             periods = _parse_int(args[0], lineno, "period count")
             if periods < 0:
                 raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
         elif kind == "predicted" and len(args) == 1:
+            headers.add(kind)
             predicted = _parse_float(args[0], lineno, "predicted error")
             if predicted < 0:
                 raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)

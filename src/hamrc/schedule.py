@@ -18,9 +18,12 @@ once, not on every copy; a schedule built from a plain list (a parsed
 file, say) is one block.
 
 Evaluation keeps the operator order and changes only the grouping of
-the product: a body's equal instructions are built once, its pairwise
-product tree shares every repeated sub-product, and the body's product
-is raised to its count by repeated squaring.
+the product: a body's equal instructions are built once, each distinct
+sub-product of its product nodes is built once, and the body's product
+is raised to its count by repeated squaring.  The nodes come from a
+Re-Pair grammar (the most frequent adjacent pair becomes a node, round
+after round) from ``GRAMMAR_QUBITS`` qubits up, and from the pairwise
+tree below, where a matrix product costs less than a grammar round.
 """
 
 from __future__ import annotations
@@ -311,17 +314,58 @@ def _product_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], i
     return list(nodes), level[0]
 
 
+def _grammar_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
+    """Re-Pair grammar over the leaf ids ``seq``, as :func:`_product_tree` returns.
+
+    Each round replaces the most frequent adjacent pair of ids (the first
+    in ``a * top + b`` order on a tie) by a new node, until no pair occurs
+    twice; inside a run of one repeated id the pairs overlap, so every
+    other one counts and is replaced.  What is left is paired up by
+    :func:`_product_tree`.  See Larsson and Moffat, *Off-line
+    dictionary-based compression*, Proc. IEEE 88(11), 1722 (2000).
+    """
+    s = np.array(seq, dtype=np.int64)
+    pairs: list[tuple[int, int]] = []
+    while len(s) > 2:
+        top = leaves + len(pairs)
+        codes = s[:-1] * top + s[1:]
+        same = s[:-1] == s[1:]
+        if same.any():
+            at = np.arange(len(same))
+            run_start = np.maximum.accumulate(np.where(same & ~np.r_[False, same[:-1]], at, 0))
+            codes[same & ((at - run_start) % 2 == 1)] = top * top  # past every pair's code
+        counts = np.bincount(codes)
+        counts[top * top:] = 0
+        best = counts.argmax()
+        if counts[best] < 2:
+            break
+        where = np.flatnonzero(codes == best)
+        pairs.append((int(s[where[0]]), int(s[where[0] + 1])))
+        s[where] = top  # the new node's id
+        s = np.delete(s, where + 1)
+    tree, root = _product_tree(s.tolist(), leaves + len(pairs))
+    return pairs + tree, root
+
+
+#: from this register size up, a body's product is built over its Re-Pair
+#: grammar, which shares more sub-products than the pairwise tree; below
+#: it a 2^n x 2^n product costs less than a grammar round
+GRAMMAR_QUBITS = 6
+
+
 def _body_product(
     body: Sequence[Instruction], n: int, evals: np.ndarray, vecs: np.ndarray
 ) -> np.ndarray:
-    """Operator-ordered product of ``body`` over its hash-consed tree.
+    """Operator-ordered product of ``body`` over its shared product nodes.
 
     ``evals`` and ``vecs`` diagonalize the drift.  Each distinct drift
-    duration or layer is built once.
+    duration or layer is built once, and the nodes come from the Re-Pair
+    grammar from ``GRAMMAR_QUBITS`` up and the pairwise tree below.
     """
     vecs_h = vecs.conj().T
     leaves, seq = intern_instructions(body)
-    pairs, root = _product_tree(seq, len(leaves))
+    tree = _grammar_tree if n >= GRAMMAR_QUBITS else _product_tree
+    pairs, root = tree(seq, len(leaves))
     parents_left = [0] * (len(leaves) + len(pairs))
     for a, b in pairs:
         parents_left[a] += 1
@@ -358,12 +402,13 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
 
     The result is the operator-ordered product of the instruction
     matrices times ``exp(i*phase)``.  The order is kept; only the
-    grouping changes: each block's body is multiplied over a pairwise
-    tree whose repeated sub-products are computed once, raised to the
-    block's count by repeated squaring, and the blocks are multiplied
-    left to right.  A one-block schedule with count 1 (a parsed file) is
-    its body's tree product.  Raises :class:`TooLarge` when the register
-    exceeds the dense cap (default 10 qubits).
+    grouping changes: each block's body is multiplied over its product
+    nodes (the Re-Pair grammar from ``GRAMMAR_QUBITS`` up, the pairwise
+    tree below), each computed once, raised to the block's count by
+    repeated squaring, and the blocks are multiplied left to right.  A
+    one-block schedule with count 1 (a parsed file) is its body's
+    product.  Raises :class:`TooLarge` when the register exceeds the
+    dense cap (default 10 qubits).
     """
     check_dense_cap(sched.n)
     if drift.n != sched.n:

@@ -169,12 +169,22 @@ def test_schedule_layer_table_keys_layers_by_value():
         ("drift 0.5\ndrift 0.5\nqubits 2\n", 1),
         ("qubits 2\ndrift 0.5\npredicted -0.5\n", 3),  # negative fields
         ("qubits 2\nperiods -3\ndrift 0.5\n", 2),
+        # a header record sets one value: a second one is refused, not obeyed
+        ("qubits 2\npredicted 0.5\ndrift 0.5\npredicted 0.001\n", 4),
+        ("qubits 2\nphase 0.5\nphase 0.5\n", 3),
+        ("qubits 2\nperiods 3\ndrift 0.5\nperiods 4\n", 4),
+        ("qubits 2\ndrift 0.5\nqubits 2\n", 3),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_schedule(text)
     assert f"line {lineno}:" in str(err.value)
+
+
+def test_a_second_qubits_record_is_named_as_repeated():
+    with pytest.raises(ParseError, match="repeated 'qubits' record"):
+        parse_schedule("qubits 2\ndrift 0.5\nqubits 3\n")
 
 
 def test_schedule_layer_cannot_grow_after_use():

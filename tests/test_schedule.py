@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layer, random_two_body
+from hamrc import schedule
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -193,15 +194,16 @@ def reference_canonicalize(sched):
 
 
 @st.composite
-def schedules(draw, *, cancelling=False):
+def schedules(draw, *, cancelling=False, sizes=(1, 4), max_repeats=200):
     """Schedules over a small pool: ``step * k`` or one unrepeated list.
 
     Pool layers are reused as objects; an unrepeated list also holds
     value-equal copies, so sharing by key and by object both occur.
     With ``cancelling`` the pool adds each layer's inverse, an identity
-    layer and a zero drift.
+    layer and a zero drift.  ``sizes`` bounds the register, and
+    ``max_repeats`` the ``k``.
     """
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers = [random_layer(rng, n) for _ in range(draw(st.integers(1, 4)))]
     taus = rng.uniform(0.05, 1.0, size=draw(st.integers(1, 3)))
@@ -212,7 +214,7 @@ def schedules(draw, *, cancelling=False):
     phase = draw(st.floats(-np.pi, np.pi))
     if draw(st.booleans()):
         step = [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=12))]
-        instructions = step * draw(st.integers(1, 200))
+        instructions = step * draw(st.integers(1, max_repeats))
     else:
         instructions = []
         for i in draw(st.lists(pick, max_size=60)):
@@ -223,15 +225,77 @@ def schedules(draw, *, cancelling=False):
     return Schedule(n, tuple(instructions), phase)
 
 
-@settings(max_examples=60)
-@given(sched=schedules(), drift_seed=st.integers(0, 2**32 - 1))
-def test_evaluation_matches_the_left_to_right_product(sched, drift_seed):
+def _check_against_the_left_to_right_product(sched, drift_seed):
     drift = random_two_body(sched.n, np.random.default_rng(drift_seed))
     if not drift.terms:
         drift = build_expansion(sched.n, [("Z" * sched.n, 1.0)])
     got = evaluate_schedule(sched, drift)
     want = reference_evaluate(sched, drift)
     assert operator_norm(got - want) < 1e-12
+
+
+@settings(max_examples=60)
+@given(sched=schedules(), drift_seed=st.integers(0, 2**32 - 1))
+def test_evaluation_matches_the_left_to_right_product(sched, drift_seed):
+    _check_against_the_left_to_right_product(sched, drift_seed)
+
+
+@settings(max_examples=8)
+@given(sched=schedules(sizes=(6, 7), max_repeats=12), drift_seed=st.integers(0, 2**32 - 1))
+def test_grammar_evaluation_matches_the_left_to_right_product(sched, drift_seed):
+    _check_against_the_left_to_right_product(sched, drift_seed)
+
+
+def _leaves_under(pairs, root, leaves):
+    """Leaf ids under ``root``, left to right."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node < leaves:
+            out.append(node)
+        else:
+            stack += reversed(pairs[node - leaves])
+    return out
+
+
+@given(
+    runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9)), min_size=1, max_size=30),
+    copies=st.integers(1, 4),
+)
+@example(runs=[(0, 64)], copies=1)  # one long run: every other pair overlaps
+@example(runs=[(0, 7), (1, 1), (0, 7)], copies=3)
+def test_grammar_expands_to_its_sequence(runs, copies):
+    seq = [leaf for leaf, length in runs for _ in range(length)] * copies
+    pairs, root = schedule._grammar_tree(seq, 4)
+    assert _leaves_under(pairs, root, 4) == seq
+    assert len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("n,built", [(5, ("_product_tree", 11)), (6, ("_grammar_tree", 5))])
+def test_grammar_builds_the_product_from_six_qubits(monkeypatch, n, built):
+    # a period of three instructions sits across the pairwise tree's pairs,
+    # so the tree needs 11 products where the grammar needs 5
+    assert schedule.GRAMMAR_QUBITS == 6
+    calls = []
+
+    def spy(name):
+        real = getattr(schedule, name)
+
+        def record(seq, leaves):
+            pairs, root = real(seq, leaves)
+            calls.append((name, len(pairs)))
+            return pairs, root
+
+        return record
+
+    for name in ("_product_tree", "_grammar_tree"):
+        monkeypatch.setattr(schedule, name, spy(name))
+    rng = np.random.default_rng(6)
+    sched = Schedule(n, (random_layer(rng, n), Drift(0.3), random_layer(rng, n)) * 8)
+    drift = random_two_body(n, rng, connected=True)
+    got = evaluate_schedule(sched, drift)
+    assert calls[-1] == built  # the grammar pairs up its last ids by the tree
+    assert operator_norm(got - reference_evaluate(sched, drift)) < 1e-12
 
 
 def test_empty_schedule_evaluates_to_its_phase(sample_drift):
