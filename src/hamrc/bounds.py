@@ -250,12 +250,16 @@ def plan_steps(
     Every analytic bound has this commutator-scaling form (Childs, Su,
     Tran, Wiebe and Zhu, PRX 11, 011020 (2021)); the kinds differ only in
     ``rate``, so ``bound`` just labels the plan.  Raises :class:`Infeasible`
-    when no step count up to ``max_steps`` meets the budget.
+    when no step count up to ``max_steps`` meets the budget, and when the
+    bound overflows the float range; a rate of 0 is one exact step.
     """
     _check_budget(epsilon, t)
 
     def cumulative(n: int) -> float:
-        return n * rate * (t / n) ** (order + 1)
+        try:
+            return n * rate * (t / n) ** (order + 1)
+        except OverflowError:  # (t/n)^(order+1) is past the largest float
+            return math.inf if rate else 0.0
 
     c1 = cumulative(1)
     if c1 <= epsilon:

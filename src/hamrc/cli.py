@@ -89,6 +89,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _bound_constant(text: str) -> float:
+    """argparse type for ``--C``: finite and above zero."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"the bound constant must be > 0, got {text!r}")
+    return value
+
+
 def _resolve_order(args) -> int:
     if args.order is not None:
         return args.order
@@ -329,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--bound", default=None,
                        choices=["chained", "global", "empirical"],
                        help="bound kind (default chained; refused with --gate)")
-    p_bnd.add_argument("--C", type=_finite, default=GLOBAL_BOUND_C,
+    p_bnd.add_argument("--C", type=_bound_constant, default=GLOBAL_BOUND_C,
                        help="constant of the coarse global bound")
     p_bnd.add_argument("--report", default=None, help="write the report here")
     p_bnd.set_defaults(fn=_cmd_bound)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidTerm, ParseError
 from .pauli import HamExpansion, PauliString, build_expansion
-from .schedule import Drift, Instruction, LocalLayer, Schedule, intern_instructions
+from .schedule import Drift, Instruction, Listing, LocalLayer, Schedule, intern_instructions
 
 
 def _fmt(x: float) -> str:
@@ -156,29 +156,36 @@ def serialize_schedule(sched: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
+    """Parse a schedule file; errors carry their line number.
+
+    ``local`` and ``drift`` records are nearly every line of a long
+    schedule, and few distinct: each distinct line is parsed once into a
+    table entry, its instruction is shared by every line that repeats it,
+    and the instructions are a :class:`Listing` of the lines' table
+    indices, so evaluation interns them from the table.
+    """
     n: int | None = None
     phase = 0.0
     periods: int | None = None
     predicted: float | None = None
     pending: dict[int, dict[int, np.ndarray]] = {}
     built: dict[int, LocalLayer] = {}
-    instructions: list[Instruction] = []
-    # ``local`` and ``drift`` records are nearly every line of a long
-    # schedule, and few distinct: each distinct line is parsed once, and its
-    # instruction is shared by every line that repeats it
-    seen: dict[str, Instruction] = {}
+    table: list[Instruction] = []
+    ids: list[int] = []
+    seen: dict[str, int] = {}  # a local or drift line -> its table index
     # header records set one value each, so a second one is refused, not obeyed
     headers = {"qubits"}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        ins = seen.get(raw)
-        if ins is not None:
-            instructions.append(ins)
+        k = seen.get(raw)
+        if k is not None:
+            ids.append(k)
             continue
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         kind, args = tokens[0], tokens[1:]
+        ins: Instruction | None = None
         if n is None:
             if kind != "qubits" or len(args) != 1:
                 raise ParseError("expected 'qubits <n>' header", line=lineno)
@@ -194,15 +201,13 @@ def parse_schedule(text: str) -> Schedule:
                     built[layer_id] = LocalLayer(pending[layer_id])
                 except InvalidTerm as exc:
                     raise ParseError(str(exc), line=lineno) from None
-            seen[raw] = built[layer_id]
-            instructions.append(seen[raw])
+            ins = built[layer_id]
         elif kind == "drift" and len(args) == 1:
             tau = _parse_float(args[0], lineno, "drift duration")
             try:
-                seen[raw] = Drift(tau)
+                ins = Drift(tau)
             except InvalidTerm as exc:
                 raise ParseError(str(exc), line=lineno) from None
-            instructions.append(seen[raw])
         elif kind in headers:
             raise ParseError(f"repeated {kind!r} record", line=lineno)
         elif kind == "phase" and len(args) == 1:
@@ -244,12 +249,16 @@ def parse_schedule(text: str) -> Schedule:
             rows[site] = mat
         else:
             raise ParseError(f"unrecognized record {kind!r}", line=lineno)
+        if ins is not None:
+            seen[raw] = len(table)
+            ids.append(len(table))
+            table.append(ins)
 
     if n is None:
         raise ParseError("empty schedule file")
     return Schedule(
         n,
-        tuple(instructions),
+        Listing(table, ids),
         phase,
         raw_drift_periods=periods,
         predicted_error=predicted,

@@ -96,7 +96,7 @@ def test_compile_cnot_writes_schedule_and_verifies(files, capsys):
     assert "steps 16" in summary
     assert "raw_drift_periods 112" in summary
 
-    sched = parse_schedule(open(out_path).read())
+    sched = parse_schedule(Path(out_path).read_text())
     drift = parse_hamfile(DRIFT)
     assert distance(CNOT_MATRIX, evaluate_schedule(sched, drift)) < 1e-3
 
@@ -424,6 +424,40 @@ def test_negative_tolerance_exits_2(files, capsys):
     assert exit_.value.code == 2
     assert "tolerance must be >= 0" in capsys.readouterr().err
     assert main(["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "0"]) == 5
+
+
+@pytest.mark.parametrize("c", ["0", "-0", "-1"])
+def test_bound_constant_must_be_positive(files, capsys, c):
+    # C = 0 would plan one step with predicted_error 0, whatever that step
+    # measures
+    with pytest.raises(SystemExit) as exit_:
+        main(["bound", files["drift"], "--target", files["zz"], "--t", "1",
+              "--epsilon", "1e-2", "--bound", "global", "--C", c])
+    assert exit_.value.code == 2
+    assert "argument --C: the bound constant must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bound", "compile"])
+def test_an_overflowing_bound_is_infeasible(files, capsys, command):
+    # (t/N)^(order+1) overflows at --t 1e300: no step count can be planned
+    target = files["tmp"] / "xx.ham"
+    target.write_text("qubits 2\n0.7 0:X 1:X\n")
+    argv = [command, files["drift"], "--target", str(target), "--t", "1e300", "--epsilon", "1e-2"]
+    assert main(argv) == 4
+    assert "needs more than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", ["1", "1e300"])
+def test_a_rate_zero_plan_is_one_exact_step_at_any_time(files, capsys, t):
+    # a local target is made by local pulses alone, so its bound is 0
+    target = files["tmp"] / "z.ham"
+    target.write_text("qubits 2\n0.5 0:Z\n")
+    argv = ["--target", str(target), "--t", t, "--epsilon", "1e-2"]
+    assert main(["bound", files["drift"], *argv]) == 0
+    report = capsys.readouterr().out
+    assert "rate 0\n" in report and "steps 1\n" in report and "predicted_error 0\n" in report
+    assert main(["compile", files["drift"], *argv, "--out", str(files["tmp"] / "z.hrs")]) == 0
+    assert "predicted_error 0\n" in capsys.readouterr().out
 
 
 def test_one_process_runs_commands_as_separate_processes_do(files, capsys):

@@ -15,12 +15,14 @@ from hamrc import (
     Schedule,
     build_expansion,
     compile_cnot,
+    evaluate_schedule,
     format_report,
     parse_hamfile,
     parse_schedule,
     serialize_hamfile,
     serialize_schedule,
 )
+from hamrc.schedule import intern_instructions
 
 
 def test_hamfile_round_trip_is_exact():
@@ -174,6 +176,10 @@ def test_schedule_layer_table_keys_layers_by_value():
         ("qubits 2\nphase 0.5\nphase 0.5\n", 3),
         ("qubits 2\nperiods 3\ndrift 0.5\nperiods 4\n", 4),
         ("qubits 2\ndrift 0.5\nqubits 2\n", 3),
+        # after a long run of repeated records, each read from the parser's cache
+        ("qubits 2\n" + "drift 0.5\n" * 4999 + "drift -0.5\n", 5001),
+        ("qubits 2\nlayer 0\n" + "local 0\ndrift 0.5\n" * 2500 + "local 1\n", 5003),
+        ("qubits 2\npredicted 0.1\n" + "drift 0.5\n" * 5000 + "predicted 0.2\n", 5003),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
@@ -238,6 +244,20 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
             # layers equal by value share one id, numbered in order of first use
             assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
         assert shared.setdefault(line, got) is got
+    # the parsed listing interns from its table as a walk over it does
+    distinct, seq = intern_instructions(back.instructions)
+    walked, walked_seq = intern_instructions(tuple(back.instructions))
+    assert [id(ins) for ins in distinct] == [id(ins) for ins in walked]
+    assert list(seq) == walked_seq
+
+
+@pytest.mark.parametrize("steps,order", [(5000, 1), (4, 2)])
+def test_a_parsed_file_evaluates_as_its_instruction_tuple(sample_drift, steps, order):
+    text = serialize_schedule(compile_cnot(sample_drift, steps=steps, order=order))
+    parsed = parse_schedule(text)
+    assert len(text.splitlines()) >= (40_000 if steps == 5000 else 1)
+    flat = Schedule(parsed.n, tuple(parsed.instructions), parsed.phase)
+    assert np.array_equal(evaluate_schedule(parsed, sample_drift), evaluate_schedule(flat, sample_drift))
 
 
 def test_schedule_parse_ignores_spelling_of_repeated_records():
@@ -252,11 +272,16 @@ def test_schedule_parse_ignores_spelling_of_repeated_records():
     ins = parse_schedule(text).instructions
     x = LocalLayer({0: np.array([[0, 1], [1, 0]], dtype=complex)})
     assert list(ins) == [x, Drift(0.5)] * 4
+    assert ins == (x, Drift(0.5)) * 4 and ins[1:4] == (Drift(0.5), x, Drift(0.5))
     # every spelling of one layer id names the one layer it declared
     assert all(ins[k] is ins[0] for k in (2, 4, 6))
     # a repeated line shares the instruction its first occurrence made
     assert ins[7] is ins[1]
     assert ins[3] is not ins[1] and ins[5] is not ins[1]
+    # the table holds a record per spelling, interned as one instruction
+    distinct, seq = intern_instructions(ins)
+    assert distinct[0] is ins[0] and distinct[1] is ins[1] and len(distinct) == 2
+    assert seq.tolist() == [0, 1] * 4
 
 
 def test_format_report_is_deterministic():

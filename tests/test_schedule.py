@@ -271,6 +271,52 @@ def test_grammar_expands_to_its_sequence(runs, copies):
     assert len(set(pairs)) == len(pairs)
 
 
+def _loop_product_tree(seq, leaves):
+    """The pairwise tree paired by the dict loop alone, level after level."""
+    nodes = {}
+    level = list(seq)
+    while len(level) > 1:
+        up = [nodes.setdefault(pair, leaves + len(nodes)) for pair in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            up.append(level[-1])
+        level = up
+    return list(nodes), level[0]
+
+
+@st.composite
+def id_sequences(draw):
+    """Leaf ids: a lead then a period repeated (the last copy cut short), random ids, or one run."""
+    leaves = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(1, 3 * schedule.NUMPY_LEVEL))
+    kind = draw(st.sampled_from(["periodic", "random", "run"]))
+    if kind == "periodic":
+        period = rng.integers(0, leaves, draw(st.integers(1, 12)))
+        lead = rng.integers(0, leaves, draw(st.integers(0, 3)))
+        seq = np.r_[lead, np.resize(period, length)]
+    elif kind == "random":
+        seq = rng.integers(0, leaves, length)
+    else:
+        seq = np.full(length, rng.integers(0, leaves))
+    return seq.tolist(), leaves
+
+
+@settings(max_examples=80)
+@given(case=id_sequences())
+@example(case=([8] + [0, 1, 2, 3, 4, 5, 6, 1] * 4935, 9))  # 39,481 ids, as a CNOT file's body
+@example(case=([3] * 40_001, 4))  # one long run of a single id, odd length
+@example(case=(np.random.default_rng(5).integers(0, 40, 5_001).tolist(), 40))
+def test_numpy_levels_make_the_nodes_of_the_loop(case):
+    seq, leaves = case
+    want = _loop_product_tree(seq, leaves)
+    # numpy on every level, on the long levels only, and on an id array
+    for cut in (2, schedule.NUMPY_LEVEL):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schedule, "NUMPY_LEVEL", cut)
+            assert schedule._product_tree(seq, leaves) == want
+            assert schedule._product_tree(np.array(seq, dtype=np.intp), leaves) == want
+
+
 @pytest.mark.parametrize("n,built", [(5, ("_product_tree", 11)), (6, ("_grammar_tree", 5))])
 def test_grammar_builds_the_product_from_six_qubits(monkeypatch, n, built):
     # a period of three instructions sits across the pairwise tree's pairs,
