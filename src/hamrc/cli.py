@@ -65,9 +65,12 @@ def _read(path: str) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _finite(text: str) -> float:
@@ -106,7 +109,7 @@ def _resolve_order(args) -> int:
 def _schedule_stats(sched: Schedule) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [
         ("qubits", sched.n),
-        ("instructions", len(sched.instructions)),
+        ("instructions", len(sched)),
         ("drift_periods", sched.drift_count()),
     ]
     if sched.raw_drift_periods is not None:

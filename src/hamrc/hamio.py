@@ -80,9 +80,14 @@ def serialize_hamfile(ham: HamExpansion) -> str:
 
 
 def parse_hamfile(text: str) -> HamExpansion:
-    """Parse the textual term list; errors carry their line number."""
+    """Parse the textual term list; errors carry their line number.
+
+    The sum of the coefficients' magnitudes must stay finite, so that no
+    norm or matrix built from the file overflows.
+    """
     n: int | None = None
     entries: list[tuple[str, float]] = []
+    size = 0.0
     for lineno, tokens in _lines(text):
         if n is None:
             if tokens[0] != "qubits" or len(tokens) != 2:
@@ -94,6 +99,9 @@ def parse_hamfile(text: str) -> HamExpansion:
         if len(tokens) < 2:
             raise ParseError("term needs a coefficient and a support", line=lineno)
         coeff = _parse_float(tokens[0], lineno, "coefficient")
+        size += abs(coeff)
+        if not math.isfinite(size):
+            raise ParseError("coefficient magnitudes sum past the float range", line=lineno)
         ops = ["I"] * n
         if tokens[1:] == ["I"]:
             entries.append(("".join(ops), coeff))
@@ -161,7 +169,7 @@ def parse_schedule(text: str) -> Schedule:
     ``local`` and ``drift`` records are nearly every line of a long
     schedule, and few distinct: each distinct line is parsed once into a
     table entry, its instruction is shared by every line that repeats it,
-    and the instructions are a :class:`Listing` of the lines' table
+    and the schedule is one block, a :class:`Listing` of the lines' table
     indices, so evaluation interns them from the table.
     """
     n: int | None = None
@@ -257,11 +265,7 @@ def parse_schedule(text: str) -> Schedule:
     if n is None:
         raise ParseError("empty schedule file")
     return Schedule(
-        n,
-        Listing(table, ids),
-        phase,
-        raw_drift_periods=periods,
-        predicted_error=predicted,
+        n, ((Listing(table, ids), 1),), phase, raw_drift_periods=periods, predicted_error=predicted
     )
 
 

@@ -133,12 +133,5 @@ def compile_remote(
     phase += 2.0 * SWAP_TIME * (hops - 1)
 
     return canonicalize(
-        Schedule.from_blocks(
-            drift.n,
-            blocks,
-            phase,
-            raw_drift_periods=raw,
-            plan=None,
-            predicted_error=predicted,
-        )
+        Schedule(drift.n, blocks, phase, raw_drift_periods=raw, predicted_error=predicted)
     )

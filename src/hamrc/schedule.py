@@ -11,13 +11,13 @@ entry acts first on a state.  The conjugation pattern
 ``exp(-i t U H U^dag)`` exactly.
 
 A compiled schedule is one step repeated many times, so a ``Schedule``
-also holds its instructions as blocks ``(body, count)``: the body
+holds its instructions only as blocks ``(body, count)``: the body
 repeated ``count`` times, block after block.  Canonicalization,
 evaluation, serialization and the drift statistics work on each body
-once, not on every copy; a schedule built from a plain list is one
-block.  A parsed file is one block too, a :class:`Listing` that keeps
-each line's index into the parser's table of distinct records, so it is
-interned without a walk over its lines.
+once, not on every copy, and the expansion is built only when
+``instructions`` is read.  A parsed file is one block, a
+:class:`Listing` that keeps each line's index into the parser's table of
+distinct records, so it is interned without a walk over its lines.
 
 Evaluation keeps the operator order and changes only the grouping of
 the product: a body's equal instructions are built once, each distinct
@@ -33,8 +33,9 @@ loop; both make the same nodes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -110,16 +111,15 @@ class Drift:
 Instruction = LocalLayer | Drift
 
 
-class Listing(Sequence):
+class Listing:
     """Instructions listed by their index into a table of records.
 
-    Reads as the tuple of ``table[k]`` for each ``k`` in ``ids``, a
-    read-only integer array, and compares equal to that tuple; it keeps
-    the table and the ids, so a long listing is interned from its table
-    without a walk over its entries.  The table lists its entries in the
-    order the ids first use them, and every entry is used: a parsed
-    schedule file is a listing with one entry per distinct ``local`` or
-    ``drift`` line.
+    Iterates as ``table[k]`` for each ``k`` in ``ids``, a read-only
+    integer array; it keeps the table and the ids, so a long listing is
+    interned from its table without a walk over its entries.  The table
+    lists its entries in the order the ids first use them, and every
+    entry is used: a parsed schedule file is one block whose body is a
+    listing with one entry per distinct ``local`` or ``drift`` line.
     """
 
     __slots__ = ("table", "ids")
@@ -135,16 +135,6 @@ class Listing(Sequence):
     def __iter__(self) -> Iterator[Instruction]:
         return map(self.table.__getitem__, self.ids.tolist())
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.table.__getitem__, self.ids[i].tolist()))
-        return self.table[self.ids[i]]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, Listing)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"Listing({len(self)} instructions, {len(self.table)} records)"
 
@@ -153,48 +143,56 @@ class Listing(Sequence):
 Block = tuple[tuple[Instruction, ...] | Listing, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """An operator-ordered instruction list with an explicit global phase.
+    """Operator-ordered instructions, stored as blocks, with a global phase.
+
+    ``blocks`` lists ``(body, count)`` pairs, each body repeated ``count``
+    times.  A tuple or :class:`Listing` body is kept as it is, any other
+    becomes a tuple, empty bodies and zero counts are dropped, and a layer
+    on a site outside the register is refused.  ``len()`` counts the
+    expanded instructions and ``instructions`` builds the expansion on
+    each read; schedules are equal when their ``n``, ``phase`` and
+    expansions are, however they are blocked.
 
     ``raw_drift_periods`` preserves the pre-merge drift count when the
     schedule came out of a compiler; ``plan`` carries the step plan that
     produced it, when one exists.  ``predicted_error`` is the compiler's
     error budget for the whole schedule (a chained total when several
     independently planned pieces were concatenated).
-
-    ``blocks`` lists the same instructions as repeated bodies, and
-    ``instructions`` is their expansion; left out, it is the one block
-    ``((instructions, 1),)``.  :meth:`from_blocks` builds both, and a copy
-    with other instructions needs its own blocks.  A parsed schedule's
-    instructions are a :class:`Listing`.
     """
 
     n: int
-    instructions: tuple[Instruction, ...] | Listing
+    blocks: tuple[Block, ...]
     phase: float = 0.0
-    raw_drift_periods: int | None = field(default=None, compare=False)
-    plan: "ErrorPlan | None" = field(default=None, compare=False)
-    predicted_error: float | None = field(default=None, compare=False)
-    blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
+    raw_drift_periods: int | None = None
+    plan: "ErrorPlan | None" = None
+    predicted_error: float | None = None
 
     def __post_init__(self):
-        if not self.blocks:
-            object.__setattr__(self, "blocks", ((self.instructions, 1),))
-        elif sum(len(body) * count for body, count in self.blocks) != len(self.instructions):
-            raise InvalidTerm("schedule blocks do not expand to its instructions")
+        blocks = tuple(
+            (body if isinstance(body, (tuple, Listing)) else tuple(body), count)
+            for body, count in self.blocks if len(body) and count
+        )
+        for body, _ in blocks:
+            for ins in body.table if isinstance(body, Listing) else body:
+                sites = ins.sites() if isinstance(ins, LocalLayer) else ()  # sorted
+                if sites and not (sites[0] >= 0 and sites[-1] < self.n):
+                    raise InvalidTerm(f"layer sites {sites} outside register of {self.n}")
+        object.__setattr__(self, "blocks", blocks)
 
-    @classmethod
-    def from_blocks(
-        cls, n: int, blocks: Iterable[tuple[Sequence[Instruction], int]], phase: float = 0.0,
-        **meta: Any,
-    ) -> "Schedule":
-        """Schedule of the blocks in order; empty bodies are dropped."""
-        kept = tuple((tuple(body), count) for body, count in blocks if body and count)
-        expansion: list[Instruction] = []
-        for body, count in kept:
-            expansion += body * count
-        return cls(n, tuple(expansion), phase, blocks=kept, **meta)
+    def __len__(self) -> int:
+        return sum(len(body) * count for body, count in self.blocks)
+
+    def _key(self) -> tuple:
+        expansion = chain.from_iterable(list(body) * count for body, count in self.blocks)
+        return self.n, self.phase, tuple(expansion)
+
+    #: the blocks' expansion, built on each read
+    instructions = property(lambda self: self._key()[2])
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Schedule) else NotImplemented
 
     def drift_count(self) -> int:
         return sum(
@@ -306,7 +304,7 @@ def canonicalize(sched: Schedule) -> Schedule:
                     del out[:-1]
                 break
     settled.append((tuple(out), 1))
-    return Schedule.from_blocks(
+    return Schedule(
         sched.n, settled, sched.phase,
         raw_drift_periods=sched.raw_drift_periods,
         plan=sched.plan,
@@ -504,7 +502,7 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
         raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
 
     evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
-    if not sched.instructions:
+    if not sched.blocks:
         return np.exp(1j * sched.phase) * np.eye(2**sched.n, dtype=complex)
 
     w = None

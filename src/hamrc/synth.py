@@ -268,7 +268,7 @@ def _make_measure(
 
     def measure(n_steps: int) -> float:
         instructions, phase = emit_step(model, t / n_steps, order)
-        frag = Schedule(model.n, tuple(instructions), phase)
+        frag = Schedule(model.n, ((instructions, 1),), phase)
         w = evaluate_schedule(frag, model.drift)
         return distance(goal, np.linalg.matrix_power(w, n_steps), phase_align=True)
 
@@ -329,17 +329,15 @@ def _repeat_steps(
     epsilon: float | None,
     order: int,
     bound: str,
-    lead: tuple[Instruction, ...] = (),
-    trail: tuple[Instruction, ...] = (),
 ) -> Schedule:
     """Raw schedule approximating ``exp(-i target t)`` by repeating one step.
 
     ``target`` is the evolution ``model`` was built for, on its register.
     Exactly one of ``steps`` and ``epsilon`` selects the step count; with
     ``epsilon`` the plan comes from the requested bound kind and is
-    attached to the returned schedule.  The schedule is the blocks
-    ``lead``, the emitted step ``steps`` times, and ``trail``, as
-    emitted; each entry point canonicalizes its finished schedule once.
+    attached to the returned schedule.  The schedule is one block, the
+    emitted step repeated ``steps`` times; each entry point adds what it
+    needs around it and canonicalizes its finished schedule once.
     """
     if not t > 0:
         raise InvalidStep(f"total time must be positive, got {t}")
@@ -352,9 +350,9 @@ def _repeat_steps(
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
     instructions, phase = emit_step(model, t / steps, order)
-    return Schedule.from_blocks(
+    return Schedule(
         model.n,
-        [(lead, 1), (instructions, steps), (trail, 1)],
+        ((instructions, steps),),
         phase * steps,
         raw_drift_periods=model.raw_drifts_per_step(order) * steps,
         plan=plan,
@@ -407,19 +405,21 @@ def compile_cnot(
 
     The coupling part ``-Z (x) X`` is compiled for time pi/4 and
     sandwiched between the exact local rotations that supply the
-    remaining commuting generator terms; the global phase is tracked so
-    the result approximates the CNOT matrix itself, not just its ray.
-    A planned schedule is evaluated against the CNOT and refused when it
-    misses its own predicted error.
+    remaining commuting generator terms, one-layer blocks around the
+    repeated step, and the whole is canonicalized once; the global phase
+    is tracked so the result approximates the CNOT matrix itself, not
+    just its ray.  A planned schedule is evaluated against the CNOT and
+    refused when it misses its own predicted error.
     """
     lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
     trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
     body = _repeat_steps(
         step_model(drift, CNOT_BODY), CNOT_BODY, CNOT_TIME,
         steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),
-        lead=(lead,), trail=(trail,),
     )
-    sched = canonicalize(replace(body, phase=body.phase + CNOT_TIME))
+    sched = canonicalize(replace(
+        body, blocks=(((lead,), 1), *body.blocks, ((trail,), 1)), phase=body.phase + CNOT_TIME
+    ))
     if sched.plan is not None:
         achieved = distance(
             CNOT_MATRIX,

@@ -60,7 +60,7 @@ def _stopwatch(limit: float):
 def _power_error(drift, target_mat, model, t, steps, order):
     """Error of the compiled evolution via one emitted step and matrix power."""
     instructions, phase = emit_step(model, t / steps, order)
-    frag = Schedule(model.n, tuple(instructions), phase)
+    frag = Schedule(model.n, ((tuple(instructions), 1),), phase)
     w = evaluate_schedule(frag, drift)
     return distance(target_mat, np.linalg.matrix_power(w, steps))
 
@@ -225,7 +225,7 @@ def test_criterion_09_norm_and_conjugation_exactness_suite():
         u0, u1 = random_unitary(2), random_unitary(2)
         layer = LocalLayer({0: u0, 1: u1})
         tau = float(rng.uniform(0.1, 2.0))
-        sched = Schedule(2, (layer, Drift(tau), layer.dagger()))
+        sched = Schedule(2, (((layer, Drift(tau), layer.dagger()), 1),))
         got = evaluate_schedule(sched, drift)
         u = np.kron(u0, u1)
         want = expm_hermitian(

@@ -379,6 +379,35 @@ def test_non_finite_inputs_exit_2(files, capsys, coefficient):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{big}"],
+    ["compile", "{big}", "--gate", "cnot", "--epsilon", "1e-2"],
+    ["bound", "{big}", "--gate", "cnot", "--epsilon", "1e-2"],
+    ["verify", "{big}", "{sched}", "--gate", "cnot"],
+], ids=["check", "compile", "bound", "verify"])
+def test_an_overflowing_drift_is_refused_at_parse(files, capsys, argv):
+    # each coefficient is finite, but their magnitudes sum to inf, so the
+    # drift's norms and matrices would hold inf and nan
+    big = files["tmp"] / "big.ham"
+    big.write_text("qubits 2\n1e308 0:Z 1:Z\n1e308 0:Z\n")
+    sched = files["tmp"] / "cnot.hrs"
+    main(["compile", files["drift"], "--gate", "cnot", "--steps", "4", "--out", str(sched)])
+    capsys.readouterr()
+    assert main([a.format(big=big, sched=sched) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "sum past the float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{drift}", "--gate", "cnot", "--epsilon", "1e-2", "--out", "{out}"],
+    ["check", "{drift}", "--report", "{out}"],
+], ids=["compile-out", "check-report"])
+def test_an_unwritable_output_exits_2(files, capsys, argv):
+    out = files["tmp"] / "missing" / "x.sch"
+    assert main([a.format(out=out, **files) for a in argv]) == 2
+    assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("record", ["predicted -0.5", "periods -3"])
 def test_negative_schedule_fields_exit_2(files, capsys, record):
     # a negative prediction used to become a negative verify tolerance

@@ -22,7 +22,7 @@ from hamrc import (
     serialize_hamfile,
     serialize_schedule,
 )
-from hamrc.schedule import intern_instructions
+from hamrc.schedule import Listing, intern_instructions
 
 
 def test_hamfile_round_trip_is_exact():
@@ -94,7 +94,7 @@ def test_schedule_round_trip_is_exact(sample_drift):
 
 
 def test_schedule_round_trip_with_identity_layer():
-    sched = Schedule(2, (LocalLayer({}), Drift(0.25)), phase=-0.5)
+    sched = Schedule(2, (((LocalLayer({}), Drift(0.25)), 1),), phase=-0.5)
     back = parse_schedule(serialize_schedule(sched))
     assert back == sched
 
@@ -114,7 +114,7 @@ def test_schedule_parse_shares_one_instruction_per_argument(sample_drift):
     assert ins[0] is ins[4] and ins[2] is ins[5]
     assert ins[1] is ins[3] and ins[1] == LocalLayer({})
     assert math.copysign(1.0, ins[0].tau) == 1.0 and math.copysign(1.0, ins[2].tau) == -1.0
-    assert serialize_schedule(Schedule(1, ins)).endswith(
+    assert serialize_schedule(Schedule(1, ((ins, 1),))).endswith(
         "drift 0\nlocal 0\ndrift -0\nlocal 0\ndrift 0\ndrift -0\n"
     )
 
@@ -135,9 +135,9 @@ def test_schedule_layer_table_is_deduplicated(sample_drift):
 def test_schedule_layer_table_keys_layers_by_value():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     layer = LocalLayer({0: x})
-    shared = Schedule(2, (layer, Drift(0.0), layer, Drift(-0.0), layer))
+    shared = Schedule(2, (((layer, Drift(0.0), layer, Drift(-0.0), layer), 1),))
     copies = Schedule(
-        2, (layer, Drift(0.0), LocalLayer({0: x}), Drift(-0.0), LocalLayer(layer.factors))
+        2, (((layer, Drift(0.0), LocalLayer({0: x}), Drift(-0.0), LocalLayer(layer.factors)), 1),)
     )
     text = serialize_schedule(shared)
     assert serialize_schedule(copies) == text
@@ -221,7 +221,7 @@ def record_schedules(draw):
         if isinstance(ins, LocalLayer) and draw(st.booleans()):
             ins = LocalLayer(ins.factors)
         instructions.append(ins)
-    return Schedule(n, tuple(instructions), draw(st.floats(-np.pi, np.pi)))
+    return Schedule(n, ((tuple(instructions), 1),), draw(st.floats(-np.pi, np.pi)))
 
 
 @settings(max_examples=60)
@@ -244,11 +244,14 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
             # layers equal by value share one id, numbered in order of first use
             assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
         assert shared.setdefault(line, got) is got
-    # the parsed listing interns from its table as a walk over it does
-    distinct, seq = intern_instructions(back.instructions)
-    walked, walked_seq = intern_instructions(tuple(back.instructions))
-    assert [id(ins) for ins in distinct] == [id(ins) for ins in walked]
-    assert list(seq) == walked_seq
+    # a parsed file is one block (none when empty), a listing that interns
+    # from its table as a walk over it does
+    assert [(type(body), k) for body, k in back.blocks] == [(Listing, 1)] * bool(len(back))
+    for listing, _ in back.blocks:
+        distinct, seq = intern_instructions(listing)
+        walked, walked_seq = intern_instructions(tuple(listing))
+        assert [id(ins) for ins in distinct] == [id(ins) for ins in walked]
+        assert list(seq) == walked_seq
 
 
 @pytest.mark.parametrize("steps,order", [(5000, 1), (4, 2)])
@@ -256,7 +259,7 @@ def test_a_parsed_file_evaluates_as_its_instruction_tuple(sample_drift, steps, o
     text = serialize_schedule(compile_cnot(sample_drift, steps=steps, order=order))
     parsed = parse_schedule(text)
     assert len(text.splitlines()) >= (40_000 if steps == 5000 else 1)
-    flat = Schedule(parsed.n, tuple(parsed.instructions), parsed.phase)
+    flat = Schedule(parsed.n, ((parsed.instructions, 1),), parsed.phase)
     assert np.array_equal(evaluate_schedule(parsed, sample_drift), evaluate_schedule(flat, sample_drift))
 
 
@@ -269,7 +272,8 @@ def test_schedule_parse_ignores_spelling_of_repeated_records():
         "local 00\ndrift 0.5 # a comment\n"
         "local 0\ndrift 0.5\n"
     )
-    ins = parse_schedule(text).instructions
+    listing = parse_schedule(text).blocks[0][0]
+    ins = tuple(listing)
     x = LocalLayer({0: np.array([[0, 1], [1, 0]], dtype=complex)})
     assert list(ins) == [x, Drift(0.5)] * 4
     assert ins == (x, Drift(0.5)) * 4 and ins[1:4] == (Drift(0.5), x, Drift(0.5))
@@ -279,7 +283,7 @@ def test_schedule_parse_ignores_spelling_of_repeated_records():
     assert ins[7] is ins[1]
     assert ins[3] is not ins[1] and ins[5] is not ins[1]
     # the table holds a record per spelling, interned as one instruction
-    distinct, seq = intern_instructions(ins)
+    distinct, seq = intern_instructions(listing)
     assert distinct[0] is ins[0] and distinct[1] is ins[1] and len(distinct) == 2
     assert seq.tolist() == [0, 1] * 4
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_layer, random_two_body
 from hamrc import schedule
+from hamrc.schedule import Listing
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -45,7 +46,7 @@ def test_instruction_list_is_operator_ordered(sample_drift):
     # [U, drift(t), U^dag] must evaluate to exp(-i t U H U^dag)
     layer = LocalLayer({0: HAD, 1: HAD})
     sched = Schedule(
-        2, (layer, Drift(0.3), layer.dagger())
+        2, (((layer, Drift(0.3), layer.dagger()), 1),)
     )
     got = evaluate_schedule(sched, sample_drift)
     h = dense_of_expansion(sample_drift)
@@ -57,7 +58,7 @@ def test_instruction_list_is_operator_ordered(sample_drift):
 def test_last_instruction_acts_first_on_states(sample_drift):
     x0 = LocalLayer({0: dense_of_pauli(PauliString("X"))})
     z0 = LocalLayer({0: dense_of_pauli(PauliString("Z"))})
-    sched = Schedule(2, (x0, z0))  # X after Z in time
+    sched = Schedule(2, (((x0, z0), 1),))  # X after Z in time
     got = evaluate_schedule(sched, sample_drift)
     want = np.kron(
         dense_of_pauli(PauliString("X")) @ dense_of_pauli(PauliString("Z")),
@@ -67,8 +68,8 @@ def test_last_instruction_acts_first_on_states(sample_drift):
 
 
 def test_phase_multiplies_evaluation(sample_drift):
-    sched = Schedule(2, (Drift(0.2),), phase=0.9)
-    bare = Schedule(2, (Drift(0.2),))
+    sched = Schedule(2, (((Drift(0.2),), 1),), phase=0.9)
+    bare = Schedule(2, (((Drift(0.2),), 1),))
     got = evaluate_schedule(sched, sample_drift)
     want = np.exp(1j * 0.9) * evaluate_schedule(bare, sample_drift)
     assert np.allclose(got, want)
@@ -78,15 +79,18 @@ def test_canonicalize_merges_and_preserves_value(sample_drift):
     layer = LocalLayer({0: HAD})
     raw = Schedule(
         2,
-        (
-            Drift(0.1),
-            Drift(0.2),
-            layer,
-            layer,  # HAD twice = identity, cancels out
-            Drift(0.0),
-            Drift(0.3),
-            LocalLayer({}),
-        ),
+        ((
+            (
+                Drift(0.1),
+                Drift(0.2),
+                layer,
+                layer,  # HAD twice = identity, cancels out
+                Drift(0.0),
+                Drift(0.3),
+                LocalLayer({}),
+            ),
+            1,
+        ),),
         phase=0.4,
     )
     canon = canonicalize(raw)
@@ -99,7 +103,7 @@ def test_canonicalize_merges_and_preserves_value(sample_drift):
 
 
 def test_canonicalize_keeps_metadata(sample_drift):
-    raw = Schedule(2, (Drift(0.1), Drift(0.1)), raw_drift_periods=2,
+    raw = Schedule(2, (((Drift(0.1), Drift(0.1)), 1),), raw_drift_periods=2,
                    predicted_error=0.5)
     canon = canonicalize(raw)
     assert canon.raw_drift_periods == 2
@@ -110,7 +114,7 @@ def test_canonicalize_keeps_metadata(sample_drift):
 
 def test_evaluation_respects_dense_cap(monkeypatch):
     big = build_expansion(11, [("XX" + "I" * 9, 1.0)])
-    sched = Schedule(11, (Drift(0.1),))
+    sched = Schedule(11, (((Drift(0.1),), 1),))
     with pytest.raises(TooLarge):
         evaluate_schedule(sched, big)
     # raising the cap through the environment allows it
@@ -130,11 +134,21 @@ def test_drift_duration_must_be_finite(tau):
         Drift(tau)
 
 
+@pytest.mark.parametrize("site", [5, -1])
+def test_a_layer_outside_the_register_is_refused(site):
+    layer = LocalLayer({site: HAD})
+    with pytest.raises(InvalidTerm, match="outside register of 2"):
+        Schedule(2, (((layer, Drift(0.1)), 1),))
+    # a listing is checked by its table
+    with pytest.raises(InvalidTerm, match="outside register of 2"):
+        Schedule(2, ((Listing([Drift(0.1), layer], [0, 1, 0]), 1),))
+
+
 def test_schedule_equality_ignores_plan_metadata():
-    a = Schedule(2, (Drift(0.1),), raw_drift_periods=5)
-    b = Schedule(2, (Drift(0.1),), raw_drift_periods=9, predicted_error=1.0)
+    a = Schedule(2, (((Drift(0.1),), 1),), raw_drift_periods=5)
+    b = Schedule(2, (((Drift(0.1),), 1),), raw_drift_periods=9, predicted_error=1.0)
     assert a == b
-    assert a != Schedule(2, (Drift(0.1),), phase=0.2)
+    assert a != Schedule(2, (((Drift(0.1),), 1),), phase=0.2)
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +203,7 @@ def reference_canonicalize(sched):
             fused[-1] = Drift(fused[-1].tau + ins.tau)
         else:
             fused.append(ins)
-    return Schedule(sched.n, tuple(fused), sched.phase,
+    return Schedule(sched.n, ((tuple(fused), 1),), sched.phase,
                     raw_drift_periods=sched.raw_drift_periods)
 
 
@@ -222,7 +236,7 @@ def schedules(draw, *, cancelling=False, sizes=(1, 4), max_repeats=200):
             if isinstance(ins, LocalLayer) and draw(st.booleans()):
                 ins = LocalLayer(ins.factors)
             instructions.append(ins)
-    return Schedule(n, tuple(instructions), phase)
+    return Schedule(n, ((tuple(instructions), 1),), phase)
 
 
 def _check_against_the_left_to_right_product(sched, drift_seed):
@@ -337,7 +351,7 @@ def test_grammar_builds_the_product_from_six_qubits(monkeypatch, n, built):
     for name in ("_product_tree", "_grammar_tree"):
         monkeypatch.setattr(schedule, name, spy(name))
     rng = np.random.default_rng(6)
-    sched = Schedule(n, (random_layer(rng, n), Drift(0.3), random_layer(rng, n)) * 8)
+    sched = Schedule(n, (((random_layer(rng, n), Drift(0.3), random_layer(rng, n)) * 8, 1),))
     drift = random_two_body(n, rng, connected=True)
     got = evaluate_schedule(sched, drift)
     assert calls[-1] == built  # the grammar pairs up its last ids by the tree
@@ -362,7 +376,7 @@ def test_canonicalize_matches_the_fresh_merge_fold(sched):
 
 def test_canonicalize_shares_one_layer_per_repeated_seam():
     a, b = LocalLayer({0: HAD}), LocalLayer({1: HAD})
-    canon = canonicalize(Schedule(2, (a, Drift(0.1), b) * 5))
+    canon = canonicalize(Schedule(2, (((a, Drift(0.1), b) * 5, 1),)))
     seams = [ins for ins in canon.instructions[1:-1] if isinstance(ins, LocalLayer)]
     assert len(seams) == 4
     assert all(s is seams[0] for s in seams)
@@ -393,10 +407,13 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
     def pick(ids):
         return [BLOCK_POOL[i] for i in ids]
 
-    sched = Schedule.from_blocks(
-        2, [(pick(lead), 1), (pick(step), count), (pick(trail), 1)], phase=0.2
-    )
-    flat = Schedule(2, sched.instructions, sched.phase)
+    blocks = [(pick(lead), 1), (pick(step), count), (pick(trail), 1)]
+    sched = Schedule(2, blocks + [(pick(step), 0)], phase=0.2)
+    # list bodies become tuples; empty bodies and zero counts are dropped
+    assert sched.blocks == tuple((tuple(body), k) for body, k in blocks if body)
+    assert all(type(body) is tuple for body, _ in sched.blocks)
+    assert len(sched) == len(sched.instructions)
+    flat = Schedule(2, ((sched.instructions, 1),), sched.phase)
     got = canonicalize(sched)
     assert serialize_schedule(got) == serialize_schedule(reference_canonicalize(flat))
     assert got.drift_count() == canonicalize(flat).drift_count()
@@ -406,9 +423,3 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
             evaluate_schedule(a, BLOCK_DRIFT) - reference_evaluate(flat, BLOCK_DRIFT)
         ) < 1e-12
 
-
-def test_blocks_must_expand_to_the_instructions():
-    a = Schedule.from_blocks(2, [((Drift(0.1), Drift(0.2)), 3)])
-    assert a.instructions == (Drift(0.1), Drift(0.2)) * 3
-    with pytest.raises(InvalidTerm):
-        Schedule(2, (Drift(0.1),), blocks=a.blocks)
