@@ -49,7 +49,6 @@ from .errors import (
     InvalidTerm,
     NotConnected,
     NotCoupled,
-    NotEntangling,
     NotHermitian,
     NotTwoBody,
     ParseError,
@@ -100,7 +99,7 @@ __all__ = [
     "CLIFF_XQ", "CLIFF_XQI", "CNOT_MATRIX", "DimMismatch", "Drift",
     "ErrorPlan", "GLOBAL_BOUND_C", "HamExpansion", "HamrcError", "Infeasible",
     "InvalidStep", "InvalidTerm", "LocalClifford", "LocalLayer", "NotConnected",
-    "NotCoupled", "NotEntangling", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
+    "NotCoupled", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
     "ParseError", "PauliString", "Schedule", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",

@@ -34,7 +34,6 @@ from .errors import (
     InvalidTerm,
     NotConnected,
     NotCoupled,
-    NotEntangling,
     NotHermitian,
     NotTwoBody,
     ParseError,
@@ -48,7 +47,7 @@ from .schedule import Schedule, evaluate_schedule
 _EXIT_CODES = (
     (VerificationFailure, 5),
     ((Infeasible, TooLarge), 4),
-    ((NotEntangling, NotConnected, NotCoupled), 3),
+    ((NotConnected, NotCoupled), 3),
     ((ParseError, NotTwoBody, NotHermitian, InvalidTerm, InvalidStep, DimMismatch), 2),
     (HamrcError, 1),
 )

@@ -17,10 +17,6 @@ class NotCoupled(HamrcError):
     """The requested pair carries no coupling term."""
 
 
-class NotEntangling(HamrcError):
-    """The drift Hamiltonian does not connect all qubits."""
-
-
 class NotHermitian(HamrcError):
     """A dense operator failed the Hermiticity tolerance."""
 

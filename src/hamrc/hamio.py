@@ -25,13 +25,14 @@ then list the instructions in operator-product order::
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidTerm, ParseError
 from .pauli import HamExpansion, PauliString, build_expansion
-from .schedule import Drift, Instruction, Listing, LocalLayer, Schedule, intern_instructions
+from .schedule import Drift, Instruction, Listing, LocalLayer, Schedule
 
 
 def _fmt(x: float) -> str:
@@ -131,20 +132,22 @@ def parse_hamfile(text: str) -> HamExpansion:
 
 
 def serialize_schedule(sched: Schedule) -> str:
+    """Render a schedule with one record per distinct instruction.
+
+    The bodies' tables are interned together, so the records come in
+    order of first use, and each body's ids are mapped through them.
+    """
     out = [f"qubits {sched.n}", f"phase {_fmt(sched.phase)}"]
     if sched.raw_drift_periods is not None:
         out.append(f"periods {sched.raw_drift_periods}")
     if sched.predicted_error is not None:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
-    # one record per distinct instruction, layers numbered in order of first
-    # use; the body lists each instruction's record.  A block's first copy
-    # holds the first use of everything in it, so the bodies are interned once
-    distinct, seq = intern_instructions([ins for body, _ in sched.blocks for ins in body])
+    distinct = Listing(chain.from_iterable(body.table for body, _ in sched.blocks))
     table: list[str] = []
     records: list[str] = []
     layers = 0
-    for ins in distinct:
+    for ins in distinct.table:
         if isinstance(ins, Drift):
             records.append(f"drift {_fmt(ins.tau)}")
             continue
@@ -158,8 +161,9 @@ def serialize_schedule(sched: Schedule) -> str:
     listed: list[str] = []
     start = 0
     for body, count in sched.blocks:
-        listed += [records[k] for k in seq[start:start + len(body)]] * count
-        start += len(body)
+        seq = distinct.ids[start:start + len(body.table)][body.ids]
+        listed += [records[k] for k in seq.tolist()] * count
+        start += len(body.table)
     return "\n".join(out + table + listed) + "\n"
 
 
@@ -168,9 +172,9 @@ def parse_schedule(text: str) -> Schedule:
 
     ``local`` and ``drift`` records are nearly every line of a long
     schedule, and few distinct: each distinct line is parsed once into a
-    table entry, its instruction is shared by every line that repeats it,
-    and the schedule is one block, a :class:`Listing` of the lines' table
-    indices, so evaluation interns them from the table.
+    table entry, and the schedule is one block, a :class:`Listing` of the
+    lines' table indices, interned from the table.  Lines that spell one
+    instruction differently share one instruction, as repeated lines do.
     """
     n: int | None = None
     phase = 0.0

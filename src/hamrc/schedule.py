@@ -12,12 +12,14 @@ entry acts first on a state.  The conjugation pattern
 
 A compiled schedule is one step repeated many times, so a ``Schedule``
 holds its instructions only as blocks ``(body, count)``: the body
-repeated ``count`` times, block after block.  Canonicalization,
-evaluation, serialization and the drift statistics work on each body
-once, not on every copy, and the expansion is built only when
-``instructions`` is read.  A parsed file is one block, a
-:class:`Listing` that keeps each line's index into the parser's table of
-distinct records, so it is interned without a walk over its lines.
+repeated ``count`` times, block after block.  Every body is a
+:class:`Listing`, its distinct instructions (interned by value once,
+when the schedule is built) and each position's index into them.
+Canonicalization, evaluation, serialization and the drift statistics
+work on each body once, not on every copy, and the expansion is built
+only when ``instructions`` is read.  A parsed file is one block, whose
+listing is interned from the parser's table of distinct records without
+a walk over its lines.
 
 Evaluation keeps the operator order and changes only the grouping of
 the product: a body's equal instructions are built once, each distinct
@@ -33,7 +35,7 @@ loop; both make the same nodes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any
@@ -53,9 +55,13 @@ _ID2 = np.eye(2, dtype=complex)
 
 
 class LocalLayer:
-    """One layer of single-qubit unitaries; omitted sites act as identity."""
+    """One layer of single-qubit unitaries; omitted sites act as identity.
 
-    __slots__ = ("factors",)
+    Layers are values: equal, and hashing alike, when their factors are
+    bitwise equal.  The key is computed once, from the read-only copies.
+    """
+
+    __slots__ = ("factors", "_key")
 
     def __init__(self, factors: Mapping[int, np.ndarray]):
         checked: dict[int, np.ndarray] = {}
@@ -72,6 +78,7 @@ class LocalLayer:
             u.flags.writeable = False
             checked[site] = u
         self.factors = checked
+        self._key = tuple((q, u.tobytes()) for q, u in checked.items())
 
     def sites(self) -> tuple[int, ...]:
         return tuple(self.factors)
@@ -86,10 +93,13 @@ class LocalLayer:
         return LocalLayer({q: u.conj().T for q, u in self.factors.items()})
 
     def cache_key(self) -> tuple:
-        return tuple((q, u.tobytes()) for q, u in self.factors.items())
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LocalLayer) and self.cache_key() == other.cache_key()
+        return isinstance(other, LocalLayer) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"LocalLayer(sites={self.sites()})"
@@ -112,21 +122,37 @@ Instruction = LocalLayer | Drift
 
 
 class Listing:
-    """Instructions listed by their index into a table of records.
+    """A body of instructions: its distinct ones, and each position's index.
 
-    Iterates as ``table[k]`` for each ``k`` in ``ids``, a read-only
-    integer array; it keeps the table and the ids, so a long listing is
-    interned from its table without a walk over its entries.  The table
-    lists its entries in the order the ids first use them, and every
-    entry is used: a parsed schedule file is one block whose body is a
-    listing with one entry per distinct ``local`` or ``drift`` line.
+    ``Listing(items)`` interns ``items`` by value.  Layers are equal when
+    their keys are, and drifts when their durations are, except that
+    ``0.0`` and ``-0.0`` stay apart (a zero is keyed by its sign), so each
+    distinct drift also has one spelling on file.  ``table`` lists the
+    distinct instructions in order of first use, and ``ids``, a read-only
+    integer array, holds each position's index into it.
+
+    With ``ids``, ``items`` is a table of records (a parsed file's
+    distinct lines) and the listing is ``items[k]`` for each ``k`` in
+    ``ids``: the records are interned and ``ids`` is remapped through
+    them, with no walk over the positions.  A listing iterates as its
+    instructions.
     """
 
     __slots__ = ("table", "ids")
 
-    def __init__(self, table: Sequence[Instruction], ids: Sequence[int]):
+    def __init__(self, items: Iterable[Instruction], ids: Sequence[int] | None = None):
+        index: dict[Any, int] = {}
+        table: list[Instruction] = []
+        seq: list[int] = []
+        for ins in items:
+            key = ins.tau or (0, math.copysign(1.0, ins.tau)) if isinstance(ins, Drift) else ins
+            k = index.setdefault(key, len(table))
+            if k == len(table):
+                table.append(ins)
+            seq.append(k)
         self.table = tuple(table)
-        self.ids = np.array(ids, dtype=np.intp)
+        remap = np.array(seq, dtype=np.intp)
+        self.ids = remap if ids is None else remap[np.asarray(ids, dtype=np.intp)]
         self.ids.flags.writeable = False
 
     def __len__(self) -> int:
@@ -136,11 +162,11 @@ class Listing:
         return map(self.table.__getitem__, self.ids.tolist())
 
     def __repr__(self) -> str:
-        return f"Listing({len(self)} instructions, {len(self.table)} records)"
+        return f"Listing({len(self)} instructions, {len(self.table)} distinct)"
 
 
 #: ``(body, count)``: the body's instructions repeated ``count`` times
-Block = tuple[tuple[Instruction, ...] | Listing, int]
+Block = tuple[Listing, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,12 +174,12 @@ class Schedule:
     """Operator-ordered instructions, stored as blocks, with a global phase.
 
     ``blocks`` lists ``(body, count)`` pairs, each body repeated ``count``
-    times.  A tuple or :class:`Listing` body is kept as it is, any other
-    becomes a tuple, empty bodies and zero counts are dropped, and a layer
-    on a site outside the register is refused.  ``len()`` counts the
-    expanded instructions and ``instructions`` builds the expansion on
-    each read; schedules are equal when their ``n``, ``phase`` and
-    expansions are, however they are blocked.
+    times.  A :class:`Listing` body is kept as it is and any other becomes
+    one, so each body is interned once; empty bodies and zero counts are
+    dropped, and a layer on a site outside the register is refused.
+    ``len()`` counts the expanded instructions and ``instructions`` builds
+    the expansion on each read; schedules are equal when their ``n``,
+    ``phase`` and expansions are, however they are blocked.
 
     ``raw_drift_periods`` preserves the pre-merge drift count when the
     schedule came out of a compiler; ``plan`` carries the step plan that
@@ -171,11 +197,11 @@ class Schedule:
 
     def __post_init__(self):
         blocks = tuple(
-            (body if isinstance(body, (tuple, Listing)) else tuple(body), count)
+            (body if isinstance(body, Listing) else Listing(body), count)
             for body, count in self.blocks if len(body) and count
         )
         for body, _ in blocks:
-            for ins in body.table if isinstance(body, Listing) else body:
+            for ins in body.table:
                 sites = ins.sites() if isinstance(ins, LocalLayer) else ()  # sorted
                 if sites and not (sites[0] >= 0 and sites[-1] < self.n):
                     raise InvalidTerm(f"layer sites {sites} outside register of {self.n}")
@@ -224,14 +250,16 @@ def _merge_layers(a: LocalLayer, b: LocalLayer) -> LocalLayer:
 
 def _fold(
     out: list[Instruction],
-    body: Sequence[Instruction],
-    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]],
-    settled: list[Block],
+    body: Iterable[Instruction],
+    merges: dict[tuple[LocalLayer, LocalLayer], LocalLayer],
+    settled: list[tuple[Sequence[Instruction], int]],
 ) -> int:
     """Fold ``body`` onto ``out`` in place; returns the least length ``out`` had.
 
     ``settled`` is finished output to the left of ``out``: when a
     cancelled layer empties ``out``, its last copy moves back into ``out``.
+    ``merges`` maps a seam's two layers to their merged layer; layers are
+    values, so each distinct seam is merged once.
     """
     low = len(out)
     for ins in body:
@@ -244,10 +272,10 @@ def _fold(
                 out.append(ins)
         else:
             if out and isinstance(out[-1], LocalLayer):
-                seam = (id(out[-1]), id(ins))
-                if seam not in merges:
-                    merges[seam] = (out[-1], ins, _merge_layers(out[-1], ins))
-                merged = merges[seam][2]
+                seam = (out[-1], ins)
+                merged = merges.get(seam)
+                if merged is None:
+                    merged = merges[seam] = _merge_layers(*seam)
                 if merged.factors:
                     out[-1] = merged
                 else:
@@ -270,22 +298,21 @@ def canonicalize(sched: Schedule) -> Schedule:
 
     Every rewrite preserves the evaluated operator exactly (up to the
     1e-12 identity-dropping tolerance), so canonical and raw schedules
-    are interchangeable for verification.  A repeated seam between the
-    same two layer objects is merged once, and every occurrence shares
-    the merged layer.
+    are interchangeable for verification.  A repeated seam between two
+    equal layers is merged once, and every occurrence shares the merged
+    layer.
 
     A repeated body is folded one copy at a time until a copy settles:
-    it pops nothing it did not append, and leaves last the same
-    instruction it found last.  The fold only reads the last instruction,
-    so every later copy does the same, and the rest of the block is the
-    settled copy's output repeated.  A body that never settles (one whose
-    seam cancels, or a lone drift that keeps fusing) is folded copy by
-    copy.  The result has the same instructions as folding the expansion.
+    it pops nothing it did not append, and leaves last an instruction
+    equal to the one it found last.  The fold only reads the last
+    instruction's value, so every later copy does the same, and the rest
+    of the block is the settled copy's output repeated.  A body that never
+    settles (one whose seam cancels, or a lone drift that keeps fusing) is
+    folded copy by copy.  The result has the same instructions as folding
+    the expansion.
     """
-    # (id(left), id(right)) -> (left, right, merged); holding both inputs
-    # keeps their ids from being reused while the memo is alive
-    merges: dict[tuple[int, int], tuple[LocalLayer, LocalLayer, LocalLayer]] = {}
-    settled: list[Block] = []
+    merges: dict[tuple[LocalLayer, LocalLayer], LocalLayer] = {}  # (left, right) -> merged
+    settled: list[tuple[Sequence[Instruction], int]] = []
     out: list[Instruction] = []
     for body, count in sched.blocks:
         for copy in range(count):
@@ -293,10 +320,8 @@ def canonicalize(sched: Schedule) -> Schedule:
             size = len(out)
             if _fold(out, body, merges, settled) < size or start is None:
                 continue
-            # layers by identity, which the seam memo keeps stable; drifts by
-            # value, and ``out`` holds no zero drift, so equal ones share a sign
-            end = out[-1]
-            if end is start or (isinstance(end, Drift) and end == start):
+            # ``out`` holds no zero drift, so equal drifts share a sign
+            if out[-1] == start:
                 # the copy rewrote ``start`` and appended out[size:]
                 left = count - copy - 1
                 if left:
@@ -310,42 +335,6 @@ def canonicalize(sched: Schedule) -> Schedule:
         plan=sched.plan,
         predicted_error=sched.predicted_error,
     )
-
-
-def intern_instructions(
-    instructions: Sequence[Instruction],
-) -> tuple[list[Instruction], Sequence[int]]:
-    """Distinct instructions in order of first use, and each one's index.
-
-    Drifts are equal when their durations are, except that ``0.0`` and
-    ``-0.0`` stay apart (a zero is keyed by its sign), so each distinct
-    drift also has one spelling on file; layers are equal when their
-    ``cache_key()`` is, computed once per layer object.
-
-    A :class:`Listing` is interned by its table, whose entries come in
-    the order of first use, and one numpy remap of its ids, without a walk
-    over its entries: the result is the walk's, with ``seq`` an integer
-    array.
-    """
-    if isinstance(instructions, Listing):
-        distinct, remap = intern_instructions(instructions.table)
-        return distinct, np.array(remap, dtype=np.intp)[instructions.ids]
-    index: dict[Any, int] = {}
-    by_object: dict[int, int] = {}  # id(layer) -> index; ``instructions`` holds them
-    distinct: list[Instruction] = []
-    seq: list[int] = []
-    for ins in instructions:
-        if isinstance(ins, Drift):
-            key = ins.tau or (0, math.copysign(1.0, ins.tau))
-            k = index.setdefault(key, len(distinct))
-        else:
-            k = by_object.get(id(ins))
-            if k is None:
-                k = by_object[id(ins)] = index.setdefault(ins.cache_key(), len(distinct))
-        if k == len(distinct):
-            distinct.append(ins)
-        seq.append(k)
-    return distinct, seq
 
 
 #: from this many ids up, a level of the pairwise tree is paired in numpy.
@@ -401,7 +390,7 @@ def _product_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]
     return list(nodes), level[0]
 
 
-def _grammar_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
+def _grammar_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
     """Re-Pair grammar over the leaf ids ``seq``, as :func:`_product_tree` returns.
 
     Each round replaces the most frequent adjacent pair of ids (the first
@@ -440,17 +429,15 @@ def _grammar_tree(seq: list[int], leaves: int) -> tuple[list[tuple[int, int]], i
 GRAMMAR_QUBITS = 6
 
 
-def _body_product(
-    body: Sequence[Instruction], n: int, evals: np.ndarray, vecs: np.ndarray
-) -> np.ndarray:
+def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Operator-ordered product of ``body`` over its shared product nodes.
 
-    ``evals`` and ``vecs`` diagonalize the drift.  Each distinct drift
-    duration or layer is built once, and the nodes come from the Re-Pair
-    grammar from ``GRAMMAR_QUBITS`` up and the pairwise tree below.
+    ``evals`` and ``vecs`` diagonalize the drift.  Each entry of the
+    body's table is built once, and the nodes over its ids come from the
+    Re-Pair grammar from ``GRAMMAR_QUBITS`` up and the pairwise tree below.
     """
     vecs_h = vecs.conj().T
-    leaves, seq = intern_instructions(body)
+    leaves, seq = body.table, body.ids
     tree = _grammar_tree if n >= GRAMMAR_QUBITS else _product_tree
     pairs, root = tree(seq, len(leaves))
     parents_left = [0] * (len(leaves) + len(pairs))

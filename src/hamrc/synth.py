@@ -34,7 +34,7 @@ from .cliffords import (
     sign_flip_clifford,
 )
 from .dense import PAULI_MATS, check_dense_cap, dense_of_expansion, distance, expm_hermitian
-from .errors import HamrcError, InvalidStep, InvalidTerm, VerificationFailure
+from .errors import HamrcError, Infeasible, InvalidStep, InvalidTerm, VerificationFailure
 from .pauli import HamExpansion, PauliString, build_expansion, max_coupling
 from .schedule import Drift, Instruction, LocalLayer, Schedule, canonicalize, evaluate_schedule
 
@@ -65,7 +65,11 @@ class FramedDrift:
 
     @functools.cached_property
     def frame_layer(self) -> LocalLayer:
-        """The frame as one layer, built once; every emitted step shares it."""
+        """The frame as one layer, built once; every emitted step shares it.
+
+        Bodies are interned by value, so the sharing saves building and
+        hashing a layer per step; it does not change a schedule.
+        """
         return LocalLayer({q: c.matrix for q, c in self.frame})
 
     @functools.cached_property
@@ -130,22 +134,23 @@ def _proportional_rate(target: HamExpansion, drift: HamExpansion) -> float | Non
 def _check_reassembly(
     drift: HamExpansion,
     frames: list[FramedDrift],
-    div: float,
+    norm: float,
     correction: HamExpansion,
     phase: float,
     target: HamExpansion,
 ) -> None:
     """Zero-tolerance check that the frames rebuild ``target`` exactly.
 
-    The conjugated drifts summed and divided by ``div``, plus
-    ``correction``, plus ``phase`` times identity, must equal ``target``
-    coefficient for coefficient.
+    The conjugated drifts' mean, divided by ``norm``, plus ``correction``,
+    plus ``phase`` times identity, must equal ``target`` coefficient for
+    coefficient.  Each coefficient is divided by ``norm`` before the sum,
+    so a drift near the float maximum does not overflow in it.
     """
     total: dict[PauliString, float] = {}
     for frame in frames:
         for p, c in conjugate_by_cliffords(drift, frame.layer_map()).items():
-            total[p] = total.get(p, 0.0) + c
-    rebuilt = {p: c / div for p, c in total.items()}
+            total[p] = total.get(p, 0.0) + c / norm
+    rebuilt = {p: c / len(frames) for p, c in total.items()}
     for p, c in correction.items():
         rebuilt[p] = rebuilt.get(p, 0.0) + c
     ident = PauliString.identity(2)
@@ -188,7 +193,6 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     if couplings:
         r, s, h_rs = max_coupling(drift, (0, 1))
         norm = abs(h_rs)
-        div = 4.0 * norm
         paulis = [(PAULI_CLIFF[a], PAULI_CLIFF[b]) for a in ("I", r) for b in ("I", s)]
         correction = HamExpansion(
             2,
@@ -204,13 +208,14 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
             if (coeff < 0) != (h_rs < 0):
                 outer_a = sign_flip_clifford(a).compose(outer_a)
             mag = abs(coeff)
+            rate = mag / norm / 4.0  # not mag / (4 * norm), which overflows first
             frames = [
-                FramedDrift(mag / div, ((0, outer_a.compose(pa)), (1, outer_b.compose(pb))))
+                FramedDrift(rate, ((0, outer_a.compose(pa)), (1, outer_b.compose(pb))))
                 for pa, pb in paulis
             ]
             conj = conjugate_by_cliffords(correction, {0: outer_a, 1: outer_b})
             unit = HamExpansion(2, {p: math.copysign(1.0, coeff)})
-            _check_reassembly(drift, frames, div, conj, phase, unit)
+            _check_reassembly(drift, frames, norm, conj, phase, unit)
             drifts.extend(frames)
             for q, c in conj.items():
                 local_acc[q] = local_acc.get(q, 0.0) + mag * c
@@ -349,6 +354,8 @@ def _repeat_steps(
         steps = plan.steps
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
+    if steps > _bounds.MAX_PLAN_STEPS:
+        raise Infeasible(f"{steps} steps is more than {_bounds.MAX_PLAN_STEPS}")
     instructions, phase = emit_step(model, t / steps, order)
     return Schedule(
         model.n,

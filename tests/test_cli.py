@@ -398,6 +398,22 @@ def test_an_overflowing_drift_is_refused_at_parse(files, capsys, argv):
     assert "line 3" in err and "sum past the float range" in err
 
 
+def test_a_coupling_near_the_float_maximum_compiles(files, capsys):
+    # a finite drift whose coupling is near the float maximum: each frame's
+    # rate is |c| / |h| / 4, and the frames' check divides before it sums,
+    # so neither overflows
+    big = files["tmp"] / "big.ham"
+    big.write_text("qubits 2\n1e308 0:Z 1:Z\n")
+    out_path = str(files["tmp"] / "big.hrs")
+    argv = ["--gate", "cnot", "--epsilon", "1e-2"]
+    assert main(["compile", str(big), *argv, "--out", out_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(big), out_path, "--gate", "cnot"]) == 0
+    assert "pass yes" in capsys.readouterr().out
+    assert main(["bound", str(big), *argv]) == 0
+    assert "steps " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["compile", "{drift}", "--gate", "cnot", "--epsilon", "1e-2", "--out", "{out}"],
     ["check", "{drift}", "--report", "{out}"],

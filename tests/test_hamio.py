@@ -22,7 +22,7 @@ from hamrc import (
     serialize_hamfile,
     serialize_schedule,
 )
-from hamrc.schedule import Listing, intern_instructions
+from hamrc.schedule import Listing
 
 
 def test_hamfile_round_trip_is_exact():
@@ -244,14 +244,14 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
             # layers equal by value share one id, numbered in order of first use
             assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
         assert shared.setdefault(line, got) is got
-    # a parsed file is one block (none when empty), a listing that interns
-    # from its table as a walk over it does
+    # a parsed file is one block (none when empty), a listing interned
+    # from its table as a walk over its instructions is
     assert [(type(body), k) for body, k in back.blocks] == [(Listing, 1)] * bool(len(back))
     for listing, _ in back.blocks:
-        distinct, seq = intern_instructions(listing)
-        walked, walked_seq = intern_instructions(tuple(listing))
-        assert [id(ins) for ins in distinct] == [id(ins) for ins in walked]
-        assert list(seq) == walked_seq
+        walked = Listing(tuple(listing))
+        assert len(listing.table) == len(walked.table)
+        assert all(a is b for a, b in zip(listing.table, walked.table))
+        assert listing.ids.tolist() == walked.ids.tolist()
 
 
 @pytest.mark.parametrize("steps,order", [(5000, 1), (4, 2)])
@@ -281,11 +281,11 @@ def test_schedule_parse_ignores_spelling_of_repeated_records():
     assert all(ins[k] is ins[0] for k in (2, 4, 6))
     # a repeated line shares the instruction its first occurrence made
     assert ins[7] is ins[1]
-    assert ins[3] is not ins[1] and ins[5] is not ins[1]
-    # the table holds a record per spelling, interned as one instruction
-    distinct, seq = intern_instructions(listing)
-    assert distinct[0] is ins[0] and distinct[1] is ins[1] and len(distinct) == 2
-    assert seq.tolist() == [0, 1] * 4
+    # every spelling of one drift names one instruction, interned by value
+    assert ins[3] is ins[1] and ins[5] is ins[1]
+    walked = Listing(ins)
+    assert listing.table[0] is ins[0] and listing.table[1] is ins[1] and len(listing.table) == 2
+    assert listing.ids.tolist() == walked.ids.tolist() == [0, 1] * 4
 
 
 def test_format_report_is_deterministic():

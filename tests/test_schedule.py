@@ -388,9 +388,25 @@ def test_canonicalize_shares_one_layer_per_repeated_seam():
 _RNG = np.random.default_rng(14)
 _L, _M = random_layer(_RNG, 2), random_layer(_RNG, 2)
 #: shared objects, as a step model shares its frame layers across steps
-BLOCK_POOL = (_L, _L.dagger(), _M, Drift(0.3), Drift(0.0), Drift(-0.0), Drift(0.7))
+BLOCK_POOL = (
+    _L, _L.dagger(), _M, Drift(0.3), Drift(0.0), Drift(-0.0), Drift(0.7),
+    LocalLayer(_L.factors),  # a separate object equal to _L
+)
 BLOCK_DRIFT = random_two_body(2, _RNG)
 _pool_lists = st.lists(st.integers(0, len(BLOCK_POOL) - 1), max_size=3)
+
+
+def test_equal_layers_are_one_value():
+    copy = LocalLayer(_L.factors)
+    assert copy is not _L and copy == _L and hash(copy) == hash(_L)
+    assert len({_L, copy, _M}) == 2
+    # a body holding both objects keeps one of them, written as one layer record
+    body = Schedule(2, (((_L, Drift(0.3), copy), 1),)).blocks[0][0]
+    assert type(body) is Listing and len(body.table) == 2 and body.table[0] is _L
+    assert body.ids.tolist() == [0, 1, 0]
+    lines = serialize_schedule(Schedule(2, ((body, 1),))).splitlines()
+    assert {ln.split()[1] for ln in lines if ln.startswith("layer ")} == {"0"}
+    assert [ln for ln in lines if ln.startswith("local ")] == ["local 0"] * 2
 
 
 @settings(max_examples=80)
@@ -409,9 +425,12 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
 
     blocks = [(pick(lead), 1), (pick(step), count), (pick(trail), 1)]
     sched = Schedule(2, blocks + [(pick(step), 0)], phase=0.2)
-    # list bodies become tuples; empty bodies and zero counts are dropped
-    assert sched.blocks == tuple((tuple(body), k) for body, k in blocks if body)
-    assert all(type(body) is tuple for body, _ in sched.blocks)
+    # list bodies become listings with the same expansion; empty bodies and
+    # zero counts are dropped
+    assert [(tuple(body), k) for body, k in sched.blocks] == [
+        (tuple(body), k) for body, k in blocks if body
+    ]
+    assert all(type(body) is Listing for body, _ in sched.blocks)
     assert len(sched) == len(sched.instructions)
     flat = Schedule(2, ((sched.instructions, 1),), sched.phase)
     got = canonicalize(sched)

@@ -26,6 +26,7 @@ from hamrc import (
     Drift,
     HamExpansion,
     HamrcError,
+    Infeasible,
     InvalidStep,
     InvalidTerm,
     LocalLayer,
@@ -46,7 +47,7 @@ from hamrc import (
     pair_step_model,
     sign_flip_clifford,
 )
-from hamrc.bounds import _factor_matrices
+from hamrc.bounds import MAX_PLAN_STEPS, _factor_matrices
 from hamrc.synth import (
     CNOT_BODY,
     CNOT_TIME,
@@ -358,6 +359,16 @@ def test_compile_schedule_argument_validation(sample_drift):
         compile_schedule(
             build_expansion(3, [("XXI", 1.0)]), target, 1.0, steps=1
         )
+
+
+def test_explicit_step_counts_get_the_planners_cap(sample_drift):
+    # a planned count above the cap is infeasible, and so is an explicit one
+    target = build_expansion(2, [("XX", 1.0)])
+    assert len(compile_schedule(sample_drift, target, 1.0, steps=MAX_PLAN_STEPS)) > MAX_PLAN_STEPS
+    with pytest.raises(Infeasible, match="more than"):
+        compile_schedule(sample_drift, target, 1.0, steps=MAX_PLAN_STEPS + 1)
+    with pytest.raises(Infeasible, match="more than"):
+        compile_cnot(sample_drift, steps=MAX_PLAN_STEPS + 1)
 
 
 def test_cnot_generator_flows_to_cnot():
