@@ -151,11 +151,10 @@ def serialize_schedule(sched: Schedule) -> str:
         if isinstance(ins, Drift):
             records.append(f"drift {_fmt(ins.tau)}")
             continue
-        if not ins.factors:
+        if not ins.sites():
             table.append(f"layer {layers}")
-        for site, u in ins.factors.items():
-            reals = " ".join(f"{_fmt(v.real)} {_fmt(v.imag)}" for v in u.flat)
-            table.append(f"layer {layers} {site} {reals}")
+        for site, reals in zip(ins.sites(), ins.stack.view(float).reshape(-1, 8).tolist()):
+            table.append(f"layer {layers} {site} {' '.join(map(_fmt, reals))}")
         records.append(f"local {layers}")
         layers += 1
     listed: list[str] = []
@@ -180,7 +179,7 @@ def parse_schedule(text: str) -> Schedule:
     phase = 0.0
     periods: int | None = None
     predicted: float | None = None
-    pending: dict[int, dict[int, np.ndarray]] = {}
+    pending: dict[int, dict[int, list[float]]] = {}  # layer id -> site -> its 8 reals
     built: dict[int, LocalLayer] = {}
     table: list[Instruction] = []
     ids: list[int] = []
@@ -209,8 +208,10 @@ def parse_schedule(text: str) -> Schedule:
             if layer_id not in built:
                 if layer_id not in pending:
                     raise ParseError(f"layer {layer_id} never declared", line=lineno)
+                rows = pending[layer_id]
+                stack = np.array(list(rows.values()), dtype=float).view(complex).reshape(-1, 2, 2)
                 try:
-                    built[layer_id] = LocalLayer(pending[layer_id])
+                    built[layer_id] = LocalLayer.from_stack(list(rows), stack)
                 except InvalidTerm as exc:
                     raise ParseError(str(exc), line=lineno) from None
             ins = built[layer_id]
@@ -250,15 +251,12 @@ def parse_schedule(text: str) -> Schedule:
                     f"layer {layer_id} extended after first use", line=lineno
                 )
             vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
-            mat = np.array(
-                [complex(vals[2 * k], vals[2 * k + 1]) for k in range(4)]
-            ).reshape(2, 2)
             rows = pending.setdefault(layer_id, {})
             if site in rows:
                 raise ParseError(
                     f"site {site} repeated in layer {layer_id}", line=lineno
                 )
-            rows[site] = mat
+            rows[site] = vals
         else:
             raise ParseError(f"unrecognized record {kind!r}", line=lineno)
         if ins is not None:

@@ -2,7 +2,11 @@
 
 A schedule alternates two instruction kinds: ``LocalLayer`` (a tensor
 product of single-qubit unitaries, applied instantaneously) and ``Drift``
-(free evolution under the fixed drift Hamiltonian for a duration).
+(free evolution under the fixed drift Hamiltonian for a duration).  A
+layer is stored as its sorted sites and one read-only ``(k, 2, 2)`` stack
+of factors, so its unitarity check, its conjugate and the merge of two
+layers at a seam each take a few batched numpy calls, however many sites
+the layer has.
 
 Instructions are listed in operator-product order: evaluating
 ``[A, B, C]`` yields ``A @ B @ C`` (times the global phase), so the last
@@ -35,9 +39,11 @@ loop; both make the same nodes.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -52,45 +58,101 @@ if TYPE_CHECKING:  # pragma: no cover
 UNITARY_TOL = 1e-10
 
 _ID2 = np.eye(2, dtype=complex)
+_ID2.flags.writeable = False
+
+
+def _site(q: Any) -> int:
+    try:
+        return operator.index(q)
+    except TypeError:
+        raise InvalidTerm(f"layer site {q!r} is not an integer") from None
 
 
 class LocalLayer:
     """One layer of single-qubit unitaries; omitted sites act as identity.
 
-    Layers are values: equal, and hashing alike, when their factors are
-    bitwise equal.  The key is computed once, from the read-only copies.
+    A layer is its sorted integer sites and one read-only complex
+    ``(k, 2, 2)`` stack, ``stack[i]`` acting on ``sites()[i]``.
+    ``LocalLayer(factors)`` takes a ``site -> 2x2`` mapping and
+    :meth:`from_stack` the sites and their factors; a site is anything
+    ``operator.index`` accepts, stored as an ``int``.  Every layer, merged
+    and conjugated ones too, has all its factors checked for unitarity
+    at once, and a failure names the first failing site.  ``factors``
+    and ``factor()`` are read-only views of the stack.
+
+    Layers are values: equal, and hashing alike, when their sites and
+    stacks are bitwise equal.  The key is computed once.
     """
 
-    __slots__ = ("factors", "_key")
+    __slots__ = ("_sites", "_stack", "_key")
 
     def __init__(self, factors: Mapping[int, np.ndarray]):
-        checked: dict[int, np.ndarray] = {}
-        for site in sorted(factors):
-            u = np.asarray(factors[site], dtype=complex)
-            if u.shape != (2, 2):
-                raise InvalidTerm(f"layer factor on site {site} is not 2x2")
-            defect = np.abs(u.conj().T @ u - _ID2).max()
-            if not defect <= UNITARY_TOL:
+        self._adopt(list(factors), list(factors.values()))
+
+    @classmethod
+    def from_stack(cls, sites: Sequence[int], stack: Sequence[np.ndarray]) -> "LocalLayer":
+        """The layer with ``stack[i]`` on ``sites[i]``; the sites may come in any order."""
+        layer = cls.__new__(cls)
+        layer._adopt(list(sites), stack)
+        return layer
+
+    def _adopt(self, sites: list[Any], mats: Sequence[np.ndarray]) -> None:
+        sites = [_site(q) for q in sites]
+        if len(mats) != len(sites):
+            raise InvalidTerm(f"{len(sites)} layer sites for {len(mats)} factors")
+        if any(np.shape(u) != (2, 2) for u in mats):
+            bad = min(q for q, u in zip(sites, mats) if np.shape(u) != (2, 2))
+            raise InvalidTerm(f"layer factor on site {bad} is not 2x2")
+        stack = np.array(mats, dtype=complex).reshape(-1, 2, 2)
+        if sites != sorted(sites):
+            order = sorted(range(len(sites)), key=sites.__getitem__)
+            sites, stack = [sites[i] for i in order], stack[order]
+        if len(set(sites)) < len(sites):
+            raise InvalidTerm(f"layer sites {sites} repeat")
+        self._seal(tuple(sites), stack)
+
+    def _seal(self, sites: tuple[int, ...], stack: np.ndarray) -> None:
+        """Keep ``stack``, owned and on the sorted ``sites``, once its factors are unitary."""
+        if sites:
+            defect = np.abs(np.matmul(stack.conj().swapaxes(1, 2), stack) - _ID2)
+            if not defect.max() <= UNITARY_TOL:  # nan too
+                per_site = defect.reshape(-1, 4).max(axis=1)
+                i = int(np.argmin(per_site <= UNITARY_TOL))
                 raise InvalidTerm(
-                    f"layer factor on site {site} has unitarity defect {defect:.3e}"
+                    f"layer factor on site {sites[i]} has unitarity defect {per_site[i]:.3e}"
                 )
-            u = u.copy()
-            u.flags.writeable = False
-            checked[site] = u
-        self.factors = checked
-        self._key = tuple((q, u.tobytes()) for q, u in checked.items())
+        stack.flags.writeable = False
+        self._sites, self._stack = sites, stack
+        self._key = (sites, stack.tobytes())
+
+    @classmethod
+    def _checked(cls, sites: tuple[int, ...], stack: np.ndarray) -> "LocalLayer":
+        layer = cls.__new__(cls)
+        layer._seal(sites, stack)
+        return layer
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The read-only ``(k, 2, 2)`` factors, in site order."""
+        return self._stack
+
+    @property
+    def factors(self) -> Mapping[int, np.ndarray]:
+        """Read-only ``site -> 2x2`` view of the stack, in site order."""
+        return MappingProxyType(dict(zip(self._sites, self._stack)))
 
     def sites(self) -> tuple[int, ...]:
-        return tuple(self.factors)
+        return self._sites
 
     def factor(self, site: int) -> np.ndarray:
         return self.factors.get(site, _ID2)
 
     def dense(self, n: int) -> np.ndarray:
-        return kron_all(self.factor(q) for q in range(n))
+        at = self.factors
+        return kron_all(at.get(q, _ID2) for q in range(n))
 
     def dagger(self) -> "LocalLayer":
-        return LocalLayer({q: u.conj().T for q, u in self.factors.items()})
+        return LocalLayer._checked(self._sites, np.conj(self._stack.swapaxes(1, 2), order="C"))
 
     def cache_key(self) -> tuple:
         return self._key
@@ -238,14 +300,27 @@ _LAYER_DROP_TOL = 1e-12
 
 
 def _merge_layers(a: LocalLayer, b: LocalLayer) -> LocalLayer:
-    # operator order: a comes left of b, so per-site factors multiply a @ b
-    out: dict[int, np.ndarray] = {q: u for q, u in a.factors.items()}
-    for q, u in b.factors.items():
-        out[q] = out[q] @ u if q in out else u
-    kept = {
-        q: u for q, u in out.items() if np.abs(u - _ID2).max() > _LAYER_DROP_TOL
-    }
-    return LocalLayer(kept)
+    # operator order: a comes left of b, so each shared site's factors
+    # multiply a @ b, all in one batched product; a site on one side only
+    # keeps its factor, since a product with the identity can flip the sign
+    # of a zero
+    sa, sb = a.sites(), b.sites()
+    if sa == sb:
+        sites, stack = sa, a.stack @ b.stack
+    else:
+        shared = [q for q in sa if q in sb]
+        products = a.stack.take([sa.index(q) for q in shared], 0) @ b.stack.take(
+            [sb.index(q) for q in shared], 0
+        )
+        # a site's row among a's factors, b's and the products: its last one
+        row = {q: i for i, q in enumerate((*sa, *sb, *shared))}
+        sites = tuple(sorted(row))
+        stack = np.concatenate((a.stack, b.stack, products)).take([row[q] for q in sites], 0)
+    near = np.abs(stack - _ID2) <= _LAYER_DROP_TOL
+    if near.any():
+        kept = ~near.reshape(-1, 4).all(axis=1)
+        sites, stack = tuple(q for q, keep in zip(sites, kept.tolist()) if keep), stack[kept]
+    return LocalLayer._checked(sites, stack)
 
 
 def _fold(
@@ -276,7 +351,7 @@ def _fold(
                 merged = merges.get(seam)
                 if merged is None:
                     merged = merges[seam] = _merge_layers(*seam)
-                if merged.factors:
+                if merged.sites():
                     out[-1] = merged
                 else:
                     out.pop()
@@ -286,7 +361,7 @@ def _fold(
                         if count > 1:
                             settled.append((last, count - 1))
                         out.extend(last)
-            elif ins.factors:
+            elif ins.sites():
                 out.append(ins)
     # a layer that cancels out leaves a drift last, so the next drift
     # fuses into it: ``out`` never holds two drifts or two layers in a row

@@ -70,7 +70,7 @@ class FramedDrift:
         Bodies are interned by value, so the sharing saves building and
         hashing a layer per step; it does not change a schedule.
         """
-        return LocalLayer({q: c.matrix for q, c in self.frame})
+        return LocalLayer.from_stack([q for q, _ in self.frame], [c.matrix for _, c in self.frame])
 
     @functools.cached_property
     def frame_layer_dagger(self) -> LocalLayer:
@@ -90,8 +90,8 @@ class LocalFactor:
             (site,) = p.support()
             mat = per_site.setdefault(site, np.zeros((2, 2), dtype=complex))
             mat += c * PAULI_MATS[p.ops[site]]
-        return LocalLayer(
-            {q: expm_hermitian(m, duration) for q, m in per_site.items()}
+        return LocalLayer.from_stack(
+            list(per_site), [expm_hermitian(m, duration) for m in per_site.values()]
         )
 
 
@@ -418,8 +418,8 @@ def compile_cnot(
     just its ray.  A planned schedule is evaluated against the CNOT and
     refused when it misses its own predicted error.
     """
-    lead = LocalLayer({0: expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)})
-    trail = LocalLayer({1: expm_hermitian(PAULI_MATS["X"], CNOT_TIME)})
+    lead = LocalLayer.from_stack([0], [expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)])
+    trail = LocalLayer.from_stack([1], [expm_hermitian(PAULI_MATS["X"], CNOT_TIME)])
     body = _repeat_steps(
         step_model(drift, CNOT_BODY), CNOT_BODY, CNOT_TIME,
         steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),

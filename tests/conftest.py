@@ -71,6 +71,20 @@ def random_layer(rng: np.random.Generator, n: int) -> LocalLayer:
     return LocalLayer(factors)
 
 
+def clifford_layer(rng: np.random.Generator, n: int) -> LocalLayer:
+    """Clifford factors on a random subset of the ``n`` sites, each one a
+    ``LocalClifford.matrix`` as frame layers take them.
+
+    Their entries are 0, +-1, +-i and +-1/sqrt(2); their daggers hold
+    zeros of both signs.
+    """
+    cliffords = all_local_cliffords()
+    return LocalLayer({
+        q: cliffords[int(rng.integers(len(cliffords)))].matrix
+        for q in range(n) if rng.random() < 0.6
+    })
+
+
 def random_coupled_pair(rng: np.random.Generator) -> HamExpansion:
     """Random two-qubit expansion guaranteed to carry a coupling term."""
     ham = random_two_body(2, rng, coupling_density=0.7, local_density=0.7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layer, random_two_body
+from conftest import clifford_layer, random_layer, random_two_body
 from hamrc import (
     Drift,
     LocalLayer,
@@ -148,6 +148,14 @@ def test_schedule_layer_table_keys_layers_by_value():
     assert "drift 0\nlocal 0\ndrift -0\n" in text
 
 
+# a layer of several rows is refused at its local line, naming the first
+# non-unitary factor in site order
+_SECOND_ROW_BAD = "qubits 2\nlayer 0 0 0 0 1 0 1 0 0 0\nlayer 0 1 1 0 0 0 0 0 2 0\nlocal 0\n"
+_BOTH_ROWS_BAD = "qubits 2\nlayer 0 1 1 0 0 0 0 0 2 0\nlayer 0 0 3 0 0 0 0 0 1 0\nlocal 0\n"
+#: what a refusal must name besides its line
+_NAMES = {_SECOND_ROW_BAD: "on site 1 ", _BOTH_ROWS_BAD: "on site 0 "}
+
+
 @pytest.mark.parametrize(
     "text,lineno",
     [
@@ -180,12 +188,15 @@ def test_schedule_layer_table_keys_layers_by_value():
         ("qubits 2\n" + "drift 0.5\n" * 4999 + "drift -0.5\n", 5001),
         ("qubits 2\nlayer 0\n" + "local 0\ndrift 0.5\n" * 2500 + "local 1\n", 5003),
         ("qubits 2\npredicted 0.1\n" + "drift 0.5\n" * 5000 + "predicted 0.2\n", 5003),
+        (_SECOND_ROW_BAD, 4),
+        (_BOTH_ROWS_BAD, 4),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
     with pytest.raises(ParseError) as err:
         parse_schedule(text)
     assert f"line {lineno}:" in str(err.value)
+    assert _NAMES.get(text, "") in str(err.value)
 
 
 def test_a_second_qubits_record_is_named_as_repeated():
@@ -205,12 +216,15 @@ def test_schedule_layer_cannot_grow_after_use():
 def record_schedules(draw):
     """A repeated step and an unrepeated tail over a few distinct records.
 
-    The pool holds random and identity layers (reused as objects or as
-    value-equal copies) and drifts with both signed zeros.
+    The pool holds random, Clifford and identity layers (reused as objects
+    or as value-equal copies), the Clifford layers' daggers, whose zeros
+    carry both signs, and drifts with both signed zeros.
     """
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [random_layer(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    cliffords = [clifford_layer(rng, n) for _ in range(draw(st.integers(0, 2)))]
+    pool += cliffords + [layer.dagger() for layer in cliffords]
     pool += [LocalLayer({}), Drift(0.0), Drift(-0.0)]
     pool += [Drift(float(t)) for t in rng.uniform(0.0, 1.0, size=draw(st.integers(1, 3)))]
     picks = st.lists(st.integers(0, len(pool) - 1), max_size=12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layer, random_two_body
+from conftest import clifford_layer, random_layer, random_two_body
 from hamrc import schedule
 from hamrc.schedule import Listing
 from hamrc import (
@@ -23,6 +23,7 @@ from hamrc import (
     evaluate_schedule,
     expm_hermitian,
     operator_norm,
+    parse_schedule,
     serialize_schedule,
     unitarity_defect,
 )
@@ -40,6 +41,48 @@ def test_layer_validates_factors():
         LocalLayer({0: np.full((2, 2), np.nan)})
     with pytest.raises(InvalidTerm):
         LocalLayer({0: np.array([[1.0, 0.0], [0.0, np.nan]])})
+    # with several sites, the first failing site in site order is named
+    bad, bad2 = np.diag([1.0, 2.0]), np.diag([3.0, 1.0])
+    with pytest.raises(InvalidTerm, match="on site 3 "):
+        LocalLayer({0: HAD, 3: bad})
+    for factors in ({0: bad, 2: bad2}, {2: bad2, 0: bad}):
+        with pytest.raises(InvalidTerm, match="on site 0 "):
+            LocalLayer(factors)
+    with pytest.raises(InvalidTerm, match="on site 1 "):
+        LocalLayer.from_stack([2, 0, 1], [bad, HAD, bad2])
+
+
+def test_layer_sites_are_integers():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    # a float site once made a layer that acts nowhere, and a bool or float
+    # site a file that does not parse
+    for site in (0.5, 1.0, "1", None):
+        with pytest.raises(InvalidTerm, match="not an integer"):
+            LocalLayer({site: x})
+        with pytest.raises(InvalidTerm, match="not an integer"):
+            LocalLayer.from_stack([site], [x])
+    for site in (True, np.int64(1), 1):
+        layer = LocalLayer({site: x})
+        assert layer.sites() == (1,) and type(layer.sites()[0]) is int
+        assert layer == LocalLayer.from_stack([site], [x]) == LocalLayer({1: x})
+        sched = Schedule(2, (((layer, Drift(0.5)), 1),))
+        assert "layer 0 1 0 0 1 0 1 0 0 0" in serialize_schedule(sched).splitlines()
+        assert parse_schedule(serialize_schedule(sched)) == sched
+
+
+def test_layer_factors_are_read_only():
+    layer = LocalLayer({0: HAD, 2: HAD})
+    twin = LocalLayer({0: HAD, 2: HAD})
+    with pytest.raises(TypeError):
+        layer.factors[1] = HAD
+    with pytest.raises(TypeError):
+        del layer.factors[0]
+    views = [*layer.factors.values(), layer.stack, layer.factor(0), layer.factor(1)]
+    assert not any(u.flags.writeable for u in views)
+    with pytest.raises(ValueError):
+        layer.factors[0][0, 0] = 2.0
+    assert layer.sites() == (0, 2) and layer == twin
+    assert layer.dense(3).tobytes() == twin.dense(3).tobytes()
 
 
 def test_instruction_list_is_operator_ordered(sample_drift):
@@ -215,11 +258,14 @@ def schedules(draw, *, cancelling=False, sizes=(1, 4), max_repeats=200):
     value-equal copies, so sharing by key and by object both occur.
     With ``cancelling`` the pool adds each layer's inverse, an identity
     layer and a zero drift.  ``sizes`` bounds the register, and
-    ``max_repeats`` the ``k``.
+    ``max_repeats`` the ``k``.  Clifford layers and their daggers join the
+    Haar-random ones, so products see exact and signed zeros.
     """
     n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layers = [random_layer(rng, n) for _ in range(draw(st.integers(1, 4)))]
+    cliffords = [clifford_layer(rng, n) for _ in range(draw(st.integers(0, 2)))]
+    layers += cliffords + [layer.dagger() for layer in cliffords]
     taus = rng.uniform(0.05, 1.0, size=draw(st.integers(1, 3)))
     pool = layers + [Drift(float(t)) for t in taus]
     if cancelling:
