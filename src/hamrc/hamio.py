@@ -20,12 +20,19 @@ then list the instructions in operator-product order::
     local 0
     drift 0.39269908169872414
     local 0
+
+A compiled schedule repeats one step many times.  The format has no
+repeat record, so the step is written out copy by copy, but both
+directions handle such text a repeated run at a time rather than a line
+at a time (see :func:`serialize_schedule` and :func:`parse_schedule`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+import re
+from array import array
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,7 +142,9 @@ def serialize_schedule(sched: Schedule) -> str:
     """Render a schedule with one record per distinct instruction.
 
     The bodies' tables are interned together, so the records come in
-    order of first use, and each body's ids are mapped through them.
+    order of first use, and each body's ids are mapped through them.  A
+    block's body is joined into text once and that text repeated ``count``
+    times, so a long repetition costs one string copy, not a line each.
     """
     out = [f"qubits {sched.n}", f"phase {_fmt(sched.phase)}"]
     if sched.raw_drift_periods is not None:
@@ -144,26 +153,67 @@ def serialize_schedule(sched: Schedule) -> str:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
     distinct = Listing(chain.from_iterable(body.table for body, _ in sched.blocks))
-    table: list[str] = []
-    records: list[str] = []
+    records: list[str] = []  # each distinct instruction's line, with its break
     layers = 0
     for ins in distinct.table:
         if isinstance(ins, Drift):
-            records.append(f"drift {_fmt(ins.tau)}")
+            records.append(f"drift {_fmt(ins.tau)}\n")
             continue
         if not ins.sites():
-            table.append(f"layer {layers}")
+            out.append(f"layer {layers}")
         for site, reals in zip(ins.sites(), ins.stack.view(float).reshape(-1, 8).tolist()):
-            table.append(f"layer {layers} {site} {' '.join(map(_fmt, reals))}")
-        records.append(f"local {layers}")
+            out.append(f"layer {layers} {site} {' '.join(map(_fmt, reals))}")
+        records.append(f"local {layers}\n")
         layers += 1
-    listed: list[str] = []
+    listed = ["\n".join(out) + "\n"]
     start = 0
     for body, count in sched.blocks:
         seq = distinct.ids[start:start + len(body.table)][body.ids]
-        listed += [records[k] for k in seq.tolist()] * count
+        listed.append("".join(map(records.__getitem__, seq.tolist())) * count)
         start += len(body.table)
-    return "\n".join(out + table + listed) + "\n"
+    return "".join(listed)
+
+
+#: the line breaks of ``str.splitlines`` other than ``\n``; a text with
+#: any of them is rewritten to ``\n`` breaks before it is walked
+_BREAKS = re.compile("\r\n|[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+#: those of them in ASCII, each looked for on its own (a few fast scans,
+#: where one regex search of a 700 KB file takes milliseconds)
+_ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
+#: characters of schedule text split into lines at a time
+_WINDOW = 4096
+#: records that seek a run after each window start and each run
+_PROBES = 8
+#: characters of a chunk compared first when seeking a run
+_PREFIX = 64
+
+
+def _copies(text: str, start: int, pos: int) -> tuple[int, int]:
+    """Whole copies of ``text[start:pos]`` that follow at ``pos``.
+
+    Returns ``(copies, matched)``: when no copy follows, ``matched`` is
+    how many characters at ``pos`` are known to agree with the chunk.  The
+    chunk is compared a doubling prefix at a time, so a failed search
+    stops near the first differing line; copies are then counted with
+    blocks of 1, 2, 4, ... copies, doubling and then halving.
+    """
+    span = pos - start
+    width = matched = 0
+    while width < span:
+        width = min(2 * width or _PREFIX, span)
+        chunk = text[start:start + width]
+        if not text.startswith(chunk, pos):
+            return 0, matched
+        matched = width
+    blocks = [chunk]  # blocks[i] is 2**i copies
+    copies = 1
+    while text.startswith(blocks[-1], pos + copies * span):
+        copies *= 2
+        blocks.append(blocks[-1] * 2)
+    for block in reversed(blocks[:-1]):
+        if text.startswith(block, pos + copies * span):
+            copies += len(block) // span
+    return copies, 0
 
 
 def parse_schedule(text: str) -> Schedule:
@@ -174,6 +224,17 @@ def parse_schedule(text: str) -> Schedule:
     table entry, and the schedule is one block, a :class:`Listing` of the
     lines' table indices, interned from the table.  Lines that spell one
     instruction differently share one instruction, as repeated lines do.
+
+    A compiled file repeats one step many times, so the text is read a
+    repeated run at a time.  When a record line recurs and every line
+    since an earlier occurrence of it is a record too, the text between
+    the two is a chunk: the whole copies of it that follow are counted by
+    string comparison, and their indices are the chunk's repeated, with no
+    walk over their lines.  Lines are split a window at a time; the first
+    few records after a window start or a run seek a run, and for the
+    other records only the table index is looked up.  The indices are kept
+    in an integer array that numpy reads without a copy.  Lines and line
+    numbers are those of ``str.splitlines``.
     """
     n: int | None = None
     phase = 0.0
@@ -182,93 +243,151 @@ def parse_schedule(text: str) -> Schedule:
     pending: dict[int, dict[int, list[float]]] = {}  # layer id -> site -> its 8 reals
     built: dict[int, LocalLayer] = {}
     table: list[Instruction] = []
-    ids: list[int] = []
     seen: dict[str, int] = {}  # a local or drift line -> its table index
     # header records set one value each, so a second one is refused, not obeyed
     headers = {"qubits"}
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        k = seen.get(raw)
-        if k is not None:
-            ids.append(k)
-            continue
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        kind, args = tokens[0], tokens[1:]
-        ins: Instruction | None = None
-        if n is None:
-            if kind != "qubits" or len(args) != 1:
-                raise ParseError("expected 'qubits <n>' header", line=lineno)
-            n = _parse_int(args[0], lineno, "qubit count")
-            if n < 1:
-                raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
-        elif kind == "local" and len(args) == 1:
-            layer_id = _parse_int(args[0], lineno, "layer id")
-            if layer_id not in built:
-                if layer_id not in pending:
-                    raise ParseError(f"layer {layer_id} never declared", line=lineno)
-                rows = pending[layer_id]
-                stack = np.array(list(rows.values()), dtype=float).view(complex).reshape(-1, 2, 2)
+    if not text.isascii() or any(br in text for br in _ASCII_BREAKS):
+        text = _BREAKS.sub("\n", text)
+    ids = array("q")  # each record's table index
+    # a table index -> offset of a line of it: its first, the latest that
+    # sought a run, or its copy in the last copy of a run
+    last: list[int] = []
+    fence = -1  # offset of the latest line that is not a record
+    # a chunk span -> the offset up to which a failed search matched: no
+    # chunk of that span repeats before it
+    ruled_out: dict[int, int] = {}
+    lineno = 0
+    pos, end = 0, len(text) - text.endswith("\n")
+    while pos < end:
+        # whole lines are split a window at a time
+        cut = text.find("\n", pos + _WINDOW, end)
+        if cut < 0:
+            cut = end
+        probes = _PROBES
+        lines = text[pos:cut].split("\n")
+        first = known = lineno + 1  # pos is the offset of line known
+        walk = enumerate(lines, first)
+        for lineno, raw in walk:
+            k = seen.get(raw)
+            if k is not None and not probes:
+                ids.append(k)
+                continue
+            # this line's offset, counted on from line known
+            if lineno > known:
+                pos += sum(map(len, lines[known - first:lineno - first])) + lineno - known
+            here = pos
+            known, pos = lineno + 1, here + len(raw) + 1
+            if k is not None:  # a record that seeks a run
+                probes -= 1
+                start = last[k]
+                span = here - start
+                # a run needs its chunk of records to agree with the text that follows
+                if (start > fence and text.startswith(text[start:start + _PREFIX], here)
+                        and here >= ruled_out.get(span, 0)):
+                    copies, matched = _copies(text, start, here)
+                    if copies:
+                        width = text.count("\n", start, here)  # records in the chunk
+                        chunk = ids[-width:]
+                        ids.extend(chunk * copies)
+                        for t in set(chunk):  # lines of the chunk move to the last copy
+                            if last[t] >= start:
+                                last[t] += copies * span
+                        pos = here + copies * span
+                        known = lineno + copies * width
+                        probes = _PROBES
+                        if pos > cut:  # the run ends past the window
+                            lineno = known - 1
+                            break
+                        m = copies * width - 1  # the run's other lines in this window
+                        next(islice(walk, m, m), None)
+                        continue
+                    ruled_out[span] = here + matched
+                last[k] = here
+                ids.append(k)
+                continue
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                fence = here
+                continue
+            kind, args = tokens[0], tokens[1:]
+            ins: Instruction | None = None
+            if n is None:
+                if kind != "qubits" or len(args) != 1:
+                    raise ParseError("expected 'qubits <n>' header", line=lineno)
+                n = _parse_int(args[0], lineno, "qubit count")
+                if n < 1:
+                    raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
+            elif kind == "local" and len(args) == 1:
+                layer_id = _parse_int(args[0], lineno, "layer id")
+                if layer_id not in built:
+                    if layer_id not in pending:
+                        raise ParseError(f"layer {layer_id} never declared", line=lineno)
+                    rows = pending[layer_id]
+                    reals = np.array(list(rows.values()), dtype=float)
+                    stack = reals.view(complex).reshape(-1, 2, 2)
+                    try:
+                        built[layer_id] = LocalLayer.from_stack(list(rows), stack)
+                    except InvalidTerm as exc:
+                        raise ParseError(str(exc), line=lineno) from None
+                ins = built[layer_id]
+            elif kind == "drift" and len(args) == 1:
+                tau = _parse_float(args[0], lineno, "drift duration")
                 try:
-                    built[layer_id] = LocalLayer.from_stack(list(rows), stack)
+                    ins = Drift(tau)
                 except InvalidTerm as exc:
                     raise ParseError(str(exc), line=lineno) from None
-            ins = built[layer_id]
-        elif kind == "drift" and len(args) == 1:
-            tau = _parse_float(args[0], lineno, "drift duration")
-            try:
-                ins = Drift(tau)
-            except InvalidTerm as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        elif kind in headers:
-            raise ParseError(f"repeated {kind!r} record", line=lineno)
-        elif kind == "phase" and len(args) == 1:
-            headers.add(kind)
-            phase = _parse_float(args[0], lineno, "phase")
-        elif kind == "periods" and len(args) == 1:
-            headers.add(kind)
-            periods = _parse_int(args[0], lineno, "period count")
-            if periods < 0:
-                raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
-        elif kind == "predicted" and len(args) == 1:
-            headers.add(kind)
-            predicted = _parse_float(args[0], lineno, "predicted error")
-            if predicted < 0:
-                raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
-        elif kind == "layer":
-            if len(args) == 1:  # identity layer: declared with no factor rows
+            elif kind in headers:
+                raise ParseError(f"repeated {kind!r} record", line=lineno)
+            elif kind == "phase" and len(args) == 1:
+                headers.add(kind)
+                phase = _parse_float(args[0], lineno, "phase")
+            elif kind == "periods" and len(args) == 1:
+                headers.add(kind)
+                periods = _parse_int(args[0], lineno, "period count")
+                if periods < 0:
+                    raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
+            elif kind == "predicted" and len(args) == 1:
+                headers.add(kind)
+                predicted = _parse_float(args[0], lineno, "predicted error")
+                if predicted < 0:
+                    raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
+            elif kind == "layer" and len(args) == 1:  # identity layer: declared with no factor rows
                 pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
-                continue
-            if len(args) != 10:
-                raise ParseError("layer rows take id, site and 8 reals", line=lineno)
-            layer_id = _parse_int(args[0], lineno, "layer id")
-            site = _parse_int(args[1], lineno, "site")
-            if not 0 <= site < n:
-                raise ParseError(f"site {site} outside register of {n}", line=lineno)
-            if layer_id in built:
-                raise ParseError(
-                    f"layer {layer_id} extended after first use", line=lineno
-                )
-            vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
-            rows = pending.setdefault(layer_id, {})
-            if site in rows:
-                raise ParseError(
-                    f"site {site} repeated in layer {layer_id}", line=lineno
-                )
-            rows[site] = vals
+            elif kind == "layer":
+                if len(args) != 10:
+                    raise ParseError("layer rows take id, site and 8 reals", line=lineno)
+                layer_id = _parse_int(args[0], lineno, "layer id")
+                site = _parse_int(args[1], lineno, "site")
+                if not 0 <= site < n:
+                    raise ParseError(f"site {site} outside register of {n}", line=lineno)
+                if layer_id in built:
+                    raise ParseError(
+                        f"layer {layer_id} extended after first use", line=lineno
+                    )
+                vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
+                rows = pending.setdefault(layer_id, {})
+                if site in rows:
+                    raise ParseError(
+                        f"site {site} repeated in layer {layer_id}", line=lineno
+                    )
+                rows[site] = vals
+            else:
+                raise ParseError(f"unrecognized record {kind!r}", line=lineno)
+            if ins is None:
+                fence = here
+            else:
+                seen[raw] = len(table)
+                last.append(here)
+                ids.append(len(table))
+                table.append(ins)
         else:
-            raise ParseError(f"unrecognized record {kind!r}", line=lineno)
-        if ins is not None:
-            seen[raw] = len(table)
-            ids.append(len(table))
-            table.append(ins)
+            pos = cut + 1
 
     if n is None:
         raise ParseError("empty schedule file")
-    return Schedule(
-        n, ((Listing(table, ids), 1),), phase, raw_drift_periods=periods, predicted_error=predicted
-    )
+    body = Listing(table, np.frombuffer(ids, dtype=np.int64))
+    return Schedule(n, ((body, 1),), phase, raw_drift_periods=periods, predicted_error=predicted)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import clifford_layer, random_layer, random_two_body
 from hamrc import (
     Drift,
+    InvalidTerm,
     LocalLayer,
     ParseError,
     Schedule,
@@ -22,6 +23,7 @@ from hamrc import (
     serialize_hamfile,
     serialize_schedule,
 )
+from hamrc.hamio import _parse_float, _parse_int
 from hamrc.schedule import Listing
 
 
@@ -188,6 +190,11 @@ _NAMES = {_SECOND_ROW_BAD: "on site 1 ", _BOTH_ROWS_BAD: "on site 0 "}
         ("qubits 2\n" + "drift 0.5\n" * 4999 + "drift -0.5\n", 5001),
         ("qubits 2\nlayer 0\n" + "local 0\ndrift 0.5\n" * 2500 + "local 1\n", 5003),
         ("qubits 2\npredicted 0.1\n" + "drift 0.5\n" * 5000 + "predicted 0.2\n", 5003),
+        # after a run read as repeated copies of a chunk, a partial copy included
+        ("qubits 2\nlayer 0\n" + "local 0\ndrift 0.5\n" * 10000 + "drift -1\n", 20003),
+        ("qubits 2\nlayer 0\n" + "local 0\ndrift 0.5\n" * 10000 + "local 0\ndrift -1\n", 20004),
+        ("qubits 2\nphase 0.5\nlayer 0\n" + "drift 0.5\nlocal 0\n" * 2500 + "phase 0.25\n", 5004),
+        ("qubits 2\r\nlayer 0\r\n" + "local 0\r\ndrift 0.5\r\n" * 2500 + "drift -1", 5003),
         (_SECOND_ROW_BAD, 4),
         (_BOTH_ROWS_BAD, 4),
     ],
@@ -212,21 +219,27 @@ def test_schedule_layer_cannot_grow_after_use():
     assert "line 4:" in str(err.value)
 
 
-@st.composite
-def record_schedules(draw):
-    """A repeated step and an unrepeated tail over a few distinct records.
+def _instruction_pool(draw, n: int) -> list:
+    """A few distinct records on ``n`` qubits.
 
-    The pool holds random, Clifford and identity layers (reused as objects
-    or as value-equal copies), the Clifford layers' daggers, whose zeros
-    carry both signs, and drifts with both signed zeros.
+    The pool holds random, Clifford and identity layers, the Clifford
+    layers' daggers, whose zeros carry both signs, and drifts with both
+    signed zeros.
     """
-    n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [random_layer(rng, n) for _ in range(draw(st.integers(1, 3)))]
     cliffords = [clifford_layer(rng, n) for _ in range(draw(st.integers(0, 2)))]
     pool += cliffords + [layer.dagger() for layer in cliffords]
     pool += [LocalLayer({}), Drift(0.0), Drift(-0.0)]
-    pool += [Drift(float(t)) for t in rng.uniform(0.0, 1.0, size=draw(st.integers(1, 3)))]
+    return pool + [Drift(float(t)) for t in rng.uniform(0.0, 1.0, size=draw(st.integers(1, 3)))]
+
+
+@st.composite
+def record_schedules(draw):
+    """A repeated step and an unrepeated tail over a few distinct records,
+    layers reused as objects or as value-equal copies."""
+    n = draw(st.integers(1, 3))
+    pool = _instruction_pool(draw, n)
     picks = st.lists(st.integers(0, len(pool) - 1), max_size=12)
     step = [pool[i] for i in draw(picks)]
     instructions = step * draw(st.integers(1, 50))
@@ -266,6 +279,179 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
         assert len(listing.table) == len(walked.table)
         assert all(a is b for a, b in zip(listing.table, walked.table))
         assert listing.ids.tolist() == walked.ids.tolist()
+
+
+@st.composite
+def block_schedules(draw):
+    """Blocks of one to three steps, each repeated at least twice."""
+    n = draw(st.integers(1, 3))
+    pool = _instruction_pool(draw, n)
+    step = st.lists(st.sampled_from(pool), min_size=1, max_size=8)
+    blocks = draw(st.lists(st.tuples(step, st.integers(2, 40)), min_size=1, max_size=3))
+    return Schedule(
+        n,
+        tuple((tuple(body), count) for body, count in blocks),
+        draw(st.floats(-np.pi, np.pi)),
+        raw_drift_periods=draw(st.none() | st.integers(0, 10**6)),
+        predicted_error=draw(st.none() | st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=60)
+@given(sched=block_schedules())
+def test_a_repeated_block_is_written_as_its_expansion(sched):
+    text = serialize_schedule(sched)
+    flat = Schedule(
+        sched.n,
+        ((sched.instructions, 1),),
+        sched.phase,
+        raw_drift_periods=sched.raw_drift_periods,
+        predicted_error=sched.predicted_error,
+    )
+    assert serialize_schedule(flat) == text
+    back = parse_schedule(text)
+    assert back == sched
+    assert back.raw_drift_periods == sched.raw_drift_periods
+    assert back.predicted_error == sched.predicted_error
+    assert serialize_schedule(back) == text
+
+
+def _parse_lines(text: str) -> Schedule:
+    """The schedule parser as a plain loop over ``str.splitlines``, one line
+    at a time, each distinct record line parsed once: the reference that
+    the run-at-a-time parser must agree with."""
+    n, phase, periods, predicted = None, 0.0, None, None
+    pending: dict[int, dict[int, list[float]]] = {}
+    built: dict[int, LocalLayer] = {}
+    table: list = []
+    ids: list[int] = []
+    seen: dict[str, int] = {}
+    headers = {"qubits"}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw in seen:
+            ids.append(seen[raw])
+            continue
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        kind, args = tokens[0], tokens[1:]
+        ins = None
+        if n is None:
+            if kind != "qubits" or len(args) != 1:
+                raise ParseError("expected 'qubits <n>' header", line=lineno)
+            n = _parse_int(args[0], lineno, "qubit count")
+            if n < 1:
+                raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
+        elif kind == "local" and len(args) == 1:
+            layer_id = _parse_int(args[0], lineno, "layer id")
+            if layer_id not in built:
+                if layer_id not in pending:
+                    raise ParseError(f"layer {layer_id} never declared", line=lineno)
+                rows = pending[layer_id]
+                stack = np.array(list(rows.values()), dtype=float).view(complex).reshape(-1, 2, 2)
+                try:
+                    built[layer_id] = LocalLayer.from_stack(list(rows), stack)
+                except InvalidTerm as exc:
+                    raise ParseError(str(exc), line=lineno) from None
+            ins = built[layer_id]
+        elif kind == "drift" and len(args) == 1:
+            try:
+                ins = Drift(_parse_float(args[0], lineno, "drift duration"))
+            except InvalidTerm as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        elif kind in headers:
+            raise ParseError(f"repeated {kind!r} record", line=lineno)
+        elif kind == "phase" and len(args) == 1:
+            headers.add(kind)
+            phase = _parse_float(args[0], lineno, "phase")
+        elif kind == "periods" and len(args) == 1:
+            headers.add(kind)
+            periods = _parse_int(args[0], lineno, "period count")
+            if periods < 0:
+                raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
+        elif kind == "predicted" and len(args) == 1:
+            headers.add(kind)
+            predicted = _parse_float(args[0], lineno, "predicted error")
+            if predicted < 0:
+                raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
+        elif kind == "layer" and len(args) == 1:
+            pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
+        elif kind == "layer":
+            if len(args) != 10:
+                raise ParseError("layer rows take id, site and 8 reals", line=lineno)
+            layer_id = _parse_int(args[0], lineno, "layer id")
+            site = _parse_int(args[1], lineno, "site")
+            if not 0 <= site < n:
+                raise ParseError(f"site {site} outside register of {n}", line=lineno)
+            if layer_id in built:
+                raise ParseError(f"layer {layer_id} extended after first use", line=lineno)
+            vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
+            rows = pending.setdefault(layer_id, {})
+            if site in rows:
+                raise ParseError(f"site {site} repeated in layer {layer_id}", line=lineno)
+            rows[site] = vals
+        else:
+            raise ParseError(f"unrecognized record {kind!r}", line=lineno)
+        if ins is not None:
+            seen[raw] = len(table)
+            ids.append(len(table))
+            table.append(ins)
+    if n is None:
+        raise ParseError("empty schedule file")
+    return Schedule(
+        n, ((Listing(table, ids), 1),), phase, raw_drift_periods=periods, predicted_error=predicted
+    )
+
+
+def _outcome(parse, text: str) -> object:
+    """What ``parse(text)`` gives: its headers, table and ids, or the error
+    with its line number."""
+    try:
+        sched = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    [(body, _)] = sched.blocks or [(Listing(()), 1)]
+    table = [
+        ins.tau.hex() if isinstance(ins, Drift) else ins.cache_key() for ins in body.table
+    ]
+    return (sched.n, sched.phase, sched.raw_drift_periods, sched.predicted_error,
+            table, body.ids.tolist())
+
+
+#: record lines of the drawn texts: spellings of two layers and of drifts,
+#: signed zeros included
+_RECORDS = ("local 0", "local 1", "local 00", "local 0  # again", "drift 0.5", " drift 0.5",
+            "drift 0.25", "drift 0", "drift -0")
+#: other lines: blanks, comments, headers and records that are refused
+_OTHERS = ("", "# note", "drift -1", "phase 0.5", "local 7", "layer 1 0 1 0 0 0 0 0 1 0", "wobble")
+_BREAKS = ("\r\n", "\r", "\f", "\u2028")
+
+
+@st.composite
+def run_texts(draw):
+    """Schedule text of long runs: chunks of records repeated, with a partial
+    last copy, some with a blank, comment or refused line inside, some
+    lines ended by another ``str.splitlines`` break, a line after the last
+    run, and sometimes no final line break."""
+    lines = ["qubits 2", "phase 0.25", "layer 0 0 0 0 1 0 1 0 0 0", "layer 1"]
+    for _ in range(draw(st.integers(1, 3))):
+        chunk = draw(st.lists(st.sampled_from(_RECORDS), min_size=1, max_size=6))
+        run = chunk * draw(st.integers(1, 80)) + chunk[:draw(st.integers(0, len(chunk)))]
+        if draw(st.booleans()):
+            run.insert(draw(st.integers(0, len(run))), draw(st.sampled_from(_OTHERS)))
+        lines += run
+    lines.append(draw(st.sampled_from(_RECORDS + _OTHERS)))
+    breaks = ["\n"] * len(lines)
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=4)):
+        breaks[i] = draw(st.sampled_from(_BREAKS))
+    text = "".join(map(str.__add__, lines, breaks))
+    return text[:-len(breaks[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=200)
+@given(text=run_texts())
+def test_runs_parse_as_lines_one_at_a_time(text):
+    assert _outcome(parse_schedule, text) == _outcome(_parse_lines, text)
 
 
 @pytest.mark.parametrize("steps,order", [(5000, 1), (4, 2)])
