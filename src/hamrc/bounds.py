@@ -4,6 +4,13 @@ All bounds are stated in the operator norm, which is what makes them
 composable: it is invariant under unitaries, stable under tensoring with
 ancillas, and obeys the chaining inequality
 ``||V1 W1 - V2 W2|| <= ||V1 - V2|| + ||W1 - W2||``.
+
+The chained rate reads one table of coefficients: a row per factor of a
+step model, a column per Pauli string any factor holds.  Every tail
+``F_(j+1) + ... + F_last`` is a reversed cumulative sum of its rows, so a
+string whose terms cancel is absent from the tail, and each tail, plain
+factor and commutator is built densely on the sites it acts on, not on the
+whole register.
 """
 
 from __future__ import annotations
@@ -11,11 +18,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .dense import _dense_of_masks, check_dense_cap, dense_of_expansion, hermitian_norm
+from .dense import (
+    _dense_of_masks,
+    _term_masks,
+    check_dense_cap,
+    dense_of_expansion,
+    hermitian_norm,
+)
 from .errors import Infeasible, InvalidTerm, NotCoupled
 from .pauli import HamExpansion
 
@@ -62,14 +75,19 @@ class ErrorPlan:
 ROUNDING = 1e-12
 
 
-def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """``||[a, b]||`` of Hermitian ``a`` and ``b``.
+def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """``||[a, b]||`` of Hermitian ``a`` and ``b``, or of each pair of two
+    ``(..., d, d)`` stacks.
 
     ``ba = (ab)^dag``, so ``[a, b] = ab - (ab)^dag`` needs one product, and
-    ``i[a, b]`` is then exactly Hermitian.
+    ``i[a, b]`` is then exactly Hermitian.  It is formed in the buffer of
+    ``(ab)^dag``, so four stacks are held: ``a``, ``b``, ``ab`` and ``i[a, b]``.
     """
     ab = a @ b
-    return hermitian_norm(1j * (ab - ab.conj().T))
+    comm = ab.conj().swapaxes(-1, -2)
+    np.subtract(ab, comm, out=comm)
+    comm *= 1j
+    return hermitian_norm(comm)
 
 
 def _is_framed(factor) -> bool:
@@ -78,7 +96,8 @@ def _is_framed(factor) -> bool:
 
 #: image and sign of each axis I, X, Y, Z under the identity
 _IDENTITY = ((0, 1, 2, 3), (1, 1, 1, 1))
-#: matrix entries built at once; bounds the memory of factor matrices in flight
+#: matrix entries in flight at once: a chunk of norms holds its one stack of
+#: matrices, a chunk of commutators four (``A``, ``B``, ``AB`` and ``i[A, B]``)
 _BATCH = 2**16
 
 
@@ -88,72 +107,117 @@ def _axis_table(images: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (0, *("IXYZ".index(a) for _, a in images)), (1, *(s for s, _ in images))
 
 
-def _factor_matrices(model, factors: Iterable) -> Iterator[np.ndarray]:
-    """Dense matrix of each of ``factors``, factors of ``model``, in turn.
+def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, z, ny, table)``: the packed masks of every Pauli string a factor
+    of ``model`` holds, and each factor's coefficients on them, one row per
+    factor in order.
 
-    A plain factor is its expansion's matrix.  A framed drift
+    A plain factor's row is its expansion.  A framed drift
     ``rate * C H C^dag`` is the drift's terms with each site's axis replaced
-    by its signed image under ``C``, so it is built from the image terms'
-    ``(x, z)`` masks with no expansion in between.  Frames that move the
-    axes alike differ only in signs and rates, so their drifts share one
-    set of image terms and are built together.  The image terms are put in
-    canonical ``PauliString`` order, which makes every float addition the
-    one ``dense_of_expansion`` of the conjugated expansion makes.
+    by its signed image under ``C``, so its row is scattered from the image
+    terms' masks with no expansion in between.  A Clifford maps distinct
+    strings to distinct strings, so each entry is the one product
+    ``sign * coeff * rate``: the conjugated expansion's coefficient.
     """
     n = model.n
+    sites = np.arange(n)
+    bits = 1 << sites[::-1]  # qubit 0 is the top bit, as in pauli_masks
     terms = list(model.drift.items())
     axes = np.array([["IXYZ".index(a) for a in p.ops] for p, _ in terms], dtype=np.intp)
     axes = axes.reshape(len(terms), n)
     coeffs = np.array([c for _, c in terms], dtype=float)
-    sites = np.arange(n)
-    bits = 1 << sites[::-1]  # qubit 0 is the top bit, as in pauli_masks
-    factors = list(factors)
-    batch = max(1, _BATCH // 4**n)
-    for start in range(0, len(factors), batch):
-        part = factors[start : start + batch]
-        alike: dict[tuple, list] = {}
-        for i, f in enumerate(part):
-            if not _is_framed(f):
-                continue
-            if f.rate < 0:
-                raise InvalidTerm("a framed drift needs a non-negative rate")
+    parts = []  # (row, x, z, ny, coefficient) of every term of every factor
+    framed = [(i, f) for i, f in enumerate(model.factors) if _is_framed(f)]
+    if framed:
+        index, factors = zip(*framed)
+        if any(f.rate < 0 for f in factors):
+            raise InvalidTerm("a framed drift needs a non-negative rate")
+        tables = []
+        for f in factors:
             table = [_IDENTITY] * n
             for q, cliff in f.frame:
                 table[q] = _axis_table(cliff.images)
-            images, signs = zip(*table)
-            alike.setdefault(images, []).append((i, signs, f.rate))
-        built = {}
-        for images, members in alike.items():
-            index, signs, rates = zip(*members)
-            image = np.array(images)[sites, axes]
-            sign = np.array(signs)[:, sites, axes].prod(axis=2)
-            order = np.argsort(image @ (bits * bits))  # base-4 digits I < X < Y < Z, site 0 first
-            image = image[order]
-            x, z = ((image == 1) | (image == 2)) @ bits, (image >= 2) @ bits
-            values = sign[:, order] * coeffs[order] * np.array(rates)[:, None]
-            mats = _dense_of_masks(n, x, z, (image == 2).sum(axis=1), values)
-            built.update(zip(index, mats))
-        for i, f in enumerate(part):
-            yield built[i] if i in built else dense_of_expansion(f.ham)
+            tables.append(tuple(zip(*table)))
+        tables = np.array(tables, dtype=np.intp)  # (factor, image or sign, site, axis)
+        image = tables[:, 0][:, sites, axes]  # (factor, term, site)
+        sign = tables[:, 1][:, sites, axes].prod(axis=2)
+        rates = np.array([f.rate for f in factors])
+        parts.append((
+            np.repeat(index, len(terms)),
+            (((image == 1) | (image == 2)) @ bits).ravel(),
+            ((image >= 2) @ bits).ravel(),
+            (image == 2).sum(axis=2).ravel(),
+            (sign * coeffs * rates[:, None]).ravel(),
+        ))
+    for i, f in enumerate(model.factors):
+        if not _is_framed(f):
+            x, z, ny, c = _term_masks(f.ham.items())
+            parts.append((np.full(len(c), i), x, z, ny, c))
+    rows, x, z, ny, values = (np.concatenate(column) for column in zip(*parts))
+    keys, first, cols = np.unique((x << n) | z, return_index=True, return_inverse=True)
+    table = np.zeros((len(model.factors), len(keys)))
+    table[rows, cols] = values
+    return keys >> n, keys & (2**n - 1), ny[first], table
 
 
-def _tail_splits(model) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(F_j, F_(j+1) + ... + F_last)`` for each factor but the last, last first.
+def _tails(table: np.ndarray) -> np.ndarray:
+    """Row ``j`` is ``F_(j+1) + ... + F_last`` for each factor ``j`` but the
+    last: one reversed cumulative sum, adding from the last factor back in
+    the order the factors are peeled."""
+    return np.cumsum(table[:0:-1], axis=0)[::-1]
 
-    The tail is one matrix, updated in place once the split is consumed.
+
+def _supports(x: np.ndarray, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Site mask of each row of coefficients (over the last axis): the OR of
+    the masks of its strings, where a coefficient of exactly 0.0 marks an
+    absent string."""
+    return np.bitwise_or.reduce(np.where(rows != 0.0, x | z, 0), axis=-1)
+
+
+def _on_supports(measure: Callable, held: int, x, z, ny, items: np.ndarray) -> np.ndarray:
+    """``measure`` of each item's dense matrices, built on the sites the item
+    acts on.
+
+    ``items`` is items x rows x strings of coefficients on the strings of
+    masks ``x``, ``z`` and ``ny``; ``measure`` takes one stack per row and
+    returns one value per item.  Items that share a support are built by
+    one ``_dense_of_masks`` call and measured together, as many at once as
+    keep the ``held`` stacks that ``measure`` holds within ``_BATCH``
+    entries.
     """
-    dim = 2**model.n
-    tail = np.zeros((dim, dim), dtype=complex)
-    mats = _factor_matrices(model, reversed(model.factors))
-    tail += next(mats)
-    for mat in mats:
-        yield mat, tail
-        tail += mat
+    out = np.zeros(len(items))
+    present = items != 0.0
+    support = np.bitwise_or.reduce(_supports(x, z, items), axis=1)
+    width = items.shape[1]
+    sups, group = np.unique(support, return_inverse=True)
+    for g, sup in enumerate(sups.tolist()):
+        index = np.flatnonzero(group == g)
+        on = [b for b in range(sup.bit_length()) if sup >> b & 1]
+        dim = 2 ** len(on)
+        per = max(1, _BATCH // (held * dim * dim))
+        for start in range(0, len(index), per):
+            part = index[start : start + per]
+            cols = present[part].any(axis=(0, 1))
+            sx, sz = np.zeros_like(x[cols]), np.zeros_like(z[cols])
+            for k, b in enumerate(on):  # the support's sites, in qubit order
+                sx |= (x[cols] >> b & 1) << k
+                sz |= (z[cols] >> b & 1) << k
+            coeffs = items[part][:, :, cols].transpose(1, 0, 2).reshape(width * len(part), len(sx))
+            # one expression, so a chunk's matrices are freed before the next is built
+            out[part] = measure(*_dense_of_masks(len(on), sx, sz, ny[cols], coeffs).reshape(
+                width, len(part), dim, dim
+            ))
+    return out
+
+
+def _norms(x, z, ny, rows: np.ndarray) -> np.ndarray:
+    """Operator norm of each row of coefficients, taken on its support."""
+    return _on_supports(hermitian_norm, 1, x, z, ny, rows[:, None])
 
 
 def first_order_rate(model) -> float:
     """Coefficient c2 with per-step bound c2 * delta^2: half the sum over the
-    splits of ``||[F_j, F_(j+1) + ... + F_last]||``.
+    splits of ``||[F_j, T_j]||``, ``T_j = F_(j+1) + ... + F_last``.
 
     Peels factors off the ordered list one at a time: splitting
     ``exp(-i d (F_j + T))`` into ``exp(-i d F_j) exp(-i d T)`` costs at most
@@ -162,8 +226,21 @@ def first_order_rate(model) -> float:
     inequality never more than the pairwise sum over ``j < k``.  This is
     the first-order case of Childs, Su, Tran, Wiebe and Zhu, *Theory of
     Trotter error with commutator scaling*, PRX 11, 011020 (2021).
+
+    Each tail is its row of per-string sums, so terms that cancel are
+    absent.  A term of ``F_j`` on sites the tail does not act on commutes
+    with it, so ``[F_j, T_j]`` is taken on the tail's sites and those of
+    the terms of ``F_j`` that touch them; a split with no such term is 0.
     """
-    return 0.5 * sum(_commutator_norm(mat, tail) for mat, tail in _tail_splits(model))
+    x, z, ny, table = _coefficient_table(model)
+    tails = _tails(table)
+    touching = ((x | z) & _supports(x, z, tails)[:, None]) != 0
+    heads = np.where(touching, table[:-1], 0.0)
+    live = np.flatnonzero((heads != 0.0).any(axis=1))
+    norms = np.zeros(len(tails))
+    pairs = np.stack([heads[live], tails[live]], axis=1)
+    norms[live] = _on_supports(_commutator_norm, 4, x, z, ny, pairs)
+    return 0.5 * sum(norms[::-1].tolist(), 0.0)
 
 
 def second_order_rate(model) -> float:
@@ -174,17 +251,21 @@ def second_order_rate(model) -> float:
     tail contributes one two-term symmetric-splitting defect, and the
     chaining inequality adds them up.  The operator norm is unitarily
     invariant, so a framed drift ``r C H C^dag`` has norm ``r ||H||`` from
-    one norm of the drift ``H``.
+    one norm of the drift ``H``.  A tail, and a plain factor, is normed on
+    the sites its nonzero per-string sums act on: a tail that ends on a
+    complete decoupling orbit acts on the pair alone.
     """
+    x, z, ny, table = _coefficient_table(model)
+    tails = _tails(table)
     drift_norm = hermitian_norm(dense_of_expansion(model.drift))
-    defects = []
-    for f, (mat, tail) in zip(reversed(model.factors[:-1]), _tail_splits(model)):
-        a = f.rate * drift_norm if _is_framed(f) else hermitian_norm(mat)
-        b = hermitian_norm(tail)
-        # ||A|| ||B|| (||A|| + 2 ||B||) / 6 bounds the symmetric splitting
-        # ||e^{-iA/2} e^{-iB} e^{-iA/2} - e^{-i(A+B)}|| at unit delta
-        defects.append(a * b * (a + 2.0 * b) / 6.0)
-    return sum(reversed(defects), 0.0)
+    a = np.array([f.rate * drift_norm if _is_framed(f) else 0.0 for f in model.factors[:-1]])
+    plain = [j for j, f in enumerate(model.factors[:-1]) if not _is_framed(f)]
+    norms = _norms(x, z, ny, np.concatenate([table[plain], tails]))
+    a[plain] = norms[: len(plain)]
+    b = norms[len(plain) :]
+    # ||A|| ||B|| (||A|| + 2 ||B||) / 6 bounds the symmetric splitting
+    # ||e^{-iA/2} e^{-iB} e^{-iA/2} - e^{-i(A+B)}|| at unit delta
+    return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
 
 
 def chained_rate(model, order: int) -> float:

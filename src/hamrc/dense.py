@@ -121,11 +121,17 @@ def _dense_of_masks(
     return out
 
 
-def _dense_of_terms(n: int, terms: Iterable[tuple[PauliString, float]]) -> np.ndarray:
-    """Sum of ``coeff * P`` over the terms, added in the order given."""
+def _term_masks(terms: Iterable[tuple[PauliString, float]]) -> tuple[np.ndarray, ...]:
+    """Packed ``(x, z, ny)`` masks of the terms' strings, and their coefficients."""
     terms = list(terms)
     x, z, ny = np.array([pauli_masks(p) for p, _ in terms], dtype=np.int64).reshape(-1, 3).T
-    return _dense_of_masks(n, x, z, ny, np.array([[c for _, c in terms]], dtype=float))[0]
+    return x, z, ny, np.array([c for _, c in terms], dtype=float)
+
+
+def _dense_of_terms(n: int, terms: Iterable[tuple[PauliString, float]]) -> np.ndarray:
+    """Sum of ``coeff * P`` over the terms, added in the order given."""
+    x, z, ny, coeffs = _term_masks(terms)
+    return _dense_of_masks(n, x, z, ny, coeffs[None])[0]
 
 
 def dense_of_pauli(term: PauliString) -> np.ndarray:
@@ -143,19 +149,23 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def hermitian_norm(a: np.ndarray) -> float:
+def hermitian_norm(a: np.ndarray) -> float | np.ndarray:
     """Spectral norm of a Hermitian matrix: its largest eigenvalue magnitude.
 
-    Only the lower triangle is read, as by ``eigvalsh``.  A matrix with no
-    imaginary part takes the real symmetric route.  A non-finite entry
-    gives ``nan``: LAPACK's eigenvalues of such a matrix are unspecified.
+    A ``(..., d, d)`` stack gives the array of its matrices' norms.  Only
+    the lower triangles are read, as by ``eigvalsh``.  A stack with no
+    imaginary part takes the real symmetric route.  A matrix with a
+    non-finite entry gives ``nan`` for itself: LAPACK's eigenvalues of such
+    a matrix are unspecified.
     """
-    if not np.isfinite(a).all():
-        return math.nan
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        a = np.where(finite[..., None, None], a, 0)
     if np.iscomplexobj(a) and not a.imag.any():
         a = a.real
     evals = np.linalg.eigvalsh(a)
-    return float(np.abs(evals[[0, -1]]).max())
+    norms = np.where(finite, np.abs(evals[..., [0, -1]]).max(axis=-1), math.nan)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def expm_hermitian(a: np.ndarray, t: float = 1.0) -> np.ndarray:

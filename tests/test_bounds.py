@@ -22,6 +22,7 @@ from hamrc import (
     InvalidStep,
     InvalidTerm,
     NotCoupled,
+    PauliString,
     TooLarge,
     build_expansion,
     chained_rate,
@@ -32,7 +33,16 @@ from hamrc import (
     pair_step_model,
     plan_steps,
 )
-from hamrc.bounds import MAX_PLAN_STEPS, _factor_matrices, plan_empirical
+from hamrc.bounds import (
+    _BATCH,
+    MAX_PLAN_STEPS,
+    _coefficient_table,
+    _dense_of_masks,
+    _norms,
+    _supports,
+    _tails,
+    plan_empirical,
+)
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
 from hamrc.synth import (
     CNOT_BODY,
@@ -203,7 +213,13 @@ def test_chained_rate_matches_the_svd_reference_with_locals_anywhere():
             assert abs(chained_rate(model, order) - want) <= 1e-12 * want
 
 
-def test_factor_matrices_from_masks_equal_the_conjugated_expansions():
+def _string(n, x, z):
+    """The Pauli string of packed masks, qubit 0 the top bit."""
+    bits = range(n - 1, -1, -1)
+    return PauliString("".join("IZXY"[(x >> b & 1) * 2 + (z >> b & 1)] for b in bits))
+
+
+def test_coefficient_table_rows_equal_the_conjugated_expansions():
     # the models of the chain and all-to-all benchmarks, random pair models,
     # and random frames at random rates on a drift with every axis and an
     # identity term
@@ -223,21 +239,86 @@ def test_factor_matrices_from_masks_equal_the_conjugated_expansions():
     local = LocalFactor(build_expansion(4, [("XIII", 0.7), ("IIYI", -0.4)]))
     random_frames = StepModel(4, drift, (local,) + tuple(framed), 0.0)
     models.append(random_frames)
-    # S on sites 0 and 1 maps XXI, XXZ, YYI, YYZ to YYI, YYZ, XXI, XXZ: real
-    # terms of one x mask in another order, whose sums round differently in
-    # the two orders
+    # S on sites 0 and 1 maps XXI, XXZ, YYI, YYZ to YYI, YYZ, XXI, XXZ
     same_x = build_expansion(3, [("XXI", 1.0), ("XXZ", 0.1), ("YYI", -1.0), ("YYZ", 0.3)])
     models.append(StepModel(3, same_x, (FramedDrift(1.0, ((0, CLIFF_S), (1, CLIFF_S))),), 0.0))
 
     for model in models:
-        got = list(_factor_matrices(model, model.factors))
-        assert len(got) == len(model.factors)
-        for mat, want in zip(got, _factor_mats(model)):
-            assert mat.tobytes() == want.tobytes()
-    (zero,) = _factor_matrices(random_frames, [FramedDrift(0.0, framed[0].frame)])
-    assert zero.tobytes() == np.zeros((16, 16), dtype=complex).tobytes()
+        x, z, ny, table = _coefficient_table(model)
+        assert table.shape == (len(model.factors), len(x))
+        strings = [_string(model.n, a, b) for a, b in zip(x.tolist(), z.tolist())]
+        assert len(set(strings)) == len(strings)
+        assert ny.tolist() == [p.ops.count("Y") for p in strings]
+        for f, row in zip(model.factors, table):
+            want = framed_expansion(model.drift, f) if isinstance(f, FramedDrift) else f.ham
+            got = {p: c for p, c in zip(strings, row.tolist()) if c != 0.0}
+            assert got.keys() == want.terms.keys()
+            for p, c in want.items():
+                assert np.float64(got[p]).tobytes() == np.float64(c).tobytes()
+    zero = StepModel(4, drift, (FramedDrift(0.0, framed[0].frame),), 0.0)
+    assert not _coefficient_table(zero)[3].any()
     with pytest.raises(InvalidTerm):
-        list(_factor_matrices(random_frames, [FramedDrift(-1.0, ())]))
+        _coefficient_table(StepModel(4, drift, (local, FramedDrift(-1.0, ())), 0.0))
+
+
+def _support_sites(n, mask):
+    return {q for q in range(n) if mask >> (n - 1 - q) & 1}
+
+
+@pytest.mark.parametrize(
+    "drift, pair, count",
+    [(xz_chain(n), (0, 1), 16) for n in (4, 5, 6, 7)]
+    + [(heisenberg(n), (1, 3), 32) for n in (4, 5)],
+)
+def test_tails_that_end_on_a_complete_orbit_act_on_the_pair_alone(drift, pair, count):
+    # the frames that isolate the pair cancel every other term once a tail
+    # holds whole orbits of them, and the cancelled strings are exactly 0.0
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(drift, pair, target)
+    x, z, _, table = _coefficient_table(model)
+    sites = [_support_sites(drift.n, m) for m in _supports(x, z, _tails(table)).tolist()]
+    assert len(sites) == count
+    assert sum(s == set(pair) for s in sites) == 8
+    assert all(s in (set(pair), set(range(drift.n))) for s in sites)
+
+
+def test_tail_norms_of_a_cancelled_tail_and_of_a_multiple_of_the_identity():
+    # H = 0.25 II + X I; frames of H: X -> X, Z X Z = -X, H X H = Z
+    drift = build_expansion(2, [("II", 0.25), ("XI", 1.0)])
+    plus, minus = FramedDrift(1.0, ()), FramedDrift(1.0, ((0, PAULI_CLIFF["Z"]),))
+    as_z = FramedDrift(1.0, ((0, CLIFF_HAD),))
+    x, z, ny, table = _coefficient_table(StepModel(2, drift, (as_z, plus, minus), 0.0))
+    tails = _tails(table)
+    # tail 0 is 0.5 II exactly; tail 1 is 0.25 II - XI
+    assert _supports(x, z, tails).tolist() == [0, 0b10]
+    assert _norms(x, z, ny, tails).tolist() == [0.5, 1.25]
+    # without the identity term the first tail cancels to 0
+    bare = build_expansion(2, [("XI", 1.0)])
+    x, z, ny, table = _coefficient_table(StepModel(2, bare, (as_z, plus, minus), 0.0))
+    assert _norms(x, z, ny, _tails(table)).tolist() == [0.0, 1.0]
+    assert chained_rate(StepModel(2, bare, (as_z, plus, minus), 0.0), 1) == 0.0
+    assert chained_rate(StepModel(2, drift, (as_z, plus, minus), 0.0), 1) == 0.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order):
+    n = 7
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(xz_chain(n), (0, 1), target)
+    built = []
+
+    def counted(m, x, z, ny, coeffs):
+        # at order 1 every build is a commutator chunk's A and B, which
+        # also holds AB and i[A, B]: twice the entries built
+        built.append(((2 if order == 1 else 1) * len(coeffs) * 4**m, m))
+        return _dense_of_masks(m, x, z, ny, coeffs)
+
+    monkeypatch.setattr("hamrc.bounds._dense_of_masks", counted)
+    want = chained_rate(model, order)
+    monkeypatch.undo()
+    assert chained_rate(model, order) == want
+    assert max(held for held, _ in built) <= max(_BATCH, 4**n)
+    assert n in {m for _, m in built}  # full-support tails are still built at 2^n
 
 
 def test_plan_invariants_and_monotonicity():

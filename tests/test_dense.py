@@ -121,6 +121,49 @@ def test_hermitian_norm_and_expm_reject_non_finite_entries():
             expm_hermitian(a)  # inf - inf is nan
 
 
+@pytest.mark.parametrize("dim", [1, 2, 16, 64])
+def test_hermitian_norm_of_a_stack_is_each_matrix_norm(dim):
+    rng = np.random.default_rng(500 + dim)
+    z = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    r = rng.normal(size=(3, dim, dim))
+    # complex, real held as complex, and purely imaginary Hermitian matrices
+    mats = [m + m.conj().T for m in z] + [(m + m.T).astype(complex) for m in r]
+    mats += [1j * (m - m.T) for m in r]
+    stack = np.array(mats).reshape(3, 3, dim, dim)
+    got = hermitian_norm(stack)
+    assert got.shape == (3, 3)
+    for g, m in zip(got.ravel(), mats):
+        want = hermitian_norm(m)
+        assert abs(g - want) <= 1e-14 * want
+    # a non-finite matrix gives nan for itself only
+    for bad in (math.nan, math.inf):
+        spoiled = stack.copy()
+        spoiled[1, 2, 0, 0] = bad
+        norms = hermitian_norm(spoiled)
+        assert math.isnan(norms[1, 2])
+        norms[1, 2] = got[1, 2]
+        assert norms.tolist() == got.tolist()
+
+
+def test_hermitian_norm_takes_the_real_route_for_a_real_stack(monkeypatch):
+    rng = np.random.default_rng(7)
+    r = rng.normal(size=(4, 8, 8))
+    stack = (r + r.swapaxes(1, 2)).astype(complex)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.dtype)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = hermitian_norm(stack)
+    mixed = hermitian_norm(np.concatenate([stack, 1j * (r - r.swapaxes(1, 2))]))
+    assert seen == [np.float64, np.complex128]
+    assert got.tolist() == [hermitian_norm(m.real) for m in stack]
+    assert mixed[:4].tolist() == pytest.approx(got.tolist(), rel=1e-14)
+
+
 # Reference builders: the plain Kronecker-product definitions.
 KRON_PAULI = {
     "I": np.eye(2, dtype=complex),

@@ -47,7 +47,8 @@ from hamrc import (
     pair_step_model,
     sign_flip_clifford,
 )
-from hamrc.bounds import MAX_PLAN_STEPS, _factor_matrices
+from hamrc.bounds import MAX_PLAN_STEPS, _coefficient_table
+from hamrc.dense import _dense_of_masks
 from hamrc.synth import (
     CNOT_BODY,
     CNOT_TIME,
@@ -509,8 +510,9 @@ def test_emit_step_shares_frame_layers_across_steps(sample_drift):
 
 def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
     # the models of the chain and all-to-all benchmarks, and random pairs:
-    # each framed drift's matrix, built in one pass from the drift's masks,
-    # is rate * C H C^dag with C the frame layer the step emits
+    # each framed drift's row of the coefficient table, scattered in one
+    # pass from the drift's masks and built densely, is rate * C H C^dag
+    # with C the frame layer the step emits
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
     models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
     models += [pair_step_model(heisenberg(n), (1, 3), target) for n in (4, 5)]
@@ -518,15 +520,17 @@ def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
     models += [step_model(random_coupled_pair(rng), random_coupled_pair(rng)) for _ in range(8)]
     for model in models:
         h = dense_of_expansion(model.drift)
-        framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+        x, z, ny, table = _coefficient_table(model)
+        framed = [(f, row) for f, row in zip(model.factors, table) if isinstance(f, FramedDrift)]
         assert framed
-        for f, mat in zip(framed, _factor_matrices(model, framed)):
+        for f, row in framed:
+            (mat,) = _dense_of_masks(model.n, x, z, ny, row[None])
             c = f.frame_layer.dense(model.n)
             want = f.rate * (c @ h @ c.conj().T)
             assert np.allclose(mat, want, atol=1e-12)
             assert np.allclose(dense_of_expansion(framed_expansion(model.drift, f)), want, atol=1e-12)
     with pytest.raises(InvalidTerm):
-        list(_factor_matrices(models[0], [FramedDrift(-1.0, ())]))
+        _coefficient_table(StepModel(models[0].n, models[0].drift, (FramedDrift(-1.0, ()),), 0.0))
 
 
 def test_framed_drift_effective_expansion(sample_drift):
