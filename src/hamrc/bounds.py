@@ -10,7 +10,9 @@ step model, a column per Pauli string any factor holds.  Every tail
 ``F_(j+1) + ... + F_last`` is a reversed cumulative sum of its rows, so a
 string whose terms cancel is absent from the tail, and each tail, plain
 factor and commutator is built densely on the sites it acts on, not on the
-whole register.
+whole register.  On the sites where it holds only I or Z it commutes with
+``Z``, so it is built and normed as one block per sign pattern of those
+sites.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from .dense import (
     _dense_of_masks,
+    _parity,
     _term_masks,
     check_dense_cap,
     dense_of_expansion,
@@ -174,9 +177,23 @@ def _supports(x: np.ndarray, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.where(rows != 0.0, x | z, 0), axis=-1)
 
 
+def _diagonal_sites(support: int, x: np.ndarray) -> int:
+    """The I/Z-only sites of an operator on the sites ``support`` whose
+    strings have the x masks ``x``: the sites where none of them holds X
+    or Y, so that the operator commutes with ``Z`` on each of them."""
+    return support & ~int(np.bitwise_or.reduce(x))
+
+
+def _packed(masks: np.ndarray, bits: list[int]) -> np.ndarray:
+    """``masks`` on the given bit positions only, packed into the low bits
+    in the same order."""
+    shifts = np.array(bits, dtype=masks.dtype)
+    return (masks[..., None] >> shifts & 1) @ (1 << np.arange(len(bits)))
+
+
 def _on_supports(measure: Callable, held: int, x, z, ny, items: np.ndarray) -> np.ndarray:
-    """``measure`` of each item's dense matrices, built on the sites the item
-    acts on.
+    """``measure`` of each item's dense matrices, built block by block on
+    the sites the item acts on.
 
     ``items`` is items x rows x strings of coefficients on the strings of
     masks ``x``, ``z`` and ``ny``; ``measure`` takes one stack per row and
@@ -184,29 +201,44 @@ def _on_supports(measure: Callable, held: int, x, z, ny, items: np.ndarray) -> n
     one ``_dense_of_masks`` call and measured together, as many at once as
     keep the ``held`` stacks that ``measure`` holds within ``_BATCH``
     entries.
+
+    On the group's ``k`` I/Z-only sites every row commutes with ``Z``, so
+    its matrix is block diagonal, one block per sign pattern ``s`` of those
+    sites: the rows on the other sites with each string's coefficient
+    negated once per site where it holds ``Z`` and ``s`` is -1.  A norm,
+    and the commutator of two such rows, is the largest over the ``2^k``
+    blocks, so the blocks are built and measured in place of the whole.
     """
     out = np.zeros(len(items))
     present = items != 0.0
     support = np.bitwise_or.reduce(_supports(x, z, items), axis=1)
     width = items.shape[1]
+    xz = np.stack([x, z])
     sups, group = np.unique(support, return_inverse=True)
     for g, sup in enumerate(sups.tolist()):
         index = np.flatnonzero(group == g)
-        on = [b for b in range(sup.bit_length()) if sup >> b & 1]
-        dim = 2 ** len(on)
-        per = max(1, _BATCH // (held * dim * dim))
+        diag = _diagonal_sites(sup, x[present[index].any(axis=(0, 1))])
+        on = [b for b in range(sup.bit_length()) if sup >> b & 1]  # in qubit order
+        kept = [b for b in on if not diag >> b & 1]
+        dropped = [b for b in on if diag >> b & 1]
+        dim, blocks = 2 ** len(kept), 2 ** len(dropped)
+        per = max(1, _BATCH // (held * blocks * dim * dim))
         for start in range(0, len(index), per):
             part = index[start : start + per]
             cols = present[part].any(axis=(0, 1))
-            sx, sz = np.zeros_like(x[cols]), np.zeros_like(z[cols])
-            for k, b in enumerate(on):  # the support's sites, in qubit order
-                sx |= (x[cols] >> b & 1) << k
-                sz |= (z[cols] >> b & 1) << k
-            coeffs = items[part][:, :, cols].transpose(1, 0, 2).reshape(width * len(part), len(sx))
+            # the kept sites in the low bits, the dropped ones above them;
+            # x is 0 on every dropped site
+            sx, sz = _packed(xz[:, cols], kept + dropped)
+            # (block, string): -1 where the string holds Z on an odd number
+            # of the block's -1 sites
+            signs = 1 - 2 * _parity(len(dropped))[np.arange(blocks)[:, None] & sz >> len(kept)]
+            coeffs = (items[part][:, :, None, cols] * signs).transpose(1, 0, 2, 3)
+            coeffs = coeffs.reshape(width * len(part) * blocks, len(sx))
+            sz = sz & dim - 1  # the kept sites only
             # one expression, so a chunk's matrices are freed before the next is built
-            out[part] = measure(*_dense_of_masks(len(on), sx, sz, ny[cols], coeffs).reshape(
-                width, len(part), dim, dim
-            ))
+            out[part] = measure(*_dense_of_masks(len(kept), sx, sz, ny[cols], coeffs).reshape(
+                width, len(part) * blocks, dim, dim
+            )).reshape(len(part), blocks).max(axis=1)
     return out
 
 
@@ -231,6 +263,8 @@ def first_order_rate(model) -> float:
     absent.  A term of ``F_j`` on sites the tail does not act on commutes
     with it, so ``[F_j, T_j]`` is taken on the tail's sites and those of
     the terms of ``F_j`` that touch them; a split with no such term is 0.
+    Where both hold only I or Z on some of those sites, the commutator is
+    block diagonal there and is normed block by block.
     """
     x, z, ny, table = _coefficient_table(model)
     tails = _tails(table)
@@ -253,7 +287,10 @@ def second_order_rate(model) -> float:
     invariant, so a framed drift ``r C H C^dag`` has norm ``r ||H||`` from
     one norm of the drift ``H``.  A tail, and a plain factor, is normed on
     the sites its nonzero per-string sums act on: a tail that ends on a
-    complete decoupling orbit acts on the pair alone.
+    complete decoupling orbit acts on the pair alone.  On the sites where
+    it holds only I or Z its norm is the largest over its diagonal blocks,
+    one per sign pattern of those sites; on an XZ chain that halves every
+    full-support tail.
     """
     x, z, ny, table = _coefficient_table(model)
     tails = _tails(table)

@@ -37,13 +37,17 @@ from hamrc.bounds import (
     _BATCH,
     MAX_PLAN_STEPS,
     _coefficient_table,
+    _commutator_norm,
     _dense_of_masks,
+    _diagonal_sites,
     _norms,
+    _on_supports,
     _supports,
     _tails,
     plan_empirical,
 )
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
+from hamrc.dense import hermitian_norm
 from hamrc.synth import (
     CNOT_BODY,
     FramedDrift,
@@ -266,20 +270,62 @@ def _support_sites(n, mask):
 
 
 @pytest.mark.parametrize(
-    "drift, pair, count",
-    [(xz_chain(n), (0, 1), 16) for n in (4, 5, 6, 7)]
-    + [(heisenberg(n), (1, 3), 32) for n in (4, 5)],
+    "drift, pair, count, diagonal",
+    [(xz_chain(n), (0, 1), 16, {n - 1}) for n in (4, 5, 6, 7)]
+    + [(heisenberg(n), (1, 3), 32, set()) for n in (4, 5)],
 )
-def test_tails_that_end_on_a_complete_orbit_act_on_the_pair_alone(drift, pair, count):
+def test_tails_that_end_on_a_complete_orbit_act_on_the_pair_alone(drift, pair, count, diagonal):
     # the frames that isolate the pair cancel every other term once a tail
     # holds whole orbits of them, and the cancelled strings are exactly 0.0
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
     model = pair_step_model(drift, pair, target)
     x, z, _, table = _coefficient_table(model)
-    sites = [_support_sites(drift.n, m) for m in _supports(x, z, _tails(table)).tolist()]
+    tails = _tails(table)
+    supports = _supports(x, z, tails)
+    sites = [_support_sites(drift.n, m) for m in supports.tolist()]
     assert len(sites) == count
     assert sum(s == set(pair) for s in sites) == 8
     assert all(s in (set(pair), set(range(drift.n))) for s in sites)
+    # a Pauli frame only flips signs on a site where the drift holds I or Z
+    full = [
+        _support_sites(drift.n, _diagonal_sites(m, x[row != 0.0]))
+        for m, row in zip(supports.tolist(), tails)
+        if m == 2**drift.n - 1
+    ]
+    assert len(full) == count - 8
+    assert all(d == diagonal for d in full)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 6),
+    diagonal=st.sampled_from(["none", "some", "all"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=6, diagonal="none", seed=0)
+@example(n=6, diagonal="all", seed=0)
+@example(n=1, diagonal="all", seed=1)
+def test_norms_and_commutators_block_by_block_equal_the_full_register(n, diagonal, seed):
+    rng = np.random.default_rng(seed)
+    if diagonal == "some":
+        iz = int(rng.integers(2**n))
+    else:
+        iz = 0 if diagonal == "none" else 2**n - 1
+    x = rng.integers(2**n, size=int(rng.integers(1, 13))) & ~iz
+    z = rng.integers(2**n, size=len(x))
+    keys = np.unique((x << n) | z)  # distinct strings, as in the coefficient table
+    x, z = keys >> n, keys & (2**n - 1)
+    ny = np.array([bin(m).count("1") for m in (x & z).tolist()])
+    # real coefficients, some of them exactly 0.0: absent strings
+    rows = rng.normal(size=(6, len(x))) * (rng.random((6, len(x))) < 0.7)
+    mats = _dense_of_masks(n, x, z, ny, rows)
+    norms = hermitian_norm(mats)
+    assert np.allclose(_norms(x, z, ny, rows), norms, rtol=1e-12, atol=0)
+    pairs = np.stack([rows[:3], rows[3:]], axis=1)
+    got = _on_supports(_commutator_norm, 4, x, z, ny, pairs)
+    want = _commutator_norm(mats[:3], mats[3:])
+    # relative to ||A|| ||B||: a commuting pair's norm is rounding at that scale
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, norms[:3] * norms[3:]))
 
 
 def test_tail_norms_of_a_cancelled_tail_and_of_a_multiple_of_the_identity():
@@ -308,8 +354,10 @@ def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order
     built = []
 
     def counted(m, x, z, ny, coeffs):
-        # at order 1 every build is a commutator chunk's A and B, which
-        # also holds AB and i[A, B]: twice the entries built
+        # one matrix per row of coeffs: per item and row, one per block of
+        # its I/Z-only sites.  At order 1 every build is a commutator
+        # chunk's A and B, which also holds AB and i[A, B]: twice the
+        # entries built
         built.append(((2 if order == 1 else 1) * len(coeffs) * 4**m, m))
         return _dense_of_masks(m, x, z, ny, coeffs)
 
@@ -318,7 +366,9 @@ def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order
     monkeypatch.undo()
     assert chained_rate(model, order) == want
     assert max(held for held, _ in built) <= max(_BATCH, 4**n)
-    assert n in {m for _, m in built}  # full-support tails are still built at 2^n
+    # full-support tails are two blocks, one per sign of Z on the last site
+    assert n not in {m for _, m in built}
+    assert max(m for _, m in built) == n - 1
 
 
 def test_plan_invariants_and_monotonicity():
