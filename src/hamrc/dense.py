@@ -14,7 +14,8 @@ so an expansion is built by scattering each term's coefficient along the
 permutation ``c -> c ^ x``, with no Kronecker products.  Matrices on one set
 of terms that differ only in their coefficients are built together.  Local
 layers are Kronecker products of 2x2 factors, taken as broadcast outer
-products.
+products, and a stack of layers is built in the same products over a
+leading stack axis.
 
 Exponentials go through a Hermitian eigendecomposition so the result is
 unitary to machine precision.
@@ -76,11 +77,17 @@ _Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def kron_all(factors) -> np.ndarray:
-    """Kronecker product of the factors, the first one leftmost."""
+    """Kronecker product of the factors, the first one leftmost.
+
+    A factor may be a stack ``(..., r, c)``: the leading stack axes
+    broadcast, and the result is the stack of the products, each entry
+    multiplied in the same order as in a product of single matrices.
+    """
     out = np.eye(1, dtype=complex)
     for f in factors:
-        (r, c), (fr, fc) = out.shape, f.shape
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(r * fr, c * fc)
+        (r, c), (fr, fc) = out.shape[-2:], f.shape[-2:]
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        out = prod.reshape(*prod.shape[:-4], r * fr, c * fc)
     return out
 
 

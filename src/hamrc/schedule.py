@@ -4,9 +4,10 @@ A schedule alternates two instruction kinds: ``LocalLayer`` (a tensor
 product of single-qubit unitaries, applied instantaneously) and ``Drift``
 (free evolution under the fixed drift Hamiltonian for a duration).  A
 layer is stored as its sorted sites and one read-only ``(k, 2, 2)`` stack
-of factors, so its unitarity check, its conjugate and the merge of two
-layers at a seam each take a few batched numpy calls, however many sites
-the layer has.
+of factors.  Layers are built, checked, merged and turned into matrices a
+list at a time: each of those operations is one kernel that takes a few
+stacked numpy calls however many layers and sites it is given, and a
+single layer is a batch of one.
 
 Instructions are listed in operator-product order: evaluating
 ``[A, B, C]`` yields ``A @ B @ C`` (times the global phase), so the last
@@ -75,10 +76,14 @@ class LocalLayer:
     ``(k, 2, 2)`` stack, ``stack[i]`` acting on ``sites()[i]``.
     ``LocalLayer(factors)`` takes a ``site -> 2x2`` mapping and
     :meth:`from_stack` the sites and their factors; a site is anything
-    ``operator.index`` accepts, stored as an ``int``.  Every layer, merged
-    and conjugated ones too, has all its factors checked for unitarity
-    at once, and a failure names the first failing site.  ``factors``
-    and ``factor()`` are read-only views of the stack.
+    ``operator.index`` accepts, stored as an ``int``.  ``factors`` and
+    ``factor()`` are read-only views of the stack.
+
+    Layers are made in batches: :meth:`from_stacks` builds a list of
+    layers and :meth:`daggers` conjugates one, and a batch's factors are
+    checked for unitarity in one pass, merged or conjugated layers too.
+    A failing layer names its first failing site.  A single layer is a
+    batch of one, so it takes the same path.
 
     Layers are values: equal, and hashing alike, when their sites and
     stacks are bitwise equal.  The key is computed once.
@@ -87,49 +92,38 @@ class LocalLayer:
     __slots__ = ("_sites", "_stack", "_key")
 
     def __init__(self, factors: Mapping[int, np.ndarray]):
-        self._adopt(list(factors), list(factors.values()))
+        _adopt([self], [(list(factors), list(factors.values()))])
 
     @classmethod
     def from_stack(cls, sites: Sequence[int], stack: Sequence[np.ndarray]) -> "LocalLayer":
         """The layer with ``stack[i]`` on ``sites[i]``; the sites may come in any order."""
-        layer = cls.__new__(cls)
-        layer._adopt(list(sites), stack)
-        return layer
-
-    def _adopt(self, sites: list[Any], mats: Sequence[np.ndarray]) -> None:
-        sites = [_site(q) for q in sites]
-        if len(mats) != len(sites):
-            raise InvalidTerm(f"{len(sites)} layer sites for {len(mats)} factors")
-        if any(np.shape(u) != (2, 2) for u in mats):
-            bad = min(q for q, u in zip(sites, mats) if np.shape(u) != (2, 2))
-            raise InvalidTerm(f"layer factor on site {bad} is not 2x2")
-        stack = np.array(mats, dtype=complex).reshape(-1, 2, 2)
-        if sites != sorted(sites):
-            order = sorted(range(len(sites)), key=sites.__getitem__)
-            sites, stack = [sites[i] for i in order], stack[order]
-        if len(set(sites)) < len(sites):
-            raise InvalidTerm(f"layer sites {sites} repeat")
-        self._seal(tuple(sites), stack)
-
-    def _seal(self, sites: tuple[int, ...], stack: np.ndarray) -> None:
-        """Keep ``stack``, owned and on the sorted ``sites``, once its factors are unitary."""
-        if sites:
-            defect = np.abs(np.matmul(stack.conj().swapaxes(1, 2), stack) - _ID2)
-            if not defect.max() <= UNITARY_TOL:  # nan too
-                per_site = defect.reshape(-1, 4).max(axis=1)
-                i = int(np.argmin(per_site <= UNITARY_TOL))
-                raise InvalidTerm(
-                    f"layer factor on site {sites[i]} has unitarity defect {per_site[i]:.3e}"
-                )
-        stack.flags.writeable = False
-        self._sites, self._stack = sites, stack
-        self._key = (sites, stack.tobytes())
+        return cls.from_stacks([(sites, stack)])[0]
 
     @classmethod
-    def _checked(cls, sites: tuple[int, ...], stack: np.ndarray) -> "LocalLayer":
-        layer = cls.__new__(cls)
-        layer._seal(sites, stack)
-        return layer
+    def from_stacks(
+        cls, specs: Iterable[tuple[Sequence[int], Sequence[np.ndarray]]]
+    ) -> list["LocalLayer"]:
+        """One layer per ``(sites, stack)`` pair, as :meth:`from_stack` makes it.
+
+        All the factors are converted in one array and checked in one
+        pass; the first layer that fails raises.
+        """
+        specs = list(specs)
+        layers = [cls.__new__(cls) for _ in specs]
+        _adopt(layers, specs)
+        return layers
+
+    @classmethod
+    def daggers(cls, layers: Sequence["LocalLayer"]) -> list["LocalLayer"]:
+        """The inverse of each layer, conjugated and checked in one pass."""
+        if not layers:
+            return []
+        stack = np.concatenate([layer._stack for layer in layers]).swapaxes(1, 2)
+        out = [cls.__new__(cls) for _ in layers]
+        errors = _seal(out, [layer._sites for layer in layers], np.conj(stack, order="C"))
+        if errors:
+            raise errors[min(errors)]
+        return out
 
     @property
     def stack(self) -> np.ndarray:
@@ -148,11 +142,10 @@ class LocalLayer:
         return self.factors.get(site, _ID2)
 
     def dense(self, n: int) -> np.ndarray:
-        at = self.factors
-        return kron_all(at.get(q, _ID2) for q in range(n))
+        return _dense_layers([self], n)[0]
 
     def dagger(self) -> "LocalLayer":
-        return LocalLayer._checked(self._sites, np.conj(self._stack.swapaxes(1, 2), order="C"))
+        return LocalLayer.daggers([self])[0]
 
     def cache_key(self) -> tuple:
         return self._key
@@ -165,6 +158,109 @@ class LocalLayer:
 
     def __repr__(self) -> str:
         return f"LocalLayer(sites={self.sites()})"
+
+
+def _adopt(layers: Sequence[LocalLayer], specs: Sequence[tuple[Sequence[Any], Any]]) -> None:
+    """Make ``layers[i]`` the layer of ``specs[i]``, a ``(sites, factors)`` pair.
+
+    The factors of all the specs become one complex array, sorted by site
+    within each layer and sealed; the first spec that fails raises.
+    """
+    try:
+        site_lists = [list(map(operator.index, sites)) for sites, _ in specs]
+    except TypeError:
+        site_lists = [[_site(q) for q in sites] for sites, _ in specs]
+    for sites, (_, mats) in zip(site_lists, specs):
+        if len(mats) != len(sites):
+            raise InvalidTerm(f"{len(sites)} layer sites for {len(mats)} factors")
+    flat = [u for _, mats in specs for u in mats]
+    try:
+        stack = np.array(flat, dtype=complex)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is None or stack.shape != (len(flat), 2, 2):
+        for sites, (_, mats) in zip(site_lists, specs):
+            if any(np.shape(u) != (2, 2) for u in mats):
+                bad = min(q for q, u in zip(sites, mats) if np.shape(u) != (2, 2))
+                raise InvalidTerm(f"layer factor on site {bad} is not 2x2")
+        # every factor is 2x2: a failed conversion raises again, and an
+        # empty one is reshaped
+        stack = np.array(flat, dtype=complex).reshape(-1, 2, 2)
+    keys: list[tuple[int, ...]] = []
+    moved: list[tuple[int, list[int]]] = []  # (first row, order) of each unsorted layer
+    lo = 0
+    for sites in site_lists:
+        ordered = sorted(sites)
+        if len(set(ordered)) < len(ordered):
+            raise InvalidTerm(f"layer sites {ordered} repeat")
+        if ordered != sites:
+            moved.append((lo, sorted(range(len(sites)), key=sites.__getitem__)))
+        keys.append(tuple(ordered))
+        lo += len(sites)
+    if moved:
+        rows = np.arange(lo)
+        for start, order in moved:
+            rows[start:start + len(order)] = np.add(order, start)
+        stack = stack[rows]
+    errors = _seal(layers, keys, stack)
+    if errors:
+        raise errors[min(errors)]
+
+
+def _seal(
+    layers: Sequence[LocalLayer], sites: Sequence[tuple[int, ...]], stack: np.ndarray
+) -> dict[int, InvalidTerm]:
+    """Keep each layer's rows of ``stack``, once all its factors are unitary.
+
+    ``stack`` is owned and holds the layers' factors back to back, each
+    layer's on its sorted ``sites``; all of them are checked in one
+    ``U^dag U - I`` pass.  ``layers[k]`` is filled in when its factors
+    pass, and otherwise the result maps ``k`` to the error naming its
+    first failing site.
+    """
+    defect = np.abs(np.matmul(stack.conj().swapaxes(1, 2), stack) - _ID2)
+    errors: dict[int, InvalidTerm] = {}
+    if not defect.max(initial=0.0) <= UNITARY_TOL:  # nan too
+        per_site = defect.reshape(-1, 4).max(axis=1)
+        failing = np.flatnonzero(~(per_site <= UNITARY_TOL))
+        ends = np.cumsum([len(on) for on in sites])
+        for i, k in zip(failing.tolist(), np.searchsorted(ends, failing, side="right").tolist()):
+            if k not in errors:
+                on = sites[k]
+                errors[k] = InvalidTerm(
+                    f"layer factor on site {on[i - ends[k] + len(on)]} "
+                    f"has unitarity defect {per_site[i]:.3e}"
+                )
+    stack.flags.writeable = False
+    lo = 0
+    for k, (layer, on) in enumerate(zip(layers, sites)):
+        hi = lo + len(on)
+        if k not in errors:
+            layer._sites, layer._stack = on, stack[lo:hi]
+            layer._key = (on, layer._stack.tobytes())
+        lo = hi
+    return errors
+
+
+def _scatter(layers: Sequence[LocalLayer], n: int) -> tuple[np.ndarray, list[int]]:
+    """The layers' factors on an ``(len(layers), n, 2, 2)`` grid of identities,
+    and the flat grid positions they took."""
+    grid = np.empty((len(layers) * n, 2, 2), dtype=complex)
+    grid[...] = _ID2
+    at = [k * n + q for k, layer in enumerate(layers) for q in layer._sites]
+    if at:
+        grid[at] = np.concatenate([layer._stack for layer in layers])
+    return grid.reshape(-1, n, 2, 2), at
+
+
+def _dense_layers(layers: Sequence[LocalLayer], n: int) -> np.ndarray:
+    """``(len(layers), 2^n, 2^n)`` stack of the layers' matrices on ``n`` qubits.
+
+    Each layer's sites take its factors and the others the identity, and
+    :func:`kron_all` multiplies them over the stack axis, so every matrix
+    is bitwise the one a single layer's product gives.
+    """
+    return kron_all(_scatter(layers, n)[0].swapaxes(0, 1))
 
 
 @dataclass(frozen=True)
@@ -299,42 +395,81 @@ class Schedule:
 _LAYER_DROP_TOL = 1e-12
 
 
-def _merge_layers(a: LocalLayer, b: LocalLayer) -> LocalLayer:
-    # operator order: a comes left of b, so each shared site's factors
-    # multiply a @ b, all in one batched product; a site on one side only
-    # keeps its factor, since a product with the identity can flip the sign
-    # of a zero
-    sa, sb = a.sites(), b.sites()
-    if sa == sb:
-        sites, stack = sa, a.stack @ b.stack
-    else:
-        shared = [q for q in sa if q in sb]
-        products = a.stack.take([sa.index(q) for q in shared], 0) @ b.stack.take(
-            [sb.index(q) for q in shared], 0
-        )
-        # a site's row among a's factors, b's and the products: its last one
-        row = {q: i for i, q in enumerate((*sa, *sb, *shared))}
-        sites = tuple(sorted(row))
-        stack = np.concatenate((a.stack, b.stack, products)).take([row[q] for q in sites], 0)
-    near = np.abs(stack - _ID2) <= _LAYER_DROP_TOL
-    if near.any():
-        kept = ~near.reshape(-1, 4).all(axis=1)
-        sites, stack = tuple(q for q, keep in zip(sites, kept.tolist()) if keep), stack[kept]
-    return LocalLayer._checked(sites, stack)
+def _merge_seams(
+    seams: Sequence[tuple[LocalLayer, LocalLayer]], n: int
+) -> list[LocalLayer | InvalidTerm]:
+    """The merged layer of each seam ``(a, b)``, all in one stacked product.
+
+    ``a`` comes left of ``b`` in operator order, so on each site both
+    hold, the factors multiply ``a @ b``; a site that one side holds
+    keeps its factor, since a product with the identity can flip the sign
+    of a zero.  Each merged factor within ``_LAYER_DROP_TOL`` of the
+    identity is dropped, and the merged layers are sealed in one pass.  A
+    seam whose merged factors fail the check gives its error instead of a
+    layer, for the caller to raise if it uses that seam.  ``n`` bounds the
+    sites.
+    """
+    if not seams:
+        return []
+    m = len(seams)
+    factors, at = _scatter([a for a, _ in seams] + [b for _, b in seams], n)
+    held = np.zeros(2 * m * n, dtype=bool)
+    held[at] = True
+    left, right = factors[:m], factors[m:]
+    in_left, in_right = held.reshape(2, m, n)
+    both = in_left & in_right
+    grid = np.where(in_right[..., None, None], right, left)
+    grid[both] = left[both] @ right[both]
+    keep = (in_left | in_right) & ~(np.abs(grid - _ID2) <= _LAYER_DROP_TOL).all(axis=(2, 3))
+    cols = np.nonzero(keep)[1].tolist()
+    bounds = np.cumsum(keep.sum(axis=1)).tolist()
+    sites = [tuple(cols[lo:hi]) for lo, hi in zip([0, *bounds], bounds)]
+    merged: list[LocalLayer | InvalidTerm] = [LocalLayer.__new__(LocalLayer) for _ in seams]
+    for k, error in _seal(merged, sites, grid[keep]).items():
+        merged[k] = error
+    return merged
+
+
+def _seams(sched: Schedule) -> list[tuple[LocalLayer, LocalLayer]]:
+    """The distinct layer-layer seams of the blocks, as written.
+
+    They are the adjacent layers inside each body, the last and first
+    instruction of a repeated body, and the last and first instruction of
+    consecutive blocks, when both are layers.
+    """
+    seams: dict[tuple[LocalLayer, LocalLayer], None] = {}
+    last = None
+    for body, count in sched.blocks:
+        table, ids = body.table, body.ids
+        first = table[ids[0]]
+        if isinstance(last, LocalLayer) and isinstance(first, LocalLayer):
+            seams[last, first] = None
+        is_layer = np.array([isinstance(ins, LocalLayer) for ins in table])
+        run = np.append(ids, ids[0]) if count > 1 else ids
+        pairs = is_layer[run[:-1]] & is_layer[run[1:]]
+        codes = run[:-1][pairs] * len(table) + run[1:][pairs]
+        for code in set(codes.tolist()):
+            a, b = divmod(code, len(table))
+            seams[table[a], table[b]] = None
+        last = table[ids[-1]]
+    return list(seams)
 
 
 def _fold(
     out: list[Instruction],
     body: Iterable[Instruction],
-    merges: dict[tuple[LocalLayer, LocalLayer], LocalLayer],
+    merges: dict[tuple[LocalLayer, LocalLayer], LocalLayer | InvalidTerm],
     settled: list[tuple[Sequence[Instruction], int]],
+    n: int,
 ) -> int:
     """Fold ``body`` onto ``out`` in place; returns the least length ``out`` had.
 
     ``settled`` is finished output to the left of ``out``: when a
     cancelled layer empties ``out``, its last copy moves back into ``out``.
-    ``merges`` maps a seam's two layers to their merged layer; layers are
-    values, so each distinct seam is merged once.
+    ``merges`` maps a seam's two layers to their merged layer (or the
+    error its merge gives, raised here when the fold reaches it); layers
+    are values, so each distinct seam is merged once.  A seam not yet in
+    ``merges`` is merged as a batch of one on ``n`` sites.
     """
     low = len(out)
     for ins in body:
@@ -350,7 +485,9 @@ def _fold(
                 seam = (out[-1], ins)
                 merged = merges.get(seam)
                 if merged is None:
-                    merged = merges[seam] = _merge_layers(*seam)
+                    merged = merges[seam] = _merge_seams([seam], n)[0]
+                if isinstance(merged, InvalidTerm):
+                    raise merged
                 if merged.sites():
                     out[-1] = merged
                 else:
@@ -377,6 +514,13 @@ def canonicalize(sched: Schedule) -> Schedule:
     equal layers is merged once, and every occurrence shares the merged
     layer.
 
+    Before the fold, the distinct seams written in the blocks (adjacent
+    layers in a body, a repeated body's wrap and the joins between
+    blocks) are merged in one stacked product; a seam the fold makes
+    itself, a merged layer meeting the next layer, is merged by the same
+    kernel as a batch of one.  A seam whose merged factors are not
+    unitary raises :class:`InvalidTerm` only when the fold reaches it.
+
     A repeated body is folded one copy at a time until a copy settles:
     it pops nothing it did not append, and leaves last an instruction
     equal to the one it found last.  The fold only reads the last
@@ -386,14 +530,15 @@ def canonicalize(sched: Schedule) -> Schedule:
     folded copy by copy.  The result has the same instructions as folding
     the expansion.
     """
-    merges: dict[tuple[LocalLayer, LocalLayer], LocalLayer] = {}  # (left, right) -> merged
+    seams = _seams(sched)
+    merges = dict(zip(seams, _merge_seams(seams, sched.n)))  # (left, right) -> merged
     settled: list[tuple[Sequence[Instruction], int]] = []
     out: list[Instruction] = []
     for body, count in sched.blocks:
         for copy in range(count):
             start = out[-1] if out else None
             size = len(out)
-            if _fold(out, body, merges, settled) < size or start is None:
+            if _fold(out, body, merges, settled, sched.n) < size or start is None:
                 continue
             # ``out`` holds no zero drift, so equal drifts share a sign
             if out[-1] == start:
@@ -504,12 +649,21 @@ def _grammar_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]
 GRAMMAR_QUBITS = 6
 
 
+#: matrix entries in one chunk of a body's layer leaves, built in one
+#: stacked product: 64 layers at 4 qubits, 4 at 6, and one at 7 and above
+LEAF_CHUNK = 2**14
+
+
 def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Operator-ordered product of ``body`` over its shared product nodes.
 
     ``evals`` and ``vecs`` diagonalize the drift.  Each entry of the
     body's table is built once, and the nodes over its ids come from the
     Re-Pair grammar from ``GRAMMAR_QUBITS`` up and the pairwise tree below.
+    The layer leaves are built a chunk of ``LEAF_CHUNK`` entries at a
+    time, in table order (first use), when the traversal first asks for
+    one of the chunk's leaves; each leaf is its own array, so it frees no
+    later than it would alone.  Products of nodes are built one at a time.
     """
     vecs_h = vecs.conj().T
     leaves, seq = body.table, body.ids
@@ -519,6 +673,9 @@ def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) ->
     for a, b in pairs:
         parents_left[a] += 1
         parents_left[b] += 1
+    layers = [k for k, ins in enumerate(leaves) if isinstance(ins, LocalLayer)]
+    per_chunk = max(1, LEAF_CHUNK >> 2 * n)
+    chunk_at = {k: i - i % per_chunk for i, k in enumerate(layers)}
 
     held: dict[int, np.ndarray] = {}
 
@@ -532,7 +689,10 @@ def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) ->
             if isinstance(ins, Drift):
                 m = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs_h
             else:
-                m = ins.dense(n)
+                chunk = layers[chunk_at[node]:chunk_at[node] + per_chunk]
+                mats = _dense_layers([leaves[k] for k in chunk], n)
+                held.update(zip(chunk, mats if len(chunk) == 1 else map(np.copy, mats)))
+                return held[node]
         else:
             a, b = pairs[node - len(leaves)]
             m = value(a) @ value(b)
@@ -555,8 +715,9 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
     nodes (the Re-Pair grammar from ``GRAMMAR_QUBITS`` up, the pairwise
     tree below), each computed once, raised to the block's count by
     repeated squaring, and the blocks are multiplied left to right.  A
-    one-block schedule with count 1 (a parsed file) is its body's
-    product.  Raises :class:`TooLarge` when the register exceeds the
+    body's layers become matrices a chunk of ``LEAF_CHUNK`` entries at a
+    time.  A one-block schedule with count 1 (a parsed file) is its
+    body's product.  Raises :class:`TooLarge` when the register exceeds the
     dense cap (default 10 qubits).
     """
     check_dense_cap(sched.n)

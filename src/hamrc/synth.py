@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -67,15 +68,21 @@ class FramedDrift:
     def frame_layer(self) -> LocalLayer:
         """The frame as one layer, built once; every emitted step shares it.
 
-        Bodies are interned by value, so the sharing saves building and
-        hashing a layer per step; it does not change a schedule.
+        ``StepModel.frame_layers`` builds the layers of all of a model's
+        framed drifts in one batch, the first time ``emit_step`` sees the
+        model; a read before that builds this layer alone.  Bodies are
+        interned by value, so the sharing saves building and hashing a
+        layer per step; it does not change a schedule.
         """
-        return LocalLayer.from_stack([q for q, _ in self.frame], [c.matrix for _, c in self.frame])
+        return LocalLayer.from_stack(*self._spec())
 
     @functools.cached_property
     def frame_layer_dagger(self) -> LocalLayer:
         """Inverse of ``frame_layer``, built once."""
         return self.frame_layer.dagger()
+
+    def _spec(self) -> tuple[list[int], list[np.ndarray]]:
+        return [q for q, _ in self.frame], [c.matrix for _, c in self.frame]
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,26 @@ class StepModel:
     drift: HamExpansion
     factors: tuple[StepFactor, ...]
     phase_rate: float
+
+    @functools.cached_property
+    def frame_layers(self) -> tuple[tuple[LocalLayer, LocalLayer] | None, ...]:
+        """Each factor's ``frame_layer`` and ``frame_layer_dagger``, or ``None``
+        for a local factor or a bare drift.
+
+        The first read builds the layers of every framed drift that has none
+        yet in one batch, and its daggers in another; each lands in its
+        drift's cached properties, so a drift's layers are the same objects
+        whichever way they are read.
+        """
+        framed = [isinstance(f, FramedDrift) and bool(f.frame) for f in self.factors]
+        todo = [f for f, fr in zip(self.factors, framed) if fr and "frame_layer" not in vars(f)]
+        built = LocalLayer.from_stacks(f._spec() for f in todo)
+        for f, fwd, back in zip(todo, built, LocalLayer.daggers(built)):
+            vars(f).update(frame_layer=fwd, frame_layer_dagger=back)
+        return tuple(
+            (f.frame_layer, f.frame_layer_dagger) if fr else None
+            for f, fr in zip(self.factors, framed)
+        )
 
     def drift_factor_count(self) -> int:
         return sum(1 for f in self.factors if isinstance(f, FramedDrift))
@@ -236,32 +263,34 @@ def emit_step(
 
     Order 1 runs every factor once for ``delta``.  Order 2 emits the
     symmetric palindrome: all but the last factor at ``delta/2``, the
-    last at ``delta``, then the reflection.  A framed drift contributes
-    its own ``frame_layer`` and ``frame_layer_dagger`` objects, so every
-    step of a model shares them.
+    last at ``delta``, then the reflection, which repeats the head's
+    instruction objects (a local factor's layer is built once per step).
+    A framed drift contributes its own ``frame_layer`` and
+    ``frame_layer_dagger`` objects, so every step of a model shares them;
+    the first call on a model builds them all in one batch
+    (``StepModel.frame_layers``).
     """
     if order not in (1, 2):
         raise InvalidStep(f"order must be 1 or 2, got {order}")
     if not delta > 0:
         raise InvalidStep(f"step duration must be positive, got {delta}")
 
-    if order == 1 or len(model.factors) <= 1:
-        timed = [(f, delta) for f in model.factors]
-    else:
-        head = [(f, delta / 2.0) for f in model.factors[:-1]]
-        timed = head + [(model.factors[-1], delta)] + head[::-1]
+    frames = model.frame_layers
 
-    out: list[Instruction] = []
-    for factor, duration in timed:
+    def run(k: int, duration: float) -> list[Instruction]:
+        factor = model.factors[k]
         if isinstance(factor, LocalFactor):
-            out.append(factor.layer(duration))
-            continue
-        if factor.frame:
-            out.append(factor.frame_layer)
-            out.append(Drift(factor.rate * duration))
-            out.append(factor.frame_layer_dagger)
-        else:
-            out.append(Drift(factor.rate * duration))
+            return [factor.layer(duration)]
+        drift = Drift(factor.rate * duration)
+        return [frames[k][0], drift, frames[k][1]] if frames[k] else [drift]
+
+    last = len(model.factors) - 1
+    if order == 1 or last < 1:
+        out = [ins for k in range(last + 1) for ins in run(k, delta)]
+    else:
+        # the reflection repeats the head's instructions, built once
+        head = [run(k, delta / 2.0) for k in range(last)]
+        out = [*chain.from_iterable(head), *run(last, delta), *chain.from_iterable(head[::-1])]
     return out, -model.phase_rate * delta
 
 

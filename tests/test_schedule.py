@@ -1,5 +1,7 @@
 """Schedule semantics: operator ordering, canonicalization, evaluation."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -426,6 +428,161 @@ def test_canonicalize_shares_one_layer_per_repeated_seam():
     seams = [ins for ins in canon.instructions[1:-1] if isinstance(ins, LocalLayer)]
     assert len(seams) == 4
     assert all(s is seams[0] for s in seams)
+
+
+# ----------------------------------------------------------------------
+# the batched layer kernels against one layer at a time
+
+
+def _merge_one(a, b):
+    """One seam merged as the fold merged it before seams came in batches."""
+    sa, sb = a.sites(), b.sites()
+    if sa == sb:
+        sites, stack = sa, a.stack @ b.stack
+    else:
+        shared = [q for q in sa if q in sb]
+        products = a.stack.take([sa.index(q) for q in shared], 0) @ b.stack.take(
+            [sb.index(q) for q in shared], 0
+        )
+        row = {q: i for i, q in enumerate((*sa, *sb, *shared))}
+        sites = tuple(sorted(row))
+        stack = np.concatenate((a.stack, b.stack, products)).take([row[q] for q in sites], 0)
+    near = np.abs(stack - np.eye(2)) <= 1e-12
+    if near.any():
+        kept = ~near.reshape(-1, 4).all(axis=1)
+        sites, stack = tuple(q for q, keep in zip(sites, kept.tolist()) if keep), stack[kept]
+    return LocalLayer.from_stack(sites, stack)
+
+
+@st.composite
+def seam_lists(draw):
+    """Seams over a pool of Haar-random and Clifford layers and their daggers,
+    with site sets equal, nested and disjoint, empty layers and cancelling seams."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_layer(rng, n) for _ in range(3)] + [clifford_layer(rng, n) for _ in range(3)]
+    pool += [layer.dagger() for layer in pool]
+    for layer in pool[:4]:
+        sites = layer.sites()
+        inner = sites[: len(sites) // 2]
+        pool.append(LocalLayer({q: layer.factor(q) for q in inner}))  # nested
+        pool.append(LocalLayer({q: HAD for q in range(n) if q not in sites}))  # disjoint
+        other = random_layer(rng, n)
+        pool.append(LocalLayer({q: other.factor(q) for q in sites}))  # equal
+    pool.append(LocalLayer({}))
+    pick = st.integers(0, len(pool) - 1)
+    seams = [(pool[i], pool[j]) for i, j in draw(st.lists(st.tuples(pick, pick), max_size=12))]
+    seams += [(pool[i], pool[i].dagger()) for i in draw(st.lists(pick, max_size=3))]
+    return n, draw(st.permutations(seams))
+
+
+@settings(max_examples=80)
+@given(case=seam_lists())
+def test_batched_merges_equal_one_seam_at_a_time(case):
+    n, seams = case
+    got = schedule._merge_seams(seams, n)
+    assert [m.cache_key() for m in got] == [_merge_one(a, b).cache_key() for a, b in seams]
+    assert all(not m.stack.flags.writeable for m in got)
+
+
+def test_a_batch_names_the_site_the_single_check_names():
+    bad, bad2 = np.diag([1.0, 2.0]), np.diag([3.0, 1.0])
+    failing = ([2, 0, 1], [bad, HAD, bad2])
+    with pytest.raises(InvalidTerm) as single:
+        LocalLayer.from_stack(*failing)
+    specs = [([0, 1], [HAD, HAD]), failing, ([3], [HAD]), ([1], [bad])]
+    with pytest.raises(InvalidTerm) as batch:
+        LocalLayer.from_stacks(specs)
+    assert "on site 1 " in str(single.value) and str(batch.value) == str(single.value)
+    # a merged seam that fails is named the same way, and the others are kept
+    a = np.sqrt(1.0 + 0.9e-10)  # each factor passes, their product does not
+    u = LocalLayer({1: np.diag([1.0, a]), 2: np.diag([a, 1.0])})
+    with pytest.raises(InvalidTerm) as single:
+        _merge_one(u, u)
+    ok = LocalLayer({0: HAD})
+    merged = schedule._merge_seams([(ok, u), (u, u), (ok, ok)], 3)
+    assert isinstance(merged[1], InvalidTerm) and str(merged[1]) == str(single.value)
+    assert merged[0].cache_key() == _merge_one(ok, u).cache_key() and merged[2].sites() == ()
+
+
+def test_canonicalize_raises_at_a_failing_seam_only_when_it_reaches_it():
+    a = np.sqrt(1.0 + 0.9e-10)
+    u = LocalLayer({0: np.diag([a, 1.0])})
+    with pytest.raises(InvalidTerm) as want:
+        _merge_one(u, u)
+    assert "on site 0 has unitarity defect" in str(want.value)
+    with pytest.raises(InvalidTerm) as got:
+        canonicalize(Schedule(1, (((u, u), 1),)))
+    assert str(got.value) == str(want.value)
+    # the seam (u, u) is written twice, but the fold merges (v, u) to the
+    # identity first and never reaches it
+    v = LocalLayer({0: np.diag([1.0 / a, 1.0])})
+    for blocks in ((((v, u, u), 1),), (((v,), 1), ((u, u), 1)), (((v, u), 1), ((u,), 1))):
+        canon = canonicalize(Schedule(1, blocks))
+        assert canon.instructions == (u,)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_chunked_leaves_equal_kron_all_per_layer(n, monkeypatch):
+    from hamrc.dense import kron_all
+
+    rng = np.random.default_rng(700 + n)
+    cliffords = [clifford_layer(rng, n) for _ in range(3)]
+    layers = [random_layer(rng, n) for _ in range(4)] + cliffords
+    layers += [layer.dagger() for layer in cliffords] + [LocalLayer({}), LocalLayer({0: HAD})]
+
+    def want(layer):
+        return kron_all([layer.factor(q) for q in range(n)]).tobytes()
+
+    assert [m.tobytes() for m in schedule._dense_layers(layers, n)] == list(map(want, layers))
+    assert all(layer.dense(n).tobytes() == want(layer) for layer in layers)
+
+    body = [ins for layer in layers for ins in (layer, Drift(0.1 + 0.01 * len(layer.sites())))]
+    sched = Schedule(n, ((body, 1),))
+    drift = build_expansion(n, [("Z" * n, 1.0)] + ([("XX" + "I" * (n - 2), 0.5)] if n > 1 else []))
+    whole = evaluate_schedule(sched, drift).tobytes()
+    real = schedule._dense_layers
+
+    def record(batch, k):
+        mats = real(batch, k)
+        calls.append((list(batch), mats.copy()))
+        return mats
+
+    # a chunk of one leaf, of three (which splits the body), and the default
+    for chunk, per_chunk in ((1, 1), (3 * 4**n, 3), (schedule.LEAF_CHUNK, None)):
+        calls = []
+        monkeypatch.setattr(schedule, "LEAF_CHUNK", chunk)
+        monkeypatch.setattr(schedule, "_dense_layers", record)
+        assert evaluate_schedule(sched, drift).tobytes() == whole
+        built = [(layer, m) for batch, mats in calls for layer, m in zip(batch, mats)]
+        # each distinct layer once, in table order
+        assert [layer for layer, _ in built] == list(dict.fromkeys(layers))
+        assert all(m.tobytes() == want(layer) for layer, m in built)
+        if per_chunk is not None:
+            assert max(len(batch) for batch, _ in calls) == per_chunk
+        monkeypatch.undo()
+
+
+def test_a_leaf_does_not_keep_a_larger_chunk_alive(monkeypatch):
+    n = 3
+    rng = np.random.default_rng(9)
+    layers = [random_layer(rng, n) for _ in range(6)]
+    # the first layer is used again last, so it outlives its chunk's sibling
+    body = [ins for layer in layers for ins in (layer, Drift(0.2))] + [layers[0]]
+    sched = Schedule(n, ((body, 1),))
+    monkeypatch.setattr(schedule, "LEAF_CHUNK", 2 * 4**n)
+    real, chunks = schedule._dense_layers, []
+
+    def record(batch, k):
+        # each earlier chunk's memory is freed once its leaves are copied out
+        assert all(ref() is None for ref in chunks)
+        mats = real(batch, k)
+        chunks.append(weakref.ref(mats if mats.base is None else mats.base))
+        return mats
+
+    monkeypatch.setattr(schedule, "_dense_layers", record)
+    evaluate_schedule(sched, build_expansion(n, [("ZZZ", 1.0)]))
+    assert len(chunks) == 3
 
 
 # ----------------------------------------------------------------------

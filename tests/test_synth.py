@@ -427,19 +427,20 @@ def test_compile_cnot_canonicalizes_once(sample_drift, monkeypatch, count):
 def test_canonical_work_does_not_grow_with_the_step_count(sample_drift, monkeypatch):
     import hamrc.schedule as schedule_mod
 
-    real = schedule_mod._merge_layers
+    real = schedule_mod._merge_seams
     merges = []
 
-    def counting(a, b):
-        merges.append(1)
-        return real(a, b)
+    def counting(seams, n):
+        # every seam the one merge kernel merges, batch by batch
+        merges.append(len(seams))
+        return real(seams, n)
 
-    monkeypatch.setattr(schedule_mod, "_merge_layers", counting)
+    monkeypatch.setattr(schedule_mod, "_merge_seams", counting)
     per_count = {}
     for steps in (50, 5000):
         merges.clear()
         sched = compile_cnot(sample_drift, steps=steps, order=1)
-        per_count[steps] = len(merges)
+        per_count[steps] = sum(merges)
         assert max(count for _, count in sched.blocks) == steps - 2
     assert per_count[50] == per_count[5000] > 0
 
@@ -506,6 +507,46 @@ def test_emit_step_shares_frame_layers_across_steps(sample_drift):
         fresh = LocalLayer({q: c.matrix for q, c in f.layer_map().items()})
         assert fwd.cache_key() == fresh.cache_key()
         assert back.cache_key() == fresh.dagger().cache_key()
+
+
+def test_emit_step_builds_a_models_frame_layers_in_one_batch(monkeypatch):
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(heisenberg(4), (1, 3), target)
+    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+    assert isinstance(model.factors[0], LocalFactor) and len(framed) > 2
+    early = framed[1].frame_layer  # read before any emission: a batch of one
+    batches = []
+    real = LocalLayer.from_stacks.__func__
+
+    def record(cls, specs):
+        specs = list(specs)
+        batches.append(len(specs))
+        return real(cls, specs)
+
+    monkeypatch.setattr(LocalLayer, "from_stacks", classmethod(record))
+    first, _ = emit_step(model, 0.1, 2)
+    # the other framed drifts in one batch; the local factor's one layer
+    assert batches == [len(framed) - 1, 1]
+    second, _ = emit_step(model, 0.05, 1)
+    assert batches == [len(framed) - 1, 1, 1]
+    assert framed[1].frame_layer is early
+    for (fwd, back), f in zip(_frame_pairs(first), framed + framed[-2::-1]):
+        assert fwd is f.frame_layer and back is f.frame_layer_dagger
+        assert fwd.cache_key() == LocalLayer({q: c.matrix for q, c in f.frame}).cache_key()
+        assert back.cache_key() == fwd.dagger().cache_key()
+
+
+def test_an_order_two_step_builds_its_local_layer_once(sample_drift, monkeypatch):
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = step_model(sample_drift, target)
+    local = model.factors[0]
+    assert isinstance(local, LocalFactor)
+    calls, real = [], LocalFactor.layer
+    monkeypatch.setattr(LocalFactor, "layer", lambda self, d: calls.append(d) or real(self, d))
+    out, _ = emit_step(model, 0.2, 2)
+    # the head and the mirrored head emit one object
+    assert calls == [0.1] and out[0] is out[-1]
+    assert out[0].cache_key() == local.layer(0.1).cache_key()
 
 
 def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
