@@ -97,17 +97,58 @@ def _is_framed(factor) -> bool:
     return hasattr(factor, "frame")
 
 
-#: image and sign of each axis I, X, Y, Z under the identity
-_IDENTITY = ((0, 1, 2, 3), (1, 1, 1, 1))
+#: each axis I, X, Y, Z as its index digit
+_AXIS_DIGITS = str.maketrans("IXYZ", "0123")
+#: the signed axis images of X, Y, Z under the identity
+_IDENTITY = ((1, "X"), (1, "Y"), (1, "Z"))
 #: matrix entries in flight at once: a chunk of norms holds its one stack of
 #: matrices, a chunk of commutators four (``A``, ``B``, ``AB`` and ``i[A, B]``)
 _BATCH = 2**16
 
 
 @functools.lru_cache(maxsize=None)
-def _axis_table(images: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Image and sign of each axis I, X, Y, Z under a Clifford's signed axis images."""
-    return (0, *("IXYZ".index(a) for _, a in images)), (1, *(s for s, _ in images))
+def _axis_codes(images: tuple) -> tuple[int, ...]:
+    """The image of each axis I, X, Y, Z under a Clifford with the signed
+    axis images ``images``, as one code: its x bit, its z bit shifted by
+    one, and by two a bit set when the sign is -1."""
+    return (0, *((a in "XY") | (a in "YZ") << 1 | (s < 0) << 2 for s, a in images))
+
+
+def framed_images(model) -> tuple[np.ndarray, ...]:
+    """``(index, x, z, ny, sign)``: where the framed drifts of ``model`` sit
+    among its factors, and what each frame does to each drift term.
+
+    ``x``, ``z`` and ``ny`` hold the packed masks of the term's image
+    string, as ``dense.pauli_masks`` packs them, and ``sign`` the sign the
+    term picks up: one row per framed drift, one column per drift term in
+    the drift's order.  A frame's Cliffords act site by site, so each
+    site's image is read from one row of codes per distinct Clifford
+    (``_axis_codes``).  Two framed drifts with equal rows are one operator
+    per unit rate.  The arrays are read-only.
+    """
+    n = model.n
+    ops = "".join(p.ops for p in model.drift.terms).translate(_AXIS_DIGITS).encode()
+    axes = np.frombuffer(ops, dtype=np.uint8).astype(np.intp) - ord("0")
+    index = [i for i, f in enumerate(model.factors) if _is_framed(f)]
+    number = {_IDENTITY: 0}  # a Clifford's signed axis images -> its row of codes
+    held = [[0] * n for _ in index]
+    for row, i in zip(held, index):
+        for q, cliff in model.factors[i].frame:
+            row[q] = number.setdefault(cliff.images, len(number))
+    codes = np.array([_axis_codes(images) for images in number], dtype=np.intp)
+    # (framed drift, term, site): the code of that site's axis under its Clifford
+    code = codes.ravel()[np.array(held, dtype=np.intp).reshape(-1, 1, n) * 4 + axes.reshape(-1, n)]
+    bits = 1 << np.arange(n)[::-1]  # qubit 0 is the top bit, as in pauli_masks
+    out = (
+        np.array(index, dtype=np.intp),
+        (code & 1) @ bits,
+        (code >> 1 & 1) @ bits,
+        (code & 3 == 3).sum(axis=2),
+        1 - 2 * _parity(n)[(code >> 2) @ bits],
+    )
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -118,38 +159,24 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     A plain factor's row is its expansion.  A framed drift
     ``rate * C H C^dag`` is the drift's terms with each site's axis replaced
     by its signed image under ``C``, so its row is scattered from the image
-    terms' masks with no expansion in between.  A Clifford maps distinct
-    strings to distinct strings, so each entry is the one product
-    ``sign * coeff * rate``: the conjugated expansion's coefficient.
+    terms' masks in ``model.images`` (``framed_images``) with no expansion
+    in between.  A Clifford maps distinct strings to distinct strings, so
+    each entry is the one product ``sign * coeff * rate``: the conjugated
+    expansion's coefficient.
     """
     n = model.n
-    sites = np.arange(n)
-    bits = 1 << sites[::-1]  # qubit 0 is the top bit, as in pauli_masks
-    terms = list(model.drift.items())
-    axes = np.array([["IXYZ".index(a) for a in p.ops] for p, _ in terms], dtype=np.intp)
-    axes = axes.reshape(len(terms), n)
-    coeffs = np.array([c for _, c in terms], dtype=float)
+    coeffs = np.array(list(model.drift.terms.values()), dtype=float)
     parts = []  # (row, x, z, ny, coefficient) of every term of every factor
-    framed = [(i, f) for i, f in enumerate(model.factors) if _is_framed(f)]
-    if framed:
-        index, factors = zip(*framed)
-        if any(f.rate < 0 for f in factors):
+    index, x, z, ny, sign = model.images
+    if len(index):
+        rates = np.array([model.factors[i].rate for i in index.tolist()])
+        if (rates < 0).any():
             raise InvalidTerm("a framed drift needs a non-negative rate")
-        tables = []
-        for f in factors:
-            table = [_IDENTITY] * n
-            for q, cliff in f.frame:
-                table[q] = _axis_table(cliff.images)
-            tables.append(tuple(zip(*table)))
-        tables = np.array(tables, dtype=np.intp)  # (factor, image or sign, site, axis)
-        image = tables[:, 0][:, sites, axes]  # (factor, term, site)
-        sign = tables[:, 1][:, sites, axes].prod(axis=2)
-        rates = np.array([f.rate for f in factors])
         parts.append((
-            np.repeat(index, len(terms)),
-            (((image == 1) | (image == 2)) @ bits).ravel(),
-            ((image >= 2) @ bits).ravel(),
-            (image == 2).sum(axis=2).ravel(),
+            np.repeat(index, len(coeffs)),
+            x.ravel(),
+            z.ravel(),
+            ny.ravel(),
             (sign * coeffs * rates[:, None]).ravel(),
         ))
     for i, f in enumerate(model.factors):
@@ -308,8 +335,9 @@ def second_order_rate(model) -> float:
 def chained_rate(model, order: int) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
-    ``model`` is a step model: its ``drift`` ``H`` and its ordered
-    ``factors``.  A factor with a ``frame`` is the framed drift
+    ``model`` is a step model: its ``drift`` ``H``, its ordered
+    ``factors`` and their ``images`` (``framed_images`` of the model, built
+    once per model).  A factor with a ``frame`` is the framed drift
     ``rate * C H C^dag`` for the frame's per-site Cliffords ``C``; any other
     factor is plain, with its expansion in ``ham``.  The per-step bound is
     ``rate * delta^(order+1)`` and chaining over N identical steps

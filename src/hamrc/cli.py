@@ -21,11 +21,10 @@ import functools
 import math
 import sys
 
-from . import decouple as _decouple
 from . import routing as _routing
 from . import synth as _synth
 from .bounds import GLOBAL_BOUND_C, ROUNDING
-from .dense import check_dense_cap, dense_of_expansion, distance, expm_hermitian
+from .dense import distance, evolution
 from .errors import (
     DimMismatch,
     HamrcError,
@@ -202,8 +201,7 @@ def _goal_matrix(args, drift: HamExpansion):
             raise InvalidTerm("the built-in gate target lives on two qubits")
         return _synth.CNOT_MATRIX
     _, target = _target(args, drift)
-    check_dense_cap(target.n)
-    return expm_hermitian(dense_of_expansion(target), args.t)
+    return evolution(target, args.t)
 
 
 def _cmd_verify(args) -> int:
@@ -238,19 +236,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    """Plan on the step model ``compile`` would build for the same input."""
+    """Plan on the step model ``compile`` would run for the same input
+    (``synth.compile_model``)."""
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
     if args.gate:
         target, t, bound = _synth.CNOT_BODY, _synth.CNOT_TIME, _synth.cnot_bound(order)
-        model = _synth.step_model(drift, target)
+        model = _synth.compile_model(drift, target)
     else:
         pair_target, target = _target(args, drift)
         t, bound = args.t, args.bound or "chained"
-        if args.pair is None:
-            model = _synth.step_model(drift, target)
-        else:
-            model = _decouple.pair_step_model(drift, tuple(args.pair), pair_target)
+        pair = None if args.pair is None else tuple(args.pair)
+        model = _synth.compile_model(drift, pair_target, pair)
     plan = _synth.plan_for_model(model, target, t, args.epsilon, order, bound, C=args.C)
     items: list[tuple[str, object]] = [
         ("command", "bound"),

@@ -411,9 +411,7 @@ def compile_on_pair(
     """
     return canonicalize(
         _synth._repeat_steps(
-            pair_step_model(drift, pair, target_pair),
-            embed(target_pair, drift.n, pair),
-            t,
-            steps=steps, epsilon=epsilon, order=order, bound=bound,
+            drift, target_pair, t,
+            pair=pair, steps=steps, epsilon=epsilon, order=order, bound=bound,
         )
     )

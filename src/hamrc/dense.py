@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DimMismatch, InvalidTerm, NotHermitian, TooLarge
-from .pauli import HamExpansion, PauliString
+from .pauli import HamExpansion, PauliString, project_to_sites
 
 HERMITIAN_TOL = 1e-10
 #: largest register built densely unless ``HAMRC_DENSE_CAP`` sets another cap
@@ -189,6 +189,26 @@ def expm_hermitian(a: np.ndarray, t: float = 1.0) -> np.ndarray:
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 
+def evolution(ham: HamExpansion, t: float) -> np.ndarray:
+    """``exp(-i t ham)`` on the whole register.
+
+    It is exponentiated on the sites the terms act on (an identity term
+    goes along as a phase) and embedded with the identity on the others,
+    so a pair target on many qubits costs one small eigendecomposition.
+    The dense cap is checked for the whole register before anything is
+    built.
+    """
+    check_dense_cap(ham.n)
+    n = ham.n
+    sites = ham.support() or (0,)
+    small, rest = 2 ** len(sites), 2 ** (n - len(sites))
+    u = expm_hermitian(dense_of_expansion(project_to_sites(ham, sites)), t)
+    # u (x) I, with the axes of ``sites`` first, then moved into site order
+    full = u.reshape(small, 1, small, 1) * np.eye(rest).reshape(1, rest, 1, rest)
+    order = np.argsort([*sites, *(q for q in range(n) if q not in sites)])
+    return full.reshape((2,) * 2 * n).transpose([*order, *(order + n)]).reshape(2**n, 2**n)
+
+
 def phase_match(w: np.ndarray, w_prime: np.ndarray) -> complex:
     """Unit phase aligning ``w_prime`` to ``w`` via the trace overlap.
 
@@ -196,7 +216,7 @@ def phase_match(w: np.ndarray, w_prime: np.ndarray) -> complex:
     ``w_prime`` by it cancels the relative global phase; falls back to 1
     when the overlap vanishes.
     """
-    overlap = np.trace(w.conj().T @ w_prime)
+    overlap = np.vdot(w, w_prime)
     if abs(overlap) == 0.0:
         return 1.0 + 0.0j
     return complex(overlap / abs(overlap)).conjugate()

@@ -723,8 +723,13 @@ def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
     check_dense_cap(sched.n)
     if drift.n != sched.n:
         raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
+    return _evaluate(sched, *np.linalg.eigh(dense_of_expansion(drift)))
 
-    evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
+
+def _evaluate(sched: Schedule, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``evaluate_schedule`` under the drift with eigendecomposition
+    ``(evals, vecs)``, for a caller that evaluates many schedules on one
+    drift and diagonalizes it once."""
     if not sched.blocks:
         return np.exp(1j * sched.phase) * np.eye(2**sched.n, dtype=complex)
 

@@ -34,10 +34,18 @@ from .cliffords import (
     conjugate_by_cliffords,
     sign_flip_clifford,
 )
-from .dense import PAULI_MATS, check_dense_cap, dense_of_expansion, distance, expm_hermitian
+from .dense import PAULI_MATS, dense_of_expansion, distance, evolution, expm_hermitian
 from .errors import HamrcError, Infeasible, InvalidStep, InvalidTerm, VerificationFailure
-from .pauli import HamExpansion, PauliString, build_expansion, max_coupling
-from .schedule import Drift, Instruction, LocalLayer, Schedule, canonicalize, evaluate_schedule
+from .pauli import HamExpansion, PauliString, build_expansion, embed, max_coupling
+from .schedule import (
+    Drift,
+    Instruction,
+    LocalLayer,
+    Schedule,
+    _evaluate,
+    canonicalize,
+    evaluate_schedule,
+)
 
 #: evolution time for which the mapped coupling generates a CNOT
 CNOT_TIME = math.pi / 4.0
@@ -107,7 +115,14 @@ StepFactor = LocalFactor | FramedDrift
 
 @dataclass(frozen=True)
 class StepModel:
-    """Ordered factor list approximating ``exp(-i K delta)`` per step."""
+    """Ordered factor list approximating ``exp(-i K delta)`` per step.
+
+    The builders give each coupling its four framed drifts (and each frame
+    that isolates a pair its copy of them); ``compile_model`` then runs
+    the framed drifts that are one operator as one factor
+    (``merge_framed_drifts``), and every compile plans, emits and counts
+    that merged model.
+    """
 
     n: int
     drift: HamExpansion
@@ -133,6 +148,14 @@ class StepModel:
             (f.frame_layer, f.frame_layer_dagger) if fr else None
             for f, fr in zip(self.factors, framed)
         )
+
+    @functools.cached_property
+    def images(self) -> tuple[np.ndarray, ...]:
+        """``bounds.framed_images`` of this model, built once: what each
+        framed drift's frame does to each drift term.  ``merge_framed_drifts``
+        groups by it, and the chained bound scatters its coefficient table
+        from it."""
+        return _bounds.framed_images(self)
 
     def drift_factor_count(self) -> int:
         return sum(1 for f in self.factors if isinstance(f, FramedDrift))
@@ -256,6 +279,43 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     return StepModel(2, drift, tuple(factors), phase_rate)
 
 
+def merge_framed_drifts(model: StepModel) -> StepModel:
+    """``model`` with the framed drifts that are one operator run as one.
+
+    Framed drifts whose frames send every drift term to the same image
+    with the same sign (equal rows of ``StepModel.images``) are one
+    operator ``C H C^dag`` at different rates.  Each such set becomes one
+    framed drift at the summed rate, with the frame of, and in the place
+    of, its first member; the other factors keep their order.  The sum of
+    the factors is unchanged, so the product formula over them stays a
+    product formula for the same target, with fewer drift periods and
+    pulses per step.  A model with nothing to merge is returned as it is.
+
+    The key compares drift terms one by one, so frames that permute terms
+    of equal coefficient (``S (x) S`` on ``XX + YY``) stay apart.
+    """
+    index, x, z, ny, sign = model.images
+    keys = (x << model.n | z) << 1 | (sign < 0)
+    groups: dict[bytes, list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key.tobytes(), []).append(row)
+    if len(groups) == len(index):
+        return model
+    lead = {rows[0]: rows for rows in groups.values()}
+    row_of = dict(zip(index.tolist(), range(len(index))))
+    factors: list[StepFactor] = []
+    for i, f in enumerate(model.factors):
+        row = row_of.get(i)
+        if row is None:
+            factors.append(f)
+        elif row in lead:
+            rows = lead[row]
+            if len(rows) > 1:
+                f = FramedDrift(math.fsum(model.factors[index[r]].rate for r in rows), f.frame)
+            factors.append(f)
+    return replace(model, factors=tuple(factors))
+
+
 def emit_step(
     model: StepModel, delta: float, order: int
 ) -> tuple[list[Instruction], float]:
@@ -297,13 +357,16 @@ def emit_step(
 def _make_measure(
     model: StepModel, target: HamExpansion, t: float, order: int
 ) -> Callable[[int], float]:
-    check_dense_cap(model.n)
-    goal = expm_hermitian(dense_of_expansion(target), t)
+    """The measured error of ``model`` at a step count, for the empirical
+    plan.  The goal and the drift's eigendecomposition are built once, for
+    every call of the returned closure."""
+    goal = evolution(target, t)
+    evals, vecs = np.linalg.eigh(dense_of_expansion(model.drift))
 
     def measure(n_steps: int) -> float:
         instructions, phase = emit_step(model, t / n_steps, order)
         frag = Schedule(model.n, ((instructions, 1),), phase)
-        w = evaluate_schedule(frag, model.drift)
+        w = _evaluate(frag, evals, vecs)
         return distance(goal, np.linalg.matrix_power(w, n_steps), phase_align=True)
 
     return measure
@@ -354,11 +417,32 @@ def plan_for_model(
     raise InvalidStep(f"unknown bound kind {bound!r}")
 
 
+def compile_model(
+    drift: HamExpansion, target: HamExpansion, pair: tuple[int, int] | None = None
+) -> StepModel:
+    """The step model a compile runs for ``target``.
+
+    Without ``pair`` the target is on the drift's two qubits and the model
+    is ``step_model``'s; with ``pair`` it is a two-qubit target for those
+    register sites and the model is ``decouple.pair_step_model``'s.  Either
+    way the framed drifts that are one operator run as one factor
+    (``merge_framed_drifts``), so the plan, the emitted step and the raw
+    drift periods of every compile, and ``hamrc bound``, are of the merged
+    model.
+    """
+    if pair is None:
+        return merge_framed_drifts(step_model(drift, target))
+    from .decouple import pair_step_model  # decouple builds on this module
+
+    return merge_framed_drifts(pair_step_model(drift, pair, target))
+
+
 def _repeat_steps(
-    model: StepModel,
+    drift: HamExpansion,
     target: HamExpansion,
     t: float,
     *,
+    pair: tuple[int, int] | None = None,
     steps: int | None,
     epsilon: float | None,
     order: int,
@@ -366,17 +450,20 @@ def _repeat_steps(
 ) -> Schedule:
     """Raw schedule approximating ``exp(-i target t)`` by repeating one step.
 
-    ``target`` is the evolution ``model`` was built for, on its register.
-    Exactly one of ``steps`` and ``epsilon`` selects the step count; with
-    ``epsilon`` the plan comes from the requested bound kind and is
-    attached to the returned schedule.  The schedule is one block, the
-    emitted step repeated ``steps`` times; each entry point adds what it
-    needs around it and canonicalizes its finished schedule once.
+    ``target`` and ``pair`` are as for ``compile_model``, whose model the
+    step runs.  Exactly one of ``steps`` and ``epsilon`` selects the step
+    count; with ``epsilon`` the plan comes from the requested bound kind
+    and is attached to the returned schedule.  The schedule is one block,
+    the emitted step repeated ``steps`` times; each entry point adds what
+    it needs around it and canonicalizes its finished schedule once.
     """
     if not t > 0:
         raise InvalidStep(f"total time must be positive, got {t}")
     if (steps is None) == (epsilon is None):
         raise InvalidStep("pass exactly one of steps and epsilon")
+    model = compile_model(drift, target, pair)
+    if pair is not None:
+        target = embed(target, drift.n, pair)
     plan = None
     if epsilon is not None:
         plan = plan_for_model(model, target, t, epsilon, order, bound)
@@ -414,7 +501,7 @@ def compile_schedule(
     """
     return canonicalize(
         _repeat_steps(
-            step_model(drift, target), target, t,
+            drift, target, t,
             steps=steps, epsilon=epsilon, order=order, bound=bound,
         )
     )
@@ -450,7 +537,7 @@ def compile_cnot(
     lead = LocalLayer.from_stack([0], [expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)])
     trail = LocalLayer.from_stack([1], [expm_hermitian(PAULI_MATS["X"], CNOT_TIME)])
     body = _repeat_steps(
-        step_model(drift, CNOT_BODY), CNOT_BODY, CNOT_TIME,
+        drift, CNOT_BODY, CNOT_TIME,
         steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),
     )
     sched = canonicalize(replace(

@@ -12,6 +12,7 @@ from hamrc import (
     LocalLayer,
     NotHermitian,
     PauliString,
+    TooLarge,
     build_expansion,
     dense_of_expansion,
     dense_of_pauli,
@@ -20,7 +21,7 @@ from hamrc import (
     operator_norm,
     phase_match,
 )
-from hamrc.dense import hermitian_norm, kron_all
+from hamrc.dense import evolution, hermitian_norm, kron_all
 
 # drift used in many examples: Z on qubit 0, strong XZ coupling, ZZ
 H_SAMPLE = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
@@ -226,3 +227,30 @@ def test_kron_all_and_layer_dense_are_byte_equal_to_the_kron_product(n):
     layer = LocalLayer(kept)
     ref = _kron_reference(kept.get(q, np.eye(2, dtype=complex)) for q in range(n))
     assert layer.dense(n).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n, terms", [
+    (4, [("XIXI", 0.7), ("ZIII", -0.3), ("IIII", 0.4)]),  # sites 0 and 2, a phase
+    (5, [("IIIYZ", 0.5), ("IIIIX", 0.2)]),  # the last two sites
+    (3, [("YIZ", 1.1), ("IXI", -0.6)]),  # every site
+    (3, [("III", 0.25)]),  # a phase alone
+    (2, []),  # nothing at all
+])
+def test_evolution_embeds_the_exponential_on_the_target_sites(n, terms):
+    ham = build_expansion(n, terms)
+    want = expm_hermitian(dense_of_expansion(ham), 0.9)
+    got = evolution(ham, 0.9)
+    assert got.shape == (2**n, 2**n)
+    assert np.abs(got - want).max() <= 1e-15
+    # the identity on the untouched sites is exact: no entry flips one
+    idx = np.arange(2**n)
+    for q in set(range(n)) - set(ham.support()):
+        bit = idx >> (n - 1 - q) & 1
+        assert not got[bit[:, None] != bit[None, :]].any()
+
+
+def test_evolution_checks_the_cap_for_the_whole_register(monkeypatch):
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "3")
+    with pytest.raises(TooLarge):
+        evolution(build_expansion(4, [("XXII", 1.0)]), 1.0)
+

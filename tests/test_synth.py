@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     framed_expansion,
@@ -36,18 +38,20 @@ from hamrc import (
     build_expansion,
     cnot_generator,
     compile_cnot,
+    compile_on_pair,
     compile_schedule,
     conjugate_by_cliffords,
     dense_of_expansion,
     dense_of_pauli,
     distance,
+    embed,
     evaluate_schedule,
     expm_hermitian,
     max_coupling,
     pair_step_model,
     sign_flip_clifford,
 )
-from hamrc.bounds import MAX_PLAN_STEPS, _coefficient_table
+from hamrc.bounds import MAX_PLAN_STEPS, ROUNDING, _coefficient_table
 from hamrc.dense import _dense_of_masks
 from hamrc.synth import (
     CNOT_BODY,
@@ -56,7 +60,9 @@ from hamrc.synth import (
     LocalFactor,
     StepModel,
     _proportional_rate,
+    compile_model,
     emit_step,
+    merge_framed_drifts,
     step_model,
 )
 
@@ -313,7 +319,7 @@ def test_full_coupling_target_needs_at_most_36_periods(sample_drift):
     model = step_model(sample_drift, target)
     assert model.drift_factor_count() == 36
     sched = compile_schedule(sample_drift, target, 0.05, steps=1, order=1)
-    assert sched.raw_drift_periods == 36
+    assert sched.raw_drift_periods <= 36
     assert sched.drift_count() <= 36
 
 
@@ -381,7 +387,7 @@ def test_cnot_generator_flows_to_cnot():
 def test_compile_cnot_order_two(sample_drift):
     sched = compile_cnot(sample_drift, epsilon=1e-3, order=2)
     assert sched.plan.steps == 16
-    assert sched.raw_drift_periods == 112
+    assert sched.raw_drift_periods == 48
     got = evaluate_schedule(sched, sample_drift)
     assert distance(CNOT_MATRIX, got) <= sched.predicted_error <= 1e-3
 
@@ -587,3 +593,239 @@ def test_framed_drift_effective_expansion(sample_drift):
     want = dense_of_expansion(build_expansion(2, [("XX", 1.0)]))
     got = total + model.phase_rate * np.eye(4)
     assert np.abs(got - want).max() < 1e-14
+
+
+# ----------------------------------------------------------------------
+# framed drifts that are one operator run as one factor
+
+_COUPLINGS = [a + b for a in "XYZ" for b in "XYZ"]
+_LOCALS = [a + "I" for a in "XYZ"] + ["I" + b for b in "XYZ"]
+
+
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(lo, hi)).map(lambda sm: sm[0] * sm[1])
+
+
+@st.composite
+def _pair_expansions(draw, couplings=(1, 4), locals_=(0, 3)):
+    """A sparse two-qubit expansion: strong couplings and weaker fields.
+    Hypothesis draws equal coefficients too, which is the case the image
+    key keeps apart (``test_the_image_key_keeps_apart_frames_that_permute_equal_terms``)."""
+    terms = draw(st.lists(st.sampled_from(_COUPLINGS), min_size=couplings[0],
+                          max_size=couplings[1], unique=True))
+    fields = draw(st.lists(st.sampled_from(_LOCALS), min_size=locals_[0],
+                           max_size=locals_[1], unique=True))
+    return build_expansion(2, [(p, draw(_signed(0.5, 2.0))) for p in terms]
+                           + [(p, draw(_signed(0.1, 1.0))) for p in fields])
+
+
+def _term_images(drift, f):
+    """Each drift term's signed image under a framed drift's frame, term by term."""
+    layer = f.layer_map()
+    return tuple(
+        tuple(conjugate_by_cliffords(build_expansion(drift.n, [(p.ops, 1.0)]), layer).items())
+        for p in drift.terms
+    )
+
+
+def _factor_sum(model):
+    """The sum of a model's factors as Pauli coefficients, each string's
+    contributions added exactly (``math.fsum``), exact zeros dropped."""
+    parts = {}
+    for f in model.factors:
+        if isinstance(f, FramedDrift):
+            ham = conjugate_by_cliffords(model.drift, f.layer_map())
+            items = [(p, f.rate * c) for p, c in ham.items()]
+        else:
+            items = f.ham.items()
+        for p, c in items:
+            parts.setdefault(p, []).append(c)
+    return {p: s for p, cs in parts.items() if (s := math.fsum(cs)) != 0.0}
+
+
+def _check_merge(model):
+    """``merge_framed_drifts`` against an independent grouping: term-by-term
+    images from ``conjugate_by_cliffords``."""
+    merged = merge_framed_drifts(model)
+    groups = {}  # term images -> positions of the framed drifts
+    for i, f in enumerate(model.factors):
+        if isinstance(f, FramedDrift):
+            groups.setdefault(_term_images(model.drift, f), []).append(i)
+    lead = {rows[0]: rows for rows in groups.values()}
+    want = []
+    for i, f in enumerate(model.factors):
+        if not isinstance(f, FramedDrift):
+            want.append(f)
+        elif i in lead:
+            want.append((math.fsum(model.factors[r].rate for r in lead[i]), f.frame))
+    got = [(f.rate, f.frame) if isinstance(f, FramedDrift) else f for f in merged.factors]
+    assert got == want
+    assert (merged.drift, merged.phase_rate, merged.n) == (model.drift, model.phase_rate, model.n)
+    if len(groups) == model.drift_factor_count():
+        assert merged is model
+    # the merged factor sum is the unmerged one, exactly, as expansions
+    assert _factor_sum(merged) == _factor_sum(model)
+    assert HamExpansion(model.n, _factor_sum(merged)) == HamExpansion(model.n, _factor_sum(model))
+    # a group merges exactly when its conjugated expansions are equal, but
+    # for frames that permute drift terms of equal coefficient
+    by_expansion = {}
+    for rows in groups.values():
+        for r in rows:
+            by_expansion.setdefault(
+                conjugate_by_cliffords(model.drift, model.factors[r].layer_map()), set()
+            ).add(rows[0])
+    for leads in by_expansion.values():
+        if len(leads) > 1:
+            magnitudes = [abs(c) for c in model.drift.terms.values()]
+            assert len(set(magnitudes)) < len(magnitudes), "the image key missed a merge"
+    return merged
+
+
+@settings(max_examples=150)
+@given(drift=_pair_expansions(), target=_pair_expansions(couplings=(1, 3), locals_=(0, 2)))
+def test_merged_two_qubit_models_keep_their_factor_sum(drift, target):
+    _check_merge(step_model(drift, target))
+
+
+@settings(max_examples=25)
+@given(
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    target=_pair_expansions(couplings=(1, 2), locals_=(0, 1)),
+)
+def test_merged_pair_models_keep_their_factor_sum(n, seed, target):
+    rng = np.random.default_rng(seed)
+    drift = random_two_body(n, rng, coupling_density=0.6, local_density=0.3, connected=True)
+    coupled = sorted(p for p in drift.terms if p.weight() == 2)
+    pair = coupled[int(rng.integers(len(coupled)))].support()
+    _check_merge(pair_step_model(drift, pair, target))
+
+
+@settings(max_examples=30)
+@given(
+    drift=_pair_expansions(),
+    target=_pair_expansions(couplings=(1, 2), locals_=(0, 2)),
+    order=st.sampled_from([1, 2]),
+)
+def test_merged_compiles_verify_within_their_chained_prediction(drift, target, order):
+    sched = compile_schedule(drift, target, 0.5, epsilon=1e-2, order=order)
+    goal = expm_hermitian(dense_of_expansion(target), 0.5)
+    err = distance(goal, evaluate_schedule(sched, drift))
+    assert err <= sched.predicted_error + ROUNDING
+    merged = compile_model(drift, target)
+    assert sched.raw_drift_periods == merged.raw_drifts_per_step(order) * sched.plan.steps
+
+
+@st.composite
+def _register_drifts(draw):
+    """A connected two-body drift on 3 to 5 qubits: a strong coupling on
+    each chain edge, a few weaker ones anywhere, and some fields."""
+    n = draw(st.integers(3, 5))
+    entries = []
+
+    def term(sites, axes, lo, hi):
+        ops = ["I"] * n
+        for q, a in zip(sites, axes):
+            ops[q] = a
+        entries.append(("".join(ops), draw(_signed(lo, hi))))
+
+    for q in range(n - 1):
+        term((q, q + 1), draw(st.sampled_from(_COUPLINGS)), 0.5, 1.5)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        term((i, j), draw(st.sampled_from(_COUPLINGS)), 0.1, 0.5)
+    for q in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+        term((q,), draw(st.sampled_from("XYZ")), 0.1, 0.5)
+    return build_expansion(n, entries)
+
+
+@settings(max_examples=15)
+@given(
+    drift=_register_drifts(),
+    edge=st.integers(0, 3),
+    target=_pair_expansions(couplings=(1, 2), locals_=(0, 1)),
+    order=st.sampled_from([1, 2]),
+)
+def test_merged_pair_compiles_verify_within_their_chained_prediction(drift, edge, target, order):
+    pair = (edge % (drift.n - 1), edge % (drift.n - 1) + 1)
+    sched = compile_on_pair(drift, pair, target, 0.5, epsilon=1e-2, order=order)
+    goal = expm_hermitian(dense_of_expansion(embed(target, drift.n, pair)), 0.5)
+    assert distance(goal, evaluate_schedule(sched, drift)) <= sched.predicted_error + ROUNDING
+    merged = compile_model(drift, target, pair)
+    assert sched.raw_drift_periods == merged.raw_drifts_per_step(order) * sched.plan.steps
+
+
+def test_a_model_with_nothing_to_merge_comes_back_unchanged():
+    # dense random drifts: no two frames agree on every term
+    rng = np.random.default_rng(7)
+    drift = build_expansion(2, [(p, float(rng.normal())) for p in _COUPLINGS + _LOCALS])
+    model = step_model(drift, build_expansion(2, [("XY", 0.4), ("ZZ", -0.3)]))
+    assert merge_framed_drifts(model) is model
+    heis = pair_step_model(heisenberg(5), (1, 3), build_expansion(2, [("XX", 0.7)]))
+    assert merge_framed_drifts(heis) is heis
+    bare = step_model(drift, build_expansion(2, [(p, 2.0 * c) for p, c in drift.items()]))
+    assert merge_framed_drifts(bare) is bare
+
+
+def test_merging_keeps_the_first_frame_at_the_summed_rate(sample_drift):
+    # on ZI + XZ + ZZ a coupling's frames are {I, X} (x) {I, Z} inside its
+    # rotation, and Z on qubit 1 commutes with every drift term: the frames
+    # that differ only there agree on every term
+    target = build_expansion(2, [("XX", 0.5), ("ZY", -0.25), ("ZI", 1.0)])
+    model = step_model(sample_drift, target)
+    merged = merge_framed_drifts(model)
+    assert merged.drift_factor_count() == 4
+    assert merged.factors[0] is model.factors[0]
+    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+    kept = [f for f in merged.factors if isinstance(f, FramedDrift)]
+    assert all(f.frame is framed[i].frame for f, i in zip(kept, (0, 2, 4, 6)))
+    assert [f.rate for f in kept] == [2 * framed[i].rate for i in (0, 2, 4, 6)]
+    assert (merged.raw_drifts_per_step(1), merged.raw_drifts_per_step(2)) == (4, 7)
+    assert merge_framed_drifts(merged) is merged
+
+
+def test_compile_model_is_the_built_model_merged(sample_drift):
+    target = build_expansion(2, [("XX", 0.5), ("ZY", -0.25), ("ZI", 1.0)])
+    assert _model_key(compile_model, sample_drift, target) == _model_key(
+        lambda d, k: merge_framed_drifts(step_model(d, k)), sample_drift, target
+    )
+    drift = build_expansion(3, [("XXI", 1.0), ("IZZ", 0.8), ("ZIZ", 0.3), ("IXI", 0.2)])
+    assert _model_key(lambda d, k: compile_model(d, k, (1, 2)), drift, target) == _model_key(
+        lambda d, k: merge_framed_drifts(pair_step_model(d, (1, 2), k)), drift, target
+    )
+
+
+def test_the_image_key_keeps_apart_frames_that_permute_equal_terms():
+    # S (x) S sends XX to YY and YY to XX: on XX + YY + ZZ at equal strengths
+    # the first frames of the XX and of the YY coupling are both the drift
+    # itself, but they send the terms one by one to different images, so
+    # they stay apart
+    drift = build_expansion(2, [("XX", 1.0), ("YY", 1.0), ("ZZ", 1.0)])
+    model = step_model(drift, build_expansion(2, [("XX", 0.5), ("YY", 0.25)]))
+    merged = merge_framed_drifts(model)
+    assert model.drift_factor_count() == 8
+    assert merged.drift_factor_count() == 4
+    operators = {conjugate_by_cliffords(drift, f.layer_map())
+                 for f in merged.factors if isinstance(f, FramedDrift)}
+    assert len(operators) == 3
+    assert _factor_sum(merged) == _factor_sum(model)
+
+
+def test_an_empirical_measure_diagonalizes_the_drift_once(monkeypatch):
+    from hamrc.synth import _make_measure
+
+    drift = xz_chain(4)
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(drift, (0, 1), target)
+    full = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        full.append(a.shape[-1] == 16)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    measure = _make_measure(model, embed(target, 4, (0, 1)), 0.5, 2)
+    errors = [measure(n) for n in (1, 2, 3, 5)]
+    assert sum(full) == 1  # the drift's; the goal is built on the pair
+    assert errors == sorted(errors, reverse=True)
