@@ -8,13 +8,7 @@ single-qubit part, and standard product-formula bounds turn a requested
 precision into a step count.
 """
 
-from .bounds import (
-    GLOBAL_BOUND_C,
-    ErrorPlan,
-    chained_rate,
-    coupling_ratio,
-    plan_steps,
-)
+from .bounds import ErrorPlan, chained_rate, plan_steps
 from .cliffords import (
     AXIS_ROTATION,
     CLIFF_HAD,
@@ -97,14 +91,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AXIS_ROTATION", "CLIFF_HAD", "CLIFF_ID", "CLIFF_S", "CLIFF_SDG",
     "CLIFF_XQ", "CLIFF_XQI", "CNOT_MATRIX", "DimMismatch", "Drift",
-    "ErrorPlan", "GLOBAL_BOUND_C", "HamExpansion", "HamrcError", "Infeasible",
+    "ErrorPlan", "HamExpansion", "HamrcError", "Infeasible",
     "InvalidStep", "InvalidTerm", "LocalClifford", "LocalLayer", "NotConnected",
     "NotCoupled", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
     "ParseError", "PauliString", "Schedule", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",
     "compile_remote", "compile_schedule", "conjugate_by_cliffords",
-    "conjugation_sign", "coupling_graph", "coupling_ratio",
+    "conjugation_sign", "coupling_graph",
     "cnot_generator", "dense_of_expansion",
     "dense_of_pauli", "distance", "embed", "evaluate_schedule",
     "exchange_generator", "expm_hermitian", "filter_support", "format_report",

@@ -8,11 +8,12 @@ ancillas, and obeys the chaining inequality
 The chained rate reads one table of coefficients: a row per factor of a
 step model, a column per Pauli string any factor holds.  Every tail
 ``F_(j+1) + ... + F_last`` is a reversed cumulative sum of its rows, so a
-string whose terms cancel is absent from the tail, and each tail, plain
-factor and commutator is built densely on the sites it acts on, not on the
-whole register.  On the sites where it holds only I or Z it commutes with
-``Z``, so it is built and normed as one block per sign pattern of those
-sites.
+string whose terms cancel is absent from the tail.  Up to the dense cap
+each tail, plain factor and commutator is built densely on the sites it
+acts on, not on the whole register; on the sites where it holds only I or
+Z it commutes with ``Z``, so it is built and normed as one block per sign
+pattern of those sites.  Above the cap each norm is bounded by its
+coefficient 1-norm, taken on the strings' masks with no matrix at all.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from .dense import (
     dense_of_expansion,
     hermitian_norm,
 )
-from .errors import Infeasible, InvalidTerm, NotCoupled
-from .pauli import HamExpansion
-
-#: default constant of the coarse coupling-ratio bound C * D^2 * t * delta
-GLOBAL_BOUND_C = 1.0e4
+from .errors import Infeasible, InvalidTerm, TooLarge
 
 #: step counts above this are refused as impractical
 MAX_PLAN_STEPS = 2**22
@@ -101,8 +98,8 @@ def _is_framed(factor) -> bool:
 _AXIS_DIGITS = str.maketrans("IXYZ", "0123")
 #: the signed axis images of X, Y, Z under the identity
 _IDENTITY = ((1, "X"), (1, "Y"), (1, "Z"))
-#: matrix entries in flight at once: a chunk of norms holds its one stack of
-#: matrices, a chunk of commutators four (``A``, ``B``, ``AB`` and ``i[A, B]``)
+#: matrix entries (or string products) in flight at once: a chunk of norms
+#: holds one stack, a chunk of commutators four (``A``, ``B``, ``AB``, ``i[A, B]``)
 _BATCH = 2**16
 
 
@@ -127,6 +124,8 @@ def framed_images(model) -> tuple[np.ndarray, ...]:
     per unit rate.  The arrays are read-only.
     """
     n = model.n
+    if n > 63:
+        raise TooLarge(f"{n} qubits exceeds the 63 sites a Pauli mask holds")
     ops = "".join(p.ops for p in model.drift.terms).translate(_AXIS_DIGITS).encode()
     axes = np.frombuffer(ops, dtype=np.uint8).astype(np.intp) - ord("0")
     index = [i for i, f in enumerate(model.factors) if _is_framed(f)]
@@ -144,7 +143,7 @@ def framed_images(model) -> tuple[np.ndarray, ...]:
         (code & 1) @ bits,
         (code >> 1 & 1) @ bits,
         (code & 3 == 3).sum(axis=2),
-        1 - 2 * _parity(n)[(code >> 2) @ bits],
+        1 - 2 * ((code >> 2 & 1).sum(axis=2) & 1),
     )
     for a in out:
         a.flags.writeable = False
@@ -164,7 +163,6 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     each entry is the one product ``sign * coeff * rate``: the conjugated
     expansion's coefficient.
     """
-    n = model.n
     coeffs = np.array(list(model.drift.terms.values()), dtype=float)
     parts = []  # (row, x, z, ny, coefficient) of every term of every factor
     index, x, z, ny, sign = model.images
@@ -184,10 +182,17 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
             x, z, ny, c = _term_masks(f.ham.items())
             parts.append((np.full(len(c), i), x, z, ny, c))
     rows, x, z, ny, values = (np.concatenate(column) for column in zip(*parts))
-    keys, first, cols = np.unique((x << n) | z, return_index=True, return_inverse=True)
-    table = np.zeros((len(model.factors), len(keys)))
+    _, first, cols = np.unique(_string_keys(x, z), return_index=True, return_inverse=True)
+    table = np.zeros((len(model.factors), len(first)))
     table[rows, cols] = values
-    return keys >> n, keys & (2**n - 1), ny[first], table
+    return x[first], z[first], ny[first], table
+
+
+def _string_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One key per Pauli string of masks ``x`` and ``z``: the big-endian bytes
+    of both masks, which sort in the order of ``(x, z)`` and, unlike one
+    packed integer, never collide."""
+    return np.stack([x, z], axis=-1).astype(">i8").view("V16").ravel()
 
 
 def _tails(table: np.ndarray) -> np.ndarray:
@@ -332,6 +337,44 @@ def second_order_rate(model) -> float:
     return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
 
 
+def _mask_parity(masks: np.ndarray) -> np.ndarray:
+    """popcount mod 2 of each int64 mask, folded: no 2^n table, no ``np.bitwise_count``."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        masks = masks ^ masks >> shift
+    return masks & 1
+
+
+def coefficient_rate(model, order: int) -> float:
+    """The chained rate with every operator norm bounded by the 1-norm of
+    its Pauli coefficients, so that nothing of size 2^n is built.
+
+    At order 2 these are the rows of the table and of its tails, in
+    ``second_order_rate``'s defect.  At order 1 ``[F_j, T_j]`` sums
+    ``f_s t_t [s, t] = 2 f_s t_t s t`` over the anticommuting pairs of a
+    head string ``s`` and a tail string ``t``.  With ``P = i^ny X^x Z^z``,
+    ``s t`` is ``i^(ny_s + ny_t) (-1)^|z_s & x_t| X^(x_s ^ x_t) Z^(z_s ^ z_t)``,
+    and the product's own ``i^ny`` is a phase that every pair with that
+    product shares; so the terms are summed per product string first.
+    """
+    x, z, ny, table = _coefficient_table(model)
+    heads, tails = table[:-1], _tails(table)
+    if order == 2:
+        a, b = np.abs(heads).sum(axis=1), np.abs(tails).sum(axis=1)
+        return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
+    s, t = np.nonzero(_mask_parity((x[:, None] & z) ^ (z[:, None] & x)))
+    keys, product = np.unique(_string_keys(x[s] ^ x[t], z[s] ^ z[t]), return_inverse=True)
+    # i^(ny_s + ny_t) without its odd power, which is part of the shared phase
+    sign = 2.0 - 4.0 * ((((ny[s] + ny[t]) >> 1) + _mask_parity(z[s] & x[t])) & 1)
+    norms = np.zeros(len(tails))
+    per = max(1, _BATCH // max(1, len(s)))
+    for start in range(0, len(tails), per):
+        terms = heads[start : start + per, s] * tails[start : start + per, t] * sign
+        rows = np.arange(len(terms))[:, None] * len(keys) + product
+        sums = np.bincount(rows.ravel(), terms.ravel(), minlength=len(terms) * len(keys))
+        norms[start : start + per] = np.abs(sums).reshape(len(terms), len(keys)).sum(axis=1)
+    return 0.5 * sum(norms[::-1].tolist(), 0.0)
+
+
 def chained_rate(model, order: int) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
@@ -342,36 +385,22 @@ def chained_rate(model, order: int) -> float:
     factor is plain, with its expansion in ``ham``.  The per-step bound is
     ``rate * delta^(order+1)`` and chaining over N identical steps
     multiplies by N.
+
+    Up to the dense cap the norms are dense (``first_order_rate``,
+    ``second_order_rate``); above it they are the looser coefficient
+    1-norms of ``coefficient_rate``, which build no matrix.
     """
     if order not in (1, 2):
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
-    check_dense_cap(model.n)
+    try:
+        check_dense_cap(model.n)
+    except TooLarge:
+        return coefficient_rate(model, order)
     if order == 1:
         return first_order_rate(model)
     return second_order_rate(model)
-
-
-def coupling_ratio(drift: HamExpansion, target: HamExpansion) -> float:
-    """``D = |h * k / h_max_coupling|`` for the coarse global bound.
-
-    ``h`` and ``k`` are the largest coefficient magnitudes of the drift
-    and target expansions and the denominator is the drift's strongest
-    coupling term.  A target with no coupling term needs no drift coupling:
-    its step model holds only local factors or the bare drift, so it is
-    exact and ``D`` is 0.
-    """
-    if not any(p.weight() == 2 for p in target.terms):
-        return 0.0
-    h = max((abs(c) for _, c in drift.items()), default=0.0)
-    k = max((abs(c) for _, c in target.items()), default=0.0)
-    coupling = max(
-        (abs(c) for p, c in drift.items() if p.weight() == 2), default=0.0
-    )
-    if coupling == 0.0:
-        raise NotCoupled("drift has no coupling term")
-    return abs(h * k / coupling)
 
 
 def _check_budget(epsilon: float, t: float) -> None:

@@ -8,9 +8,9 @@ analytic plan reports the ``rate`` of its bound ``N * rate * (t/N)^(order+1)``.
 
 Exit codes: 0 success, 2 malformed input, 3 structurally impossible
 (not entangling, pair not coupled, no route), 4 infeasible or register
-too large for dense work, 5 verification failure.  The dense-evaluation
-cap is set only by the ``HAMRC_DENSE_CAP`` environment variable, read when a
-command is about to build a dense matrix; a malformed value exits 2.
+too large for dense work, 5 verification failure.  The dense cap is set
+only by the ``HAMRC_DENSE_CAP`` environment variable, read when a command
+may build a dense matrix; a malformed value exits 2.
 All output is deterministic for fixed inputs.
 """
 
@@ -23,7 +23,7 @@ import sys
 
 from . import routing as _routing
 from . import synth as _synth
-from .bounds import GLOBAL_BOUND_C, ROUNDING
+from .bounds import ROUNDING
 from .dense import distance, evolution
 from .errors import (
     DimMismatch,
@@ -87,14 +87,6 @@ def _tolerance(text: str) -> float:
     value = _finite(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
-    return value
-
-
-def _bound_constant(text: str) -> float:
-    """argparse type for ``--C``: finite and above zero."""
-    value = _finite(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"the bound constant must be > 0, got {text!r}")
     return value
 
 
@@ -248,7 +240,7 @@ def _cmd_bound(args) -> int:
         t, bound = args.t, args.bound or "chained"
         pair = None if args.pair is None else tuple(args.pair)
         model = _synth.compile_model(drift, pair_target, pair)
-    plan = _synth.plan_for_model(model, target, t, args.epsilon, order, bound, C=args.C)
+    plan = _synth.plan_for_model(model, target, t, args.epsilon, order, bound)
     items: list[tuple[str, object]] = [
         ("command", "bound"),
         ("bound", plan.bound),
@@ -309,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("hamfile")
     _add_target_opts(p_comp, with_steps=True)
     p_comp.add_argument("--bound", default=None,
-                        choices=["chained", "global", "empirical"],
+                        choices=["chained", "empirical"],
                         help="bound kind used to plan steps from --epsilon "
                         "(default: chained, or empirical when routing; "
                         "refused with --gate and with --steps)")
@@ -334,10 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_target_opts(p_bnd, with_steps=False)
     p_bnd.add_argument("--epsilon", type=_finite, required=True, help="error budget")
     p_bnd.add_argument("--bound", default=None,
-                       choices=["chained", "global", "empirical"],
+                       choices=["chained", "empirical"],
                        help="bound kind (default chained; refused with --gate)")
-    p_bnd.add_argument("--C", type=_bound_constant, default=GLOBAL_BOUND_C,
-                       help="constant of the coarse global bound")
     p_bnd.add_argument("--report", default=None, help="write the report here")
     p_bnd.set_defaults(fn=_cmd_bound)
 

@@ -99,7 +99,8 @@ def pauli_masks(term: PauliString) -> tuple[int, int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _parity(n: int) -> np.ndarray:
-    """popcount(c) mod 2 for every n-bit c, as signed bytes."""
+    """popcount(c) mod 2 for every n-bit c, as signed bytes: a table of 2^n
+    entries, so only for registers, or sets of sites, within the dense cap."""
     c = np.arange(2**n)
     par = np.zeros(2**n, dtype=np.int8)
     for k in range(n):

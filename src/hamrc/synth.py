@@ -295,7 +295,8 @@ def merge_framed_drifts(model: StepModel) -> StepModel:
     of equal coefficient (``S (x) S`` on ``XX + YY``) stay apart.
     """
     index, x, z, ny, sign = model.images
-    keys = (x << model.n | z) << 1 | (sign < 0)
+    # whole rows, not packed integers: a packed key wraps from 32 sites up
+    keys = np.hstack((x, z, sign))
     groups: dict[bytes, list[int]] = {}
     for row, key in enumerate(keys):
         groups.setdefault(key.tobytes(), []).append(row)
@@ -377,35 +378,20 @@ _CNOT_RATES = {"first_order_cnot": (1, 8.0), "second_order_cnot": (2, 0.5)}
 
 
 def plan_for_model(
-    model: StepModel,
-    target: HamExpansion,
-    t: float,
-    epsilon: float,
-    order: int,
-    bound: str,
-    *,
-    C: float = _bounds.GLOBAL_BOUND_C,
+    model: StepModel, target: HamExpansion, t: float, epsilon: float, order: int, bound: str
 ) -> _bounds.ErrorPlan:
     """Step plan for a prepared model under the requested bound kind.
 
     ``target`` is the evolution the model approximates, on the model's
-    register; ``C`` is the constant of the coarse global bound.  Every
-    analytic kind is ``plan_steps`` at its own rate: ``chained_rate`` of
-    the model, ``C * D^2`` at order 1 for ``global``, and a fixed
-    order and rate for each CNOT kind; ``global`` and the CNOT kinds
-    refuse any other order.  This is the one place a plan is chosen by
-    bound kind.
+    register.  Every analytic kind is ``plan_steps`` at its own rate:
+    ``chained_rate`` of the model, from dense norms up to the dense cap and
+    from coefficient 1-norms above it, and a fixed order and rate for each
+    CNOT kind, which refuses any other order.  This is the one place a
+    plan is chosen by bound kind.
     """
     if bound == "chained":
         rate = _bounds.chained_rate(model, order)
         return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate)
-    if bound == "global":
-        d_ratio = _bounds.coupling_ratio(model.drift, target)
-        if order != 1:
-            raise InvalidTerm("the coarse global bound only covers order 1")
-        plan = _bounds.plan_steps(bound, epsilon, t, order=1, rate=C * d_ratio * d_ratio)
-        plan.constants.update(C=C, D=d_ratio)
-        return plan
     if bound in _CNOT_RATES:
         kind_order, rate = _CNOT_RATES[bound]
         if order != kind_order:

@@ -1,5 +1,6 @@
 """Step planning and the analytic error bounds behind it."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,18 +17,15 @@ from conftest import (
     xz_chain,
 )
 from hamrc import (
-    GLOBAL_BOUND_C,
     ErrorPlan,
     Infeasible,
     InvalidStep,
     InvalidTerm,
-    NotCoupled,
     PauliString,
-    TooLarge,
     build_expansion,
     chained_rate,
-    coupling_ratio,
     dense_of_expansion,
+    dense_of_pauli,
     embed,
     operator_norm,
     pair_step_model,
@@ -44,6 +42,7 @@ from hamrc.bounds import (
     _on_supports,
     _supports,
     _tails,
+    coefficient_rate,
     plan_empirical,
 )
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
@@ -54,6 +53,7 @@ from hamrc.synth import (
     LocalFactor,
     StepModel,
     _make_measure,
+    compile_model,
     plan_for_model,
     step_model,
 )
@@ -88,10 +88,22 @@ def test_first_order_rate_sees_a_cancelling_tail():
 
 
 def test_chained_rate_respects_cap(monkeypatch):
+    # above the cap the rate takes coefficient 1-norms and builds no matrix:
+    # ||[X, Z]|| = ||-2i Y||_1 = 2, and every factor and tail has 1-norm 1
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     monkeypatch.setenv("HAMRC_DENSE_CAP", "10")
-    with pytest.raises(TooLarge):
-        chained_rate(_model(big, AS_X, AS_X), 1)
+
+    def no_dense(*args):
+        raise AssertionError("dense build above the cap")
+
+    for name in ("_dense_of_masks", "dense_of_expansion"):
+        monkeypatch.setattr(f"hamrc.bounds.{name}", no_dense)
+    assert chained_rate(_model(big, AS_X, AS_Z), 1) == 1.0
+    assert chained_rate(_model(big, AS_X, AS_Z), 2) == 0.5
+    assert chained_rate(_model(big, AS_X, AS_X), 1) == 0.0
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "11")
+    with pytest.raises(AssertionError, match="dense build"):
+        chained_rate(_model(big, AS_X, AS_Z), 1)
 
 
 def test_chained_rate_orders():
@@ -188,6 +200,58 @@ def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, fie
     assert measured <= plan.predicted_error + 1e-12
 
 
+def _one_norm_rate_by_traces(model, order):
+    """The coefficient rate from dense matrices: every factor, tail sum and
+    commutator expanded on the Pauli strings by ``Tr(P M) / 2^n``."""
+    n = model.n
+    paulis = np.array([dense_of_pauli(PauliString("".join(ops)))
+                       for ops in itertools.product("IXYZ", repeat=n)])
+
+    def one_norm(m):
+        return np.abs(np.einsum("pij,ji->p", paulis, m)).sum() / 2**n
+
+    mats = _factor_mats(model)
+    pairs = [(a, sum(mats[j + 1 :])) for j, a in enumerate(mats[:-1])]
+    if order == 1:
+        return 0.5 * sum(one_norm(a @ r - r @ a) for a, r in pairs)
+    norms = [(one_norm(a), one_norm(r)) for a, r in pairs]
+    return sum(a * r * (a + 2.0 * r) / 6.0 for a, r in norms)
+
+
+@settings(max_examples=30)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    order=st.sampled_from([1, 2]),
+    steps=st.integers(1, 40),
+)
+@example(n=8, seed=0, order=1, steps=40)
+@example(n=8, seed=0, order=2, steps=40)
+def test_the_coefficient_rate_bounds_the_dense_rate_and_the_error(n, seed, order, steps):
+    # the rate chained_rate takes above the dense cap, checked below it
+    rng = np.random.default_rng(seed)
+    drift = random_two_body(n, rng, connected=True)
+    pairs = sorted({p.support() for p in drift.terms if p.weight() == 2})
+    pair = pairs[int(rng.integers(len(pairs)))]
+    target = random_coupled_pair(rng)
+    model = compile_model(drift, target, pair)
+    assume(len(model.factors) <= 40)  # keeps the dense rate and the measure cheap
+
+    rate = coefficient_rate(model, order)
+    # a commutator that cancels is 0 in the 1-norm and rounding in the
+    # dense norm, at the scale of the factors' 1-norms
+    scale = np.abs(_coefficient_table(model)[3]).sum()
+    assert rate >= chained_rate(model, order) * (1 - 1e-12) - 1e-12 * scale ** (order + 1)
+    if n <= 5:
+        assert abs(rate - _one_norm_rate_by_traces(model, order)) <= 1e-12 * scale ** (order + 1)
+
+    t = 0.4
+    epsilon = max(rate * t ** (order + 1) / steps**order * (1 + 1e-9), 1e-12)
+    plan = plan_steps("chained", epsilon, t, order=order, rate=rate)
+    measured = _make_measure(model, embed(target, n, pair), t, order)(plan.steps)
+    assert measured <= plan.predicted_error + 1e-12
+
+
 def test_chained_rate_matches_the_svd_reference_with_locals_anywhere():
     rng = np.random.default_rng(77)
     drift = random_two_body(3, rng, coupling_density=2.0, local_density=1.5, connected=True)
@@ -228,7 +292,8 @@ def test_coefficient_table_rows_equal_the_conjugated_expansions():
     # and random frames at random rates on a drift with every axis and an
     # identity term
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
-    models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
+    # 40 sites: packed into one integer, (x, z) keys would wrap and collide
+    models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6, 40)]
     models += [pair_step_model(heisenberg(n), (1, 3), target) for n in (4, 5)]
     rng = np.random.default_rng(404)
     models += [step_model(random_coupled_pair(rng), random_coupled_pair(rng)) for _ in range(8)]
@@ -413,24 +478,6 @@ def test_cnot_plan_kinds_fix_their_order():
     assert p2.steps < p1.steps
 
 
-def test_global_bound_matches_formula():
-    drift = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
-    target = build_expansion(2, [("XX", 1.0)])
-    # largest drift coefficient 2, largest target coefficient 1,
-    # strongest coupling 2 -> D = 1
-    assert coupling_ratio(drift, target) == pytest.approx(1.0)
-    plan = plan_for_model(step_model(drift, target), target, 2.0, 0.5, 1, "global")
-    # C * D^2 * t * delta at the planned step
-    assert plan.predicted_error == pytest.approx(GLOBAL_BOUND_C * 2.0 * plan.delta)
-    assert plan.constants == {"rate": GLOBAL_BOUND_C, "C": GLOBAL_BOUND_C, "D": 1.0}
-    assert plan.bound == "global"
-    assert GLOBAL_BOUND_C * 2.0 * plan.delta <= 0.5
-    with pytest.raises(NotCoupled):
-        coupling_ratio(build_expansion(2, [("XI", 1.0)]), target)
-    # a target with no coupling is exact on any drift
-    assert coupling_ratio(build_expansion(2, [("XI", 1.0)]), build_expansion(2, [("IZ", 0.3)])) == 0.0
-
-
 def test_plan_infeasible_budgets():
     with pytest.raises(Infeasible):
         _cnot_plan("first_order_cnot", 1e-30, 1)
@@ -456,9 +503,7 @@ def test_plan_rejects_bad_arguments():
     with pytest.raises(TypeError):
         plan_steps("chained", 0.1, 1.0, order=1)  # rate missing
     with pytest.raises(TypeError):
-        plan_steps("global", 0.1, 1.0)  # order and rate missing
-    with pytest.raises(InvalidTerm, match="order 1"):
-        plan_for_model(model, target, 2.0, 0.5, 2, "global")  # first-order formula only
+        plan_steps("chained", 0.1, 1.0)  # order and rate missing
     with pytest.raises(TypeError):
         plan_empirical(0.1, 1.0, order=1)  # measure missing
 

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hamrc
+from conftest import xz_chain
 from hamrc import (
     CNOT_MATRIX,
     compile_on_pair,
@@ -16,6 +18,7 @@ from hamrc import (
     evaluate_schedule,
     parse_hamfile,
     parse_schedule,
+    serialize_hamfile,
     serialize_schedule,
 )
 from hamrc.bounds import ROUNDING
@@ -187,12 +190,11 @@ def test_bound_command_prints_plan(files, capsys):
                  "--t", "1.0", "--epsilon", "1e-2"]) == 0
     out = capsys.readouterr().out
     assert "bound chained" in out
+    assert "\nrate " in out
 
     assert main(["bound", files["drift"], "--target", files["zz"],
-                 "--t", "1.0", "--epsilon", "1e-2", "--bound", "global"]) == 0
-    out = capsys.readouterr().out
-    assert "bound global" in out
-    assert "D 1" in out
+                 "--t", "1.0", "--epsilon", "1e-2", "--bound", "chained"]) == 0
+    assert capsys.readouterr().out == out
 
 
 CHAIN3 = "qubits 3\n1 0:X 1:Z\n1.05 1:X 2:Z\n0.1 0:Z\n0.17 1:Z\n0.24 2:Z\n"
@@ -231,20 +233,19 @@ def test_bound_plans_the_merged_model_that_compile_runs(files, capsys, drift, pa
     assert planned["predicted_error"] == compiled["predicted_error"]
 
 
-def test_global_bound_on_an_uncoupled_target_is_exact(files, capsys):
+def test_chained_bound_on_an_uncoupled_target_is_exact(files, capsys):
     drift = files["tmp"] / "uncoupled.ham"
     drift.write_text("qubits 2\n1 0:Z\n0.5 1:X\n")
     local = files["tmp"] / "local.ham"
     local.write_text("qubits 2\n0.3 0:Z\n-0.2 1:X\n")
-    for bound in ("chained", "global"):
-        assert main(["bound", str(drift), "--target", str(local), "--t", "1.0",
-                     "--epsilon", "1e-2", "--bound", bound]) == 0
-        out = capsys.readouterr().out
-        assert "steps 1\n" in out
-        assert "predicted_error 0" in out
+    assert main(["bound", str(drift), "--target", str(local), "--t", "1.0",
+                 "--epsilon", "1e-2", "--bound", "chained"]) == 0
+    out = capsys.readouterr().out
+    assert "steps 1\n" in out
+    assert "predicted_error 0" in out
     # a coupled target still needs a coupled drift
     assert main(["bound", str(drift), "--target", files["zz"], "--t", "1.0",
-                 "--epsilon", "1e-2", "--bound", "global"]) == 3
+                 "--epsilon", "1e-2", "--bound", "chained"]) == 3
 
 
 def test_infeasible_budget_exits_4(files, capsys):
@@ -307,6 +308,38 @@ def test_dense_cap_refuses_before_any_dense_build(files, capsys, monkeypatch, cm
     assert "exceeds dense cap 3" in capsys.readouterr().err
 
 
+def _chain_compile(files, n, *count):
+    """``compile`` of the pair target ZZ on sites 0 and 1 of an n-site XZ
+    chain: its exit code and the path of its schedule."""
+    drift = files["tmp"] / f"chain{n}.ham"
+    drift.write_text(serialize_hamfile(xz_chain(n)))
+    out = files["tmp"] / f"chain{n}.hrs"
+    code = main(["compile", str(drift), "--target", files["zz"], "--t", "1.0",
+                 "--pair", "0", "1", *count, "--out", str(out)])
+    return code, str(drift), str(out)
+
+
+def test_a_plan_past_the_dense_cap_is_chained_and_verify_refuses(files, capsys):
+    code, drift, out = _chain_compile(files, 24, "--epsilon", "1e-2")
+    assert code == 0
+    assert "bound chained" in capsys.readouterr().out
+    assert main(["verify", drift, out, "--target", files["zz"], "--t", "1.0",
+                 "--pair", "0", "1"]) == 4
+    assert "exceeds dense cap" in capsys.readouterr().err
+
+
+def test_a_32_site_compile_builds_nothing_of_register_size(files, capsys):
+    # a table of 2^32 signs, or any array of 2^32 entries, would not fit
+    tracemalloc.start()
+    try:
+        code, _, _ = _chain_compile(files, 32, "--steps", "26")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+
+
 def test_gate_rejects_time_flag(files, capsys):
     code = main(["compile", files["drift"], "--gate", "cnot",
                  "--steps", "4", "--t", "1.0"])
@@ -337,14 +370,6 @@ def test_uncoupled_pair_is_named_by_register_sites(files, capsys):
                  "--pair", "0", "3", "--epsilon", "1e-2"])
     assert code == 3
     assert "no coupling between qubits 0 and 3" in capsys.readouterr().err
-
-
-def test_bound_global_rejects_order_two_as_compile_does(files, capsys):
-    argv = [files["drift"], "--target", files["zz"], "--t", "1.0",
-            "--epsilon", "1e-2", "--bound", "global", "--order", "2"]
-    assert main(["compile"] + argv) == 2
-    assert main(["bound"] + argv) == 2
-    assert "order 1" in capsys.readouterr().err
 
 
 def test_bound_gate_needs_a_two_qubit_drift_as_compile_does(files, capsys):
@@ -480,10 +505,8 @@ _TARGET = ["--target", "{zz}", "--t", "0.5"]
     ["compile", "{drift}", *_TARGET, "--epsilon", "nan", "--bound", "empirical"],
     ["compile", "{drift}", *_TARGET, "--epsilon", "nan"],
     ["compile", "{drift}", "--target", "{zz}", "--t", "inf", "--epsilon", "1e-2"],
-    ["bound", "{drift}", *_TARGET, "--epsilon", "1e-2", "--bound", "global",
-     "--C", "nan"],
     ["verify", "{drift}", "{sched}", "--gate", "cnot", "--tolerance", "nan"],
-], ids=["epsilon-empirical", "epsilon-chained", "t", "C", "tolerance"])
+], ids=["epsilon-empirical", "epsilon-chained", "t", "tolerance"])
 def test_non_finite_numbers_on_the_command_line_exit_2(files, capsys, argv):
     sched = str(files["tmp"] / "cnot.hrs")
     main(["compile", files["drift"], "--gate", "cnot", "--steps", "4",
@@ -494,6 +517,17 @@ def test_non_finite_numbers_on_the_command_line_exit_2(files, capsys, argv):
         main(argv)
     assert exit_.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "{drift}", *_TARGET, "--epsilon", "1e-2", "--bound", "global"],
+    ["bound", "{drift}", *_TARGET, "--epsilon", "1e-2", "--bound", "global"],
+    ["bound", "{drift}", *_TARGET, "--epsilon", "1e-2", "--C", "1e4"],
+], ids=["compile-global", "bound-global", "bound-C"])
+def test_the_global_bound_and_its_constant_are_gone(files, capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(**files) for a in argv])
+    assert exit_.value.code == 2
 
 
 def test_negative_tolerance_exits_2(files, capsys):
@@ -507,17 +541,6 @@ def test_negative_tolerance_exits_2(files, capsys):
     assert exit_.value.code == 2
     assert "tolerance must be >= 0" in capsys.readouterr().err
     assert main(["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "0"]) == 5
-
-
-@pytest.mark.parametrize("c", ["0", "-0", "-1"])
-def test_bound_constant_must_be_positive(files, capsys, c):
-    # C = 0 would plan one step with predicted_error 0, whatever that step
-    # measures
-    with pytest.raises(SystemExit) as exit_:
-        main(["bound", files["drift"], "--target", files["zz"], "--t", "1",
-              "--epsilon", "1e-2", "--bound", "global", "--C", c])
-    assert exit_.value.code == 2
-    assert "argument --C: the bound constant must be > 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bound", "compile"])
@@ -636,7 +659,7 @@ def test_compiled_schedule_passes_verify_within_the_rounding_allowance(
 def test_compile_rejects_bound_with_steps(files, capsys):
     # a --steps compile plans nothing, so the bound kind would be dropped
     argv = ["compile", files["drift"], "--target", files["zz"], "--t", "1.0",
-            "--steps", "3", "--bound", "global"]
+            "--steps", "3", "--bound", "chained"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "drop --bound" in captured.err

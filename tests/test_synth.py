@@ -34,6 +34,7 @@ from hamrc import (
     LocalLayer,
     NotCoupled,
     PauliString,
+    TooLarge,
     VerificationFailure,
     build_expansion,
     cnot_generator,
@@ -699,6 +700,26 @@ def test_merged_pair_models_keep_their_factor_sum(n, seed, target):
     coupled = sorted(p for p in drift.terms if p.weight() == 2)
     pair = coupled[int(rng.integers(len(coupled)))].support()
     _check_merge(pair_step_model(drift, pair, target))
+
+
+@pytest.mark.parametrize("axes", ["XY XZ", "YY YZ", "ZY ZZ"])
+def test_forty_site_pair_models_merge_only_equal_images(axes):
+    # from 32 sites up, term masks packed into one integer would wrap, and
+    # 16 of these 32 distinct framed drifts would merge with others
+    target = build_expansion(2, list(zip(axes.split(), (0.7, 0.3))))
+    model = pair_step_model(xz_chain(40), (0, 1), target)
+    assert model.drift_factor_count() == 32
+    _check_merge(model)
+    assert merge_framed_drifts(model) is model
+
+
+def test_a_register_past_63_sites_is_refused_before_its_masks_wrap():
+    # a mask is one int64: at 70 sites its top bits wrapped, and half of
+    # these 32 distinct framed drifts merged
+    target = build_expansion(2, [("XY", 0.7), ("XZ", 0.3)])
+    assert compile_model(xz_chain(63), target, (0, 1)).drift_factor_count() == 32
+    with pytest.raises(TooLarge, match="70 qubits exceeds the 63 sites"):
+        compile_model(xz_chain(70), target, (0, 1))
 
 
 @settings(max_examples=30)
