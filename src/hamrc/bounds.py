@@ -46,6 +46,8 @@ class ErrorPlan:
     ``steps * delta`` always equals the total time to 1e-12, and the
     predicted error is non-increasing in the step count for every
     analytic kind.  Empirical plans carry the measured error instead.
+    ``rate`` is the analytic kind's error rate, ``None`` for an empirical
+    plan.
     """
 
     bound: str
@@ -54,7 +56,7 @@ class ErrorPlan:
     delta: float
     t: float
     predicted_error: float
-    constants: dict[str, float] = field(default_factory=dict, compare=False)
+    rate: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -451,7 +453,7 @@ def plan_steps(
             n += 1
             if n > max_steps:
                 raise Infeasible(f"needs more than {max_steps} steps")
-    return ErrorPlan(bound, order, n, t / n, t, cumulative(n), {"rate": rate})
+    return ErrorPlan(bound, order, n, t / n, t, cumulative(n), rate)
 
 
 def plan_empirical(

@@ -252,8 +252,8 @@ def _cmd_bound(args) -> int:
         ("epsilon", args.epsilon),
         ("predicted_error", plan.predicted_error),
     ]
-    for key in sorted(plan.constants):
-        items.append((key, plan.constants[key]))
+    if plan.rate is not None:
+        items.append(("rate", plan.rate))
     _emit(format_report(items), args.report)
     return 0
 

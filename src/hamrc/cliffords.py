@@ -17,12 +17,25 @@ from .pauli import HamExpansion, PauliString
 _SQ2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalClifford:
-    """A single-qubit Clifford with its exact action on the Pauli axes."""
+    """A single-qubit Clifford with its exact action on the Pauli axes.
+
+    Cliffords are values: equal, and hashing alike, when their signed axis
+    images and the bytes of their matrices are equal.
+    """
 
     matrix: np.ndarray
     images: tuple[tuple[int, str], tuple[int, str], tuple[int, str]]  # X, Y, Z
+
+    def _key(self) -> tuple:
+        return self.images, self.matrix.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LocalClifford) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def image(self, axis: str) -> tuple[int, str]:
         """(sign, axis) of ``U sigma_axis U^dag``; identity maps to itself."""

@@ -62,35 +62,14 @@ CNOT_MATRIX = np.array(
 class FramedDrift:
     """Drift evolution wrapped in a frame; ``rate`` scales the duration.
 
-    An empty frame realizes the bare drift (used when the target is a
-    positive multiple of the drift, which needs no splitting at all).
+    Plain data: the frame's layers are built by the model that runs the
+    drift (``StepModel.frame_layers``).  An empty frame realizes the bare
+    drift (used when the target is a positive multiple of the drift,
+    which needs no splitting at all).
     """
 
     rate: float
     frame: tuple[tuple[int, LocalClifford], ...]  # sorted by site
-
-    def layer_map(self) -> dict[int, LocalClifford]:
-        return dict(self.frame)
-
-    @functools.cached_property
-    def frame_layer(self) -> LocalLayer:
-        """The frame as one layer, built once; every emitted step shares it.
-
-        ``StepModel.frame_layers`` builds the layers of all of a model's
-        framed drifts in one batch, the first time ``emit_step`` sees the
-        model; a read before that builds this layer alone.  Bodies are
-        interned by value, so the sharing saves building and hashing a
-        layer per step; it does not change a schedule.
-        """
-        return LocalLayer.from_stack(*self._spec())
-
-    @functools.cached_property
-    def frame_layer_dagger(self) -> LocalLayer:
-        """Inverse of ``frame_layer``, built once."""
-        return self.frame_layer.dagger()
-
-    def _spec(self) -> tuple[list[int], list[np.ndarray]]:
-        return [q for q, _ in self.frame], [c.matrix for _, c in self.frame]
 
 
 @dataclass(frozen=True)
@@ -131,23 +110,23 @@ class StepModel:
 
     @functools.cached_property
     def frame_layers(self) -> tuple[tuple[LocalLayer, LocalLayer] | None, ...]:
-        """Each factor's ``frame_layer`` and ``frame_layer_dagger``, or ``None``
-        for a local factor or a bare drift.
+        """Each factor's frame layer and its inverse, or ``None`` for a local
+        factor or a bare drift.
 
-        The first read builds the layers of every framed drift that has none
-        yet in one batch, and its daggers in another; each lands in its
-        drift's cached properties, so a drift's layers are the same objects
-        whichever way they are read.
+        This is the one builder of frame layers: the first read, the first
+        time ``emit_step`` sees the model, builds the layers of every framed
+        drift in factor order in one batch and their daggers in another, so
+        every step of the model shares them.  Bodies are interned by value,
+        so the sharing saves building and hashing a layer per step; it does
+        not change a schedule.
         """
         framed = [isinstance(f, FramedDrift) and bool(f.frame) for f in self.factors]
-        todo = [f for f, fr in zip(self.factors, framed) if fr and "frame_layer" not in vars(f)]
-        built = LocalLayer.from_stacks(f._spec() for f in todo)
-        for f, fwd, back in zip(todo, built, LocalLayer.daggers(built)):
-            vars(f).update(frame_layer=fwd, frame_layer_dagger=back)
-        return tuple(
-            (f.frame_layer, f.frame_layer_dagger) if fr else None
-            for f, fr in zip(self.factors, framed)
+        built = LocalLayer.from_stacks(
+            ([q for q, _ in f.frame], [c.matrix for _, c in f.frame])
+            for f, fr in zip(self.factors, framed) if fr
         )
+        layers = iter(zip(built, LocalLayer.daggers(built)))
+        return tuple(next(layers) if fr else None for fr in framed)
 
     @functools.cached_property
     def images(self) -> tuple[np.ndarray, ...]:
@@ -198,7 +177,7 @@ def _check_reassembly(
     """
     total: dict[PauliString, float] = {}
     for frame in frames:
-        for p, c in conjugate_by_cliffords(drift, frame.layer_map()).items():
+        for p, c in conjugate_by_cliffords(drift, dict(frame.frame)).items():
             total[p] = total.get(p, 0.0) + c / norm
     rebuilt = {p: c / len(frames) for p, c in total.items()}
     for p, c in correction.items():
@@ -326,10 +305,9 @@ def emit_step(
     symmetric palindrome: all but the last factor at ``delta/2``, the
     last at ``delta``, then the reflection, which repeats the head's
     instruction objects (a local factor's layer is built once per step).
-    A framed drift contributes its own ``frame_layer`` and
-    ``frame_layer_dagger`` objects, so every step of a model shares them;
-    the first call on a model builds them all in one batch
-    (``StepModel.frame_layers``).
+    A framed drift runs between its layer and that layer's inverse from
+    ``StepModel.frame_layers``, built once per model, so every step of a
+    model shares them.
     """
     if order not in (1, 2):
         raise InvalidStep(f"order must be 1 or 2, got {order}")

@@ -116,7 +116,7 @@ def all_local_cliffords() -> list[LocalClifford]:
 def framed_expansion(drift: HamExpansion, factor) -> HamExpansion:
     """A framed drift ``rate * C H C^dag`` as an expansion: the rate-weighted
     conjugate of the drift."""
-    return average([(factor.rate, conjugate_by_cliffords(drift, factor.layer_map()))])
+    return average([(factor.rate, conjugate_by_cliffords(drift, dict(factor.frame)))])
 
 
 def xz_chain(n: int) -> HamExpansion:

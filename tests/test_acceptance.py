@@ -186,8 +186,8 @@ def test_criterion_08_analytic_bounds_are_sound():
         for _ in range(3):
             drift = random_coupled_pair(rng)
             target = random_coupled_pair(rng)
-            model = step_model(drift, target)
-            rate = chained_rate(model, order)
+            # the bound of the model the compile runs
+            rate = chained_rate(compile_model(drift, target), order)
             steps = 20
             bound = steps * rate * (1.0 / steps) ** (order + 1)
             sched = compile_schedule(drift, target, 1.0, steps=steps, order=order)
@@ -201,7 +201,7 @@ def test_criterion_08_analytic_bounds_are_sound():
     err = distance(goal, evaluate_schedule(sched, DRIFT2))
     # the chained bound of the model the compile ran, at 40 steps
     plan = plan_for_model(compile_model(DRIFT2, target), target, 1.0, 1.0, 1, "chained")
-    assert err <= 40 * plan.constants["rate"] * (1.0 / 40) ** 2
+    assert err <= 40 * plan.rate * (1.0 / 40) ** 2
     done()
 
 

@@ -466,7 +466,7 @@ def test_cnot_plan_kinds_fix_their_order():
     p1 = _cnot_plan("first_order_cnot", 1e-3, 1)
     assert p1.order == 1
     assert p1.predicted_error == pytest.approx(8.0 * t * (t / p1.steps))
-    assert p1.constants == {"rate": 8.0}
+    assert p1.rate == 8.0
     with pytest.raises(InvalidTerm):
         _cnot_plan("first_order_cnot", 1e-3, 2)
     p2 = _cnot_plan("second_order_cnot", 1e-3, 2)

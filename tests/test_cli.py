@@ -340,6 +340,30 @@ def test_a_32_site_compile_builds_nothing_of_register_size(files, capsys):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize(
+    "n, order, steps", [(32, 1, 70), (48, 1, 70), (32, 2, 190), (48, 2, 501)]
+)
+def test_bound_past_the_dense_cap_builds_nothing_of_register_size(
+    files, capsys, n, order, steps
+):
+    # the chained rate from coefficient 1-norms: no norm of size 2^n
+    drift = files["tmp"] / f"chain{n}.ham"
+    drift.write_text(serialize_hamfile(xz_chain(n)))
+    target = files["tmp"] / "pair.ham"
+    target.write_text("qubits 2\n0.7 0:X 1:X\n0.2 0:Z 1:Z\n-0.3 1:Z\n")
+    tracemalloc.start()
+    try:
+        code = main(["bound", str(drift), "--target", str(target), "--t", "1.0",
+                     "--pair", "0", "1", "--epsilon", "1e-2", "--order", str(order)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "bound chained" in out and f"steps {steps}\n" in out
+    assert peak < 16 * 2**20
+
+
 def test_gate_rejects_time_flag(files, capsys):
     code = main(["compile", files["drift"], "--gate", "cnot",
                  "--steps", "4", "--t", "1.0"])

@@ -12,6 +12,7 @@ from hamrc import (
     CLIFF_XQ,
     CLIFF_XQI,
     PAULI_CLIFF,
+    LocalClifford,
     PauliString,
     average,
     build_expansion,
@@ -20,7 +21,7 @@ from hamrc import (
     dense_of_pauli,
     sign_flip_clifford,
 )
-from hamrc.synth import FramedDrift
+from hamrc.synth import FramedDrift, StepModel, emit_step, step_model
 
 _SIGMA = {a: dense_of_pauli(PauliString(a)) for a in "XYZ"}
 
@@ -57,12 +58,37 @@ def test_compose_applies_inner_first(outer, inner):
 @pytest.mark.parametrize("cliff", ALL_CLIFFORDS)
 def test_dagger_inverts_the_action(cliff):
     # a frame is undone by the inverse layer its framed drift emits
-    inv = FramedDrift(1.0, ((0, cliff),)).frame_layer_dagger.factor(0)
+    model = StepModel(1, build_expansion(1, [("Z", 1.0)]), (FramedDrift(1.0, ((0, cliff),)),), 0.0)
+    (fwd, _, back), _ = emit_step(model, 1.0, 1)
+    assert np.array_equal(fwd.factor(0), cliff.matrix)
+    inv = back.factor(0)
     assert np.allclose(inv @ cliff.matrix, np.eye(2), atol=1e-12)
     for axis in "XYZ":
         sign, image = cliff.image(axis)
         back = inv @ (sign * _SIGMA[image]) @ inv.conj().T
         assert np.allclose(back, _SIGMA[axis], atol=1e-12)
+
+
+def test_cliffords_compare_and_hash_by_value():
+    combo = CLIFF_HAD.compose(CLIFF_ID)
+    assert combo is not CLIFF_HAD
+    assert combo == CLIFF_HAD and hash(combo) == hash(CLIFF_HAD)
+    # distinct Cliffords are unequal, the identity and X included
+    for i, a in enumerate(ALL_CLIFFORDS):
+        for b in ALL_CLIFFORDS[i + 1:]:
+            assert a != b
+    assert CLIFF_ID != PAULI_CLIFF["X"] and len(set(ALL_CLIFFORDS)) == len(ALL_CLIFFORDS)
+    # the same images with another matrix (a global phase) is another value
+    assert CLIFF_ID != LocalClifford(-CLIFF_ID.matrix, CLIFF_ID.images)
+
+
+def test_step_models_of_equal_inputs_are_equal():
+    drift = build_expansion(2, [("XZ", 2.0), ("ZI", 1.0), ("IX", 0.3)])
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    a, b = step_model(drift, target), step_model(drift, target)
+    assert a.factors[1] is not b.factors[1]
+    assert a == b and a.factors == b.factors
+    assert a != step_model(drift, build_expansion(2, [("XX", 0.7), ("ZZ", -0.2)]))
 
 
 def test_axis_rotation_table_is_complete_and_correct():

@@ -6,6 +6,7 @@ test-local copy of the recipe-layer construction it replaced, which must
 give the same factors float for float.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -68,9 +69,20 @@ from hamrc.synth import (
 )
 
 
+def _frame_matrix(f, n):
+    """A framed drift's frame on ``n`` qubits from its Cliffords' own
+    matrices: their ``np.kron`` product, site 0 leftmost, with the identity
+    on the other sites."""
+    on = dict(f.frame)
+    u = np.eye(1, dtype=complex)
+    for q in range(n):
+        u = np.kron(u, on[q].matrix if q in on else np.eye(2))
+    return u
+
+
 def _framed_dense(f, h):
-    """``rate * U H U^dag`` of a framed drift, from its emitted frame layer."""
-    u = f.frame_layer.dense(2)
+    """``rate * U H U^dag`` of a framed drift on two qubits."""
+    u = _frame_matrix(f, 2)
     return f.rate * (u @ h @ u.conj().T)
 
 
@@ -491,56 +503,84 @@ def _frame_pairs(instructions):
     ]
 
 
-def test_emit_step_shares_frame_layers_across_steps(sample_drift):
+def _frame_models():
+    """A two-qubit model, a pair model on a 4-site drift and the merged
+    model a compile runs for it, each a local factor and framed drifts."""
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
-    model = step_model(sample_drift, target)
-    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
-    assert isinstance(model.factors[0], LocalFactor) and len(framed) > 1
+    drift = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])  # sample_drift
+    return [
+        step_model(drift, target),
+        pair_step_model(heisenberg(4), (1, 3), target),
+        compile_model(heisenberg(4), target, (1, 3)),
+    ]
 
-    first, _ = emit_step(model, 0.1, 1)
-    second, _ = emit_step(model, 0.037, 2)
-    order1 = _frame_pairs(first)
-    order2 = _frame_pairs(second)
-    assert len(order1) == len(framed)
-    assert len(order2) == 2 * len(framed) - 1
-    # order 2 runs the framed drifts as a palindrome around the last one
-    for (fwd, back), f in zip(order1, framed):
-        assert fwd is f.frame_layer and back is f.frame_layer_dagger
-    for (a, b), (c, d) in zip(order2, order1[:-1] + order1[::-1]):
-        assert a is c and b is d
 
-    # the shared layers are the ones a fresh per-call construction builds
-    for (fwd, back), f in zip(order1, framed):
-        fresh = LocalLayer({q: c.matrix for q, c in f.layer_map().items()})
-        assert fwd.cache_key() == fresh.cache_key()
-        assert back.cache_key() == fresh.dagger().cache_key()
+def test_framed_drifts_are_plain_data():
+    # a framed drift is its rate and frame, nothing more: the one builder of
+    # its layers is the model that runs it (``StepModel.frame_layers``)
+    assert [f.name for f in dataclasses.fields(FramedDrift)] == ["rate", "frame"]
+    assert [name for name in vars(FramedDrift) if not name.startswith("__")] == []
+
+
+def test_emit_step_shares_frame_layers_across_steps():
+    for model in _frame_models():
+        framed = [k for k, f in enumerate(model.factors) if isinstance(f, FramedDrift)]
+        assert isinstance(model.factors[0], LocalFactor) and len(framed) > 1
+        assert isinstance(model.factors[-1], FramedDrift)
+        first, _ = emit_step(model, 0.1, 1)
+        second, _ = emit_step(model, 0.037, 2)
+        third, _ = emit_step(model, 0.2, 2)
+        layers = model.frame_layers
+        assert [k for k, fb in enumerate(layers) if fb is not None] == framed
+        order1 = [layers[k] for k in framed]
+        # order 2 runs the framed drifts as a palindrome around the last one
+        order2 = order1 + order1[-2::-1]
+        for got, want in ((first, order1), (second, order2), (third, order2)):
+            pairs = _frame_pairs(got)
+            assert len(pairs) == len(want)
+            assert all(a is c and b is d for (a, b), (c, d) in zip(pairs, want))
+        # the shared layers are the ones a fresh construction builds, and
+        # the frame the Cliffords' own matrices give
+        for k in framed:
+            f, (fwd, back) = model.factors[k], layers[k]
+            fresh = LocalLayer({q: c.matrix for q, c in f.frame})
+            assert fwd.cache_key() == fresh.cache_key()
+            assert back.cache_key() == fresh.dagger().cache_key()
+            u = _frame_matrix(f, model.n)
+            assert np.allclose(fwd.dense(model.n), u, atol=1e-15)
+            assert np.allclose(back.dense(model.n), u.conj().T, atol=1e-15)
 
 
 def test_emit_step_builds_a_models_frame_layers_in_one_batch(monkeypatch):
-    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
-    model = pair_step_model(heisenberg(4), (1, 3), target)
-    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
-    assert isinstance(model.factors[0], LocalFactor) and len(framed) > 2
-    early = framed[1].frame_layer  # read before any emission: a batch of one
-    batches = []
-    real = LocalLayer.from_stacks.__func__
+    batches, dagger_batches = [], []
+    real, real_daggers = LocalLayer.from_stacks.__func__, LocalLayer.daggers.__func__
 
     def record(cls, specs):
         specs = list(specs)
-        batches.append(len(specs))
+        batches.append(specs)
         return real(cls, specs)
 
+    def record_daggers(cls, layers):
+        dagger_batches.append(list(layers))
+        return real_daggers(cls, layers)
+
     monkeypatch.setattr(LocalLayer, "from_stacks", classmethod(record))
-    first, _ = emit_step(model, 0.1, 2)
-    # the other framed drifts in one batch; the local factor's one layer
-    assert batches == [len(framed) - 1, 1]
-    second, _ = emit_step(model, 0.05, 1)
-    assert batches == [len(framed) - 1, 1, 1]
-    assert framed[1].frame_layer is early
-    for (fwd, back), f in zip(_frame_pairs(first), framed + framed[-2::-1]):
-        assert fwd is f.frame_layer and back is f.frame_layer_dagger
-        assert fwd.cache_key() == LocalLayer({q: c.matrix for q, c in f.frame}).cache_key()
-        assert back.cache_key() == fwd.dagger().cache_key()
+    monkeypatch.setattr(LocalLayer, "daggers", classmethod(record_daggers))
+    for model in _frame_models():
+        framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+        batches.clear()
+        dagger_batches.clear()
+        emit_step(model, 0.1, 2)
+        emit_step(model, 0.05, 1)
+        # every framed drift in one batch, in factor order, and its daggers
+        # in another; then each emission's local factor, a batch of one
+        assert [len(b) for b in batches] == [len(framed), 1, 1]
+        for (sites, stack), f in zip(batches[0], framed):
+            assert list(sites) == [q for q, _ in f.frame]
+            assert all(m is c.matrix for m, (_, c) in zip(stack, f.frame))
+        built = [fb[0] for fb in model.frame_layers if fb is not None]
+        assert len(dagger_batches) == 1
+        assert all(a is b for a, b in zip(dagger_batches[0], built))
 
 
 def test_an_order_two_step_builds_its_local_layer_once(sample_drift, monkeypatch):
@@ -560,7 +600,7 @@ def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
     # the models of the chain and all-to-all benchmarks, and random pairs:
     # each framed drift's row of the coefficient table, scattered in one
     # pass from the drift's masks and built densely, is rate * C H C^dag
-    # with C the frame layer the step emits
+    # with C the kron of the frame's own Clifford matrices
     target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
     models = [pair_step_model(xz_chain(n), (0, 1), target) for n in (4, 5, 6)]
     models += [pair_step_model(heisenberg(n), (1, 3), target) for n in (4, 5)]
@@ -573,7 +613,7 @@ def test_framed_drift_effective_is_the_scaled_conjugate_in_one_pass():
         assert framed
         for f, row in framed:
             (mat,) = _dense_of_masks(model.n, x, z, ny, row[None])
-            c = f.frame_layer.dense(model.n)
+            c = _frame_matrix(f, model.n)
             want = f.rate * (c @ h @ c.conj().T)
             assert np.allclose(mat, want, atol=1e-12)
             assert np.allclose(dense_of_expansion(framed_expansion(model.drift, f)), want, atol=1e-12)
@@ -622,7 +662,7 @@ def _pair_expansions(draw, couplings=(1, 4), locals_=(0, 3)):
 
 def _term_images(drift, f):
     """Each drift term's signed image under a framed drift's frame, term by term."""
-    layer = f.layer_map()
+    layer = dict(f.frame)
     return tuple(
         tuple(conjugate_by_cliffords(build_expansion(drift.n, [(p.ops, 1.0)]), layer).items())
         for p in drift.terms
@@ -635,7 +675,7 @@ def _factor_sum(model):
     parts = {}
     for f in model.factors:
         if isinstance(f, FramedDrift):
-            ham = conjugate_by_cliffords(model.drift, f.layer_map())
+            ham = conjugate_by_cliffords(model.drift, dict(f.frame))
             items = [(p, f.rate * c) for p, c in ham.items()]
         else:
             items = f.ham.items()
@@ -673,7 +713,7 @@ def _check_merge(model):
     for rows in groups.values():
         for r in rows:
             by_expansion.setdefault(
-                conjugate_by_cliffords(model.drift, model.factors[r].layer_map()), set()
+                conjugate_by_cliffords(model.drift, dict(model.factors[r].frame)), set()
             ).add(rows[0])
     for leads in by_expansion.values():
         if len(leads) > 1:
@@ -826,7 +866,7 @@ def test_the_image_key_keeps_apart_frames_that_permute_equal_terms():
     merged = merge_framed_drifts(model)
     assert model.drift_factor_count() == 8
     assert merged.drift_factor_count() == 4
-    operators = {conjugate_by_cliffords(drift, f.layer_map())
+    operators = {conjugate_by_cliffords(drift, dict(f.frame))
                  for f in merged.factors if isinstance(f, FramedDrift)}
     assert len(operators) == 3
     assert _factor_sum(merged) == _factor_sum(model)
