@@ -8,12 +8,15 @@ ancillas, and obeys the chaining inequality
 The chained rate reads one table of coefficients: a row per factor of a
 step model, a column per Pauli string any factor holds.  Every tail
 ``F_(j+1) + ... + F_last`` is a reversed cumulative sum of its rows, so a
-string whose terms cancel is absent from the tail.  Up to the dense cap
-each tail, plain factor and commutator is built densely on the sites it
-acts on, not on the whole register; on the sites where it holds only I or
-Z it commutes with ``Z``, so it is built and normed as one block per sign
-pattern of those sites.  Above the cap each norm is bounded by its
-coefficient 1-norm, taken on the strings' masks with no matrix at all.
+string whose terms cancel is absent from the tail.  Each split of a factor
+``A`` off the sum ``S`` of it and its tail ``B`` is bounded by commutators
+of ``A`` and ``B``; ``[A, B] = [A, S]``, so up to the dense cap they are
+built densely around whichever of ``B`` and ``S`` reaches fewer sites, on
+those sites only, not on the whole register.  On the sites where every
+operator of a split holds only I or Z they commute with ``Z``, so they are
+built and normed as one block per sign pattern of those sites.  Above the
+cap each norm is bounded by its coefficient 1-norm, taken on the strings'
+masks with no matrix at all.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .dense import (
     _parity,
     _term_masks,
     check_dense_cap,
-    dense_of_expansion,
     hermitian_norm,
 )
 from .errors import Infeasible, InvalidTerm, TooLarge
@@ -77,19 +79,39 @@ class ErrorPlan:
 ROUNDING = 1e-12
 
 
+def _plus_adjoint(p: np.ndarray, sign: int) -> np.ndarray:
+    """``p + sign * p^dag`` of each matrix of a ``(..., d, d)`` stack, in a
+    buffer of its own.
+
+    For Hermitian ``a`` and ``b``, ``ba = (ab)^dag``, so ``[a, b]`` is
+    ``ab - (ab)^dag`` from one product; for Hermitian ``a`` and
+    anti-Hermitian ``c``, ``[a, c]`` is ``ac + (ac)^dag``, exactly
+    Hermitian.
+    """
+    out = np.conjugate(p).swapaxes(-1, -2)
+    return np.add(p, out, out=out) if sign > 0 else np.subtract(p, out, out=out)
+
+
 def _commutator_norm(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """``||[a, b]||`` of Hermitian ``a`` and ``b``, or of each pair of two
     ``(..., d, d)`` stacks.
 
-    ``ba = (ab)^dag``, so ``[a, b] = ab - (ab)^dag`` needs one product, and
-    ``i[a, b]`` is then exactly Hermitian.  It is formed in the buffer of
-    ``(ab)^dag``, so four stacks are held: ``a``, ``b``, ``ab`` and ``i[a, b]``.
+    ``i[a, b]`` is Hermitian.  Four stacks are held: ``a``, ``b``, ``ab``
+    and ``[a, b]``, then ``i[a, b]`` in place of ``ab``.
     """
-    ab = a @ b
-    comm = ab.conj().swapaxes(-1, -2)
-    np.subtract(ab, comm, out=comm)
-    comm *= 1j
-    return hermitian_norm(comm)
+    return hermitian_norm(1j * _plus_adjoint(a @ b, -1))
+
+
+def _nested_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(||[a, [a, b]]||, ||[b, [b, a]]||)`` of Hermitian ``a`` and ``b``,
+    one row per pair of two ``(..., d, d)`` stacks.
+
+    Both come from ``c = [a, b]``: ``[a, [a, b]] = [a, c]`` and
+    ``[b, [b, a]] = -[b, c]``.  Five stacks are held: ``a``, ``b``, ``c``,
+    a product with ``c`` and the commutator formed from it.
+    """
+    c = _plus_adjoint(a @ b, -1)
+    return np.stack([hermitian_norm(_plus_adjoint(m @ c, 1)) for m in (a, b)], axis=-1)
 
 
 def _is_framed(factor) -> bool:
@@ -225,25 +247,30 @@ def _packed(masks: np.ndarray, bits: list[int]) -> np.ndarray:
     return (masks[..., None] >> shifts & 1) @ (1 << np.arange(len(bits)))
 
 
-def _on_supports(measure: Callable, held: int, x, z, ny, items: np.ndarray) -> np.ndarray:
+def _on_supports(
+    measure: Callable, held: int, x, z, ny, items: np.ndarray, values: tuple = ()
+) -> np.ndarray:
     """``measure`` of each item's dense matrices, built block by block on
     the sites the item acts on.
 
     ``items`` is items x rows x strings of coefficients on the strings of
     masks ``x``, ``z`` and ``ny``; ``measure`` takes one stack per row and
-    returns one value per item.  Items that share a support are built by
+    returns an array of shape ``values`` per matrix of a stack, so the
+    result is items x ``values``.  Items that share a support are built by
     one ``_dense_of_masks`` call and measured together, as many at once as
     keep the ``held`` stacks that ``measure`` holds within ``_BATCH``
-    entries.
+    entries.  Where no string of a chunk holds an odd number of Y, its
+    matrices are real and are built and measured in real arithmetic.
 
     On the group's ``k`` I/Z-only sites every row commutes with ``Z``, so
     its matrix is block diagonal, one block per sign pattern ``s`` of those
     sites: the rows on the other sites with each string's coefficient
     negated once per site where it holds ``Z`` and ``s`` is -1.  A norm,
-    and the commutator of two such rows, is the largest over the ``2^k``
-    blocks, so the blocks are built and measured in place of the whole.
+    and that of any commutator of such rows, is the largest over the
+    ``2^k`` blocks, so the blocks are built and measured in place of the
+    whole.
     """
-    out = np.zeros(len(items))
+    out = np.zeros((len(items), *values))
     present = items != 0.0
     support = np.bitwise_or.reduce(_supports(x, z, items), axis=1)
     width = items.shape[1]
@@ -269,16 +296,46 @@ def _on_supports(measure: Callable, held: int, x, z, ny, items: np.ndarray) -> n
             coeffs = (items[part][:, :, None, cols] * signs).transpose(1, 0, 2, 3)
             coeffs = coeffs.reshape(width * len(part) * blocks, len(sx))
             sz = sz & dim - 1  # the kept sites only
+            real = not (ny[cols] & 1).any()
             # one expression, so a chunk's matrices are freed before the next is built
-            out[part] = measure(*_dense_of_masks(len(kept), sx, sz, ny[cols], coeffs).reshape(
+            out[part] = measure(*_dense_of_masks(len(kept), sx, sz, ny[cols], coeffs, real=real).reshape(
                 width, len(part) * blocks, dim, dim
-            )).reshape(len(part), blocks).max(axis=1)
+            )).reshape(len(part), blocks, *values).max(axis=1)
     return out
 
 
-def _norms(x, z, ny, rows: np.ndarray) -> np.ndarray:
-    """Operator norm of each row of coefficients, taken on its support."""
-    return _on_supports(hermitian_norm, 1, x, z, ny, rows[:, None])
+def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
+    """``(x, z, ny, heads, rests)``: each split of ``model``'s step,
+    restricted to the sites its commutators ``hops`` deep act on.
+
+    Split ``j`` peels ``A = F_j`` off ``S = F_j + ... + F_last``, leaving
+    the tail ``B = S - A``; ``S`` is the whole step for ``j = 0`` and the
+    tail of split ``j - 1`` after.  ``[A, B] = [A, S]``, so the commutators
+    can be built around either ``R = B`` or ``R = S``.  Each split takes
+    the one with the fewer sites within ``hops`` hops: ``R``'s sites, then
+    those of the terms of ``A`` that touch them, and so on.  A tail that
+    ends on a complete decoupling orbit acts on the pair alone, and so
+    does ``S`` of the split after it.
+
+    A split's row of ``heads`` keeps the terms of ``A`` that touch the
+    sites ``hops - 1`` hops out: every other term commutes with ``R`` and
+    with ``[A, R]``.  Its row of ``rests`` is ``B``, or ``S - heads`` where
+    ``R = S``, which differs from ``B`` by such terms only.  So the rows
+    have the commutators of ``A`` and ``B`` up to ``hops`` deep.
+    """
+    x, z, ny, table = _coefficient_table(model)
+    heads, tails = table[:-1], _tails(table)
+    sums = np.concatenate([heads[:1] + tails[:1], tails[:-1]])
+    masks = x | z
+    live = heads != 0.0
+    sites = _supports(x, z, np.stack([tails, sums]))  # R = B, then R = S
+    for _ in range(hops):
+        near = live & (masks & sites[..., None] != 0)
+        sites = sites | np.bitwise_or.reduce(np.where(near, masks, 0), axis=-1)
+    counts = _mask_bits(sites)
+    use_sum = (counts[1] < counts[0])[:, None]
+    heads = np.where(np.where(use_sum, near[1], near[0]), heads, 0.0)
+    return x, z, ny, heads, np.where(use_sum, sums - heads, tails)
 
 
 def first_order_rate(model) -> float:
@@ -294,19 +351,14 @@ def first_order_rate(model) -> float:
     Trotter error with commutator scaling*, PRX 11, 011020 (2021).
 
     Each tail is its row of per-string sums, so terms that cancel are
-    absent.  A term of ``F_j`` on sites the tail does not act on commutes
-    with it, so ``[F_j, T_j]`` is taken on the tail's sites and those of
-    the terms of ``F_j`` that touch them; a split with no such term is 0.
-    Where both hold only I or Z on some of those sites, the commutator is
-    block diagonal there and is normed block by block.
+    absent.  The commutator is built on the sites one hop from the
+    smaller of ``T_j`` and ``F_j + T_j`` (``_splits``); a split with no
+    term of ``F_j`` there is 0.
     """
-    x, z, ny, table = _coefficient_table(model)
-    tails = _tails(table)
-    touching = ((x | z) & _supports(x, z, tails)[:, None]) != 0
-    heads = np.where(touching, table[:-1], 0.0)
+    x, z, ny, heads, rests = _splits(model, 1)
     live = np.flatnonzero((heads != 0.0).any(axis=1))
-    norms = np.zeros(len(tails))
-    pairs = np.stack([heads[live], tails[live]], axis=1)
+    norms = np.zeros(len(heads))
+    pairs = np.stack([heads[live], rests[live]], axis=1)
     norms[live] = _on_supports(_commutator_norm, 4, x, z, ny, pairs)
     return 0.5 * sum(norms[::-1].tolist(), 0.0)
 
@@ -315,28 +367,39 @@ def second_order_rate(model) -> float:
     """Coefficient c3 with per-step bound c3 * delta^3 for a symmetric step.
 
     Peels factors off the ordered list one at a time, as the first-order
-    rate does: each split of ``F_j`` against the exact sum of the remaining
-    tail contributes one two-term symmetric-splitting defect, and the
-    chaining inequality adds them up.  The operator norm is unitarily
-    invariant, so a framed drift ``r C H C^dag`` has norm ``r ||H||`` from
-    one norm of the drift ``H``.  A tail, and a plain factor, is normed on
-    the sites its nonzero per-string sums act on: a tail that ends on a
-    complete decoupling orbit acts on the pair alone.  On the sites where
-    it holds only I or Z its norm is the largest over its diagonal blocks,
-    one per sign pattern of those sites; on an XZ chain that halves every
-    full-support tail.
+    rate does: each split of ``A = F_j`` against the exact sum ``B`` of the
+    remaining tail is one symmetric splitting
+    ``e^{-iA/2} e^{-iB} e^{-iA/2}``, which differs from ``e^{-i(A+B)}`` by
+    at most ``||[B, [B, A]]||/12 + ||[A, [A, B]]||/24`` at unit delta
+    (Childs, Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021)), and the
+    chaining inequality adds the splits up.
+
+    Both come from ``C = [A, B]`` (``_nested_norms``), built on the sites
+    two hops from the smaller of ``B`` and ``A + B`` (``_splits``): a
+    middle split's ``A + B`` is the tail before it, and one that closes a
+    decoupling orbit acts on the pair alone.
     """
-    x, z, ny, table = _coefficient_table(model)
-    tails = _tails(table)
-    drift_norm = hermitian_norm(dense_of_expansion(model.drift))
-    a = np.array([f.rate * drift_norm if _is_framed(f) else 0.0 for f in model.factors[:-1]])
-    plain = [j for j, f in enumerate(model.factors[:-1]) if not _is_framed(f)]
-    norms = _norms(x, z, ny, np.concatenate([table[plain], tails]))
-    a[plain] = norms[: len(plain)]
-    b = norms[len(plain) :]
-    # ||A|| ||B|| (||A|| + 2 ||B||) / 6 bounds the symmetric splitting
-    # ||e^{-iA/2} e^{-iB} e^{-iA/2} - e^{-i(A+B)}|| at unit delta
-    return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
+    x, z, ny, heads, rests = _splits(model, 2)
+    live = np.flatnonzero((heads != 0.0).any(axis=1))
+    norms = np.zeros((len(heads), 2))
+    pairs = np.stack([heads[live], rests[live]], axis=1)
+    norms[live] = _on_supports(_nested_norms, 5, x, z, ny, pairs, (2,))
+    return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
+
+
+def _mask_bits(masks: np.ndarray) -> np.ndarray:
+    """popcount of each non-negative int64 mask, folded in sums of ever wider
+    bit fields: no 2^n table, no ``np.bitwise_count``."""
+    for shift, keep in (
+        (1, 0x5555555555555555),
+        (2, 0x3333333333333333),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (8, 0x00FF00FF00FF00FF),
+        (16, 0x0000FFFF0000FFFF),
+        (32, 0x00000000FFFFFFFF),
+    ):
+        masks = (masks & keep) + (masks >> shift & keep)
+    return masks
 
 
 def _mask_parity(masks: np.ndarray) -> np.ndarray:
@@ -350,8 +413,9 @@ def coefficient_rate(model, order: int) -> float:
     """The chained rate with every operator norm bounded by the 1-norm of
     its Pauli coefficients, so that nothing of size 2^n is built.
 
-    At order 2 these are the rows of the table and of its tails, in
-    ``second_order_rate``'s defect.  At order 1 ``[F_j, T_j]`` sums
+    At order 2 these are the rows of the table and of its tails, in the
+    product-of-norms defect ``a b (a + 2 b) / 6`` of each split, which is
+    never below ``second_order_rate``'s nested one.  At order 1 ``[F_j, T_j]`` sums
     ``f_s t_t [s, t] = 2 f_s t_t s t`` over the anticommuting pairs of a
     head string ``s`` and a tail string ``t``.  With ``P = i^ny X^x Z^z``,
     ``s t`` is ``i^(ny_s + ny_t) (-1)^|z_s & x_t| X^(x_s ^ x_t) Z^(z_s ^ z_t)``,
@@ -362,6 +426,7 @@ def coefficient_rate(model, order: int) -> float:
     heads, tails = table[:-1], _tails(table)
     if order == 2:
         a, b = np.abs(heads).sum(axis=1), np.abs(tails).sum(axis=1)
+        # ||[B, [B, A]]|| <= 4 ||B||^2 ||A|| and ||[A, [A, B]]|| <= 4 ||A||^2 ||B||
         return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
     s, t = np.nonzero(_mask_parity((x[:, None] & z) ^ (z[:, None] & x)))
     keys, product = np.unique(_string_keys(x[s] ^ x[t], z[s] ^ z[t]), return_inverse=True)

@@ -110,21 +110,25 @@ def _parity(n: int) -> np.ndarray:
 
 
 def _dense_of_masks(
-    n: int, x: np.ndarray, z: np.ndarray, ny: np.ndarray, coeffs: np.ndarray
+    n: int, x: np.ndarray, z: np.ndarray, ny: np.ndarray, coeffs: np.ndarray, *, real: bool = False
 ) -> np.ndarray:
     """Matrices on one set of Pauli terms, given by their packed ``(x, z, ny)``
-    masks: matrix ``b`` sums ``coeffs[b, k] * P_k``, adding the terms in order."""
+    masks: matrix ``b`` sums ``coeffs[b, k] * P_k``, adding the terms in order.
+
+    With ``real`` they are built as real matrices, which they are when
+    every term holds an even number of Y; the caller checks that."""
     dim = 2**n
     cols = np.arange(dim)
     signs = 1 - 2 * _parity(n)[z[:, None] & cols]  # int8; unsigned would wrap
-    values = (coeffs * _I_POWERS[ny % 4]).T[:, :, None] * signs[:, None]  # (term, matrix, c)
+    phases = _I_POWERS[ny % 4]
+    values = (coeffs * (phases.real if real else phases)).T[:, :, None] * signs[:, None]
     # by_x[k, b, c] accumulates entry [c ^ used[k], c] of matrix b, one term
-    # at a time in order
+    # at a time in order; values is (term, matrix, c)
     used, slot = np.unique(x, return_inverse=True)
-    by_x = np.zeros((len(used), len(coeffs), dim), dtype=complex)
+    by_x = np.zeros((len(used), len(coeffs), dim), dtype=values.dtype)
     for k, row in zip(slot.tolist(), values):
         by_x[k] += row
-    out = np.zeros((len(coeffs), dim, dim), dtype=complex)
+    out = np.zeros((len(coeffs), dim, dim), dtype=values.dtype)
     out[:, used[:, None] ^ cols, cols] = by_x.transpose(1, 0, 2)
     return out
 

@@ -1,7 +1,9 @@
 """Step planning and the analytic error bounds behind it."""
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -34,12 +36,15 @@ from hamrc import (
 from hamrc.bounds import (
     _BATCH,
     MAX_PLAN_STEPS,
+    ROUNDING,
     _coefficient_table,
     _commutator_norm,
     _dense_of_masks,
     _diagonal_sites,
-    _norms,
+    _mask_bits,
+    _nested_norms,
     _on_supports,
+    _splits,
     _supports,
     _tails,
     coefficient_rate,
@@ -93,11 +98,10 @@ def test_chained_rate_respects_cap(monkeypatch):
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     monkeypatch.setenv("HAMRC_DENSE_CAP", "10")
 
-    def no_dense(*args):
+    def no_dense(*args, **kwargs):
         raise AssertionError("dense build above the cap")
 
-    for name in ("_dense_of_masks", "dense_of_expansion"):
-        monkeypatch.setattr(f"hamrc.bounds.{name}", no_dense)
+    monkeypatch.setattr("hamrc.bounds._dense_of_masks", no_dense)
     assert chained_rate(_model(big, AS_X, AS_Z), 1) == 1.0
     assert chained_rate(_model(big, AS_X, AS_Z), 2) == 0.5
     assert chained_rate(_model(big, AS_X, AS_X), 1) == 0.0
@@ -109,7 +113,7 @@ def test_chained_rate_respects_cap(monkeypatch):
 def test_chained_rate_orders():
     x, z = AS_X, AS_Z
     assert chained_rate(_model(X1, x, z), 1) == pytest.approx(1.0)  # ||[X,Z]||/2
-    # order 2 peel: a=1, r=1 -> (1/6)*1*1*(1+2) = 0.5
+    # order 2 peel: [X, Z] = -2iY, ||[Z, -2iY]||/12 + ||[X, -2iY]||/24 = 4/12 + 4/24
     assert chained_rate(_model(X1, x, z), 2) == pytest.approx(0.5)
     with pytest.raises(InvalidTerm):
         chained_rate(_model(X1, x, z), 3)
@@ -136,22 +140,28 @@ def _pairwise_rate(mats):
     return 0.5 * total
 
 
+def _split_mats(model):
+    """``(A, B)`` of every split as full dense matrices: each factor, and
+    the sum of the factors after it."""
+    mats = _factor_mats(model)
+    splits, tail = [], None
+    for a, b in zip(mats[-2::-1], mats[:0:-1]):
+        tail = b if tail is None else tail + b
+        splits.append((a, tail))
+    return splits[::-1]
+
+
 def _rate_by_factor_svds(model, order):
     """The rate from a dense matrix and an SVD norm of every factor, every
-    tail sum and every tail commutator, with no use of the frames."""
-    mats = _factor_mats(model)
-    if len(mats) < 2:
-        return 0.0
-    tails = [mats[-1]]
-    for m in reversed(mats[1:-1]):
-        tails.append(tails[-1] + m)
-    tails.reverse()  # tails[i] = F_(i+1) + ... + F_last
-    if order == 1:
-        return 0.5 * sum(operator_norm(a @ r - r @ a) for a, r in zip(mats, tails))
+    tail sum and every commutator nested up to ``order`` deep, with no use
+    of the frames or of supports."""
     total = 0.0
-    for a, r in zip(mats, tails):
-        a, r = operator_norm(a), operator_norm(r)
-        total += a * r * (a + 2.0 * r) / 6.0
+    for a, b in _split_mats(model):
+        c = a @ b - b @ a
+        if order == 1:
+            total += 0.5 * operator_norm(c)
+        else:
+            total += operator_norm(b @ c - c @ b) / 12.0 + operator_norm(a @ c - c @ a) / 24.0
     return total
 
 
@@ -330,6 +340,11 @@ def test_coefficient_table_rows_equal_the_conjugated_expansions():
         _coefficient_table(StepModel(4, drift, (local, FramedDrift(-1.0, ())), 0.0))
 
 
+def _norms(x, z, ny, rows):
+    """Operator norm of each row of coefficients, taken on its support."""
+    return _on_supports(hermitian_norm, 1, x, z, ny, rows[:, None])
+
+
 def _support_sites(n, mask):
     return {q for q in range(n) if mask >> (n - 1 - q) & 1}
 
@@ -391,6 +406,11 @@ def test_norms_and_commutators_block_by_block_equal_the_full_register(n, diagona
     want = _commutator_norm(mats[:3], mats[3:])
     # relative to ||A|| ||B||: a commuting pair's norm is rounding at that scale
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, norms[:3] * norms[3:]))
+    got = _on_supports(_nested_norms, 5, x, z, ny, pairs, (2,))
+    want = _nested_norms(mats[:3], mats[3:])
+    scale = norms[:3] * norms[3:] * (norms[:3] + norms[3:])
+    assert got.shape == want.shape == (3, 2)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, scale[:, None]))
 
 
 def test_tail_norms_of_a_cancelled_tail_and_of_a_multiple_of_the_identity():
@@ -418,22 +438,192 @@ def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order
     model = pair_step_model(xz_chain(n), (0, 1), target)
     built = []
 
-    def counted(m, x, z, ny, coeffs):
+    def counted(m, x, z, ny, coeffs, **kwargs):
         # one matrix per row of coeffs: per item and row, one per block of
-        # its I/Z-only sites.  At order 1 every build is a commutator
-        # chunk's A and B, which also holds AB and i[A, B]: twice the
-        # entries built
-        built.append(((2 if order == 1 else 1) * len(coeffs) * 4**m, m))
-        return _dense_of_masks(m, x, z, ny, coeffs)
+        # its I/Z-only sites.  Every build is a chunk's A and B; at order 1
+        # the commutator also holds AB and i[A, B], at order 2 the nested
+        # norms hold [A, B], a product with it and a commutator with it
+        held = 2.0 if order == 1 else 2.5
+        built.append((held * len(coeffs) * 4**m, m))
+        return _dense_of_masks(m, x, z, ny, coeffs, **kwargs)
+
+    def no_drift(*args):
+        raise AssertionError("a register-size build")
 
     monkeypatch.setattr("hamrc.bounds._dense_of_masks", counted)
+    monkeypatch.setattr("hamrc.dense.dense_of_expansion", no_drift)
     want = chained_rate(model, order)
     monkeypatch.undo()
     assert chained_rate(model, order) == want
-    assert max(held for held, _ in built) <= max(_BATCH, 4**n)
-    # full-support tails are two blocks, one per sign of Z on the last site
-    assert n not in {m for _, m in built}
-    assert max(m for _, m in built) == n - 1
+    assert max(held for held, _ in built) <= _BATCH
+    # every split is taken around the smaller of its tail and its tail plus
+    # its head: within two hops of it the chain reaches 4 sites at most
+    assert max(m for _, m in built) <= 4
+
+
+def _sites_within(heads, x, z, rows, hops):
+    """Sites of each row, and of the head terms within ``hops`` hops of them,
+    one set of register bits per split, string by string in Python ints."""
+    masks = [a | b for a, b in zip(x.tolist(), z.tolist())]
+    out = []
+    for head, row in zip(heads.tolist(), rows.tolist()):
+        sites = 0
+        for m, c in zip(masks, row):
+            sites |= m if c != 0.0 else 0
+        for _ in range(hops):
+            near = [m for m, c in zip(masks, head) if c != 0.0 and m & sites]
+            sites |= functools.reduce(operator.or_, near, 0)
+        out.append(sites)
+    return out
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_each_split_is_built_on_the_smaller_reach_of_its_tail_and_its_sum(hops):
+    # on a 6-site chain with the local factor moved to every position, each
+    # split's rows act on the sites within ``hops`` hops of the tail B or of
+    # S = A + B, whichever reach is smaller, both choices occur, and the
+    # rate of order ``hops`` is the full-register reference's
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(xz_chain(6), (0, 1), target)
+    local, framed = model.factors[0], model.factors[1:]
+    took_sum = set()
+    for at in range(len(model.factors)):
+        factors = framed[:at] + (local,) + framed[at:]
+        moved = StepModel(model.n, model.drift, factors, 0.0)
+        x, z, ny, heads, rests = _splits(moved, hops)
+        table = _coefficient_table(moved)[3]
+        tails = _tails(table)
+        sums = np.concatenate([table[:1] + tails[:1], tails[:-1]])
+        reach = [_sites_within(table[:-1], x, z, rows, hops) for rows in (tails, sums)]
+        built = _supports(x, z, np.stack([heads, rests], axis=1))
+        for j, (b, s) in enumerate(zip(*reach)):
+            use_sum = bin(s).count("1") < bin(b).count("1")
+            took_sum.add(use_sum)
+            assert np.bitwise_or.reduce(built[j]) == (s if use_sum else b)
+            assert np.array_equal(rests[j], sums[j] - heads[j] if use_sum else tails[j])
+        want = _rate_by_factor_svds(moved, hops)
+        assert abs(chained_rate(moved, hops) - want) <= 1e-12 * want
+    assert took_sum == {False, True}
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["frames", "chain"]),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    locals_=st.integers(1, 3),
+)
+@example(kind="frames", n=3, seed=0, locals_=2)
+@example(kind="chain", n=5, seed=0, locals_=1)
+def test_first_order_rate_equals_the_full_register_reference_with_locals_anywhere(kind, n, seed, locals_):
+    # framed drifts under random frames, or a random chain's compile model,
+    # with local factors added at random places: each split is taken
+    # around B or around S, and either leaves ||[A, B]|| as the
+    # full-register reference has it
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        model, _ = _random_register_model("chain", max(n, 3), rng)
+        drift, factors = model.drift, list(model.factors)
+    else:
+        drift = random_two_body(n, rng, coupling_density=1.5, local_density=1.0, connected=True)
+        cliffs = all_local_cliffords()
+        factors = []
+        for _ in range(int(rng.integers(2, 9))):
+            sites = sorted(rng.choice(n, size=int(rng.integers(n + 1)), replace=False).tolist())
+            frame = tuple((q, cliffs[int(rng.integers(len(cliffs)))]) for q in sites)
+            factors.append(FramedDrift(float(rng.uniform(0.1, 2.0)), frame))
+    for _ in range(locals_):
+        ops = ["I"] * drift.n
+        ops[int(rng.integers(drift.n))] = "XYZ"[int(rng.integers(3))]
+        local = LocalFactor(build_expansion(drift.n, [("".join(ops), float(rng.normal()))]))
+        factors.insert(int(rng.integers(len(factors) + 1)), local)
+    model = StepModel(drift.n, drift, tuple(factors), 0.0)
+    want = _rate_by_factor_svds(model, 1)
+    assert abs(chained_rate(model, 1) - want) <= 1e-12 * want
+
+
+def _random_register_model(kind, n, rng):
+    """A compile model and its register target: a random connected
+    two-qubit drift, an XZ chain or an all-to-all Heisenberg drift with
+    random strengths, and a random coupled pair target."""
+    target = random_coupled_pair(rng)
+    if kind == "pair":
+        drift = random_two_body(2, rng, connected=True)
+        return compile_model(drift, target), target
+    if kind == "chain":
+        terms = [("I" * q + "XZ" + "I" * (n - q - 2), float(rng.uniform(0.5, 1.5))) for q in range(n - 1)]
+        terms += [("I" * q + "Z" + "I" * (n - q - 1), float(rng.uniform(-0.5, 0.5))) for q in range(n)]
+        q = int(rng.integers(n - 1))
+        pair = (q, q + 1)
+    else:
+        terms = []
+        for i, j in itertools.combinations(range(n), 2):
+            for a in "XYZ":
+                ops = ["I"] * n
+                ops[i] = ops[j] = a
+                terms.append(("".join(ops), float(rng.uniform(0.3, 1.0))))
+        pair = tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+    drift = build_expansion(n, terms)
+    return compile_model(drift, target, pair), embed(target, n, pair)
+
+
+@settings(max_examples=30)
+@given(
+    kind=st.sampled_from(["pair", "chain", "a2a"]),
+    n=st.integers(3, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="chain", n=5, seed=0)
+@example(kind="a2a", n=4, seed=0)
+def test_each_nested_split_is_at_most_its_product_of_norms(kind, n, seed):
+    # ||[B, [B, A]]||/12 + ||[A, [A, B]]||/24 <= ||A|| ||B|| (||A|| + 2 ||B||)/6
+    # split by split, so no plan takes more steps than the product form's
+    rng = np.random.default_rng(seed)
+    model, _ = _random_register_model(kind, n, rng)
+    x, z, ny, heads, rests = _splits(model, 2)
+    nested = _on_supports(_nested_norms, 5, x, z, ny, np.stack([heads, rests], axis=1), (2,))
+    nested = nested[:, 0] / 24.0 + nested[:, 1] / 12.0
+    products = []
+    for a, b in _split_mats(model):
+        a, b = operator_norm(a), operator_norm(b)
+        products.append(a * b * (a + 2.0 * b) / 6.0)
+    products = np.array(products)
+    assert np.all(nested <= products * (1 + 1e-12))
+    rate = chained_rate(model, 2)
+    assert abs(rate - nested.sum()) <= 1e-12 * rate
+    product_rate = products.sum()
+    for epsilon in (1e-2, 1e-4):
+        nested_plan = plan_steps("chained", epsilon, 1.0, order=2, rate=rate)
+        assert nested_plan.steps <= plan_steps("chained", epsilon, 1.0, order=2, rate=product_rate).steps
+
+
+@settings(max_examples=30)
+@given(
+    kind=st.sampled_from(["pair", "chain", "a2a"]),
+    n=st.integers(3, 5),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 8),
+)
+@example(kind="chain", n=5, seed=1, steps=8)
+@example(kind="a2a", n=5, seed=1, steps=3)
+@example(kind="pair", n=3, seed=1, steps=1)
+def test_second_order_plans_are_sound_on_random_register_models(kind, n, seed, steps):
+    rng = np.random.default_rng(seed)
+    model, target = _random_register_model(kind, n, rng)
+    t = 0.5
+    rate = chained_rate(model, 2)
+    epsilon = max(rate * t**3 / steps**2 * (1 + 1e-9), 1e-12)
+    plan = plan_for_model(model, target, t, epsilon, 2, "chained")
+    assert plan.steps <= steps
+    measured = _make_measure(model, target, t, 2)(plan.steps)
+    assert measured <= plan.predicted_error + ROUNDING
+
+
+@settings(max_examples=60)
+@given(masks=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20))
+def test_mask_bits_counts_the_set_bits_of_every_mask(masks):
+    got = _mask_bits(np.array(masks, dtype=np.int64))
+    assert got.tolist() == [bin(m).count("1") for m in masks]
 
 
 def test_plan_invariants_and_monotonicity():
