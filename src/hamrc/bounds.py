@@ -10,13 +10,12 @@ step model, a column per Pauli string any factor holds.  Every tail
 ``F_(j+1) + ... + F_last`` is a reversed cumulative sum of its rows, so a
 string whose terms cancel is absent from the tail.  Each split of a factor
 ``A`` off the sum ``S`` of it and its tail ``B`` is bounded by commutators
-of ``A`` and ``B``; ``[A, B] = [A, S]``, so up to the dense cap they are
-built densely around whichever of ``B`` and ``S`` reaches fewer sites, on
-those sites only, not on the whole register.  On the sites where every
-operator of a split holds only I or Z they commute with ``Z``, so they are
-built and normed as one block per sign pattern of those sites.  Above the
-cap each norm is bounded by its coefficient 1-norm, taken on the strings'
-masks with no matrix at all.
+of ``A`` and ``B``; ``[A, B] = [A, S]``, so they are taken around
+whichever of ``B`` and ``S`` reaches fewer sites, on those sites only, not
+on the whole register.  The dense cap bounds those sites: a split whose
+sites fit is built densely on them and normed exactly, and one past the
+cap is bounded by coefficient 1-norms, taken on the strings' masks with
+no matrix at all.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import numpy as np
 
 from .dense import (
     _dense_of_masks,
-    _parity,
     _term_masks,
     check_dense_cap,
     hermitian_norm,
@@ -233,13 +231,6 @@ def _supports(x: np.ndarray, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(np.where(rows != 0.0, x | z, 0), axis=-1)
 
 
-def _diagonal_sites(support: int, x: np.ndarray) -> int:
-    """The I/Z-only sites of an operator on the sites ``support`` whose
-    strings have the x masks ``x``: the sites where none of them holds X
-    or Y, so that the operator commutes with ``Z`` on each of them."""
-    return support & ~int(np.bitwise_or.reduce(x))
-
-
 def _packed(masks: np.ndarray, bits: list[int]) -> np.ndarray:
     """``masks`` on the given bit positions only, packed into the low bits
     in the same order."""
@@ -248,27 +239,24 @@ def _packed(masks: np.ndarray, bits: list[int]) -> np.ndarray:
 
 
 def _on_supports(
-    measure: Callable, held: int, x, z, ny, items: np.ndarray, values: tuple = ()
+    measure: Callable, bound: Callable, held: int, x, z, ny, items: np.ndarray, values: tuple = ()
 ) -> np.ndarray:
-    """``measure`` of each item's dense matrices, built block by block on
-    the sites the item acts on.
+    """``measure`` of each item's dense matrices on the sites the item acts
+    on, or ``bound`` of its coefficients where those sites are past the
+    dense cap.
 
     ``items`` is items x rows x strings of coefficients on the strings of
     masks ``x``, ``z`` and ``ny``; ``measure`` takes one stack per row and
     returns an array of shape ``values`` per matrix of a stack, so the
-    result is items x ``values``.  Items that share a support are built by
-    one ``_dense_of_masks`` call and measured together, as many at once as
-    keep the ``held`` stacks that ``measure`` holds within ``_BATCH``
-    entries.  Where no string of a chunk holds an odd number of Y, its
-    matrices are real and are built and measured in real arithmetic.
-
-    On the group's ``k`` I/Z-only sites every row commutes with ``Z``, so
-    its matrix is block diagonal, one block per sign pattern ``s`` of those
-    sites: the rows on the other sites with each string's coefficient
-    negated once per site where it holds ``Z`` and ``s`` is -1.  A norm,
-    and that of any commutator of such rows, is the largest over the
-    ``2^k`` blocks, so the blocks are built and measured in place of the
-    whole.
+    result is items x ``values``.  Items that share a support form a group,
+    and each group checks the dense cap for its own sites
+    (``check_dense_cap``), so the cap bounds every matrix that is built.  A
+    group that fits is built by one ``_dense_of_masks`` call and measured
+    together, as many at once as keep the ``held`` stacks that ``measure``
+    holds within ``_BATCH`` entries.  Where no string of a chunk holds an
+    odd number of Y, its matrices are real and are built and measured in
+    real arithmetic.  A group past the cap is passed to ``bound`` as
+    ``(x, z, ny, items)`` on the strings it holds, and builds no matrix.
     """
     out = np.zeros((len(items), *values))
     present = items != 0.0
@@ -278,30 +266,61 @@ def _on_supports(
     sups, group = np.unique(support, return_inverse=True)
     for g, sup in enumerate(sups.tolist()):
         index = np.flatnonzero(group == g)
-        diag = _diagonal_sites(sup, x[present[index].any(axis=(0, 1))])
         on = [b for b in range(sup.bit_length()) if sup >> b & 1]  # in qubit order
-        kept = [b for b in on if not diag >> b & 1]
-        dropped = [b for b in on if diag >> b & 1]
-        dim, blocks = 2 ** len(kept), 2 ** len(dropped)
-        per = max(1, _BATCH // (held * blocks * dim * dim))
+        try:
+            check_dense_cap(len(on))
+        except TooLarge:
+            cols = present[index].any(axis=(0, 1))
+            out[index] = bound(x[cols], z[cols], ny[cols], items[index][:, :, cols])
+            continue
+        dim = 2 ** len(on)
+        per = max(1, _BATCH // (held * dim * dim))
         for start in range(0, len(index), per):
             part = index[start : start + per]
             cols = present[part].any(axis=(0, 1))
-            # the kept sites in the low bits, the dropped ones above them;
-            # x is 0 on every dropped site
-            sx, sz = _packed(xz[:, cols], kept + dropped)
-            # (block, string): -1 where the string holds Z on an odd number
-            # of the block's -1 sites
-            signs = 1 - 2 * _parity(len(dropped))[np.arange(blocks)[:, None] & sz >> len(kept)]
-            coeffs = (items[part][:, :, None, cols] * signs).transpose(1, 0, 2, 3)
-            coeffs = coeffs.reshape(width * len(part) * blocks, len(sx))
-            sz = sz & dim - 1  # the kept sites only
+            sx, sz = _packed(xz[:, cols], on)
+            coeffs = items[part][:, :, cols].transpose(1, 0, 2).reshape(width * len(part), len(sx))
             real = not (ny[cols] & 1).any()
             # one expression, so a chunk's matrices are freed before the next is built
-            out[part] = measure(*_dense_of_masks(len(kept), sx, sz, ny[cols], coeffs, real=real).reshape(
-                width, len(part) * blocks, dim, dim
-            )).reshape(len(part), blocks, *values).max(axis=1)
+            out[part] = measure(*_dense_of_masks(len(on), sx, sz, ny[cols], coeffs, real=real).reshape(
+                width, len(part), dim, dim
+            ))
     return out
+
+
+def _commutator_one_norms(x, z, ny, pairs: np.ndarray) -> np.ndarray:
+    """``||[A, B]||_1``, the 1-norm of the Pauli coefficients of the
+    commutator, of each item of ``pairs`` (items x 2 x strings: ``A``,
+    then ``B``, on the strings of masks ``x``, ``z`` and ``ny``).
+
+    ``[A, B]`` sums ``a_s b_t [s, t] = 2 a_s b_t s t`` over the
+    anticommuting pairs of a string ``s`` of ``A`` and ``t`` of ``B``.
+    With ``P = i^ny X^x Z^z``, ``s t`` is
+    ``i^(ny_s + ny_t) (-1)^|z_s & x_t| X^(x_s ^ x_t) Z^(z_s ^ z_t)``, and
+    the product's own ``i^ny`` is a phase that every pair with that
+    product shares; so the terms are summed per product string first.
+    """
+    s, t = np.nonzero(_mask_bits((x[:, None] & z) ^ (z[:, None] & x)) & 1)
+    keys, product = np.unique(_string_keys(x[s] ^ x[t], z[s] ^ z[t]), return_inverse=True)
+    # i^(ny_s + ny_t) without its odd power, which is part of the shared phase
+    sign = 2.0 - 4.0 * ((((ny[s] + ny[t]) >> 1) + _mask_bits(z[s] & x[t])) & 1)
+    out = np.zeros(len(pairs))
+    per = max(1, _BATCH // max(1, len(s)))
+    for start in range(0, len(pairs), per):
+        chunk = pairs[start : start + per]
+        terms = chunk[:, 0, s] * chunk[:, 1, t] * sign
+        rows = np.arange(len(terms))[:, None] * len(keys) + product
+        sums = np.bincount(rows.ravel(), terms.ravel(), minlength=len(terms) * len(keys))
+        out[start : start + per] = np.abs(sums).reshape(len(terms), len(keys)).sum(axis=1)
+    return out
+
+
+def _nested_one_norms(x, z, ny, pairs: np.ndarray) -> np.ndarray:
+    """``(4 a^2 b, 4 a b^2)`` of each item of ``pairs``, from the 1-norms
+    ``a`` and ``b`` of its rows ``A`` and ``B``: bounds on
+    ``(||[A, [A, B]]||, ||[B, [B, A]]||)``, as ``_nested_norms`` orders them."""
+    a, b = np.abs(pairs).sum(axis=-1).T
+    return np.stack([4.0 * a * a * b, 4.0 * a * b * b], axis=-1)
 
 
 def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
@@ -351,15 +370,17 @@ def first_order_rate(model) -> float:
     Trotter error with commutator scaling*, PRX 11, 011020 (2021).
 
     Each tail is its row of per-string sums, so terms that cancel are
-    absent.  The commutator is built on the sites one hop from the
+    absent.  The commutator is taken on the sites one hop from the
     smaller of ``T_j`` and ``F_j + T_j`` (``_splits``); a split with no
-    term of ``F_j`` there is 0.
+    term of ``F_j`` there is 0.  Where those sites fit the dense cap it is
+    built on them; past the cap its norm is bounded by the 1-norm of its
+    Pauli coefficients (``_commutator_one_norms``).
     """
     x, z, ny, heads, rests = _splits(model, 1)
     live = np.flatnonzero((heads != 0.0).any(axis=1))
     norms = np.zeros(len(heads))
     pairs = np.stack([heads[live], rests[live]], axis=1)
-    norms[live] = _on_supports(_commutator_norm, 4, x, z, ny, pairs)
+    norms[live] = _on_supports(_commutator_norm, _commutator_one_norms, 4, x, z, ny, pairs)
     return 0.5 * sum(norms[::-1].tolist(), 0.0)
 
 
@@ -377,13 +398,15 @@ def second_order_rate(model) -> float:
     Both come from ``C = [A, B]`` (``_nested_norms``), built on the sites
     two hops from the smaller of ``B`` and ``A + B`` (``_splits``): a
     middle split's ``A + B`` is the tail before it, and one that closes a
-    decoupling orbit acts on the pair alone.
+    decoupling orbit acts on the pair alone.  Past the dense cap a split's
+    nested norms are bounded by ``4 a^2 b`` and ``4 a b^2`` from the
+    1-norms of its restricted rows (``_nested_one_norms``).
     """
     x, z, ny, heads, rests = _splits(model, 2)
     live = np.flatnonzero((heads != 0.0).any(axis=1))
     norms = np.zeros((len(heads), 2))
     pairs = np.stack([heads[live], rests[live]], axis=1)
-    norms[live] = _on_supports(_nested_norms, 5, x, z, ny, pairs, (2,))
+    norms[live] = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
     return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
 
 
@@ -402,46 +425,6 @@ def _mask_bits(masks: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _mask_parity(masks: np.ndarray) -> np.ndarray:
-    """popcount mod 2 of each int64 mask, folded: no 2^n table, no ``np.bitwise_count``."""
-    for shift in (32, 16, 8, 4, 2, 1):
-        masks = masks ^ masks >> shift
-    return masks & 1
-
-
-def coefficient_rate(model, order: int) -> float:
-    """The chained rate with every operator norm bounded by the 1-norm of
-    its Pauli coefficients, so that nothing of size 2^n is built.
-
-    At order 2 these are the rows of the table and of its tails, in the
-    product-of-norms defect ``a b (a + 2 b) / 6`` of each split, which is
-    never below ``second_order_rate``'s nested one.  At order 1 ``[F_j, T_j]`` sums
-    ``f_s t_t [s, t] = 2 f_s t_t s t`` over the anticommuting pairs of a
-    head string ``s`` and a tail string ``t``.  With ``P = i^ny X^x Z^z``,
-    ``s t`` is ``i^(ny_s + ny_t) (-1)^|z_s & x_t| X^(x_s ^ x_t) Z^(z_s ^ z_t)``,
-    and the product's own ``i^ny`` is a phase that every pair with that
-    product shares; so the terms are summed per product string first.
-    """
-    x, z, ny, table = _coefficient_table(model)
-    heads, tails = table[:-1], _tails(table)
-    if order == 2:
-        a, b = np.abs(heads).sum(axis=1), np.abs(tails).sum(axis=1)
-        # ||[B, [B, A]]|| <= 4 ||B||^2 ||A|| and ||[A, [A, B]]|| <= 4 ||A||^2 ||B||
-        return sum((a * b * (a + 2.0 * b) / 6.0).tolist(), 0.0)
-    s, t = np.nonzero(_mask_parity((x[:, None] & z) ^ (z[:, None] & x)))
-    keys, product = np.unique(_string_keys(x[s] ^ x[t], z[s] ^ z[t]), return_inverse=True)
-    # i^(ny_s + ny_t) without its odd power, which is part of the shared phase
-    sign = 2.0 - 4.0 * ((((ny[s] + ny[t]) >> 1) + _mask_parity(z[s] & x[t])) & 1)
-    norms = np.zeros(len(tails))
-    per = max(1, _BATCH // max(1, len(s)))
-    for start in range(0, len(tails), per):
-        terms = heads[start : start + per, s] * tails[start : start + per, t] * sign
-        rows = np.arange(len(terms))[:, None] * len(keys) + product
-        sums = np.bincount(rows.ravel(), terms.ravel(), minlength=len(terms) * len(keys))
-        norms[start : start + per] = np.abs(sums).reshape(len(terms), len(keys)).sum(axis=1)
-    return 0.5 * sum(norms[::-1].tolist(), 0.0)
-
-
 def chained_rate(model, order: int) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
@@ -453,18 +436,14 @@ def chained_rate(model, order: int) -> float:
     ``rate * delta^(order+1)`` and chaining over N identical steps
     multiplies by N.
 
-    Up to the dense cap the norms are dense (``first_order_rate``,
-    ``second_order_rate``); above it they are the looser coefficient
-    1-norms of ``coefficient_rate``, which build no matrix.
+    The rate is ``first_order_rate`` or ``second_order_rate``.  Each split
+    is normed densely on its own sites where they fit the dense cap, and
+    by coefficient 1-norms where they do not, whatever the register size.
     """
     if order not in (1, 2):
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
-    try:
-        check_dense_cap(model.n)
-    except TooLarge:
-        return coefficient_rate(model, order)
     if order == 1:
         return first_order_rate(model)
     return second_order_rate(model)

@@ -362,8 +362,9 @@ def plan_for_model(
 
     ``target`` is the evolution the model approximates, on the model's
     register.  Every analytic kind is ``plan_steps`` at its own rate:
-    ``chained_rate`` of the model, from dense norms up to the dense cap and
-    from coefficient 1-norms above it, and a fixed order and rate for each
+    ``chained_rate`` of the model, from dense norms on each split's sites
+    where they fit the dense cap and coefficient 1-norms where they do
+    not, and a fixed order and rate for each
     CNOT kind, which refuses any other order.  This is the one place a
     plan is chosen by bound kind.
     """

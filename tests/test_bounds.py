@@ -39,15 +39,15 @@ from hamrc.bounds import (
     ROUNDING,
     _coefficient_table,
     _commutator_norm,
+    _commutator_one_norms,
     _dense_of_masks,
-    _diagonal_sites,
     _mask_bits,
     _nested_norms,
+    _nested_one_norms,
     _on_supports,
     _splits,
     _supports,
     _tails,
-    coefficient_rate,
     plan_empirical,
 )
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
@@ -93,21 +93,38 @@ def test_first_order_rate_sees_a_cancelling_tail():
 
 
 def test_chained_rate_respects_cap(monkeypatch):
-    # above the cap the rate takes coefficient 1-norms and builds no matrix:
-    # ||[X, Z]|| = ||-2i Y||_1 = 2, and every factor and tail has 1-norm 1
+    # the cap bounds the sites a split is built on, not the register: on an
+    # 11-site register X and Z act on site 0 alone, so under a cap of 10
+    # every split is built densely on that one site
     big = build_expansion(11, [("X" + "I" * 10, 1.0)])
     monkeypatch.setenv("HAMRC_DENSE_CAP", "10")
+    built = []
 
-    def no_dense(*args, **kwargs):
-        raise AssertionError("dense build above the cap")
+    def counted(m, *args, **kwargs):
+        built.append(m)
+        return _dense_of_masks(m, *args, **kwargs)
 
-    monkeypatch.setattr("hamrc.bounds._dense_of_masks", no_dense)
+    monkeypatch.setattr("hamrc.bounds._dense_of_masks", counted)
     assert chained_rate(_model(big, AS_X, AS_Z), 1) == 1.0
     assert chained_rate(_model(big, AS_X, AS_Z), 2) == 0.5
     assert chained_rate(_model(big, AS_X, AS_X), 1) == 0.0
-    monkeypatch.setenv("HAMRC_DENSE_CAP", "11")
+    assert built == [1, 1, 1]
+
+    # a split wider than the cap takes coefficient 1-norms and builds no
+    # matrix: XX and ZX act on 2 sites, ||[XX, ZX]|| = ||-2i YI||_1 = 2,
+    # and every factor and tail has 1-norm 1
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense build past the cap")
+
+    monkeypatch.setattr("hamrc.bounds._dense_of_masks", no_dense)
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "1")
+    xx = build_expansion(2, [("XX", 1.0)])
+    assert chained_rate(_model(xx, AS_X, AS_Z), 1) == 1.0
+    assert chained_rate(_model(xx, AS_X, AS_Z), 2) == 0.5
+    assert chained_rate(_model(xx, AS_X, AS_X), 1) == 0.0
+    monkeypatch.setenv("HAMRC_DENSE_CAP", "2")
     with pytest.raises(AssertionError, match="dense build"):
-        chained_rate(_model(big, AS_X, AS_Z), 1)
+        chained_rate(_model(xx, AS_X, AS_Z), 1)
 
 
 def test_chained_rate_orders():
@@ -210,9 +227,10 @@ def test_chained_rate_matches_per_factor_norms_and_bounds_the_error(n, seed, fie
     assert measured <= plan.predicted_error + 1e-12
 
 
-def _one_norm_rate_by_traces(model, order):
-    """The coefficient rate from dense matrices: every factor, tail sum and
-    commutator expanded on the Pauli strings by ``Tr(P M) / 2^n``."""
+def _one_norm_rate_by_traces(model):
+    """The order-1 rate from coefficient 1-norms, from dense matrices: every
+    commutator of a factor and its tail sum expanded on the Pauli strings
+    by ``Tr(P M) / 2^n``."""
     n = model.n
     paulis = np.array([dense_of_pauli(PauliString("".join(ops)))
                        for ops in itertools.product("IXYZ", repeat=n)])
@@ -222,10 +240,17 @@ def _one_norm_rate_by_traces(model, order):
 
     mats = _factor_mats(model)
     pairs = [(a, sum(mats[j + 1 :])) for j, a in enumerate(mats[:-1])]
-    if order == 1:
-        return 0.5 * sum(one_norm(a @ r - r @ a) for a, r in pairs)
-    norms = [(one_norm(a), one_norm(r)) for a, r in pairs]
-    return sum(a * r * (a + 2.0 * r) / 6.0 for a, r in norms)
+    return 0.5 * sum(one_norm(a @ r - r @ a) for a, r in pairs)
+
+
+def _rate_under_cap(model, order, cap):
+    """``chained_rate`` with ``HAMRC_DENSE_CAP`` set to ``cap``, or unset for ``None``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is None:
+            mp.delenv("HAMRC_DENSE_CAP", raising=False)
+        else:
+            mp.setenv("HAMRC_DENSE_CAP", str(cap))
+        return chained_rate(model, order)
 
 
 @settings(max_examples=30)
@@ -238,7 +263,8 @@ def _one_norm_rate_by_traces(model, order):
 @example(n=8, seed=0, order=1, steps=40)
 @example(n=8, seed=0, order=2, steps=40)
 def test_the_coefficient_rate_bounds_the_dense_rate_and_the_error(n, seed, order, steps):
-    # the rate chained_rate takes above the dense cap, checked below it
+    # the same model with every split past the dense cap (cap 0: coefficient
+    # 1-norms), the splits on more than 2 sites past it (mixed) and none
     rng = np.random.default_rng(seed)
     drift = random_two_body(n, rng, connected=True)
     pairs = sorted({p.support() for p in drift.terms if p.weight() == 2})
@@ -247,17 +273,23 @@ def test_the_coefficient_rate_bounds_the_dense_rate_and_the_error(n, seed, order
     model = compile_model(drift, target, pair)
     assume(len(model.factors) <= 40)  # keeps the dense rate and the measure cheap
 
-    rate = coefficient_rate(model, order)
+    coefficient, mixed, dense = (_rate_under_cap(model, order, cap) for cap in (0, 2, None))
     # a commutator that cancels is 0 in the 1-norm and rounding in the
     # dense norm, at the scale of the factors' 1-norms
-    scale = np.abs(_coefficient_table(model)[3]).sum()
-    assert rate >= chained_rate(model, order) * (1 - 1e-12) - 1e-12 * scale ** (order + 1)
-    if n <= 5:
-        assert abs(rate - _one_norm_rate_by_traces(model, order)) <= 1e-12 * scale ** (order + 1)
+    table = _coefficient_table(model)[3]
+    scale = np.abs(table).sum() ** (order + 1)
+    assert dense <= mixed * (1 + 1e-12) + 1e-12 * scale
+    assert mixed <= coefficient * (1 + 1e-12) + 1e-12 * scale
+    if order == 1 and n <= 5:
+        assert abs(coefficient - _one_norm_rate_by_traces(model)) <= 1e-12 * scale
+    if order == 2:
+        # the product form a b (a + 2 b) / 6 of whole factor and tail rows
+        a, b = np.abs(table[:-1]).sum(axis=1), np.abs(_tails(table)).sum(axis=1)
+        assert coefficient <= (a * b * (a + 2.0 * b) / 6.0).sum() * (1 + 1e-12)
 
     t = 0.4
-    epsilon = max(rate * t ** (order + 1) / steps**order * (1 + 1e-9), 1e-12)
-    plan = plan_steps("chained", epsilon, t, order=order, rate=rate)
+    epsilon = max(mixed * t ** (order + 1) / steps**order * (1 + 1e-9), 1e-12)
+    plan = plan_steps("chained", epsilon, t, order=order, rate=mixed)
     measured = _make_measure(model, embed(target, n, pair), t, order)(plan.steps)
     assert measured <= plan.predicted_error + 1e-12
 
@@ -340,9 +372,14 @@ def test_coefficient_table_rows_equal_the_conjugated_expansions():
         _coefficient_table(StepModel(4, drift, (local, FramedDrift(-1.0, ())), 0.0))
 
 
+def _one_norms(x, z, ny, rows):
+    """The 1-norm of each item's one row of coefficients."""
+    return np.abs(rows[:, 0]).sum(axis=-1)
+
+
 def _norms(x, z, ny, rows):
     """Operator norm of each row of coefficients, taken on its support."""
-    return _on_supports(hermitian_norm, 1, x, z, ny, rows[:, None])
+    return _on_supports(hermitian_norm, _one_norms, 1, x, z, ny, rows[:, None])
 
 
 def _support_sites(n, mask):
@@ -366,9 +403,10 @@ def test_tails_that_end_on_a_complete_orbit_act_on_the_pair_alone(drift, pair, c
     assert len(sites) == count
     assert sum(s == set(pair) for s in sites) == 8
     assert all(s in (set(pair), set(range(drift.n))) for s in sites)
-    # a Pauli frame only flips signs on a site where the drift holds I or Z
+    # a Pauli frame only flips signs on a site where the drift holds I or Z,
+    # so the other tails hold no X or Y there
     full = [
-        _support_sites(drift.n, _diagonal_sites(m, x[row != 0.0]))
+        _support_sites(drift.n, m & ~int(np.bitwise_or.reduce(x[row != 0.0])))
         for m, row in zip(supports.tolist(), tails)
         if m == 2**drift.n - 1
     ]
@@ -377,21 +415,15 @@ def test_tails_that_end_on_a_complete_orbit_act_on_the_pair_alone(drift, pair, c
 
 
 @settings(max_examples=60)
-@given(
-    n=st.integers(1, 6),
-    diagonal=st.sampled_from(["none", "some", "all"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=6, diagonal="none", seed=0)
-@example(n=6, diagonal="all", seed=0)
-@example(n=1, diagonal="all", seed=1)
-def test_norms_and_commutators_block_by_block_equal_the_full_register(n, diagonal, seed):
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+@example(n=6, seed=0)
+@example(n=1, seed=1)
+def test_norms_and_commutators_block_by_block_equal_the_full_register(n, seed):
+    # each support group is built as one block of its own sites; up to the
+    # cap the norms are the full register's, and past it the coefficient
+    # bounds, which are never below them
     rng = np.random.default_rng(seed)
-    if diagonal == "some":
-        iz = int(rng.integers(2**n))
-    else:
-        iz = 0 if diagonal == "none" else 2**n - 1
-    x = rng.integers(2**n, size=int(rng.integers(1, 13))) & ~iz
+    x = rng.integers(2**n, size=int(rng.integers(1, 13)))
     z = rng.integers(2**n, size=len(x))
     keys = np.unique((x << n) | z)  # distinct strings, as in the coefficient table
     x, z = keys >> n, keys & (2**n - 1)
@@ -402,15 +434,21 @@ def test_norms_and_commutators_block_by_block_equal_the_full_register(n, diagona
     norms = hermitian_norm(mats)
     assert np.allclose(_norms(x, z, ny, rows), norms, rtol=1e-12, atol=0)
     pairs = np.stack([rows[:3], rows[3:]], axis=1)
-    got = _on_supports(_commutator_norm, 4, x, z, ny, pairs)
+    got = _on_supports(_commutator_norm, _commutator_one_norms, 4, x, z, ny, pairs)
     want = _commutator_norm(mats[:3], mats[3:])
     # relative to ||A|| ||B||: a commuting pair's norm is rounding at that scale
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, norms[:3] * norms[3:]))
-    got = _on_supports(_nested_norms, 5, x, z, ny, pairs, (2,))
-    want = _nested_norms(mats[:3], mats[3:])
+    got = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
+    nested = _nested_norms(mats[:3], mats[3:])
     scale = norms[:3] * norms[3:] * (norms[:3] + norms[3:])
-    assert got.shape == want.shape == (3, 2)
-    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, scale[:, None]))
+    assert got.shape == nested.shape == (3, 2)
+    assert np.all(np.abs(got - nested) <= 1e-12 * np.maximum(nested, scale[:, None]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HAMRC_DENSE_CAP", "0")
+        past = _on_supports(_commutator_norm, _commutator_one_norms, 4, x, z, ny, pairs)
+        past_nested = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
+    assert np.all(want <= past * (1 + 1e-12) + 1e-12 * norms[:3] * norms[3:])
+    assert np.all(nested <= past_nested * (1 + 1e-12) + 1e-12 * scale[:, None])
 
 
 def test_tail_norms_of_a_cancelled_tail_and_of_a_multiple_of_the_identity():
@@ -439,10 +477,10 @@ def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order
     built = []
 
     def counted(m, x, z, ny, coeffs, **kwargs):
-        # one matrix per row of coeffs: per item and row, one per block of
-        # its I/Z-only sites.  Every build is a chunk's A and B; at order 1
-        # the commutator also holds AB and i[A, B], at order 2 the nested
-        # norms hold [A, B], a product with it and a commutator with it
+        # one matrix per row of coeffs, per item and row.  Every build is
+        # a chunk's A and B; at order 1 the commutator also holds AB and
+        # i[A, B], at order 2 the nested norms hold [A, B], a product with
+        # it and a commutator with it
         held = 2.0 if order == 1 else 2.5
         built.append((held * len(coeffs) * 4**m, m))
         return _dense_of_masks(m, x, z, ny, coeffs, **kwargs)
@@ -459,6 +497,39 @@ def test_chained_rate_keeps_its_dense_stacks_within_the_batch(monkeypatch, order
     # every split is taken around the smaller of its tail and its tail plus
     # its head: within two hops of it the chain reaches 4 sites at most
     assert max(m for _, m in built) <= 4
+
+
+def test_the_dense_cap_bounds_every_build(monkeypatch):
+    # the cap is checked on the sites each split is built on: on long XZ
+    # chains every split fits on 4 sites, so the rate is the one a 10-site
+    # chain has, bit for bit, whatever the register and wherever the cap
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    built = []
+
+    def counted(m, *args, **kwargs):
+        built.append(m)
+        return _dense_of_masks(m, *args, **kwargs)
+
+    monkeypatch.delenv("HAMRC_DENSE_CAP", raising=False)
+    want = [chained_rate(pair_step_model(xz_chain(10), (0, 1), target), order) for order in (1, 2)]
+    monkeypatch.setattr("hamrc.bounds._dense_of_masks", counted)
+    for n in (12, 48):
+        model = pair_step_model(xz_chain(n), (0, 1), target)
+        for order in (1, 2):
+            monkeypatch.delenv("HAMRC_DENSE_CAP", raising=False)
+            built.clear()
+            assert chained_rate(model, order) == want[order - 1]
+            assert built and max(built) <= 4
+            monkeypatch.setenv("HAMRC_DENSE_CAP", str(n))
+            assert chained_rate(model, order) == want[order - 1]
+    # under a cap of 3 the 4-site splits take coefficient 1-norms instead
+    model = pair_step_model(xz_chain(7), (0, 1), target)
+    for order in (1, 2):
+        monkeypatch.setenv("HAMRC_DENSE_CAP", "3")
+        built.clear()
+        rate = chained_rate(model, order)
+        assert built and max(built) <= 3
+        assert rate >= want[order - 1]
 
 
 def _sites_within(heads, x, z, rows, hops):
@@ -581,7 +652,8 @@ def test_each_nested_split_is_at_most_its_product_of_norms(kind, n, seed):
     rng = np.random.default_rng(seed)
     model, _ = _random_register_model(kind, n, rng)
     x, z, ny, heads, rests = _splits(model, 2)
-    nested = _on_supports(_nested_norms, 5, x, z, ny, np.stack([heads, rests], axis=1), (2,))
+    pairs = np.stack([heads, rests], axis=1)
+    nested = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
     nested = nested[:, 0] / 24.0 + nested[:, 1] / 12.0
     products = []
     for a, b in _split_mats(model):
