@@ -200,12 +200,14 @@ def evolution(ham: HamExpansion, t: float) -> np.ndarray:
     It is exponentiated on the sites the terms act on (an identity term
     goes along as a phase) and embedded with the identity on the others,
     so a pair target on many qubits costs one small eigendecomposition.
-    The dense cap is checked for the whole register before anything is
-    built.
+    A target on every site is exponentiated as it is.  The dense cap is
+    checked for the whole register before anything is built.
     """
     check_dense_cap(ham.n)
     n = ham.n
     sites = ham.support() or (0,)
+    if len(sites) == n:
+        return expm_hermitian(dense_of_expansion(ham), t)
     small, rest = 2 ** len(sites), 2 ** (n - len(sites))
     u = expm_hermitian(dense_of_expansion(project_to_sites(ham, sites)), t)
     # u (x) I, with the axes of ``sites`` first, then moved into site order

@@ -24,7 +24,8 @@ then list the instructions in operator-product order::
 A compiled schedule repeats one step many times.  The format has no
 repeat record, so the step is written out copy by copy, but both
 directions handle such text a repeated run at a time rather than a line
-at a time (see :func:`serialize_schedule` and :func:`parse_schedule`).
+at a time, and a parsed run is one block of the schedule (see
+:func:`serialize_schedule` and :func:`parse_schedule`).
 """
 
 from __future__ import annotations
@@ -216,178 +217,227 @@ def _copies(text: str, start: int, pos: int) -> tuple[int, int]:
     return copies, 0
 
 
+def _append(blocks: list[tuple[array, int]], body: array, count: int) -> None:
+    """Add ``(body, count)`` to ``blocks``; an empty body adds nothing, and a
+    body equal to the last block's adds its count there."""
+    if blocks and blocks[-1][0] == body:
+        blocks[-1] = (body, blocks[-1][1] + count)
+    elif body:
+        blocks.append((body, count))
+
+
+def _build_layers(
+    pending: dict[int, dict[int, list[float]]], used: dict[int, int]
+) -> dict[int, LocalLayer]:
+    """Each layer id of ``used`` -> its layer, all built in one batch.
+
+    ``used`` maps a layer id to the line of its first use, in the order of
+    those lines.  A layer that fails raises :class:`ParseError` at that
+    line, the earliest line of any that fail.
+    """
+    specs = [
+        (list(rows), np.array(list(rows.values()), dtype=float).view(complex).reshape(-1, 2, 2))
+        for rows in map(pending.__getitem__, used)
+    ]
+    try:
+        return dict(zip(used, LocalLayer.from_stacks(specs)))
+    except InvalidTerm as exc:  # a factor's unitarity: every spec is 2x2 on distinct sites
+        raise ParseError(str(exc), line=list(used.values())[exc.layer]) from None
+
+
 def parse_schedule(text: str) -> Schedule:
     """Parse a schedule file; errors carry their line number.
 
     ``local`` and ``drift`` records are nearly every line of a long
     schedule, and few distinct: each distinct line is parsed once into a
-    table entry, and the schedule is one block, a :class:`Listing` of the
-    lines' table indices, interned from the table.  Lines that spell one
-    instruction differently share one instruction, as repeated lines do.
+    table entry, and each block of the schedule is a :class:`Listing` of
+    its lines' table indices, interned from the table.  Lines that spell
+    one instruction differently share one instruction, as repeated lines
+    do.  The layers the records use are built in one batch once the text
+    is read; a layer that fails is reported at the line of its first use,
+    and of two faults the one on the earlier line is reported.
 
     A compiled file repeats one step many times, so the text is read a
-    repeated run at a time.  When a record line recurs and every line
-    since an earlier occurrence of it is a record too, the text between
-    the two is a chunk: the whole copies of it that follow are counted by
-    string comparison, and their indices are the chunk's repeated, with no
-    walk over their lines.  Lines are split a window at a time; the first
-    few records after a window start or a run seek a run, and for the
-    other records only the table index is looked up.  The indices are kept
-    in an integer array that numpy reads without a copy.  Lines and line
-    numbers are those of ``str.splitlines``.
+    repeated run at a time, and each run becomes a block.  When a record
+    line recurs and every line since an earlier occurrence of it is a
+    record too, the text between the two is a chunk: the whole copies of
+    it that follow are counted by string comparison, with no walk over
+    their lines, and the chunk with its copies becomes one block.  A chunk
+    that is copies of a shorter one is counted as those, and copies of it
+    just before the run join the block, as does a preceding block of the
+    same chunk.  A chunk starts after the latest run, and the records
+    between runs are blocks of count 1.  Lines are split a window at a
+    time; the first few records after a window start or a run seek a run,
+    and for the other records only the table index is looked up.  The
+    indices are kept in integer arrays that numpy reads without a copy.
+    Lines and line numbers are those of ``str.splitlines``.
     """
     n: int | None = None
     phase = 0.0
     periods: int | None = None
     predicted: float | None = None
     pending: dict[int, dict[int, list[float]]] = {}  # layer id -> site -> its 8 reals
-    built: dict[int, LocalLayer] = {}
-    table: list[Instruction] = []
+    used: dict[int, int] = {}  # layer id -> line of its first use
+    table: list[Instruction | int] = []  # a local record holds its layer id until the build
     seen: dict[str, int] = {}  # a local or drift line -> its table index
     # header records set one value each, so a second one is refused, not obeyed
     headers = {"qubits"}
 
     if not text.isascii() or any(br in text for br in _ASCII_BREAKS):
         text = _BREAKS.sub("\n", text)
-    ids = array("q")  # each record's table index
-    # a table index -> offset of a line of it: its first, the latest that
-    # sought a run, or its copy in the last copy of a run
+    blocks: list[tuple[array, int]] = []  # (table indices, count) of each block so far
+    ids = array("q")  # the table index of each record since the latest run
+    # a table index -> offset of a line of it: its first, or the latest that
+    # sought a run
     last: list[int] = []
-    fence = -1  # offset of the latest line that is not a record
+    # offset of the latest line that is not a record, or of the latest
+    # run's end: a chunk starts after it
+    fence = -1
     # a chunk span -> the offset up to which a failed search matched: no
     # chunk of that span repeats before it
     ruled_out: dict[int, int] = {}
     lineno = 0
     pos, end = 0, len(text) - text.endswith("\n")
-    while pos < end:
-        # whole lines are split a window at a time
-        cut = text.find("\n", pos + _WINDOW, end)
-        if cut < 0:
-            cut = end
-        probes = _PROBES
-        lines = text[pos:cut].split("\n")
-        first = known = lineno + 1  # pos is the offset of line known
-        walk = enumerate(lines, first)
-        for lineno, raw in walk:
-            k = seen.get(raw)
-            if k is not None and not probes:
-                ids.append(k)
-                continue
-            # this line's offset, counted on from line known
-            if lineno > known:
-                pos += sum(map(len, lines[known - first:lineno - first])) + lineno - known
-            here = pos
-            known, pos = lineno + 1, here + len(raw) + 1
-            if k is not None:  # a record that seeks a run
-                probes -= 1
-                start = last[k]
-                span = here - start
-                # a run needs its chunk of records to agree with the text that follows
-                if (start > fence and text.startswith(text[start:start + _PREFIX], here)
-                        and here >= ruled_out.get(span, 0)):
-                    copies, matched = _copies(text, start, here)
-                    if copies:
-                        width = text.count("\n", start, here)  # records in the chunk
-                        chunk = ids[-width:]
-                        ids.extend(chunk * copies)
-                        for t in set(chunk):  # lines of the chunk move to the last copy
-                            if last[t] >= start:
-                                last[t] += copies * span
-                        pos = here + copies * span
-                        known = lineno + copies * width
-                        probes = _PROBES
-                        if pos > cut:  # the run ends past the window
-                            lineno = known - 1
-                            break
-                        m = copies * width - 1  # the run's other lines in this window
-                        next(islice(walk, m, m), None)
-                        continue
-                    ruled_out[span] = here + matched
-                last[k] = here
-                ids.append(k)
-                continue
-            tokens = raw.split("#", 1)[0].split()
-            if not tokens:
-                fence = here
-                continue
-            kind, args = tokens[0], tokens[1:]
-            ins: Instruction | None = None
-            if n is None:
-                if kind != "qubits" or len(args) != 1:
-                    raise ParseError("expected 'qubits <n>' header", line=lineno)
-                n = _parse_int(args[0], lineno, "qubit count")
-                if n < 1:
-                    raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
-            elif kind == "local" and len(args) == 1:
-                layer_id = _parse_int(args[0], lineno, "layer id")
-                if layer_id not in built:
-                    if layer_id not in pending:
-                        raise ParseError(f"layer {layer_id} never declared", line=lineno)
-                    rows = pending[layer_id]
-                    reals = np.array(list(rows.values()), dtype=float)
-                    stack = reals.view(complex).reshape(-1, 2, 2)
+    try:
+        while pos < end:
+            # whole lines are split a window at a time
+            cut = text.find("\n", pos + _WINDOW, end)
+            if cut < 0:
+                cut = end
+            probes = _PROBES
+            lines = text[pos:cut].split("\n")
+            first = known = lineno + 1  # pos is the offset of line known
+            walk = enumerate(lines, first)
+            for lineno, raw in walk:
+                k = seen.get(raw)
+                if k is not None and not probes:
+                    ids.append(k)
+                    continue
+                # this line's offset, counted on from line known
+                if lineno > known:
+                    pos += sum(map(len, lines[known - first:lineno - first])) + lineno - known
+                here = pos
+                known, pos = lineno + 1, here + len(raw) + 1
+                if k is not None:  # a record that seeks a run
+                    probes -= 1
+                    start = last[k]
+                    span = here - start
+                    # a run needs its chunk of records to agree with the text that follows
+                    if (start > fence and text.startswith(text[start:start + _PREFIX], here)
+                            and here >= ruled_out.get(span, 0)):
+                        copies, matched = _copies(text, start, here)
+                        if copies:
+                            width = text.count("\n", start, here)  # records in the chunk
+                            chunk = ids[-width:]
+                            count = copies + 1
+                            del ids[-width:]
+                            # a chunk of several copies of a shorter one counts those
+                            size = next(p for p in range(1, width + 1) if width % p == 0
+                                        and chunk[:p] * (width // p) == chunk)
+                            chunk, count = chunk[:size], count * (width // size)
+                            while ids[-size:] == chunk:  # earlier copies join the block
+                                del ids[-size:]
+                                count += 1
+                            _append(blocks, ids, 1)
+                            _append(blocks, chunk, count)
+                            ids = array("q")
+                            pos = here + copies * span
+                            fence = pos - 1
+                            known = lineno + copies * width
+                            probes = _PROBES
+                            if pos > cut:  # the run ends past the window
+                                lineno = known - 1
+                                break
+                            m = copies * width - 1  # the run's other lines in this window
+                            next(islice(walk, m, m), None)
+                            continue
+                        ruled_out[span] = here + matched
+                    last[k] = here
+                    ids.append(k)
+                    continue
+                tokens = raw.split("#", 1)[0].split()
+                if not tokens:
+                    fence = here
+                    continue
+                kind, args = tokens[0], tokens[1:]
+                ins: Instruction | int | None = None
+                if n is None:
+                    if kind != "qubits" or len(args) != 1:
+                        raise ParseError("expected 'qubits <n>' header", line=lineno)
+                    n = _parse_int(args[0], lineno, "qubit count")
+                    if n < 1:
+                        raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
+                elif kind == "local" and len(args) == 1:
+                    ins = _parse_int(args[0], lineno, "layer id")
+                    if ins not in pending:
+                        raise ParseError(f"layer {ins} never declared", line=lineno)
+                    used.setdefault(ins, lineno)
+                elif kind == "drift" and len(args) == 1:
+                    tau = _parse_float(args[0], lineno, "drift duration")
                     try:
-                        built[layer_id] = LocalLayer.from_stack(list(rows), stack)
+                        ins = Drift(tau)
                     except InvalidTerm as exc:
                         raise ParseError(str(exc), line=lineno) from None
-                ins = built[layer_id]
-            elif kind == "drift" and len(args) == 1:
-                tau = _parse_float(args[0], lineno, "drift duration")
-                try:
-                    ins = Drift(tau)
-                except InvalidTerm as exc:
-                    raise ParseError(str(exc), line=lineno) from None
-            elif kind in headers:
-                raise ParseError(f"repeated {kind!r} record", line=lineno)
-            elif kind == "phase" and len(args) == 1:
-                headers.add(kind)
-                phase = _parse_float(args[0], lineno, "phase")
-            elif kind == "periods" and len(args) == 1:
-                headers.add(kind)
-                periods = _parse_int(args[0], lineno, "period count")
-                if periods < 0:
-                    raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
-            elif kind == "predicted" and len(args) == 1:
-                headers.add(kind)
-                predicted = _parse_float(args[0], lineno, "predicted error")
-                if predicted < 0:
-                    raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
-            elif kind == "layer" and len(args) == 1:  # identity layer: declared with no factor rows
-                pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
-            elif kind == "layer":
-                if len(args) != 10:
-                    raise ParseError("layer rows take id, site and 8 reals", line=lineno)
-                layer_id = _parse_int(args[0], lineno, "layer id")
-                site = _parse_int(args[1], lineno, "site")
-                if not 0 <= site < n:
-                    raise ParseError(f"site {site} outside register of {n}", line=lineno)
-                if layer_id in built:
-                    raise ParseError(
-                        f"layer {layer_id} extended after first use", line=lineno
-                    )
-                vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
-                rows = pending.setdefault(layer_id, {})
-                if site in rows:
-                    raise ParseError(
-                        f"site {site} repeated in layer {layer_id}", line=lineno
-                    )
-                rows[site] = vals
+                elif kind in headers:
+                    raise ParseError(f"repeated {kind!r} record", line=lineno)
+                elif kind == "phase" and len(args) == 1:
+                    headers.add(kind)
+                    phase = _parse_float(args[0], lineno, "phase")
+                elif kind == "periods" and len(args) == 1:
+                    headers.add(kind)
+                    periods = _parse_int(args[0], lineno, "period count")
+                    if periods < 0:
+                        raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
+                elif kind == "predicted" and len(args) == 1:
+                    headers.add(kind)
+                    predicted = _parse_float(args[0], lineno, "predicted error")
+                    if predicted < 0:
+                        raise ParseError(
+                            f"predicted error must be >= 0, got {predicted}", line=lineno
+                        )
+                # an identity layer is declared with no factor rows
+                elif kind == "layer" and len(args) == 1:
+                    pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
+                elif kind == "layer":
+                    if len(args) != 10:
+                        raise ParseError("layer rows take id, site and 8 reals", line=lineno)
+                    layer_id = _parse_int(args[0], lineno, "layer id")
+                    site = _parse_int(args[1], lineno, "site")
+                    if not 0 <= site < n:
+                        raise ParseError(f"site {site} outside register of {n}", line=lineno)
+                    if layer_id in used:
+                        raise ParseError(
+                            f"layer {layer_id} extended after first use", line=lineno
+                        )
+                    vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
+                    rows = pending.setdefault(layer_id, {})
+                    if site in rows:
+                        raise ParseError(
+                            f"site {site} repeated in layer {layer_id}", line=lineno
+                        )
+                    rows[site] = vals
+                else:
+                    raise ParseError(f"unrecognized record {kind!r}", line=lineno)
+                if ins is None:
+                    fence = here
+                else:
+                    seen[raw] = len(table)
+                    last.append(here)
+                    ids.append(len(table))
+                    table.append(ins)
             else:
-                raise ParseError(f"unrecognized record {kind!r}", line=lineno)
-            if ins is None:
-                fence = here
-            else:
-                seen[raw] = len(table)
-                last.append(here)
-                ids.append(len(table))
-                table.append(ins)
-        else:
-            pos = cut + 1
+                pos = cut + 1
+    except ParseError:
+        _build_layers(pending, used)  # a layer that fails on an earlier line is the fault
+        raise
 
     if n is None:
         raise ParseError("empty schedule file")
-    body = Listing(table, np.frombuffer(ids, dtype=np.int64))
-    return Schedule(n, ((body, 1),), phase, raw_drift_periods=periods, predicted_error=predicted)
+    built = _build_layers(pending, used)
+    records = [built[ins] if isinstance(ins, int) else ins for ins in table]
+    _append(blocks, ids, 1)
+    bodies = [(Listing(records, np.frombuffer(body, dtype=np.int64)), k) for body, k in blocks]
+    return Schedule(n, bodies, phase, raw_drift_periods=periods, predicted_error=predicted)
 
 
 # ----------------------------------------------------------------------

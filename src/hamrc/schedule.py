@@ -22,19 +22,20 @@ repeated ``count`` times, block after block.  Every body is a
 when the schedule is built) and each position's index into them.
 Canonicalization, evaluation, serialization and the drift statistics
 work on each body once, not on every copy, and the expansion is built
-only when ``instructions`` is read.  A parsed file is one block, whose
-listing is interned from the parser's table of distinct records without
-a walk over its lines.
+only when ``instructions`` is read.  A parsed file is one block per run
+the parser found, each listing interned from the table entries it uses.
 
 Evaluation keeps the operator order and changes only the grouping of
-the product: a body's equal instructions are built once, each distinct
-sub-product of its product nodes is built once, and the body's product
-is raised to its count by repeated squaring.  The nodes come from a
-Re-Pair grammar (the most frequent adjacent pair becomes a node, round
-after round) from ``GRAMMAR_QUBITS`` qubits up, and from the pairwise
-tree below, where a matrix product costs less than a grammar round.
-The pairwise tree pairs a long level in numpy and a short one in a dict
-loop; both make the same nodes.
+the product: the schedule's equal instructions are built once, and each
+distinct product node once.  The nodes are one table over the bodies,
+each body once; each body's product is raised to its count by repeated
+squaring, and the blocks are multiplied left to right.  From
+``GRAMMAR_QUBITS`` qubits up the nodes are a Re-Pair grammar (the most
+frequent adjacent pair within a body becomes a node, round after round)
+over all the bodies; below it, where a matrix product costs less than a
+grammar round, they are each body's pairwise tree.  The pairwise tree
+pairs a long level in numpy and a short one in a dict loop; both make
+the same nodes.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ class LocalLayer:
         """One layer per ``(sites, stack)`` pair, as :meth:`from_stack` makes it.
 
         All the factors are converted in one array and checked in one
-        pass; the first layer that fails raises.
+        pass; the first layer that fails its unitarity check raises, with
+        its index in ``specs`` as the error's ``layer``.
         """
         specs = list(specs)
         layers = [cls.__new__(cls) for _ in specs]
@@ -204,7 +206,9 @@ def _adopt(layers: Sequence[LocalLayer], specs: Sequence[tuple[Sequence[Any], An
         stack = stack[rows]
     errors = _seal(layers, keys, stack)
     if errors:
-        raise errors[min(errors)]
+        first = min(errors)
+        errors[first].layer = first
+        raise errors[first]
 
 
 def _seal(
@@ -291,14 +295,18 @@ class Listing:
 
     With ``ids``, ``items`` is a table of records (a parsed file's
     distinct lines) and the listing is ``items[k]`` for each ``k`` in
-    ``ids``: the records are interned and ``ids`` is remapped through
-    them, with no walk over the positions.  A listing iterates as its
-    instructions.
+    ``ids``: the records that ``ids`` uses are interned in order of first
+    use and ``ids`` is remapped through them, with no walk over the
+    positions.  A listing iterates as its instructions.
     """
 
     __slots__ = ("table", "ids")
 
     def __init__(self, items: Iterable[Instruction], ids: Sequence[int] | None = None):
+        if ids is not None:
+            ids = np.asarray(ids, dtype=np.intp)
+            used = list(dict.fromkeys(ids.tolist()))
+            items = [items[k] for k in used]
         index: dict[Any, int] = {}
         table: list[Instruction] = []
         seq: list[int] = []
@@ -310,7 +318,12 @@ class Listing:
             seq.append(k)
         self.table = tuple(table)
         remap = np.array(seq, dtype=np.intp)
-        self.ids = remap if ids is None else remap[np.asarray(ids, dtype=np.intp)]
+        if ids is None:
+            self.ids = remap
+        else:
+            at = np.zeros(max(used, default=-1) + 1, dtype=np.intp)
+            at[used] = remap
+            self.ids = at[ids]
         self.ids.flags.writeable = False
 
     def __len__(self) -> int:
@@ -558,10 +571,10 @@ def canonicalize(sched: Schedule) -> Schedule:
 
 
 #: from this many ids up, a level of the pairwise tree is paired in numpy.
-#: One level of a periodic listing takes 37 us in numpy against 51 us in
-#: the dict loop at 512 ids, and 46 against 104 us at 1,024; at 256 ids
-#: numpy is slower (32 against 27 us), and on random ids over 8 leaves the
-#: two meet at 512 (one BLAS thread, 2-core machine)
+#: One level of a periodic listing takes 23 us in numpy against 30 us in
+#: the dict loop at 512 ids, and 29 against 55 us at 1,024; at 256 ids
+#: numpy is slower (20 against 15 us), and on random ids over 8 leaves the
+#: two meet at 512 (32 against 29 us; one BLAS thread, 2-core machine)
 NUMPY_LEVEL = 512
 
 
@@ -610,26 +623,49 @@ def _product_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]
     return list(nodes), level[0]
 
 
-def _grammar_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
-    """Re-Pair grammar over the leaf ids ``seq``, as :func:`_product_tree` returns.
+def _product_trees(
+    seqs: Sequence[Sequence[int]], leaves: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """The :func:`_product_tree` of each of ``seqs``, hash-consed into one
+    node list: the children of node ``leaves + k`` at index ``k``, and each
+    sequence's root."""
+    nodes: dict[tuple[int, int], int] = {}
+    roots = []
+    for seq in seqs:
+        pairs, root = _product_tree(seq, leaves)
+        shared = list(range(leaves))  # the tree's ids -> the shared ids
+        for a, b in pairs:
+            shared.append(nodes.setdefault((shared[a], shared[b]), leaves + len(nodes)))
+        roots.append(shared[root])
+    return list(nodes), roots
 
-    Each round replaces the most frequent adjacent pair of ids (the first
-    in ``a * top + b`` order on a tie) by a new node, until no pair occurs
+
+def _grammar_tree(
+    seqs: Sequence[Sequence[int]], leaves: int
+) -> tuple[list[tuple[int, int]], list[int]]:
+    """Re-Pair grammar over the leaf ids ``seqs``, as :func:`_product_trees` returns.
+
+    The sequences are read as one, but no pair spans two of them.  Each
+    round replaces the most frequent adjacent pair of ids (the first in
+    ``a * top + b`` order on a tie) by a new node, until no pair occurs
     twice; inside a run of one repeated id the pairs overlap, so every
-    other one counts and is replaced.  What is left is paired up by
-    :func:`_product_tree`.  See Larsson and Moffat, *Off-line
+    other one counts and is replaced.  What is left of each sequence is
+    paired up by :func:`_product_trees`.  See Larsson and Moffat, *Off-line
     dictionary-based compression*, Proc. IEEE 88(11), 1722 (2000).
     """
-    s = np.array(seq, dtype=np.int64)
+    s = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in seqs])
+    cut = np.zeros(max(len(s) - 1, 0), dtype=bool)  # the pair at i spans two sequences
+    cut[np.cumsum([len(seq) for seq in seqs[:-1]], dtype=np.intp) - 1] = True
     pairs: list[tuple[int, int]] = []
     while len(s) > 2:
         top = leaves + len(pairs)
         codes = s[:-1] * top + s[1:]
-        same = s[:-1] == s[1:]
+        same = (s[:-1] == s[1:]) & ~cut
         if same.any():
             at = np.arange(len(same))
             run_start = np.maximum.accumulate(np.where(same & ~np.r_[False, same[:-1]], at, 0))
             codes[same & ((at - run_start) % 2 == 1)] = top * top  # past every pair's code
+        codes[cut] = top * top
         counts = np.bincount(codes)
         counts[top * top:] = 0
         best = counts.argmax()
@@ -639,48 +675,92 @@ def _grammar_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]
         pairs.append((int(s[where[0]]), int(s[where[0] + 1])))
         s[where] = top  # the new node's id
         s = np.delete(s, where + 1)
-    tree, root = _product_tree(s.tolist(), leaves + len(pairs))
-    return pairs + tree, root
+        cut = np.delete(cut, where)
+    tree, roots = _product_trees(np.split(s, np.flatnonzero(cut) + 1), leaves + len(pairs))
+    return pairs + tree, roots
 
 
-#: from this register size up, a body's product is built over its Re-Pair
-#: grammar, which shares more sub-products than the pairwise tree; below
-#: it a 2^n x 2^n product costs less than a grammar round
+#: from this register size up, a schedule's product nodes are a Re-Pair
+#: grammar over its bodies, which shares more sub-products than their
+#: pairwise trees; below it a 2^n x 2^n product costs less than a round
 GRAMMAR_QUBITS = 6
 
 
-#: matrix entries in one chunk of a body's layer leaves, built in one
+#: matrix entries in one chunk of a schedule's layer leaves, built in one
 #: stacked product: 64 layers at 4 qubits, 4 at 6, and one at 7 and above
 LEAF_CHUNK = 2**14
 
 
-def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Operator-ordered product of ``body`` over its shared product nodes.
+def _product_nodes(
+    sched: Schedule,
+) -> tuple[tuple[Instruction, ...], list[tuple[int, int]], list[tuple[int, int]]]:
+    """``(leaves, pairs, roots)``: the schedule is the product, left to
+    right, of each ``(root, count)`` node raised to its count, where node
+    ``len(leaves) + k`` is the product of ``pairs[k]``.
 
-    ``evals`` and ``vecs`` diagonalize the drift.  Each entry of the
-    body's table is built once, and the nodes over its ids come from the
-    Re-Pair grammar from ``GRAMMAR_QUBITS`` up and the pairwise tree below.
-    The layer leaves are built a chunk of ``LEAF_CHUNK`` entries at a
-    time, in table order (first use), when the traversal first asks for
-    one of the chunk's leaves; each leaf is its own array, so it frees no
-    later than it would alone.  Products of nodes are built one at a time.
+    The leaves are the bodies' tables interned together, and the nodes
+    are one node list over the bodies, each body once: the Re-Pair grammar
+    from ``GRAMMAR_QUBITS`` up and the pairwise trees below.
     """
-    vecs_h = vecs.conj().T
-    leaves, seq = body.table, body.ids
-    tree = _grammar_tree if n >= GRAMMAR_QUBITS else _product_tree
-    pairs, root = tree(seq, len(leaves))
-    parents_left = [0] * (len(leaves) + len(pairs))
+    interned = Listing(chain.from_iterable(body.table for body, _ in sched.blocks))
+    seqs, start = [], 0
+    for body, _ in sched.blocks:
+        seqs.append(interned.ids[start:start + len(body.table)][body.ids])
+        start += len(body.table)
+    tree = _grammar_tree if sched.n >= GRAMMAR_QUBITS else _product_trees
+    pairs, roots = tree(seqs, len(interned.table))
+    return interned.table, pairs, list(zip(roots, (count for _, count in sched.blocks)))
+
+
+def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
+    """Dense unitary implemented by a schedule under the given drift.
+
+    The result is the operator-ordered product of the instruction
+    matrices times ``exp(i*phase)``.  The order is kept; only the
+    grouping changes: each distinct instruction and product node of
+    :func:`_product_nodes` is built once, layers a chunk of ``LEAF_CHUNK``
+    entries at a time, and each root is raised to its count by repeated
+    squaring.  Raises :class:`TooLarge` when the register exceeds the
+    dense cap (default 10 qubits).
+    """
+    check_dense_cap(sched.n)
+    if drift.n != sched.n:
+        raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
+    return _evaluate(sched, *np.linalg.eigh(dense_of_expansion(drift)))
+
+
+def _evaluate(sched: Schedule, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``evaluate_schedule`` under the drift with eigendecomposition
+    ``(evals, vecs)``, for a caller that evaluates many schedules on one
+    drift and diagonalizes it once.
+
+    Nodes are built depth first, and each matrix is dropped after its last
+    use by a parent or a root.  A chunk of layer leaves is built when one
+    of them is first asked for, each leaf its own array, so a leaf frees
+    no later than it would alone.
+    """
+    n = sched.n
+    if not sched.blocks:
+        return np.exp(1j * sched.phase) * np.eye(2**n, dtype=complex)
+    leaves, pairs, roots = _product_nodes(sched)
+    uses = [0] * (len(leaves) + len(pairs))
     for a, b in pairs:
-        parents_left[a] += 1
-        parents_left[b] += 1
+        uses[a] += 1
+        uses[b] += 1
+    for root, _ in roots:
+        uses[root] += 1
     layers = [k for k, ins in enumerate(leaves) if isinstance(ins, LocalLayer)]
     per_chunk = max(1, LEAF_CHUNK >> 2 * n)
     chunk_at = {k: i - i % per_chunk for i, k in enumerate(layers)}
-
+    vecs_h = vecs.conj().T
     held: dict[int, np.ndarray] = {}
 
+    def release(node: int) -> None:
+        uses[node] -= 1
+        if not uses[node]:
+            del held[node]
+
     def value(node: int) -> np.ndarray:
-        # depth first; a matrix is dropped once its last parent is built
         m = held.get(node)
         if m is not None:
             return m
@@ -696,46 +776,15 @@ def _body_product(body: Listing, n: int, evals: np.ndarray, vecs: np.ndarray) ->
         else:
             a, b = pairs[node - len(leaves)]
             m = value(a) @ value(b)
-            for child in (a, b):
-                parents_left[child] -= 1
-                if not parents_left[child]:
-                    del held[child]
+            release(a)
+            release(b)
         held[node] = m
         return m
 
-    return value(root)
-
-
-def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:
-    """Dense unitary implemented by a schedule under the given drift.
-
-    The result is the operator-ordered product of the instruction
-    matrices times ``exp(i*phase)``.  The order is kept; only the
-    grouping changes: each block's body is multiplied over its product
-    nodes (the Re-Pair grammar from ``GRAMMAR_QUBITS`` up, the pairwise
-    tree below), each computed once, raised to the block's count by
-    repeated squaring, and the blocks are multiplied left to right.  A
-    body's layers become matrices a chunk of ``LEAF_CHUNK`` entries at a
-    time.  A one-block schedule with count 1 (a parsed file) is its
-    body's product.  Raises :class:`TooLarge` when the register exceeds the
-    dense cap (default 10 qubits).
-    """
-    check_dense_cap(sched.n)
-    if drift.n != sched.n:
-        raise DimMismatch(f"drift on {drift.n} qubits, schedule on {sched.n}")
-    return _evaluate(sched, *np.linalg.eigh(dense_of_expansion(drift)))
-
-
-def _evaluate(sched: Schedule, evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``evaluate_schedule`` under the drift with eigendecomposition
-    ``(evals, vecs)``, for a caller that evaluates many schedules on one
-    drift and diagonalizes it once."""
-    if not sched.blocks:
-        return np.exp(1j * sched.phase) * np.eye(2**sched.n, dtype=complex)
-
     w = None
-    for body, count in sched.blocks:
-        m = _body_product(body, sched.n, evals, vecs)
+    for root, count in roots:
+        m = value(root)
+        release(root)
         if count > 1:
             m = np.linalg.matrix_power(m, count)
         w = m if w is None else w @ m

@@ -18,6 +18,7 @@ from hamrc import (
     compile_cnot,
     evaluate_schedule,
     format_report,
+    operator_norm,
     parse_hamfile,
     parse_schedule,
     serialize_hamfile,
@@ -154,8 +155,25 @@ def test_schedule_layer_table_keys_layers_by_value():
 # non-unitary factor in site order
 _SECOND_ROW_BAD = "qubits 2\nlayer 0 0 0 0 1 0 1 0 0 0\nlayer 0 1 1 0 0 0 0 0 2 0\nlocal 0\n"
 _BOTH_ROWS_BAD = "qubits 2\nlayer 0 1 1 0 0 0 0 0 2 0\nlayer 0 0 3 0 0 0 0 0 1 0\nlocal 0\n"
+_BAD_ROW = "layer 0 0 1 0 0 0 0 0 2 0"  # declares a non-unitary layer 0
+_GOOD_ROW = "layer 1 0 0 0 1 0 1 0 0 0"
+# the layers are built once the text is read, but the earlier of two
+# faults is reported: a layer's first use before a malformed line, the
+# malformed line before a first use; a layer never used is never checked
+_BAD_FIRST = f"qubits 2\n{_BAD_ROW}\nlocal 0\nwobble\n"
+_BAD_IN_RUN = f"qubits 2\n{_BAD_ROW}\n" + "local 0\ndrift 0.5\n" * 5000 + "drift abc\n"
+_MALFORMED_FIRST = f"qubits 2\n{_BAD_ROW}\nwobble\nlocal 0\n"
+_NEVER_USED = f"qubits 2\n{_BAD_ROW}\n{_GOOD_ROW}\nlocal 1\ndrift 0.5\ndrift abc\n"
+# of two bad layers, the one used first is reported, not the one declared first
+_USED_FIRST = f"qubits 2\n{_BAD_ROW}\nlayer 1 1 3 0 0 0 0 0 1 0\nlocal 1\nlocal 0\n"
+# a good layer used first: the bad one is reported at its own first use
+_USED_LATER = f"qubits 2\n{_BAD_ROW}\n{_GOOD_ROW}\nlocal 1\ndrift 0.5\nlocal 0\nlocal 1\n"
 #: what a refusal must name besides its line
-_NAMES = {_SECOND_ROW_BAD: "on site 1 ", _BOTH_ROWS_BAD: "on site 0 "}
+_NAMES = {
+    _SECOND_ROW_BAD: "on site 1 ", _BOTH_ROWS_BAD: "on site 0 ", _BAD_FIRST: "unitarity",
+    _BAD_IN_RUN: "unitarity", _MALFORMED_FIRST: "wobble", _NEVER_USED: "drift duration",
+    _USED_FIRST: "on site 1 ", _USED_LATER: "on site 0 ",
+}
 
 
 @pytest.mark.parametrize(
@@ -197,6 +215,12 @@ _NAMES = {_SECOND_ROW_BAD: "on site 1 ", _BOTH_ROWS_BAD: "on site 0 "}
         ("qubits 2\r\nlayer 0\r\n" + "local 0\r\ndrift 0.5\r\n" * 2500 + "drift -1", 5003),
         (_SECOND_ROW_BAD, 4),
         (_BOTH_ROWS_BAD, 4),
+        (_BAD_FIRST, 3),
+        (_BAD_IN_RUN, 3),
+        (_MALFORMED_FIRST, 3),
+        (_NEVER_USED, 6),
+        (_USED_FIRST, 4),
+        (_USED_LATER, 6),
     ],
 )
 def test_schedule_errors_carry_line_numbers(text, lineno):
@@ -271,14 +295,22 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
             # layers equal by value share one id, numbered in order of first use
             assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
         assert shared.setdefault(line, got) is got
-    # a parsed file is one block (none when empty), a listing interned
-    # from its table as a walk over its instructions is
-    assert [(type(body), k) for body, k in back.blocks] == [(Listing, 1)] * bool(len(back))
-    for listing, _ in back.blocks:
+    # the blocks follow the runs of the text: each block's copies are equal
+    # lines, and two blocks in a row differ; each is a listing interned
+    # from the table as a walk over its instructions is
+    at, copies = 0, []
+    for listing, count in back.blocks:
+        assert type(listing) is Listing
+        copy = body[at:at + len(listing)]
+        assert body[at:at + len(listing) * count] == copy * count
+        at += len(listing) * count
+        copies.append(copy)
         walked = Listing(tuple(listing))
         assert len(listing.table) == len(walked.table)
         assert all(a is b for a, b in zip(listing.table, walked.table))
         assert listing.ids.tolist() == walked.ids.tolist()
+    assert at == len(body)
+    assert all(a != b for a, b in zip(copies, copies[1:]))
 
 
 @st.composite
@@ -404,18 +436,16 @@ def _parse_lines(text: str) -> Schedule:
 
 
 def _outcome(parse, text: str) -> object:
-    """What ``parse(text)`` gives: its headers, table and ids, or the error
+    """What ``parse(text)`` gives: its headers and expansion, or the error
     with its line number."""
     try:
         sched = parse(text)
     except ParseError as exc:
         return str(exc)
-    [(body, _)] = sched.blocks or [(Listing(()), 1)]
-    table = [
-        ins.tau.hex() if isinstance(ins, Drift) else ins.cache_key() for ins in body.table
+    expansion = [
+        ins.tau.hex() if isinstance(ins, Drift) else ins.cache_key() for ins in sched.instructions
     ]
-    return (sched.n, sched.phase, sched.raw_drift_periods, sched.predicted_error,
-            table, body.ids.tolist())
+    return (sched.n, sched.phase, sched.raw_drift_periods, sched.predicted_error, expansion)
 
 
 #: record lines of the drawn texts: spellings of two layers and of drifts,
@@ -459,8 +489,29 @@ def test_a_parsed_file_evaluates_as_its_instruction_tuple(sample_drift, steps, o
     text = serialize_schedule(compile_cnot(sample_drift, steps=steps, order=order))
     parsed = parse_schedule(text)
     assert len(text.splitlines()) >= (20_000 if steps == 5000 else 1)
-    flat = Schedule(parsed.n, ((parsed.instructions, 1),), parsed.phase)
-    assert np.array_equal(evaluate_schedule(parsed, sample_drift), evaluate_schedule(flat, sample_drift))
+    got = evaluate_schedule(parsed, sample_drift)
+    # the same blocks cut from the instruction tuple evaluate bit for bit
+    flat, at, blocks = parsed.instructions, 0, []
+    for body, count in parsed.blocks:
+        blocks.append((flat[at:at + len(body)], count))
+        at += len(body) * count
+    rebuilt = Schedule(parsed.n, tuple(blocks), parsed.phase)
+    assert np.array_equal(got, evaluate_schedule(rebuilt, sample_drift))
+    # as one block, the product is grouped otherwise
+    whole = Schedule(parsed.n, ((flat, 1),), parsed.phase)
+    assert operator_norm(got - evaluate_schedule(whole, sample_drift)) < 1e-12
+
+
+def test_a_compiled_file_parses_into_its_runs(sample_drift):
+    text = serialize_schedule(compile_cnot(sample_drift, steps=5000, order=1))
+    parsed = parse_schedule(text)
+    assert len(text.splitlines()) == 20_009
+    # a short body repeated thousands of times between short ones, each
+    # body interned on its own
+    assert len(parsed.blocks) <= 3
+    assert any(len(body) <= 4 and count >= 1000 for body, count in parsed.blocks)
+    assert all(len(body.table) == len(set(body)) for body, _ in parsed.blocks)
+    assert serialize_schedule(parsed) == text
 
 
 def test_schedule_parse_ignores_spelling_of_repeated_records():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import clifford_layer, random_layer, random_two_body
 from hamrc import schedule
+from hamrc.bounds import MAX_PLAN_STEPS
 from hamrc.schedule import Listing
 from hamrc import (
     Drift,
@@ -19,6 +20,7 @@ from hamrc import (
     TooLarge,
     build_expansion,
     canonicalize,
+    compile_cnot,
     dense_of_expansion,
     dense_of_pauli,
     distance,
@@ -202,14 +204,19 @@ def test_schedule_equality_ignores_plan_metadata():
 
 
 def reference_evaluate(sched, drift):
-    """One matrix product per instruction, left to right."""
+    """One matrix product per instruction, left to right; each instruction
+    object's matrix is built once."""
     evals, vecs = np.linalg.eigh(dense_of_expansion(drift))
     w = np.eye(2**sched.n, dtype=complex)
+    ops = {}
     for ins in sched.instructions:
-        if isinstance(ins, Drift):
-            op = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs.conj().T
-        else:
-            op = ins.dense(sched.n)
+        op = ops.get(id(ins))
+        if op is None:
+            if isinstance(ins, Drift):
+                op = (vecs * np.exp(-1j * evals * ins.tau)) @ vecs.conj().T
+            else:
+                op = ins.dense(sched.n)
+            ops[id(ins)] = op
         w = w @ op
     return np.exp(1j * sched.phase) * w
 
@@ -323,13 +330,18 @@ def _leaves_under(pairs, root, leaves):
 @given(
     runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 9)), min_size=1, max_size=30),
     copies=st.integers(1, 4),
+    cuts=st.lists(st.integers(1, 300), max_size=3),
 )
-@example(runs=[(0, 64)], copies=1)  # one long run: every other pair overlaps
-@example(runs=[(0, 7), (1, 1), (0, 7)], copies=3)
-def test_grammar_expands_to_its_sequence(runs, copies):
+@example(runs=[(0, 64)], copies=1, cuts=[])  # one long run: every other pair overlaps
+@example(runs=[(0, 7), (1, 1), (0, 7)], copies=3, cuts=[])
+@example(runs=[(0, 64)], copies=1, cuts=[31])  # a run across a cut
+def test_grammar_expands_to_its_sequence(runs, copies, cuts):
     seq = [leaf for leaf, length in runs for _ in range(length)] * copies
-    pairs, root = schedule._grammar_tree(seq, 4)
-    assert _leaves_under(pairs, root, 4) == seq
+    # the sequence cut into pieces, each at least one id long
+    ends = sorted({c for c in cuts if c < len(seq)} | {len(seq)})
+    pieces = [seq[a:b] for a, b in zip([0, *ends], ends)]
+    pairs, roots = schedule._grammar_tree(pieces, 4)
+    assert [_leaves_under(pairs, root, 4) for root in roots] == pieces
     assert len(set(pairs)) == len(pairs)
 
 
@@ -404,6 +416,90 @@ def test_grammar_builds_the_product_from_six_qubits(monkeypatch, n, built):
     got = evaluate_schedule(sched, drift)
     assert calls[-1] == built  # the grammar pairs up its last ids by the tree
     assert operator_norm(got - reference_evaluate(sched, drift)) < 1e-12
+
+
+@st.composite
+def shared_block_schedules(draw, sizes=(1, 5), max_count=5000):
+    """Two to four blocks on ``sizes`` qubits, counts up to ``max_count``,
+    whose bodies draw on one pool, so they share instructions, and
+    sometimes repeat an earlier body or a part of it."""
+    n = draw(st.integers(*sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cliffords = [clifford_layer(rng, n) for _ in range(draw(st.integers(0, 2)))]
+    pool = [random_layer(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    pool += cliffords + [layer.dagger() for layer in cliffords]
+    pool += [Drift(float(t)) for t in rng.uniform(0.05, 1.0, size=draw(st.integers(1, 2)))]
+    blocks = []
+    for _ in range(draw(st.integers(2, 4))):
+        if blocks and draw(st.booleans()):
+            body = blocks[draw(st.integers(0, len(blocks) - 1))][0]
+            body = body[draw(st.integers(0, len(body) - 1)):]
+        else:
+            body = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+        blocks.append((body, draw(st.integers(1, max_count))))
+    return Schedule(n, tuple(blocks), draw(st.floats(-np.pi, np.pi)))
+
+
+def _check_blocks_and_their_text(sched, drift_seed):
+    _check_against_the_left_to_right_product(sched, drift_seed)
+    # the schedule's text parses into blocks of its own, evaluated alike
+    drift = random_two_body(sched.n, np.random.default_rng(drift_seed))
+    if not drift.terms:
+        drift = build_expansion(sched.n, [("Z" * sched.n, 1.0)])
+    parsed = parse_schedule(serialize_schedule(sched))
+    got = evaluate_schedule(parsed, drift)
+    assert operator_norm(got - evaluate_schedule(sched, drift)) < 1e-12
+
+
+@settings(max_examples=25)
+@given(sched=shared_block_schedules(), drift_seed=st.integers(0, 2**32 - 1))
+def test_blocks_evaluate_as_the_left_to_right_product(sched, drift_seed):
+    _check_blocks_and_their_text(sched, drift_seed)
+
+
+@settings(max_examples=6)
+@given(
+    sched=shared_block_schedules(sizes=(6, 7), max_count=300),
+    drift_seed=st.integers(0, 2**32 - 1),
+)
+def test_grammar_blocks_evaluate_as_the_left_to_right_product(sched, drift_seed):
+    _check_blocks_and_their_text(sched, drift_seed)
+
+
+def test_the_grammar_reads_each_body_once(monkeypatch):
+    # a step repeated MAX_PLAN_STEPS times is one body raised to its count:
+    # the grammar never sees the 2^22 copies of its ids
+    seen = []
+    real = schedule._grammar_tree
+
+    def record(seqs, leaves):
+        seen.append([len(seq) for seq in seqs])
+        return real(seqs, leaves)
+
+    monkeypatch.setattr(schedule, "_grammar_tree", record)
+    rng = np.random.default_rng(7)
+    step = (random_layer(rng, 6), Drift(0.3), random_layer(rng, 6), Drift(0.2))
+    sched = Schedule(6, ((step[:1], 1), (step, MAX_PLAN_STEPS), (step[2:], 1)))
+    got = evaluate_schedule(sched, random_two_body(6, rng, connected=True))
+    assert seen == [[1, 4, 2]]
+    assert unitarity_defect(got) < 1e-7  # rounding grows with the count, about 2^22 eps
+
+
+def test_blocks_share_one_node_table(sample_drift):
+    # a CNOT file of 20,009 lines: the parsed step is one node raised to its
+    # count, where the pairwise tree over the whole file took 32 nodes
+    text = serialize_schedule(compile_cnot(sample_drift, steps=5000, order=1))
+    parsed = parse_schedule(text)
+    leaves, pairs, roots = schedule._product_nodes(parsed)
+    assert len(leaves) == 4 and len(pairs) == 2
+    assert [count for _, count in roots] == [1, 9999, 1]
+    # repeated squaring: bit_length - 1 squarings, and a product for each
+    # further set bit; then one product per block after the first
+    powers = sum(k.bit_length() - 1 + k.bit_count() - 1 for _, k in roots)
+    assert len(pairs) + powers + len(roots) - 1 == 24 < 32
+    assert operator_norm(
+        evaluate_schedule(parsed, sample_drift) - reference_evaluate(parsed, sample_drift)
+    ) < 1e-12
 
 
 def test_empty_schedule_evaluates_to_its_phase(sample_drift):
