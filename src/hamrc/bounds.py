@@ -15,25 +15,22 @@ whichever of ``B`` and ``S`` reaches fewer sites, on those sites only, not
 on the whole register.  The dense cap bounds those sites: a split whose
 sites fit is built densely on them and normed exactly, and one past the
 cap is bounded by coefficient 1-norms, taken on the strings' masks with
-no matrix at all.
+no matrix at all.  Strings are the packed masks of ``pauli``, and every
+count, commutation test and product of them goes through its kernels.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .dense import (
-    _dense_of_masks,
-    _term_masks,
-    check_dense_cap,
-    hermitian_norm,
-)
+from .cliffords import CLIFF_ID
+from .dense import _dense_of_masks, check_dense_cap, hermitian_norm
 from .errors import Infeasible, InvalidTerm, TooLarge
+from .pauli import OPS, _string_keys, anticommutes, pack_masks, pauli_product, popcount
 
 #: step counts above this are refused as impractical
 MAX_PLAN_STEPS = 2**22
@@ -116,21 +113,9 @@ def _is_framed(factor) -> bool:
     return hasattr(factor, "frame")
 
 
-#: each axis I, X, Y, Z as its index digit
-_AXIS_DIGITS = str.maketrans("IXYZ", "0123")
-#: the signed axis images of X, Y, Z under the identity
-_IDENTITY = ((1, "X"), (1, "Y"), (1, "Z"))
 #: matrix entries (or string products) in flight at once: a chunk of norms
 #: holds one stack, a chunk of commutators four (``A``, ``B``, ``AB``, ``i[A, B]``)
 _BATCH = 2**16
-
-
-@functools.lru_cache(maxsize=None)
-def _axis_codes(images: tuple) -> tuple[int, ...]:
-    """The image of each axis I, X, Y, Z under a Clifford with the signed
-    axis images ``images``, as one code: its x bit, its z bit shifted by
-    one, and by two a bit set when the sign is -1."""
-    return (0, *((a in "XY") | (a in "YZ") << 1 | (s < 0) << 2 for s, a in images))
 
 
 def framed_images(model) -> tuple[np.ndarray, ...]:
@@ -138,34 +123,33 @@ def framed_images(model) -> tuple[np.ndarray, ...]:
     among its factors, and what each frame does to each drift term.
 
     ``x``, ``z`` and ``ny`` hold the packed masks of the term's image
-    string, as ``dense.pauli_masks`` packs them, and ``sign`` the sign the
-    term picks up: one row per framed drift, one column per drift term in
-    the drift's order.  A frame's Cliffords act site by site, so each
-    site's image is read from one row of codes per distinct Clifford
-    (``_axis_codes``).  Two framed drifts with equal rows are one operator
-    per unit rate.  The arrays are read-only.
+    string (``pauli.pack_masks``), and ``sign`` the sign the term picks
+    up: one row per framed drift, one column per drift term in the drift's
+    order.  A frame's Cliffords act site by site, so each site's image is
+    read from a table of each distinct Clifford's signed image of each
+    axis, by the axis's character code, and the image strings are packed
+    as one array of characters.  Two framed drifts with equal rows are one
+    operator per unit rate.  The arrays are read-only.
     """
     n = model.n
-    if n > 63:
-        raise TooLarge(f"{n} qubits exceeds the 63 sites a Pauli mask holds")
-    ops = "".join(p.ops for p in model.drift.terms).translate(_AXIS_DIGITS).encode()
-    axes = np.frombuffer(ops, dtype=np.uint8).astype(np.intp) - ord("0")
+    ops = np.frombuffer("".join(p.ops for p in model.drift).encode(), np.uint8).reshape(-1, n)
     index = [i for i, f in enumerate(model.factors) if _is_framed(f)]
-    number = {_IDENTITY: 0}  # a Clifford's signed axis images -> its row of codes
+    number = {CLIFF_ID.images: 0}  # a Clifford's signed axis images -> its table row
     held = [[0] * n for _ in index]
     for row, i in zip(held, index):
         for q, cliff in model.factors[i].frame:
             row[q] = number.setdefault(cliff.images, len(number))
-    codes = np.array([_axis_codes(images) for images in number], dtype=np.intp)
-    # (framed drift, term, site): the code of that site's axis under its Clifford
-    code = codes.ravel()[np.array(held, dtype=np.intp).reshape(-1, 1, n) * 4 + axes.reshape(-1, n)]
-    bits = 1 << np.arange(n)[::-1]  # qubit 0 is the top bit, as in pauli_masks
+    image = np.zeros((len(number), 256), dtype=np.uint8)
+    negative = np.zeros((len(number), 256), dtype=bool)
+    for k, images in enumerate(number):
+        for axis, (sign, to) in zip(OPS, ((1, "I"), *images)):
+            image[k, ord(axis)], negative[k, ord(axis)] = ord(to), sign < 0
+    # (framed drift, term, site): the site's Clifford, and the term's axis there
+    cell = np.array(held, dtype=np.intp).reshape(-1, 1, n), ops
     out = (
         np.array(index, dtype=np.intp),
-        (code & 1) @ bits,
-        (code >> 1 & 1) @ bits,
-        (code & 3 == 3).sum(axis=2),
-        1 - 2 * ((code >> 2 & 1).sum(axis=2) & 1),
+        *pack_masks(n, image[cell]),
+        1 - 2 * (negative[cell].sum(axis=2) & 1),
     )
     for a in out:
         a.flags.writeable = False
@@ -201,20 +185,13 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
         ))
     for i, f in enumerate(model.factors):
         if not _is_framed(f):
-            x, z, ny, c = _term_masks(f.ham.items())
-            parts.append((np.full(len(c), i), x, z, ny, c))
+            terms = np.array([c for _, c in f.ham.items()], dtype=float)
+            parts.append((np.full(len(terms), i), *pack_masks(model.n, f.ham), terms))
     rows, x, z, ny, values = (np.concatenate(column) for column in zip(*parts))
     _, first, cols = np.unique(_string_keys(x, z), return_index=True, return_inverse=True)
     table = np.zeros((len(model.factors), len(first)))
     table[rows, cols] = values
     return x[first], z[first], ny[first], table
-
-
-def _string_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """One key per Pauli string of masks ``x`` and ``z``: the big-endian bytes
-    of both masks, which sort in the order of ``(x, z)`` and, unlike one
-    packed integer, never collide."""
-    return np.stack([x, z], axis=-1).astype(">i8").view("V16").ravel()
 
 
 def _tails(table: np.ndarray) -> np.ndarray:
@@ -294,16 +271,14 @@ def _commutator_one_norms(x, z, ny, pairs: np.ndarray) -> np.ndarray:
     then ``B``, on the strings of masks ``x``, ``z`` and ``ny``).
 
     ``[A, B]`` sums ``a_s b_t [s, t] = 2 a_s b_t s t`` over the
-    anticommuting pairs of a string ``s`` of ``A`` and ``t`` of ``B``.
-    With ``P = i^ny X^x Z^z``, ``s t`` is
-    ``i^(ny_s + ny_t) (-1)^|z_s & x_t| X^(x_s ^ x_t) Z^(z_s ^ z_t)``, and
-    the product's own ``i^ny`` is a phase that every pair with that
-    product shares; so the terms are summed per product string first.
+    anticommuting pairs of a string ``s`` of ``A`` and ``t`` of ``B``, and
+    ``s t = i^power P`` (``pauli_product``) with an odd power, so the terms
+    are summed per product string ``P`` first.
     """
-    s, t = np.nonzero(_mask_bits((x[:, None] & z) ^ (z[:, None] & x)) & 1)
-    keys, product = np.unique(_string_keys(x[s] ^ x[t], z[s] ^ z[t]), return_inverse=True)
-    # i^(ny_s + ny_t) without its odd power, which is part of the shared phase
-    sign = 2.0 - 4.0 * ((((ny[s] + ny[t]) >> 1) + _mask_bits(z[s] & x[t])) & 1)
+    s, t = np.nonzero(anticommutes(x[:, None], z[:, None], x, z))
+    px, pz, power = pauli_product(x[s], z[s], ny[s], x[t], z[t], ny[t])
+    keys, product = np.unique(_string_keys(px, pz), return_inverse=True)
+    sign = np.where(power == 1, 2.0, -2.0)  # 2 i^power / i
     out = np.zeros(len(pairs))
     per = max(1, _BATCH // max(1, len(s)))
     for start in range(0, len(pairs), per):
@@ -351,7 +326,7 @@ def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
     for _ in range(hops):
         near = live & (masks & sites[..., None] != 0)
         sites = sites | np.bitwise_or.reduce(np.where(near, masks, 0), axis=-1)
-    counts = _mask_bits(sites)
+    counts = popcount(sites)
     use_sum = (counts[1] < counts[0])[:, None]
     heads = np.where(np.where(use_sum, near[1], near[0]), heads, 0.0)
     return x, z, ny, heads, np.where(use_sum, sums - heads, tails)
@@ -408,21 +383,6 @@ def second_order_rate(model) -> float:
     pairs = np.stack([heads[live], rests[live]], axis=1)
     norms[live] = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
     return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
-
-
-def _mask_bits(masks: np.ndarray) -> np.ndarray:
-    """popcount of each non-negative int64 mask, folded in sums of ever wider
-    bit fields: no 2^n table, no ``np.bitwise_count``."""
-    for shift, keep in (
-        (1, 0x5555555555555555),
-        (2, 0x3333333333333333),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (8, 0x00FF00FF00FF00FF),
-        (16, 0x0000FFFF0000FFFF),
-        (32, 0x00000000FFFFFFFF),
-    ):
-        masks = (masks & keep) + (masks >> shift & keep)
-    return masks
 
 
 def chained_rate(model, order: int) -> float:

@@ -2,11 +2,12 @@
 
 Averaging a term over the group generated by a few Pauli strings keeps it
 unchanged when it commutes with every generator and cancels it otherwise,
-so the survivors follow from one commutation test on ``(x, z)`` masks and
-no coefficient is ever recomputed.  The frames are the group's ``2^k``
-elements, each of weight ``2^-k``, so the fewer the generators, the fewer
-framed drifts every later layer handles.  Both generator sets below are
-built in full, and the cover is used when it is strictly smaller:
+so the survivors follow from one commutation test on the packed ``(x, z)``
+masks of ``pauli`` (``pauli.anticommutes``) and no coefficient is ever
+recomputed.  The frames are the group's ``2^k`` elements, each of weight
+``2^-k``, so the fewer the generators, the fewer framed drifts every later
+layer handles.  Both generator sets below are built in full, and the cover
+is used when it is strictly smaller:
 
 * A greedy cover of the drift (Wocjan, Rötteler, Janzing & Beth, PRA 65,
   042309 (2002)).  One table holds the commutation test of every term off
@@ -33,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -41,14 +41,22 @@ import numpy as np
 
 from . import synth as _synth
 from .cliffords import PAULI_CLIFF
-from .dense import _parity, pauli_masks
 from .errors import HamrcError, InvalidTerm
-from .pauli import HamExpansion, PauliString, embed, max_coupling, project_to_sites
+from .pauli import (
+    OPS,
+    HamExpansion,
+    PauliString,
+    _string_keys,
+    anticommutes,
+    embed,
+    max_coupling,
+    pack_masks,
+    pauli_product,
+    popcount,
+    project_to_sites,
+    unpack_masks,
+)
 from .schedule import Schedule, canonicalize
-
-#: a Pauli string as its packed ``(x, z)`` masks, qubit 0 the top bit, as
-#: ``dense.pauli_masks`` packs them
-Masks = tuple[int, int]
 
 #: the cover searches every Pauli string on the sites off the pair only up
 #: to this many strings, i.e. six sites
@@ -80,18 +88,19 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
-def _anticommutes(term: Masks, gen: Masks) -> bool:
-    return ((term[0] & gen[1]) ^ (term[1] & gen[0])).bit_count() % 2 == 1
-
-
-def _site_mask(n: int, sites: Iterable[int]) -> int:
-    return sum(1 << (n - 1 - q) for q in sites)
+def _string_on(n: int, sites: Iterable[int], axis: str) -> PauliString:
+    """``axis`` on each of ``sites``, I on the others."""
+    ops = ["I"] * n
+    for q in sites:
+        ops[q] = axis
+    return PauliString("".join(ops))
 
 
 def _halving_generators(
-    n: int, terms: list[Masks], rest: list[int]
-) -> tuple[list[Masks], int]:
-    """All-X and all-Y on each halving round's sites, and the rounds' depth.
+    n: int, x: np.ndarray, z: np.ndarray, rest: list[int]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """All-X and all-Y on each halving round's sites, as ``(x, z)`` masks,
+    and the rounds' depth.
 
     Rounds continue while a surviving term couples two sites of one block;
     the survivor check is symbolic, so they end once the drift is clean
@@ -100,21 +109,17 @@ def _halving_generators(
     first round slowest.
     """
     if not rest:
-        return [], 0
-    rounds = [rest]
-    blocks = [rest]
-    survivors = terms
+        return x[:0], z[:0], 0
+    sites, blocks = rest, [rest]
+    rounds = []  # each round's all-X and all-Y, as (x, z) masks
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0
     while True:
-        s = _site_mask(n, rounds[-1])
-        survivors = [
-            t for t in survivors
-            if not (_anticommutes(t, (s, 0)) or _anticommutes(t, (s, s)))
-        ]
-        splittable = [_site_mask(n, b) for b in blocks if len(b) > 1]
-        if not any(
-            ((x | z) & b).bit_count() == 2 for x, z in survivors for b in splittable
-        ):
+        splittable = [_string_on(n, b, "X") for b in blocks if len(b) > 1]
+        gx, gz, _ = pack_masks(n, [_string_on(n, sites, axis) for axis in "XY"] + splittable)
+        rounds.append((gx[:2], gz[:2]))
+        keep = ~anticommutes(x[:, None], z[:, None], gx[:2], gz[:2]).any(axis=1)
+        x, z = x[keep], z[keep]
+        if not (popcount((x | z)[:, None] & gx[2:]) == 2).any():
             break
         if len(rounds) > max_rounds:
             raise HamrcError("decoupling failed to terminate")  # pragma: no cover
@@ -127,13 +132,9 @@ def _halving_generators(
             cut = (len(b) + 1) // 2
             fronts.extend(b[:cut])
             halves.extend([b[:cut], b[cut:]])
-        rounds.append(fronts)
-        blocks = halves
-    generators = []
-    for sites in reversed(rounds):
-        s = _site_mask(n, sites)
-        generators += [(s, 0), (s, s)]
-    return generators, len(rounds) - 1
+        sites, blocks = fronts, halves
+    gx, gz = (np.concatenate(masks[::-1]) for masks in zip(*rounds))
+    return gx, gz, len(rounds) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,26 +142,27 @@ def _candidates(n: int, rest: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The ``(x, z)`` masks of every Pauli string on ``rest``.
 
     Entry ``i`` is the ``i``-th string in canonical ``PauliString`` order:
-    each site runs through I, X, Y, Z, the last site fastest.
+    each site runs through I, X, Y, Z, the last site fastest; so the
+    strings are the products of each site's four, the first site slowest.
     ``4^|rest| <= MAX_COVER_CANDIDATES`` bounds each array to 4096 entries
     and the cache by the pairs of at most eight qubits.
     """
-    index = np.arange(4 ** len(rest))
-    cx, cz = np.zeros_like(index), np.zeros_like(index)
-    for j, q in enumerate(reversed(rest)):
-        axis = index >> 2 * j & 3
-        cx |= ((axis ^ axis >> 1) & 1) << (n - 1 - q)  # X or Y
-        cz |= (axis >> 1) << (n - 1 - q)  # Y or Z
+    cx = cz = np.zeros(1, dtype=np.int64)
+    for q in rest:
+        sx, sz, _ = pack_masks(n, [PauliString.single(n, q, axis) for axis in OPS])
+        cx, cz = (cx[:, None] | sx).ravel(), (cz[:, None] | sz).ravel()
     cx.flags.writeable = cz.flags.writeable = False
     return cx, cz
 
 
-def _greedy_cover(n: int, terms: list[Masks], rest: list[int]) -> list[Masks]:
-    """Generators on ``rest`` such that every term anticommutes with one of
-    them, picked greedily.
+def _greedy_cover(
+    n: int, x: np.ndarray, z: np.ndarray, rest: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generators on ``rest`` such that every term of masks ``x`` and ``z``
+    anticommutes with one of them, picked greedily, as ``(x, z)`` masks.
 
-    One table says which term anticommutes with which candidate, by the
-    parity test of ``_anticommutes``.  Each pick is the candidate that
+    One table says which term anticommutes with which candidate
+    (``anticommutes``).  Each pick is the candidate that
     anticommutes with the most terms not yet covered, the first in
     ``_candidates`` order on a tie, and the terms it covers leave the
     table.  A term that the picked generators all commute with also
@@ -169,33 +171,27 @@ def _greedy_cover(n: int, terms: list[Masks], rest: list[int]) -> list[Masks]:
     most ``2 |rest|``.
     """
     cx, cz = _candidates(n, tuple(rest))
-    masks = np.array(terms, dtype=cx.dtype).reshape(-1, 2)
-    x, z = masks[:, :1], masks[:, 1:]
-    anti = _parity(n)[(x & cz) ^ (z & cx)]
-    generators: list[Masks] = []
+    anti = anticommutes(x[:, None], z[:, None], cx, cz)
+    picks = []
     while len(anti):
         best = anti.sum(axis=0).argmax()
-        generators.append((int(cx[best]), int(cz[best])))
-        anti = anti[anti[:, best] == 0]
-    return generators
+        picks.append(best)
+        anti = anti[~anti[:, best]]
+    return cx[picks], cz[picks]
 
 
-def _frame_set(n: int, generators: list[Masks], depth: int) -> FrameSet:
-    """The group the independent ``generators`` span, in binary-counting
-    order, each element of weight ``2^-k``.
+def _frame_set(n: int, gx: np.ndarray, gz: np.ndarray, depth: int) -> FrameSet:
+    """The group the independent generators of masks ``gx`` and ``gz``
+    span, in binary-counting order, each element of weight ``2^-k``.
 
     A product of Pauli strings is the XOR of their masks up to a phase
     that conjugation ignores.
     """
-    elements = [(0, 0)]
-    for gx, gz in generators:
-        elements += [(x ^ gx, z ^ gz) for x, z in elements]
-    weight = 0.5 ** len(generators)
-    frames = []
-    for x, z in elements:
-        ops = "".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in reversed(range(n)))
-        frames.append((weight, PauliString(ops)))
-    return FrameSet(tuple(frames), depth)
+    x = z = np.zeros(1, dtype=np.int64)
+    for a, b in zip(gx, gz):
+        x, z = np.append(x, x ^ a), np.append(z, z ^ b)
+    weight = 0.5 ** len(gx)
+    return FrameSet(tuple((weight, p) for p in unpack_masks(n, x, z)), depth)
 
 
 def isolate_principal(
@@ -213,29 +209,26 @@ def isolate_principal(
         raise InvalidTerm("decoupling expects a two-body drift")
     n = ham.n
     rest = [q for q in range(n) if q not in pair]
-    terms = [pauli_masks(p)[:2] for p in ham]
-    off_mask = ~_site_mask(n, pair)
-    off_pair = [bool((x | z) & off_mask) for x, z in terms]
-    generators, depth = _halving_generators(n, terms, rest)
+    x, z, _ = pack_masks(n, ham)
+    on_pair = pack_masks(n, [_string_on(n, pair, "X")])[0]
+    off_pair = (x | z) & ~on_pair != 0
+    gx, gz, depth = _halving_generators(n, x, z, rest)
     if 4 ** len(rest) <= MAX_COVER_CANDIDATES:
-        cover = _greedy_cover(n, [t for t, off in zip(terms, off_pair) if off], rest)
-        if len(cover) < len(generators):
-            generators, depth = cover, 0
+        cover = _greedy_cover(n, x[off_pair], z[off_pair], rest)
+        if len(cover[0]) < len(gx):
+            (gx, gz), depth = cover, 0
 
-    if any(
-        off != any(_anticommutes(t, g) for g in generators)
-        for t, off in zip(terms, off_pair)
-    ):
+    if (off_pair != anticommutes(x[:, None], z[:, None], gx, gz).any(axis=1)).any():
         raise HamrcError("decoupled drift does not match the pair restriction exactly")
     isolated = HamExpansion(
-        n, {p: c for (p, c), off in zip(ham.items(), off_pair) if not off}
+        n, {p: c for (p, c), off in zip(ham.items(), off_pair.tolist()) if not off}
     )
-    return isolated, _frame_set(n, generators, depth)
+    return isolated, _frame_set(n, gx, gz, depth)
 
 
 @functools.lru_cache(maxsize=None)
-def _order_weights(k: int) -> tuple[tuple[int, ...], ...]:
-    """``w[c][d]``: the weight of a commutator ``[s, t]`` in the first-order
+def _order_weights(k: int) -> np.ndarray:
+    """``w[c, d]``: the weight of a commutator ``[s, t]`` in the first-order
     ordering error of a product over the ``2^k`` frames in binary-counting
     order, for terms of characters ``c`` and ``d``.
 
@@ -243,69 +236,67 @@ def _order_weights(k: int) -> tuple[tuple[int, ...], ...]:
     generator ``i``, so frame ``e`` flips its sign when ``c & e`` has odd
     parity.  The product over the frames errs by ``sum_{a<b} [H_a, H_b]``
     to leading order, in which ``[s, t]`` enters with
-    ``sum_{a<b} sign_c(a) sign_d(b) - sign_d(a) sign_c(b)``.
+    ``sum_{a<b} sign_c(a) sign_d(b) - sign_d(a) sign_c(b)``.  The array
+    is read-only.
     """
-    sign = [[1 - 2 * ((c & e).bit_count() & 1) for e in range(1 << k)] for c in range(1 << k)]
-    return tuple(
-        tuple(
-            sum(sc[a] * sd[b] - sd[a] * sc[b] for a in range(1 << k) for b in range(a + 1, 1 << k))
-            for sd in sign
-        )
-        for sc in sign
-    )
+    e = np.arange(1 << k)
+    sign = 1 - 2 * (popcount(e[:, None] & e) & 1)  # sign[c, e] = sign_c(e)
+    before = sign @ np.triu(np.ones_like(sign), 1) @ sign.T  # the sum's first half
+    w = before - before.T
+    w.flags.writeable = False
+    return w
 
 
 def _ordering_parts(
-    ham: HamExpansion, pair: tuple[int, int], generators: list[Masks], axes: tuple[str, str]
-) -> list[tuple[Masks, int, int, float]]:
+    ham: HamExpansion, pair: tuple[int, int], gx: np.ndarray, gz: np.ndarray, axes: tuple[str, str]
+) -> tuple[np.ndarray, ...]:
     """The commutators of two drift terms that the pair's frames keep, as
-    ``(masks of s t, character of s, character of t, coefficient)``.
+    arrays ``(x, z, slot, c, d, v)``: the masks of the distinct products
+    ``s t``, each part's product among them, the characters of ``s`` and
+    ``t`` against the generators of masks ``gx`` and ``gz``, and a
+    coefficient.
 
     ``h_s h_t [s, t] / 2i`` is that coefficient times the Pauli string of
-    the masks, for terms ``s`` before ``t`` in the drift with coefficients
-    ``h_s`` and ``h_t``.  Only terms of
-    different characters enter an ordering error, and the pair's frames,
-    I or ``axes[0]`` on the first pair site and I or ``axes[1]`` on the
-    second, average away every product that anticommutes with one of them.
+    its product, for terms ``s`` before ``t`` in the drift with
+    coefficients ``h_s`` and ``h_t``, in row-major order of ``(s, t)``.
+    Only anticommuting terms of different characters enter an ordering
+    error, and the pair's frames, I or ``axes[0]`` on the first pair site
+    and I or ``axes[1]`` on the second, average away every product that
+    anticommutes with one of them.
     """
-    kept_by = [
-        pauli_masks(PauliString.single(ham.n, q, axis))[:2]
-        for q, axis in zip(pair, axes) if axis != "I"
-    ]
-    terms = [(pauli_masks(p)[:2], c) for p, c in ham.items()]
-    chars = [sum(_anticommutes(t, g) << i for i, g in enumerate(generators)) for t, _ in terms]
-    # [s, t] = 2 s t for anticommuting Paulis, and s t is i^power times the
-    # Pauli of the XORed masks, with P(x, z) = i^|x & z| X^x Z^z
-    parts = []
-    for i, ((s, hs), c) in enumerate(zip(terms, chars)):
-        for (t, ht), d in zip(terms[i + 1 :], chars[i + 1 :]):
-            if c == d or not _anticommutes(s, t):
-                continue
-            prod = (s[0] ^ t[0], s[1] ^ t[1])
-            if any(_anticommutes(prod, m) for m in kept_by):
-                continue
-            power = (s[0] & s[1]).bit_count() + (t[0] & t[1]).bit_count()
-            power += 2 * (s[1] & t[0]).bit_count() - (prod[0] & prod[1]).bit_count()
-            parts.append((prod, c, d, hs * ht * (1 if power % 4 == 1 else -1)))
-    return parts
+    n = ham.n
+    kx, kz, _ = pack_masks(n, [PauliString.single(n, q, a) for q, a in zip(pair, axes) if a != "I"])
+    x, z, ny = pack_masks(n, ham)
+    h = np.array([c for _, c in ham.items()])
+    chars = anticommutes(x[:, None], z[:, None], gx, gz) @ (1 << np.arange(len(gx)))
+    s, t = np.nonzero(np.triu(anticommutes(x[:, None], z[:, None], x, z), 1))
+    differ = chars[s] != chars[t]
+    s, t = s[differ], t[differ]
+    px, pz, power = pauli_product(x[s], z[s], ny[s], x[t], z[t], ny[t])
+    keep = ~anticommutes(px[:, None], pz[:, None], kx, kz).any(axis=1)
+    s, t, px, pz, power = (a[keep] for a in (s, t, px, pz, power))
+    _, first, slot = np.unique(_string_keys(px, pz), return_index=True, return_inverse=True)
+    # [s, t] = 2 s t for anticommuting Paulis, and s t = i^power P: power is odd
+    v = h[s] * h[t] * np.where(power == 1, 1.0, -1.0)
+    return px[first], pz[first], slot, chars[s], chars[t], v
 
 
-def _ordering_error(
-    parts: list[tuple[Masks, int, int, float]], order: tuple[int, ...]
-) -> dict[Masks, float]:
-    """``sum_{a<b} [H_a, H_b] / 2i`` over the kept ``parts``, as Pauli
-    coefficients, for the frames spanned by the generators in ``order``.
+def _ordering_error(parts: tuple[np.ndarray, ...], order: tuple[int, ...]) -> np.ndarray:
+    """``sum_{a<b} [H_a, H_b] / 2i`` over the kept ``parts``, as the
+    coefficients of their distinct products, for the frames spanned by
+    the generators in ``order``.
 
     ``H_a`` is the drift in frame ``a`` of the binary-counting order; the
-    characters of ``parts`` are in the bits of the given generators.
+    characters of ``parts`` are in the bits of the given generators.  Each
+    coefficient adds its parts in their order.
     """
+    x, _, slot, c, d, v = parts
     weights = _order_weights(len(order))
     # a character in the bits of the reordered generators
-    recode = [sum((c >> j & 1) << i for i, j in enumerate(order)) for c in range(1 << len(order))]
-    left: defaultdict[Masks, float] = defaultdict(float)
-    for prod, c, d, v in parts:
-        left[prod] += v * weights[recode[c]][recode[d]]
-    return left
+    recode = np.array(
+        [sum((e >> j & 1) << i for i, j in enumerate(order)) for e in range(1 << len(order))]
+    )
+    return np.bincount(slot, v * weights[recode[c], recode[d]], minlength=len(x))
 
 
 def _order_frames(
@@ -327,17 +318,17 @@ def _order_frames(
     k = len(frames.frames).bit_length() - 1
     if not 2 <= k <= MAX_ORDERED_GENERATORS:
         return frames
-    generators = [pauli_masks(frames.frames[1 << i][1])[:2] for i in range(k)]
-    parts = _ordering_parts(ham, pair, generators, axes)
-    scale = math.fsum(abs(v) for *_, v in parts) * max(map(max, _order_weights(k)))
+    gx, gz, _ = pack_masks(ham.n, [frames.frames[1 << i][1] for i in range(k)])
+    parts = _ordering_parts(ham, pair, gx, gz, axes)
+    scale = math.fsum(np.abs(parts[-1]).tolist()) * _order_weights(k).max()
     best, best_error = None, math.inf
     for order in itertools.permutations(range(k)):
-        error = math.fsum(map(abs, _ordering_error(parts, order).values()))
+        error = math.fsum(np.abs(_ordering_error(parts, order)).tolist())
         if error < best_error - 1e-12 * scale:
             best, best_error = order, error
     if best == tuple(range(k)):
         return frames
-    return _frame_set(ham.n, [generators[j] for j in best], frames.depth)
+    return _frame_set(ham.n, gx[list(best)], gz[list(best)], frames.depth)
 
 
 def expand_step_model(

@@ -2,11 +2,10 @@
 
 Qubit 0 is always the leftmost Kronecker factor, that is the most
 significant bit of a row or column index: on ``n`` qubits, qubit ``q`` is
-bit ``n - 1 - q``.
+bit ``n - 1 - q``, as in the packed masks of ``pauli.pack_masks``.
 
-A Pauli string is built from its packed (x, z) bit masks in that order:
-``x`` marks the X and Y sites, ``z`` the Y and Z sites, and ``ny`` counts
-the Y sites.  Its matrix has one nonzero entry per column ``c``::
+A Pauli string is built from its packed ``(x, z, ny)`` masks.  Its matrix
+has one nonzero entry per column ``c``::
 
     P[c ^ x, c] = i**ny * (-1)**popcount(c & z)
 
@@ -31,15 +30,12 @@ a third of the SVD's time.  ``operator_norm`` is for everything else.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-from typing import Iterable
-
 import numpy as np
 
 from .errors import DimMismatch, InvalidTerm, NotHermitian, TooLarge
-from .pauli import HamExpansion, PauliString, project_to_sites
+from .pauli import HamExpansion, PauliString, pack_masks, popcount, project_to_sites
 
 HERMITIAN_TOL = 1e-10
 #: largest register built densely unless ``HAMRC_DENSE_CAP`` sets another cap
@@ -72,8 +68,6 @@ def check_dense_cap(n: int) -> None:
 
 #: i**k for k = 0..3
 _I_POWERS = np.array([1, 1j, -1, -1j], dtype=complex)
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def kron_all(factors) -> np.ndarray:
@@ -91,24 +85,6 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def pauli_masks(term: PauliString) -> tuple[int, int, int]:
-    """Packed ``(x, z, ny)`` of a Pauli string; qubit 0 is the top bit."""
-    ops = term.ops
-    return int(ops.translate(_X_BITS), 2), int(ops.translate(_Z_BITS), 2), ops.count("Y")
-
-
-@functools.lru_cache(maxsize=None)
-def _parity(n: int) -> np.ndarray:
-    """popcount(c) mod 2 for every n-bit c, as signed bytes: a table of 2^n
-    entries, so only for registers, or sets of sites, within the dense cap."""
-    c = np.arange(2**n)
-    par = np.zeros(2**n, dtype=np.int8)
-    for k in range(n):
-        par ^= ((c >> k) & 1).astype(np.int8)
-    par.flags.writeable = False
-    return par
-
-
 def _dense_of_masks(
     n: int, x: np.ndarray, z: np.ndarray, ny: np.ndarray, coeffs: np.ndarray, *, real: bool = False
 ) -> np.ndarray:
@@ -119,7 +95,7 @@ def _dense_of_masks(
     every term holds an even number of Y; the caller checks that."""
     dim = 2**n
     cols = np.arange(dim)
-    signs = 1 - 2 * _parity(n)[z[:, None] & cols]  # int8; unsigned would wrap
+    signs = 1 - 2 * (popcount(z[:, None] & cols) & 1)
     phases = _I_POWERS[ny % 4]
     values = (coeffs * (phases.real if real else phases)).T[:, :, None] * signs[:, None]
     # by_x[k, b, c] accumulates entry [c ^ used[k], c] of matrix b, one term
@@ -133,27 +109,16 @@ def _dense_of_masks(
     return out
 
 
-def _term_masks(terms: Iterable[tuple[PauliString, float]]) -> tuple[np.ndarray, ...]:
-    """Packed ``(x, z, ny)`` masks of the terms' strings, and their coefficients."""
-    terms = list(terms)
-    x, z, ny = np.array([pauli_masks(p) for p, _ in terms], dtype=np.int64).reshape(-1, 3).T
-    return x, z, ny, np.array([c for _, c in terms], dtype=float)
-
-
-def _dense_of_terms(n: int, terms: Iterable[tuple[PauliString, float]]) -> np.ndarray:
-    """Sum of ``coeff * P`` over the terms, added in the order given."""
-    x, z, ny, coeffs = _term_masks(terms)
-    return _dense_of_masks(n, x, z, ny, coeffs[None])[0]
-
-
 def dense_of_pauli(term: PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string, qubit 0 leftmost."""
-    return _dense_of_terms(term.n, [(term, 1.0)])
+    return dense_of_expansion(HamExpansion(term.n, {term: 1.0}))
 
 
 def dense_of_expansion(ham: HamExpansion) -> np.ndarray:
-    """Dense Hermitian matrix of a real Pauli expansion."""
-    return _dense_of_terms(ham.n, ham.items())
+    """Dense Hermitian matrix of a real Pauli expansion, its terms added in
+    their order."""
+    coeffs = np.array([[c for _, c in ham.items()]], dtype=float)
+    return _dense_of_masks(ham.n, *pack_masks(ham.n, ham), coeffs)[0]
 
 
 def operator_norm(a: np.ndarray) -> float:

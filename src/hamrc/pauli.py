@@ -3,6 +3,16 @@
 Everything here is symbolic: coefficients are plain floats attached to
 Pauli strings, and all operations (conjugation signs, averaging, restriction)
 act term by term with exact sign bookkeeping.  No matrices are built.
+
+Arrays of strings are handled in the binary symplectic form (Aaronson &
+Gottesman, PRA 70, 052328 (2004); Dehaene & De Moor, PRA 68, 042318
+(2003)): a string on ``n <= 63`` sites is its packed int64 masks
+``(x, z, ny)``, qubit 0 the top bit, so qubit ``q`` is bit ``n - 1 - q``.
+``x`` marks the X and Y sites, ``z`` the Y and Z sites, and ``ny`` counts
+the Y sites, so the string is ``P(x, z) = i**ny X**x Z**z``.
+``pack_masks`` and ``unpack_masks`` are the one conversion between strings
+and masks, and ``popcount``, ``anticommutes``, ``pauli_product`` and
+``_string_keys`` the one count, commutation test, product and key on them.
 """
 
 from __future__ import annotations
@@ -11,7 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidTerm, NotCoupled, NotTwoBody
+import numpy as np
+
+from .errors import InvalidTerm, NotCoupled, NotTwoBody, TooLarge
 
 OPS = "IXYZ"
 
@@ -70,6 +82,81 @@ class PauliString:
 
 def _as_string(term: "PauliString | str") -> PauliString:
     return term if isinstance(term, PauliString) else PauliString(term)
+
+
+#: the number of set bits of each byte
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+#: the x bit and the z bit of each character code: X and Y set x, Y and Z set z
+_X_BIT, _Z_BIT = (
+    np.isin(np.arange(256), [ord(a) for a in axes]).astype(np.int64) for axes in ("XY", "YZ")
+)
+#: the bit of each qubit of a 63-site mask, qubit 0 first; ``n`` sites take the last ``n``
+_SITE_BITS = 1 << np.arange(62, -1, -1, dtype=np.int64)
+
+
+def pack_masks(n: int, strings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packed int64 ``(x, z, ny)`` arrays of ``n``-site strings: an
+    iterable of :class:`PauliString`, or an array of their characters'
+    codes whose last axis runs over the sites, which gives masks in the
+    shape of its other axes.
+
+    Raises :class:`TooLarge` past 63 sites, where a mask would wrap.
+    """
+    if n > 63:
+        raise TooLarge(f"{n} qubits exceeds the 63 sites a Pauli mask holds")
+    if not isinstance(strings, np.ndarray):
+        text = "".join(p.ops for p in strings).encode()
+        strings = np.frombuffer(text, dtype=np.uint8).reshape(-1, n)
+    x, z = _X_BIT[strings], _Z_BIT[strings]
+    return x @ _SITE_BITS[63 - n :], z @ _SITE_BITS[63 - n :], (x & z).sum(axis=-1)
+
+
+def unpack_masks(n: int, x: np.ndarray, z: np.ndarray) -> list[PauliString]:
+    """The ``n``-site strings of the masks ``x`` and ``z``."""
+    bits = _SITE_BITS[63 - n :]
+    code = (np.asarray(x)[:, None] & bits != 0) + 2 * (np.asarray(z)[:, None] & bits != 0)
+    text = np.frombuffer(b"IXZY", dtype=np.uint8)[code].tobytes().decode()
+    return [PauliString(text[i : i + n]) for i in range(0, len(text), n)]
+
+
+def popcount(masks) -> np.ndarray:
+    """The number of set bits of each int64 mask: one read of a byte table
+    per byte, for as many bytes as the widest mask holds."""
+    masks = np.asarray(masks, dtype="<i8")  # little-endian: byte k holds bits 8k to 8k + 7
+    flat = np.ascontiguousarray(masks.reshape(-1))
+    width = int(np.bitwise_or.reduce(flat.view(np.uint64), initial=0)).bit_length()
+    byte = flat.view(np.uint8).reshape(*masks.shape, 8)
+    count = _BYTE_BITS[byte[..., 0]]
+    for k in range(1, (width + 7) // 8):
+        count += _BYTE_BITS[byte[..., k]]
+    return count
+
+
+def anticommutes(x1, z1, x2, z2) -> np.ndarray:
+    """Whether the strings of masks ``(x1, z1)`` and ``(x2, z2)``
+    anticommute, broadcast: the parity of ``(x1 & z2) ^ (z1 & x2)``, the
+    sites where one holds an X part and the other a Z part."""
+    return popcount((x1 & z2) ^ (z1 & x2)) & 1 == 1
+
+
+def pauli_product(x1, z1, ny1, x2, z2, ny2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, z, power)`` with ``s t = i**power P(x, z)`` for the strings
+    ``s = P(x1, z1)`` and ``t = P(x2, z2)``, broadcast.
+
+    Moving ``Z**z1`` past ``X**x2`` gives ``(-1)**|z1 & x2|``, so
+    ``s t = i**(ny1 + ny2 + 2 |z1 & x2|) X**x Z**z`` with ``x = x1 ^ x2``
+    and ``z = z1 ^ z2``, and ``X**x Z**z`` is ``i**-|x & z| P(x, z)``.
+    ``power`` is reduced to 0..3.
+    """
+    x, z = x1 ^ x2, z1 ^ z2
+    return x, z, (ny1 + ny2 + 2 * popcount(z1 & x2) - popcount(x & z)) & 3
+
+
+def _string_keys(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One key per Pauli string of masks ``x`` and ``z``: the big-endian bytes
+    of both masks, which sort in the order of ``(x, z)`` and, unlike one
+    packed integer, never collide."""
+    return np.stack([x, z], axis=-1).astype(">i8").view("V16").ravel()
 
 
 class HamExpansion:

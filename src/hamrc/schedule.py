@@ -586,7 +586,7 @@ def _numpy_level(
     The level's distinct pairs are hash-consed into ``nodes`` in the
     order of their first use, as the loop does, so every node keeps its id.
     """
-    top = leaves + len(nodes)  # past every id on the level
+    top = leaves + len(nodes)  # past every id on the level and in ``nodes``
     codes = level[:-1:2] * top + level[1::2]
     distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -599,16 +599,17 @@ def _numpy_level(
     return np.append(up, level[-1]) if len(level) % 2 else up
 
 
-def _product_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]], int]:
-    """Hash-consed pairwise product tree over the leaf ids ``seq``.
+def _product_tree(seq: Sequence[int], leaves: int, nodes: dict[tuple[int, int], int]) -> int:
+    """Hash-consed pairwise product tree over the leaf ids ``seq``, and its
+    root.
 
     Each level pairs neighbours left to right (an odd last entry moves up
-    unpaired), and each distinct pair becomes one node, numbered in the
-    order of first use.  Returns the children of node ``leaves + k`` at
-    index ``k``, and the root.  A level of ``NUMPY_LEVEL`` ids or more is
-    paired by :func:`_numpy_level`, which makes the same nodes.
+    unpaired), and each distinct pair becomes one node of ``nodes``, the
+    children of node ``leaves + k`` as its ``k``-th key: a pair it already
+    holds keeps its id, and a new one is numbered in the order of first
+    use.  A level of ``NUMPY_LEVEL`` ids or more is paired by
+    :func:`_numpy_level`, which makes the same nodes.
     """
-    nodes: dict[tuple[int, int], int] = {}
     level = seq
     while len(level) >= NUMPY_LEVEL:
         level = _numpy_level(np.asarray(level), nodes, leaves)
@@ -620,7 +621,7 @@ def _product_tree(seq: Sequence[int], leaves: int) -> tuple[list[tuple[int, int]
         if len(level) % 2:
             up.append(level[-1])
         level = up
-    return list(nodes), level[0]
+    return level[0]
 
 
 def _product_trees(
@@ -630,13 +631,7 @@ def _product_trees(
     node list: the children of node ``leaves + k`` at index ``k``, and each
     sequence's root."""
     nodes: dict[tuple[int, int], int] = {}
-    roots = []
-    for seq in seqs:
-        pairs, root = _product_tree(seq, leaves)
-        shared = list(range(leaves))  # the tree's ids -> the shared ids
-        for a, b in pairs:
-            shared.append(nodes.setdefault((shared[a], shared[b]), leaves + len(nodes)))
-        roots.append(shared[root])
+    roots = [_product_tree(seq, leaves, nodes) for seq in seqs]
     return list(nodes), roots
 
 

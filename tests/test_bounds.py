@@ -41,7 +41,6 @@ from hamrc.bounds import (
     _commutator_norm,
     _commutator_one_norms,
     _dense_of_masks,
-    _mask_bits,
     _nested_norms,
     _nested_one_norms,
     _on_supports,
@@ -689,13 +688,6 @@ def test_second_order_plans_are_sound_on_random_register_models(kind, n, seed, s
     assert plan.steps <= steps
     measured = _make_measure(model, target, t, 2)(plan.steps)
     assert measured <= plan.predicted_error + ROUNDING
-
-
-@settings(max_examples=60)
-@given(masks=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20))
-def test_mask_bits_counts_the_set_bits_of_every_mask(masks):
-    got = _mask_bits(np.array(masks, dtype=np.int64))
-    assert got.tolist() == [bin(m).count("1") for m in masks]
 
 
 def test_plan_invariants_and_monotonicity():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_body
+from conftest import random_two_body, xz_chain
 from hamrc import (
     HamExpansion,
     HamrcError,
@@ -27,16 +27,15 @@ from hamrc import (
     isolate_principal,
 )
 from hamrc import decouple
-from hamrc.dense import pauli_masks
 from hamrc.decouple import (
     MAX_ORDERED_GENERATORS,
     FrameSet,
-    _anticommutes,
     _frame_set,
     _greedy_cover,
     _ordering_error,
     _ordering_parts,
 )
+from hamrc.pauli import anticommutes, pack_masks, unpack_masks
 
 CHAIN4 = build_expansion(
     4,
@@ -254,6 +253,19 @@ def test_benchmark_shaped_drifts_need_few_frames():
         assert isolate_principal(ham, pair) == (isolated, frames)
 
 
+@pytest.mark.parametrize("n", [48, 63])
+def test_large_chains_decouple_by_one_halving_round(n):
+    # one round, all-X and all-Y off the pair, cancels every chain term off
+    # it; on 63 sites the pair's terms set bit 62, the top bit below an
+    # int64's sign, so a sign or shift slip in the masks would show here
+    ham = xz_chain(n)
+    isolated, frames = isolate_principal(ham, (0, 1))
+    assert isolated == filter_support(ham, (0, 1))
+    assert frames == FrameSet(
+        tuple((0.25, PauliString("II" + axis * (n - 2))) for axis in "IXYZ"), 0
+    )
+
+
 @settings(max_examples=60)
 @given(
     n=st.integers(3, 6),
@@ -295,20 +307,22 @@ def test_greedy_cover_matches_a_brute_force_greedy(n, seed, density, data):
         data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     )
     rest = [q for q in range(n) if q not in pair]
-    terms = [pauli_masks(p)[:2] for p in ham if set(p.support()) - set(pair)]
+    x, z, _ = pack_masks(n, [p for p in ham if set(p.support()) - set(pair)])
     candidates = []
     for axes in product("IXYZ", repeat=len(rest)):
         ops = ["I"] * n
         for q, axis in zip(rest, axes):
             ops[q] = axis
-        candidates.append(pauli_masks(PauliString("".join(ops)))[:2])
-    want, left = [], terms
-    while left:
-        counts = [sum(_anticommutes(t, c) for t in left) for c in candidates]
-        best = candidates[counts.index(max(counts))]
-        want.append(best)
-        left = [t for t in left if not _anticommutes(t, best)]
-    assert _greedy_cover(n, terms, rest) == want
+        candidates.append(PauliString("".join(ops)))
+    cx, cz, _ = pack_masks(n, candidates)
+    want, lx, lz = [], x, z
+    while len(lx):
+        counts = [int(anticommutes(lx, lz, a, b).sum()) for a, b in zip(cx, cz)]
+        best = counts.index(max(counts))
+        want.append((int(cx[best]), int(cz[best])))
+        left = ~anticommutes(lx, lz, cx[best], cz[best])
+        lx, lz = lx[left], lz[left]
+    assert list(zip(*(g.tolist() for g in _greedy_cover(n, x, z, rest)))) == want
 
 
 def test_a_cover_that_misses_a_term_is_refused(monkeypatch):
@@ -317,7 +331,7 @@ def test_a_cover_that_misses_a_term_is_refused(monkeypatch):
     # survives the average, which the exact check must catch
     ham = _heisenberg_all_to_all(4, np.random.default_rng(41))
     full = decouple._greedy_cover
-    monkeypatch.setattr(decouple, "_greedy_cover", lambda *a: full(*a)[:-1])
+    monkeypatch.setattr(decouple, "_greedy_cover", lambda *a: [g[:-1] for g in full(*a)])
     with pytest.raises(HamrcError, match="pair restriction"):
         isolate_principal(ham, (0, 1))
 
@@ -385,12 +399,6 @@ def test_compile_on_pair_respects_site_order():
     assert err < 0.05
 
 
-def _string_of_masks(n, masks):
-    x, z = masks
-    ops = "".join("IXZY"[(x >> s & 1) | (z >> s & 1) << 1] for s in reversed(range(n)))
-    return PauliString(ops)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(3, 5),
@@ -406,8 +414,8 @@ def test_ordering_error_is_the_commutator_sum_the_pair_frames_keep(n, seed, axes
     _, frames = isolate_principal(ham, pair)
     k = len(frames.frames).bit_length() - 1
     assume(2 <= k <= MAX_ORDERED_GENERATORS)
-    generators = [pauli_masks(frames.frames[1 << i][1])[:2] for i in range(k)]
-    parts = _ordering_parts(ham, pair, generators, axes)
+    gx, gz, _ = pack_masks(n, [frames.frames[1 << i][1] for i in range(k)])
+    parts = _ordering_parts(ham, pair, gx, gz, axes)
     h = dense_of_expansion(ham)
     pair_frames = []
     for a, b in product(("I", axes[0]), ("I", axes[1])):
@@ -415,13 +423,13 @@ def test_ordering_error_is_the_commutator_sum_the_pair_frames_keep(n, seed, axes
         ops[pair[0]], ops[pair[1]] = a, b
         pair_frames.append(dense_of_pauli(PauliString("".join(ops))))
     for order in permutations(range(k)):
-        reordered = _frame_set(n, [generators[j] for j in order], 0)
+        reordered = _frame_set(n, gx[list(order)], gz[list(order)], 0)
         framed = [u @ h @ u for u in (dense_of_pauli(f) for _, f in reordered.frames)]
         e = sum(a @ b - b @ a for i, a in enumerate(framed) for b in framed[i + 1 :])
         kept = sum(u @ e @ u for u in pair_frames) / len(pair_frames)
         left = _ordering_error(parts, order)
         want = sum(
-            (2j * c * dense_of_pauli(_string_of_masks(n, m)) for m, c in left.items()),
+            (2j * c * dense_of_pauli(p) for p, c in zip(unpack_masks(n, *parts[:2]), left)),
             np.zeros_like(h),
         )
         assert np.abs(kept - want).max() < 1e-10 * (1 + np.abs(e).max())

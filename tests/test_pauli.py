@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hamrc import (
@@ -27,6 +27,8 @@ from hamrc import (
     max_coupling,
     project_to_sites,
 )
+from hamrc.dense import PAULI_MATS, kron_all
+from hamrc.pauli import anticommutes, pack_masks, pauli_product, popcount, unpack_masks
 
 strings = st.integers(1, 5).flatmap(
     lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)
@@ -228,3 +230,56 @@ def test_expansion_rejects_non_finite_coefficients(bad):
 def test_build_expansion_rejects_length_mismatch():
     with pytest.raises(InvalidTerm):
         build_expansion(3, [("XX", 1.0)])
+
+
+def _kron(p):
+    """The dense matrix of a string, one Kronecker factor per site."""
+    return kron_all([PAULI_MATS[a] for a in p.ops])
+
+
+#: two strings on one register of up to five sites
+string_pairs = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.text(alphabet="IXYZ", min_size=n, max_size=n)] * 2)
+)
+
+
+@given(
+    st.integers(1, 63).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), max_size=6)
+        )
+    )
+)
+def test_unpack_masks_inverts_pack_masks(case):
+    n, ops = case
+    x, z, ny = pack_masks(n, [PauliString(o) for o in ops])
+    assert [p.ops for p in unpack_masks(n, x, z)] == ops
+    assert ny.tolist() == [o.count("Y") for o in ops]
+    # qubit 0 is the top bit, bit 62 on 63 sites, and masks stay non-negative
+    top = [m.tolist() for m in pack_masks(n, [PauliString.single(n, 0, "Y")])]
+    assert top == [[1 << n - 1], [1 << n - 1], [1]]
+
+
+@given(string_pairs)
+def test_anticommutes_agrees_with_the_dense_products(case):
+    s, t = map(PauliString, case)
+    (xs, xt), (zs, zt), _ = pack_masks(s.n, [s, t])
+    ds, dt = _kron(s), _kron(t)
+    assert bool(anticommutes(xs, zs, xt, zt)) == np.allclose(ds @ dt, -dt @ ds)
+
+
+@given(string_pairs)
+def test_pauli_product_masks_and_phase_equal_the_dense_product(case):
+    s, t = map(PauliString, case)
+    x, z, ny = pack_masks(s.n, [s, t])
+    px, pz, power = pauli_product(x[0], z[0], ny[0], x[1], z[1], ny[1])
+    (p,) = unpack_masks(s.n, [px], [pz])
+    assert np.array_equal((1, 1j, -1, -1j)[power] * _kron(p), _kron(s) @ _kron(t))
+
+
+@settings(max_examples=60)
+@given(masks=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=20))
+@example(masks=[0, 1, 2**62, 2**63 - 1])
+def test_popcount_counts_the_set_bits_of_every_mask(masks):
+    got = popcount(np.array(masks, dtype=np.int64))
+    assert got.tolist() == [bin(m).count("1") for m in masks]

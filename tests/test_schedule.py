@@ -387,8 +387,10 @@ def test_numpy_levels_make_the_nodes_of_the_loop(case):
     for cut in (2, schedule.NUMPY_LEVEL):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(schedule, "NUMPY_LEVEL", cut)
-            assert schedule._product_tree(seq, leaves) == want
-            assert schedule._product_tree(np.array(seq, dtype=np.intp), leaves) == want
+            for ids in (seq, np.array(seq, dtype=np.intp)):
+                nodes = {}
+                root = schedule._product_tree(ids, leaves, nodes)
+                assert (list(nodes), root) == want
 
 
 @pytest.mark.parametrize("n,built", [(5, ("_product_tree", 11)), (6, ("_grammar_tree", 5))])
@@ -401,10 +403,11 @@ def test_grammar_builds_the_product_from_six_qubits(monkeypatch, n, built):
     def spy(name):
         real = getattr(schedule, name)
 
-        def record(seq, leaves):
-            pairs, root = real(seq, leaves)
-            calls.append((name, len(pairs)))
-            return pairs, root
+        def record(seq, leaves, *nodes):
+            # the tree adds its pairs to the shared nodes; the grammar returns its own
+            got = real(seq, leaves, *nodes)
+            calls.append((name, len(nodes[0]) if nodes else len(got[0])))
+            return got
 
         return record
 

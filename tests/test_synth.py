@@ -49,6 +49,7 @@ from hamrc import (
     embed,
     evaluate_schedule,
     expm_hermitian,
+    isolate_principal,
     max_coupling,
     pair_step_model,
     sign_flip_clifford,
@@ -758,8 +759,13 @@ def test_a_register_past_63_sites_is_refused_before_its_masks_wrap():
     # these 32 distinct framed drifts merged
     target = build_expansion(2, [("XY", 0.7), ("XZ", 0.3)])
     assert compile_model(xz_chain(63), target, (0, 1)).drift_factor_count() == 32
-    with pytest.raises(TooLarge, match="70 qubits exceeds the 63 sites"):
-        compile_model(xz_chain(70), target, (0, 1))
+    for refused in (
+        lambda drift: compile_model(drift, target, (0, 1)),
+        lambda drift: isolate_principal(drift, (0, 1)),
+        lambda drift: pair_step_model(drift, (0, 1), target),
+    ):
+        with pytest.raises(TooLarge, match="70 qubits exceeds the 63 sites a Pauli mask holds"):
+            refused(xz_chain(70))
 
 
 @settings(max_examples=30)
