@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,19 +87,29 @@ def _check_pair(n: int, pair: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
-def _string_on(n: int, sites: Iterable[int], axis: str) -> PauliString:
-    """``axis`` on each of ``sites``, I on the others."""
-    ops = ["I"] * n
-    for q in sites:
-        ops[q] = axis
-    return PauliString("".join(ops))
+@functools.lru_cache(maxsize=None)
+def _axis_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(x, z)`` masks of X and of Y on each site, as two read-only
+    ``(2, n)`` arrays (X first), packed once per register size.  A string
+    of one axis on a set of sites has the OR of its sites' masks."""
+    x, z, _ = pack_masks(n, [PauliString.single(n, q, axis) for axis in "XY" for q in range(n)])
+    x, z = x.reshape(2, n), z.reshape(2, n)
+    x.flags.writeable = z.flags.writeable = False
+    return x, z
+
+
+def _on_sites(masks: np.ndarray, sites: list[int]) -> np.ndarray:
+    """The OR of the ``masks`` columns of ``sites``: the masks of each
+    axis's string on those sites."""
+    return np.bitwise_or.reduce(masks[:, sites], axis=1)
 
 
 def _halving_generators(
-    n: int, x: np.ndarray, z: np.ndarray, rest: list[int]
-) -> tuple[np.ndarray, np.ndarray, int]:
+    n: int, x: np.ndarray, z: np.ndarray, rest: list[int], most: float
+) -> tuple[np.ndarray, np.ndarray, int] | None:
     """All-X and all-Y on each halving round's sites, as ``(x, z)`` masks,
-    and the rounds' depth.
+    and the rounds' depth; ``None`` once they would need more than
+    ``most`` generators.
 
     Rounds continue while a surviving term couples two sites of one block;
     the survivor check is symbolic, so they end once the drift is clean
@@ -110,16 +119,19 @@ def _halving_generators(
     """
     if not rest:
         return x[:0], z[:0], 0
+    ax, az = _axis_masks(n)
     sites, blocks = rest, [rest]
     rounds = []  # each round's all-X and all-Y, as (x, z) masks
     max_rounds = math.ceil(math.log2(len(rest))) if len(rest) > 1 else 0
     while True:
-        splittable = [_string_on(n, b, "X") for b in blocks if len(b) > 1]
-        gx, gz, _ = pack_masks(n, [_string_on(n, sites, axis) for axis in "XY"] + splittable)
-        rounds.append((gx[:2], gz[:2]))
-        keep = ~anticommutes(x[:, None], z[:, None], gx[:2], gz[:2]).any(axis=1)
+        if 2 * len(rounds) + 2 > most:
+            return None
+        gx, gz = _on_sites(ax, sites), _on_sites(az, sites)
+        rounds.append((gx, gz))
+        keep = ~anticommutes(x[:, None], z[:, None], gx, gz).any(axis=1)
         x, z = x[keep], z[keep]
-        if not (popcount((x | z)[:, None] & gx[2:]) == 2).any():
+        splittable = [_on_sites(ax, b)[0] for b in blocks if len(b) > 1]
+        if not (popcount((x | z)[:, None] & np.array(splittable, dtype=np.int64)) == 2).any():
             break
         if len(rounds) > max_rounds:
             raise HamrcError("decoupling failed to terminate")  # pragma: no cover
@@ -187,11 +199,12 @@ def _frame_set(n: int, gx: np.ndarray, gz: np.ndarray, depth: int) -> FrameSet:
     A product of Pauli strings is the XOR of their masks up to a phase
     that conjugation ignores.
     """
-    x = z = np.zeros(1, dtype=np.int64)
-    for a, b in zip(gx, gz):
-        x, z = np.append(x, x ^ a), np.append(z, z ^ b)
+    x, z = [0], [0]
+    for a, b in zip(gx.tolist(), gz.tolist()):
+        x += [e ^ a for e in x]
+        z += [e ^ b for e in z]
     weight = 0.5 ** len(gx)
-    return FrameSet(tuple((weight, p) for p in unpack_masks(n, x, z)), depth)
+    return FrameSet(tuple((weight, p) for p in unpack_masks(n, np.array(x), np.array(z))), depth)
 
 
 def isolate_principal(
@@ -201,8 +214,11 @@ def isolate_principal(
 
     The frames come from the greedy cover when it needs strictly fewer
     generators than the halving rounds, and from the halving rounds
-    otherwise.  The restriction keeps the terms that lie on the pair, and
-    the frames must cancel exactly the others.
+    otherwise.  The cover is found first, and the halving rounds stop as
+    soon as they need more generators than it: the cover is then used
+    whatever the rounds would have come to.  The restriction keeps the
+    terms that lie on the pair, and the frames must cancel exactly the
+    others.
     """
     _check_pair(ham.n, pair)
     if not ham.is_two_body():
@@ -210,13 +226,16 @@ def isolate_principal(
     n = ham.n
     rest = [q for q in range(n) if q not in pair]
     x, z, _ = pack_masks(n, ham)
-    on_pair = pack_masks(n, [_string_on(n, pair, "X")])[0]
+    on_pair = _on_sites(_axis_masks(n)[0], list(pair))[0]  # X on the pair
     off_pair = (x | z) & ~on_pair != 0
-    gx, gz, depth = _halving_generators(n, x, z, rest)
+    cover = None
     if 4 ** len(rest) <= MAX_COVER_CANDIDATES:
         cover = _greedy_cover(n, x[off_pair], z[off_pair], rest)
-        if len(cover[0]) < len(gx):
-            (gx, gz), depth = cover, 0
+    halving = _halving_generators(n, x, z, rest, math.inf if cover is None else len(cover[0]))
+    if halving is None or cover is not None and len(cover[0]) < len(halving[0]):
+        gx, gz, depth = *cover, 0
+    else:
+        gx, gz, depth = halving
 
     if (off_pair != anticommutes(x[:, None], z[:, None], gx, gz).any(axis=1)).any():
         raise HamrcError("decoupled drift does not match the pair restriction exactly")

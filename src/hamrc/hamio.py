@@ -178,8 +178,9 @@ def serialize_schedule(sched: Schedule) -> str:
 #: the line breaks of ``str.splitlines`` other than ``\n``; a text with
 #: any of them is rewritten to ``\n`` breaks before it is walked
 _BREAKS = re.compile("\r\n|[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-#: those of them in ASCII, each looked for on its own (a few fast scans,
-#: where one regex search of a 700 KB file takes milliseconds)
+#: those of them in ASCII, looked for in each distinct line the parser
+#: reads (one regex search of a 700 KB text takes milliseconds, and even
+#: one fast scan per character tens of microseconds)
 _ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
 #: characters of schedule text split into lines at a time
 _WINDOW = 4096
@@ -270,8 +271,28 @@ def parse_schedule(text: str) -> Schedule:
     time; the first few records after a window start or a run seek a run,
     and for the other records only the table index is looked up.  The
     indices are kept in integer arrays that numpy reads without a copy.
-    Lines and line numbers are those of ``str.splitlines``.
+    Lines and line numbers are those of ``str.splitlines``: a text with
+    another break than ``\\n`` is read again with ``\\n`` breaks.  Every
+    character is in a line the parser reads or in an exact copy of read
+    lines, so the ASCII breaks are looked for only in the distinct lines
+    it reads, and a text without them is never scanned for them.
     """
+    if not text.isascii():
+        text = _BREAKS.sub("\n", text)
+    try:
+        return _parse_text(text)
+    except _OtherBreak:
+        return _parse_text(_BREAKS.sub("\n", text))
+
+
+class _OtherBreak(Exception):
+    """A line of a schedule text holds a break other than ``\\n``."""
+
+
+def _parse_text(text: str) -> Schedule:
+    """``parse_schedule`` of an ASCII text whose lines are split at ``\\n``
+    only; raises :class:`_OtherBreak` at the first line read that holds
+    another break."""
     n: int | None = None
     phase = 0.0
     periods: int | None = None
@@ -283,8 +304,6 @@ def parse_schedule(text: str) -> Schedule:
     # header records set one value each, so a second one is refused, not obeyed
     headers = {"qubits"}
 
-    if not text.isascii() or any(br in text for br in _ASCII_BREAKS):
-        text = _BREAKS.sub("\n", text)
     blocks: list[tuple[array, int]] = []  # (table indices, count) of each block so far
     ids = array("q")  # the table index of each record since the latest run
     # a table index -> offset of a line of it: its first, or the latest that
@@ -355,6 +374,8 @@ def parse_schedule(text: str) -> Schedule:
                     last[k] = here
                     ids.append(k)
                     continue
+                if not raw.isprintable() and any(br in raw for br in _ASCII_BREAKS):
+                    raise _OtherBreak
                 tokens = raw.split("#", 1)[0].split()
                 if not tokens:
                     fence = here

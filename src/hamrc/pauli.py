@@ -57,7 +57,7 @@ class PauliString:
 
     def weight(self) -> int:
         """Number of non-identity sites."""
-        return sum(1 for o in self.ops if o != "I")
+        return len(self.ops) - self.ops.count("I")
 
     def support(self) -> tuple[int, ...]:
         """Indices of the non-identity sites, ascending."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -43,6 +42,7 @@ from .schedule import (
     LocalLayer,
     Schedule,
     _evaluate,
+    _merge_seams,
     canonicalize,
     evaluate_schedule,
 )
@@ -100,7 +100,10 @@ class StepModel:
     that isolates a pair its copy of them); ``compile_model`` then runs
     the framed drifts that are one operator as one factor
     (``merge_framed_drifts``), and every compile plans, emits and counts
-    that merged model.
+    that merged model.  The model builds, once, the layers its steps are
+    emitted with: each framed drift's frame layer and its inverse
+    (``frame_layers``), and the merged layer of each seam two consecutive
+    framed drifts form (``seam_layers``).
     """
 
     n: int
@@ -127,6 +130,82 @@ class StepModel:
         )
         layers = iter(zip(built, LocalLayer.daggers(built)))
         return tuple(next(layers) if fr else None for fr in framed)
+
+    @functools.cached_property
+    def _built(self) -> dict:
+        """What ``seam_layers`` and ``step_layout`` built, by their arguments."""
+        return {}
+
+    def seam_layers(self, order: int) -> dict[tuple[int, int], LocalLayer]:
+        """The merged layer of each seam that two consecutive framed drifts
+        form in a step of ``order``, keyed by the factors on its left and
+        right in operator order.
+
+        A framed drift ``k`` runs as ``L_k, drift, L_k^dag``, so factor
+        ``k`` meets factor ``k + 1`` at ``L_k^dag L_(k+1)``; order 2's
+        reflection also meets them the other way, at ``L_(k+1)^dag L_k``.
+        The seams of the order are merged in one batch by
+        ``schedule._merge_seams``, the kernel ``canonicalize`` uses, each
+        distinct pair of layers once, so every merged layer is bitwise the
+        one the fold makes of that seam.  A seam whose merge is not
+        unitary is left out, for the fold to raise at it.  Built once per
+        order and shared by every step.
+        """
+        if ("seams", order) in self._built:
+            return self._built["seams", order]
+        frames = self.frame_layers
+        links = [(k, k + 1) for k in range(len(frames) - 1) if frames[k] and frames[k + 1]]
+        if order == 2:
+            links += [(k + 1, k) for k, _ in links]
+        pairs = [(frames[a][1], frames[b][0]) for a, b in links]
+        keys = [(left.cache_key(), right.cache_key()) for left, right in pairs]
+        distinct = dict(zip(keys, pairs))
+        merged = dict(zip(distinct, _merge_seams(list(distinct.values()), self.n)))
+        seams = self._built["seams", order] = {
+            link: merged[key]
+            for link, key in zip(links, keys) if isinstance(merged[key], LocalLayer)
+        }
+        return seams
+
+    def step_layout(self, order: int, zero: frozenset[int]) -> tuple:
+        """The step ``emit_step`` writes at ``order``, with the index of each
+        factor in the place of its instruction: a local factor's layer or
+        a framed drift's drift, whose durations depend on the step.
+
+        A framed drift stands between its frame layers, and where two meet
+        their seam is the merged layer of ``seam_layers`` (nothing, when it
+        has no sites); a seam beside a factor in ``zero``, whose drift
+        lasts no time, keeps its two layers.  Built once per order and
+        set of such factors.
+        """
+        if (order, zero) in self._built:
+            return self._built[order, zero]
+        frames = self.frame_layers
+        seams = self.seam_layers(order)
+        last = len(frames) - 1
+        if order == 1 or last < 1:
+            runs = list(range(last + 1))
+        else:
+            runs = [*range(last), last, *reversed(range(last))]
+        out: list[LocalLayer | int] = []
+        prev = -1  # the framed drift just written, unless it lasts no time
+        for k in runs:
+            frame = frames[k]
+            if frame is None:
+                out.append(k)
+                prev = -1
+                continue
+            seam = None if k in zero else seams.get((prev, k))
+            if seam is None:
+                out.append(frame[0])
+            elif seam.sites():
+                out[-1] = seam
+            else:
+                out.pop()
+            out += (k, frame[1])
+            prev = -1 if k in zero else k
+        layout = self._built[order, zero] = tuple(out)
+        return layout
 
     @functools.cached_property
     def images(self) -> tuple[np.ndarray, ...]:
@@ -305,31 +384,38 @@ def emit_step(
     symmetric palindrome: all but the last factor at ``delta/2``, the
     last at ``delta``, then the reflection, which repeats the head's
     instruction objects (a local factor's layer is built once per step).
-    A framed drift runs between its layer and that layer's inverse from
-    ``StepModel.frame_layers``, built once per model, so every step of a
-    model shares them.
+
+    The layers come from ``StepModel.step_layout``, built once per model:
+    a framed drift runs between its layer and that layer's inverse, and
+    where two framed drifts meet, the inverse of the first and the layer
+    of the second are written as their merged layer from
+    ``StepModel.seam_layers``.  So a step of m framed drifts in a row
+    carries m + 1 frame layers, shared by every step.  A seam beside a
+    zero-duration drift, or whose merge is not unitary, is written as its
+    two layers: ``canonicalize`` merges it as it merges the seams that
+    depend on ``delta`` or on the copy (the local factor's layer and the
+    join between steps), and its result is the one it makes of the
+    unmerged step.
     """
     if order not in (1, 2):
         raise InvalidStep(f"order must be 1 or 2, got {order}")
     if not delta > 0:
         raise InvalidStep(f"step duration must be positive, got {delta}")
 
-    frames = model.frame_layers
-
-    def run(k: int, duration: float) -> list[Instruction]:
-        factor = model.factors[k]
-        if isinstance(factor, LocalFactor):
-            return [factor.layer(duration)]
-        drift = Drift(factor.rate * duration)
-        return [frames[k][0], drift, frames[k][1]] if frames[k] else [drift]
-
     last = len(model.factors) - 1
-    if order == 1 or last < 1:
-        out = [ins for k in range(last + 1) for ins in run(k, delta)]
-    else:
-        # the reflection repeats the head's instructions, built once
-        head = [run(k, delta / 2.0) for k in range(last)]
-        out = [*chain.from_iterable(head), *run(last, delta), *chain.from_iterable(head[::-1])]
+    durations = [delta] * (last + 1)
+    if order == 2 and last >= 1:
+        durations[:last] = [delta / 2.0] * last
+    zero = frozenset(
+        k for k, (f, d) in enumerate(zip(model.factors, durations))
+        if isinstance(f, FramedDrift) and not f.rate * d
+    )
+    layout = model.step_layout(order, zero)
+    built = [
+        f.layer(d) if isinstance(f, LocalFactor) else Drift(f.rate * d)
+        for f, d in zip(model.factors, durations)
+    ]
+    out = [built[x] if type(x) is int else x for x in layout]
     return out, -model.phase_rate * delta
 
 
@@ -338,7 +424,12 @@ def _make_measure(
 ) -> Callable[[int], float]:
     """The measured error of ``model`` at a step count, for the empirical
     plan.  The goal and the drift's eigendecomposition are built once, for
-    every call of the returned closure."""
+    every call of the returned closure.
+
+    Each call evaluates the step ``emit_step`` writes, with its seams
+    merged from ``StepModel.seam_layers``: the model merges them at the
+    first probe, and every later probe and the final emission reuse them.
+    """
     goal = evolution(target, t)
     evals, vecs = np.linalg.eigh(dense_of_expansion(model.drift))
 

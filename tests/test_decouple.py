@@ -253,6 +253,61 @@ def test_benchmark_shaped_drifts_need_few_frames():
         assert isolate_principal(ham, pair) == (isolated, frames)
 
 
+def _pauli_product(a, b):
+    """The product of two Pauli strings up to phase, site by site."""
+    return PauliString("".join(_PRODUCT[x + y] for x, y in zip(a.ops, b.ops)))
+
+
+def _reference_frames(ham, pair):
+    """The frames and depth ``isolate_principal`` chose with both generator
+    sets built in full: the halving rounds of the averaging reference, and
+    a brute-force greedy cover (each pick the first string on the sites off
+    the pair, in canonical order, that anticommutes with the most terms not
+    yet covered), used when it has strictly fewer generators."""
+    _, halving, depth = _reference_isolation(ham, pair)
+    rest = [q for q in range(ham.n) if q not in pair]
+    if 4 ** len(rest) > decouple.MAX_COVER_CANDIDATES:
+        return halving, depth
+    candidates = []
+    for axes in product("IXYZ", repeat=len(rest)):
+        ops = ["I"] * ham.n
+        for q, axis in zip(rest, axes):
+            ops[q] = axis
+        candidates.append(PauliString("".join(ops)))
+    left = [p for p in ham if set(p.support()) - set(pair)]
+    picks = []
+    while left:
+        counts = [sum(conjugation_sign(p, c) < 0 for p in left) for c in candidates]
+        best = candidates[counts.index(max(counts))]
+        picks.append(best)
+        left = [p for p in left if conjugation_sign(p, best) > 0]
+    if len(picks) >= len(halving).bit_length() - 1:  # a tie keeps the halving rounds
+        return halving, depth
+    group = [PauliString("I" * ham.n)]
+    for g in picks:
+        group += [_pauli_product(f, g) for f in group]
+    return tuple((0.5 ** len(picks), f) for f in group), 0
+
+
+def test_frames_are_those_of_both_generator_sets_built_in_full():
+    # the halving rounds stop once they need more generators than the
+    # cover; the frames, weights and order stay those of comparing the two
+    # sets in full
+    rng = np.random.default_rng(53)
+    cases = [(xz_chain(n), pair) for n in range(3, 13) for pair in ((0, 1), (1, 2), (n - 2, n - 1))]
+    for n in (3, 4, 5):
+        ham = _heisenberg_all_to_all(n, rng)
+        cases += [(ham, (i, j)) for i in range(n) for j in range(i + 1, n)]
+    for n in range(3, 8):
+        for density in (0.3, 1.0, 3.0):
+            ham = random_two_body(n, rng, coupling_density=density, connected=True)
+            cases.append((ham, tuple(int(q) for q in rng.choice(n, 2, replace=False))))
+        cases.append((_same_axis_drift(n, "Y"), (0, n - 1)))
+    for ham, pair in cases:
+        frames = isolate_principal(ham, pair)[1]
+        assert (frames.frames, frames.depth) == _reference_frames(ham, pair), (ham.n, pair)
+
+
 @pytest.mark.parametrize("n", [48, 63])
 def test_large_chains_decouple_by_one_halving_round(n):
     # one round, all-X and all-Y off the pair, cancels every chain term off

@@ -484,6 +484,28 @@ def test_runs_parse_as_lines_one_at_a_time(text):
     assert _outcome(parse_schedule, text) == _outcome(_parse_lines, text)
 
 
+@pytest.mark.parametrize("brk", list("\r\v\f\x1c\x1d\x1e"))
+def test_every_ascii_break_ends_a_line_where_splitlines_ends_it(brk):
+    # ``split`` would read each of them as blank space inside one line: in
+    # the header, it would merge two records into one refused header
+    run = "local 0\ndrift 0.5\n" * 300
+    texts = {
+        "qubits 2" + brk + "phase 0.5\nlayer 0\n" + run + "wobble\n": "line 604: unrecognized record 'wobble'",
+        # inside a run's copy, after a run, and on the last line
+        "qubits 2\nlayer 0\n" + run + "local 0" + brk + "drift 0.5\n" + run + "wobble": "line 1205:",
+        "qubits 2\nlayer 0\n" + run + "drift 0.5" + brk + "drift -1\n": "line 604: drift duration",
+        "qubits 2\nlayer 0\n" + run + "drift 0.5" + brk: None,
+        "qubits 2" + brk + "layer 0" + brk + "local 0" + brk * 2 + run: None,
+    }
+    for text, error in texts.items():
+        got = _outcome(parse_schedule, text)
+        assert got == _outcome(_parse_lines, text)
+        if error is None:
+            assert got == _outcome(parse_schedule, text.replace(brk, "\n"))
+        else:
+            assert error in got
+
+
 @pytest.mark.parametrize("steps,order", [(5000, 1), (4, 2)])
 def test_a_parsed_file_evaluates_as_its_instruction_tuple(sample_drift, steps, order):
     text = serialize_schedule(compile_cnot(sample_drift, steps=steps, order=order))

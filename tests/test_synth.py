@@ -56,6 +56,8 @@ from hamrc import (
 )
 from hamrc.bounds import MAX_PLAN_STEPS, ROUNDING, _coefficient_table
 from hamrc.dense import _dense_of_masks
+from hamrc.hamio import serialize_schedule
+from hamrc.schedule import Schedule, _merge_seams, canonicalize
 from hamrc.synth import (
     CNOT_BODY,
     CNOT_TIME,
@@ -495,15 +497,6 @@ def test_emit_step_rejects_bad_arguments(sample_drift):
         emit_step(model, 0.0, 1)
 
 
-def _frame_pairs(instructions):
-    """(layer before, layer after) around every drift of one emitted step."""
-    return [
-        (instructions[i - 1], instructions[i + 1])
-        for i, ins in enumerate(instructions)
-        if isinstance(ins, Drift)
-    ]
-
-
 def _frame_models():
     """A two-qubit model, a pair model on a 4-site drift and the merged
     model a compile runs for it, each a local factor and framed drifts."""
@@ -533,13 +526,20 @@ def test_emit_step_shares_frame_layers_across_steps():
         third, _ = emit_step(model, 0.2, 2)
         layers = model.frame_layers
         assert [k for k, fb in enumerate(layers) if fb is not None] == framed
-        order1 = [layers[k] for k in framed]
         # order 2 runs the framed drifts as a palindrome around the last one
-        order2 = order1 + order1[-2::-1]
-        for got, want in ((first, order1), (second, order2), (third, order2)):
-            pairs = _frame_pairs(got)
-            assert len(pairs) == len(want)
-            assert all(a is c and b is d for (a, b), (c, d) in zip(pairs, want))
+        order2 = framed + framed[-2::-1]
+        for got, order, runs in ((first, 1, framed), (second, 2, order2), (third, 2, order2)):
+            seams = model.seam_layers(order)
+            at = [i for i, ins in enumerate(got) if isinstance(ins, Drift)]
+            assert len(at) == len(runs)
+            # the frame layers at the step's ends, and between two framed
+            # drifts the model's one merged layer of their seam: m + 1
+            # frame layers for m framed drifts
+            assert got[at[0] - 1] is layers[runs[0]][0]
+            assert got[at[-1] + 1] is layers[runs[-1]][1]
+            for i, j, a, b in zip(at, at[1:], runs, runs[1:]):
+                assert j == i + 2 and got[i + 1] is seams[a, b]
+            assert seams is model.seam_layers(order)
         # the shared layers are the ones a fresh construction builds, and
         # the frame the Cliffords' own matrices give
         for k in framed:
@@ -550,6 +550,11 @@ def test_emit_step_shares_frame_layers_across_steps():
             u = _frame_matrix(f, model.n)
             assert np.allclose(fwd.dense(model.n), u, atol=1e-15)
             assert np.allclose(back.dense(model.n), u.conj().T, atol=1e-15)
+        # each seam layer is bitwise the one the fold makes of that seam
+        for (a, b), seam in model.seam_layers(2).items():
+            (alone,) = _merge_seams([(layers[a][1], layers[b][0])], model.n)
+            assert seam.cache_key() == alone.cache_key()
+        assert set(model.seam_layers(1)) == {(a, b) for a, b in zip(framed, framed[1:])}
 
 
 def test_emit_step_builds_a_models_frame_layers_in_one_batch(monkeypatch):
@@ -820,6 +825,109 @@ def test_merged_pair_compiles_verify_within_their_chained_prediction(drift, edge
     assert distance(goal, evaluate_schedule(sched, drift)) <= sched.predicted_error + ROUNDING
     merged = compile_model(drift, target, pair)
     assert sched.raw_drift_periods == merged.raw_drifts_per_step(order) * sched.plan.steps
+
+
+def _raw_step(model, delta, order):
+    """The step as ``emit_step`` wrote it before seams were merged: each
+    framed drift between its layer and that layer's inverse."""
+    frames = model.frame_layers
+
+    def run(k, duration):
+        factor = model.factors[k]
+        if isinstance(factor, LocalFactor):
+            return [factor.layer(duration)]
+        drift = Drift(factor.rate * duration)
+        return [frames[k][0], drift, frames[k][1]] if frames[k] else [drift]
+
+    last = len(model.factors) - 1
+    if order == 1 or last < 1:
+        out = [ins for k in range(last + 1) for ins in run(k, delta)]
+    else:
+        head = [ins for k in range(last) for ins in run(k, delta / 2.0)]
+        out = head + run(last, delta) + [ins for k in reversed(range(last)) for ins in run(k, delta / 2.0)]
+    return out, -model.phase_rate * delta
+
+
+def _check_merged_step(model, delta, order, steps):
+    """The merged step canonicalizes, repeated, byte for byte as the raw
+    step does, and evaluates within 1e-12 of it."""
+    merged, phase = emit_step(model, delta, order)
+    raw, raw_phase = _raw_step(model, delta, order)
+    assert phase == raw_phase
+    assert sum(isinstance(ins, Drift) for ins in merged) == sum(isinstance(ins, Drift) for ins in raw)
+    assert len(merged) <= len(raw)
+    text = [
+        serialize_schedule(canonicalize(Schedule(model.n, ((body, steps),), phase * steps)))
+        for body in (merged, raw)
+    ]
+    assert text[0] == text[1]
+    one = [evaluate_schedule(Schedule(model.n, ((body, 1),), phase), model.drift)
+           for body in (merged, raw)]
+    assert np.abs(one[0] - one[1]).max() <= 1e-12
+    return merged
+
+
+@settings(max_examples=40)
+@given(
+    drift=_pair_expansions(),
+    target=_pair_expansions(couplings=(1, 3), locals_=(0, 2)),
+    merge=st.booleans(),
+    order=st.sampled_from([1, 2]),
+    delta=st.floats(1e-3, 2.0),
+    steps=st.integers(1, 6),
+)
+def test_merged_two_qubit_steps_canonicalize_as_the_raw_ones(drift, target, merge, order, delta, steps):
+    model = step_model(drift, target)
+    _check_merged_step(merge_framed_drifts(model) if merge else model, delta, order, steps)
+
+
+@settings(max_examples=15)
+@given(
+    drift=_register_drifts(),
+    edge=st.integers(0, 3),
+    target=_pair_expansions(couplings=(1, 2), locals_=(0, 1)),
+    merge=st.booleans(),
+    order=st.sampled_from([1, 2]),
+    delta=st.floats(1e-3, 2.0),
+    steps=st.integers(1, 4),
+)
+def test_merged_pair_steps_canonicalize_as_the_raw_ones(drift, edge, target, merge, order, delta, steps):
+    pair = (edge % (drift.n - 1), edge % (drift.n - 1) + 1)
+    model = pair_step_model(drift, pair, target)
+    _check_merged_step(merge_framed_drifts(model) if merge else model, delta, order, steps)
+
+
+def test_a_seam_that_cancels_is_written_as_nothing(sample_drift):
+    # two framed drifts on one frame meet at L^dag L, the identity: the
+    # merged layer has no sites, so the step writes their drifts side by side
+    frame = ((0, CLIFF_S), (1, PAULI_CLIFF["X"]))
+    model = StepModel(2, sample_drift, (FramedDrift(0.5, frame), FramedDrift(0.25, frame)), 0.0)
+    (seam,) = model.seam_layers(1).values()
+    assert seam.sites() == ()
+    fwd, back = model.frame_layers[0]
+    for order, drifts in ((1, [0.05, 0.025]), (2, [0.025, 0.025, 0.025])):
+        got = _check_merged_step(model, 0.1, order, 3)
+        assert got == [fwd, *map(Drift, drifts), back]
+
+
+def test_a_zero_duration_drift_keeps_the_seams_beside_it(sample_drift):
+    # the fold drops a zero drift and merges the layers around it, so the
+    # seams beside it are left to the fold, which merges them as before
+    model = merge_framed_drifts(step_model(sample_drift, build_expansion(2, [("XX", 0.7), ("ZZ", 0.2)])))
+    framed = [k for k, f in enumerate(model.factors) if isinstance(f, FramedDrift)]
+    assert len(framed) >= 4
+    zero = framed[1]
+    factors = list(model.factors)
+    factors[zero] = FramedDrift(0.0, factors[zero].frame)
+    model = dataclasses.replace(model, factors=tuple(factors))
+    layers = model.frame_layers
+    for order in (1, 2):
+        got = _check_merged_step(model, 0.1, order, 4)
+        seams = set(model.seam_layers(order).values())
+        i = got.index(Drift(0.0))
+        assert got[i - 1] is layers[zero][0] and got[i + 1] is layers[zero][1]
+        assert got[i - 2] is layers[framed[0]][1] and got[i + 2] is layers[framed[2]][0]
+        assert sum(ins in seams for ins in got) == (len(framed) - 3 if order == 1 else 2 * len(framed) - 6)
 
 
 def test_a_model_with_nothing_to_merge_comes_back_unchanged():
