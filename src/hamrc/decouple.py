@@ -6,8 +6,9 @@ so the survivors follow from one commutation test on the packed ``(x, z)``
 masks of ``pauli`` (``pauli.anticommutes``) and no coefficient is ever
 recomputed.  The frames are the group's ``2^k`` elements, each of weight
 ``2^-k``, so the fewer the generators, the fewer framed drifts every later
-layer handles.  Both generator sets below are built in full, and the cover
-is used when it is strictly smaller:
+layer handles.  The cover below is found first, the halving rounds stop
+once they need more generators than it, and the cover is used when it is
+strictly smaller:
 
 * A greedy cover of the drift (Wocjan, Rötteler, Janzing & Beth, PRA 65,
   042309 (2002)).  One table holds the commutation test of every term off

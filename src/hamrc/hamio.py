@@ -22,10 +22,21 @@ then list the instructions in operator-product order::
     local 0
 
 A compiled schedule repeats one step many times.  The format has no
-repeat record, so the step is written out copy by copy, but both
-directions handle such text a repeated run at a time rather than a line
-at a time, and a parsed run is one block of the schedule (see
-:func:`serialize_schedule` and :func:`parse_schedule`).
+repeat record, so the step is written out copy by copy, led by a run
+comment that gives its records per copy and its count::
+
+    # run 2 3
+    local 0
+    drift 0.39269908169872414
+    local 0
+    drift 0.39269908169872414
+    local 0
+    drift 0.39269908169872414
+
+A reader that skips comments reads the copies line by line;
+:func:`parse_schedule` checks the copies as text and keeps the run as one
+block of the schedule, and reads a run comment the text does not bear out
+as a plain comment.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,7 +156,9 @@ def serialize_schedule(sched: Schedule) -> str:
     The bodies' tables are interned together, so the records come in
     order of first use, and each body's ids are mapped through them.  A
     block's body is joined into text once and that text repeated ``count``
-    times, so a long repetition costs one string copy, not a line each.
+    times, so a long repetition costs one string copy, not a line each.  A
+    block of count above 1 is led by its run comment, ``# run <L> <count>``
+    with ``L`` the records of one copy.
     """
     out = [f"qubits {sched.n}", f"phase {_fmt(sched.phase)}"]
     if sched.raw_drift_periods is not None:
@@ -170,61 +183,41 @@ def serialize_schedule(sched: Schedule) -> str:
     start = 0
     for body, count in sched.blocks:
         seq = distinct.ids[start:start + len(body.table)][body.ids]
+        if count > 1:
+            listed.append(f"# run {len(body)} {count}\n")
         listed.append("".join(map(records.__getitem__, seq.tolist())) * count)
         start += len(body.table)
     return "".join(listed)
 
 
 #: the line breaks of ``str.splitlines`` other than ``\n``; a text with
-#: any of them is rewritten to ``\n`` breaks before it is walked
+#: any of them is rewritten to ``\n`` breaks before it is read
 _BREAKS = re.compile("\r\n|[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 #: those of them in ASCII, looked for in each distinct line the parser
 #: reads (one regex search of a 700 KB text takes milliseconds, and even
 #: one fast scan per character tens of microseconds)
 _ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
-#: characters of schedule text split into lines at a time
-_WINDOW = 4096
-#: records that seek a run after each window start and each run
-_PROBES = 8
-#: characters of a chunk compared first when seeking a run
-_PREFIX = 64
+#: a run comment; each number has at most 18 digits, so ``int`` never
+#: meets one past its digit limit
+_RUN = re.compile("# run ([1-9][0-9]{0,17}) ([1-9][0-9]{0,17})")
+#: characters of a run's copies compared at a time
+_BLOCK = 1 << 16
 
 
-def _copies(text: str, start: int, pos: int) -> tuple[int, int]:
-    """Whole copies of ``text[start:pos]`` that follow at ``pos``.
+def _repeats(text: str, chunk: str, pos: int, copies: int) -> bool:
+    """Whether ``copies`` copies of ``chunk`` follow at ``pos``.
 
-    Returns ``(copies, matched)``: when no copy follows, ``matched`` is
-    how many characters at ``pos`` are known to agree with the chunk.  The
-    chunk is compared a doubling prefix at a time, so a failed search
-    stops near the first differing line; copies are then counted with
-    blocks of 1, 2, 4, ... copies, doubling and then halving.
+    They are compared a block of copies at a time, at most ``_BLOCK``
+    characters or one copy, so the check allocates no more than that
+    whatever the count.
     """
-    span = pos - start
-    width = matched = 0
-    while width < span:
-        width = min(2 * width or _PREFIX, span)
-        chunk = text[start:start + width]
-        if not text.startswith(chunk, pos):
-            return 0, matched
-        matched = width
-    blocks = [chunk]  # blocks[i] is 2**i copies
-    copies = 1
-    while text.startswith(blocks[-1], pos + copies * span):
-        copies *= 2
-        blocks.append(blocks[-1] * 2)
-    for block in reversed(blocks[:-1]):
-        if text.startswith(block, pos + copies * span):
-            copies += len(block) // span
-    return copies, 0
-
-
-def _append(blocks: list[tuple[array, int]], body: array, count: int) -> None:
-    """Add ``(body, count)`` to ``blocks``; an empty body adds nothing, and a
-    body equal to the last block's adds its count there."""
-    if blocks and blocks[-1][0] == body:
-        blocks[-1] = (body, blocks[-1][1] + count)
-    elif body:
-        blocks.append((body, count))
+    stop = pos + copies * len(chunk)
+    block = chunk * min(copies, max(1, _BLOCK // len(chunk)))
+    while pos + len(block) <= stop:
+        if not text.startswith(block, pos):
+            return False
+        pos += len(block)
+    return text.startswith(block[:stop - pos], pos)
 
 
 def _build_layers(
@@ -258,24 +251,17 @@ def parse_schedule(text: str) -> Schedule:
     is read; a layer that fails is reported at the line of its first use,
     and of two faults the one on the earlier line is reported.
 
-    A compiled file repeats one step many times, so the text is read a
-    repeated run at a time, and each run becomes a block.  When a record
-    line recurs and every line since an earlier occurrence of it is a
-    record too, the text between the two is a chunk: the whole copies of
-    it that follow are counted by string comparison, with no walk over
-    their lines, and the chunk with its copies becomes one block.  A chunk
-    that is copies of a shorter one is counted as those, and copies of it
-    just before the run join the block, as does a preceding block of the
-    same chunk.  A chunk starts after the latest run, and the records
-    between runs are blocks of count 1.  Lines are split a window at a
-    time; the first few records after a window start or a run seek a run,
-    and for the other records only the table index is looked up.  The
-    indices are kept in integer arrays that numpy reads without a copy.
-    Lines and line numbers are those of ``str.splitlines``: a text with
-    another break than ``\\n`` is read again with ``\\n`` breaks.  Every
-    character is in a line the parser reads or in an exact copy of read
-    lines, so the ASCII breaks are looked for only in the distinct lines
-    it reads, and a text without them is never scanned for them.
+    The text is read line by line, except where a run comment,
+    ``# run <L> <count>``, is borne out: when its next ``L`` lines are all
+    records and ``count - 1`` copies of them follow, the copies are
+    compared as text, not read, and the ``L`` records with ``count``
+    become one block.  Anywhere else it is a plain comment, so a comment
+    never changes what a text means; the records between runs are blocks
+    of count 1.  Lines and line numbers are those of ``str.splitlines``: a
+    text with another break than ``\\n`` is read again with ``\\n``
+    breaks.  Every character is in a line the parser reads or in a copy
+    of read lines, so the ASCII breaks are looked for only in the distinct
+    lines it reads, and a text without them is never scanned for them.
     """
     if not text.isascii():
         text = _BREAKS.sub("\n", text)
@@ -304,150 +290,123 @@ def _parse_text(text: str) -> Schedule:
     # header records set one value each, so a second one is refused, not obeyed
     headers = {"qubits"}
 
+    def read(raw: str, lineno: int) -> int | None:
+        """Parse a line that is not in ``seen``: a record's table index, or
+        ``None`` for any other line."""
+        nonlocal n, phase, periods, predicted
+        if not raw.isprintable() and any(br in raw for br in _ASCII_BREAKS):
+            raise _OtherBreak
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            return None
+        kind, args = tokens[0], tokens[1:]
+        ins: Instruction | int | None = None
+        if n is None:
+            if kind != "qubits" or len(args) != 1:
+                raise ParseError("expected 'qubits <n>' header", line=lineno)
+            n = _parse_int(args[0], lineno, "qubit count")
+            if n < 1:
+                raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
+        elif kind == "local" and len(args) == 1:
+            ins = _parse_int(args[0], lineno, "layer id")
+            if ins not in pending:
+                raise ParseError(f"layer {ins} never declared", line=lineno)
+            used.setdefault(ins, lineno)
+        elif kind == "drift" and len(args) == 1:
+            tau = _parse_float(args[0], lineno, "drift duration")
+            try:
+                ins = Drift(tau)
+            except InvalidTerm as exc:
+                raise ParseError(str(exc), line=lineno) from None
+        elif kind in headers:
+            raise ParseError(f"repeated {kind!r} record", line=lineno)
+        elif kind == "phase" and len(args) == 1:
+            headers.add(kind)
+            phase = _parse_float(args[0], lineno, "phase")
+        elif kind == "periods" and len(args) == 1:
+            headers.add(kind)
+            periods = _parse_int(args[0], lineno, "period count")
+            if periods < 0:
+                raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
+        elif kind == "predicted" and len(args) == 1:
+            headers.add(kind)
+            predicted = _parse_float(args[0], lineno, "predicted error")
+            if predicted < 0:
+                raise ParseError(f"predicted error must be >= 0, got {predicted}", line=lineno)
+        # an identity layer is declared with no factor rows
+        elif kind == "layer" and len(args) == 1:
+            pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
+        elif kind == "layer":
+            if len(args) != 10:
+                raise ParseError("layer rows take id, site and 8 reals", line=lineno)
+            layer_id = _parse_int(args[0], lineno, "layer id")
+            site = _parse_int(args[1], lineno, "site")
+            if not 0 <= site < n:
+                raise ParseError(f"site {site} outside register of {n}", line=lineno)
+            if layer_id in used:
+                raise ParseError(f"layer {layer_id} extended after first use", line=lineno)
+            vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
+            rows = pending.setdefault(layer_id, {})
+            if site in rows:
+                raise ParseError(f"site {site} repeated in layer {layer_id}", line=lineno)
+            rows[site] = vals
+        else:
+            raise ParseError(f"unrecognized record {kind!r}", line=lineno)
+        if ins is None:
+            return None
+        seen[raw] = len(table)
+        table.append(ins)
+        return seen[raw]
+
     blocks: list[tuple[array, int]] = []  # (table indices, count) of each block so far
     ids = array("q")  # the table index of each record since the latest run
-    # a table index -> offset of a line of it: its first, or the latest that
-    # sought a run
-    last: list[int] = []
-    # offset of the latest line that is not a record, or of the latest
-    # run's end: a chunk starts after it
-    fence = -1
-    # a chunk span -> the offset up to which a failed search matched: no
-    # chunk of that span repeats before it
-    ruled_out: dict[int, int] = {}
+
+    def read_lines(lines: list[str], lineno: int) -> int:
+        """Read ``lines``, the first of them line ``lineno + 1``; returns the
+        number of the last."""
+        for lineno, raw in enumerate(lines, lineno + 1):
+            k = seen.get(raw)
+            if k is None:
+                k = read(raw, lineno)
+            if k is not None:
+                ids.append(k)
+        return lineno
+
     lineno = 0
     pos, end = 0, len(text) - text.endswith("\n")
     try:
         while pos < end:
-            # whole lines are split a window at a time
-            cut = text.find("\n", pos + _WINDOW, end)
-            if cut < 0:
-                cut = end
-            probes = _PROBES
-            lines = text[pos:cut].split("\n")
-            first = known = lineno + 1  # pos is the offset of line known
-            walk = enumerate(lines, first)
-            for lineno, raw in walk:
-                k = seen.get(raw)
-                if k is not None and not probes:
-                    ids.append(k)
-                    continue
-                # this line's offset, counted on from line known
-                if lineno > known:
-                    pos += sum(map(len, lines[known - first:lineno - first])) + lineno - known
-                here = pos
-                known, pos = lineno + 1, here + len(raw) + 1
-                if k is not None:  # a record that seeks a run
-                    probes -= 1
-                    start = last[k]
-                    span = here - start
-                    # a run needs its chunk of records to agree with the text that follows
-                    if (start > fence and text.startswith(text[start:start + _PREFIX], here)
-                            and here >= ruled_out.get(span, 0)):
-                        copies, matched = _copies(text, start, here)
-                        if copies:
-                            width = text.count("\n", start, here)  # records in the chunk
-                            chunk = ids[-width:]
-                            count = copies + 1
-                            del ids[-width:]
-                            # a chunk of several copies of a shorter one counts those
-                            size = next(p for p in range(1, width + 1) if width % p == 0
-                                        and chunk[:p] * (width // p) == chunk)
-                            chunk, count = chunk[:size], count * (width // size)
-                            while ids[-size:] == chunk:  # earlier copies join the block
-                                del ids[-size:]
-                                count += 1
-                            _append(blocks, ids, 1)
-                            _append(blocks, chunk, count)
-                            ids = array("q")
-                            pos = here + copies * span
-                            fence = pos - 1
-                            known = lineno + copies * width
-                            probes = _PROBES
-                            if pos > cut:  # the run ends past the window
-                                lineno = known - 1
-                                break
-                            m = copies * width - 1  # the run's other lines in this window
-                            next(islice(walk, m, m), None)
-                            continue
-                        ruled_out[span] = here + matched
-                    last[k] = here
-                    ids.append(k)
-                    continue
-                if not raw.isprintable() and any(br in raw for br in _ASCII_BREAKS):
-                    raise _OtherBreak
-                tokens = raw.split("#", 1)[0].split()
-                if not tokens:
-                    fence = here
-                    continue
-                kind, args = tokens[0], tokens[1:]
-                ins: Instruction | int | None = None
-                if n is None:
-                    if kind != "qubits" or len(args) != 1:
-                        raise ParseError("expected 'qubits <n>' header", line=lineno)
-                    n = _parse_int(args[0], lineno, "qubit count")
-                    if n < 1:
-                        raise ParseError(f"qubit count must be >= 1, got {n}", line=lineno)
-                elif kind == "local" and len(args) == 1:
-                    ins = _parse_int(args[0], lineno, "layer id")
-                    if ins not in pending:
-                        raise ParseError(f"layer {ins} never declared", line=lineno)
-                    used.setdefault(ins, lineno)
-                elif kind == "drift" and len(args) == 1:
-                    tau = _parse_float(args[0], lineno, "drift duration")
-                    try:
-                        ins = Drift(tau)
-                    except InvalidTerm as exc:
-                        raise ParseError(str(exc), line=lineno) from None
-                elif kind in headers:
-                    raise ParseError(f"repeated {kind!r} record", line=lineno)
-                elif kind == "phase" and len(args) == 1:
-                    headers.add(kind)
-                    phase = _parse_float(args[0], lineno, "phase")
-                elif kind == "periods" and len(args) == 1:
-                    headers.add(kind)
-                    periods = _parse_int(args[0], lineno, "period count")
-                    if periods < 0:
-                        raise ParseError(f"period count must be >= 0, got {periods}", line=lineno)
-                elif kind == "predicted" and len(args) == 1:
-                    headers.add(kind)
-                    predicted = _parse_float(args[0], lineno, "predicted error")
-                    if predicted < 0:
-                        raise ParseError(
-                            f"predicted error must be >= 0, got {predicted}", line=lineno
-                        )
-                # an identity layer is declared with no factor rows
-                elif kind == "layer" and len(args) == 1:
-                    pending.setdefault(_parse_int(args[0], lineno, "layer id"), {})
-                elif kind == "layer":
-                    if len(args) != 10:
-                        raise ParseError("layer rows take id, site and 8 reals", line=lineno)
-                    layer_id = _parse_int(args[0], lineno, "layer id")
-                    site = _parse_int(args[1], lineno, "site")
-                    if not 0 <= site < n:
-                        raise ParseError(f"site {site} outside register of {n}", line=lineno)
-                    if layer_id in used:
-                        raise ParseError(
-                            f"layer {layer_id} extended after first use", line=lineno
-                        )
-                    vals = [_parse_float(tok, lineno, "matrix entry") for tok in args[2:]]
-                    rows = pending.setdefault(layer_id, {})
-                    if site in rows:
-                        raise ParseError(
-                            f"site {site} repeated in layer {layer_id}", line=lineno
-                        )
-                    rows[site] = vals
-                else:
-                    raise ParseError(f"unrecognized record {kind!r}", line=lineno)
-                if ins is None:
-                    fence = here
-                else:
-                    seen[raw] = len(table)
-                    last.append(here)
-                    ids.append(len(table))
-                    table.append(ins)
+            if not text.startswith("# run ", pos):  # the lines up to the next run comment
+                mark = text.find("\n# run ", pos, end) + 1 or end
+                lineno = read_lines(text[pos:mark - (mark < end)].split("\n"), lineno)
+                pos = mark
+                continue
+            eol = text.find("\n", pos, end)
+            raw = text[pos:end if eol < 0 else eol]
+            lineno = read_lines([raw], lineno)  # a comment, whose breaks are checked
+            pos = start = pos + len(raw) + 1
+            run = _RUN.fullmatch(raw)
+            if run is None or int(run[2]) < 2:
+                continue
+            length, count = int(run[1]), int(run[2])
+            cut = start  # the end of the next ``length`` lines, if they end in breaks
+            for _ in range(length):
+                cut = text.find("\n", cut, end) + 1
+                if not cut:
+                    break
             else:
-                pos = cut + 1
+                first = len(ids)
+                lineno = read_lines(text[start:cut - 1].split("\n"), lineno)
+                pos = cut
+                if len(ids) - first == length and _repeats(text, text[start:cut], cut, count - 1):
+                    body = ids[first:]
+                    del ids[first:]
+                    if ids:
+                        blocks.append((ids, 1))
+                    blocks.append((body, count))
+                    ids = array("q")
+                    pos += (count - 1) * (cut - start)
+                    lineno += (count - 1) * length
     except ParseError:
         _build_layers(pending, used)  # a layer that fails on an earlier line is the fault
         raise
@@ -456,7 +415,8 @@ def _parse_text(text: str) -> Schedule:
         raise ParseError("empty schedule file")
     built = _build_layers(pending, used)
     records = [built[ins] if isinstance(ins, int) else ins for ins in table]
-    _append(blocks, ids, 1)
+    if ids:
+        blocks.append((ids, 1))
     bodies = [(Listing(records, np.frombuffer(body, dtype=np.int64)), k) for body, k in blocks]
     return Schedule(n, bodies, phase, raw_drift_periods=periods, predicted_error=predicted)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -136,27 +137,38 @@ class StepModel:
         """What ``seam_layers`` and ``step_layout`` built, by their arguments."""
         return {}
 
+    def runs(self, order: int) -> tuple[int, ...]:
+        """The factors one step of ``order`` runs, in operator order: at
+        order 1 each once, at order 2 the symmetric palindrome, every
+        factor but the last, the last, then the head again in reverse.
+        Each factor runs for the step duration in all, split evenly over
+        its runs.
+        """
+        last = len(self.factors) - 1
+        if order == 1 or last < 1:
+            return tuple(range(last + 1))
+        return (*range(last + 1), *reversed(range(last)))
+
     def seam_layers(self, order: int) -> dict[tuple[int, int], LocalLayer]:
         """The merged layer of each seam that two consecutive framed drifts
         form in a step of ``order``, keyed by the factors on its left and
         right in operator order.
 
-        A framed drift ``k`` runs as ``L_k, drift, L_k^dag``, so factor
-        ``k`` meets factor ``k + 1`` at ``L_k^dag L_(k+1)``; order 2's
-        reflection also meets them the other way, at ``L_(k+1)^dag L_k``.
-        The seams of the order are merged in one batch by
-        ``schedule._merge_seams``, the kernel ``canonicalize`` uses, each
-        distinct pair of layers once, so every merged layer is bitwise the
-        one the fold makes of that seam.  A seam whose merge is not
-        unitary is left out, for the fold to raise at it.  Built once per
-        order and shared by every step.
+        A framed drift ``k`` runs as ``L_k, drift, L_k^dag``, so where
+        ``runs`` puts framed drift ``j`` right after ``k`` they meet at
+        ``L_k^dag L_j``: ``k + 1`` after ``k``, and in order 2's
+        reflection also ``k`` after ``k + 1``.  The seams of the order are
+        merged in one batch by ``schedule._merge_seams``, the kernel
+        ``canonicalize`` uses, each distinct pair of layers once, so every
+        merged layer is bitwise the one the fold makes of that seam.  A
+        seam whose merge is not unitary is left out, for the fold to raise
+        at it.  Built once per order and shared by every step.
         """
         if ("seams", order) in self._built:
             return self._built["seams", order]
         frames = self.frame_layers
-        links = [(k, k + 1) for k in range(len(frames) - 1) if frames[k] and frames[k + 1]]
-        if order == 2:
-            links += [(k + 1, k) for k, _ in links]
+        runs = self.runs(order)
+        links = [(a, b) for a, b in zip(runs, runs[1:]) if frames[a] and frames[b]]
         pairs = [(frames[a][1], frames[b][0]) for a, b in links]
         keys = [(left.cache_key(), right.cache_key()) for left, right in pairs]
         distinct = dict(zip(keys, pairs))
@@ -182,14 +194,9 @@ class StepModel:
             return self._built[order, zero]
         frames = self.frame_layers
         seams = self.seam_layers(order)
-        last = len(frames) - 1
-        if order == 1 or last < 1:
-            runs = list(range(last + 1))
-        else:
-            runs = [*range(last), last, *reversed(range(last))]
         out: list[LocalLayer | int] = []
         prev = -1  # the framed drift just written, unless it lasts no time
-        for k in runs:
+        for k in self.runs(order):
             frame = frames[k]
             if frame is None:
                 out.append(k)
@@ -219,10 +226,7 @@ class StepModel:
         return sum(1 for f in self.factors if isinstance(f, FramedDrift))
 
     def raw_drifts_per_step(self, order: int) -> int:
-        d = self.drift_factor_count()
-        if order == 1 or d == 0:
-            return d
-        return 2 * d - (1 if isinstance(self.factors[-1], FramedDrift) else 0)
+        return sum(isinstance(self.factors[k], FramedDrift) for k in self.runs(order))
 
 
 def _proportional_rate(target: HamExpansion, drift: HamExpansion) -> float | None:
@@ -380,10 +384,12 @@ def emit_step(
 ) -> tuple[list[Instruction], float]:
     """Instruction list for one step plus its global-phase contribution.
 
-    Order 1 runs every factor once for ``delta``.  Order 2 emits the
-    symmetric palindrome: all but the last factor at ``delta/2``, the
-    last at ``delta``, then the reflection, which repeats the head's
-    instruction objects (a local factor's layer is built once per step).
+    The factors run in ``StepModel.runs`` order, each for ``delta``
+    split evenly over its runs: order 1 runs every factor once for
+    ``delta``, and order 2's palindrome all but the last factor at
+    ``delta/2``, the last at ``delta``, then the reflection, which repeats
+    the head's instruction objects (a local factor's layer is built once
+    per step).
 
     The layers come from ``StepModel.step_layout``, built once per model:
     a framed drift runs between its layer and that layer's inverse, and
@@ -402,10 +408,8 @@ def emit_step(
     if not delta > 0:
         raise InvalidStep(f"step duration must be positive, got {delta}")
 
-    last = len(model.factors) - 1
-    durations = [delta] * (last + 1)
-    if order == 2 and last >= 1:
-        durations[:last] = [delta / 2.0] * last
+    shares = Counter(model.runs(order))
+    durations = [delta / shares[k] for k in range(len(model.factors))]
     zero = frozenset(
         k for k, (f, d) in enumerate(zip(model.factors, durations))
         if isinstance(f, FramedDrift) and not f.rate * d

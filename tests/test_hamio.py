@@ -1,13 +1,14 @@
 """Text formats: exact round trips and line-numbered parse errors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clifford_layer, random_layer, random_two_body
+from conftest import clifford_layer, random_layer, random_two_body, xz_chain
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -16,6 +17,9 @@ from hamrc import (
     Schedule,
     build_expansion,
     compile_cnot,
+    compile_on_pair,
+    compile_remote,
+    compile_schedule,
     evaluate_schedule,
     format_report,
     operator_norm,
@@ -329,6 +333,16 @@ def block_schedules(draw):
     )
 
 
+def _without_runs(text: str) -> str:
+    """``text`` with its run comments left out."""
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("# run "))
+
+
+def _shapes(sched: Schedule) -> list:
+    """Each block's instructions and count."""
+    return [(tuple(body), count) for body, count in sched.blocks]
+
+
 @settings(max_examples=60)
 @given(sched=block_schedules())
 def test_a_repeated_block_is_written_as_its_expansion(sched):
@@ -340,9 +354,13 @@ def test_a_repeated_block_is_written_as_its_expansion(sched):
         raw_drift_periods=sched.raw_drift_periods,
         predicted_error=sched.predicted_error,
     )
-    assert serialize_schedule(flat) == text
+    # the record lines are the expansion's; each block is led by its run
+    assert _without_runs(text) == serialize_schedule(flat)
+    runs = [ln for ln in text.splitlines() if ln.startswith("# run ")]
+    assert runs == [f"# run {len(body)} {count}" for body, count in sched.blocks]
     back = parse_schedule(text)
     assert back == sched
+    assert _shapes(back) == _shapes(sched)
     assert back.raw_drift_periods == sched.raw_drift_periods
     assert back.predicted_error == sched.predicted_error
     assert serialize_schedule(back) == text
@@ -454,34 +472,125 @@ _RECORDS = ("local 0", "local 1", "local 00", "local 0  # again", "drift 0.5", "
             "drift 0.25", "drift 0", "drift -0")
 #: other lines: blanks, comments, headers and records that are refused
 _OTHERS = ("", "# note", "drift -1", "phase 0.5", "local 7", "layer 1 0 1 0 0 0 0 0 1 0", "wobble")
-_BREAKS = ("\r\n", "\r", "\f", "\u2028")
+#: run comments that no text bears out: a zero, a word, a token too many
+#: or too few, another spelling
+_BAD_RUNS = ("# run 0 3", "# run 2 0", "# run 0 0", "# run x 3", "# run 2 y", "# run 2 3 4",
+             "# run 2", "# run", "# run  2 3", "#run 2 3", "# run 02 3", "# run -2 3")
+_ASCII_BREAKS = ("\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e")
+_BREAKS = _ASCII_BREAKS + ("\u2028",)
+
+
+def _run_comment(draw, length: int, count: int) -> str:
+    """A run comment for ``count`` copies of ``length`` records: right, off
+    by one in either number, or one of ``_BAD_RUNS``."""
+    form = draw(st.sampled_from(("right", "right", "length", "count", "bad")))
+    if form == "bad":
+        return draw(st.sampled_from(_BAD_RUNS))
+    if form == "length":
+        length += draw(st.sampled_from((-1, 1)))
+    elif form == "count":
+        count += draw(st.sampled_from((-1, 1)))
+    return f"# run {length} {count}"
 
 
 @st.composite
 def run_texts(draw):
     """Schedule text of long runs: chunks of records repeated, with a partial
-    last copy, some with a blank, comment or refused line inside, some
-    lines ended by another ``str.splitlines`` break, a line after the last
-    run, and sometimes no final line break."""
+    last copy, some with a blank, comment or refused line inside, some led
+    by a run comment, right or not, at the run's start or before its last
+    or partial copy; some lines ended by another ``str.splitlines`` break,
+    a line after the last run, maybe a run comment, and sometimes no final
+    line break."""
     lines = ["qubits 2", "phase 0.25", "layer 0 0 0 0 1 0 1 0 0 0", "layer 1"]
+    comments = []  # the run comments' line indices
     for _ in range(draw(st.integers(1, 3))):
         chunk = draw(st.lists(st.sampled_from(_RECORDS), min_size=1, max_size=6))
-        run = chunk * draw(st.integers(1, 80)) + chunk[:draw(st.integers(0, len(chunk)))]
+        copies = draw(st.integers(1, 80))
+        run = chunk * copies + chunk[:draw(st.integers(0, len(chunk)))]
         if draw(st.booleans()):
             run.insert(draw(st.integers(0, len(run))), draw(st.sampled_from(_OTHERS)))
+        if draw(st.booleans()):
+            at = draw(st.sampled_from((0, len(chunk) * (copies - 1), len(chunk) * copies)))
+            run.insert(at, _run_comment(draw, len(chunk), copies - at // len(chunk)))
+            comments.append(len(lines) + at)
         lines += run
-    lines.append(draw(st.sampled_from(_RECORDS + _OTHERS)))
+    last = draw(st.sampled_from(_RECORDS + _OTHERS + ("# run",)))
+    if last == "# run":
+        last = _run_comment(draw, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        comments.append(len(lines))
+    lines.append(last)
     breaks = ["\n"] * len(lines)
     for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=4)):
         breaks[i] = draw(st.sampled_from(_BREAKS))
+    for i in comments:
+        if draw(st.integers(0, 3)) == 0:
+            breaks[i] = draw(st.sampled_from(_ASCII_BREAKS))
     text = "".join(map(str.__add__, lines, breaks))
     return text[:-len(breaks[-1])] if draw(st.booleans()) else text
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(text=run_texts())
 def test_runs_parse_as_lines_one_at_a_time(text):
     assert _outcome(parse_schedule, text) == _outcome(_parse_lines, text)
+
+
+#: a one-qubit file head and a two-record step
+_HEAD, _STEP = "qubits 1\nlayer 0\n", "local 0\ndrift 0.5\n"
+
+
+@pytest.mark.parametrize("comment", [
+    "# run 1 " + "9" * 5000,  # past ``int``'s digit limit
+    "# run 2 " + "9" * 18,  # past what the text can hold
+    "# run " + "9" * 18 + " 3",
+    "# run 2 0",
+    "# run 0 3",
+    "# run 2 4",  # a copy too many
+    "# run 3 3",  # a record too many
+    "# run 2 1",
+])
+def test_a_run_comment_the_text_does_not_bear_out_is_a_plain_comment(comment):
+    text = _HEAD + comment + "\n" + _STEP * 3 + "local 0\n"
+    tracemalloc.start()
+    try:
+        parsed = parse_schedule(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert _outcome(parse_schedule, text) == _outcome(_parse_lines, text)
+    assert [count for _, count in parsed.blocks] == [1]
+    assert len(parsed) == 7
+
+
+@pytest.mark.parametrize("other", ["# note", "", "phase 0.5", "layer 1"])
+def test_a_run_comment_over_lines_that_are_not_all_records_is_a_plain_comment(other):
+    # copies of a header or a layer row are refused line by line, so such a
+    # run must not be taken as copies of its records
+    text = _HEAD + "# run 2 3\n" + ("local 0\n" + other + "\n") * 3
+    assert _outcome(parse_schedule, text) == _outcome(_parse_lines, text)
+    if other in ("# note", ""):
+        assert [count for _, count in parse_schedule(text).blocks] == [1]
+
+
+def test_a_long_run_is_compared_in_blocks_of_fixed_size():
+    copies = 200_000  # 3.6 MB of copies
+    text = _HEAD + f"# run 2 {copies}\n" + _STEP * copies
+    tracemalloc.start()
+    try:
+        parsed = parse_schedule(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of copies, not the run: ``_STEP * copies`` alone is 3.6 MB
+    assert peak < 400_000
+    assert [(tuple(body), count) for body, count in parsed.blocks] == [
+        ((LocalLayer({}), Drift(0.5)), copies)
+    ]
+    # a copy that differs in its last character is no run
+    broken = text[:-2] + "6\n"
+    assert [count for _, count in parse_schedule(broken).blocks] == [1]
+    assert _outcome(parse_schedule, broken) == _outcome(_parse_lines, broken)
 
 
 @pytest.mark.parametrize("brk", list("\r\v\f\x1c\x1d\x1e"))
@@ -525,15 +634,50 @@ def test_a_parsed_file_evaluates_as_its_instruction_tuple(sample_drift, steps, o
 
 
 def test_a_compiled_file_parses_into_its_runs(sample_drift):
-    text = serialize_schedule(compile_cnot(sample_drift, steps=5000, order=1))
+    sched = compile_cnot(sample_drift, steps=5000, order=1)
+    text = serialize_schedule(sched)
     parsed = parse_schedule(text)
-    assert len(text.splitlines()) == 20_009
+    # 20,009 records and one run comment
+    assert len(text.splitlines()) == 20_010
     # a short body repeated thousands of times between short ones, each
-    # body interned on its own
-    assert len(parsed.blocks) <= 3
+    # body interned on its own: the blocks that were written
+    assert _shapes(parsed) == _shapes(sched)
     assert any(len(body) <= 4 and count >= 1000 for body, count in parsed.blocks)
     assert all(len(body.table) == len(set(body)) for body, _ in parsed.blocks)
     assert serialize_schedule(parsed) == text
+
+
+def _joined(sched: Schedule) -> list:
+    """``_shapes`` of ``sched`` with each stretch of count-1 blocks joined
+    into one, as its file parses."""
+    out: list = []
+    for body, count in _shapes(sched):
+        if count == 1 and out and out[-1][1] == 1:
+            out[-1] = (out[-1][0] + body, 1)
+        else:
+            out.append((body, count))
+    return out
+
+
+def test_a_parsed_file_holds_the_blocks_that_were_written(sample_drift):
+    chain4 = xz_chain(4)
+    pair = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    scheds = [
+        compile_schedule(sample_drift, pair, 0.5, steps=7, order=2),
+        compile_on_pair(chain4, (1, 2), pair, 0.5, steps=5, order=1),
+        compile_cnot(sample_drift, steps=9, order=1),
+        compile_remote(chain4, 0, 3, pair, 0.5, epsilon=1e-2, order=2),
+    ]
+    for sched in scheds:
+        parsed = parse_schedule(serialize_schedule(sched))
+        assert _shapes(parsed) == _joined(sched)
+        assert any(count > 1 for _, count in parsed.blocks)
+        # the product is grouped as the blocks are, so the two agree to
+        # rounding, not bit for bit
+        drift = sample_drift if sched.n == 2 else chain4
+        assert operator_norm(
+            evaluate_schedule(parsed, drift) - evaluate_schedule(sched, drift)
+        ) < 1e-12
 
 
 def test_schedule_parse_ignores_spelling_of_repeated_records():
