@@ -257,9 +257,11 @@ def parse_schedule(text: str) -> Schedule:
     compared as text, not read, and the ``L`` records with ``count``
     become one block.  Anywhere else it is a plain comment, so a comment
     never changes what a text means; the records between runs are blocks
-    of count 1.  Lines and line numbers are those of ``str.splitlines``: a
-    text with another break than ``\\n`` is read again with ``\\n``
-    breaks.  Every character is in a line the parser reads or in a copy
+    of count 1.  No line is scanned for two run comments: once a run asks
+    for more lines than are left, the lines left are counted, and a run
+    that count cannot hold is not scanned.  Lines and line numbers are
+    those of ``str.splitlines``: a text with another break than ``\\n`` is
+    read again with ``\\n`` breaks.  Every character is in a line the parser reads or in a copy
     of read lines, so the ASCII breaks are looked for only in the distinct
     lines it reads, and a text without them is never scanned for them.
     """
@@ -374,6 +376,7 @@ def _parse_text(text: str) -> Schedule:
 
     lineno = 0
     pos, end = 0, len(text) - text.endswith("\n")
+    lines = math.inf  # the text's line count, once a run comment asks for more
     try:
         while pos < end:
             if not text.startswith("# run ", pos):  # the lines up to the next run comment
@@ -389,24 +392,31 @@ def _parse_text(text: str) -> Schedule:
             if run is None or int(run[2]) < 2:
                 continue
             length, count = int(run[1]), int(run[2])
+            # a run the lines left cannot hold is a plain comment
+            if length * count > lines - lineno:
+                continue
             cut = start  # the end of the next ``length`` lines, if they end in breaks
             for _ in range(length):
                 cut = text.find("\n", cut, end) + 1
                 if not cut:
                     break
-            else:
-                first = len(ids)
-                lineno = read_lines(text[start:cut - 1].split("\n"), lineno)
-                pos = cut
-                if len(ids) - first == length and _repeats(text, text[start:cut], cut, count - 1):
-                    body = ids[first:]
-                    del ids[first:]
-                    if ids:
-                        blocks.append((ids, 1))
-                    blocks.append((body, count))
-                    ids = array("q")
-                    pos += (count - 1) * (cut - start)
-                    lineno += (count - 1) * length
+            if not cut:
+                # the lines are counted once, so no later run scans them again;
+                # a run they can hold is always scanned in full and read
+                lines = lineno + text.count("\n", start, end) + 1
+                continue
+            first = len(ids)
+            lineno = read_lines(text[start:cut - 1].split("\n"), lineno)
+            pos = cut
+            if len(ids) - first == length and _repeats(text, text[start:cut], cut, count - 1):
+                body = ids[first:]
+                del ids[first:]
+                if ids:
+                    blocks.append((ids, 1))
+                blocks.append((body, count))
+                ids = array("q")
+                pos += (count - 1) * (cut - start)
+                lineno += (count - 1) * length
     except ParseError:
         _build_layers(pending, used)  # a layer that fails on an earlier line is the fault
         raise

@@ -534,14 +534,15 @@ def canonicalize(sched: Schedule) -> Schedule:
     kernel as a batch of one.  A seam whose merged factors are not
     unitary raises :class:`InvalidTerm` only when the fold reaches it.
 
-    A repeated body is folded one copy at a time until a copy settles:
-    it pops nothing it did not append, and leaves last an instruction
-    equal to the one it found last.  The fold only reads the last
-    instruction's value, so every later copy does the same, and the rest
-    of the block is the settled copy's output repeated.  A body that never
-    settles (one whose seam cancels, or a lone drift that keeps fusing) is
-    folded copy by copy.  The result has the same instructions as folding
-    the expansion.
+    A repeated body is folded one copy at a time until a copy settles: it
+    leaves last the instructions it read, equal in value to what they
+    were.  A copy reads the instructions it pops and the one left last
+    after them, and only their values, so every later copy does the same,
+    and the rest of the block is the settled copy's output repeated.  A
+    join whose seam cancels, as an order-2 step's outer frame layers do,
+    settles on its second copy.  A body that never settles (a lone drift
+    that keeps fusing) is folded copy by copy.  The result has the same
+    instructions as folding the expansion.
     """
     seams = _seams(sched)
     merges = dict(zip(seams, _merge_seams(seams, sched.n)))  # (left, right) -> merged
@@ -549,17 +550,22 @@ def canonicalize(sched: Schedule) -> Schedule:
     out: list[Instruction] = []
     for body, count in sched.blocks:
         for copy in range(count):
-            start = out[-1] if out else None
             size = len(out)
-            if _fold(out, body, merges, settled, sched.n) < size or start is None:
+            # a copy pops at most one instruction per instruction of the body
+            tail = out[-len(body) - 1:]
+            low = _fold(out, body, merges, settled, sched.n)
+            if not low:
                 continue
+            # the copy read out[low - 1:size], the last ``width`` of ``tail``
+            width = size - low + 1
             # ``out`` holds no zero drift, so equal drifts share a sign
-            if out[-1] == start:
-                # the copy rewrote ``start`` and appended out[size:]
+            if out[-width:] == tail[-width:]:
+                # the copy rewrote them as out[low - 1:cut] and themselves
                 left = count - copy - 1
                 if left:
-                    settled += [(tuple(out[:-1]), 1), (tuple(out[size - 1:-1]), left)]
-                    del out[:-1]
+                    cut = len(out) - width
+                    settled += [(tuple(out[:cut]), 1), (tuple(out[low - 1:cut]), left)]
+                    del out[:cut]
                 break
     settled.append((tuple(out), 1))
     return Schedule(

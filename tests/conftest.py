@@ -136,3 +136,8 @@ def heisenberg(n: int) -> HamExpansion:
                 ops[i] = ops[j] = a
                 terms.append(("".join(ops), 0.5 + 0.1 * i + 0.03 * j))
     return build_expansion(n, terms)
+
+
+def without_runs(text: str) -> str:
+    """Schedule ``text`` with its run comments left out."""
+    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("# run "))

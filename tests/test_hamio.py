@@ -1,6 +1,7 @@
 """Text formats: exact round trips and line-numbered parse errors."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clifford_layer, random_layer, random_two_body, xz_chain
+from conftest import clifford_layer, random_layer, random_two_body, without_runs, xz_chain
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -333,11 +334,6 @@ def block_schedules(draw):
     )
 
 
-def _without_runs(text: str) -> str:
-    """``text`` with its run comments left out."""
-    return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("# run "))
-
-
 def _shapes(sched: Schedule) -> list:
     """Each block's instructions and count."""
     return [(tuple(body), count) for body, count in sched.blocks]
@@ -355,7 +351,7 @@ def test_a_repeated_block_is_written_as_its_expansion(sched):
         predicted_error=sched.predicted_error,
     )
     # the record lines are the expansion's; each block is led by its run
-    assert _without_runs(text) == serialize_schedule(flat)
+    assert without_runs(text) == serialize_schedule(flat)
     runs = [ln for ln in text.splitlines() if ln.startswith("# run ")]
     assert runs == [f"# run {len(body)} {count}" for body, count in sched.blocks]
     back = parse_schedule(text)
@@ -593,6 +589,18 @@ def test_a_long_run_is_compared_in_blocks_of_fixed_size():
     assert _outcome(parse_schedule, broken) == _outcome(_parse_lines, broken)
 
 
+def test_many_run_comments_that_cannot_be_borne_out_parse_in_linear_time():
+    # each comment asks for more lines than are left, or for a copy that
+    # differs; scanning the lines left for each comment would take minutes
+    lines = ("# run 999999999 2", "local 0", "# run 2 999999999", "drift 0.5", "# run 1 2")
+    text = _HEAD + "\n".join(lines * 12_000) + "\n"  # 1 MB
+    start = time.perf_counter()
+    parsed = parse_schedule(text)
+    elapsed = time.perf_counter() - start
+    assert [(len(body), count) for body, count in parsed.blocks] == [(24_000, 1)]
+    assert elapsed < 5.0  # about 0.1 s
+
+
 @pytest.mark.parametrize("brk", list("\r\v\f\x1c\x1d\x1e"))
 def test_every_ascii_break_ends_a_line_where_splitlines_ends_it(brk):
     # ``split`` would read each of them as blank space inside one line: in
@@ -666,6 +674,7 @@ def test_a_parsed_file_holds_the_blocks_that_were_written(sample_drift):
         compile_schedule(sample_drift, pair, 0.5, steps=7, order=2),
         compile_on_pair(chain4, (1, 2), pair, 0.5, steps=5, order=1),
         compile_cnot(sample_drift, steps=9, order=1),
+        compile_cnot(sample_drift, steps=9, order=2),
         compile_remote(chain4, 0, 3, pair, 0.5, epsilon=1e-2, order=2),
     ]
     for sched in scheds:

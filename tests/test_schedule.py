@@ -1,14 +1,15 @@
 """Schedule semantics: operator ordering, canonicalization, evaluation."""
 
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clifford_layer, random_layer, random_two_body
-from hamrc import schedule
+from conftest import clifford_layer, random_layer, random_two_body, without_runs
+from hamrc import schedule, synth
 from hamrc.bounds import MAX_PLAN_STEPS
 from hamrc.schedule import Listing
 from hamrc import (
@@ -509,6 +510,24 @@ def test_blocks_share_one_node_table(sample_drift):
     ) < 1e-12
 
 
+def test_an_order_2_cnot_keeps_its_repeated_step(sample_drift, monkeypatch):
+    # each join cancels the step's outer layers and fuses the drifts beside
+    # them, so every copy pops what the one before appended
+    raw = []
+
+    def record(sched):
+        raw.append(sched)
+        return canonicalize(sched)
+
+    monkeypatch.setattr(synth, "canonicalize", record)
+    sched = compile_cnot(sample_drift, steps=300, order=2)
+    assert [(len(body), count) for body, count in sched.blocks] == [(9, 1), (4, 298), (2, 1)]
+    flat = replace(raw[0], blocks=((raw[0].instructions, 1),))
+    assert without_runs(serialize_schedule(sched)) == serialize_schedule(
+        reference_canonicalize(flat)
+    )
+
+
 def test_empty_schedule_evaluates_to_its_phase(sample_drift):
     got = evaluate_schedule(Schedule(2, (), phase=0.7), sample_drift)
     assert np.array_equal(got, np.exp(1j * 0.7) * np.eye(4))
@@ -725,6 +744,8 @@ def test_equal_layers_are_one_value():
 @example(step=[0, 3, 1], lead=[], trail=[], count=7)  # [L, D, L^dag]: the seam cancels
 @example(step=[3], lead=[2], trail=[2], count=7)  # [D]: the drifts keep fusing
 @example(step=[3, 0], lead=[], trail=[1, 6], count=7)  # the trail cancels into a settled copy
+# an order-2 step: the join cancels its outer layers and fuses two drifts
+@example(step=[0, 3, 2, 6, 2, 3, 1], lead=[2], trail=[2], count=7)
 def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, count):
     def pick(ids):
         return [BLOCK_POOL[i] for i in ids]
@@ -741,10 +762,7 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
     flat = Schedule(2, ((sched.instructions, 1),), sched.phase)
     got = canonicalize(sched)
     # the same records; only the blocked one has run comments
-    text = "".join(
-        ln for ln in serialize_schedule(got).splitlines(keepends=True)
-        if not ln.startswith("# run ")
-    )
+    text = without_runs(serialize_schedule(got))
     assert text == serialize_schedule(reference_canonicalize(flat))
     assert got.drift_count() == canonicalize(flat).drift_count()
     assert got.total_drift_time() == canonicalize(flat).total_drift_time()
