@@ -36,7 +36,8 @@ comment that gives its records per copy and its count::
 A reader that skips comments reads the copies line by line;
 :func:`parse_schedule` checks the copies as text and keeps the run as one
 block of the schedule, and reads a run comment the text does not bear out
-as a plain comment.
+as a plain comment.  A schedule's one table of distinct instructions is
+the writer's table of records, and the reader's records become one.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,14 +151,14 @@ def parse_hamfile(text: str) -> HamExpansion:
 
 
 def serialize_schedule(sched: Schedule) -> str:
-    """Render a schedule with one record per distinct instruction.
+    """Render a schedule with one record per entry of its table.
 
-    The bodies' tables are interned together, so the records come in
-    order of first use, and each body's ids are mapped through them.  A
-    block's body is joined into text once and that text repeated ``count``
-    times, so a long repetition costs one string copy, not a line each.  A
-    block of count above 1 is led by its run comment, ``# run <L> <count>``
-    with ``L`` the records of one copy.
+    The table lists the distinct instructions in order of first use, so
+    the layer records are numbered in that order, and each body's ids
+    pick their records.  A block's body is joined into text once and that
+    text repeated ``count`` times, so a long repetition costs one string
+    copy, not a line each.  A block of count above 1 is led by its run
+    comment, ``# run <L> <count>`` with ``L`` the records of one copy.
     """
     out = [f"qubits {sched.n}", f"phase {_fmt(sched.phase)}"]
     if sched.raw_drift_periods is not None:
@@ -166,10 +166,9 @@ def serialize_schedule(sched: Schedule) -> str:
     if sched.predicted_error is not None:
         out.append(f"predicted {_fmt(sched.predicted_error)}")
 
-    distinct = Listing(chain.from_iterable(body.table for body, _ in sched.blocks))
-    records: list[str] = []  # each distinct instruction's line, with its break
+    records: list[str] = []  # each table entry's line, with its break
     layers = 0
-    for ins in distinct.table:
+    for ins in sched.table:
         if isinstance(ins, Drift):
             records.append(f"drift {_fmt(ins.tau)}\n")
             continue
@@ -180,13 +179,10 @@ def serialize_schedule(sched: Schedule) -> str:
         records.append(f"local {layers}\n")
         layers += 1
     listed = ["\n".join(out) + "\n"]
-    start = 0
     for body, count in sched.blocks:
-        seq = distinct.ids[start:start + len(body.table)][body.ids]
         if count > 1:
             listed.append(f"# run {len(body)} {count}\n")
-        listed.append("".join(map(records.__getitem__, seq.tolist())) * count)
-        start += len(body.table)
+        listed.append("".join(map(records.__getitem__, body.ids.tolist())) * count)
     return "".join(listed)
 
 
@@ -244,12 +240,13 @@ def parse_schedule(text: str) -> Schedule:
 
     ``local`` and ``drift`` records are nearly every line of a long
     schedule, and few distinct: each distinct line is parsed once into a
-    table entry, and each block of the schedule is a :class:`Listing` of
-    its lines' table indices, interned from the table.  Lines that spell
-    one instruction differently share one instruction, as repeated lines
-    do.  The layers the records use are built in one batch once the text
-    is read; a layer that fails is reported at the line of its first use,
-    and of two faults the one on the earlier line is reported.
+    table entry, and each block of the schedule is a :class:`Listing`
+    view of its lines' indices into that table, which the schedule
+    interns once.  Lines that spell one instruction differently share
+    one instruction, as repeated lines do.  The layers the records use
+    are built in one batch once the text is read; a layer that fails is
+    reported at the line of its first use, and of two faults the one on
+    the earlier line is reported.
 
     The text is read line by line, except where a run comment,
     ``# run <L> <count>``, is borne out: when its next ``L`` lines are all
@@ -261,9 +258,10 @@ def parse_schedule(text: str) -> Schedule:
     for more lines than are left, the lines left are counted, and a run
     that count cannot hold is not scanned.  Lines and line numbers are
     those of ``str.splitlines``: a text with another break than ``\\n`` is
-    read again with ``\\n`` breaks.  Every character is in a line the parser reads or in a copy
-    of read lines, so the ASCII breaks are looked for only in the distinct
-    lines it reads, and a text without them is never scanned for them.
+    read again with ``\\n`` breaks.  Every character is in a line the
+    parser reads or in a copy of read lines, so the ASCII breaks are looked
+    for only in the distinct lines it reads, and a text without them is
+    never scanned for them.
     """
     if not text.isascii():
         text = _BREAKS.sub("\n", text)

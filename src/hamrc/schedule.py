@@ -17,16 +17,18 @@ entry acts first on a state.  The conjugation pattern
 
 A compiled schedule is one step repeated many times, so a ``Schedule``
 holds its instructions only as blocks ``(body, count)``: the body
-repeated ``count`` times, block after block.  Every body is a
-:class:`Listing`, its distinct instructions (interned by value once,
-when the schedule is built) and each position's index into them.
+repeated ``count`` times, block after block.  The schedule interns its
+instructions by value once, when it is built, into one ``table`` of its
+distinct instructions in order of first use, and every body is a
+:class:`Listing`, a view of each position's index into that table.
 Canonicalization, evaluation, serialization and the drift statistics
-work on each body once, not on every copy, and the expansion is built
-only when ``instructions`` is read.  A parsed file is one block per run
-the parser found, each listing interned from the table entries it uses.
+read the table and each body once, not every copy, and intern nothing
+again; the expansion is built only when ``instructions`` is read.  A
+parsed file is one block per run the parser found, each a view on the
+file's table of records until the schedule interns them.
 
 Evaluation keeps the operator order and changes only the grouping of
-the product: the schedule's equal instructions are built once, and each
+the product: the table's instructions are built once, and each
 distinct product node once.  The nodes are one table over the bodies,
 each body once; each body's product is raised to its count by repeated
 squaring, and the blocks are multiplied left to right.  From
@@ -43,8 +45,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import accumulate, chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
@@ -63,11 +66,11 @@ _ID2 = np.eye(2, dtype=complex)
 _ID2.flags.writeable = False
 
 
-def _site(q: Any) -> int:
+def _index(value: Any, what: str) -> int:
     try:
-        return operator.index(q)
+        return operator.index(value)
     except TypeError:
-        raise InvalidTerm(f"layer site {q!r} is not an integer") from None
+        raise InvalidTerm(f"{what} {value!r} is not an integer") from None
 
 
 class LocalLayer:
@@ -171,7 +174,7 @@ def _adopt(layers: Sequence[LocalLayer], specs: Sequence[tuple[Sequence[Any], An
     try:
         site_lists = [list(map(operator.index, sites)) for sites, _ in specs]
     except TypeError:
-        site_lists = [[_site(q) for q in sites] for sites, _ in specs]
+        site_lists = [[_index(q, "layer site") for q in sites] for sites, _ in specs]
     for sites, (_, mats) in zip(site_lists, specs):
         if len(mats) != len(sites):
             raise InvalidTerm(f"{len(sites)} layer sites for {len(mats)} factors")
@@ -283,48 +286,26 @@ class Drift:
 Instruction = LocalLayer | Drift
 
 
+def _value_key(ins: Instruction) -> Any:
+    """What interning keys ``ins`` by: a layer's key, or a drift's duration,
+    with ``0.0`` and ``-0.0`` apart (a zero is keyed by its sign)."""
+    return ins.tau or (0, math.copysign(1.0, ins.tau)) if isinstance(ins, Drift) else ins.cache_key()
+
+
 class Listing:
-    """A body of instructions: its distinct ones, and each position's index.
+    """A body of instructions, viewed as ``table[k]`` for each ``k`` in ``ids``.
 
-    ``Listing(items)`` interns ``items`` by value.  Layers are equal when
-    their keys are, and drifts when their durations are, except that
-    ``0.0`` and ``-0.0`` stay apart (a zero is keyed by its sign), so each
-    distinct drift also has one spelling on file.  ``table`` lists the
-    distinct instructions in order of first use, and ``ids``, a read-only
-    integer array, holds each position's index into it.
-
-    With ``ids``, ``items`` is a table of records (a parsed file's
-    distinct lines) and the listing is ``items[k]`` for each ``k`` in
-    ``ids``: the records that ``ids`` uses are interned in order of first
-    use and ``ids`` is remapped through them, with no walk over the
-    positions.  A listing iterates as its instructions.
+    In a :class:`Schedule`, every body's listing views the schedule's one
+    ``table`` and ``ids`` is a read-only integer array into it.  A
+    listing made by hand may view any table, such as a parsed file's
+    records or another schedule's table, and is interned when a schedule
+    is built from it.  A listing iterates as its instructions.
     """
 
     __slots__ = ("table", "ids")
 
-    def __init__(self, items: Iterable[Instruction], ids: Sequence[int] | None = None):
-        if ids is not None:
-            ids = np.asarray(ids, dtype=np.intp)
-            used = list(dict.fromkeys(ids.tolist()))
-            items = [items[k] for k in used]
-        index: dict[Any, int] = {}
-        table: list[Instruction] = []
-        seq: list[int] = []
-        for ins in items:
-            key = ins.tau or (0, math.copysign(1.0, ins.tau)) if isinstance(ins, Drift) else ins
-            k = index.setdefault(key, len(table))
-            if k == len(table):
-                table.append(ins)
-            seq.append(k)
-        self.table = tuple(table)
-        remap = np.array(seq, dtype=np.intp)
-        if ids is None:
-            self.ids = remap
-        else:
-            at = np.zeros(max(used, default=-1) + 1, dtype=np.intp)
-            at[used] = remap
-            self.ids = at[ids]
-        self.ids.flags.writeable = False
+    def __init__(self, table: Sequence[Instruction], ids: Sequence[int]):
+        self.table, self.ids = table, np.asarray(ids, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -345,12 +326,18 @@ class Schedule:
     """Operator-ordered instructions, stored as blocks, with a global phase.
 
     ``blocks`` lists ``(body, count)`` pairs, each body repeated ``count``
-    times.  A :class:`Listing` body is kept as it is and any other becomes
-    one, so each body is interned once; empty bodies and zero counts are
-    dropped, and a layer on a site outside the register is refused.
-    ``len()`` counts the expanded instructions and ``instructions`` builds
-    the expansion on each read; schedules are equal when their ``n``,
-    ``phase`` and expansions are, however they are blocked.
+    times; a body is a :class:`Listing` or a sequence of instructions, and
+    a count is anything ``operator.index`` accepts.  Empty bodies and zero
+    counts are dropped; a negative count, a listing id outside its table
+    and a layer on a site outside the register are refused.
+
+    The constructor interns the instructions once, by :func:`_value_key`,
+    so each distinct drift also has one spelling on file: ``table`` holds
+    the distinct ones in order of first use, and every body becomes a
+    listing of it.  ``len()`` counts the expanded instructions and
+    ``instructions`` builds the expansion on each read; schedules are
+    equal when their ``n``, ``phase`` and expansions are, however they
+    are blocked.
 
     ``raw_drift_periods`` preserves the pre-merge drift count when the
     schedule came out of a compiler; ``plan`` carries the step plan that
@@ -365,18 +352,48 @@ class Schedule:
     raw_drift_periods: int | None = None
     plan: "ErrorPlan | None" = None
     predicted_error: float | None = None
+    table: tuple[Instruction, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = tuple(
-            (body if isinstance(body, Listing) else Listing(body), count)
-            for body, count in self.blocks if len(body) and count
-        )
-        for body, _ in blocks:
-            for ins in body.table:
-                sites = ins.sites() if isinstance(ins, LocalLayer) else ()  # sorted
-                if sites and not (sites[0] >= 0 and sites[-1] < self.n):
-                    raise InvalidTerm(f"layer sites {sites} outside register of {self.n}")
-        object.__setattr__(self, "blocks", blocks)
+        entries: list[Instruction] = []  # the bodies' tables, each table once
+        starts: dict[int, int] = {}  # a listing's table, by id -> its first entry
+        seqs, counts = [], []  # each kept block's ids into ``entries``, and its count
+        for body, count in self.blocks:
+            count = _index(count, "block count")
+            if count < 0:
+                raise InvalidTerm(f"block count must be >= 0, got {count}")
+            if not (len(body) and count):
+                continue
+            start = len(entries)
+            if not isinstance(body, Listing):
+                entries += body
+                seqs.append(np.arange(start, len(entries)))
+            elif body.ids.min() >= 0 and body.ids.max() < len(body.table):
+                if starts.setdefault(id(body.table), start) == start:
+                    entries += body.table
+                seqs.append(body.ids + starts[id(body.table)])
+            else:
+                raise InvalidTerm(f"listing ids outside its table of {len(body.table)}")
+            counts.append(count)
+        flat = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.intp)
+        # the entries used, in order of first use: without a listing, all in order
+        used = list(dict.fromkeys(flat.tolist())) if starts else range(len(entries))
+        keyed = list(map(entries.__getitem__, used))
+        index: dict[Any, int] = {}  # key -> its entry of ``table``
+        slots = [index.setdefault(_value_key(ins), len(index)) for ins in keyed]
+        first = dict(zip(reversed(slots), reversed(keyed)))  # each entry's first use
+        table = tuple(map(first.__getitem__, range(len(index))))
+        for sites in (ins.sites() for ins in table if isinstance(ins, LocalLayer)):  # sorted
+            if sites and not (sites[0] >= 0 and sites[-1] < self.n):
+                raise InvalidTerm(f"layer sites {sites} outside register of {self.n}")
+        remap = np.zeros(len(entries), dtype=np.intp)
+        remap[used] = slots
+        ids = remap[flat]
+        ids.flags.writeable = False
+        ends = list(accumulate(map(len, seqs)))
+        blocks = [(Listing(table, ids[lo:hi]), k) for lo, hi, k in zip([0, *ends], ends, counts)]
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def __len__(self) -> int:
         return sum(len(body) * count for body, count in self.blocks)
@@ -391,18 +408,20 @@ class Schedule:
     def __eq__(self, other) -> bool:
         return self._key() == other._key() if isinstance(other, Schedule) else NotImplemented
 
+    def _drifts(self) -> list[tuple[float, int]]:
+        """Each distinct drift duration, and how many times the expansion holds it."""
+        uses = np.zeros(len(self.table), dtype=object)  # Python integers, never overflowing
+        for body, count in self.blocks:
+            uses += np.bincount(body.ids, minlength=len(uses)).astype(object) * count
+        return [(ins.tau, m) for ins, m in zip(self.table, uses) if isinstance(ins, Drift)]
+
     def drift_count(self) -> int:
-        return sum(
-            count * sum(isinstance(ins, Drift) for ins in body)
-            for body, count in self.blocks
-        )
+        return sum(m for _, m in self._drifts())
 
     def total_drift_time(self) -> float:
-        # the expansion's left-to-right sum, so blocking cannot change its rounding
-        taus: list[float] = []
-        for body, count in self.blocks:
-            taus += [ins.tau for ins in body if isinstance(ins, Drift)] * count
-        return sum(taus)
+        # the exact sum, rounded once, so neither the blocking nor the order
+        # of the expansion can change it
+        return float(sum(Fraction(tau) * m for tau, m in self._drifts()))
 
 
 _LAYER_DROP_TOL = 1e-12
@@ -446,26 +465,22 @@ def _merge_seams(
 def _seams(sched: Schedule) -> list[tuple[LocalLayer, LocalLayer]]:
     """The distinct layer-layer seams of the blocks, as written.
 
-    They are the adjacent layers inside each body, the last and first
-    instruction of a repeated body, and the last and first instruction of
-    consecutive blocks, when both are layers.
+    They are the adjacent layers inside each body and across the join of
+    two blocks, and the last and first instruction of a repeated body,
+    when both are layers: pairs of table ids, read through one layer mask
+    over the table.
     """
-    seams: dict[tuple[LocalLayer, LocalLayer], None] = {}
-    last = None
-    for body, count in sched.blocks:
-        table, ids = body.table, body.ids
-        first = table[ids[0]]
-        if isinstance(last, LocalLayer) and isinstance(first, LocalLayer):
-            seams[last, first] = None
-        is_layer = np.array([isinstance(ins, LocalLayer) for ins in table])
-        run = np.append(ids, ids[0]) if count > 1 else ids
-        pairs = is_layer[run[:-1]] & is_layer[run[1:]]
-        codes = run[:-1][pairs] * len(table) + run[1:][pairs]
-        for code in set(codes.tolist()):
-            a, b = divmod(code, len(table))
-            seams[table[a], table[b]] = None
-        last = table[ids[-1]]
-    return list(seams)
+    if not sched.blocks:
+        return []
+    table = sched.table
+    flat = np.concatenate([body.ids for body, _ in sched.blocks])
+    repeated = [body.ids for body, count in sched.blocks if count > 1]
+    left = np.concatenate([flat[:-1], *(ids[-1:] for ids in repeated)])
+    right = np.concatenate([flat[1:], *(ids[:1] for ids in repeated)])
+    is_layer = np.array([isinstance(ins, LocalLayer) for ins in table])
+    both = is_layer[left] & is_layer[right]
+    codes = set((left[both] * len(table) + right[both]).tolist())
+    return [(table[a], table[b]) for a, b in (divmod(code, len(table)) for code in codes)]
 
 
 def _fold(
@@ -641,6 +656,12 @@ def _product_trees(
     return list(nodes), roots
 
 
+#: up to this many pair codes (``top^2``), the grammar counts every code
+#: (at most 256 KB, and 6 us against ``np.unique``'s 9 to 23 us at 2^14);
+#: past it, only the codes that occur, so the memory follows the body
+PAIR_COUNTS = 2**15
+
+
 def _grammar_tree(
     seqs: Sequence[Sequence[int]], leaves: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
@@ -667,12 +688,15 @@ def _grammar_tree(
             run_start = np.maximum.accumulate(np.where(same & ~np.r_[False, same[:-1]], at, 0))
             codes[same & ((at - run_start) % 2 == 1)] = top * top  # past every pair's code
         codes[cut] = top * top
-        counts = np.bincount(codes)
-        counts[top * top:] = 0
-        best = counts.argmax()
+        if top * top <= PAIR_COUNTS:
+            distinct, counts = None, np.bincount(codes)[:top * top]
+        else:
+            distinct, counts = np.unique(codes, return_counts=True)
+            counts[distinct == top * top] = 0
+        best = counts.argmax()  # the smallest code of the most frequent pair
         if counts[best] < 2:
             break
-        where = np.flatnonzero(codes == best)
+        where = np.flatnonzero(codes == (best if distinct is None else distinct[best]))
         pairs.append((int(s[where[0]]), int(s[where[0] + 1])))
         s[where] = top  # the new node's id
         s = np.delete(s, where + 1)
@@ -699,18 +723,13 @@ def _product_nodes(
     right, of each ``(root, count)`` node raised to its count, where node
     ``len(leaves) + k`` is the product of ``pairs[k]``.
 
-    The leaves are the bodies' tables interned together, and the nodes
-    are one node list over the bodies, each body once: the Re-Pair grammar
-    from ``GRAMMAR_QUBITS`` up and the pairwise trees below.
+    The leaves are the schedule's table, and the nodes are one node list
+    over the bodies' ids, each body once: the Re-Pair grammar from
+    ``GRAMMAR_QUBITS`` up and the pairwise trees below.
     """
-    interned = Listing(chain.from_iterable(body.table for body, _ in sched.blocks))
-    seqs, start = [], 0
-    for body, _ in sched.blocks:
-        seqs.append(interned.ids[start:start + len(body.table)][body.ids])
-        start += len(body.table)
     tree = _grammar_tree if sched.n >= GRAMMAR_QUBITS else _product_trees
-    pairs, roots = tree(seqs, len(interned.table))
-    return interned.table, pairs, list(zip(roots, (count for _, count in sched.blocks)))
+    pairs, roots = tree([body.ids for body, _ in sched.blocks], len(sched.table))
+    return sched.table, pairs, list(zip(roots, (count for _, count in sched.blocks)))
 
 
 def evaluate_schedule(sched: Schedule, drift: HamExpansion) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -141,3 +143,27 @@ def heisenberg(n: int) -> HamExpansion:
 def without_runs(text: str) -> str:
     """Schedule ``text`` with its run comments left out."""
     return "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("# run "))
+
+
+def value_key(ins) -> object:
+    """What a schedule interns ``ins`` by: a layer's key, or a drift's
+    duration with ``0.0`` and ``-0.0`` apart."""
+    if isinstance(ins, LocalLayer):
+        return ins.cache_key()
+    return ins.tau, math.copysign(1.0, ins.tau)
+
+
+def interned(instructions) -> tuple[list, list[int]]:
+    """The distinct ``instructions`` in order of first use, and each
+    position's index into them, interned one instruction at a time by
+    :func:`value_key`."""
+    index: dict[object, int] = {}
+    table: list = []
+    ids: list[int] = []
+    for ins in instructions:
+        key = value_key(ins)
+        if key not in index:
+            index[key] = len(table)
+            table.append(ins)
+        ids.append(index[key])
+    return table, ids

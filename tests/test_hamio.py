@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import clifford_layer, random_layer, random_two_body, without_runs, xz_chain
+from conftest import (
+    clifford_layer,
+    interned,
+    random_layer,
+    random_two_body,
+    without_runs,
+    xz_chain,
+)
 from hamrc import (
     Drift,
     InvalidTerm,
@@ -301,19 +308,19 @@ def test_schedule_text_holds_one_record_per_instruction(sched):
             assert line == f"local {ids.setdefault(ins.cache_key(), str(len(ids)))}"
         assert shared.setdefault(line, got) is got
     # the blocks follow the runs of the text: each block's copies are equal
-    # lines, and two blocks in a row differ; each is a listing interned
-    # from the table as a walk over its instructions is
+    # lines, and two blocks in a row differ; each is a listing of the one
+    # table, interned as a walk over the instructions interns them
+    table, walked = interned(back.instructions)
+    assert len(back.table) == len(table)
+    assert all(a is b for a, b in zip(back.table, table))
     at, copies = 0, []
     for listing, count in back.blocks:
-        assert type(listing) is Listing
+        assert type(listing) is Listing and listing.table is back.table
         copy = body[at:at + len(listing)]
         assert body[at:at + len(listing) * count] == copy * count
+        assert listing.ids.tolist() == walked[at:at + len(listing)]
         at += len(listing) * count
         copies.append(copy)
-        walked = Listing(tuple(listing))
-        assert len(listing.table) == len(walked.table)
-        assert all(a is b for a, b in zip(listing.table, walked.table))
-        assert listing.ids.tolist() == walked.ids.tolist()
     assert at == len(body)
     assert all(a != b for a, b in zip(copies, copies[1:]))
 
@@ -647,11 +654,13 @@ def test_a_compiled_file_parses_into_its_runs(sample_drift):
     parsed = parse_schedule(text)
     # 20,009 records and one run comment
     assert len(text.splitlines()) == 20_010
-    # a short body repeated thousands of times between short ones, each
-    # body interned on its own: the blocks that were written
+    # a short body repeated thousands of times between short ones, all
+    # of them views of one table of the distinct instructions: the blocks
+    # that were written
     assert _shapes(parsed) == _shapes(sched)
     assert any(len(body) <= 4 and count >= 1000 for body, count in parsed.blocks)
-    assert all(len(body.table) == len(set(body)) for body, _ in parsed.blocks)
+    assert len(parsed.table) == len(set(parsed.instructions))
+    assert all(body.table is parsed.table for body, _ in parsed.blocks)
     assert serialize_schedule(parsed) == text
 
 
@@ -709,9 +718,10 @@ def test_schedule_parse_ignores_spelling_of_repeated_records():
     assert ins[7] is ins[1]
     # every spelling of one drift names one instruction, interned by value
     assert ins[3] is ins[1] and ins[5] is ins[1]
-    walked = Listing(ins)
+    table, walked = interned(ins)
     assert listing.table[0] is ins[0] and listing.table[1] is ins[1] and len(listing.table) == 2
-    assert listing.ids.tolist() == walked.ids.tolist() == [0, 1] * 4
+    assert table == list(listing.table)
+    assert listing.ids.tolist() == walked == [0, 1] * 4
 
 
 def test_format_report_is_deterministic():

@@ -1,14 +1,23 @@
 """Schedule semantics: operator ordering, canonicalization, evaluation."""
 
+import tracemalloc
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clifford_layer, random_layer, random_two_body, without_runs
+from conftest import (
+    clifford_layer,
+    interned,
+    random_layer,
+    random_two_body,
+    value_key,
+    without_runs,
+)
 from hamrc import schedule, synth
 from hamrc.bounds import MAX_PLAN_STEPS
 from hamrc.schedule import Listing
@@ -190,6 +199,26 @@ def test_a_layer_outside_the_register_is_refused(site):
     # a listing is checked by its table
     with pytest.raises(InvalidTerm, match="outside register of 2"):
         Schedule(2, ((Listing([Drift(0.1), layer], [0, 1, 0]), 1),))
+
+
+@pytest.mark.parametrize("count", [-2, 2.5, "3", None])
+def test_a_block_count_is_a_nonnegative_integer(count):
+    with pytest.raises(InvalidTerm, match="block count"):
+        Schedule(2, (([Drift(0.3)], count),))
+
+
+@pytest.mark.parametrize("ids", [[0, 2], [-1, 0]])
+def test_a_listing_id_outside_its_table_is_refused(ids):
+    with pytest.raises(InvalidTerm, match="outside its table of 2"):
+        Schedule(2, ((Listing([Drift(0.1), Drift(0.2)], ids), 1),))
+
+
+def test_a_zero_count_drops_its_block():
+    had = LocalLayer({0: HAD})
+    sched = Schedule(2, (([Drift(0.3)], 0), ([Drift(0.1)], np.int64(2)), ([had], True)))
+    assert [(tuple(body), k) for body, k in sched.blocks] == [((Drift(0.1),), 2), ((had,), 1)]
+    assert all(type(k) is int for _, k in sched.blocks)
+    assert sched.drift_count() == len(sched) - 1 == 2
 
 
 def test_schedule_equality_ignores_plan_metadata():
@@ -392,6 +421,65 @@ def test_numpy_levels_make_the_nodes_of_the_loop(case):
                 nodes = {}
                 root = schedule._product_tree(ids, leaves, nodes)
                 assert (list(nodes), root) == want
+
+
+def _bincount_grammar(seqs, leaves):
+    """``_grammar_tree`` as it counted pairs before: one ``np.bincount``
+    over every code below ``top^2``."""
+    s = np.concatenate([np.asarray(seq, dtype=np.int64) for seq in seqs])
+    cut = np.zeros(max(len(s) - 1, 0), dtype=bool)
+    cut[np.cumsum([len(seq) for seq in seqs[:-1]], dtype=np.intp) - 1] = True
+    pairs = []
+    while len(s) > 2:
+        top = leaves + len(pairs)
+        codes = s[:-1] * top + s[1:]
+        same = (s[:-1] == s[1:]) & ~cut
+        if same.any():
+            at = np.arange(len(same))
+            run_start = np.maximum.accumulate(np.where(same & ~np.r_[False, same[:-1]], at, 0))
+            codes[same & ((at - run_start) % 2 == 1)] = top * top
+        codes[cut] = top * top
+        counts = np.bincount(codes)
+        counts[top * top:] = 0
+        best = counts.argmax()
+        if counts[best] < 2:
+            break
+        where = np.flatnonzero(codes == best)
+        pairs.append((int(s[where[0]]), int(s[where[0] + 1])))
+        s[where] = top
+        s = np.delete(s, where + 1)
+        cut = np.delete(cut, where)
+    tree, roots = schedule._product_trees(np.split(s, np.flatnonzero(cut) + 1), leaves + len(pairs))
+    return pairs + tree, roots
+
+
+@settings(max_examples=80)
+@given(case=id_sequences(), cuts=st.lists(st.integers(1, 3 * schedule.NUMPY_LEVEL), max_size=3))
+@example(case=([0] * 64, 1), cuts=[31])
+@example(case=([0, 1] * 40 + [1, 0] * 40, 2), cuts=[])  # ties between pair codes
+def test_grammar_counts_pairs_as_the_bincount_did(case, cuts):
+    seq, leaves = case
+    ends = sorted({c for c in cuts if c < len(seq)} | {len(seq)})
+    pieces = [seq[a:b] for a, b in zip([0, *ends], ends)]
+    want = _bincount_grammar(pieces, leaves)
+    # a count per possible code, and a count per code that occurs
+    for cap in (schedule.PAIR_COUNTS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(schedule, "PAIR_COUNTS", cap)
+            assert schedule._grammar_tree(pieces, leaves) == want
+
+
+def test_the_grammar_counts_pairs_in_memory_of_the_body():
+    # a count per code below top^2 took 140 MB here
+    seq = np.random.default_rng(3).integers(0, 3000, 20_000)
+    tracemalloc.start()
+    try:
+        pairs, roots = schedule._grammar_tree([seq], 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _leaves_under(pairs, roots[0], 3000) == seq.tolist()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("n,built", [(5, ("_product_tree", 11)), (6, ("_grammar_tree", 5))])
@@ -726,8 +814,10 @@ def test_equal_layers_are_one_value():
     assert copy is not _L and copy == _L and hash(copy) == hash(_L)
     assert len({_L, copy, _M}) == 2
     # a body holding both objects keeps one of them, written as one layer record
-    body = Schedule(2, (((_L, Drift(0.3), copy), 1),)).blocks[0][0]
-    assert type(body) is Listing and len(body.table) == 2 and body.table[0] is _L
+    sched = Schedule(2, (((_L, Drift(0.3), copy), 1),))
+    body = sched.blocks[0][0]
+    assert len(sched.table) == 2 and sched.table[0] is _L
+    assert type(body) is Listing and body.table is sched.table
     assert body.ids.tolist() == [0, 1, 0]
     lines = serialize_schedule(Schedule(2, ((body, 1),))).splitlines()
     assert {ln.split()[1] for ln in lines if ln.startswith("layer ")} == {"0"}
@@ -757,7 +847,12 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
     assert [(tuple(body), k) for body, k in sched.blocks] == [
         (tuple(body), k) for body, k in blocks if body
     ]
-    assert all(type(body) is Listing for body, _ in sched.blocks)
+    # every body is a listing of the schedule's one table, its distinct
+    # instructions in order of first use
+    assert all(type(body) is Listing and body.table is sched.table for body, _ in sched.blocks)
+    table, ids = interned(sched.instructions)
+    assert len(table) == len(sched.table) and all(a is b for a, b in zip(table, sched.table))
+    assert [i for body, k in sched.blocks for i in body.ids.tolist() * k] == ids
     assert len(sched) == len(sched.instructions)
     flat = Schedule(2, ((sched.instructions, 1),), sched.phase)
     got = canonicalize(sched)
@@ -771,3 +866,66 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
             evaluate_schedule(a, BLOCK_DRIFT) - reference_evaluate(flat, BLOCK_DRIFT)
         ) < 1e-12
 
+
+# ----------------------------------------------------------------------
+# the one table: built once, and read as it is
+
+
+def _joined_ids(sched):
+    """Each block's ids and count, with each stretch of count-1 blocks
+    joined into one, as its file parses."""
+    out = []
+    for body, count in sched.blocks:
+        if count == 1 and out and out[-1][1] == 1:
+            out[-1] = (out[-1][0] + body.ids.tolist(), 1)
+        else:
+            out.append((body.ids.tolist(), count))
+    return out
+
+
+@settings(max_examples=80)
+@given(blocks=st.lists(st.tuples(_pool_lists, st.integers(0, 5)), max_size=5))
+def test_a_parsed_file_has_its_schedules_table_and_ids(blocks):
+    sched = Schedule(2, [([BLOCK_POOL[i] for i in body], k) for body, k in blocks], phase=0.2)
+    back = parse_schedule(serialize_schedule(sched))
+    # the table by value and in the same order, and the ids of the blocks
+    assert list(map(value_key, back.table)) == list(map(value_key, sched.table))
+    assert _joined_ids(back) == _joined_ids(sched)
+    assert all(body.table is back.table for body, _ in back.blocks)
+
+
+def test_the_readers_take_the_table_as_it_is(monkeypatch):
+    sched = Schedule(2, (((_L, Drift(0.3), _M), 5), ((_M, Drift(0.7), _L.dagger()), 1)))
+    keyed = []
+    for name in ("cache_key", "__hash__", "__eq__"):
+        real = getattr(LocalLayer, name)
+        monkeypatch.setattr(LocalLayer, name, lambda *a, real=real: keyed.append(a) or real(*a))
+    leaves, _, _ = schedule._product_nodes(sched)
+    assert leaves is sched.table
+    text = serialize_schedule(sched)
+    assert keyed == []
+    # the parsed schedule interns each layer record it uses once, by its key
+    parsed = parse_schedule(text)
+    assert [a[0] for a in keyed] == [ins for ins in parsed.table if isinstance(ins, LocalLayer)]
+
+
+@settings(max_examples=40)
+@given(sched=shared_block_schedules(sizes=(1, 3), max_count=300))
+def test_drift_statistics_are_the_exact_sums_of_the_expansion(sched):
+    taus = [ins.tau for ins in sched.instructions if isinstance(ins, Drift)]
+    flat = Schedule(sched.n, ((sched.instructions, 1),))
+    assert sched.drift_count() == flat.drift_count() == len(taus)
+    assert sched.total_drift_time() == flat.total_drift_time() == float(sum(map(Fraction, taus)))
+
+
+def test_drift_statistics_read_each_body_once():
+    sched = Schedule(2, (((_L, Drift(0.3), _M, Drift(0.7)), 10**6), ((Drift(0.1),), 1)))
+    tracemalloc.start()
+    try:
+        count, total = sched.drift_count(), sched.total_drift_time()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 2 * 10**6 + 1
+    assert total == float((Fraction(0.3) + Fraction(0.7)) * 10**6 + Fraction(0.1))
+    assert peak < 100_000  # the expansion's durations alone would take 16 MB
