@@ -314,7 +314,7 @@ class Listing:
         return map(self.table.__getitem__, self.ids.tolist())
 
     def __repr__(self) -> str:
-        return f"Listing({len(self)} instructions, {len(self.table)} distinct)"
+        return f"Listing({len(self)} instructions, table of {len(self.table)})"
 
 
 #: ``(body, count)``: the body's instructions repeated ``count`` times
@@ -355,8 +355,8 @@ class Schedule:
     table: tuple[Instruction, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries: list[Instruction] = []  # the bodies' tables, each table once
-        starts: dict[int, int] = {}  # a listing's table, by id -> its first entry
+        entries: list[Instruction] = []  # the bodies' tables, end to end
+        last = start = None  # the last listing's table, and its first entry
         seqs, counts = [], []  # each kept block's ids into ``entries``, and its count
         for body, count in self.blocks:
             count = _index(count, "block count")
@@ -364,20 +364,17 @@ class Schedule:
                 raise InvalidTerm(f"block count must be >= 0, got {count}")
             if not (len(body) and count):
                 continue
-            start = len(entries)
             if not isinstance(body, Listing):
-                entries += body
-                seqs.append(np.arange(start, len(entries)))
-            elif body.ids.min() >= 0 and body.ids.max() < len(body.table):
-                if starts.setdefault(id(body.table), start) == start:
-                    entries += body.table
-                seqs.append(body.ids + starts[id(body.table)])
-            else:
+                body = Listing(body, np.arange(len(body)))
+            elif not (body.ids.min() >= 0 and body.ids.max() < len(body.table)):
                 raise InvalidTerm(f"listing ids outside its table of {len(body.table)}")
+            if body.table is not last:  # views of one table in a row add it once
+                last, start = body.table, len(entries)
+                entries += body.table
+            seqs.append(body.ids + start)
             counts.append(count)
         flat = np.concatenate(seqs) if seqs else np.zeros(0, dtype=np.intp)
-        # the entries used, in order of first use: without a listing, all in order
-        used = list(dict.fromkeys(flat.tolist())) if starts else range(len(entries))
+        used = list(dict.fromkeys(flat.tolist()))  # the entries used, in order of first use
         keyed = list(map(entries.__getitem__, used))
         index: dict[Any, int] = {}  # key -> its entry of ``table``
         slots = [index.setdefault(_value_key(ins), len(index)) for ins in keyed]
@@ -410,9 +407,10 @@ class Schedule:
 
     def _drifts(self) -> list[tuple[float, int]]:
         """Each distinct drift duration, and how many times the expansion holds it."""
-        uses = np.zeros(len(self.table), dtype=object)  # Python integers, never overflowing
+        uses = [0] * len(self.table)
         for body, count in self.blocks:
-            uses += np.bincount(body.ids, minlength=len(uses)).astype(object) * count
+            times = np.bincount(body.ids, minlength=len(uses)).tolist()
+            uses = [u + m * count for u, m in zip(uses, times)]
         return [(ins.tau, m) for ins, m in zip(self.table, uses) if isinstance(ins, Drift)]
 
     def drift_count(self) -> int:
@@ -441,8 +439,6 @@ def _merge_seams(
     layer, for the caller to raise if it uses that seam.  ``n`` bounds the
     sites.
     """
-    if not seams:
-        return []
     m = len(seams)
     factors, at = _scatter([a for a, _ in seams] + [b for _, b in seams], n)
     held = np.zeros(2 * m * n, dtype=bool)
@@ -560,7 +556,7 @@ def canonicalize(sched: Schedule) -> Schedule:
     instructions as folding the expansion.
     """
     seams = _seams(sched)
-    merges = dict(zip(seams, _merge_seams(seams, sched.n)))  # (left, right) -> merged
+    merges = dict(zip(seams, _merge_seams(seams, sched.n))) if seams else {}  # seam -> merged
     settled: list[tuple[Sequence[Instruction], int]] = []
     out: list[Instruction] = []
     for body, count in sched.blocks:
@@ -656,12 +652,6 @@ def _product_trees(
     return list(nodes), roots
 
 
-#: up to this many pair codes (``top^2``), the grammar counts every code
-#: (at most 256 KB, and 6 us against ``np.unique``'s 9 to 23 us at 2^14);
-#: past it, only the codes that occur, so the memory follows the body
-PAIR_COUNTS = 2**15
-
-
 def _grammar_tree(
     seqs: Sequence[Sequence[int]], leaves: int
 ) -> tuple[list[tuple[int, int]], list[int]]:
@@ -688,15 +678,12 @@ def _grammar_tree(
             run_start = np.maximum.accumulate(np.where(same & ~np.r_[False, same[:-1]], at, 0))
             codes[same & ((at - run_start) % 2 == 1)] = top * top  # past every pair's code
         codes[cut] = top * top
-        if top * top <= PAIR_COUNTS:
-            distinct, counts = None, np.bincount(codes)[:top * top]
-        else:
-            distinct, counts = np.unique(codes, return_counts=True)
-            counts[distinct == top * top] = 0
+        distinct, counts = np.unique(codes, return_counts=True)
+        counts[distinct == top * top] = 0
         best = counts.argmax()  # the smallest code of the most frequent pair
         if counts[best] < 2:
             break
-        where = np.flatnonzero(codes == (best if distinct is None else distinct[best]))
+        where = np.flatnonzero(codes == distinct[best])
         pairs.append((int(s[where[0]]), int(s[where[0] + 1])))
         s[where] = top  # the new node's id
         s = np.delete(s, where + 1)
@@ -763,12 +750,7 @@ def _evaluate(sched: Schedule, evals: np.ndarray, vecs: np.ndarray) -> np.ndarra
     if not sched.blocks:
         return np.exp(1j * sched.phase) * np.eye(2**n, dtype=complex)
     leaves, pairs, roots = _product_nodes(sched)
-    uses = [0] * (len(leaves) + len(pairs))
-    for a, b in pairs:
-        uses[a] += 1
-        uses[b] += 1
-    for root, _ in roots:
-        uses[root] += 1
+    uses = np.bincount([*chain.from_iterable(pairs), *(root for root, _ in roots)]).tolist()
     layers = [k for k, ins in enumerate(leaves) if isinstance(ins, LocalLayer)]
     per_chunk = max(1, LEAF_CHUNK >> 2 * n)
     chunk_at = {k: i - i % per_chunk for i, k in enumerate(layers)}

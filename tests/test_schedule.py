@@ -4,6 +4,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ def test_a_block_count_is_a_nonnegative_integer(count):
 def test_a_listing_id_outside_its_table_is_refused(ids):
     with pytest.raises(InvalidTerm, match="outside its table of 2"):
         Schedule(2, ((Listing([Drift(0.1), Drift(0.2)], ids), 1),))
+
+
+def test_listings_of_fresh_tables_keep_their_own_instructions():
+    # each listing views a table made for it alone, which is freed once the
+    # generator moves on, so a later table may be made at the same address
+    had = LocalLayer({0: HAD})
+    taus = [0.1 * (k + 1) for k in range(40)]
+    sched = Schedule(2, ((Listing([Drift(tau), had], [1, 0]), 1) for tau in taus))
+    assert sched.instructions == tuple(chain.from_iterable((had, Drift(tau)) for tau in taus))
+    assert sched.table == (had, *map(Drift, taus))
+    # views of two tables, taken in turn
+    a, b = [Drift(0.1), had], [Drift(0.2)]
+    sched = Schedule(2, [(Listing(a, [0, 1]), 1), (Listing(b, [0]), 2), (Listing(a, [1, 1]), 1)])
+    assert sched.instructions == (Drift(0.1), had, Drift(0.2), Drift(0.2), had, had)
+    assert sched.table == (Drift(0.1), had, Drift(0.2))
 
 
 def test_a_zero_count_drops_its_block():
@@ -461,12 +477,7 @@ def test_grammar_counts_pairs_as_the_bincount_did(case, cuts):
     seq, leaves = case
     ends = sorted({c for c in cuts if c < len(seq)} | {len(seq)})
     pieces = [seq[a:b] for a, b in zip([0, *ends], ends)]
-    want = _bincount_grammar(pieces, leaves)
-    # a count per possible code, and a count per code that occurs
-    for cap in (schedule.PAIR_COUNTS, 0):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(schedule, "PAIR_COUNTS", cap)
-            assert schedule._grammar_tree(pieces, leaves) == want
+    assert schedule._grammar_tree(pieces, leaves) == _bincount_grammar(pieces, leaves)
 
 
 def test_the_grammar_counts_pairs_in_memory_of_the_body():
