@@ -19,7 +19,6 @@ from .cliffords import (
     CLIFF_XQI,
     PAULI_CLIFF,
     LocalClifford,
-    conjugate_by_cliffords,
     sign_flip_clifford,
 )
 from .decouple import (
@@ -61,7 +60,6 @@ from .pauli import (
     PauliString,
     average,
     build_expansion,
-    conjugation_sign,
     coupling_graph,
     embed,
     filter_support,
@@ -97,8 +95,7 @@ __all__ = [
     "ParseError", "PauliString", "Schedule", "TooLarge",
     "VerificationFailure", "average", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",
-    "compile_remote", "compile_schedule", "conjugate_by_cliffords",
-    "conjugation_sign", "coupling_graph",
+    "compile_remote", "compile_schedule", "coupling_graph",
     "cnot_generator", "dense_of_expansion",
     "dense_of_pauli", "distance", "embed", "evaluate_schedule",
     "exchange_generator", "expm_hermitian", "filter_support", "format_report",

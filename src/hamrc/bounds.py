@@ -27,10 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cliffords import CLIFF_ID
 from .dense import _dense_of_masks, check_dense_cap, hermitian_norm
 from .errors import Infeasible, InvalidTerm, TooLarge
-from .pauli import OPS, _string_keys, anticommutes, pack_masks, pauli_product, popcount
+from .pauli import _string_keys, anticommutes, pack_masks, pauli_product, popcount
 
 #: step counts above this are refused as impractical
 MAX_PLAN_STEPS = 2**22
@@ -109,51 +108,9 @@ def _nested_norms(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([hermitian_norm(_plus_adjoint(m @ c, 1)) for m in (a, b)], axis=-1)
 
 
-def _is_framed(factor) -> bool:
-    return hasattr(factor, "frame")
-
-
 #: matrix entries (or string products) in flight at once: a chunk of norms
 #: holds one stack, a chunk of commutators four (``A``, ``B``, ``AB``, ``i[A, B]``)
 _BATCH = 2**16
-
-
-def framed_images(model) -> tuple[np.ndarray, ...]:
-    """``(index, x, z, ny, sign)``: where the framed drifts of ``model`` sit
-    among its factors, and what each frame does to each drift term.
-
-    ``x``, ``z`` and ``ny`` hold the packed masks of the term's image
-    string (``pauli.pack_masks``), and ``sign`` the sign the term picks
-    up: one row per framed drift, one column per drift term in the drift's
-    order.  A frame's Cliffords act site by site, so each site's image is
-    read from a table of each distinct Clifford's signed image of each
-    axis, by the axis's character code, and the image strings are packed
-    as one array of characters.  Two framed drifts with equal rows are one
-    operator per unit rate.  The arrays are read-only.
-    """
-    n = model.n
-    ops = np.frombuffer("".join(p.ops for p in model.drift).encode(), np.uint8).reshape(-1, n)
-    index = [i for i, f in enumerate(model.factors) if _is_framed(f)]
-    number = {CLIFF_ID.images: 0}  # a Clifford's signed axis images -> its table row
-    held = [[0] * n for _ in index]
-    for row, i in zip(held, index):
-        for q, cliff in model.factors[i].frame:
-            row[q] = number.setdefault(cliff.images, len(number))
-    image = np.zeros((len(number), 256), dtype=np.uint8)
-    negative = np.zeros((len(number), 256), dtype=bool)
-    for k, images in enumerate(number):
-        for axis, (sign, to) in zip(OPS, ((1, "I"), *images)):
-            image[k, ord(axis)], negative[k, ord(axis)] = ord(to), sign < 0
-    # (framed drift, term, site): the site's Clifford, and the term's axis there
-    cell = np.array(held, dtype=np.intp).reshape(-1, 1, n), ops
-    out = (
-        np.array(index, dtype=np.intp),
-        *pack_masks(n, image[cell]),
-        1 - 2 * (negative[cell].sum(axis=2) & 1),
-    )
-    for a in out:
-        a.flags.writeable = False
-    return out
 
 
 def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,10 +121,10 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     A plain factor's row is its expansion.  A framed drift
     ``rate * C H C^dag`` is the drift's terms with each site's axis replaced
     by its signed image under ``C``, so its row is scattered from the image
-    terms' masks in ``model.images`` (``framed_images``) with no expansion
-    in between.  A Clifford maps distinct strings to distinct strings, so
-    each entry is the one product ``sign * coeff * rate``: the conjugated
-    expansion's coefficient.
+    terms' masks in ``model.images`` (``cliffords.framed_images``) with no
+    expansion in between.  A Clifford maps distinct strings to distinct
+    strings, so each entry is the one product ``sign * coeff * rate``: the
+    conjugated expansion's coefficient.
     """
     coeffs = np.array(list(model.drift.terms.values()), dtype=float)
     parts = []  # (row, x, z, ny, coefficient) of every term of every factor
@@ -183,8 +140,9 @@ def _coefficient_table(model) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
             ny.ravel(),
             (sign * coeffs * rates[:, None]).ravel(),
         ))
+    framed = set(index.tolist())
     for i, f in enumerate(model.factors):
-        if not _is_framed(f):
+        if i not in framed:
             terms = np.array([c for _, c in f.ham.items()], dtype=float)
             parts.append((np.full(len(terms), i), *pack_masks(model.n, f.ham), terms))
     rows, x, z, ny, values = (np.concatenate(column) for column in zip(*parts))
@@ -332,81 +290,63 @@ def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
     return x, z, ny, heads, np.where(use_sum, sums - heads, tails)
 
 
-def first_order_rate(model) -> float:
-    """Coefficient c2 with per-step bound c2 * delta^2: half the sum over the
-    splits of ``||[F_j, T_j]||``, ``T_j = F_(j+1) + ... + F_last``.
-
-    Peels factors off the ordered list one at a time: splitting
-    ``exp(-i d (F_j + T))`` into ``exp(-i d F_j) exp(-i d T)`` costs at most
-    ``||[F_j, T]|| d^2 / 2``, and the chaining inequality adds the splits
-    up.  That is one commutator norm per factor, and by the triangle
-    inequality never more than the pairwise sum over ``j < k``.  This is
-    the first-order case of Childs, Su, Tran, Wiebe and Zhu, *Theory of
-    Trotter error with commutator scaling*, PRX 11, 011020 (2021).
-
-    Each tail is its row of per-string sums, so terms that cancel are
-    absent.  The commutator is taken on the sites one hop from the
-    smaller of ``T_j`` and ``F_j + T_j`` (``_splits``); a split with no
-    term of ``F_j`` there is 0.  Where those sites fit the dense cap it is
-    built on them; past the cap its norm is bounded by the 1-norm of its
-    Pauli coefficients (``_commutator_one_norms``).
-    """
-    x, z, ny, heads, rests = _splits(model, 1)
-    live = np.flatnonzero((heads != 0.0).any(axis=1))
-    norms = np.zeros(len(heads))
-    pairs = np.stack([heads[live], rests[live]], axis=1)
-    norms[live] = _on_supports(_commutator_norm, _commutator_one_norms, 4, x, z, ny, pairs)
-    return 0.5 * sum(norms[::-1].tolist(), 0.0)
-
-
-def second_order_rate(model) -> float:
-    """Coefficient c3 with per-step bound c3 * delta^3 for a symmetric step.
-
-    Peels factors off the ordered list one at a time, as the first-order
-    rate does: each split of ``A = F_j`` against the exact sum ``B`` of the
-    remaining tail is one symmetric splitting
-    ``e^{-iA/2} e^{-iB} e^{-iA/2}``, which differs from ``e^{-i(A+B)}`` by
-    at most ``||[B, [B, A]]||/12 + ||[A, [A, B]]||/24`` at unit delta
-    (Childs, Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021)), and the
-    chaining inequality adds the splits up.
-
-    Both come from ``C = [A, B]`` (``_nested_norms``), built on the sites
-    two hops from the smaller of ``B`` and ``A + B`` (``_splits``): a
-    middle split's ``A + B`` is the tail before it, and one that closes a
-    decoupling orbit acts on the pair alone.  Past the dense cap a split's
-    nested norms are bounded by ``4 a^2 b`` and ``4 a b^2`` from the
-    1-norms of its restricted rows (``_nested_one_norms``).
-    """
-    x, z, ny, heads, rests = _splits(model, 2)
-    live = np.flatnonzero((heads != 0.0).any(axis=1))
-    norms = np.zeros((len(heads), 2))
-    pairs = np.stack([heads[live], rests[live]], axis=1)
-    norms[live] = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
-    return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
+#: per order: what ``_on_supports`` measures and bounds each split by, the
+#: stacks the measure holds, and the shape of its values per split
+_SPLIT_NORMS = {
+    1: (_commutator_norm, _commutator_one_norms, 4, ()),
+    2: (_nested_norms, _nested_one_norms, 5, (2,)),
+}
 
 
 def chained_rate(model, order: int) -> float:
     """Per-step bound coefficient of a step model at unit delta.
 
     ``model`` is a step model: its ``drift`` ``H``, its ordered
-    ``factors`` and their ``images`` (``framed_images`` of the model, built
-    once per model).  A factor with a ``frame`` is the framed drift
-    ``rate * C H C^dag`` for the frame's per-site Cliffords ``C``; any other
-    factor is plain, with its expansion in ``ham``.  The per-step bound is
-    ``rate * delta^(order+1)`` and chaining over N identical steps
-    multiplies by N.
+    ``factors`` and their ``images`` (``cliffords.framed_images`` of its
+    framed drifts, built once per model).  A factor with a ``frame`` is the
+    framed drift ``rate * C H C^dag`` for the frame's per-site Cliffords
+    ``C``; any other factor is plain, with its expansion in ``ham``.  The
+    per-step bound is ``rate * delta^(order+1)`` and chaining over N
+    identical steps multiplies by N.
 
-    The rate is ``first_order_rate`` or ``second_order_rate``.  Each split
-    is normed densely on its own sites where they fit the dense cap, and
-    by coefficient 1-norms where they do not, whatever the register size.
+    The rate peels factors off the ordered list one at a time: split ``j``
+    takes ``A = F_j`` off ``A + B``, ``B = F_(j+1) + ... + F_last``, and
+    the chaining inequality adds the splits up.  At order 1, splitting
+    ``exp(-i d (A + B))`` into ``exp(-i d A) exp(-i d B)`` costs at most
+    ``||[A, B]|| d^2 / 2``: one commutator norm per factor, and by the
+    triangle inequality never more than the pairwise sum over ``j < k``.
+    At order 2 each split is one symmetric splitting
+    ``e^{-iA/2} e^{-iB} e^{-iA/2}``, which differs from ``e^{-i(A+B)}`` by
+    at most ``||[B, [B, A]]||/12 + ||[A, [A, B]]||/24`` at unit delta,
+    both from ``C = [A, B]`` (``_nested_norms``).  These are the cases of
+    Childs, Su, Tran, Wiebe and Zhu, *Theory of Trotter error with
+    commutator scaling*, PRX 11, 011020 (2021).
+
+    Each tail is its row of per-string sums, so terms that cancel are
+    absent.  The commutators are taken on the sites ``order`` hops from
+    the smaller of ``B`` and ``A + B`` (``_splits``): a middle split's
+    ``A + B`` is the tail before it, and one that closes a decoupling
+    orbit acts on the pair alone; a split with no term of ``A`` there is
+    0.  Where those sites fit the dense cap the split is built on them and
+    normed exactly, whatever the register size; past the cap its
+    commutator is bounded by the 1-norm of its Pauli coefficients
+    (``_commutator_one_norms``) at order 1, and its nested norms by
+    ``4 a^2 b`` and ``4 a b^2`` from the 1-norms of its restricted rows
+    (``_nested_one_norms``) at order 2.
     """
     if order not in (1, 2):
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
+    measure, bound, held, values = _SPLIT_NORMS[order]
+    x, z, ny, heads, rests = _splits(model, order)
+    live = np.flatnonzero((heads != 0.0).any(axis=1))
+    norms = np.zeros((len(heads), *values))
+    pairs = np.stack([heads[live], rests[live]], axis=1)
+    norms[live] = _on_supports(measure, bound, held, x, z, ny, pairs, values)
     if order == 1:
-        return first_order_rate(model)
-    return second_order_rate(model)
+        return 0.5 * sum(norms[::-1].tolist(), 0.0)
+    return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
 
 
 def _check_budget(epsilon: float, t: float) -> None:

@@ -1,18 +1,20 @@
 """Single-qubit Clifford frames tracked both as matrices and symbolically.
 
 Each frame carries its 2x2 unitary together with the signed axis images
-of X, Y, Z under conjugation, so expansions can be conjugated exactly at
-the coefficient level while schedules get the concrete matrices.
+of X, Y, Z under conjugation, so schedules get the concrete matrices
+while Pauli strings are conjugated exactly.  ``framed_images`` is the one
+place that maps a Pauli string through a frame of Cliffords: it gives the
+signed image of every term of a drift under every frame, as packed masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Sequence
 
 import numpy as np
 
-from .pauli import HamExpansion, PauliString
+from .pauli import OPS, HamExpansion, pack_masks
 
 _SQ2 = np.sqrt(2.0)
 
@@ -108,22 +110,37 @@ def sign_flip_clifford(axis: str) -> LocalClifford:
     return PAULI_CLIFF[partner]
 
 
-def conjugate_by_cliffords(
-    ham: HamExpansion, layer: Mapping[int, LocalClifford]
-) -> HamExpansion:
-    """Exact coefficient-level conjugation of an expansion by a frame layer.
+def framed_images(
+    drift: HamExpansion, frames: Sequence[tuple[tuple[int, LocalClifford], ...]]
+) -> tuple[np.ndarray, ...]:
+    """``(x, z, ny, sign)``: what each frame does to each term of ``drift``.
 
-    Sites absent from ``layer`` are left untouched.  Every term maps to a
-    single term with the same coefficient magnitude.
+    A frame is a tuple of ``(site, Clifford)`` pairs, and acts as the
+    identity on the sites it does not name.  ``x``, ``z`` and ``ny`` hold
+    the packed masks of the term's image string (``pauli.pack_masks``),
+    and ``sign`` the sign the term picks up under ``C P C^dag``: one row
+    per frame, one column per drift term in the drift's order.  A frame's
+    Cliffords act site by site, so each site's image is read from a table
+    of each distinct Clifford's signed image of each axis, by the axis's
+    character code, and the image strings are packed as one array of
+    characters.  Two frames with equal rows send the drift to one
+    operator.  The arrays are read-only.
     """
-    images = [(site, {a: cliff.image(a) for a in "IXYZ"}) for site, cliff in layer.items()]
-    out: dict[PauliString, float] = {}
-    for p, c in ham.items():
-        ops = list(p.ops)
-        sign = 1
-        for site, image in images:
-            s, ops[site] = image[ops[site]]
-            sign *= s
-        # a frame permutes Pauli strings, so no two terms land on one string
-        out[PauliString("".join(ops))] = sign * c
-    return HamExpansion(ham.n, out)
+    n = drift.n
+    ops = np.frombuffer("".join(p.ops for p in drift).encode(), np.uint8).reshape(-1, n)
+    number = {CLIFF_ID.images: 0}  # a Clifford's signed axis images -> its table row
+    held = [[0] * n for _ in frames]
+    for row, frame in zip(held, frames):
+        for q, cliff in frame:
+            row[q] = number.setdefault(cliff.images, len(number))
+    image = np.zeros((len(number), 256), dtype=np.uint8)
+    negative = np.zeros((len(number), 256), dtype=bool)
+    for k, images in enumerate(number):
+        for axis, (sign, to) in zip(OPS, ((1, "I"), *images)):
+            image[k, ord(axis)], negative[k, ord(axis)] = ord(to), sign < 0
+    # (frame, term, site): the site's Clifford, and the term's axis there
+    cell = np.array(held, dtype=np.intp).reshape(-1, 1, n), ops
+    out = (*pack_masks(n, image[cell]), 1 - 2 * (negative[cell].sum(axis=2) & 1))
+    for a in out:
+        a.flags.writeable = False
+    return out

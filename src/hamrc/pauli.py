@@ -1,8 +1,9 @@
 """Pauli-string expansions of n-qubit Hamiltonians and their exact algebra.
 
 Everything here is symbolic: coefficients are plain floats attached to
-Pauli strings, and all operations (conjugation signs, averaging, restriction)
+Pauli strings, and all operations (averaging, restriction, embedding)
 act term by term with exact sign bookkeeping.  No matrices are built.
+How a Clifford frame maps a string lives in ``cliffords.framed_images``.
 
 Arrays of strings are handled in the binary symplectic form (Aaronson &
 Gottesman, PRA 70, 052328 (2004); Dehaene & De Moor, PRA 68, 042318
@@ -251,19 +252,6 @@ def build_expansion(
             raise InvalidTerm(f"term {p} has {p.n} sites, expected {n}")
         acc[p] = acc.get(p, 0.0) + float(coeff)
     return HamExpansion(n, acc)
-
-
-def conjugation_sign(term: PauliString, frame: PauliString) -> int:
-    """Sign picked up by ``term`` under conjugation with the Pauli ``frame``.
-
-    Each site contributes -1 when the two single-qubit operators
-    anticommute (both non-identity and different) and +1 otherwise.
-    """
-    flips = 0
-    for a, c in zip(term.ops, frame.ops):
-        if a != "I" and c != "I" and a != c:
-            flips += 1
-    return -1 if flips % 2 else 1
 
 
 def average(items: Sequence[tuple[float, HamExpansion]]) -> HamExpansion:

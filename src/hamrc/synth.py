@@ -13,7 +13,11 @@ their removal is exact) leaves exactly ``sign(h_rs) * sigma_r (x)
 sigma_s``.  Each target coupling ``c * sigma_a (x) sigma_b`` wraps those
 frames and the correction in the fixed Clifford rotations that carry
 (r, s) onto (a, b), plus a Pauli conjugation on qubit 0 when the signs of
-c and h_rs differ, and runs them at rate |c| / (4|h_rs|).
+c and h_rs differ, and runs them at rate |c| / (4|h_rs|).  The model
+is built first and then checked: the images of the drift under each
+coupling's frames come from the model's own table
+(``cliffords.framed_images``, ``StepModel.images``), which the merge and
+the chained bound read too.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from .cliffords import (
     AXIS_ROTATION,
     PAULI_CLIFF,
     LocalClifford,
-    conjugate_by_cliffords,
+    framed_images,
     sign_flip_clifford,
 )
 from .dense import PAULI_MATS, dense_of_expansion, distance, evolution, expm_hermitian
 from .errors import HamrcError, Infeasible, InvalidStep, InvalidTerm, VerificationFailure
-from .pauli import HamExpansion, PauliString, build_expansion, embed, max_coupling
+from .pauli import HamExpansion, PauliString, build_expansion, embed, max_coupling, unpack_masks
 from .schedule import (
     Drift,
     Instruction,
@@ -216,14 +220,16 @@ class StepModel:
 
     @functools.cached_property
     def images(self) -> tuple[np.ndarray, ...]:
-        """``bounds.framed_images`` of this model, built once: what each
-        framed drift's frame does to each drift term.  ``merge_framed_drifts``
-        groups by it, and the chained bound scatters its coefficient table
-        from it."""
-        return _bounds.framed_images(self)
-
-    def drift_factor_count(self) -> int:
-        return sum(1 for f in self.factors if isinstance(f, FramedDrift))
+        """``(index, x, z, ny, sign)``, built once: where the framed drifts
+        sit among the factors, and ``cliffords.framed_images`` of their
+        frames, what each does to each drift term.  ``step_model`` checks
+        its reassembly on it, ``merge_framed_drifts`` groups by it, and the
+        chained bound scatters its coefficient table from it.  The arrays
+        are read-only."""
+        framed = [i for i, f in enumerate(self.factors) if isinstance(f, FramedDrift)]
+        index = np.array(framed, dtype=np.intp)
+        index.flags.writeable = False
+        return (index, *framed_images(self.drift, [self.factors[i].frame for i in framed]))
 
     def raw_drifts_per_step(self, order: int) -> int:
         return sum(isinstance(self.factors[k], FramedDrift) for k in self.runs(order))
@@ -243,32 +249,36 @@ def _proportional_rate(target: HamExpansion, drift: HamExpansion) -> float | Non
     return lam
 
 
-def _check_reassembly(
-    drift: HamExpansion,
-    frames: list[FramedDrift],
-    norm: float,
-    correction: HamExpansion,
-    phase: float,
-    target: HamExpansion,
-) -> None:
-    """Zero-tolerance check that the frames rebuild ``target`` exactly.
+#: the two-qubit strings, by ``4 x + z`` of their packed masks
+_PAIR_STRINGS = unpack_masks(2, np.arange(16) >> 2, np.arange(16) & 3)
 
-    The conjugated drifts' mean, divided by ``norm``, plus ``correction``,
-    plus ``phase`` times identity, must equal ``target`` coefficient for
-    coefficient.  Each coefficient is divided by ``norm`` before the sum,
-    so a drift near the float maximum does not overflow in it.
+
+def _reassembly(
+    model: StepModel, norm: float, phase: float, corrections: list[dict[PauliString, float]]
+) -> list[dict[PauliString, float]]:
+    """What each coupling's frames rebuild: its nonzero coefficients.
+
+    ``corrections`` holds each coupling's conjugated correction, in the
+    order the model runs their four framed drifts each.  A coupling's
+    images of the drift (its rows of ``model.images``) are summed frame by
+    frame, each term divided by ``norm`` first, so a drift near the float
+    maximum does not overflow in the sum; the rebuilt target is their
+    mean, plus the correction, plus ``phase`` times identity.
     """
-    total: dict[PauliString, float] = {}
-    for frame in frames:
-        for p, c in conjugate_by_cliffords(drift, dict(frame.frame)).items():
-            total[p] = total.get(p, 0.0) + c / norm
-    rebuilt = {p: c / len(frames) for p, c in total.items()}
-    for p, c in correction.items():
-        rebuilt[p] = rebuilt.get(p, 0.0) + c
+    _, x, z, _, sign = model.images
+    coeffs = np.array([c for _, c in model.drift.items()])
+    slots = np.arange(len(x))[:, None] // 4 * 16 + (x << 2 | z)
+    terms = (sign * coeffs / norm).ravel()
+    sums = np.bincount(slots.ravel(), terms, minlength=16 * len(corrections))
     ident = PauliString.identity(2)
-    rebuilt[ident] = rebuilt.get(ident, 0.0) + phase
-    if HamExpansion(2, rebuilt) != target:
-        raise HamrcError("recipe reassembly does not reproduce the target exactly")
+    out = []
+    for row, correction in zip(sums.reshape(-1, 16) / 4, corrections):
+        rebuilt = dict(zip(_PAIR_STRINGS, row.tolist()))
+        for p, c in correction.items():
+            rebuilt[p] += c
+        rebuilt[ident] += phase
+        out.append({p: c for p, c in rebuilt.items() if c})
+    return out
 
 
 def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
@@ -278,8 +288,9 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     terms plus every coupling's local correction), then the coupling
     terms by decreasing magnitude, ties to the smaller axis pair, each as
     its four framed drifts.  Every coupling's frames are checked to
-    reassemble it exactly; ``max_coupling`` is only asked for when the
-    target has a coupling, so a locals-only target needs no coupled drift.
+    reassemble it exactly, on the model's own ``images``; ``max_coupling``
+    is only asked for when the target has a coupling, so a locals-only
+    target needs no coupled drift.
     """
     if drift.n != 2 or target.n != 2:
         raise InvalidTerm("pair compilation expects two-qubit expansions")
@@ -302,6 +313,8 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     couplings.sort(key=lambda pc: (-abs(pc[1]), pc[0]))
 
     drifts: list[FramedDrift] = []
+    corrections: list[dict[PauliString, float]] = []
+    units: list[HamExpansion] = []
     if couplings:
         r, s, h_rs = max_coupling(drift, (0, 1))
         norm = abs(h_rs)
@@ -325,9 +338,14 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
                 FramedDrift(rate, ((0, outer_a.compose(pa)), (1, outer_b.compose(pb))))
                 for pa, pb in paulis
             ]
-            conj = conjugate_by_cliffords(correction, {0: outer_a, 1: outer_b})
-            unit = HamExpansion(2, {p: math.copysign(1.0, coeff)})
-            _check_reassembly(drift, frames, norm, conj, phase, unit)
+            outer = (outer_a, outer_b)
+            conj = {}
+            for q, c in correction.items():
+                (site,) = q.support()
+                flip, axis = outer[site].image(q.ops[site])
+                conj[PauliString.single(2, site, axis)] = flip * c
+            corrections.append(conj)
+            units.append(HamExpansion(2, {p: math.copysign(1.0, coeff)}))
             drifts.extend(frames)
             for q, c in conj.items():
                 local_acc[q] = local_acc.get(q, 0.0) + mag * c
@@ -338,7 +356,12 @@ def step_model(drift: HamExpansion, target: HamExpansion) -> StepModel:
     if len(local_ham):
         factors.append(LocalFactor(local_ham))
     factors.extend(drifts)
-    return StepModel(2, drift, tuple(factors), phase_rate)
+    model = StepModel(2, drift, tuple(factors), phase_rate)
+    if couplings:
+        rebuilt = _reassembly(model, norm, phase, corrections)
+        if any(HamExpansion(2, got) != unit for got, unit in zip(rebuilt, units)):
+            raise HamrcError("recipe reassembly does not reproduce the target exactly")
+    return model
 
 
 def merge_framed_drifts(model: StepModel) -> StepModel:

@@ -1,4 +1,5 @@
 import math
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hamrc import (
     HamExpansion,
     LocalClifford,
     LocalLayer,
+    PauliString,
     average,
     build_expansion,
-    conjugate_by_cliffords,
 )
 
 # The same examples on every run, and no per-example deadline: dense
@@ -113,6 +114,42 @@ def all_local_cliffords() -> list[LocalClifford]:
                     grown.append(d)
         frontier = grown
     return list(found.values())
+
+
+def conjugate_by_cliffords(
+    ham: HamExpansion, layer: Mapping[int, LocalClifford]
+) -> HamExpansion:
+    """Exact coefficient-level conjugation of an expansion by a frame layer,
+    one site of one term at a time: the reference for
+    ``cliffords.framed_images``.
+
+    Sites absent from ``layer`` are left untouched.  Every term maps to a
+    single term with the same coefficient magnitude.
+    """
+    images = [(site, {a: cliff.image(a) for a in "IXYZ"}) for site, cliff in layer.items()]
+    out: dict[PauliString, float] = {}
+    for p, c in ham.items():
+        ops = list(p.ops)
+        sign = 1
+        for site, image in images:
+            s, ops[site] = image[ops[site]]
+            sign *= s
+        # a frame permutes Pauli strings, so no two terms land on one string
+        out[PauliString("".join(ops))] = sign * c
+    return HamExpansion(ham.n, out)
+
+
+def conjugation_sign(term: PauliString, frame: PauliString) -> int:
+    """Sign picked up by ``term`` under conjugation with the Pauli ``frame``.
+
+    Each site contributes -1 when the two single-qubit operators
+    anticommute (both non-identity and different) and +1 otherwise.
+    """
+    flips = 0
+    for a, c in zip(term.ops, frame.ops):
+        if a != "I" and c != "I" and a != c:
+            flips += 1
+    return -1 if flips % 2 else 1
 
 
 def framed_expansion(drift: HamExpansion, factor) -> HamExpansion:

@@ -218,7 +218,7 @@ def test_bound_plans_the_merged_model_that_compile_runs(files, capsys, drift, pa
     target_path.write_text(TWO_COUPLINGS)
     ham, target = parse_hamfile(drift), parse_hamfile(TWO_COUPLINGS)
     model = step_model(ham, target) if pair is None else pair_step_model(ham, pair, target)
-    assert merge_framed_drifts(model).drift_factor_count() < model.drift_factor_count()
+    assert merge_framed_drifts(model).raw_drifts_per_step(1) < model.raw_drifts_per_step(1)
 
     argv = [str(drift_path), "--target", str(target_path), "--t", "0.5",
             "--epsilon", "1e-2", "--order", order]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import all_local_cliffords, conjugate_by_cliffords, random_two_body
 from hamrc import (
     AXIS_ROTATION,
     CLIFF_HAD,
@@ -16,11 +17,12 @@ from hamrc import (
     PauliString,
     average,
     build_expansion,
-    conjugate_by_cliffords,
     dense_of_expansion,
     dense_of_pauli,
     sign_flip_clifford,
 )
+from hamrc.cliffords import framed_images
+from hamrc.pauli import unpack_masks
 from hamrc.synth import FramedDrift, StepModel, emit_step, step_model
 
 _SIGMA = {a: dense_of_pauli(PauliString(a)) for a in "XYZ"}
@@ -106,21 +108,41 @@ def test_sign_flip_negates_exactly_one_axis(axis):
     assert (sign, image) == (-1, axis)
 
 
-def test_expansion_conjugation_matches_dense(sample_drift):
-    layer = {0: CLIFF_HAD, 1: CLIFF_S}
-    got = conjugate_by_cliffords(sample_drift, layer)
-    u = np.kron(CLIFF_HAD.matrix, CLIFF_S.matrix)
-    want = u @ dense_of_expansion(sample_drift) @ u.conj().T
-    assert np.allclose(dense_of_expansion(got), want, atol=1e-12)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_framed_images_match_dense_conjugation(n):
+    # each term's row entry is C P C^dag built from the frame's own matrices
+    rng = np.random.default_rng(40 + n)
+    cliffords = all_local_cliffords()
+    drift = random_two_body(n, rng, coupling_density=0.6, local_density=0.6, connected=True)
+    frames = [
+        tuple((q, cliffords[int(rng.integers(len(cliffords)))])
+              for q in range(n) if rng.random() < 0.7)
+        for _ in range(6)
+    ]
+    x, z, ny, sign = framed_images(drift, frames)
+    assert x.shape == z.shape == ny.shape == sign.shape == (len(frames), len(drift))
+    for f, frame in enumerate(frames):
+        on = dict(frame)
+        u = np.eye(1, dtype=complex)
+        for q in range(n):
+            u = np.kron(u, on[q].matrix if q in on else np.eye(2))
+        images = unpack_masks(n, x[f], z[f])
+        assert ny[f].tolist() == [p.ops.count("Y") for p in images]
+        for t, p in enumerate(drift):
+            want = u @ dense_of_pauli(p) @ u.conj().T
+            assert np.allclose(sign[f, t] * dense_of_pauli(images[t]), want, atol=1e-12)
 
 
-def test_expansion_conjugation_is_exact_on_coefficients():
+def test_framed_images_are_exact_signed_images():
     ham = build_expansion(2, [("XZ", 2.0), ("ZI", 1.0)])
-    got = conjugate_by_cliffords(ham, {0: CLIFF_HAD})
-    # Hadamard swaps X and Z on qubit 0
-    assert got.coefficient(PauliString("ZZ")) == 2.0
-    assert got.coefficient(PauliString("XI")) == 1.0
-    assert len(got) == 2
+    frames = [((0, CLIFF_HAD),), ((0, PAULI_CLIFF["Y"]), (1, CLIFF_S)), ()]
+    x, z, _, sign = framed_images(ham, frames)
+    images = [[p.ops for p in unpack_masks(2, x[f], z[f])] for f in range(len(frames))]
+    # Hadamard swaps X and Z on qubit 0; Y flips both; S leaves Z be
+    assert images == [["ZZ", "XI"], ["XZ", "ZI"], ["XZ", "ZI"]]
+    assert sign.tolist() == [[1, 1], [-1, -1], [1, 1]]
+    for a in framed_images(ham, frames):
+        assert not a.flags.writeable
 
 
 def test_scaled_conjugation_equals_the_weighted_average(sample_drift):

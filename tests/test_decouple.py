@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_body, xz_chain
+from conftest import conjugation_sign, random_two_body, xz_chain
 from hamrc import (
     HamExpansion,
     HamrcError,
@@ -16,7 +16,6 @@ from hamrc import (
     PauliString,
     build_expansion,
     compile_on_pair,
-    conjugation_sign,
     dense_of_expansion,
     dense_of_pauli,
     distance,

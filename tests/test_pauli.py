@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import conjugate_by_cliffords, conjugation_sign
 from hamrc import (
     HamExpansion,
     InvalidTerm,
@@ -16,8 +17,6 @@ from hamrc import (
     PauliString,
     average,
     build_expansion,
-    conjugate_by_cliffords,
-    conjugation_sign,
     coupling_graph,
     dense_of_expansion,
     dense_of_pauli,

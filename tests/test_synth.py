@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    conjugate_by_cliffords,
     framed_expansion,
     heisenberg,
     random_coupled_pair,
@@ -42,7 +43,6 @@ from hamrc import (
     compile_cnot,
     compile_on_pair,
     compile_schedule,
-    conjugate_by_cliffords,
     dense_of_expansion,
     dense_of_pauli,
     distance,
@@ -55,6 +55,7 @@ from hamrc import (
     sign_flip_clifford,
 )
 from hamrc.bounds import MAX_PLAN_STEPS, ROUNDING, _coefficient_table
+from hamrc.cliffords import framed_images
 from hamrc.dense import _dense_of_masks
 from hamrc.hamio import serialize_schedule
 from hamrc.schedule import Schedule, _merge_seams, canonicalize
@@ -65,6 +66,7 @@ from hamrc.synth import (
     LocalFactor,
     StepModel,
     _proportional_rate,
+    _reassembly,
     compile_model,
     emit_step,
     merge_framed_drifts,
@@ -319,12 +321,25 @@ def test_reassembly_check_catches_a_wrong_rotation(sample_drift, monkeypatch):
         step_model(sample_drift, build_expansion(2, [("ZZ", 1.0)]))
 
 
+def test_reassembly_check_catches_a_flipped_image_sign(sample_drift, monkeypatch):
+    # the check reads the model's own image table: one wrong sign in it,
+    # the dominant coupling's image under the last frame, must be caught
+    def flipped(drift, frames):
+        x, z, ny, sign = framed_images(drift, frames)
+        sign = sign.copy()
+        sign[-1, 0] *= -1
+        return x, z, ny, sign
+
+    monkeypatch.setattr("hamrc.synth.framed_images", flipped)
+    with pytest.raises(HamrcError, match="reassembly"):
+        step_model(sample_drift, build_expansion(2, [("ZZ", 1.0)]))
+
+
 def test_step_model_shapes(sample_drift):
     target = build_expansion(2, [("XX", 0.5), ("ZY", -0.25), ("ZI", 1.0)])
     model = step_model(sample_drift, target)
     assert isinstance(model.factors[0], LocalFactor)
-    assert model.drift_factor_count() == 8  # two couplings, four frames each
-    assert model.raw_drifts_per_step(1) == 8
+    assert model.raw_drifts_per_step(1) == 8  # two couplings, four frames each
     assert model.raw_drifts_per_step(2) == 15  # palindrome reuses the last
 
 
@@ -333,7 +348,7 @@ def test_full_coupling_target_needs_at_most_36_periods(sample_drift):
         (a, b) for a in "XYZ" for b in "XYZ")]
     target = build_expansion(2, entries)
     model = step_model(sample_drift, target)
-    assert model.drift_factor_count() == 36
+    assert model.raw_drifts_per_step(1) == 36
     sched = compile_schedule(sample_drift, target, 0.05, steps=1, order=1)
     assert sched.raw_drift_periods <= 36
     assert sched.drift_count() <= 36
@@ -666,6 +681,76 @@ def _pair_expansions(draw, couplings=(1, 4), locals_=(0, 3)):
                            + [(p, draw(_signed(0.1, 1.0))) for p in fields])
 
 
+def _reference_reassembly(model):
+    """``(norm, phase, corrections, rebuilt)`` of a coupled model: the check's
+    inputs, and each coupling's rebuilt target from the Python loop, the
+    drift conjugated by each of its four frames one term at a time, summed
+    frame by frame, nonzero coefficients only."""
+    drift = model.drift
+    r, s, h_rs = max_coupling(drift, (0, 1))
+    norm = abs(h_rs)
+    correction = HamExpansion(2, {
+        PauliString(r + "I"): -(drift.coefficient(r + "I") / norm),
+        PauliString("I" + s): -(drift.coefficient("I" + s) / norm),
+    })
+    phase = -(drift.coefficient("II") / norm)
+    frames = [f.frame for f in model.factors if isinstance(f, FramedDrift)]
+    corrections, rebuilt = [], []
+    for k in range(0, len(frames), 4):
+        total = {}
+        for frame in frames[k : k + 4]:
+            for p, c in conjugate_by_cliffords(drift, dict(frame)).items():
+                total[p] = total.get(p, 0.0) + c / norm
+        got = {p: c / 4 for p, c in total.items()}
+        # the first frame is the coupling's outer rotation times the identity
+        conj = dict(conjugate_by_cliffords(correction, dict(frames[k])).items())
+        for p, c in conj.items():
+            got[p] = got.get(p, 0.0) + c
+        got[PauliString("II")] = got.get(PauliString("II"), 0.0) + phase
+        corrections.append(conj)
+        rebuilt.append({p: c for p, c in got.items() if c})
+    return norm, phase, corrections, rebuilt
+
+
+@settings(max_examples=150)
+@given(
+    drift=_pair_expansions(locals_=(0, 6)),
+    coupled=_pair_expansions(couplings=(1, 4), locals_=(0, 3)),
+    locals_only=_pair_expansions(couplings=(0, 0), locals_=(1, 4)),
+    kind=st.sampled_from(["coupled", "locals", "proportional"]),
+    negative=st.booleans(),
+    identity=st.sampled_from([0.0, 0.3, -1.7]),
+    scale=st.sampled_from([0.25, 0.5, 2.0, 4.0]),
+)
+def test_reassembly_sums_equal_the_python_reference_bitwise(
+    drift, coupled, locals_only, kind, negative, identity, scale
+):
+    # the sums the check reads from the image table are the Python loop's,
+    # float for float, with the dominant coupling of either sign; a
+    # locals-only or proportional target has nothing to reassemble
+    flip = -1.0 if (max_coupling(drift, (0, 1))[2] < 0) != negative else 1.0
+    drift = build_expansion(2, [(p, flip * c) for p, c in drift.items()] + [("II", identity)])
+    target = {
+        "coupled": coupled,
+        "locals": locals_only,
+        "proportional": build_expansion(2, [(p, scale * c) for p, c in drift.items()]),
+    }[kind]
+    model = step_model(drift, target)
+    assert _model_key(step_model, drift, target) == _model_key(_reference_step_model, drift, target)
+    framed = [f for f in model.factors if isinstance(f, FramedDrift)]
+    lam = _proportional_rate(target, drift)
+    if kind == "proportional":
+        assert lam == scale
+    if lam is not None:
+        assert framed == [FramedDrift(lam, ())]
+    elif kind == "locals":
+        assert framed == []
+    else:
+        norm, phase, corrections, want = _reference_reassembly(model)
+        assert len(want) == len([p for p in target.terms if p.weight() == 2])
+        assert _reassembly(model, norm, phase, corrections) == want
+
+
 def _term_images(drift, f):
     """Each drift term's signed image under a framed drift's frame, term by term."""
     layer = dict(f.frame)
@@ -708,7 +793,7 @@ def _check_merge(model):
     got = [(f.rate, f.frame) if isinstance(f, FramedDrift) else f for f in merged.factors]
     assert got == want
     assert (merged.drift, merged.phase_rate, merged.n) == (model.drift, model.phase_rate, model.n)
-    if len(groups) == model.drift_factor_count():
+    if len(groups) == model.raw_drifts_per_step(1):
         assert merged is model
     # the merged factor sum is the unmerged one, exactly, as expansions
     assert _factor_sum(merged) == _factor_sum(model)
@@ -754,7 +839,7 @@ def test_forty_site_pair_models_merge_only_equal_images(axes):
     # 16 of these 32 distinct framed drifts would merge with others
     target = build_expansion(2, list(zip(axes.split(), (0.7, 0.3))))
     model = pair_step_model(xz_chain(40), (0, 1), target)
-    assert model.drift_factor_count() == 32
+    assert model.raw_drifts_per_step(1) == 32
     _check_merge(model)
     assert merge_framed_drifts(model) is model
 
@@ -763,7 +848,7 @@ def test_a_register_past_63_sites_is_refused_before_its_masks_wrap():
     # a mask is one int64: at 70 sites its top bits wrapped, and half of
     # these 32 distinct framed drifts merged
     target = build_expansion(2, [("XY", 0.7), ("XZ", 0.3)])
-    assert compile_model(xz_chain(63), target, (0, 1)).drift_factor_count() == 32
+    assert compile_model(xz_chain(63), target, (0, 1)).raw_drifts_per_step(1) == 32
     for refused in (
         lambda drift: compile_model(drift, target, (0, 1)),
         lambda drift: isolate_principal(drift, (0, 1)),
@@ -949,7 +1034,7 @@ def test_merging_keeps_the_first_frame_at_the_summed_rate(sample_drift):
     target = build_expansion(2, [("XX", 0.5), ("ZY", -0.25), ("ZI", 1.0)])
     model = step_model(sample_drift, target)
     merged = merge_framed_drifts(model)
-    assert merged.drift_factor_count() == 4
+    assert merged.raw_drifts_per_step(1) == 4
     assert merged.factors[0] is model.factors[0]
     framed = [f for f in model.factors if isinstance(f, FramedDrift)]
     kept = [f for f in merged.factors if isinstance(f, FramedDrift)]
@@ -978,8 +1063,8 @@ def test_the_image_key_keeps_apart_frames_that_permute_equal_terms():
     drift = build_expansion(2, [("XX", 1.0), ("YY", 1.0), ("ZZ", 1.0)])
     model = step_model(drift, build_expansion(2, [("XX", 0.5), ("YY", 0.25)]))
     merged = merge_framed_drifts(model)
-    assert model.drift_factor_count() == 8
-    assert merged.drift_factor_count() == 4
+    assert model.raw_drifts_per_step(1) == 8
+    assert merged.raw_drifts_per_step(1) == 4
     operators = {conjugate_by_cliffords(drift, dict(f.frame))
                  for f in merged.factors if isinstance(f, FramedDrift)}
     assert len(operators) == 3
