@@ -74,7 +74,6 @@ from .schedule import (
     Schedule,
     canonicalize,
     evaluate_schedule,
-    unitarity_defect,
 )
 from .synth import (
     CNOT_MATRIX,
@@ -103,5 +102,5 @@ __all__ = [
     "operator_norm", "pair_step_model", "parse_hamfile", "parse_schedule",
     "phase_match", "plan_steps", "project_to_sites", "route",
     "serialize_hamfile", "serialize_schedule", "sign_flip_clifford",
-    "step_model", "unitarity_defect",
+    "step_model",
 ]

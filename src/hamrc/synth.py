@@ -38,7 +38,7 @@ from .cliffords import (
     framed_images,
     sign_flip_clifford,
 )
-from .dense import PAULI_MATS, dense_of_expansion, distance, evolution, expm_hermitian
+from .dense import PAULI_MATS, distance, evolution, expm_hermitian
 from .errors import HamrcError, Infeasible, InvalidStep, InvalidTerm, VerificationFailure
 from .pauli import HamExpansion, PauliString, build_expansion, embed, max_coupling, unpack_masks
 from .schedule import (
@@ -46,6 +46,7 @@ from .schedule import (
     Instruction,
     LocalLayer,
     Schedule,
+    _drift_eigh,
     _evaluate,
     _merge_seams,
     canonicalize,
@@ -458,7 +459,7 @@ def _make_measure(
     first probe, and every later probe and the final emission reuse them.
     """
     goal = evolution(target, t)
-    evals, vecs = np.linalg.eigh(dense_of_expansion(model.drift))
+    evals, vecs = _drift_eigh(model.drift)
 
     def measure(n_steps: int) -> float:
         instructions, phase = emit_step(model, t / n_steps, order)

@@ -16,6 +16,7 @@ from hamrc import (
     average,
     build_expansion,
 )
+from hamrc.dense import hermitian_norm
 
 # The same examples on every run, and no per-example deadline: dense
 # examples can take longer than Hypothesis's 200 ms on a loaded machine.
@@ -204,3 +205,11 @@ def interned(instructions) -> tuple[list, list[int]]:
             table.append(ins)
         ids.append(index[key])
     return table, ids
+
+
+def unitarity_defect(w: np.ndarray) -> float:
+    """Operator-norm distance of ``w^dag w`` from the identity.
+
+    ``w^dag w - I`` is Hermitian, so its norm is a Hermitian norm.
+    """
+    return hermitian_norm(w.conj().T @ w - np.eye(w.shape[0]))

@@ -285,7 +285,7 @@ def test_malformed_dense_cap_exits_2(files, capsys, monkeypatch, cmd):
 @pytest.mark.parametrize("cmd", ["verify", "compile"])
 def test_dense_cap_refuses_before_any_dense_build(files, capsys, monkeypatch, cmd):
     import hamrc.dense
-    import hamrc.synth
+    import hamrc.schedule
 
     sched = files["tmp"] / "chain.hrs"
     sched.write_text("qubits 4\ndrift 0.1\n")
@@ -294,8 +294,8 @@ def test_dense_cap_refuses_before_any_dense_build(files, capsys, monkeypatch, cm
         raise AssertionError("dense build before the cap check")
 
     # verify's and measure's goal builder, dense.evolution, looks its dense
-    # builder up in dense; measure builds the drift in synth
-    for mod in (hamrc.synth, hamrc.dense):
+    # builder up in dense; both build the drift in schedule._drift_eigh
+    for mod in (hamrc.schedule, hamrc.dense):
         monkeypatch.setattr(mod, "dense_of_expansion", no_dense)
     monkeypatch.setenv("HAMRC_DENSE_CAP", "3")
     target = ["--target", files["zz"], "--t", "0.5", "--pair", "0", "1"]

@@ -16,8 +16,10 @@ from conftest import (
     interned,
     random_layer,
     random_two_body,
+    unitarity_defect,
     value_key,
     without_runs,
+    xz_chain,
 )
 from hamrc import schedule, synth
 from hamrc.bounds import MAX_PLAN_STEPS
@@ -40,7 +42,6 @@ from hamrc import (
     operator_norm,
     parse_schedule,
     serialize_schedule,
-    unitarity_defect,
 )
 
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -743,6 +744,15 @@ def test_canonicalize_raises_at_a_failing_seam_only_when_it_reaches_it():
         assert canon.instructions == (u,)
 
 
+def full_sites(layer):
+    """How many of the layer's factors are neither exactly diagonal nor
+    exactly anti-diagonal."""
+    return sum(
+        (f[0, 1] != 0 or f[1, 0] != 0) and (f[0, 0] != 0 or f[1, 1] != 0)
+        for f in layer.stack
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_chunked_leaves_equal_kron_all_per_layer(n, monkeypatch):
     from hamrc.dense import kron_all
@@ -769,6 +779,16 @@ def test_chunked_leaves_equal_kron_all_per_layer(n, monkeypatch):
         calls.append((list(batch), mats.copy()))
         return mats
 
+    # from GRAMMAR_QUBITS up, only the layers with more than two full sites
+    # (neither diagonal nor anti-diagonal) are built; the others are
+    # multiplied in as phased permutations
+    dense_built = [
+        layer for layer in dict.fromkeys(layers)
+        if n < schedule.GRAMMAR_QUBITS or full_sites(layer) > 2
+    ]
+    if n >= schedule.GRAMMAR_QUBITS:
+        assert LocalLayer({}) not in dense_built and LocalLayer({0: HAD}) not in dense_built
+        assert dense_built
     # a chunk of one leaf, of three (which splits the body), and the default
     for chunk, per_chunk in ((1, 1), (3 * 4**n, 3), (schedule.LEAF_CHUNK, None)):
         calls = []
@@ -776,11 +796,11 @@ def test_chunked_leaves_equal_kron_all_per_layer(n, monkeypatch):
         monkeypatch.setattr(schedule, "_dense_layers", record)
         assert evaluate_schedule(sched, drift).tobytes() == whole
         built = [(layer, m) for batch, mats in calls for layer, m in zip(batch, mats)]
-        # each distinct layer once, in table order
-        assert [layer for layer, _ in built] == list(dict.fromkeys(layers))
+        # each distinct layer built once, in table order
+        assert [layer for layer, _ in built] == dense_built
         assert all(m.tobytes() == want(layer) for layer, m in built)
         if per_chunk is not None:
-            assert max(len(batch) for batch, _ in calls) == per_chunk
+            assert max(len(batch) for batch, _ in calls) == min(per_chunk, len(dense_built))
         monkeypatch.undo()
 
 
@@ -804,6 +824,145 @@ def test_a_leaf_does_not_keep_a_larger_chunk_alive(monkeypatch):
     monkeypatch.setattr(schedule, "_dense_layers", record)
     evaluate_schedule(sched, build_expansion(n, [("ZZZ", 1.0)]))
     assert len(chunks) == 3
+
+
+# ----------------------------------------------------------------------
+# large registers: layers as phased permutations, real drifts in real
+# arithmetic, against the dense products and the complex eigendecomposition
+
+#: factors that are exactly diagonal or exactly anti-diagonal, zeros of
+#: both signs among them
+MONOMIAL_FACTORS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]).astype(complex),
+    np.diag([1.0, 1j]),
+    np.array([[1, -0.0], [-0.0, -1j]]),
+    np.array([[-0.0, 1j], [-1, -0.0]]),
+)
+#: a chain file's frame factor: its off-diagonal is 2e-17, not zero
+NEAR_Z = np.array([[0.99999999999999978, 2.2371143170757382e-17],
+                   [-2.2371143170757382e-17, -0.99999999999999978]], dtype=complex)
+
+
+def haar(rng):
+    u, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return u * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def mixed_layer(rng, n, full):
+    """A layer with Haar factors on ``full`` random sites and diagonal or
+    anti-diagonal factors, drawn or random phases, on some of the others."""
+    sites = rng.permutation(n)
+    factors = {int(q): haar(rng) for q in sites[:full]}
+    for q in sites[full:].tolist():
+        if rng.random() < 0.3:
+            continue
+        a, b = np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
+        factors[q] = [*MONOMIAL_FACTORS, np.diag([a, b]), np.array([[0, a], [b, 0]])][
+            rng.integers(len(MONOMIAL_FACTORS) + 2)]
+    return LocalLayer(factors)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("full", [0, 1, 2])
+def test_phased_permutations_multiply_as_the_dense_layer(n, full):
+    rng = np.random.default_rng(100 * n + full)
+    layers = [mixed_layer(rng, n, full) for _ in range(6)]
+    batch = schedule._phased_permutations(layers, n)
+    m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    tol = 1e-13 * operator_norm(m)
+    scratch = np.empty_like(m)
+    for layer, terms in zip(layers, batch):
+        assert full_sites(layer) == full and len(terms[0]) == 2**full
+        # the batch splits each layer as it splits it alone
+        alone = schedule._phased_permutations([layer], n)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(terms, alone))
+        dense = layer.dense(n)
+        assert np.array_equal(schedule._permuted(terms, np.eye(2**n, dtype=complex), 0, scratch), dense)
+        assert operator_norm(schedule._permuted(terms, m, 0, scratch) - dense @ m) <= tol
+        assert operator_norm(schedule._permuted(terms, m, 1, scratch) - m @ dense) <= tol
+
+
+def test_a_tiny_off_diagonal_makes_a_factor_full():
+    n = 6
+    layer = LocalLayer({1: NEAR_Z, 3: MONOMIAL_FACTORS[0]})
+    (x, v), = schedule._phased_permutations([layer], n)
+    assert x.tolist() == [0b000100, 0b010100]  # site 3 flips; site 1 both ways
+    assert np.abs(v[1]).max() == 2.2371143170757382e-17
+    assert np.array_equal(
+        schedule._permuted((x, v), np.eye(2**n, dtype=complex), 0, np.empty((2**n, 2**n), complex)),
+        layer.dense(n),
+    )
+
+
+def test_a_layer_with_three_full_sites_is_built_densely(monkeypatch):
+    n = 6
+    rng = np.random.default_rng(31)
+    three, two = mixed_layer(rng, n, 3), mixed_layer(rng, n, 2)
+    assert schedule._phased_permutations([three, two], n)[0] is None
+    sched = Schedule(n, (((three, Drift(0.3), two, Drift(0.2)), 2), ((three,), 1)))
+    drift = xz_chain(n)
+    built = []
+    real = schedule._dense_layers
+
+    def record(batch, k):
+        built.extend(batch)
+        return real(batch, k)
+
+    monkeypatch.setattr(schedule, "_dense_layers", record)
+    got = evaluate_schedule(sched, drift)
+    assert built == [three]
+    assert operator_norm(got - reference_evaluate(sched, drift)) < 1e-12
+
+
+@pytest.mark.parametrize("odd_y", [False, True])
+def test_a_real_drift_is_diagonalized_in_real_arithmetic(odd_y):
+    n = 6
+    drift = xz_chain(n)
+    if odd_y:
+        drift = build_expansion(n, [*drift.items(), ("IIXYII", 0.3)])
+    evals, vecs = schedule._drift_eigh(drift)
+    assert np.isrealobj(vecs) != odd_y
+    rng = np.random.default_rng(32)
+    layers = [mixed_layer(rng, n, k) for k in (0, 1, 2, 3)] + [clifford_layer(rng, n)]
+    body = [ins for layer in layers for ins in (layer, Drift(0.1 + 0.1 * len(layer.sites())))]
+    # a lone layer repeated, two layers in a row and a repeated body
+    blocks = ((layers[1:2], 3), ((layers[0], layers[2], Drift(0.4)), 1), (body, 5))
+    sched = Schedule(n, blocks, phase=0.3)
+    assert operator_norm(evaluate_schedule(sched, drift) - reference_evaluate(sched, drift)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_the_large_register_routes_run_from_grammar_qubits_up(n, monkeypatch):
+    from hamrc import embed, pair_step_model
+
+    kernel, eigh = schedule._phased_permutations, np.linalg.eigh
+    calls, real = [], []
+
+    def spy_kernel(layers, k):
+        calls.append(k)
+        return kernel(layers, k)
+
+    def spy_eigh(a, *args, **kwargs):
+        if a.shape[-1] == 2**n:  # the drift's; the goal is built on the pair
+            real.append(np.isrealobj(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(schedule, "_phased_permutations", spy_kernel)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    rng = np.random.default_rng(33)
+    drift = xz_chain(n)
+    layers = [mixed_layer(rng, n, 1), clifford_layer(rng, n)]
+    sched = Schedule(n, (((layers[0], Drift(0.2), layers[1], Drift(0.1)), 3),))
+    evaluate_schedule(sched, drift)
+    target = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
+    model = pair_step_model(drift, (0, 1), target)
+    synth._make_measure(model, embed(target, n, (0, 1)), 0.5, 2)(2)
+    large = n >= schedule.GRAMMAR_QUBITS
+    assert calls == ([n] * 2 if large else [])
+    # the drift once for each, a real matrix from 6 qubits up
+    assert real == [large] * 2
 
 
 # ----------------------------------------------------------------------
