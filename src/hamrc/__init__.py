@@ -28,7 +28,6 @@ from .decouple import (
 )
 from .dense import (
     dense_of_expansion,
-    dense_of_pauli,
     distance,
     expm_hermitian,
     operator_norm,
@@ -58,11 +57,9 @@ from .hamio import (
 from .pauli import (
     HamExpansion,
     PauliString,
-    average,
     build_expansion,
     coupling_graph,
     embed,
-    filter_support,
     is_entangling,
     max_coupling,
     project_to_sites,
@@ -77,7 +74,6 @@ from .schedule import (
 )
 from .synth import (
     CNOT_MATRIX,
-    cnot_generator,
     compile_cnot,
     compile_schedule,
     step_model,
@@ -92,12 +88,11 @@ __all__ = [
     "InvalidStep", "InvalidTerm", "LocalClifford", "LocalLayer", "NotConnected",
     "NotCoupled", "NotHermitian", "NotTwoBody", "PAULI_CLIFF",
     "ParseError", "PauliString", "Schedule", "TooLarge",
-    "VerificationFailure", "average", "build_expansion", "canonicalize",
+    "VerificationFailure", "build_expansion", "canonicalize",
     "chained_rate", "compile_cnot", "compile_on_pair",
     "compile_remote", "compile_schedule", "coupling_graph",
-    "cnot_generator", "dense_of_expansion",
-    "dense_of_pauli", "distance", "embed", "evaluate_schedule",
-    "exchange_generator", "expm_hermitian", "filter_support", "format_report",
+    "dense_of_expansion", "distance", "embed", "evaluate_schedule",
+    "exchange_generator", "expm_hermitian", "format_report",
     "is_entangling", "isolate_principal", "max_coupling",
     "operator_norm", "pair_step_model", "parse_hamfile", "parse_schedule",
     "phase_match", "plan_steps", "project_to_sites", "route",

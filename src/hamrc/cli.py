@@ -155,27 +155,24 @@ def _target(args, drift: HamExpansion) -> tuple[HamExpansion, HamExpansion]:
     return target, full
 
 
+def _program(args, drift: HamExpansion) -> tuple[_synth.Program, str | None]:
+    """The program ``compile`` and ``bound`` run for ``args``, and the bound
+    kind that plans it (``None``: the program's default)."""
+    if args.gate:
+        return _synth.CNOT_PROGRAM, _synth.cnot_bound(_resolve_order(args))
+    target, _ = _target(args, drift)
+    if args.pair is None:
+        return _synth.Program((_synth.Segment(target, args.t),)), args.bound
+    return _routing.routed_program(drift, *args.pair, target, args.t), args.bound
+
+
 def _cmd_compile(args) -> int:
     drift = parse_hamfile(_read(args.hamfile))
-    order = _resolve_order(args)
-    if args.gate:
-        sched = _synth.compile_cnot(
-            drift, steps=args.steps, epsilon=args.epsilon, order=order
-        )
-    else:
-        target, _ = _target(args, drift)
-        if args.pair is None:
-            sched = _synth.compile_schedule(
-                drift, target, args.t,
-                steps=args.steps, epsilon=args.epsilon,
-                order=order, bound=args.bound or "chained",
-            )
-        else:
-            sched = _routing.compile_remote(
-                drift, *args.pair, target, args.t,
-                steps=args.steps, epsilon=args.epsilon,
-                order=order, bound=args.bound,
-            )
+    program, bound = _program(args, drift)
+    sched = _synth.compile_program(
+        drift, program,
+        steps=args.steps, epsilon=args.epsilon, order=_resolve_order(args), bound=bound,
+    )
 
     text = serialize_schedule(sched)
     report = format_report([("command", "compile")] + _schedule_stats(sched))
@@ -228,32 +225,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    """Plan on the step model ``compile`` would run for the same input
-    (``synth.compile_model``)."""
+    """Plan the program ``compile`` runs for the same input; several product
+    segments report their summed ``predicted_error`` and their count."""
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
-    if args.gate:
-        target, t, bound = _synth.CNOT_BODY, _synth.CNOT_TIME, _synth.cnot_bound(order)
-        model = _synth.compile_model(drift, target)
+    program, bound = _program(args, drift)
+    plans = _synth.plan_program(drift, program, args.epsilon, order, bound)
+    planned = [plans[seg][1] for seg in program.products]
+    if len(planned) > 1:
+        items: list[tuple[str, object]] = [
+            ("command", "bound"), ("order", order), ("epsilon", args.epsilon),
+            ("predicted_error", sum(plan.predicted_error for plan in planned)),
+            ("segments", len(planned)),
+        ]
     else:
-        pair_target, target = _target(args, drift)
-        t, bound = args.t, args.bound or "chained"
-        pair = None if args.pair is None else tuple(args.pair)
-        model = _synth.compile_model(drift, pair_target, pair)
-    plan = _synth.plan_for_model(model, target, t, args.epsilon, order, bound)
-    items: list[tuple[str, object]] = [
-        ("command", "bound"),
-        ("bound", plan.bound),
-        ("order", plan.order),
-        ("analytic", plan.analytic),
-        ("steps", plan.steps),
-        ("delta", plan.delta),
-        ("t", plan.t),
-        ("epsilon", args.epsilon),
-        ("predicted_error", plan.predicted_error),
-    ]
-    if plan.rate is not None:
-        items.append(("rate", plan.rate))
+        (plan,) = planned
+        items = [
+            ("command", "bound"), ("bound", plan.bound), ("order", plan.order),
+            ("analytic", plan.analytic), ("steps", plan.steps), ("delta", plan.delta),
+            ("t", plan.t), ("epsilon", args.epsilon), ("predicted_error", plan.predicted_error),
+        ]
+        if plan.rate is not None:
+            items.append(("rate", plan.rate))
     _emit(format_report(items), args.report)
     return 0
 

@@ -56,7 +56,7 @@ from .pauli import (
     project_to_sites,
     unpack_masks,
 )
-from .schedule import Schedule, canonicalize
+from .schedule import Schedule
 
 #: the cover searches every Pauli string on the sites off the pair only up
 #: to this many strings, i.e. six sites
@@ -418,11 +418,9 @@ def compile_on_pair(
 ) -> Schedule:
     """Schedule approximating ``exp(-i K t)`` for a pair target ``K``
     embedded in an n-qubit register, using only the n-qubit drift and
-    local frames.
+    local frames: the program of one segment on ``pair``.
     """
-    return canonicalize(
-        _synth._repeat_steps(
-            drift, target_pair, t,
-            pair=pair, steps=steps, epsilon=epsilon, order=order, bound=bound,
-        )
+    return _synth.compile_program(
+        drift, _synth.Program((_synth.Segment(target_pair, t, pair),)),
+        steps=steps, epsilon=epsilon, order=order, bound=bound,
     )

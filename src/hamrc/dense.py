@@ -35,7 +35,7 @@ import os
 import numpy as np
 
 from .errors import DimMismatch, InvalidTerm, NotHermitian, TooLarge
-from .pauli import HamExpansion, PauliString, pack_masks, popcount, project_to_sites
+from .pauli import HamExpansion, pack_masks, popcount, project_to_sites
 
 HERMITIAN_TOL = 1e-10
 #: largest register built densely unless ``HAMRC_DENSE_CAP`` sets another cap
@@ -107,11 +107,6 @@ def _dense_of_masks(
     out = np.zeros((len(coeffs), dim, dim), dtype=values.dtype)
     out[:, used[:, None] ^ cols, cols] = by_x.transpose(1, 0, 2)
     return out
-
-
-def dense_of_pauli(term: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string, qubit 0 leftmost."""
-    return dense_of_expansion(HamExpansion(term.n, {term: 1.0}))
 
 
 def dense_of_expansion(ham: HamExpansion) -> np.ndarray:

@@ -254,24 +254,6 @@ def build_expansion(
     return HamExpansion(n, acc)
 
 
-def average(items: Sequence[tuple[float, HamExpansion]]) -> HamExpansion:
-    """Term-wise weighted sum of expansions (weights are used as given)."""
-    if not items:
-        raise InvalidTerm("average needs at least one expansion")
-    n = items[0][1].n
-    acc: dict[PauliString, float] = {}
-    for w, ham in items:
-        if w < 0:
-            raise InvalidTerm("average weights must be non-negative")
-        if ham.n != n:
-            raise InvalidTerm("averaged expansions must share the qubit count")
-        if w == 0:
-            continue
-        for p, c in ham.items():
-            acc[p] = acc.get(p, 0.0) + w * c
-    return HamExpansion(n, acc)
-
-
 @dataclass(frozen=True)
 class CouplingGraph:
     """Weight-two connectivity of a two-body expansion.
@@ -375,14 +357,6 @@ def max_coupling(ham: HamExpansion, pair: tuple[int, int]) -> tuple[str, str, fl
     if best is None:
         raise NotCoupled(f"no coupling between qubits {k} and {l}")
     return best
-
-
-def filter_support(ham: HamExpansion, sites: Iterable[int]) -> HamExpansion:
-    """Keep only the terms supported inside ``sites`` (same qubit count)."""
-    keep = set(sites)
-    return HamExpansion(
-        ham.n, {p: c for p, c in ham.items() if set(p.support()) <= keep}
-    )
 
 
 def project_to_sites(ham: HamExpansion, sites: Sequence[int]) -> HamExpansion:

@@ -6,8 +6,10 @@ compile an exchange pulse (a quarter-period of ``XX + YY + ZZ``, which
 swaps the pair up to a global phase) for every edge except the last,
 apply the target interaction across the final edge, then undo the swaps
 with the same pulses in reverse.  The whole sequence is a palindrome in
-time, so the operator-ordered instruction list is the plain
-concatenation of the segment lists.
+time, so in operator order it is the same list: ``routed_program`` lists
+the swap segments, the target's segment and the same swap segments
+reversed, and ``synth.compile_program`` plans and emits each swap once
+and canonicalizes the routed schedule once, as a whole.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from . import decouple as _decouple
-from .errors import InvalidStep, InvalidTerm, NotConnected
+from . import synth as _synth
+from .errors import InvalidTerm, NotConnected
 from .pauli import CouplingGraph, HamExpansion, build_expansion, coupling_graph
-from .schedule import Schedule, canonicalize
+from .schedule import Schedule
 
 
 def route(graph: CouplingGraph, src: int, dst: int) -> list[int]:
@@ -62,6 +64,24 @@ def exchange_generator() -> HamExpansion:
 SWAP_TIME = math.pi / 4.0
 
 
+def routed_program(
+    drift: HamExpansion, src: int, dst: int, target_pair: HamExpansion, t: float
+) -> _synth.Program:
+    """A pair target on register sites ``src`` and ``dst``: its segment on
+    the route's last edge, between the swap segments and the same swap
+    segments reversed.  Each swap pulse carries an intrinsic
+    ``exp(-i pi/4)``; the program's phase cancels the pure phase that an
+    out and back pair composes to."""
+    if src == dst:
+        raise InvalidTerm("remote compilation needs two distinct qubits")
+    path = route(coupling_graph(drift), src, dst)
+    core = _synth.Segment(target_pair, t, (path[-2], path[-1]))
+    if len(path) == 2:
+        return _synth.Program((core,))
+    swaps = [_synth.Segment(exchange_generator(), SWAP_TIME, e) for e in zip(path, path[1:-1])]
+    return _synth.Program((*swaps, core, *reversed(swaps)), phase=2.0 * SWAP_TIME * len(swaps))
+
+
 def compile_remote(
     drift: HamExpansion,
     src: int,
@@ -74,64 +94,12 @@ def compile_remote(
     order: int = 1,
     bound: str | None = None,
 ) -> Schedule:
-    """Schedule approximating ``exp(-i K t)`` for a pair target on
-    register sites ``src`` and ``dst``, routed when the drift does not
-    couple them directly.
-
-    On a direct edge this is :func:`compile_on_pair`'s schedule, plan
-    included; only there may ``steps`` replace ``epsilon``, and the
-    default bound is ``chained``.  Across a longer path the default bound
-    is ``empirical`` and the error budget is split evenly over the
-    ``2*(hops-1) + 1`` segments (out-swaps, the target pulse, back-swaps),
-    so the chained total stays within ``epsilon``.  Each forward swap
-    pulse is reused verbatim on the way back; the pure phases the
-    exchange pulses inject are cancelled through the schedule's global
-    phase.
-    """
-    if src == dst:
-        raise InvalidTerm("remote compilation needs two distinct qubits")
-    path = route(coupling_graph(drift), src, dst)
-    hops = len(path) - 1
-    if bound is None:
-        bound = "chained" if hops == 1 else "empirical"
-
-    def segment(k: int, l: int, target: HamExpansion, time: float, **count) -> Schedule:
-        return _decouple.compile_on_pair(
-            drift, (k, l), target, time,
-            order=order, bound=bound, **count,
-        )
-
-    if hops == 1:
-        return segment(src, dst, target_pair, t, steps=steps, epsilon=epsilon)
-    if steps is not None or epsilon is None:
-        raise InvalidStep("routing between uncoupled qubits needs epsilon, not steps")
-    if not t > 0:
-        raise InvalidStep(f"total time must be positive, got {t}")
-    if not epsilon > 0:
-        raise InvalidStep(f"error budget must be positive, got {epsilon}")
-
-    segments = 2 * (hops - 1) + 1
-    eps_seg = epsilon / segments
-    swaps = [
-        segment(path[i], path[i + 1], exchange_generator(), SWAP_TIME, epsilon=eps_seg)
-        for i in range(hops - 1)
-    ]
-    core = segment(path[-2], path[-1], target_pair, t, epsilon=eps_seg)
-
-    pieces = swaps + [core] + swaps[::-1]
-    blocks: list = []
-    phase = 0.0
-    raw = 0
-    predicted = 0.0
-    for piece in pieces:
-        blocks += piece.blocks
-        phase += piece.phase
-        raw += piece.raw_drift_periods
-        predicted += piece.predicted_error
-    # each swap pulse carries an intrinsic exp(-i pi/4); the out/back pair
-    # then composes to a pure phase the target never asked for
-    phase += 2.0 * SWAP_TIME * (hops - 1)
-
-    return canonicalize(
-        Schedule(drift.n, blocks, phase, raw_drift_periods=raw, predicted_error=predicted)
+    """``routed_program``'s schedule.  On a direct edge it is
+    :func:`compile_on_pair`'s, plan included, and the default bound is
+    ``chained``; across a longer path only ``epsilon`` sets the step
+    counts, split evenly over the ``2*(hops-1) + 1`` product segments, and
+    the default bound is ``empirical``."""
+    return _synth.compile_program(
+        drift, routed_program(drift, src, dst, target_pair, t),
+        steps=steps, epsilon=epsilon, order=order, bound=bound,
     )

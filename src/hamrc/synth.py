@@ -18,6 +18,10 @@ is built first and then checked: the images of the drift under each
 coupling's frames come from the model's own table
 (``cliffords.framed_images``, ``StepModel.images``), which the merge and
 the chained bound read too.
+
+Every compile runs a ``Program``: exact local layers and product-formula
+``Segment``s, which ``plan_program`` plans and ``compile_program`` emits
+as one schedule, canonicalized once.
 """
 
 from __future__ import annotations
@@ -504,15 +508,10 @@ def plan_for_model(
 def compile_model(
     drift: HamExpansion, target: HamExpansion, pair: tuple[int, int] | None = None
 ) -> StepModel:
-    """The step model a compile runs for ``target``.
-
-    Without ``pair`` the target is on the drift's two qubits and the model
-    is ``step_model``'s; with ``pair`` it is a two-qubit target for those
-    register sites and the model is ``decouple.pair_step_model``'s.  Either
-    way the framed drifts that are one operator run as one factor
-    (``merge_framed_drifts``), so the plan, the emitted step and the raw
-    drift periods of every compile, and ``hamrc bound``, are of the merged
-    model.
+    """The step model a compile plans and emits for ``target``:
+    ``step_model``'s on the drift's two qubits, or with ``pair``
+    ``decouple.pair_step_model``'s on those register sites, its framed
+    drifts that are one operator run as one (``merge_framed_drifts``).
     """
     if pair is None:
         return merge_framed_drifts(step_model(drift, target))
@@ -521,50 +520,107 @@ def compile_model(
     return merge_framed_drifts(pair_step_model(drift, pair, target))
 
 
-def _repeat_steps(
-    drift: HamExpansion,
-    target: HamExpansion,
-    t: float,
-    *,
-    pair: tuple[int, int] | None = None,
-    steps: int | None,
-    epsilon: float | None,
-    order: int,
-    bound: str,
-) -> Schedule:
-    """Raw schedule approximating ``exp(-i target t)`` by repeating one step.
+@dataclass(frozen=True, eq=False)
+class Segment:
+    """A product-formula segment: ``exp(-i target t)`` on ``compile_model``'s
+    model of ``target`` and ``pair``.  A program that lists one segment
+    twice, as a route lists its swaps, plans and emits it once."""
 
-    ``target`` and ``pair`` are as for ``compile_model``, whose model the
-    step runs.  Exactly one of ``steps`` and ``epsilon`` selects the step
-    count; with ``epsilon`` the plan comes from the requested bound kind
-    and is attached to the returned schedule.  The schedule is one block,
-    the emitted step repeated ``steps`` times; each entry point adds what
-    it needs around it and canonicalizes its finished schedule once.
-    """
-    if not t > 0:
-        raise InvalidStep(f"total time must be positive, got {t}")
-    if (steps is None) == (epsilon is None):
-        raise InvalidStep("pass exactly one of steps and epsilon")
-    model = compile_model(drift, target, pair)
-    if pair is not None:
-        target = embed(target, drift.n, pair)
-    plan = None
-    if epsilon is not None:
-        plan = plan_for_model(model, target, t, epsilon, order, bound)
-        steps = plan.steps
+    target: HamExpansion
+    t: float
+    pair: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if not self.t > 0:
+            raise InvalidStep(f"total time must be positive, got {self.t}")
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """Exact local layers and product segments in operator order, a
+    ``phase`` added to theirs (the default ``-0.0`` keeps the sign of a
+    zero phase) and the ``goal`` a planned compile checks itself against."""
+
+    segments: tuple[LocalLayer | Segment, ...]
+    phase: float = -0.0
+    goal: np.ndarray | None = None
+
+    @property
+    def products(self) -> list[Segment]:
+        return [s for s in self.segments if isinstance(s, Segment)]
+
+
+def plan_program(
+    drift: HamExpansion, program: Program, epsilon: float, order: int, bound: str | None = None
+) -> dict[Segment, tuple[StepModel, _bounds.ErrorPlan]]:
+    """Each distinct product segment's model and plan, the budget split
+    evenly over the product segments, repeats included.  ``bound``
+    defaults to ``chained`` for one product segment, ``empirical`` for more."""
+    products = program.products
+    share = epsilon / len(products)
+    bound = bound or ("chained" if len(products) == 1 else "empirical")
+    plans = {}
+    for seg in products:
+        if seg not in plans:
+            model = compile_model(drift, seg.target, seg.pair)
+            target = seg.target if seg.pair is None else embed(seg.target, drift.n, seg.pair)
+            plans[seg] = model, plan_for_model(model, target, seg.t, share, order, bound)
+    return plans
+
+
+def _repeat_steps(model: StepModel, t: float, steps: int, order: int) -> tuple:
+    """A product segment's block, its step for ``t / steps`` repeated
+    ``steps`` times, with the block's phase and raw drift periods."""
     if steps < 1:
         raise InvalidStep("step count must be at least 1")
     if steps > _bounds.MAX_PLAN_STEPS:
         raise Infeasible(f"{steps} steps is more than {_bounds.MAX_PLAN_STEPS}")
     instructions, phase = emit_step(model, t / steps, order)
-    return Schedule(
-        model.n,
-        ((instructions, steps),),
-        phase * steps,
-        raw_drift_periods=model.raw_drifts_per_step(order) * steps,
-        plan=plan,
-        predicted_error=None if plan is None else plan.predicted_error,
-    )
+    return (instructions, steps), phase * steps, model.raw_drifts_per_step(order) * steps
+
+
+def compile_program(
+    drift: HamExpansion, program: Program, *, steps: int | None = None,
+    epsilon: float | None = None, order: int = 1, bound: str | None = None,
+) -> Schedule:
+    """The schedule of ``program``, each segment one block, canonicalized once.
+
+    ``epsilon`` plans every product segment (``plan_program``); ``steps``
+    serves a program of one product segment only.  Phases, raw drift
+    periods and predicted errors are summed in program order, and the plan
+    is attached when there is one product segment.  A planned program is
+    refused when it misses its own prediction on its ``goal``.
+    """
+    products = program.products
+    if (steps is None) == (epsilon is None):
+        raise InvalidStep("pass exactly one of steps and epsilon")
+    if epsilon is not None:
+        plans = plan_program(drift, program, epsilon, order, bound)
+    elif len(products) == 1:
+        plans = {seg: (compile_model(drift, seg.target, seg.pair), None) for seg in products}
+    else:
+        raise InvalidStep(f"{len(products)} product segments need epsilon, not steps")
+    emitted = {
+        seg: _repeat_steps(model, seg.t, steps if plan is None else plan.steps, order)
+        for seg, (model, plan) in plans.items()
+    }
+    blocks, phase, raw = [], -0.0, 0
+    for seg in program.segments:
+        block, seg_phase, seg_raw = emitted.get(seg) or (((seg,), 1), -0.0, 0)
+        blocks.append(block)
+        phase += seg_phase
+        raw += seg_raw
+    plan = plans[products[0]][1] if len(products) == 1 else None
+    predicted = None if epsilon is None else sum(plans[seg][1].predicted_error for seg in products)
+    sched = canonicalize(Schedule(
+        drift.n, blocks, phase + program.phase,
+        raw_drift_periods=raw, plan=plan, predicted_error=predicted,
+    ))
+    if program.goal is not None and predicted is not None:
+        achieved = distance(program.goal, evaluate_schedule(sched, drift), phase_align=True)
+        if not achieved <= predicted + _bounds.ROUNDING:
+            raise VerificationFailure(f"CNOT error {achieved:.3e} exceeds plan {predicted:.3e}")
+    return sched
 
 
 def compile_schedule(
@@ -577,28 +633,30 @@ def compile_schedule(
     order: int = 1,
     bound: str = "chained",
 ) -> Schedule:
-    """Full schedule approximating ``exp(-i target t)`` on two qubits.
-
-    Exactly one of ``steps`` and ``epsilon`` selects the step count; with
-    ``epsilon`` the plan comes from the requested bound kind and is
-    attached to the returned schedule.
-    """
-    return canonicalize(
-        _repeat_steps(
-            drift, target, t,
-            steps=steps, epsilon=epsilon, order=order, bound=bound,
-        )
+    """Full schedule approximating ``exp(-i target t)`` on two qubits: the
+    program of one segment, planned by ``bound`` when given ``epsilon``."""
+    return compile_program(
+        drift, Program((Segment(target, t),)),
+        steps=steps, epsilon=epsilon, order=order, bound=bound,
     )
-
-
-def cnot_generator() -> HamExpansion:
-    """Commuting three-term generator whose time-pi/4 flow is a CNOT."""
-    return build_expansion(2, [("IX", 1.0), ("ZI", 1.0), ("ZX", -1.0)])
 
 
 def cnot_bound(order: int) -> str:
     """Bound kind that plans the CNOT body at the given order."""
     return "first_order_cnot" if order == 1 else "second_order_cnot"
+
+
+#: a CNOT (control qubit 0): ``CNOT_BODY`` between the exact local rotations
+#: that supply the rest of its generator ``IX + ZI - ZX``, phase included
+CNOT_PROGRAM = Program(
+    (
+        LocalLayer.from_stack([0], [expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)]),
+        Segment(CNOT_BODY, CNOT_TIME),
+        LocalLayer.from_stack([1], [expm_hermitian(PAULI_MATS["X"], CNOT_TIME)]),
+    ),
+    phase=CNOT_TIME,
+    goal=CNOT_MATRIX,
+)
 
 
 def compile_cnot(
@@ -608,34 +666,8 @@ def compile_cnot(
     epsilon: float | None = None,
     order: int = 2,
 ) -> Schedule:
-    """Schedule realizing a CNOT (control qubit 0) from the drift.
-
-    The coupling part ``-Z (x) X`` is compiled for time pi/4 and
-    sandwiched between the exact local rotations that supply the
-    remaining commuting generator terms, one-layer blocks around the
-    repeated step, and the whole is canonicalized once; the global phase
-    is tracked so the result approximates the CNOT matrix itself, not
-    just its ray.  A planned schedule is evaluated against the CNOT and
-    refused when it misses its own predicted error.
-    """
-    lead = LocalLayer.from_stack([0], [expm_hermitian(PAULI_MATS["Z"], CNOT_TIME)])
-    trail = LocalLayer.from_stack([1], [expm_hermitian(PAULI_MATS["X"], CNOT_TIME)])
-    body = _repeat_steps(
-        drift, CNOT_BODY, CNOT_TIME,
-        steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order),
+    """Schedule realizing a CNOT from the drift: ``CNOT_PROGRAM``, its body
+    planned by ``cnot_bound(order)`` and self-checked against the CNOT."""
+    return compile_program(
+        drift, CNOT_PROGRAM, steps=steps, epsilon=epsilon, order=order, bound=cnot_bound(order)
     )
-    sched = canonicalize(replace(
-        body, blocks=(((lead,), 1), *body.blocks, ((trail,), 1)), phase=body.phase + CNOT_TIME
-    ))
-    if sched.plan is not None:
-        achieved = distance(
-            CNOT_MATRIX,
-            evaluate_schedule(sched, drift),
-            phase_align=True,
-        )
-        if not achieved <= sched.plan.predicted_error + _bounds.ROUNDING:
-            raise VerificationFailure(
-                f"CNOT error {achieved:.3e} exceeds plan "
-                f"{sched.plan.predicted_error:.3e}"
-            )
-    return sched

@@ -1,5 +1,5 @@
 import math
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from hamrc import (
     CLIFF_ID,
     CLIFF_S,
     HamExpansion,
+    InvalidTerm,
     LocalClifford,
     LocalLayer,
     PauliString,
-    average,
     build_expansion,
+    dense_of_expansion,
 )
 from hamrc.dense import hermitian_norm
 
@@ -213,3 +214,39 @@ def unitarity_defect(w: np.ndarray) -> float:
     ``w^dag w - I`` is Hermitian, so its norm is a Hermitian norm.
     """
     return hermitian_norm(w.conj().T @ w - np.eye(w.shape[0]))
+
+
+def average(items: Sequence[tuple[float, HamExpansion]]) -> HamExpansion:
+    """Term-wise weighted sum of expansions (weights are used as given)."""
+    if not items:
+        raise InvalidTerm("average needs at least one expansion")
+    n = items[0][1].n
+    acc: dict[PauliString, float] = {}
+    for w, ham in items:
+        if w < 0:
+            raise InvalidTerm("average weights must be non-negative")
+        if ham.n != n:
+            raise InvalidTerm("averaged expansions must share the qubit count")
+        if w == 0:
+            continue
+        for p, c in ham.items():
+            acc[p] = acc.get(p, 0.0) + w * c
+    return HamExpansion(n, acc)
+
+
+def filter_support(ham: HamExpansion, sites: Iterable[int]) -> HamExpansion:
+    """Keep only the terms supported inside ``sites`` (same qubit count)."""
+    keep = set(sites)
+    return HamExpansion(
+        ham.n, {p: c for p, c in ham.items() if set(p.support()) <= keep}
+    )
+
+
+def dense_of_pauli(term: PauliString) -> np.ndarray:
+    """Dense matrix of a Pauli string, qubit 0 leftmost."""
+    return dense_of_expansion(HamExpansion(term.n, {term: 1.0}))
+
+
+def cnot_generator() -> HamExpansion:
+    """Commuting three-term generator whose time-pi/4 flow is a CNOT."""
+    return build_expansion(2, [("IX", 1.0), ("ZI", 1.0), ("ZX", -1.0)])

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_coupled_pair, random_two_body
+from conftest import filter_support, random_coupled_pair, random_two_body
 from hamrc import (
     CNOT_MATRIX,
     build_expansion,
@@ -25,7 +25,6 @@ from hamrc import (
     embed,
     evaluate_schedule,
     expm_hermitian,
-    filter_support,
     is_entangling,
     isolate_principal,
     operator_norm,

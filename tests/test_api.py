@@ -10,6 +10,13 @@ def test_every_public_name_resolves_once():
     names = hamrc.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(hamrc, name)] == []
+    assert len(names) == 58
+
+
+def test_helpers_that_only_tests_call_live_in_the_tests():
+    # each moved into tests/conftest.py, with nothing in the source calling it
+    moved = ["average", "cnot_generator", "dense_of_pauli", "filter_support", "unitarity_defect"]
+    assert [name for name in moved if hasattr(hamrc, name)] == []
 
 
 def test_the_source_keeps_to_the_numpy_floor():

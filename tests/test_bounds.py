@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_local_cliffords,
+    dense_of_pauli,
     framed_expansion,
     heisenberg,
     random_coupled_pair,
@@ -27,7 +28,6 @@ from hamrc import (
     build_expansion,
     chained_rate,
     dense_of_expansion,
-    dense_of_pauli,
     embed,
     operator_norm,
     pair_step_model,

@@ -392,10 +392,38 @@ def test_gate_rejects_pair_flag(files, capsys, cmd):
 
 
 def test_uncoupled_pair_is_named_by_register_sites(files, capsys):
+    # sites the drift couples only through others are routed, by bound as by compile
     code = main(["bound", files["chain"], "--target", files["zz"], "--t", "0.5",
                  "--pair", "0", "3", "--epsilon", "1e-2"])
-    assert code == 3
-    assert "no coupling between qubits 0 and 3" in capsys.readouterr().err
+    assert code == 0
+    assert "segments 5\n" in capsys.readouterr().out
+    # sites with no coupling path between them are refused by both
+    argv = [files["iso"], "--target", files["zz"], "--t", "0.5",
+            "--pair", "0", "2", "--epsilon", "1e-2"]
+    for command in ("bound", "compile"):
+        assert main([command, *argv]) == 3
+        assert "no coupling path between 0 and 2" in capsys.readouterr().err
+
+
+def test_bound_plans_a_routed_pair_as_compile_does(files, capsys):
+    argv = [files["chain"], "--target", files["zz"], "--t", "0.5", "--pair", "0", "3",
+            "--epsilon", "1e-2"]
+    assert main(["bound", *argv]) == 0
+    planned = _report(capsys.readouterr().out)
+    assert main(["compile", *argv, "--out", str(files["tmp"] / "far.hrs")]) == 0
+    compiled = _report(capsys.readouterr().out)
+    assert list(planned) == ["command", "order", "epsilon", "predicted_error", "segments"]
+    assert planned["segments"] == "5"
+    assert planned["predicted_error"] == compiled["predicted_error"]
+    assert "bound" not in compiled
+
+
+@pytest.mark.parametrize("command", ["bound", "compile"])
+@pytest.mark.parametrize("epsilon", ["0", "-1"])
+def test_a_bad_routed_budget_exits_2(files, capsys, command, epsilon):
+    assert main([command, files["chain"], "--target", files["zz"], "--t", "0.5",
+                 "--pair", "0", "3", "--epsilon", epsilon]) == 2
+    assert "error budget must be positive" in capsys.readouterr().err
 
 
 def test_bound_gate_needs_a_two_qubit_drift_as_compile_does(files, capsys):

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import all_local_cliffords, conjugate_by_cliffords, random_two_body
+from conftest import (
+    all_local_cliffords,
+    average,
+    conjugate_by_cliffords,
+    dense_of_pauli,
+    random_two_body,
+)
 from hamrc import (
     AXIS_ROTATION,
     CLIFF_HAD,
@@ -15,10 +21,8 @@ from hamrc import (
     PAULI_CLIFF,
     LocalClifford,
     PauliString,
-    average,
     build_expansion,
     dense_of_expansion,
-    dense_of_pauli,
     sign_flip_clifford,
 )
 from hamrc.cliffords import framed_images

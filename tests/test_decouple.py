@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugation_sign, random_two_body, xz_chain
+from conftest import conjugation_sign, dense_of_pauli, filter_support, random_two_body, xz_chain
 from hamrc import (
     HamExpansion,
     HamrcError,
@@ -17,12 +17,10 @@ from hamrc import (
     build_expansion,
     compile_on_pair,
     dense_of_expansion,
-    dense_of_pauli,
     distance,
     embed,
     evaluate_schedule,
     expm_hermitian,
-    filter_support,
     isolate_principal,
 )
 from hamrc import decouple

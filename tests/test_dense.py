@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_of_pauli
 from hamrc import (
     DimMismatch,
     HamExpansion,
@@ -15,7 +16,6 @@ from hamrc import (
     TooLarge,
     build_expansion,
     dense_of_expansion,
-    dense_of_pauli,
     distance,
     expm_hermitian,
     operator_norm,

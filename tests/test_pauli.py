@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conjugate_by_cliffords, conjugation_sign
+from conftest import (
+    average,
+    conjugate_by_cliffords,
+    conjugation_sign,
+    dense_of_pauli,
+    filter_support,
+)
 from hamrc import (
     HamExpansion,
     InvalidTerm,
@@ -15,13 +21,10 @@ from hamrc import (
     NotTwoBody,
     PAULI_CLIFF,
     PauliString,
-    average,
     build_expansion,
     coupling_graph,
     dense_of_expansion,
-    dense_of_pauli,
     embed,
-    filter_support,
     is_entangling,
     max_coupling,
     project_to_sites,

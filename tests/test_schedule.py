@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     clifford_layer,
+    dense_of_pauli,
     interned,
     random_layer,
     random_two_body,
@@ -35,7 +36,6 @@ from hamrc import (
     canonicalize,
     compile_cnot,
     dense_of_expansion,
-    dense_of_pauli,
     distance,
     evaluate_schedule,
     expm_hermitian,

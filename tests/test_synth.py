@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    cnot_generator,
     conjugate_by_cliffords,
+    dense_of_pauli,
     framed_expansion,
     heisenberg,
     random_coupled_pair,
@@ -39,12 +41,10 @@ from hamrc import (
     TooLarge,
     VerificationFailure,
     build_expansion,
-    cnot_generator,
     compile_cnot,
     compile_on_pair,
     compile_schedule,
     dense_of_expansion,
-    dense_of_pauli,
     distance,
     embed,
     evaluate_schedule,
