@@ -320,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--epsilon", type=_finite, required=True, help="error budget")
     p_bnd.add_argument("--bound", default=None,
                        choices=["chained", "empirical"],
-                       help="bound kind (default chained; refused with --gate)")
+                       help="bound kind (default: chained, or empirical when routing; "
+                       "refused with --gate)")
     p_bnd.add_argument("--report", default=None, help="write the report here")
     p_bnd.set_defaults(fn=_cmd_bound)
 

@@ -617,7 +617,9 @@ def canonicalize(sched: Schedule) -> Schedule:
     join whose seam cancels, as an order-2 step's outer frame layers do,
     settles on its second copy.  A body that never settles (a lone drift
     that keeps fusing) is folded copy by copy.  The result has the same
-    instructions as folding the expansion.
+    instructions as folding the expansion, and no two blocks of count 1
+    in a row: they are one block, as ``parse_schedule`` reads them back,
+    so the schedule and its file evaluate alike.
     """
     seams = _seams(sched)
     merges = dict(zip(seams, _merge_seams(seams, sched.n))) if seams else {}  # seam -> merged
@@ -643,8 +645,14 @@ def canonicalize(sched: Schedule) -> Schedule:
                     del out[:cut]
                 break
     settled.append((tuple(out), 1))
+    blocks: list[tuple[Sequence[Instruction], int]] = []
+    for body, count in settled:
+        if count == 1 and blocks and blocks[-1][1] == 1:
+            blocks[-1] = (blocks[-1][0] + body, 1)
+        else:
+            blocks.append((body, count))
     return Schedule(
-        sched.n, settled, sched.phase,
+        sched.n, blocks, sched.phase,
         raw_drift_periods=sched.raw_drift_periods,
         plan=sched.plan,
         predicted_error=sched.predicted_error,

@@ -52,7 +52,6 @@ from .schedule import (
     Schedule,
     _drift_eigh,
     _evaluate,
-    _merge_seams,
     canonicalize,
     evaluate_schedule,
 )
@@ -112,8 +111,7 @@ class StepModel:
     (``merge_framed_drifts``), and every compile plans, emits and counts
     that merged model.  The model builds, once, the layers its steps are
     emitted with: each framed drift's frame layer and its inverse
-    (``frame_layers``), and the merged layer of each seam two consecutive
-    framed drifts form (``seam_layers``).
+    (``frame_layers``).
     """
 
     n: int
@@ -141,11 +139,6 @@ class StepModel:
         layers = iter(zip(built, LocalLayer.daggers(built)))
         return tuple(next(layers) if fr else None for fr in framed)
 
-    @functools.cached_property
-    def _built(self) -> dict:
-        """What ``seam_layers`` and ``step_layout`` built, by their arguments."""
-        return {}
-
     def runs(self, order: int) -> tuple[int, ...]:
         """The factors one step of ``order`` runs, in operator order: at
         order 1 each once, at order 2 the symmetric palindrome, every
@@ -157,71 +150,6 @@ class StepModel:
         if order == 1 or last < 1:
             return tuple(range(last + 1))
         return (*range(last + 1), *reversed(range(last)))
-
-    def seam_layers(self, order: int) -> dict[tuple[int, int], LocalLayer]:
-        """The merged layer of each seam that two consecutive framed drifts
-        form in a step of ``order``, keyed by the factors on its left and
-        right in operator order.
-
-        A framed drift ``k`` runs as ``L_k, drift, L_k^dag``, so where
-        ``runs`` puts framed drift ``j`` right after ``k`` they meet at
-        ``L_k^dag L_j``: ``k + 1`` after ``k``, and in order 2's
-        reflection also ``k`` after ``k + 1``.  The seams of the order are
-        merged in one batch by ``schedule._merge_seams``, the kernel
-        ``canonicalize`` uses, each distinct pair of layers once, so every
-        merged layer is bitwise the one the fold makes of that seam.  A
-        seam whose merge is not unitary is left out, for the fold to raise
-        at it.  Built once per order and shared by every step.
-        """
-        if ("seams", order) in self._built:
-            return self._built["seams", order]
-        frames = self.frame_layers
-        runs = self.runs(order)
-        links = [(a, b) for a, b in zip(runs, runs[1:]) if frames[a] and frames[b]]
-        pairs = [(frames[a][1], frames[b][0]) for a, b in links]
-        keys = [(left.cache_key(), right.cache_key()) for left, right in pairs]
-        distinct = dict(zip(keys, pairs))
-        merged = dict(zip(distinct, _merge_seams(list(distinct.values()), self.n)))
-        seams = self._built["seams", order] = {
-            link: merged[key]
-            for link, key in zip(links, keys) if isinstance(merged[key], LocalLayer)
-        }
-        return seams
-
-    def step_layout(self, order: int, zero: frozenset[int]) -> tuple:
-        """The step ``emit_step`` writes at ``order``, with the index of each
-        factor in the place of its instruction: a local factor's layer or
-        a framed drift's drift, whose durations depend on the step.
-
-        A framed drift stands between its frame layers, and where two meet
-        their seam is the merged layer of ``seam_layers`` (nothing, when it
-        has no sites); a seam beside a factor in ``zero``, whose drift
-        lasts no time, keeps its two layers.  Built once per order and
-        set of such factors.
-        """
-        if (order, zero) in self._built:
-            return self._built[order, zero]
-        frames = self.frame_layers
-        seams = self.seam_layers(order)
-        out: list[LocalLayer | int] = []
-        prev = -1  # the framed drift just written, unless it lasts no time
-        for k in self.runs(order):
-            frame = frames[k]
-            if frame is None:
-                out.append(k)
-                prev = -1
-                continue
-            seam = None if k in zero else seams.get((prev, k))
-            if seam is None:
-                out.append(frame[0])
-            elif seam.sites():
-                out[-1] = seam
-            else:
-                out.pop()
-            out += (k, frame[1])
-            prev = -1 if k in zero else k
-        layout = self._built[order, zero] = tuple(out)
-        return layout
 
     @functools.cached_property
     def images(self) -> tuple[np.ndarray, ...]:
@@ -419,17 +347,9 @@ def emit_step(
     the head's instruction objects (a local factor's layer is built once
     per step).
 
-    The layers come from ``StepModel.step_layout``, built once per model:
-    a framed drift runs between its layer and that layer's inverse, and
-    where two framed drifts meet, the inverse of the first and the layer
-    of the second are written as their merged layer from
-    ``StepModel.seam_layers``.  So a step of m framed drifts in a row
-    carries m + 1 frame layers, shared by every step.  A seam beside a
-    zero-duration drift, or whose merge is not unitary, is written as its
-    two layers: ``canonicalize`` merges it as it merges the seams that
-    depend on ``delta`` or on the copy (the local factor's layer and the
-    join between steps), and its result is the one it makes of the
-    unmerged step.
+    A framed drift runs between its frame layer and that layer's inverse
+    (``StepModel.frame_layers``, shared by every step), and a seam where
+    two layers meet is left to ``canonicalize``, the one place seams merge.
     """
     if order not in (1, 2):
         raise InvalidStep(f"order must be 1 or 2, got {order}")
@@ -437,18 +357,16 @@ def emit_step(
         raise InvalidStep(f"step duration must be positive, got {delta}")
 
     shares = Counter(model.runs(order))
-    durations = [delta / shares[k] for k in range(len(model.factors))]
-    zero = frozenset(
-        k for k, (f, d) in enumerate(zip(model.factors, durations))
-        if isinstance(f, FramedDrift) and not f.rate * d
-    )
-    layout = model.step_layout(order, zero)
-    built = [
-        f.layer(d) if isinstance(f, LocalFactor) else Drift(f.rate * d)
-        for f, d in zip(model.factors, durations)
-    ]
-    out = [built[x] if type(x) is int else x for x in layout]
-    return out, -model.phase_rate * delta
+    runs = []
+    for k, (f, frame) in enumerate(zip(model.factors, model.frame_layers)):
+        d = delta / shares[k]
+        if isinstance(f, LocalFactor):
+            runs.append([f.layer(d)])
+        elif frame is None:
+            runs.append([Drift(f.rate * d)])
+        else:
+            runs.append([frame[0], Drift(f.rate * d), frame[1]])
+    return [ins for k in model.runs(order) for ins in runs[k]], -model.phase_rate * delta
 
 
 def _make_measure(
@@ -458,18 +376,18 @@ def _make_measure(
     plan.  The goal and the drift's eigendecomposition are built once, for
     every call of the returned closure.
 
-    Each call evaluates the step ``emit_step`` writes, with its seams
-    merged from ``StepModel.seam_layers``: the model merges them at the
-    first probe, and every later probe and the final emission reuse them.
+    Each call measures the schedule ``compile_program`` writes for a
+    program of this one segment: the step repeated ``n_steps`` times
+    (``_repeat_steps``), canonicalized, so a plan's prediction is what
+    ``verify`` measures on the written file.
     """
     goal = evolution(target, t)
     evals, vecs = _drift_eigh(model.drift)
 
     def measure(n_steps: int) -> float:
-        instructions, phase = emit_step(model, t / n_steps, order)
-        frag = Schedule(model.n, ((instructions, 1),), phase)
-        w = _evaluate(frag, evals, vecs)
-        return distance(goal, np.linalg.matrix_power(w, n_steps), phase_align=True)
+        block, phase, _ = _repeat_steps(model, t, n_steps, order)
+        w = _evaluate(canonicalize(Schedule(model.n, [block], phase)), evals, vecs)
+        return distance(goal, w, phase_align=True)
 
     return measure
 
@@ -619,7 +537,7 @@ def compile_program(
     if program.goal is not None and predicted is not None:
         achieved = distance(program.goal, evaluate_schedule(sched, drift), phase_align=True)
         if not achieved <= predicted + _bounds.ROUNDING:
-            raise VerificationFailure(f"CNOT error {achieved:.3e} exceeds plan {predicted:.3e}")
+            raise VerificationFailure(f"error {achieved:.3e} on the goal exceeds plan {predicted:.3e}")
     return sched
 
 

@@ -32,6 +32,7 @@ from hamrc.decouple import (
     _ordering_error,
     _ordering_parts,
 )
+from hamrc.dense import evolution
 from hamrc.pauli import anticommutes, pack_masks, unpack_masks
 
 CHAIN4 = build_expansion(
@@ -410,9 +411,9 @@ def test_compile_on_pair_hits_its_budget():
     sched = compile_on_pair(
         CHAIN4, (0, 1), target, 1.0, epsilon=1e-2, order=2, bound="empirical"
     )
-    goal = expm_hermitian(dense_of_expansion(embed(target, 4, (0, 1))), 1.0)
-    err = distance(goal, evaluate_schedule(sched, CHAIN4))
-    assert err <= sched.predicted_error <= 1e-2
+    # the plan measures the schedule it compiles, the goal built as verify builds it
+    err = distance(evolution(embed(target, 4, (0, 1)), 1.0), evaluate_schedule(sched, CHAIN4))
+    assert err == sched.predicted_error <= 1e-2
 
 
 def test_compile_on_pair_chained_bound_is_sound():

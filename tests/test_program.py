@@ -19,8 +19,11 @@ from hamrc import (
     compile_remote,
     compile_schedule,
     distance,
+    embed,
     evaluate_schedule,
 )
+from hamrc.dense import evolution
+from hamrc.hamio import parse_schedule, serialize_schedule
 from hamrc.schedule import Listing
 
 DRIFT2 = build_expansion(2, [("ZI", 1.0), ("XZ", 2.0), ("ZZ", 1.0)])
@@ -32,6 +35,7 @@ CHAIN4 = build_expansion(
     ],
 )
 ZZ = build_expansion(2, [("ZZ", 1.0)])
+XX_ZZ = build_expansion(2, [("XX", 0.7), ("ZZ", 0.2), ("IZ", -0.3)])
 
 #: each entry point, called with a step count or a budget
 ENTRY_POINTS = {
@@ -60,15 +64,33 @@ def test_a_bad_budget_is_refused_once_the_same_way(entry, epsilon):
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_canonicalizes_once(monkeypatch, entry):
-    calls = []
+    # the program once, outside the planner; an empirical plan (a route's
+    # default) also canonicalizes once per probe, since each probe measures
+    # the schedule the compile writes
+    outside, inside, probes = [], [], []
+    real_measure = synth._make_measure
 
     def counting(sched):
-        calls.append(len(sched))
+        (inside if probes and probes[-1] is None else outside).append(len(sched))
         return canonicalize(sched)
 
+    def counting_measure(*args):
+        measure = real_measure(*args)
+
+        def probe(n_steps):
+            probes.append(None)  # open until the probe returns
+            err = measure(n_steps)
+            probes[-1] = n_steps
+            return err
+
+        return probe
+
     _patch_everywhere(monkeypatch, canonicalize, counting)
+    monkeypatch.setattr(synth, "_make_measure", counting_measure)
     ENTRY_POINTS[entry](epsilon=5e-2)
-    assert len(calls) == 1
+    assert len(outside) == 1
+    assert len(inside) == len(probes)
+    assert bool(probes) == (entry == "compile_remote")
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -141,3 +163,16 @@ def test_program_arguments_are_checked_once():
         compile_program(DRIFT2, Program((seg,)), steps=3, epsilon=1e-2)
     with pytest.raises(InvalidStep, match="need epsilon, not steps"):
         compile_program(DRIFT2, Program((seg, seg)), steps=3)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("compile_one, drift, target", [
+    (lambda **kw: compile_schedule(DRIFT2, XX_ZZ, 0.5, **kw), DRIFT2, XX_ZZ),
+    (lambda **kw: compile_on_pair(CHAIN4, (1, 2), XX_ZZ, 0.5, **kw), CHAIN4,
+     embed(XX_ZZ, 4, (1, 2))),
+], ids=["compile_schedule", "compile_on_pair"])
+def test_an_empirical_prediction_is_what_the_written_file_measures(compile_one, drift, target, order):
+    sched = compile_one(epsilon=1e-3, order=order, bound="empirical")
+    written = parse_schedule(serialize_schedule(sched))
+    measured = distance(evolution(target, 0.5), evaluate_schedule(written, drift))
+    assert measured == sched.predicted_error

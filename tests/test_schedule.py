@@ -1031,6 +1031,11 @@ def test_block_canonicalize_and_evaluate_match_the_expansion(step, lead, trail, 
     assert text == serialize_schedule(reference_canonicalize(flat))
     assert got.drift_count() == canonicalize(flat).drift_count()
     assert got.total_drift_time() == canonicalize(flat).total_drift_time()
+    # no two blocks of count 1 in a row, so the file reads back these
+    # blocks and evaluates bit for bit as the schedule
+    assert not any(a == b == 1 for (_, a), (_, b) in zip(got.blocks, got.blocks[1:]))
+    back = parse_schedule(serialize_schedule(got))
+    assert np.array_equal(evaluate_schedule(back, BLOCK_DRIFT), evaluate_schedule(got, BLOCK_DRIFT))
     for a in (sched, got):
         assert operator_norm(
             evaluate_schedule(a, BLOCK_DRIFT) - reference_evaluate(flat, BLOCK_DRIFT)
