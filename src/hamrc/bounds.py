@@ -17,6 +17,48 @@ sites fit is built densely on them and normed exactly, and one past the
 cap is bounded by coefficient 1-norms, taken on the strings' masks with
 no matrix at all.  Strings are the packed masks of ``pauli``, and every
 count, commutation test and product of them goes through its kernels.
+
+Order 1 has a second bound, from the step's leading error operator
+(``chained_bounds``; Childs et al., above, and Layden, PRL 128, 210501
+(2022)).  A schedule lists its factors in operator order, so a step of
+duration ``d`` is ``P = e^{-idF_0} e^{-idF_1} ... e^{-idF_last}`` (the
+last factor acts first) against ``U = e^{-idS_0}``, with ``S_j = F_j +
+B_j`` and ``B_j`` the tail after ``F_j``.  With ``W_j = e^{-idF_0} ...
+e^{-idF_(j-1)}`` (``W_0 = 1``) the difference telescopes over the splits::
+
+    P - U = sum_j W_j D_j,    D_j = e^{-idF_j} e^{-idB_j} - e^{-idS_j}.
+
+Duhamel's formula, with ``V(s) = e^{-isF_j} e^{-isB_j}`` and then on
+``e^{-isF_j} B_j e^{isF_j} - B_j``, gives for ``X_j = [F_j, B_j]``::
+
+    D_j = -int_0^d ds int_0^s du  G X_j H,
+    G = e^{-i(d-s)S_j} e^{-iuF_j},   H = e^{-i(s-u)F_j} e^{-isB_j},
+
+both unitary, so ``||D_j|| <= d^2 ||X_j|| / 2``.  ``||e^{-irA} - 1|| <=
+r ||A||`` bounds ``||G - 1||`` by ``(d-s)||S_j|| + u||F_j||`` and
+``||H - 1||`` by ``(s-u)||F_j|| + s||B_j||``; integrating
+``||G X_j H - X_j||`` gives ``||D_j + (d^2/2) X_j|| <= d^3 ||X_j||
+(||S_j||/6 + (||F_j|| + ||B_j||)/3)``, and ``||W_j - 1|| <= d Pi_j`` with
+``Pi_j = ||F_0|| + ... + ||F_(j-1)||``.  Writing ``W_j D_j`` as
+``-(d^2/2) X_j + (D_j + (d^2/2) X_j) + (W_j - 1) D_j``::
+
+    ||P - U|| <= a d^2 + b d^3,   a = ||C|| / 2,   C = sum_j X_j,
+    b = sum_j ||X_j|| (Pi_j/2 + ||S_j||/6 + (||F_j|| + ||B_j||)/3),
+
+and N steps chain to ``N (a d^2 + b d^3)``.  The rate's ``||X_j|| / 2``
+per split is ``a`` after a triangle inequality over ``C``, so where the
+decoupling frames' commutators cancel in the sum only ``a`` sees it.
+``||X_j||`` is the order-1 split norm, the other norms are coefficient
+1-norms of the table's rows (``Pi_j`` the factors', ``S_j`` the row sums).
+
+Every analytic bound is on the strict distance, to the target times the
+schedule's tracked phase.  ``verify`` by default rotates the schedule by
+the phase of its trace overlap with the target, which minimizes the
+Frobenius distance but not the operator-norm one, so the aligned error
+can read above the strict error: by up to 5.4e-9 (``pair-rand0-o1``) on
+the seed-1 benchmark schedules, more than ``ROUNDING``.  A bound's margin
+over the error covers that; the tests measure analytic plans with the
+phase aligned, as ``verify`` and the benchmark do.
 """
 
 from __future__ import annotations
@@ -43,7 +85,9 @@ class ErrorPlan:
     predicted error is non-increasing in the step count for every
     analytic kind.  Empirical plans carry the measured error instead.
     ``rate`` is the analytic kind's error rate, ``None`` for an empirical
-    plan.
+    plan; an order-1 ``chained`` plan also carries its leading-error
+    bound's ``(a, b)`` in ``leading``, and in ``set_by`` which of the two
+    bounds, ``rate`` or ``leading``, set its step count.
     """
 
     bound: str
@@ -53,6 +97,8 @@ class ErrorPlan:
     t: float
     predicted_error: float
     rate: float | None = field(default=None, compare=False)
+    leading: tuple[float, float] | None = field(default=None, compare=False)
+    set_by: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.steps < 1:
@@ -223,20 +269,32 @@ def _on_supports(
     return out
 
 
+def _commutator_terms(x, z, ny) -> tuple[np.ndarray, ...]:
+    """``(s, t, product, sign, px, pz, pny)``: every anticommuting pair of
+    a string ``s`` and a string ``t`` of masks ``x``, ``z`` and ``ny``, and
+    what ``[s, t] = 2 s t = i sign P`` makes of it.
+
+    ``s t = i^power P`` (``pauli_product``) with an odd power, so ``sign``
+    is ``2 i^power / i``; ``product`` is which of the distinct product
+    strings, of masks ``px``, ``pz`` and ``pny``, each pair makes.
+    """
+    s, t = np.nonzero(anticommutes(x[:, None], z[:, None], x, z))
+    px, pz, power = pauli_product(x[s], z[s], ny[s], x[t], z[t], ny[t])
+    _, first, product = np.unique(_string_keys(px, pz), return_index=True, return_inverse=True)
+    px, pz = px[first], pz[first]
+    return s, t, product, np.where(power == 1, 2.0, -2.0), px, pz, popcount(px & pz)
+
+
 def _commutator_one_norms(x, z, ny, pairs: np.ndarray) -> np.ndarray:
     """``||[A, B]||_1``, the 1-norm of the Pauli coefficients of the
     commutator, of each item of ``pairs`` (items x 2 x strings: ``A``,
     then ``B``, on the strings of masks ``x``, ``z`` and ``ny``).
 
-    ``[A, B]`` sums ``a_s b_t [s, t] = 2 a_s b_t s t`` over the
-    anticommuting pairs of a string ``s`` of ``A`` and ``t`` of ``B``, and
-    ``s t = i^power P`` (``pauli_product``) with an odd power, so the terms
-    are summed per product string ``P`` first.
+    ``[A, B]`` sums ``a_s b_t [s, t]`` over the anticommuting pairs of a
+    string ``s`` of ``A`` and ``t`` of ``B`` (``_commutator_terms``), so
+    the terms are summed per product string first.
     """
-    s, t = np.nonzero(anticommutes(x[:, None], z[:, None], x, z))
-    px, pz, power = pauli_product(x[s], z[s], ny[s], x[t], z[t], ny[t])
-    keys, product = np.unique(_string_keys(px, pz), return_inverse=True)
-    sign = np.where(power == 1, 2.0, -2.0)  # 2 i^power / i
+    s, t, product, sign, keys, _, _ = _commutator_terms(x, z, ny)
     out = np.zeros(len(pairs))
     per = max(1, _BATCH // max(1, len(s)))
     for start in range(0, len(pairs), per):
@@ -256,9 +314,10 @@ def _nested_one_norms(x, z, ny, pairs: np.ndarray) -> np.ndarray:
     return np.stack([4.0 * a * a * b, 4.0 * a * b * b], axis=-1)
 
 
-def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
-    """``(x, z, ny, heads, rests)``: each split of ``model``'s step,
-    restricted to the sites its commutators ``hops`` deep act on.
+def _splits(coefficients: tuple[np.ndarray, ...], hops: int) -> tuple[np.ndarray, ...]:
+    """``(x, z, ny, heads, rests)``: each split of a step model's
+    ``coefficients`` (``_coefficient_table``), restricted to the sites its
+    commutators ``hops`` deep act on.
 
     Split ``j`` peels ``A = F_j`` off ``S = F_j + ... + F_last``, leaving
     the tail ``B = S - A``; ``S`` is the whole step for ``j = 0`` and the
@@ -275,7 +334,7 @@ def _splits(model, hops: int) -> tuple[np.ndarray, ...]:
     ``R = S``, which differs from ``B`` by such terms only.  So the rows
     have the commutators of ``A`` and ``B`` up to ``hops`` deep.
     """
-    x, z, ny, table = _coefficient_table(model)
+    x, z, ny, table = coefficients
     heads, tails = table[:-1], _tails(table)
     sums = np.concatenate([heads[:1] + tails[:1], tails[:-1]])
     masks = x | z
@@ -296,6 +355,20 @@ _SPLIT_NORMS = {
     1: (_commutator_norm, _commutator_one_norms, 4, ()),
     2: (_nested_norms, _nested_one_norms, 5, (2,)),
 }
+
+
+def _split_norms(coefficients: tuple[np.ndarray, ...], order: int) -> np.ndarray:
+    """Each split's norms at ``order`` (``_SPLIT_NORMS``): ``||[A, B]||`` at
+    order 1, ``(||[A, [A, B]]||, ||[B, [B, A]]||)`` at order 2, or their
+    bounds past the dense cap; 0 for a split with no term of ``A`` near
+    its ``R``."""
+    measure, bound, held, values = _SPLIT_NORMS[order]
+    x, z, ny, heads, rests = _splits(coefficients, order)
+    live = np.flatnonzero((heads != 0.0).any(axis=1))
+    norms = np.zeros((len(heads), *values))
+    pairs = np.stack([heads[live], rests[live]], axis=1)
+    norms[live] = _on_supports(measure, bound, held, x, z, ny, pairs, values)
+    return norms
 
 
 def chained_rate(model, order: int) -> float:
@@ -338,15 +411,58 @@ def chained_rate(model, order: int) -> float:
         raise InvalidTerm(f"order must be 1 or 2, got {order}")
     if not model.factors:
         return 0.0
-    measure, bound, held, values = _SPLIT_NORMS[order]
-    x, z, ny, heads, rests = _splits(model, order)
-    live = np.flatnonzero((heads != 0.0).any(axis=1))
-    norms = np.zeros((len(heads), *values))
-    pairs = np.stack([heads[live], rests[live]], axis=1)
-    norms[live] = _on_supports(measure, bound, held, x, z, ny, pairs, values)
+    norms = _split_norms(_coefficient_table(model), order)
     if order == 1:
-        return 0.5 * sum(norms[::-1].tolist(), 0.0)
+        return _first_order_rate(norms)
     return sum((norms[:, 0] / 24.0 + norms[:, 1] / 12.0)[::-1].tolist(), 0.0)
+
+
+def _first_order_rate(norms: np.ndarray) -> float:
+    """Half the sum of the splits' ``||[A, B]||``, added from the last split."""
+    return 0.5 * sum(norms[::-1].tolist(), 0.0)
+
+
+def _one_norms(x, z, ny, items: np.ndarray) -> np.ndarray:
+    """The 1-norm of each item's coefficients, summed over its rows."""
+    return np.abs(items).sum(axis=(1, 2))
+
+
+def chained_bounds(model, order: int) -> tuple[float, tuple[float, float] | None]:
+    """``chained_rate(model, order)`` and, at order 1, the leading-error
+    bound's ``(a, b)``: one step of duration ``d`` is within
+    ``a d^2 + b d^3`` of its target (module docstring), from the same
+    coefficient table and split norms as the rate.
+
+    ``a = ||C|| / 2`` for ``C = sum_j [F_j, B_j]``, the step's leading
+    error operator.  Its Pauli coefficients are one product ``heads^T
+    tails`` of the table's rows, scattered over the anticommuting string
+    pairs (``_commutator_terms``); ``||C||`` is taken densely on ``C``'s
+    own sites where they fit the dense cap and bounded by its coefficient
+    1-norm past it (``_on_supports``).  ``b`` is the remainder, from each
+    split's ``||X_j|| = ||[F_j, B_j]||`` (the order-1 split norms) and the
+    coefficient 1-norms of the factors, tails and sums.  Order 2 has no
+    second bound: ``None``.
+    """
+    if order != 1:
+        return chained_rate(model, order), None
+    if not model.factors:
+        return 0.0, (0.0, 0.0)
+    coefficients = _coefficient_table(model)
+    norms = _split_norms(coefficients, 1)
+    x, z, ny, table = coefficients
+    heads, tails = table[:-1], _tails(table)
+    s, t, product, sign, cx, cz, cny = _commutator_terms(x, z, ny)
+    leading = np.bincount(product, (heads.T @ tails)[s, t] * sign, minlength=len(cx))
+    live = leading != 0.0
+    a = 0.0
+    if live.any():
+        items = leading[live][None, None]
+        a = 0.5 * float(_on_supports(hermitian_norm, _one_norms, 1, cx[live], cz[live], cny[live], items)[0])
+    factor, tail = np.abs(heads).sum(axis=1), np.abs(tails).sum(axis=1)
+    whole = np.abs(heads + tails).sum(axis=1)
+    before = np.concatenate([[0.0], np.cumsum(factor)[:-1]])
+    b = float(norms @ (before / 2.0 + whole / 6.0 + (factor + tail) / 3.0))
+    return _first_order_rate(norms), (a, b)
 
 
 def _check_budget(epsilon: float, t: float) -> None:
@@ -356,6 +472,24 @@ def _check_budget(epsilon: float, t: float) -> None:
         raise InvalidTerm("total time must be positive")
 
 
+def _fewest_steps(bound_at: Callable[[int], float], guess: float, epsilon: float, max_steps: int) -> int:
+    """Smallest step count whose ``bound_at(N)`` meets ``epsilon``, searched
+    from ``guess``: one step if it passes, else the guess nudged down while
+    the count below it passes and up while it fails."""
+    if bound_at(1) <= epsilon:
+        return 1
+    if not guess < max_steps:  # also catches inf pre-ceil
+        raise Infeasible(f"needs more than {max_steps} steps")
+    n = max(1, math.ceil(guess))
+    while n > 1 and bound_at(n - 1) <= epsilon:
+        n -= 1
+    while bound_at(n) > epsilon:
+        n += 1
+        if n > max_steps:
+            raise Infeasible(f"needs more than {max_steps} steps")
+    return n
+
+
 def plan_steps(
     bound: str,
     epsilon: float,
@@ -363,41 +497,58 @@ def plan_steps(
     *,
     order: int,
     rate: float,
+    leading: tuple[float, float] | None = None,
     max_steps: int = MAX_PLAN_STEPS,
 ) -> ErrorPlan:
     """Smallest step count ``N`` whose bound ``N * rate * (t/N)^(order+1)``
-    meets ``epsilon``.
+    meets ``epsilon``, or, given ``leading = (a, b)``, the smaller of that
+    count and the one whose ``N (a d^2 + b d^3)``, ``d = t/N``, meets it.
 
-    Every analytic bound has this commutator-scaling form (Childs, Su,
-    Tran, Wiebe and Zhu, PRX 11, 011020 (2021)); the kinds differ only in
-    ``rate``, so ``bound`` just labels the plan.  Raises :class:`Infeasible`
-    when no step count up to ``max_steps`` meets the budget, and when the
-    bound overflows the float range; a rate of 0 is one exact step.
+    Every analytic bound has the first, commutator-scaling form (Childs,
+    Su, Tran, Wiebe and Zhu, PRX 11, 011020 (2021)); the kinds differ only
+    in ``rate``, so ``bound`` just labels the plan.  The second is the
+    order-1 leading-error bound (``chained_bounds``).  Both fall as ``N``
+    grows, so the plan never takes more steps than the first alone; it
+    predicts the smaller of the two at its count, and ``set_by`` names
+    the one whose count it took, ``rate`` on a tie.  Raises
+    :class:`Infeasible` when no step count up to ``max_steps`` meets the
+    budget, and when the bounds overflow the float range; a bound of 0 is
+    one exact step at any ``t``.
     """
     _check_budget(epsilon, t)
 
-    def cumulative(n: int) -> float:
+    def chained(n: int) -> float:
         try:
             return n * rate * (t / n) ** (order + 1)
         except OverflowError:  # (t/n)^(order+1) is past the largest float
             return math.inf if rate else 0.0
 
-    c1 = cumulative(1)
-    if c1 <= epsilon:
-        n = 1
-    else:
-        # cumulative = c1 / n^order: invert, then nudge for float rounding
-        guess = (c1 / epsilon) ** (1.0 / order)
-        if not guess < max_steps:  # also catches inf pre-ceil
-            raise Infeasible(f"needs more than {max_steps} steps")
-        n = max(1, math.ceil(guess))
-        while n > 1 and cumulative(n - 1) <= epsilon:
-            n -= 1
-        while cumulative(n) > epsilon:
-            n += 1
-            if n > max_steps:
-                raise Infeasible(f"needs more than {max_steps} steps")
-    return ErrorPlan(bound, order, n, t / n, t, cumulative(n), rate)
+    # cumulative = c1 / n^order: invert, then nudge for float rounding
+    bounds = {"rate": (chained, (chained(1) / epsilon) ** (1.0 / order))}
+    if leading is not None:
+        a, b = leading
+
+        def two_term(n: int) -> float:
+            d = t / n  # products, not powers: an overflow is inf, and 0 d^k is 0
+            return n * (a * d * d + b * d * d * d)
+
+        # the root of a t^2 / N + b t^3 / N^2 = epsilon
+        p, q = a * t * t / epsilon, b * t * t * t / epsilon
+        bounds["leading"] = (two_term, (p + math.sqrt(p * p + 4.0 * q)) / 2.0)
+    counts, refusal = {}, None
+    for name, (bound_at, guess) in bounds.items():
+        try:
+            counts[name] = _fewest_steps(bound_at, guess, epsilon, max_steps)
+        except Infeasible as exc:
+            refusal = exc
+    if not counts:
+        raise refusal
+    set_by = min(counts, key=counts.get)
+    n = counts[set_by]
+    predicted = min(bound_at(n) for bound_at, _ in bounds.values())
+    return ErrorPlan(
+        bound, order, n, t / n, t, predicted, rate, leading, set_by if leading is not None else None
+    )
 
 
 def plan_empirical(

@@ -4,7 +4,10 @@ Four subcommands: ``check`` validates a drift Hamiltonian and reports
 whether it can entangle the whole register, ``compile`` turns a target
 into a pulse schedule, ``verify`` measures a schedule against its
 target, and ``bound`` prints a step plan without compiling anything; an
-analytic plan reports the ``rate`` of its bound ``N * rate * (t/N)^(order+1)``.
+analytic plan reports the ``rate`` of its bound ``N * rate * (t/N)^(order+1)``,
+and an order-1 ``chained`` plan also the ``a`` and ``b`` of its
+leading-error bound ``N (a d^2 + b d^3)`` and which of the two set its
+step count.
 
 Exit codes: 0 success, 2 malformed input, 3 structurally impossible
 (not entangling, pair not coupled, no route), 4 infeasible or register
@@ -39,7 +42,7 @@ from .errors import (
     TooLarge,
     VerificationFailure,
 )
-from .hamio import format_report, parse_hamfile, parse_schedule, serialize_schedule
+from .hamio import _fmt, format_report, parse_hamfile, parse_schedule, serialize_schedule
 from .pauli import HamExpansion, embed, is_entangling
 from .schedule import Schedule, evaluate_schedule
 
@@ -224,9 +227,17 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _plan_line(plan) -> str:
+    """One segment's plan on one line: its bound kind, steps, predicted
+    error and, for an order-1 ``chained`` plan, the bound that set the count."""
+    line = f"{plan.bound} steps {plan.steps} predicted_error {_fmt(plan.predicted_error)}"
+    return line if plan.set_by is None else f"{line} set_by {plan.set_by}"
+
+
 def _cmd_bound(args) -> int:
     """Plan the program ``compile`` runs for the same input; several product
-    segments report their summed ``predicted_error`` and their count."""
+    segments report their summed ``predicted_error``, their count and one
+    line each, in program order."""
     drift = parse_hamfile(_read(args.hamfile))
     order = _resolve_order(args)
     program, bound = _program(args, drift)
@@ -238,6 +249,7 @@ def _cmd_bound(args) -> int:
             ("predicted_error", sum(plan.predicted_error for plan in planned)),
             ("segments", len(planned)),
         ]
+        items += [(f"segment_{k}", _plan_line(plan)) for k, plan in enumerate(planned, 1)]
     else:
         (plan,) = planned
         items = [
@@ -247,6 +259,8 @@ def _cmd_bound(args) -> int:
         ]
         if plan.rate is not None:
             items.append(("rate", plan.rate))
+        if plan.leading is not None:
+            items += [("a", plan.leading[0]), ("b", plan.leading[1]), ("set_by", plan.set_by)]
     _emit(format_report(items), args.report)
     return 0
 

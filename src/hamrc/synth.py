@@ -403,15 +403,15 @@ def plan_for_model(
 
     ``target`` is the evolution the model approximates, on the model's
     register.  Every analytic kind is ``plan_steps`` at its own rate:
-    ``chained_rate`` of the model, from dense norms on each split's sites
+    ``chained_bounds`` of the model, from dense norms on each split's sites
     where they fit the dense cap and coefficient 1-norms where they do
-    not, and a fixed order and rate for each
-    CNOT kind, which refuses any other order.  This is the one place a
-    plan is chosen by bound kind.
+    not, with the leading-error bound beside the rate at order 1, and a
+    fixed order and rate for each CNOT kind, which refuses any other
+    order.  This is the one place a plan is chosen by bound kind.
     """
     if bound == "chained":
-        rate = _bounds.chained_rate(model, order)
-        return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate)
+        rate, leading = _bounds.chained_bounds(model, order)
+        return _bounds.plan_steps(bound, epsilon, t, order=order, rate=rate, leading=leading)
     if bound in _CNOT_RATES:
         kind_order, rate = _CNOT_RATES[bound]
         if order != kind_order:

@@ -47,6 +47,7 @@ from hamrc.bounds import (
     _splits,
     _supports,
     _tails,
+    chained_bounds,
     plan_empirical,
 )
 from hamrc.cliffords import CLIFF_HAD, CLIFF_S, CLIFF_XQ, PAULI_CLIFF
@@ -560,7 +561,7 @@ def test_each_split_is_built_on_the_smaller_reach_of_its_tail_and_its_sum(hops):
     for at in range(len(model.factors)):
         factors = framed[:at] + (local,) + framed[at:]
         moved = StepModel(model.n, model.drift, factors, 0.0)
-        x, z, ny, heads, rests = _splits(moved, hops)
+        x, z, ny, heads, rests = _splits(_coefficient_table(moved), hops)
         table = _coefficient_table(moved)[3]
         tails = _tails(table)
         sums = np.concatenate([table[:1] + tails[:1], tails[:-1]])
@@ -650,7 +651,7 @@ def test_each_nested_split_is_at_most_its_product_of_norms(kind, n, seed):
     # split by split, so no plan takes more steps than the product form's
     rng = np.random.default_rng(seed)
     model, _ = _random_register_model(kind, n, rng)
-    x, z, ny, heads, rests = _splits(model, 2)
+    x, z, ny, heads, rests = _splits(_coefficient_table(model), 2)
     pairs = np.stack([heads, rests], axis=1)
     nested = _on_supports(_nested_norms, _nested_one_norms, 5, x, z, ny, pairs, (2,))
     nested = nested[:, 0] / 24.0 + nested[:, 1] / 12.0
@@ -737,6 +738,124 @@ def test_plan_infeasible_budgets():
         _cnot_plan("first_order_cnot", 1e-30, 1)
     with pytest.raises(Infeasible):
         plan_steps("chained", 1e-12, 10.0, order=1, rate=100.0, max_steps=1000)
+
+
+@pytest.mark.parametrize("leading", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1e-300, 1e-300)])
+def test_a_two_term_bound_past_the_float_range_is_infeasible(leading):
+    # a d^2 and b d^3 overflow at t = 1e300 with no OverflowError, as the
+    # rate's bound does; a count that one bound cannot reach is the other's
+    with pytest.raises(Infeasible, match="needs more than"):
+        plan_steps("chained", 1e-2, 1e300, order=1, rate=1.0, leading=leading)
+    exact = plan_steps("chained", 1e-2, 1e300, order=1, rate=1.0, leading=(0.0, 0.0))
+    assert (exact.steps, exact.predicted_error, exact.set_by) == (1, 0.0, "leading")
+    plan = plan_steps("chained", 1e-2, 1.0, order=1, rate=1e300, leading=leading)
+    assert plan.set_by == "leading" and plan.predicted_error <= 1e-2
+    with pytest.raises(Infeasible):
+        plan_steps("chained", 1e-2, 1.0, order=1, rate=1e300)
+    with pytest.raises(Infeasible):
+        plan_steps("chained", 1e-2, 1.0, order=1, rate=1e300, leading=(1e300, 1.0))
+
+
+@pytest.mark.parametrize("rate, leading, steps, set_by", [
+    (0.5, (0.5, 0.0), 50, "rate"),  # equal counts: the rate's
+    (1.0, (0.25, 1.0), 29, "leading"),
+    (1.0, (1.0, 1.0), 100, "rate"),
+])
+def test_the_two_term_plan_takes_the_smaller_count(rate, leading, steps, set_by):
+    plan = plan_steps("chained", 1e-2, 1.0, order=1, rate=rate, leading=leading)
+    assert (plan.steps, plan.set_by, plan.leading) == (steps, set_by, leading)
+    a, b = leading
+    d = 1.0 / steps
+    assert plan.predicted_error == min(steps * rate * d**2, steps * (a * d * d + b * d * d * d))
+    fewer = 1.0 / (steps - 1)
+    assert (steps - 1) * min(rate * fewer**2, a * fewer**2 + b * fewer**3) > 1e-2
+
+
+@pytest.mark.parametrize("kind, n, seed", [
+    ("pair", 2, 0), ("pair", 2, 1), ("chain", 4, 0), ("chain", 5, 2), ("a2a", 4, 0), ("a2a", 5, 1),
+])
+def test_the_leading_error_is_half_the_norm_of_the_summed_commutators(kind, n, seed):
+    # a = ||C||/2 for C = sum_j [F_j, B_j] from full-register matrices, and
+    # the one-step error divided by d^2 tends to it as d falls
+    rng = np.random.default_rng(seed)
+    model, target = _random_register_model(kind, n, rng)
+    rate, (a, b) = chained_bounds(model, 1)
+    assert rate == chained_rate(model, 1)
+    summed = sum(x @ y - y @ x for x, y in _split_mats(model))
+    assert abs(a - 0.5 * operator_norm(summed)) <= 1e-12 * a
+    for d in (1e-4, 2e-4):
+        measured = _make_measure(model, target, d, 1)(1)
+        assert abs(measured / d**2 - a) <= 5e-3 * a
+        assert measured <= a * d**2 + b * d**3
+
+
+@settings(max_examples=40)
+@given(
+    kind=st.sampled_from(["pair", "random"]),
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.sampled_from([0.3, 0.1, 0.03, 0.01]),
+    t=st.floats(0.1, 2.0),
+)
+@example(kind="pair", n=2, seed=0, epsilon=0.3, t=2.0)
+@example(kind="random", n=6, seed=3, epsilon=0.3, t=2.0)
+def test_first_order_two_term_plans_are_sound(kind, n, seed, epsilon, t):
+    # up to the longest steps the planner picks: measured with the phase
+    # aligned, as verify's default and the benchmark measure it, and never
+    # more steps than the rate alone plans
+    rng = np.random.default_rng(seed)
+    target = random_coupled_pair(rng)
+    if kind == "pair":
+        n, pair = 2, None
+        drift = random_two_body(2, rng, connected=True)
+    else:
+        drift = random_two_body(n, rng, connected=True)
+        pairs = sorted({p.support() for p in drift.terms if p.weight() == 2})
+        pair = pairs[int(rng.integers(len(pairs)))]
+    model = compile_model(drift, target, pair)
+    assume(len(model.factors) <= 70)  # keeps the measure cheap
+    register_target = target if pair is None else embed(target, n, pair)
+    plan = plan_for_model(model, register_target, t, epsilon, 1, "chained")
+    by_rate = plan_steps("chained", epsilon, t, order=1, rate=plan.rate)
+    assert plan.steps <= by_rate.steps
+    measured = _make_measure(model, register_target, t, 1)(plan.steps)
+    assert measured <= plan.predicted_error + ROUNDING
+
+
+#: the seed-1 ``a2a-n4-chained-o1`` job of bench/workloads.py: an
+#: all-to-all Heisenberg drift and a pair target on its sites 0 and 3
+_A2A_COUPLINGS = {
+    (0, 1): (1.119615859279665, 1.1082618152694792, 1.122230606444568),
+    (0, 2): (0.6837960139394139, 0.6837232002372617, 0.6836638480930639),
+    (0, 3): (0.5441172733763043, 0.5440235193167154, 0.5430430495624131),
+    (1, 2): (0.7951165196137593, 0.7989065522265333, 0.7939387192451736),
+    (1, 3): (0.7517689342402072, 0.7613401082462218, 0.763124741263871),
+    (2, 3): (0.8904859804329539, 0.8948044315886031, 0.8937283280406528),
+}
+_A2A_TARGET = build_expansion(
+    2, [("XX", 0.7654466952945524), ("ZZ", 0.21267585724251115), ("IZ", -0.2895046933538879)]
+)
+
+
+def test_the_leading_error_bound_plans_the_seeded_all_to_all_model():
+    # the decoupling frames' commutators cancel in C: the rate's 40 steps
+    # become 13, and each plan measures within its prediction, as it would
+    # not without the remainder (2 steps at 1e-2, measuring above a t^2 / 2)
+    terms = []
+    for (i, j), strengths in _A2A_COUPLINGS.items():
+        for axis, c in zip("XYZ", strengths):
+            terms.append(("".join(axis if q in (i, j) else "I" for q in range(4)), c))
+    model = compile_model(build_expansion(4, terms), _A2A_TARGET, (0, 3))
+    target, t = embed(_A2A_TARGET, 4, (0, 3)), 0.3
+    measure = _make_measure(model, target, t, 1)
+    plan = plan_for_model(model, target, t, 1e-2, 1, "chained")
+    assert plan_steps("chained", 1e-2, t, order=1, rate=plan.rate).steps == 40
+    assert (plan.steps, plan.set_by) == (13, "leading")
+    for epsilon in (0.3, 0.1, 0.03, 0.01):
+        plan = plan_for_model(model, target, t, epsilon, 1, "chained")
+        assert measure(plan.steps) <= plan.predicted_error + ROUNDING
+    a = plan.leading[0]
+    assert measure(2) > 2 * a * (t / 2) ** 2
 
 
 def test_plan_rejects_bad_arguments():

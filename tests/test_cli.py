@@ -21,7 +21,7 @@ from hamrc import (
     serialize_hamfile,
     serialize_schedule,
 )
-from hamrc.bounds import ROUNDING
+from hamrc.bounds import ROUNDING, plan_steps
 from hamrc.cli import main
 
 DRIFT = "qubits 2\n1 0:Z\n2 0:X 1:Z\n1 0:Z 1:Z\n"
@@ -342,13 +342,15 @@ def test_a_32_site_compile_builds_nothing_of_register_size(files, capsys):
 
 @pytest.mark.parametrize(
     "n, order, steps",
-    [(16, 1, 64), (32, 1, 64), (48, 1, 64), (16, 2, 4), (32, 2, 4), (48, 2, 4)],
+    [(16, 1, 41), (32, 1, 52), (48, 1, 64), (16, 2, 4), (32, 2, 4), (48, 2, 4)],
 )
 def test_bound_past_the_dense_cap_builds_nothing_of_register_size(
     files, capsys, n, order, steps
 ):
     # every split fits on at most 4 sites, so its norms are dense there and
-    # the plan is a 10-site chain's: no norm of size 2^n
+    # the rate is a 10-site chain's: no norm of size 2^n.  At order 1 the
+    # leading-error bound's remainder grows with the register's 1-norm, so
+    # it sets the count at 16 and 32 sites and the rate's 64 steps at 48
     drift = files["tmp"] / f"chain{n}.ham"
     drift.write_text(serialize_hamfile(xz_chain(n)))
     target = files["tmp"] / "pair.ham"
@@ -363,6 +365,8 @@ def test_bound_past_the_dense_cap_builds_nothing_of_register_size(
     assert code == 0
     out = capsys.readouterr().out
     assert "bound chained" in out and f"steps {steps}\n" in out
+    if order == 1:
+        assert ("set_by rate\n" if n == 48 else "set_by leading\n") in out
     assert peak < 16 * 2**20
 
 
@@ -406,16 +410,35 @@ def test_uncoupled_pair_is_named_by_register_sites(files, capsys):
 
 
 def test_bound_plans_a_routed_pair_as_compile_does(files, capsys):
-    argv = [files["chain"], "--target", files["zz"], "--t", "0.5", "--pair", "0", "3",
-            "--epsilon", "1e-2"]
-    assert main(["bound", *argv]) == 0
-    planned = _report(capsys.readouterr().out)
-    assert main(["compile", *argv, "--out", str(files["tmp"] / "far.hrs")]) == 0
-    compiled = _report(capsys.readouterr().out)
-    assert list(planned) == ["command", "order", "epsilon", "predicted_error", "segments"]
-    assert planned["segments"] == "5"
-    assert planned["predicted_error"] == compiled["predicted_error"]
-    assert "bound" not in compiled
+    # the 0 -> 3 route is two swaps, the core and the same swaps back: one
+    # line per product segment, in program order, and the summed
+    # prediction is compile's, under the default bound and under chained
+    for bound in ([], ["--bound", "chained"]):
+        argv = [files["chain"], "--target", files["zz"], "--t", "0.5", "--pair", "0", "3",
+                "--epsilon", "1e-2", *bound]
+        assert main(["bound", *argv]) == 0
+        text = capsys.readouterr().out
+        assert main(["bound", *argv]) == 0
+        assert capsys.readouterr().out == text
+        planned = _report(text)
+        assert main(["compile", *argv, "--out", str(files["tmp"] / "far.hrs")]) == 0
+        compiled = _report(capsys.readouterr().out)
+        assert list(planned) == [
+            "command", "order", "epsilon", "predicted_error", "segments",
+            *(f"segment_{k}" for k in range(1, 6)),
+        ]
+        assert planned["segments"] == "5"
+        assert planned["predicted_error"] == compiled["predicted_error"]
+        assert "bound" not in compiled
+        lines = [planned[f"segment_{k}"].split() for k in range(1, 6)]
+        assert lines[0] == lines[4] and lines[1] == lines[3] and lines[0] != lines[2]
+        for line in lines:
+            kind, _, steps, _, predicted, *rest = line
+            assert kind == (bound[1] if bound else "empirical")
+            assert int(steps) >= 1 and float(predicted) > 0
+            # an order-1 chained count is set by the rate or the leading-error bound
+            assert rest in ([["set_by", "rate"], ["set_by", "leading"]] if bound else [[]])
+        assert float(planned["predicted_error"]) == sum(float(line[4]) for line in lines)
 
 
 @pytest.mark.parametrize("command", ["bound", "compile"])
@@ -595,6 +618,26 @@ def test_negative_tolerance_exits_2(files, capsys):
     assert exit_.value.code == 2
     assert "tolerance must be >= 0" in capsys.readouterr().err
     assert main(["verify", files["drift"], sched, "--gate", "cnot", "--tolerance", "0"]) == 5
+
+
+def test_an_order_one_chained_bound_reports_both_bounds(files, capsys):
+    argv = [files["chain"], "--target", files["zz"], "--t", "0.5", "--pair", "0", "1",
+            "--epsilon", "1e-2"]
+    assert main(["bound", *argv]) == 0
+    planned = _report(capsys.readouterr().out)
+    assert list(planned)[-4:] == ["rate", "a", "b", "set_by"]
+    rate, a, b = (float(planned[k]) for k in ("rate", "a", "b"))
+    steps, delta = int(planned["steps"]), float(planned["delta"])
+    # the count is the smaller of the two bounds' counts, and the plan
+    # predicts the smaller bound at it
+    by_rate = plan_steps("chained", 1e-2, 0.5, order=1, rate=rate)
+    assert steps <= by_rate.steps
+    assert planned["set_by"] == ("rate" if steps == by_rate.steps else "leading")
+    predicted = min(steps * rate * delta**2, steps * (a * delta * delta + b * delta * delta * delta))
+    assert float(planned["predicted_error"]) == pytest.approx(predicted, rel=1e-15)
+    # order 2 has one bound
+    assert main(["bound", *argv, "--order", "2"]) == 0
+    assert list(_report(capsys.readouterr().out))[-1] == "rate"
 
 
 @pytest.mark.parametrize("command", ["bound", "compile"])
